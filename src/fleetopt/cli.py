@@ -79,8 +79,6 @@ def _cmd_train_predictors(args) -> int:
 def _cmd_optimize(args) -> int:
     scenario = _load(args)
     if args.approach:
-        if args.approach not in ("proxy", "amortized"):
-            raise ConfigError(f"--approach: expected proxy or amortized, got {args.approach!r}")
         scenario = dataclasses.replace(scenario, approach=args.approach)
     report = run_scenario(scenario, out_dir=args.out, skip_training=args.skip_training)
     for row in report.rows:

@@ -148,7 +148,7 @@ class FleetConfig:
     def __post_init__(self):
         for name in ("n_training", "n_synthetic", "n_holdout_monotone", "n_holdout_adversarial"):
             if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+                raise ValueError(f"{name}: must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -318,10 +318,6 @@ class Oracle:
 
     def accuracy(self, x: DesignPoint) -> float:
         return true_accuracy(x, self.space, self.ledger)
-
-
-def ledger_report(ledger: MeasurementLedger) -> dict:
-    return ledger.snapshot()
 
 
 def _log_uniform(rng: np.random.Generator, lo: float, hi: float) -> float:

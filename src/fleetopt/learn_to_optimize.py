@@ -1,17 +1,17 @@
 """Amortized design optimization: a network from (device, weights) to a design.
 
-Method 1 imitates a search algorithm on labeled (input, argmin) pairs; Method 2
-never sees labels and instead minimizes the predicted objective directly,
-backpropagating through the frozen performance predictors into the optimizer's
-own weights. Training happens on the continuous encoding relaxation (the
-predictors accept any point of the unit cube); decoding to a discrete design
-happens only at inference. The output layer is logistic, so every inference is
-decodable by construction.
+The optimizer network (the paper's Method 2) never sees labels: it minimizes
+the predicted objective directly, backpropagating through the frozen
+device-aware performance predictors into its own weights. Training happens on
+the continuous encoding relaxation (the predictors accept any point of the
+unit cube); decoding to a discrete design happens only at inference. The output
+layer is logistic, so every inference is decodable by construction. A
+constraint sweep over a lambda grid turns the network into a solver for one
+device's hard-constrained problem.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -19,19 +19,9 @@ import numpy as np
 
 from .design_space import DesignPoint, DesignSpace, decode, encode
 from .device_world import DeviceFeatures, Oracle
-from .nn import DenseNet, MomentumSgd
-from .search import ConstraintSpec, SearchParams, evolutionary_search
-from .surrogate import (
-    MlpRegressor,
-    TradeoffWeights,
-    TrainingSettings,
-    device_embedding,
-    predicted_objective,
-)
-
-
-class MissingLabelsError(ValueError):
-    """Method 1 requires labels; the training set has none."""
+from .nn import DenseNet, l2_penalty, train
+from .search import ConstraintSpec
+from .surrogate import MlpRegressor, TradeoffWeights, TrainingSettings, device_embedding
 
 
 def build_lambda_grid(count_per_axis: int, max_lambda: float) -> list[TradeoffWeights]:
@@ -55,18 +45,6 @@ def optimizer_input(d: DeviceFeatures, lam: TradeoffWeights) -> np.ndarray:
 
 
 @dataclass
-class OptimizerTrainingSet:
-    inputs: list[tuple[DeviceFeatures, TradeoffWeights]]
-    labels: list[np.ndarray] | None = None
-
-    def __post_init__(self):
-        if self.labels is not None and len(self.labels) != len(self.inputs):
-            raise ValueError(
-                f"{len(self.labels)} labels for {len(self.inputs)} inputs"
-            )
-
-
-@dataclass
 class OptimizerNetwork:
     """x_hat(d, lambda): normalized (device embedding, lambda) in, encoding out."""
 
@@ -84,18 +62,15 @@ class OptimizerNetwork:
         x = (optimizer_input(d, lam) - self.in_mean) / self.in_scale
         return self.net.forward(x[None, :])[0]
 
-    def weight_norm_sq(self) -> float:
-        theta = self.net.parameter_vector()
-        return float(theta @ theta)
-
     def to_dict(self) -> dict:
+        net = self.net.to_dict()
+        # input_layout sits after the head, as in optimizer files already written
+        head = {key: net.pop(key) for key in ("layer_sizes", "output_activation")}
         return {
             "kind": "optimizer",
-            "layer_sizes": self.net.layer_sizes,
-            "output_activation": self.net.output_activation,
+            **head,
             "input_layout": {"device_features": int(self.in_mean.size - 2), "lambdas": 2},
-            "weights": [W.tolist() for W in self.net.weights],
-            "biases": [b.tolist() for b in self.net.biases],
+            **net,
             "in_mean": self.in_mean.tolist(),
             "in_scale": self.in_scale.tolist(),
             "final_loss": self.final_loss,
@@ -103,13 +78,8 @@ class OptimizerNetwork:
 
     @classmethod
     def from_dict(cls, d: dict) -> "OptimizerNetwork":
-        net = object.__new__(DenseNet)
-        net.layer_sizes = list(d["layer_sizes"])
-        net.output_activation = d["output_activation"]
-        net.weights = [np.array(W, dtype=float) for W in d["weights"]]
-        net.biases = [np.array(b, dtype=float) for b in d["biases"]]
         return cls(
-            net=net,
+            net=DenseNet.from_dict(d),
             in_mean=np.array(d["in_mean"], dtype=float),
             in_scale=np.array(d["in_scale"], dtype=float),
             final_loss=float(d["final_loss"]),
@@ -124,99 +94,6 @@ def save_optimizer(net: OptimizerNetwork, path) -> None:
 def load_optimizer(path) -> OptimizerNetwork:
     with open(path) as f:
         return OptimizerNetwork.from_dict(json.load(f))
-
-
-def generate_labels_method1(
-    devices: list[DeviceFeatures],
-    lambdas: list[TradeoffWeights],
-    acc_model: MlpRegressor,
-    energy_model: MlpRegressor,
-    latency_model: MlpRegressor,
-    space: DesignSpace,
-    params: SearchParams,
-    minimizer=None,
-) -> OptimizerTrainingSet:
-    """Search-generated supervision: argmin of the predicted objective for every
-    (device, lambda) pair, stored as encodings. Predictor-only; the ledger never
-    moves here."""
-    inputs: list[tuple[DeviceFeatures, TradeoffWeights]] = []
-    labels: list[np.ndarray] = []
-    pair_index = 0
-    for d in devices:
-        for lam in lambdas:
-            def objective(x: DesignPoint) -> float:
-                return predicted_objective(
-                    encode(x, space), d, lam, acc_model, energy_model, latency_model
-                )
-
-            if minimizer is not None:
-                best = minimizer(objective)
-            else:
-                seeded = SearchParams(
-                    population=params.population,
-                    generations=params.generations,
-                    mutation_rate=params.mutation_rate,
-                    elite_fraction=params.elite_fraction,
-                    seed=int(
-                        np.random.SeedSequence([params.seed, pair_index]).generate_state(
-                            1, np.uint64
-                        )[0]
-                    ),
-                )
-                best = evolutionary_search(objective, space, seeded)
-            inputs.append((d, lam))
-            labels.append(encode(best, space))
-            pair_index += 1
-    return OptimizerTrainingSet(inputs=inputs, labels=labels)
-
-
-def _input_matrix(inputs: list[tuple[DeviceFeatures, TradeoffWeights]]):
-    X = np.stack([optimizer_input(d, lam) for d, lam in inputs])
-    mean = X.mean(axis=0)
-    std = X.std(axis=0)
-    scale = np.where(std < 1e-12, 1.0, std)
-    return X, mean, scale
-
-
-def train_method1(
-    training_set: OptimizerTrainingSet,
-    layer_sizes: tuple[int, ...],
-    hyper: TrainingSettings,
-    mu: float,
-    rng: np.random.Generator,
-) -> OptimizerNetwork:
-    """Supervised: mean squared encoding error plus mu * ||theta||^2."""
-    if training_set.labels is None:
-        raise MissingLabelsError("method 1 training set has no labels")
-    if not training_set.inputs:
-        raise ValueError("empty training set")
-    X, mean, scale = _input_matrix(training_set.inputs)
-    Xn = (X - mean) / scale
-    Y = np.stack(training_set.labels)
-    n = Xn.shape[0]
-    net = DenseNet([Xn.shape[1], *layer_sizes, Y.shape[1]], rng, output_activation="logistic")
-    opt = MomentumSgd(net, hyper.learning_rate, hyper.momentum)
-    batch = min(hyper.batch_size, n)
-    curve: list[float] = []
-    for _ in range(hyper.epochs):
-        order = rng.permutation(n)
-        sq_sum = 0.0
-        for start in range(0, n, batch):
-            idx = order[start : start + batch]
-            pred, cache = net.forward_cached(Xn[idx])
-            err = pred - Y[idx]
-            sq_sum += float(np.sum(err * err))
-            wg, bg, _ = net.backward(cache, 2.0 * err / idx.size)
-            if mu > 0:
-                for i in range(len(wg)):
-                    wg[i] += 2.0 * mu * net.weights[i]
-                    bg[i] += 2.0 * mu * net.biases[i]
-            opt.step(net, wg, bg)
-        reg = mu * float(sum(np.sum(W * W) for W in net.weights) + sum(b @ b for b in net.biases))
-        curve.append(sq_sum / n + reg)
-    return OptimizerNetwork(
-        net=net, in_mean=mean, in_scale=scale, final_loss=curve[-1], loss_curve=curve
-    )
 
 
 def _require_device_aware(energy_model: MlpRegressor, latency_model: MlpRegressor) -> None:
@@ -269,37 +146,7 @@ def _amortized_objective(net, Xn, embeddings, lams, acc_model, energy_model,
     en = energy_model.predict_batch(dev_inputs) / energy_model.objective_scale
     lat = latency_model.predict_batch(dev_inputs) / latency_model.objective_scale
     f = float(np.mean(-acc + lams[:, 0] * en + lams[:, 1] * lat))
-    reg = mu * float(sum(np.sum(W * W) for W in net.weights) + sum(b @ b for b in net.biases))
-    return f + reg
-
-
-def _train_method2_once(Xn, embeddings, lams, layer_sizes, hyper, mu,
-                        acc_model, energy_model, latency_model,
-                        rng: np.random.Generator):
-    n = Xn.shape[0]
-    width = acc_model.input_dim
-    net = DenseNet([Xn.shape[1], *layer_sizes, width], rng, output_activation="logistic")
-    opt = MomentumSgd(net, hyper.learning_rate, hyper.momentum)
-    batch = min(hyper.batch_size, n)
-    curve: list[float] = []
-    for _ in range(hyper.epochs):
-        order = rng.permutation(n)
-        f_sum = 0.0
-        for start in range(0, n, batch):
-            idx = order[start : start + batch]
-            f_mean, wg, bg = amortized_batch_gradient(
-                net, Xn[idx], embeddings[idx], lams[idx],
-                acc_model, energy_model, latency_model,
-            )
-            f_sum += f_mean * idx.size
-            if mu > 0:
-                for i in range(len(wg)):
-                    wg[i] += 2.0 * mu * net.weights[i]
-                    bg[i] += 2.0 * mu * net.biases[i]
-            opt.step(net, wg, bg)
-        reg = mu * float(sum(np.sum(W * W) for W in net.weights) + sum(b @ b for b in net.biases))
-        curve.append(f_sum / n + reg)
-    return net, curve
+    return f + l2_penalty(net, mu)
 
 
 def train_method2(
@@ -325,18 +172,26 @@ def train_method2(
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     _require_device_aware(energy_model, latency_model)
-    X, mean, scale = _input_matrix(inputs)
+    X = np.stack([optimizer_input(d, lam) for d, lam in inputs])
+    mean, std = X.mean(axis=0), X.std(axis=0)
+    scale = np.where(std < 1e-12, 1.0, std)
     Xn = (X - mean) / scale
     embeddings = np.stack([device_embedding(d) for d, _ in inputs])
     lams = np.stack([lam.as_array() for _, lam in inputs])
-    start_seeds = rng.integers(0, 2**63, size=restarts)
     best = None
-    for seed in start_seeds:
-        net, curve = _train_method2_once(
-            Xn, embeddings, lams, layer_sizes, hyper, mu,
-            acc_model, energy_model, latency_model,
-            np.random.default_rng(int(seed)),
-        )
+    for seed in rng.integers(0, 2**63, size=restarts):
+        start_rng = np.random.default_rng(int(seed))
+        net = DenseNet([Xn.shape[1], *layer_sizes, acc_model.input_dim], start_rng,
+                       output_activation="logistic")
+
+        def batch_loss_and_grad(idx, net=net):
+            f_mean, wg, bg = amortized_batch_gradient(
+                net, Xn[idx], embeddings[idx], lams[idx],
+                acc_model, energy_model, latency_model,
+            )
+            return f_mean * idx.size, wg, bg
+
+        curve = train(net, Xn.shape[0], batch_loss_and_grad, hyper, start_rng, mu)
         score = _amortized_objective(net, Xn, embeddings, lams, acc_model,
                                      energy_model, latency_model, mu)
         if best is None or score < best[0]:
@@ -449,57 +304,3 @@ def constraint_sweep(
         predicted_latency=pl, predicted_energy=pe, validation=validation,
         rows=tuple(rows),
     )
-
-
-def fine_tune(
-    seed_design: DesignPoint,
-    d: DeviceFeatures | None,
-    lam: TradeoffWeights,
-    acc_model: MlpRegressor,
-    energy_model: MlpRegressor,
-    latency_model: MlpRegressor,
-    space: DesignSpace,
-    radius: int,
-    budget: int = 512,
-) -> DesignPoint:
-    """Exhaustive local search on f_hat within a Hamming ball around the seed.
-
-    Candidates are enumerated radius-first in lexicographic order and cut off
-    at budget evaluations (the seed counts); the result is never worse than
-    the seed under f_hat.
-    """
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-
-    def value(x: DesignPoint):
-        return predicted_objective(
-            encode(x, space), d, lam, acc_model, energy_model, latency_model
-        )
-
-    seed_idx = space.indices_of(seed_design)
-    axes = space._axes()
-    best = ((value(seed_design), seed_idx), seed_design)
-    spent = 1
-    for r in range(1, radius + 1):
-        if spent >= budget:
-            break
-        for positions in itertools.combinations(range(len(axes)), r):
-            if spent >= budget:
-                break
-            alt_lists = [
-                [k for k in range(len(axes[p])) if k != seed_idx[p]] for p in positions
-            ]
-            for replacement in itertools.product(*alt_lists):
-                if spent >= budget:
-                    break
-                idx = list(seed_idx)
-                for p, k in zip(positions, replacement):
-                    idx[p] = k
-                x = space.design_at(idx)
-                spent += 1
-                rank = (value(x), tuple(idx))
-                if rank < best[0]:
-                    best = (rank, x)
-    return best[1]

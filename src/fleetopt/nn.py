@@ -6,6 +6,7 @@ inputs, and kinked activations would hand it zero or jumpy gradients. The
 output head is linear for regression or logistic when outputs must land in
 (0, 1). Everything is float64 numpy; gradients come in two flavors, weights
 (for training the net itself) and inputs (for training whatever feeds it).
+Every network in the package is trained by the one minibatch loop `train`.
 """
 
 from __future__ import annotations
@@ -133,6 +134,25 @@ class DenseNet:
         if pos != theta.size:
             raise ValueError(f"parameter vector has {theta.size} entries, expected {pos}")
 
+    def to_dict(self) -> dict:
+        return {
+            "layer_sizes": self.layer_sizes,
+            "output_activation": self.output_activation,
+            "weights": [W.tolist() for W in self.weights],
+            "biases": [b.tolist() for b in self.biases],
+        }
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "DenseNet":
+        """Inverse of to_dict; other keys are ignored, so a whole model file's
+        document can be passed."""
+        net = object.__new__(cls)
+        net.layer_sizes = list(d["layer_sizes"])
+        net.output_activation = d["output_activation"]
+        net.weights = [np.array(W, dtype=float) for W in d["weights"]]
+        net.biases = [np.array(b, dtype=float) for b in d["biases"]]
+        return net
+
     def copy(self) -> "DenseNet":
         clone = object.__new__(DenseNet)
         clone.layer_sizes = list(self.layer_sizes)
@@ -161,3 +181,40 @@ class MomentumSgd:
             self._vb[i] = self.momentum * self._vb[i] + bias_grads[i]
             net.weights[i] -= self.learning_rate * self._vw[i]
             net.biases[i] -= self.learning_rate * self._vb[i]
+
+
+def l2_penalty(net: DenseNet, mu: float) -> float:
+    """mu * ||theta||^2 over every weight and bias; exactly 0.0 when mu is 0."""
+    if mu == 0:
+        return 0.0
+    return mu * float(sum(np.sum(W * W) for W in net.weights) + sum(b @ b for b in net.biases))
+
+
+def train(net: DenseNet, n: int, batch_loss_and_grad, hyper, rng: np.random.Generator,
+          mu: float = 0.0) -> list[float]:
+    """Minibatch momentum SGD over n rows; returns the per-epoch loss curve.
+
+    hyper carries learning_rate, momentum, epochs and batch_size (a
+    surrogate.TrainingSettings). Each epoch visits the rows once, in a fresh
+    order drawn from rng. batch_loss_and_grad(idx) returns the summed loss of
+    rows idx and the weight and bias gradients of their mean loss; with mu > 0
+    the gradient of mu * ||theta||^2 is added before each step. A curve entry
+    is the epoch's mean row loss plus the penalty at the epoch's end.
+    """
+    opt = MomentumSgd(net, hyper.learning_rate, hyper.momentum)
+    batch = min(hyper.batch_size, n)
+    curve: list[float] = []
+    for _ in range(hyper.epochs):
+        order = rng.permutation(n)
+        loss_sum = 0.0
+        for start in range(0, n, batch):
+            idx = order[start : start + batch]
+            loss, wg, bg = batch_loss_and_grad(idx)
+            loss_sum += loss
+            if mu > 0:
+                for i in range(len(wg)):
+                    wg[i] += 2.0 * mu * net.weights[i]
+                    bg[i] += 2.0 * mu * net.biases[i]
+            opt.step(net, wg, bg)
+        curve.append(loss_sum / n + l2_penalty(net, mu))
+    return curve

@@ -10,6 +10,7 @@ out of it on purpose.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -20,7 +21,6 @@ import numpy as np
 
 from .design_space import enumerate_all, sample_uniform
 from .device_world import (
-    DeviceFeatures,
     Fleet,
     MeasurementLedger,
     Oracle,
@@ -46,7 +46,6 @@ from .scenario import ConfigError, Scenario
 from .search import ConstraintSpec
 from .surrogate import (
     MlpRegressor,
-    TrainingSettings,
     load_model,
     save_model,
     train_accuracy_predictor,
@@ -163,49 +162,49 @@ def _design_row(space, x) -> list[int]:
     return [int(i) for i in space.indices_of(x)]
 
 
-def _run_proxy(scenario: Scenario, fleet: Fleet, oracle: Oracle, bounds: dict,
+def _load_models(models_dir: str | None, names: list[str]) -> list:
+    """The models a training run persisted under models_dir, in names order."""
+    if models_dir is None:
+        raise ConfigError("skip-training needs an output directory with saved models")
+    try:
+        return [
+            (load_optimizer if name == "optimizer.json" else load_model)(
+                os.path.join(models_dir, name))
+            for name in names
+        ]
+    except FileNotFoundError as e:
+        raise ConfigError(f"skip-training: missing model file ({e.filename})") from None
+
+
+def _run_proxy(scenario: Scenario, fleet: Fleet, targets: list, oracle: Oracle, bounds: dict,
                models_dir: str | None, skip_training: bool, artifacts: dict):
     space = scenario.space
     need_energy = scenario.optimize.energy_percentile is not None
+    metrics = ["latency", "energy"] if need_energy else ["latency"]
+    names = ["accuracy.json"] + [f"{metric}_proxy.json" for metric in metrics]
     rng_train = np.random.default_rng(np.random.SeedSequence([scenario.seed, 1]))
     if skip_training:
-        if models_dir is None:
-            raise ConfigError("skip-training needs an output directory with saved models")
-        try:
-            acc_model = load_model(os.path.join(models_dir, "accuracy.json"))
-            lat_model = load_model(os.path.join(models_dir, "latency_proxy.json"))
-            en_model = (
-                load_model(os.path.join(models_dir, "energy_proxy.json")) if need_energy else None
-            )
-        except FileNotFoundError as e:
-            raise ConfigError(f"skip-training: missing model file ({e.filename})") from None
+        models = _load_models(models_dir, names)
     else:
-        acc_model = train_accuracy_predictor(
+        models = [train_accuracy_predictor(
             space, scenario.samples_per_device, oracle, rng_train,
             scenario.hyper, scenario.hidden,
-        )
-        lat_model = train_device_specific_predictor(
-            "latency", fleet.proxy, scenario.samples_per_device, oracle, rng_train,
-            scenario.hyper, scenario.hidden,
-        )
-        en_model = None
-        if need_energy:
-            en_model = train_device_specific_predictor(
-                "energy", fleet.proxy, scenario.samples_per_device, oracle, rng_train,
+        )] + [
+            train_device_specific_predictor(
+                metric, fleet.proxy, scenario.samples_per_device, oracle, rng_train,
                 scenario.hyper, scenario.hidden,
             )
-    artifacts["models"] = {"accuracy.json": acc_model, "latency_proxy.json": lat_model}
-    if en_model is not None:
-        artifacts["models"]["energy_proxy.json"] = en_model
+            for metric in metrics
+        ]
+    artifacts["models"] = dict(zip(names, models))
+    acc_model, lat_model = models[:2]
+    en_model = models[2] if need_energy else None
 
     pool = ProxyPool()
     pool.add(ProxyEntry(fleet.proxy, acc_model, lat_model, en_model, TCache(scenario.granularity)))
     rng_opt = np.random.default_rng(np.random.SeedSequence([scenario.seed, 2]))
     rows = []
     traces = {}
-    targets = [("monotone", d) for d in fleet.holdout_monotone] + [
-        ("adversarial", d) for d in fleet.holdout_adversarial
-    ]
     for family, target in targets:
         lat_before = oracle.ledger.count(target.device_id, "latency")
         trials: list = []
@@ -274,26 +273,17 @@ def _run_proxy(scenario: Scenario, fleet: Fleet, oracle: Oracle, bounds: dict,
     return rows
 
 
-def _run_amortized(scenario: Scenario, fleet: Fleet, oracle: Oracle, bounds: dict,
-                   models_dir: str | None, skip_training: bool, artifacts: dict):
+def _run_amortized(scenario: Scenario, fleet: Fleet, targets: list, oracle: Oracle,
+                   bounds: dict, models_dir: str | None, skip_training: bool, artifacts: dict):
     space = scenario.space
-    if len(fleet.training_real) < 2:
-        raise ConfigError("fleet.n_training: amortized approach needs >= 2 training devices")
+    names = ["accuracy.json", "energy_fleet.json", "latency_fleet.json", "optimizer.json"]
+    lambda_grid = build_lambda_grid(scenario.lambda_count, scenario.lambda_max)
     rng_train = np.random.default_rng(np.random.SeedSequence([scenario.seed, 1]))
     if skip_training:
-        if models_dir is None:
-            raise ConfigError("skip-training needs an output directory with saved models")
-        try:
-            acc_model = load_model(os.path.join(models_dir, "accuracy.json"))
-            en_model = load_model(os.path.join(models_dir, "energy_fleet.json"))
-            lat_model = load_model(os.path.join(models_dir, "latency_fleet.json"))
-            optnet = load_optimizer(os.path.join(models_dir, "optimizer.json"))
-        except FileNotFoundError as e:
-            raise ConfigError(f"skip-training: missing model file ({e.filename})") from None
+        acc_model, en_model, lat_model, optnet = _load_models(models_dir, names)
     else:
-        per_device = max(2, scenario.samples_per_device)
         bundle = train_stage1(
-            space, list(fleet.training_real), per_device, oracle, rng_train,
+            space, list(fleet.training_real), scenario.samples_per_device, oracle, rng_train,
             scenario.hyper, scenario.hidden,
         )
         if scenario.optimize.exploration_rounds > 0:
@@ -302,31 +292,16 @@ def _run_amortized(scenario: Scenario, fleet: Fleet, oracle: Oracle, bounds: dic
                 scenario.optimize.explore_size, oracle, rng_train,
             )
         acc_model, en_model, lat_model = bundle.accuracy, bundle.energy, bundle.latency
-        lambdas = build_lambda_grid(scenario.lambda_count, scenario.lambda_max)
         train_devices = list(fleet.training_real) + list(fleet.synthetic)
-        inputs = [(d, lam) for d in train_devices for lam in lambdas]
-        opt_hyper = TrainingSettings(
-            learning_rate=scenario.hyper.learning_rate,
-            momentum=scenario.hyper.momentum,
-            epochs=scenario.optimize.optimizer_epochs,
-            batch_size=scenario.hyper.batch_size,
-        )
+        inputs = [(d, lam) for d in train_devices for lam in lambda_grid]
+        opt_hyper = dataclasses.replace(scenario.hyper, epochs=scenario.optimize.optimizer_epochs)
         optnet = train_method2(
             inputs, acc_model, en_model, lat_model,
             scenario.optimize.optimizer_hidden, opt_hyper, scenario.optimize.mu, rng_train,
         )
-    artifacts["models"] = {
-        "accuracy.json": acc_model,
-        "energy_fleet.json": en_model,
-        "latency_fleet.json": lat_model,
-        "optimizer.json": optnet,
-    }
-    lambda_grid = build_lambda_grid(scenario.lambda_count, scenario.lambda_max)
+    artifacts["models"] = dict(zip(names, (acc_model, en_model, lat_model, optnet)))
     rows = []
     sweeps = {}
-    targets = [("monotone", d) for d in fleet.holdout_monotone] + [
-        ("adversarial", d) for d in fleet.holdout_adversarial
-    ]
     for family, target in targets:
         spec = bounds[target.device_id]
         before_lat = oracle.ledger.count(target.device_id, "latency")
@@ -382,13 +357,14 @@ def run_scenario(
     bounds, cal_ledger = _percentile_bounds(scenario, fleet)
     models_dir = os.path.join(out_dir, "models") if out_dir else None
 
+    targets = [("monotone", d) for d in fleet.holdout_monotone] + [
+        ("adversarial", d) for d in fleet.holdout_adversarial
+    ]
     artifacts: dict = {}
-    if scenario.approach == "proxy":
-        rows = _run_proxy(scenario, fleet, oracle, bounds, models_dir, skip_training, artifacts)
-    else:
-        rows = _run_amortized(scenario, fleet, oracle, bounds, models_dir, skip_training, artifacts)
+    run = _run_proxy if scenario.approach == "proxy" else _run_amortized
+    rows = run(scenario, fleet, targets, oracle, bounds, models_dir, skip_training, artifacts)
 
-    target_ids = [d.device_id for d in fleet.holdout_monotone + fleet.holdout_adversarial]
+    target_ids = [d.device_id for _, d in targets]
     per_target = {
         dev_id: ledger.count(dev_id, "latency") + ledger.count(dev_id, "energy")
         for dev_id in target_ids

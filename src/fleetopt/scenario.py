@@ -1,8 +1,10 @@
 """Scenario configuration: one JSON document driving a whole run.
 
-Keys starting with "_" are ignored everywhere (comment convention). Every
-validation error names the offending key path so a bad config is a one-line
-fix, and the CLI maps ConfigError to its own exit code.
+Keys starting with "_" are ignored everywhere (comment convention); any other
+key the parser does not know is an error. Every value is type- and
+range-checked here, so a bad config fails before a run starts, and every
+validation error names the offending key path so it is a one-line fix. The
+CLI maps ConfigError to its own exit code.
 """
 
 from __future__ import annotations
@@ -21,17 +23,65 @@ class ConfigError(ValueError):
     pass
 
 
-def _get(section: dict, key: str, kind, default, path: str):
+SECTION_KEYS = {
+    "fleet": ("n_training", "n_synthetic", "n_holdout_monotone", "n_holdout_adversarial"),
+    "predictor": ("samples_per_device", "hidden", "epochs", "batch_size", "learning_rate",
+                  "momentum"),
+    "search": ("population", "generations", "mutation_rate", "elite_fraction"),
+    "bisection": ("granularity", "delta_fraction"),
+    "lambda_grid": ("count_per_axis", "max_lambda"),
+    "optimize": ("latency_percentile", "energy_percentile", "monotonicity_threshold",
+                 "probe_count", "mu", "exploration_rounds", "explore_size",
+                 "optimizer_hidden", "optimizer_epochs"),
+    "space": ("num_stages", "depth_choices", "width_choices", "kernel_choices", "bits_choices"),
+}
+TOP_KEYS = ("seed", "approach", *SECTION_KEYS)
+
+
+def _check(ok: bool, path: str, rule: str) -> None:
+    if not ok:
+        raise ConfigError(f"{path}: {rule}")
+
+
+def _known(section, keys: tuple[str, ...], path: str) -> dict:
+    """section itself, once it is an object whose keys are all in keys or
+    start with "_"."""
     if not isinstance(section, dict):
         raise ConfigError(f"{path}: expected an object")
+    for key in section:
+        _check(key in keys or str(key).startswith("_"), f"{path}.{key}" if path else key,
+               "unknown key")
+    return section
+
+
+def _get(section: dict, key: str, kind, default, path: str):
+    """section[key] as kind; null is accepted only where the default is null,
+    and a bool is never a number."""
     value = section.get(key, default)
-    if value is None:
+    if value is None and default is None:
         return None
-    if kind is float and isinstance(value, int):
-        value = float(value)
-    if not isinstance(value, kind) or isinstance(value, bool):
+    number = (int, float) if kind is float else kind
+    if not isinstance(value, number) or isinstance(value, bool):
         raise ConfigError(f"{path}.{key}: expected {kind.__name__}, got {value!r}")
-    return value
+    return float(value) if kind is float else value
+
+
+def _build(cls, path: str, **kwargs):
+    """cls(**kwargs), its ValueError ("field: rule") turned into a ConfigError
+    on the key path."""
+    try:
+        return cls(**kwargs)
+    except ValueError as e:
+        raise ConfigError(f"{path}.{e}") from None
+
+
+def _layers(section: dict, key: str, path: str) -> tuple[int, ...]:
+    value = section.get(key, [64, 64])
+    if not isinstance(value, list) or not all(
+        isinstance(h, int) and not isinstance(h, bool) and h > 0 for h in value
+    ):
+        raise ConfigError(f"{path}.{key}: expected a list of positive integers")
+    return tuple(value)
 
 
 @dataclass(frozen=True)
@@ -47,10 +97,19 @@ class OptimizeSettings:
     optimizer_epochs: int = 2000
 
     def __post_init__(self):
-        if not 0 < self.latency_percentile < 100:
-            raise ConfigError("optimize.latency_percentile: must be in (0, 100)")
-        if self.energy_percentile is not None and not 0 < self.energy_percentile < 100:
-            raise ConfigError("optimize.energy_percentile: must be in (0, 100)")
+        _check(0 < self.latency_percentile < 100, "optimize.latency_percentile",
+               "must be in (0, 100)")
+        _check(self.energy_percentile is None or 0 < self.energy_percentile < 100,
+               "optimize.energy_percentile", "must be in (0, 100)")
+        # Spearman rho lies in [-1, 1]; a threshold above 1 rejects every proxy
+        _check(-1.0 <= self.monotonicity_threshold <= 1.0, "optimize.monotonicity_threshold",
+               "must be in [-1, 1]")
+        _check(self.probe_count >= 10, "optimize.probe_count", "must be >= 10")
+        _check(self.mu >= 0, "optimize.mu", "must be >= 0")
+        _check(self.exploration_rounds >= 0, "optimize.exploration_rounds", "must be >= 0")
+        _check(self.explore_size >= (1 if self.exploration_rounds else 0),
+               "optimize.explore_size", "must be >= 1 with exploration rounds, else >= 0")
+        _check(self.optimizer_epochs >= 1, "optimize.optimizer_epochs", "must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -72,8 +131,14 @@ class Scenario:
     def __post_init__(self):
         if self.approach not in ("proxy", "amortized"):
             raise ConfigError(f"approach: must be 'proxy' or 'amortized', got {self.approach!r}")
-        if self.samples_per_device < 2:
-            raise ConfigError("predictor.samples_per_device: must be >= 2")
+        _check(self.seed >= 0, "seed", "must be >= 0")
+        _check(self.samples_per_device >= 2, "predictor.samples_per_device", "must be >= 2")
+        _check(0 < self.granularity < 1, "bisection.granularity", "must be in (0, 1)")
+        _check(0 < self.delta_fraction < 1, "bisection.delta_fraction", "must be in (0, 1)")
+        _check(self.lambda_count >= 1, "lambda_grid.count_per_axis", "must be >= 1")
+        _check(self.lambda_max > 0, "lambda_grid.max_lambda", "must be positive")
+        _check(self.approach == "proxy" or self.fleet.n_training >= 2, "fleet.n_training",
+               "amortized approach needs >= 2 training devices")
 
     def bisection_settings(self, bound: float) -> BisectionSettings:
         return BisectionSettings(
@@ -88,14 +153,20 @@ def _parse_space(raw, path: str) -> DesignSpace:
         return reduced_space()
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: expected 'default', 'reduced' or an object")
+    _known(raw, SECTION_KEYS["space"], path)
+    choices = {"depth_choices": [1, 2], "width_choices": [0.5, 1.0],
+               "kernel_choices": [3, 5], "bits_choices": [8, 32]}
+    for key, default in choices.items():
+        values = raw.get(key, default)
+        kind = (int, float) if key == "width_choices" else int
+        if not isinstance(values, list) or not all(
+            isinstance(v, kind) and not isinstance(v, bool) for v in values
+        ):
+            raise ConfigError(f"{path}.{key}: expected a list of numbers")
+        choices[key] = tuple(values)
+    num_stages = _get(raw, "num_stages", int, 2, path)
     try:
-        return DesignSpace(
-            num_stages=raw.get("num_stages", 2),
-            depth_choices=tuple(raw.get("depth_choices", (1, 2))),
-            width_choices=tuple(raw.get("width_choices", (0.5, 1.0))),
-            kernel_choices=tuple(raw.get("kernel_choices", (3, 5))),
-            bits_choices=tuple(raw.get("bits_choices", (8, 32))),
-        )
+        return DesignSpace(num_stages=num_stages, **choices)
     except ValueError as e:
         raise ConfigError(f"{path}: {e}") from None
 
@@ -103,93 +174,65 @@ def _parse_space(raw, path: str) -> DesignSpace:
 def scenario_from_dict(raw: dict) -> Scenario:
     if not isinstance(raw, dict):
         raise ConfigError("top level: expected an object")
+    _known(raw, TOP_KEYS, "")
     if "seed" not in raw:
         raise ConfigError("seed: required")
     seed = raw["seed"]
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise ConfigError(f"seed: expected integer, got {seed!r}")
+    fleet_raw, pred, sea, bis, lam, opt = (
+        _known(raw.get(name, {}), SECTION_KEYS[name], name)
+        for name in ("fleet", "predictor", "search", "bisection", "lambda_grid", "optimize")
+    )
 
-    fleet_raw = raw.get("fleet", {})
-    try:
-        fleet = FleetConfig(
-            n_training=_get(fleet_raw, "n_training", int, 8, "fleet"),
-            n_synthetic=_get(fleet_raw, "n_synthetic", int, 16, "fleet"),
-            n_holdout_monotone=_get(fleet_raw, "n_holdout_monotone", int, 8, "fleet"),
-            n_holdout_adversarial=_get(fleet_raw, "n_holdout_adversarial", int, 4, "fleet"),
-        )
-    except ValueError as e:
-        raise ConfigError(f"fleet: {e}") from None
-
-    pred = raw.get("predictor", {})
-    hidden = pred.get("hidden", [64, 64]) if isinstance(pred, dict) else [64, 64]
-    if not isinstance(hidden, list) or not all(isinstance(h, int) and h > 0 for h in hidden):
-        raise ConfigError("predictor.hidden: expected a list of positive integers")
-    try:
-        hyper = TrainingSettings(
-            learning_rate=_get(pred, "learning_rate", float, 1e-2, "predictor"),
-            momentum=_get(pred, "momentum", float, 0.9, "predictor"),
-            epochs=_get(pred, "epochs", int, 2000, "predictor"),
-            batch_size=_get(pred, "batch_size", int, 32, "predictor"),
-        )
-    except ValueError as e:
-        raise ConfigError(f"predictor: {e}") from None
-
-    sea = raw.get("search", {})
-    try:
-        search = SearchParams(
-            population=_get(sea, "population", int, 32, "search"),
-            generations=_get(sea, "generations", int, 30, "search"),
-            mutation_rate=_get(sea, "mutation_rate", float, 0.1, "search"),
-            elite_fraction=_get(sea, "elite_fraction", float, 0.25, "search"),
-            seed=seed,
-        )
-    except ValueError as e:
-        raise ConfigError(f"search: {e}") from None
-
-    bis = raw.get("bisection", {})
-    lam = raw.get("lambda_grid", {})
-    opt = raw.get("optimize", {})
-    opt_hidden = opt.get("optimizer_hidden", [64, 64]) if isinstance(opt, dict) else [64, 64]
-    if not isinstance(opt_hidden, list) or not all(
-        isinstance(h, int) and h > 0 for h in opt_hidden
-    ):
-        raise ConfigError("optimize.optimizer_hidden: expected a list of positive integers")
-    energy_pct = _get(opt, "energy_percentile", float, None, "optimize")
-    try:
-        optimize = OptimizeSettings(
-            latency_percentile=_get(opt, "latency_percentile", float, 40.0, "optimize"),
-            energy_percentile=energy_pct,
-            monotonicity_threshold=_get(opt, "monotonicity_threshold", float, 0.9, "optimize"),
-            probe_count=_get(opt, "probe_count", int, 20, "optimize"),
-            mu=_get(opt, "mu", float, 1e-4, "optimize"),
-            exploration_rounds=_get(opt, "exploration_rounds", int, 0, "optimize"),
-            explore_size=_get(opt, "explore_size", int, 0, "optimize"),
-            optimizer_hidden=tuple(opt_hidden),
-            optimizer_epochs=_get(opt, "optimizer_epochs", int, 2000, "optimize"),
-        )
-    except ValueError as e:
-        raise ConfigError(f"optimize: {e}") from None
-
-    try:
-        return Scenario(
-            seed=seed,
-            approach=_get(raw, "approach", str, "proxy", "top level"),
-            space=_parse_space(raw.get("space"), "space"),
-            fleet=fleet,
-            samples_per_device=_get(pred, "samples_per_device", int, 500, "predictor"),
-            hidden=tuple(hidden),
-            hyper=hyper,
-            search=search,
-            granularity=_get(bis, "granularity", float, 0.001, "bisection"),
-            delta_fraction=_get(bis, "delta_fraction", float, 0.02, "bisection"),
-            lambda_count=_get(lam, "count_per_axis", int, 4, "lambda_grid"),
-            lambda_max=_get(lam, "max_lambda", float, 1.0, "lambda_grid"),
-            optimize=optimize,
-        )
-    except ConfigError:
-        raise
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
+    fleet = _build(
+        FleetConfig, "fleet",
+        n_training=_get(fleet_raw, "n_training", int, 8, "fleet"),
+        n_synthetic=_get(fleet_raw, "n_synthetic", int, 16, "fleet"),
+        n_holdout_monotone=_get(fleet_raw, "n_holdout_monotone", int, 8, "fleet"),
+        n_holdout_adversarial=_get(fleet_raw, "n_holdout_adversarial", int, 4, "fleet"),
+    )
+    hyper = _build(
+        TrainingSettings, "predictor",
+        learning_rate=_get(pred, "learning_rate", float, 1e-2, "predictor"),
+        momentum=_get(pred, "momentum", float, 0.9, "predictor"),
+        epochs=_get(pred, "epochs", int, 2000, "predictor"),
+        batch_size=_get(pred, "batch_size", int, 32, "predictor"),
+    )
+    search = _build(
+        SearchParams, "search",
+        population=_get(sea, "population", int, 32, "search"),
+        generations=_get(sea, "generations", int, 30, "search"),
+        mutation_rate=_get(sea, "mutation_rate", float, 0.1, "search"),
+        elite_fraction=_get(sea, "elite_fraction", float, 0.25, "search"),
+        seed=seed,
+    )
+    optimize = OptimizeSettings(
+        latency_percentile=_get(opt, "latency_percentile", float, 40.0, "optimize"),
+        energy_percentile=_get(opt, "energy_percentile", float, None, "optimize"),
+        monotonicity_threshold=_get(opt, "monotonicity_threshold", float, 0.9, "optimize"),
+        probe_count=_get(opt, "probe_count", int, 20, "optimize"),
+        mu=_get(opt, "mu", float, 1e-4, "optimize"),
+        exploration_rounds=_get(opt, "exploration_rounds", int, 0, "optimize"),
+        explore_size=_get(opt, "explore_size", int, 0, "optimize"),
+        optimizer_hidden=_layers(opt, "optimizer_hidden", "optimize"),
+        optimizer_epochs=_get(opt, "optimizer_epochs", int, 2000, "optimize"),
+    )
+    return Scenario(
+        seed=seed,
+        approach=_get(raw, "approach", str, "proxy", "top level"),
+        space=_parse_space(raw.get("space"), "space"),
+        fleet=fleet,
+        samples_per_device=_get(pred, "samples_per_device", int, 500, "predictor"),
+        hidden=_layers(pred, "hidden", "predictor"),
+        hyper=hyper,
+        search=search,
+        granularity=_get(bis, "granularity", float, 0.001, "bisection"),
+        delta_fraction=_get(bis, "delta_fraction", float, 0.02, "bisection"),
+        lambda_count=_get(lam, "count_per_axis", int, 4, "lambda_grid"),
+        lambda_max=_get(lam, "max_lambda", float, 1.0, "lambda_grid"),
+        optimize=optimize,
+    )
 
 
 def load_scenario(path, seed_override: int | None = None) -> Scenario:
@@ -200,6 +243,6 @@ def load_scenario(path, seed_override: int | None = None) -> Scenario:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}") from None
-    if seed_override is not None:
+    if seed_override is not None and isinstance(raw, dict):
         raw["seed"] = seed_override
     return scenario_from_dict(raw)

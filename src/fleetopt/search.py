@@ -1,4 +1,4 @@
-"""Minimizers over the design space and the lambda-calibration outer loop.
+"""Minimizers over the design space and the constraint spec they serve.
 
 Every tie anywhere in this module breaks lexicographically on the design's
 index tuple, so results are total functions of (objective, seed) and two runs
@@ -12,8 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design_space import DesignPoint, DesignSpace, enumerate_all, crossover, mutate, sample_uniform
-from .device_world import DeviceFeatures, Oracle
-from .surrogate import TradeoffWeights
 
 
 @dataclass(frozen=True)
@@ -26,13 +24,13 @@ class SearchParams:
 
     def __post_init__(self):
         if self.population < 2:
-            raise ValueError("population must be >= 2")
+            raise ValueError("population: must be >= 2")
         if self.generations < 1:
-            raise ValueError("generations must be >= 1")
+            raise ValueError("generations: must be >= 1")
         if not 0.0 <= self.mutation_rate <= 1.0:
-            raise ValueError("mutation_rate must be in [0, 1]")
+            raise ValueError("mutation_rate: must be in [0, 1]")
         if not 0.0 < self.elite_fraction < 1.0:
-            raise ValueError("elite_fraction must be in (0, 1)")
+            raise ValueError("elite_fraction: must be in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -56,40 +54,6 @@ class ConstraintSpec:
         if self.energy_bound is not None:
             out.append("energy")
         return tuple(out)
-
-
-@dataclass(frozen=True)
-class MetricScales:
-    """Denominators making energy/latency terms dimensionless in the true
-    relaxed objective; use the same scales as the predictors for comparability."""
-
-    energy: float = 1.0
-    latency: float = 1.0
-
-    def __post_init__(self):
-        if self.energy <= 0 or self.latency <= 0:
-            raise ValueError("scales must be positive")
-
-
-def relaxed_objective_true(
-    x: DesignPoint,
-    d: DeviceFeatures,
-    lam: TradeoffWeights,
-    oracle: Oracle,
-    scales: MetricScales = MetricScales(),
-) -> float:
-    """-accuracy + lambda1*energy/s_E + lambda2*latency/s_L, measured.
-
-    Terms with zero weight are not measured (and not charged): the objective
-    value is identical and the ledger stays an honest record of what a real
-    lab would have had to measure.
-    """
-    value = -oracle.accuracy(x)
-    if lam.lambda1 > 0:
-        value += lam.lambda1 * (oracle.energy(x, d) / scales.energy)
-    if lam.lambda2 > 0:
-        value += lam.lambda2 * (oracle.latency(x, d) / scales.latency)
-    return value
 
 
 def evolutionary_search(
@@ -146,85 +110,3 @@ def brute_force_argmin(objective, space: DesignSpace, limit: int | None = 1_000_
             best_v, best_x = v, x
     assert best_x is not None
     return best_x
-
-
-LAMBDA_SWEEP = (0.0,) + tuple(1e-3 * 2.0**k for k in range(21))
-
-
-@dataclass(frozen=True)
-class CalibrationResult:
-    weights: TradeoffWeights
-    design: DesignPoint
-    feasible: bool
-    accuracy: float
-    latency: float | None
-    energy: float | None
-
-
-def calibrate_lambda(
-    d: DeviceFeatures,
-    constraints: ConstraintSpec,
-    inner,
-    oracle: Oracle,
-    scales: MetricScales = MetricScales(),
-    sweep: tuple[float, ...] = LAMBDA_SWEEP,
-) -> CalibrationResult:
-    """Sweep the fixed geometric lambda grid, solve the relaxed problem at each
-    point with `inner` (a minimizer objective -> design), and measure the
-    winners: returns the feasible result with maximum accuracy, else the
-    least-violating one flagged infeasible.
-
-    Designs recur across neighboring grid cells, so oracle values are memoized
-    per design within this call; the ledger is charged once per distinct
-    (design, metric) actually needed.
-    """
-    if not constraints.active:
-        raise ValueError("calibrate_lambda needs at least one bound")
-    lam1_axis = sweep if constraints.energy_bound is not None else (0.0,)
-    lam2_axis = sweep if constraints.latency_bound is not None else (0.0,)
-
-    memo: dict[tuple[int, ...], dict[str, float]] = {}
-
-    def measured(x: DesignPoint) -> dict[str, float]:
-        key = oracle.space.indices_of(x)
-        if key not in memo:
-            vals = {"accuracy": oracle.accuracy(x)}
-            if constraints.latency_bound is not None:
-                vals["latency"] = oracle.latency(x, d)
-            if constraints.energy_bound is not None:
-                vals["energy"] = oracle.energy(x, d)
-            memo[key] = vals
-        return memo[key]
-
-    best_feasible = None  # (-acc, idx, result fields)
-    best_violation = None  # (violation, -acc, idx, ...)
-    for lam1 in lam1_axis:
-        for lam2 in lam2_axis:
-            lam = TradeoffWeights(lam1, lam2)
-            x = inner(lambda xx: relaxed_objective_true(xx, d, lam, oracle, scales))
-            vals = measured(x)
-            idx = oracle.space.indices_of(x)
-            violation = 0.0
-            if constraints.latency_bound is not None:
-                violation += max(0.0, vals["latency"] / constraints.latency_bound - 1.0)
-            if constraints.energy_bound is not None:
-                violation += max(0.0, vals["energy"] / constraints.energy_bound - 1.0)
-            entry = (lam, x, vals)
-            if violation == 0.0:
-                rank = (-vals["accuracy"], idx)
-                if best_feasible is None or rank < best_feasible[0]:
-                    best_feasible = (rank, entry)
-            rank_v = (violation, -vals["accuracy"], idx)
-            if best_violation is None or rank_v < best_violation[0]:
-                best_violation = (rank_v, entry)
-
-    feasible = best_feasible is not None
-    _, (lam, x, vals) = best_feasible if feasible else best_violation
-    return CalibrationResult(
-        weights=lam,
-        design=x,
-        feasible=feasible,
-        accuracy=vals["accuracy"],
-        latency=vals.get("latency"),
-        energy=vals.get("energy"),
-    )

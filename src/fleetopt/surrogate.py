@@ -27,7 +27,7 @@ from .design_space import (
     sample_uniform,
 )
 from .device_world import DeviceFeatures, Oracle
-from .nn import DenseNet, MomentumSgd
+from .nn import DenseNet, train
 
 METRICS = ("latency", "energy")
 
@@ -59,8 +59,15 @@ class TrainingSettings:
     batch_size: int = 32
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be >= 1")
+        # messages read "field: rule" so a config parser can prefix the section
+        for name, ok, rule in (
+            ("learning_rate", self.learning_rate > 0, "must be positive"),
+            ("momentum", 0.0 <= self.momentum < 1.0, "must be in [0, 1)"),
+            ("epochs", self.epochs >= 1, "must be >= 1"),
+            ("batch_size", self.batch_size >= 1, "must be >= 1"),
+        ):
+            if not ok:
+                raise ValueError(f"{name}: {rule}")
 
 
 DEFAULT_HIDDEN = (64, 64)
@@ -113,16 +120,6 @@ class MlpRegressor:
     def predict(self, x: np.ndarray) -> float:
         return float(self.predict_batch(np.atleast_2d(x))[0])
 
-    def gradient_wrt_input(self, x: np.ndarray) -> np.ndarray:
-        """Analytic d(predict)/d(input) at one input, normalizers included."""
-        x = np.asarray(x, dtype=float).reshape(-1)
-        if x.size != self.input_dim:
-            raise DimensionMismatchError(
-                f"expected {self.input_dim} features, got {x.size}"
-            )
-        g = self.net.input_gradient(self._normalize(x[None, :])[0])
-        return self.out_scale * g / self.in_scale
-
     def batch_value_and_input_grad(self, X: np.ndarray, out_coeff: np.ndarray):
         """Predictions plus d(sum_i out_coeff[i] * predict_i)/dX in one pass.
 
@@ -142,10 +139,7 @@ class MlpRegressor:
 
     def to_dict(self) -> dict:
         return {
-            "layer_sizes": self.net.layer_sizes,
-            "output_activation": self.net.output_activation,
-            "weights": [W.tolist() for W in self.net.weights],
-            "biases": [b.tolist() for b in self.net.biases],
+            **self.net.to_dict(),
             "in_mean": self.in_mean.tolist(),
             "in_scale": self.in_scale.tolist(),
             "out_mean": self.out_mean,
@@ -160,13 +154,8 @@ class MlpRegressor:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MlpRegressor":
-        net = object.__new__(DenseNet)
-        net.layer_sizes = list(d["layer_sizes"])
-        net.output_activation = d["output_activation"]
-        net.weights = [np.array(W, dtype=float) for W in d["weights"]]
-        net.biases = [np.array(b, dtype=float) for b in d["biases"]]
         return cls(
-            net=net,
+            net=DenseNet.from_dict(d),
             in_mean=np.array(d["in_mean"], dtype=float),
             in_scale=np.array(d["in_scale"], dtype=float),
             out_mean=float(d["out_mean"]),
@@ -246,23 +235,14 @@ def fit(
 
     Xn = (X - in_mean) / in_scale
     yn = (y - out_mean) / out_std
-    n = X.shape[0]
-    batch = min(hyper.batch_size, n)
-    opt = MomentumSgd(net, hyper.learning_rate, hyper.momentum)
-    curve: list[float] = []
-    for _ in range(hyper.epochs):
-        order = rng.permutation(n)
-        sq_sum = 0.0
-        for start in range(0, n, batch):
-            idx = order[start : start + batch]
-            xb, yb = Xn[idx], yn[idx]
-            pred, cache = net.forward_cached(xb)
-            err = pred[:, 0] - yb
-            sq_sum += float(err @ err)
-            grad_out = (2.0 * err / idx.size)[:, None]
-            wg, bg, _ = net.backward(cache, grad_out)
-            opt.step(net, wg, bg)
-        curve.append(sq_sum / n)
+
+    def batch_loss_and_grad(idx):
+        pred, cache = net.forward_cached(Xn[idx])
+        err = pred[:, 0] - yn[idx]
+        wg, bg, _ = net.backward(cache, (2.0 * err / idx.size)[:, None])
+        return float(err @ err), wg, bg
+
+    curve = train(net, X.shape[0], batch_loss_and_grad, hyper, rng)
 
     return MlpRegressor(
         net=net,
@@ -326,41 +306,6 @@ def train_device_specific_predictor(
     return fit(
         X, y, layer_sizes, hyper, rng,
         metric=metric, device_tag=d0.device_id, takes_device=False,
-        objective_scale=float(np.median(y)),
-    )
-
-
-def train_device_aware_predictor(
-    metric: str,
-    devices: list[DeviceFeatures],
-    designs_per_device: int,
-    oracle: Oracle,
-    rng: np.random.Generator,
-    hyper: TrainingSettings = TrainingSettings(),
-    layer_sizes: tuple[int, ...] = DEFAULT_HIDDEN,
-) -> MlpRegressor:
-    """Latency or energy as a function of (design, device): one shared design
-    set measured on every device."""
-    if metric not in METRICS:
-        raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
-    if len(devices) < 2:
-        raise InsufficientDataError(
-            f"device-aware training needs >= 2 devices, got {len(devices)}"
-        )
-    designs = _sample_designs(oracle.space, designs_per_device, rng)
-    encodings = [encode(x, oracle.space) for x in designs]
-    measure = oracle.latency if metric == "latency" else oracle.energy
-    rows, labels = [], []
-    for d in devices:
-        emb = device_embedding(d)
-        for enc, x in zip(encodings, designs):
-            rows.append(np.concatenate([enc, emb]))
-            labels.append(measure(x, d))
-    X = np.stack(rows)
-    y = np.array(labels)
-    return fit(
-        X, y, layer_sizes, hyper, rng,
-        metric=metric, device_tag="fleet", takes_device=True,
         objective_scale=float(np.median(y)),
     )
 

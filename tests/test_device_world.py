@@ -16,7 +16,6 @@ from fleetopt.device_world import (
     energy_value,
     generate_fleet,
     latency_value,
-    ledger_report,
     true_accuracy,
     true_energy,
     true_latency,
@@ -144,7 +143,7 @@ def test_device_serialization_roundtrip(proxy):
 
 
 def test_ledger_starts_empty():
-    assert ledger_report(MeasurementLedger()) == {"accuracy": 0, "devices": {}}
+    assert MeasurementLedger().snapshot() == {"accuracy": 0, "devices": {}}
 
 
 def test_ledger_counts_every_call(proxy, reduced):

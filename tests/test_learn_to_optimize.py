@@ -1,24 +1,19 @@
 import numpy as np
 import pytest
 
-from fleetopt.design_space import decode, encode, enumerate_all
+from fleetopt.design_space import encode, enumerate_all
 from fleetopt.device_world import MeasurementLedger, Oracle
 from fleetopt.learn_to_optimize import (
-    MissingLabelsError,
-    OptimizerTrainingSet,
     amortized_batch_gradient,
     build_lambda_grid,
     constraint_sweep,
-    fine_tune,
-    generate_labels_method1,
     infer_design,
     load_optimizer,
     optimizer_input,
     save_optimizer,
-    train_method1,
     train_method2,
 )
-from fleetopt.search import ConstraintSpec, SearchParams, brute_force_argmin
+from fleetopt.search import ConstraintSpec, brute_force_argmin
 from fleetopt.surrogate import (
     TradeoffWeights,
     TrainingSettings,
@@ -40,24 +35,6 @@ def small_bundle(reduced, fleet):
     )
 
 
-@pytest.fixture(scope="module")
-def label_set(small_bundle, fleet, reduced):
-    return generate_labels_method1(
-        list(fleet.training_real[:4]), build_lambda_grid(3, 1.0),
-        small_bundle.accuracy, small_bundle.energy, small_bundle.latency,
-        reduced, SearchParams(seed=0),
-        minimizer=lambda obj: brute_force_argmin(obj, reduced),
-    )
-
-
-@pytest.fixture(scope="module")
-def method1_small(label_set):
-    return train_method1(
-        label_set, (32, 32), TrainingSettings(epochs=1500, learning_rate=0.02),
-        1e-4, np.random.default_rng(1),
-    )
-
-
 def train_small_method2(small_bundle, inputs, seed, epochs=500, batch_size=16):
     return train_method2(
         inputs, small_bundle.accuracy, small_bundle.energy, small_bundle.latency,
@@ -72,7 +49,13 @@ def fhat(x, d, lam, bundle, space):
     )
 
 
-# --- lambda grid and training-set plumbing ----------------------------------
+@pytest.fixture(scope="module")
+def method2_small(small_bundle, fleet):
+    inputs = [(d, lam) for d in fleet.training_real[:4] for lam in build_lambda_grid(3, 1.0)]
+    return train_small_method2(small_bundle, inputs, seed=0)
+
+
+# --- lambda grid and optimizer inputs ----------------------------------------
 
 
 def test_lambda_grid_count_one_is_origin():
@@ -107,92 +90,30 @@ def test_optimizer_input_layout(fleet):
     np.testing.assert_array_equal(v[-2:], [0.25, 4.0])
 
 
-def test_training_set_label_alignment(fleet):
-    with pytest.raises(ValueError):
-        OptimizerTrainingSet(inputs=[(fleet.proxy, LAM0)], labels=[])
+# --- the predicted objective's exact argmins ("labels") ----------------------
 
 
-# --- method 1: search-generated labels --------------------------------------
+def label(d, lam, bundle, space):
+    """Exhaustive argmin of f_hat for one (device, lambda) pair."""
+    return brute_force_argmin(lambda x: fhat(x, d, lam, bundle, space), space)
 
 
 def test_labels_at_zero_lambda_are_predicted_accuracy_argmax(small_bundle, fleet, reduced):
     designs = enumerate_all(reduced)
     X = np.stack([encode(x, reduced) for x in designs])
     pred_best = designs[int(np.argmax(small_bundle.accuracy.predict_batch(X)))]
-    out = generate_labels_method1(
-        [fleet.training_real[0]], [LAM0],
-        small_bundle.accuracy, small_bundle.energy, small_bundle.latency,
-        reduced, SearchParams(seed=0),
-        minimizer=lambda obj: brute_force_argmin(obj, reduced),
-    )
-    assert len(out.inputs) == 1
-    np.testing.assert_array_equal(out.labels[0], encode(pred_best, reduced))
-
-
-def test_label_generation_is_predictor_only(small_bundle, fleet, reduced, label_set):
-    # no oracle in the signature, labels align 1:1 and are valid encodings
-    assert len(label_set.inputs) == 4 * 9
-    assert len(label_set.labels) == len(label_set.inputs)
-    for lab in label_set.labels:
-        assert np.all((0.0 <= lab) & (lab <= 1.0))
-        decode(lab, reduced)
+    assert label(fleet.training_real[0], LAM0, small_bundle, reduced) == pred_best
 
 
 def test_heavier_latency_weight_gives_faster_labels(small_bundle, fleet, reduced):
     d = fleet.training_real[1]
-    out = generate_labels_method1(
-        [d], [TradeoffWeights(0.0, 0.0), TradeoffWeights(0.0, 1.0)],
-        small_bundle.accuracy, small_bundle.energy, small_bundle.latency,
-        reduced, SearchParams(seed=0),
-        minimizer=lambda obj: brute_force_argmin(obj, reduced),
-    )
     emb = device_embedding(d)
 
-    def predicted_latency(lab):
-        return small_bundle.latency.predict(np.concatenate([lab, emb]))
+    def predicted_latency(lam):
+        enc = encode(label(d, lam, small_bundle, reduced), reduced)
+        return small_bundle.latency.predict(np.concatenate([enc, emb]))
 
-    assert predicted_latency(out.labels[1]) < predicted_latency(out.labels[0])
-
-
-def test_method1_memorizes_single_pair(fleet, reduced):
-    target = enumerate_all(reduced)[37]
-    ts = OptimizerTrainingSet(
-        inputs=[(fleet.training_real[0], LAM_MIX)], labels=[encode(target, reduced)]
-    )
-    net = train_method1(
-        ts, (16,), TrainingSettings(epochs=2000, learning_rate=0.05, batch_size=8),
-        0.0, np.random.default_rng(0),
-    )
-    assert net.final_loss < 1e-4
-    assert infer_design(net, fleet.training_real[0], LAM_MIX, reduced) == target
-
-
-def test_method1_regularizer_shrinks_weights(label_set):
-    hyper = TrainingSettings(epochs=300, learning_rate=0.02)
-    free = train_method1(label_set, (16,), hyper, 0.0, np.random.default_rng(3))
-    reg = train_method1(label_set, (16,), hyper, 1e-2, np.random.default_rng(3))
-    assert reg.weight_norm_sq() < free.weight_norm_sq()
-
-
-def test_method1_requires_labels(fleet):
-    with pytest.raises(MissingLabelsError):
-        train_method1(
-            OptimizerTrainingSet(inputs=[(fleet.proxy, LAM0)]), (8,),
-            TrainingSettings(epochs=10), 0.0, np.random.default_rng(0),
-        )
-    with pytest.raises(ValueError):
-        train_method1(
-            OptimizerTrainingSet(inputs=[], labels=[]), (8,),
-            TrainingSettings(epochs=10), 0.0, np.random.default_rng(0),
-        )
-
-
-def test_method1_held_in_decode_match(method1_small, label_set, reduced):
-    match = sum(
-        int(infer_design(method1_small, d, lam, reduced) == decode(lab, reduced))
-        for (d, lam), lab in zip(label_set.inputs, label_set.labels)
-    )
-    assert match >= 0.8 * len(label_set.inputs)
+    assert predicted_latency(TradeoffWeights(0.0, 1.0)) < predicted_latency(LAM0)
 
 
 # --- method 2: training through frozen predictors ---------------------------
@@ -225,6 +146,20 @@ def test_method2_freeze_contract(small_bundle, fleet):
     train_small_method2(small_bundle, inputs, seed=5, epochs=120)
     for m, v in zip(small_bundle.models(), before):
         np.testing.assert_array_equal(m.parameter_vector(), v)
+
+
+def test_method2_regularizer_shrinks_weights(small_bundle, fleet):
+    inputs = [(d, lam) for d in fleet.training_real[:4] for lam in build_lambda_grid(3, 1.0)]
+    hyper = TrainingSettings(epochs=100, learning_rate=0.02, batch_size=16)
+    norms = []
+    for mu in (0.0, 1e-2):
+        net = train_method2(
+            inputs, small_bundle.accuracy, small_bundle.energy, small_bundle.latency,
+            (16,), hyper, mu, np.random.default_rng(3), restarts=1,
+        )
+        theta = net.net.parameter_vector()
+        norms.append(float(theta @ theta))
+    assert norms[1] < norms[0]
 
 
 def test_method2_deterministic(small_bundle, fleet):
@@ -279,49 +214,49 @@ def test_amortized_gradient_matches_finite_differences(small_bundle, fleet, redu
     np.testing.assert_allclose(analytic, numeric, rtol=1e-4, atol=1e-8)
 
 
-# --- inference, sweep, fine-tune --------------------------------------------
+# --- inference and sweep -----------------------------------------------------
 
 
-def test_infer_design_is_deterministic_and_decodable(method1_small, fleet, reduced):
+def test_infer_design_is_deterministic_and_decodable(method2_small, fleet, reduced):
     for d in (fleet.proxy, fleet.synthetic[0], fleet.holdout_adversarial[0]):
         for lam in (LAM0, LAM_MIX, TradeoffWeights(5.0, 0.0)):
-            a = infer_design(method1_small, d, lam, reduced)
-            b = infer_design(method1_small, d, lam, reduced)
+            a = infer_design(method2_small, d, lam, reduced)
+            b = infer_design(method2_small, d, lam, reduced)
             assert a == b
-            enc = method1_small.infer_encoding(d, lam)
+            enc = method2_small.infer_encoding(d, lam)
             assert np.all((0.0 <= enc) & (enc <= 1.0))
 
 
-def test_optimizer_save_load_roundtrip(tmp_path, method1_small, fleet, reduced):
+def test_optimizer_save_load_roundtrip(tmp_path, method2_small, fleet, reduced):
     path = tmp_path / "optimizer.json"
-    save_optimizer(method1_small, path)
+    save_optimizer(method2_small, path)
     back = load_optimizer(path)
     np.testing.assert_array_equal(
         back.infer_encoding(fleet.proxy, LAM_MIX),
-        method1_small.infer_encoding(fleet.proxy, LAM_MIX),
+        method2_small.infer_encoding(fleet.proxy, LAM_MIX),
     )
-    layout = method1_small.to_dict()["input_layout"]
+    layout = method2_small.to_dict()["input_layout"]
     assert layout == {"device_features": 10, "lambdas": 2}
 
 
-def test_sweep_without_bounds_returns_origin_inference(method1_small, small_bundle, fleet, reduced):
+def test_sweep_without_bounds_returns_origin_inference(method2_small, small_bundle, fleet, reduced):
     oracle = Oracle(reduced, MeasurementLedger())
     result = constraint_sweep(
-        method1_small, fleet.synthetic[1], ConstraintSpec(),
+        method2_small, fleet.synthetic[1], ConstraintSpec(),
         small_bundle.accuracy, small_bundle.energy, small_bundle.latency,
         build_lambda_grid(3, 1.0), reduced, oracle,
     )
     assert result.weights == LAM0
-    assert result.design == infer_design(method1_small, fleet.synthetic[1], LAM0, reduced)
+    assert result.design == infer_design(method2_small, fleet.synthetic[1], LAM0, reduced)
     assert result.validation == {}
     assert oracle.ledger.total() == 0
 
 
-def test_sweep_validation_budget_is_two(method1_small, small_bundle, fleet, reduced):
+def test_sweep_validation_budget_is_two(method2_small, small_bundle, fleet, reduced):
     d = fleet.synthetic[2]
     oracle = Oracle(reduced, MeasurementLedger())
     result = constraint_sweep(
-        method1_small, d, ConstraintSpec(latency_bound=5.0, energy_bound=500.0),
+        method2_small, d, ConstraintSpec(latency_bound=5.0, energy_bound=500.0),
         small_bundle.accuracy, small_bundle.energy, small_bundle.latency,
         build_lambda_grid(3, 1.0), reduced, oracle,
     )
@@ -333,78 +268,12 @@ def test_sweep_validation_budget_is_two(method1_small, small_bundle, fleet, redu
     assert sum(row["chosen"] for row in result.rows) == 1
 
 
-def test_sweep_impossible_bounds_flagged_infeasible(method1_small, small_bundle, fleet, reduced):
+def test_sweep_impossible_bounds_flagged_infeasible(method2_small, small_bundle, fleet, reduced):
     oracle = Oracle(reduced, MeasurementLedger())
     result = constraint_sweep(
-        method1_small, fleet.synthetic[3], ConstraintSpec(latency_bound=1e-9),
+        method2_small, fleet.synthetic[3], ConstraintSpec(latency_bound=1e-9),
         small_bundle.accuracy, small_bundle.energy, small_bundle.latency,
         build_lambda_grid(3, 1.0), reduced, oracle,
     )
     assert not result.feasible
     assert "latency" in result.validation
-
-
-def test_fine_tune_radius_zero_returns_seed(small_bundle, fleet, reduced):
-    seed_design = enumerate_all(reduced)[9]
-    out = fine_tune(
-        seed_design, fleet.training_real[0], LAM_MIX,
-        small_bundle.accuracy, small_bundle.energy, small_bundle.latency,
-        reduced, radius=0,
-    )
-    assert out == seed_design
-
-
-def test_fine_tune_never_worse_and_budget_capped(small_bundle, fleet, reduced):
-    rng = np.random.default_rng(8)
-    designs = enumerate_all(reduced)
-    d = fleet.training_real[2]
-    for _ in range(5):
-        seed_design = designs[int(rng.integers(len(designs)))]
-        out = fine_tune(
-            seed_design, d, LAM_MIX,
-            small_bundle.accuracy, small_bundle.energy, small_bundle.latency,
-            reduced, radius=2,
-        )
-        assert fhat(out, d, LAM_MIX, small_bundle, reduced) <= fhat(
-            seed_design, d, LAM_MIX, small_bundle, reduced
-        )
-    capped = fine_tune(
-        designs[9], d, LAM_MIX,
-        small_bundle.accuracy, small_bundle.energy, small_bundle.latency,
-        reduced, radius=2, budget=1,
-    )
-    assert capped == designs[9]
-    with pytest.raises(ValueError):
-        fine_tune(
-            designs[9], d, LAM_MIX,
-            small_bundle.accuracy, small_bundle.energy, small_bundle.latency,
-            reduced, radius=-1,
-        )
-
-
-def test_fine_tune_recovers_brute_force_argmin(small_bundle, fleet, reduced):
-    d = fleet.training_real[0]
-    inputs = [(dd, lam) for dd in fleet.training_real[:4] for lam in build_lambda_grid(3, 1.0)]
-    best = brute_force_argmin(lambda x: fhat(x, d, LAM_MIX, small_bundle, reduced), reduced)
-    hits = 0
-    for seed in range(10):
-        net = train_small_method2(small_bundle, inputs, seed)
-        tuned = fine_tune(
-            infer_design(net, d, LAM_MIX, reduced), d, LAM_MIX,
-            small_bundle.accuracy, small_bundle.energy, small_bundle.latency,
-            reduced, radius=2,
-        )
-        hits += int(tuned == best)
-    assert hits >= 9
-
-
-def test_method1_and_method2_agree_on_held_out_devices(method1_small, small_bundle, fleet, reduced):
-    inputs = [(d, lam) for d in fleet.training_real[:4] for lam in build_lambda_grid(3, 1.0)]
-    net2 = train_small_method2(small_bundle, inputs, seed=0)
-    gaps = []
-    for d in fleet.synthetic[:6]:
-        for lam in (LAM0, LAM_MIX, TradeoffWeights(1.0, 0.0)):
-            f1 = fhat(infer_design(method1_small, d, lam, reduced), d, lam, small_bundle, reduced)
-            f2 = fhat(infer_design(net2, d, lam, reduced), d, lam, small_bundle, reduced)
-            gaps.append(abs(f1 - f2) / max(abs(f1), 1e-9))
-    assert float(np.median(gaps)) <= 0.10

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
-from fleetopt.nn import DenseNet, MomentumSgd, sigmoid, softplus
+from fleetopt.nn import DenseNet, MomentumSgd, l2_penalty, sigmoid, softplus, train
+from fleetopt.surrogate import TrainingSettings
 
 
 def rng(seed=0):
@@ -174,3 +177,59 @@ def test_training_shrinks_loss_on_tiny_regression():
         opt.step(net, wg, bg)
     last = float(np.mean((net.forward(X) - Y) ** 2))
     assert last < first / 10
+
+
+def test_to_dict_from_dict_roundtrip():
+    net = DenseNet([3, 5, 2], rng(13), output_activation="logistic")
+    doc = json.loads(json.dumps({**net.to_dict(), "other_key": 1}))
+    back = DenseNet.from_dict(doc)
+    assert back.layer_sizes == net.layer_sizes
+    assert back.output_activation == "logistic"
+    np.testing.assert_array_equal(back.parameter_vector(), net.parameter_vector())
+    X = rng(14).normal(size=(4, 3))
+    np.testing.assert_array_equal(back.forward(X), net.forward(X))
+
+
+def test_l2_penalty():
+    net = DenseNet([2, 3, 1], rng(15))
+    theta = net.parameter_vector()
+    assert l2_penalty(net, 0.0) == 0.0
+    assert l2_penalty(net, 0.5) == pytest.approx(0.5 * float(theta @ theta), rel=1e-12)
+
+
+@pytest.mark.parametrize("mu", [0.0, 1e-2])
+def test_train_is_shuffled_minibatch_momentum_sgd(mu):
+    # the contract, written out by hand: one permutation per epoch, a short
+    # last batch, the penalty gradient added before each step
+    X = np.linspace(-1, 1, 12)[:, None]
+    Y = X**2
+    net = DenseNet([1, 4, 1], rng(16))
+    ref = net.copy()
+
+    def batch_loss_and_grad(idx):
+        out, cache = net.forward_cached(X[idx])
+        err = out - Y[idx]
+        wg, bg, _ = net.backward(cache, 2.0 * err / idx.size)
+        return float(np.sum(err * err)), wg, bg
+
+    hyper = TrainingSettings(learning_rate=0.05, momentum=0.9, epochs=60, batch_size=5)
+    curve = train(net, 12, batch_loss_and_grad, hyper, rng(17), mu)
+
+    opt = MomentumSgd(ref, hyper.learning_rate, hyper.momentum)
+    order_rng = rng(17)
+    expected = []
+    for _ in range(hyper.epochs):
+        order = order_rng.permutation(12)
+        total = 0.0
+        for batch in (order[:5], order[5:10], order[10:]):
+            out, cache = ref.forward_cached(X[batch])
+            err = out - Y[batch]
+            total += float(np.sum(err * err))
+            wg, bg, _ = ref.backward(cache, 2.0 * err / batch.size)
+            wg = [g + 2.0 * mu * W for g, W in zip(wg, ref.weights)]
+            bg = [g + 2.0 * mu * b for g, b in zip(bg, ref.biases)]
+            opt.step(ref, wg, bg)
+        expected.append(total / 12 + l2_penalty(ref, mu))
+    np.testing.assert_allclose(net.parameter_vector(), ref.parameter_vector(), rtol=1e-12)
+    np.testing.assert_allclose(curve, expected, rtol=1e-12)
+    assert curve[-1] < curve[0]

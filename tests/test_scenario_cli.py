@@ -89,6 +89,59 @@ def test_errors_name_the_key_path():
         scenario_from_dict({"seed": 1, "optimize": {"optimizer_hidden": "big"}})
 
 
+def with_key(doc, path, value):
+    """A deep copy of doc with the dotted key path set to value."""
+    out = copy.deepcopy(doc)
+    *sections, key = path.split(".")
+    node = out
+    for name in sections:
+        node = node.setdefault(name, {})
+    node[key] = value
+    return out
+
+
+BAD_CONFIGS = [
+    # (base, key path set, value, key path the error must name)
+    (SMALL_PROXY, "predictor.learning_rate", True, "predictor.learning_rate"),
+    (SMALL_PROXY, "predictor.learning_rate", 0.0, "predictor.learning_rate"),
+    (SMALL_PROXY, "predictor.momentum", 1.0, "predictor.momentum"),
+    (SMALL_PROXY, "predictor.epochs", None, "predictor.epochs"),
+    (SMALL_PROXY, "predictor.batch_size", 0, "predictor.batch_size"),
+    (SMALL_PROXY, "predictor.hidden", [True], "predictor.hidden"),
+    (SMALL_PROXY, "predicter", {"epochs": 5}, "predicter"),
+    (SMALL_PROXY, "search.populaton", 8, "search.populaton"),
+    (SMALL_PROXY, "search.population", 1, "search.population"),
+    (SMALL_PROXY, "fleet.n_synthetic", -1, "fleet.n_synthetic"),
+    (SMALL_PROXY, "seed", -1, "seed"),
+    (SMALL_PROXY, "space", {"num_stages": "two"}, "space.num_stages"),
+    (SMALL_PROXY, "space", {"kernel_choices": ["3"]}, "space.kernel_choices"),
+    (SMALL_PROXY, "space", {"stages": 2}, "space.stages"),
+    (SMALL_PROXY, "bisection.granularity", 2.0, "bisection.granularity"),
+    (SMALL_PROXY, "bisection.delta_fraction", 0.0, "bisection.delta_fraction"),
+    (SMALL_PROXY, "lambda_grid.count_per_axis", 0, "lambda_grid.count_per_axis"),
+    (SMALL_PROXY, "lambda_grid.max_lambda", -1.0, "lambda_grid.max_lambda"),
+    (SMALL_PROXY, "optimize.probe_count", 3, "optimize.probe_count"),
+    (SMALL_PROXY, "optimize.monotonicity_threshold", 7.0, "optimize.monotonicity_threshold"),
+    (SMALL_PROXY, "optimize.energy_percentile", 100.0, "optimize.energy_percentile"),
+    (SMALL_PROXY, "optimize.mu", -1e-4, "optimize.mu"),
+    (SMALL_PROXY, "optimize.exploration_rounds", 1, "optimize.explore_size"),
+    (SMALL_AMORTIZED, "optimize.optimizer_epochs", 0, "optimize.optimizer_epochs"),
+    (SMALL_AMORTIZED, "fleet.n_training", 1, "fleet.n_training"),
+]
+
+
+@pytest.mark.parametrize(
+    "base, path, value, named", BAD_CONFIGS,
+    ids=[f"{path}={value!r}" for _, path, value, _ in BAD_CONFIGS],
+)
+def test_bad_config_exits_2_naming_the_key(tmp_path, capsys, base, path, value, named):
+    cfg = write_config(tmp_path, with_key(base, path, value))
+    assert main(["optimize", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert named in err
+
+
 def test_space_forms():
     assert scenario_from_dict({"seed": 1, "space": "reduced"}).space.cardinality == 128
     assert scenario_from_dict({"seed": 1, "space": "default"}).space == default_space()
@@ -195,9 +248,10 @@ def test_skip_training_repeats_decisions_without_training_cost(proxy_run):
         run_scenario(scenario, out_dir=None, skip_training=True)
 
 
-def test_skip_training_with_empty_dir_names_missing_file(tmp_path):
-    with pytest.raises(ConfigError, match="missing model file"):
-        run_scenario(scenario_from_dict(SMALL_PROXY), out_dir=str(tmp_path), skip_training=True)
+@pytest.mark.parametrize("doc", [SMALL_PROXY, SMALL_AMORTIZED], ids=["proxy", "amortized"])
+def test_skip_training_with_empty_dir_names_missing_file(tmp_path, doc):
+    with pytest.raises(ConfigError, match=r"missing model file \(.*accuracy\.json\)"):
+        run_scenario(scenario_from_dict(doc), out_dir=str(tmp_path), skip_training=True)
 
 
 def test_export_rolls_back_on_failure(tmp_path):

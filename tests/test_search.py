@@ -8,18 +8,13 @@ from fleetopt.design_space import (
     default_space,
     enumerate_all,
 )
-from fleetopt.device_world import MeasurementLedger, Oracle, accuracy_value, latency_value
+from fleetopt.device_world import accuracy_value, energy_value, latency_value
 from fleetopt.search import (
-    LAMBDA_SWEEP,
     ConstraintSpec,
-    MetricScales,
     SearchParams,
     brute_force_argmin,
-    calibrate_lambda,
     evolutionary_search,
-    relaxed_objective_true,
 )
-from fleetopt.surrogate import TradeoffWeights
 
 
 def all_min(space):
@@ -39,6 +34,13 @@ def all_max(space):
             for _ in range(space.num_stages)
         ),
         bits=space.bits_choices[-1],
+    )
+
+
+def true_objective(lambda1, lambda2, d, space):
+    """-accuracy + lambda1 * energy + lambda2 * latency from the analytic model."""
+    return lambda x: (
+        -accuracy_value(x, space) + lambda1 * energy_value(x, d) + lambda2 * latency_value(x, d)
     )
 
 
@@ -63,62 +65,25 @@ def test_constraint_spec_validation_and_active():
         ConstraintSpec(energy_bound=-1.0)
 
 
-def test_metric_scales_validation():
-    with pytest.raises(ValueError):
-        MetricScales(energy=0.0)
-
-
-def test_relaxed_objective_zero_weights_skips_metric_charges(reduced, proxy):
-    oracle = Oracle(reduced, MeasurementLedger())
-    x = enumerate_all(reduced)[3]
-    value = relaxed_objective_true(x, proxy, TradeoffWeights(0.0, 0.0), oracle)
-    assert value == -accuracy_value(x, reduced)
-    assert oracle.ledger.accuracy_count == 1
-    assert oracle.ledger.total() == 0
-
-
-def test_relaxed_objective_additive_in_weights(reduced, proxy):
-    oracle = Oracle(reduced, MeasurementLedger())
-    x = enumerate_all(reduced)[40]
-    scales = MetricScales(energy=30.0, latency=0.5)
-    f = relaxed_objective_true(x, proxy, TradeoffWeights(0.2, 0.8), oracle, scales)
-    acc = accuracy_value(x, reduced)
-    en = oracle.energy(x, proxy)
-    lat = oracle.latency(x, proxy)
-    assert f == pytest.approx(-acc + 0.2 * en / 30.0 + 0.8 * lat / 0.5, rel=1e-12)
-
-
 def test_heavier_latency_weight_selects_faster_design(reduced, proxy):
-    oracle = Oracle(reduced, MeasurementLedger())
-
     def argmin_latency_at(lam2):
-        x = brute_force_argmin(
-            lambda x: relaxed_objective_true(x, proxy, TradeoffWeights(0.0, lam2), oracle),
-            reduced,
-        )
+        x = brute_force_argmin(true_objective(0.0, lam2, proxy, reduced), reduced)
         return latency_value(x, proxy)
 
     assert argmin_latency_at(0.5) < argmin_latency_at(0.05)
 
 
 def test_scalarization_monotone_in_each_weight(reduced, proxy):
-    oracle = Oracle(reduced, MeasurementLedger())
     lat_prev = np.inf
     for lam2 in (0.0, 0.05, 0.2, 1.0, 5.0):
-        x = brute_force_argmin(
-            lambda x: relaxed_objective_true(x, proxy, TradeoffWeights(0.1, lam2), oracle),
-            reduced,
-        )
+        x = brute_force_argmin(true_objective(0.1, lam2, proxy, reduced), reduced)
         lat = latency_value(x, proxy)
         assert lat <= lat_prev
         lat_prev = lat
     en_prev = np.inf
     for lam1 in (0.0, 0.05, 0.2, 1.0, 5.0):
-        x = brute_force_argmin(
-            lambda x: relaxed_objective_true(x, proxy, TradeoffWeights(lam1, 0.1), oracle),
-            reduced,
-        )
-        en = oracle.energy(x, proxy)
+        x = brute_force_argmin(true_objective(lam1, 0.1, proxy, reduced), reduced)
+        en = energy_value(x, proxy)
         assert en <= en_prev
         en_prev = en
 
@@ -176,59 +141,3 @@ def test_brute_force_negative_accuracy_returns_all_max(reduced):
 def test_brute_force_refuses_oversized_space():
     with pytest.raises(SpaceTooLargeError):
         brute_force_argmin(lambda x: 0.0, default_space(), limit=1000)
-
-
-def test_lambda_sweep_grid():
-    assert LAMBDA_SWEEP[0] == 0.0
-    assert len(LAMBDA_SWEEP) == 22
-    assert LAMBDA_SWEEP[1] == pytest.approx(1e-3)
-    ratios = np.diff(np.log(LAMBDA_SWEEP[1:]))
-    np.testing.assert_allclose(ratios, np.log(2.0), rtol=1e-12)
-
-
-def test_calibrate_lambda_requires_a_bound(reduced, proxy):
-    oracle = Oracle(reduced, MeasurementLedger())
-    with pytest.raises(ValueError):
-        calibrate_lambda(proxy, ConstraintSpec(), lambda obj: None, oracle)
-
-
-def brute_inner(space):
-    return lambda objective: brute_force_argmin(objective, space)
-
-
-def test_calibrate_lambda_loose_bound_returns_accuracy_argmax(reduced, proxy):
-    oracle = Oracle(reduced, MeasurementLedger())
-    result = calibrate_lambda(
-        proxy, ConstraintSpec(latency_bound=1e9), brute_inner(reduced), oracle
-    )
-    assert result.feasible
-    assert result.weights == TradeoffWeights(0.0, 0.0)
-    assert result.design == all_max(reduced)
-    assert result.energy is None
-
-
-def test_calibrate_lambda_tight_bound_matches_constrained_optimum(reduced, proxy):
-    designs = enumerate_all(reduced)
-    lats = np.array([latency_value(x, proxy) for x in designs])
-    bound = float(np.percentile(lats, 30))
-    feasible = [x for x, l in zip(designs, lats) if l <= bound]
-    best = max(feasible, key=lambda x: (accuracy_value(x, reduced), tuple(-i for i in reduced.indices_of(x))))
-
-    oracle = Oracle(reduced, MeasurementLedger())
-    result = calibrate_lambda(
-        proxy, ConstraintSpec(latency_bound=bound), brute_inner(reduced), oracle
-    )
-    assert result.feasible
-    assert result.latency <= bound
-    assert result.accuracy == pytest.approx(accuracy_value(best, reduced), abs=1e-12)
-
-
-def test_calibrate_lambda_infeasible_bound_flags_and_minimizes_violation(reduced, proxy):
-    designs = enumerate_all(reduced)
-    min_lat = min(latency_value(x, proxy) for x in designs)
-    oracle = Oracle(reduced, MeasurementLedger())
-    result = calibrate_lambda(
-        proxy, ConstraintSpec(latency_bound=min_lat / 2), brute_inner(reduced), oracle
-    )
-    assert not result.feasible
-    assert result.latency == pytest.approx(min_lat, rel=1e-12)

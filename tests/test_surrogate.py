@@ -29,7 +29,6 @@ from fleetopt.surrogate import (
     predicted_objective,
     save_model,
     train_accuracy_predictor,
-    train_device_aware_predictor,
     train_device_specific_predictor,
     train_stage1,
 )
@@ -100,7 +99,8 @@ def test_fit_constant_labels_short_circuits():
     assert m.constant_warning
     assert m.final_loss == 0.0
     np.testing.assert_allclose(m.predict_batch(np.zeros((3, 2))), 4.25, rtol=1e-12)
-    np.testing.assert_array_equal(m.gradient_wrt_input(np.zeros(2)), np.zeros(2))
+    _, grads = m.batch_value_and_input_grad(np.zeros((1, 2)), np.ones(1))
+    np.testing.assert_array_equal(grads, np.zeros((1, 2)))
 
 
 def test_fit_input_validation():
@@ -153,8 +153,8 @@ def test_gradient_of_linear_model_is_scaled_weight_vector():
     m = linear_regressor([2.0, -1.0, 0.5], 1.0)
     m = dataclasses.replace(m, in_scale=np.array([1.0, 2.0, 4.0]), out_scale=3.0)
     expected = 3.0 * np.array([2.0, -1.0, 0.5]) / np.array([1.0, 2.0, 4.0])
-    np.testing.assert_allclose(m.gradient_wrt_input(np.zeros(3)), expected, rtol=1e-12)
-    np.testing.assert_allclose(m.gradient_wrt_input(np.ones(3)), expected, rtol=1e-12)
+    _, grads = m.batch_value_and_input_grad(np.stack([np.zeros(3), np.ones(3)]), np.ones(2))
+    np.testing.assert_allclose(grads, [expected, expected], rtol=1e-12)
 
 
 def test_gradient_matches_finite_differences(reduced_models, reduced):
@@ -162,7 +162,7 @@ def test_gradient_matches_finite_differences(reduced_models, reduced):
     rng = np.random.default_rng(11)
     for _ in range(5):
         x = encode(sample_uniform(reduced, rng), reduced) + rng.normal(0, 0.01, 7)
-        g = m.gradient_wrt_input(x)
+        g = m.batch_value_and_input_grad(x[None, :], np.ones(1))[1][0]
         for i in range(7):
             up, dn = x.copy(), x.copy()
             up[i] += 1e-6
@@ -178,10 +178,10 @@ def test_batch_value_and_input_grad_consistency(reduced_models, reduced):
     coeff = np.array([1.0, -2.0, 0.5, 3.0])
     values, grads = m.batch_value_and_input_grad(X, coeff)
     np.testing.assert_allclose(values, m.predict_batch(X), rtol=1e-12)
+    # each row's gradient is its own one-row gradient scaled by its coefficient
     for i in range(4):
-        np.testing.assert_allclose(
-            grads[i], coeff[i] * m.gradient_wrt_input(X[i]), rtol=1e-10
-        )
+        _, single = m.batch_value_and_input_grad(X[i : i + 1], np.ones(1))
+        np.testing.assert_allclose(grads[i], coeff[i] * single[0], rtol=1e-10)
 
 
 def test_save_load_roundtrip(tmp_path, reduced_models, reduced):
@@ -268,17 +268,15 @@ def test_proxy_predictor_ranks_monotone_device(proxy_latency_default, dspace, fl
 
 def test_device_aware_needs_two_devices(reduced, fleet):
     with pytest.raises(InsufficientDataError):
-        train_device_aware_predictor(
-            "latency", [fleet.proxy], 10, Oracle(reduced), np.random.default_rng(0)
-        )
+        train_stage1(reduced, [fleet.proxy], 10, Oracle(reduced), np.random.default_rng(0))
 
 
 def test_device_aware_prediction_varies_with_device(reduced, fleet):
     devices = list(fleet.training_real[:2])
-    m = train_device_aware_predictor(
-        "latency", devices, 60, Oracle(reduced), np.random.default_rng(0),
+    m = train_stage1(
+        reduced, devices, 60, Oracle(reduced), np.random.default_rng(0),
         hyper=LIGHT, layer_sizes=(32, 32),
-    )
+    ).latency
     assert m.takes_device
     assert m.input_dim == 7 + device_embedding(fleet.proxy).size
     x = encode(enumerate_all(reduced)[100], reduced)
