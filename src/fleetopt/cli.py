@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Subcommands: gen-fleet, train-predictors, optimize, report, cost-table,
-selftest. Exit codes: 0 success, 2 config error, 3 a result carried an
-infeasibility flag. Everything is a batch run; outputs are JSON and CSV files
+selftest. Exit codes: 0 success, 2 config error, 3 the measured design of a
+target broke its bound. Everything is a batch run; outputs are JSON and CSV files
 under --out.
 """
 
@@ -26,7 +26,7 @@ from .device_world import (
     latency_value,
     energy_value,
 )
-from .pipeline import cost_accounting, run_scenario
+from .pipeline import cost_accounting, draw_fleet, run_scenario
 from .proxy_reuse import BisectionSettings, TCache, bisection_optimize, spearman
 from .scenario import ConfigError, Scenario, load_scenario
 from .search import SearchParams
@@ -53,9 +53,7 @@ def _load(args) -> Scenario:
 
 def _cmd_gen_fleet(args) -> int:
     scenario = _load(args)
-    rng = np.random.default_rng(np.random.SeedSequence([scenario.seed, 0]))
-    fleet = generate_fleet(scenario.fleet, rng)
-    doc = json.dumps(fleet.to_dict(), indent=2, sort_keys=True)
+    doc = json.dumps(draw_fleet(scenario).to_dict(), indent=2, sort_keys=True)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "fleet.json")
@@ -101,11 +99,9 @@ def _cmd_report(args) -> int:
     print(f"approach: {report['scenario']['approach']}  seed: {report['scenario']['seed']}")
     print(f"targets: {len(report['rows'])}  infeasible: {report['infeasible_count']}")
     for row in report["rows"]:
-        bits = [f"{row['device_id']}", f"design={row['design']}"]
-        if "measured_latency" in row:
-            bits.append(f"latency={row['measured_latency']:.4f}")
-        bits.append("feasible" if row["feasible"] else "INFEASIBLE")
-        print("  " + "  ".join(bits))
+        verdict = "feasible" if row["feasible"] else "INFEASIBLE"
+        print(f"  {row['device_id']}  design={row['design']}  "
+              f"latency={row['measured_latency']:.4f}  {verdict}")
     per_target = report["stage_counts"]["per_target"]
     if per_target:
         worst = max(per_target.values())

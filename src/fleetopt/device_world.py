@@ -25,7 +25,7 @@ import csv
 import hashlib
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -218,8 +218,6 @@ class SweepResult:
     weights: TradeoffWeights
     feasible: bool  # under *predicted* metrics
     predicted_accuracy: float
-    predicted_latency: float | None
-    predicted_energy: float | None
     validation: dict[str, float]  # oracle measurements of the chosen design
     rows: tuple[dict, ...]
 
@@ -257,12 +255,12 @@ def constraint_sweep(
     if not constraints.active:
         lam0 = TradeoffWeights(0.0, 0.0)
         x = infer_design(net, d, lam0, space)
-        pa, pl, pe = predict_metrics(x)
+        pa = predict_metrics(x)[0]
         row = {"lambda1": 0.0, "lambda2": 0.0, "predicted_feasible": True,
                "predicted_accuracy": pa, "chosen": True}
         return SweepResult(
             design=x, weights=lam0, feasible=True, predicted_accuracy=pa,
-            predicted_latency=pl, predicted_energy=pe, validation={}, rows=(row,),
+            validation={}, rows=(row,),
         )
 
     rows: list[dict] = []
@@ -280,7 +278,7 @@ def constraint_sweep(
         if constraints.energy_bound is not None:
             feasible &= pe <= constraints.energy_bound
             violation += max(0.0, pe / constraints.energy_bound - 1.0)
-        results.append((lam, x, pa, pl, pe, feasible))
+        results.append((lam, x, pa))
         rows.append(
             {"lambda1": lam.lambda1, "lambda2": lam.lambda2,
              "predicted_feasible": feasible, "predicted_accuracy": pa, "chosen": False}
@@ -292,7 +290,7 @@ def constraint_sweep(
 
     feasible_found = best is not None
     pos = best[1] if feasible_found else worst[1]
-    lam, x, pa, pl, pe, _ = results[pos]
+    lam, x, pa = results[pos]
     rows[pos]["chosen"] = True
     validation: dict[str, float] = {}
     if constraints.latency_bound is not None:
@@ -301,6 +299,5 @@ def constraint_sweep(
         validation["energy"] = oracle.energy(x, d)
     return SweepResult(
         design=x, weights=lam, feasible=feasible_found, predicted_accuracy=pa,
-        predicted_latency=pl, predicted_energy=pe, validation=validation,
-        rows=tuple(rows),
+        validation=validation, rows=tuple(rows),
     )

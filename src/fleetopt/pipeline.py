@@ -133,7 +133,7 @@ def _percentile_bounds(scenario: Scenario, fleet: Fleet) -> tuple[dict, Measurem
     part of the problem statement, not of the solving cost."""
     cal_ledger = MeasurementLedger()
     cal_oracle = Oracle(scenario.space, cal_ledger)
-    rng = np.random.default_rng(np.random.SeedSequence([scenario.seed, 101]))
+    rng = _phase_rng(scenario.seed, 101)
     if scenario.space.cardinality <= 256:
         probes = enumerate_all(scenario.space)
     else:
@@ -176,81 +176,70 @@ def _load_models(models_dir: str | None, names: list[str]) -> list:
         raise ConfigError(f"skip-training: missing model file ({e.filename})") from None
 
 
-def _run_proxy(scenario: Scenario, fleet: Fleet, targets: list, oracle: Oracle, bounds: dict,
-               models_dir: str | None, skip_training: bool, artifacts: dict):
+def _proxy_reuse(scenario: Scenario, fleet: Fleet, oracle: Oracle):
+    """Model file names, train and solver of proxy reuse: predictors trained on
+    the proxy, a rank gate per target that reuses a pool entry or trains the
+    target its own, then bisection on t (the 2-D grid under an energy bound)."""
     space = scenario.space
-    need_energy = scenario.optimize.energy_percentile is not None
-    metrics = ["latency", "energy"] if need_energy else ["latency"]
+    metrics = ["latency"] if scenario.optimize.energy_percentile is None else ["latency", "energy"]
     names = ["accuracy.json"] + [f"{metric}_proxy.json" for metric in metrics]
-    rng_train = np.random.default_rng(np.random.SeedSequence([scenario.seed, 1]))
-    if skip_training:
-        models = _load_models(models_dir, names)
-    else:
-        models = [train_accuracy_predictor(
-            space, scenario.samples_per_device, oracle, rng_train,
-            scenario.hyper, scenario.hidden,
-        )] + [
+
+    def device_models(device, rng) -> list:
+        return [
             train_device_specific_predictor(
-                metric, fleet.proxy, scenario.samples_per_device, oracle, rng_train,
+                metric, device, scenario.samples_per_device, oracle, rng,
                 scenario.hyper, scenario.hidden,
             )
             for metric in metrics
         ]
-    artifacts["models"] = dict(zip(names, models))
-    acc_model, lat_model = models[:2]
-    en_model = models[2] if need_energy else None
 
-    pool = ProxyPool()
-    pool.add(ProxyEntry(fleet.proxy, acc_model, lat_model, en_model, TCache(scenario.granularity)))
-    rng_opt = np.random.default_rng(np.random.SeedSequence([scenario.seed, 2]))
-    rows = []
-    traces = {}
-    for family, target in targets:
-        lat_before = oracle.ledger.count(target.device_id, "latency")
-        trials: list = []
-        entry = match_proxy(
-            pool, target, scenario.optimize.monotonicity_threshold, oracle, rng_opt,
-            scenario.optimize.probe_count, trials=trials,
-        )
-        probes_charged = oracle.ledger.count(target.device_id, "latency") - lat_before
-        reused = entry is not None
-        if entry is None:
-            new_lat = train_device_specific_predictor(
-                "latency", target, scenario.samples_per_device, oracle, rng_opt,
-                scenario.hyper, scenario.hidden,
+    def train(rng) -> list:
+        return [train_accuracy_predictor(
+            space, scenario.samples_per_device, oracle, rng, scenario.hyper, scenario.hidden,
+        )] + device_models(fleet.proxy, rng)
+
+    def solver(acc_model, *proxy_models):
+        def entry_for(device, models) -> ProxyEntry:
+            energy_model = models[1] if len(models) > 1 else None
+            return ProxyEntry(device, acc_model, models[0], energy_model,
+                              TCache(scenario.granularity))
+
+        pool = ProxyPool()
+        pool.add(entry_for(fleet.proxy, proxy_models))
+        rng_opt = _phase_rng(scenario.seed, 2)
+
+        def solve(target, spec: ConstraintSpec):
+            count = oracle.ledger.count
+            before = count(target.device_id, "latency")
+            trials: list = []
+            entry = match_proxy(
+                pool, target, scenario.optimize.monotonicity_threshold, oracle, rng_opt,
+                scenario.optimize.probe_count, trials=trials,
             )
-            new_en = None
-            if need_energy:
-                new_en = train_device_specific_predictor(
-                    "energy", target, scenario.samples_per_device, oracle, rng_opt,
-                    scenario.hyper, scenario.hidden,
+            probes_charged = count(target.device_id, "latency") - before
+            reused = entry is not None
+            if entry is None:
+                entry = entry_for(target, device_models(target, rng_opt))
+                pool.add(entry)
+            before = count(target.device_id, "latency")
+            if spec.energy_bound is not None:
+                result = grid_optimize_2d(
+                    target, spec.latency_bound, spec.energy_bound, entry.cache,
+                    entry.accuracy_model, entry.latency_model, entry.energy_model,
+                    oracle, space, scenario.search,
                 )
-            entry = ProxyEntry(target, acc_model, new_lat, new_en, TCache(scenario.granularity))
-            pool.add(entry)
-        spec = bounds[target.device_id]
-        before = oracle.ledger.count(target.device_id, "latency")
-        if spec.energy_bound is not None and entry.energy_model is not None:
-            result = grid_optimize_2d(
-                target, spec.latency_bound, spec.energy_bound,
-                scenario.bisection_settings(spec.latency_bound),
-                entry.accuracy_model, entry.latency_model, entry.energy_model,
-                oracle, space, scenario.search,
-            )
-            t_report = list(result.t)
-            energy = result.energy
-        else:
-            result = bisection_optimize(
-                target, spec.latency_bound,
-                scenario.bisection_settings(spec.latency_bound),
-                entry.cache, entry.accuracy_model, entry.latency_model,
-                oracle, space, scenario.search,
-            )
-            t_report = result.t_star
-            energy = None
-        rows.append(
-            {
-                "device_id": target.device_id,
-                "family": family,
+                t, energy = list(result.t), float(result.energy)
+                columns = ["level", "t1", "t2", "latency", "energy", "feasible"]
+            else:
+                result = bisection_optimize(
+                    target, spec.latency_bound,
+                    scenario.bisection_settings(spec.latency_bound),
+                    entry.cache, entry.accuracy_model, entry.latency_model,
+                    oracle, space, scenario.search,
+                )
+                t, energy = result.t_star, None
+                columns = ["iteration", "t", "measured_latency", "bound", "verdict"]
+            fields = {
                 "proxy_used": entry.device.device_id,
                 "proxy_reused": reused,
                 "match_trials": [
@@ -258,85 +247,87 @@ def _run_proxy(scenario: Scenario, fleet: Fleet, targets: list, oracle: Oracle, 
                 ],
                 "probe_measurements": probes_charged,
                 "optimize_measurements": result.measurements,
-                "latency_bound": spec.latency_bound,
-                "energy_bound": spec.energy_bound,
-                "design": _design_row(space, result.design),
-                "t": t_report,
+                "t": t,
                 "feasible": bool(result.feasible),
                 "measured_latency": float(result.latency),
-                "measured_energy": None if energy is None else float(energy),
-                "target_latency_charges": oracle.ledger.count(target.device_id, "latency") - before,
+                "measured_energy": energy,
+                "target_latency_charges": count(target.device_id, "latency") - before,
             }
-        )
-        traces[f"trace_{target.device_id}.csv"] = result.trace
-    artifacts["traces"] = traces
-    return rows
+            return result.design, fields, (f"trace_{target.device_id}.csv", columns, result.trace)
+
+        return solve
+
+    return names, train, solver
 
 
-def _run_amortized(scenario: Scenario, fleet: Fleet, targets: list, oracle: Oracle,
-                   bounds: dict, models_dir: str | None, skip_training: bool, artifacts: dict):
+def _amortized(scenario: Scenario, fleet: Fleet, oracle: Oracle):
+    """Model file names, train and solver of the amortized optimizer: device-aware
+    predictors and a Method-2 network trained once, then per target a lambda
+    sweep of inferences whose chosen design is measured once per bound."""
     space = scenario.space
     names = ["accuracy.json", "energy_fleet.json", "latency_fleet.json", "optimizer.json"]
     lambda_grid = build_lambda_grid(scenario.lambda_count, scenario.lambda_max)
-    rng_train = np.random.default_rng(np.random.SeedSequence([scenario.seed, 1]))
-    if skip_training:
-        acc_model, en_model, lat_model, optnet = _load_models(models_dir, names)
-    else:
+
+    def train(rng) -> list:
         bundle = train_stage1(
-            space, list(fleet.training_real), scenario.samples_per_device, oracle, rng_train,
+            space, list(fleet.training_real), scenario.samples_per_device, oracle, rng,
             scenario.hyper, scenario.hidden,
         )
         if scenario.optimize.exploration_rounds > 0:
             bundle = iterative_fit(
                 bundle, scenario.optimize.exploration_rounds,
-                scenario.optimize.explore_size, oracle, rng_train,
+                scenario.optimize.explore_size, oracle, rng,
             )
-        acc_model, en_model, lat_model = bundle.accuracy, bundle.energy, bundle.latency
         train_devices = list(fleet.training_real) + list(fleet.synthetic)
         inputs = [(d, lam) for d in train_devices for lam in lambda_grid]
         opt_hyper = dataclasses.replace(scenario.hyper, epochs=scenario.optimize.optimizer_epochs)
         optnet = train_method2(
-            inputs, acc_model, en_model, lat_model,
-            scenario.optimize.optimizer_hidden, opt_hyper, scenario.optimize.mu, rng_train,
+            inputs, bundle.accuracy, bundle.energy, bundle.latency,
+            scenario.optimize.optimizer_hidden, opt_hyper, scenario.optimize.mu, rng,
         )
-    artifacts["models"] = dict(zip(names, (acc_model, en_model, lat_model, optnet)))
-    rows = []
-    sweeps = {}
-    for family, target in targets:
-        spec = bounds[target.device_id]
-        before_lat = oracle.ledger.count(target.device_id, "latency")
-        before_en = oracle.ledger.count(target.device_id, "energy")
-        sweep = constraint_sweep(
-            optnet, target, spec, acc_model, en_model, lat_model,
-            lambda_grid, space, oracle,
-        )
-        charges = (
-            oracle.ledger.count(target.device_id, "latency") - before_lat
-            + oracle.ledger.count(target.device_id, "energy") - before_en
-        )
-        oracle_feasible = True
-        if spec.latency_bound is not None:
-            oracle_feasible &= sweep.validation["latency"] <= spec.latency_bound
-        if spec.energy_bound is not None:
-            oracle_feasible &= sweep.validation["energy"] <= spec.energy_bound
-        rows.append(
-            {
-                "device_id": target.device_id,
-                "family": family,
-                "latency_bound": spec.latency_bound,
-                "energy_bound": spec.energy_bound,
-                "design": _design_row(space, sweep.design),
+        return [bundle.accuracy, bundle.energy, bundle.latency, optnet]
+
+    def solver(acc_model, en_model, lat_model, optnet):
+        def solve(target, spec: ConstraintSpec):
+            before = _target_charges(oracle.ledger, target.device_id)
+            sweep = constraint_sweep(
+                optnet, target, spec, acc_model, en_model, lat_model,
+                lambda_grid, space, oracle,
+            )
+            measured = sweep.validation
+            bound = {"latency": spec.latency_bound, "energy": spec.energy_bound}
+            fields = {
                 "lambda": [sweep.weights.lambda1, sweep.weights.lambda2],
-                "feasible": bool(sweep.feasible),
-                "oracle_feasible": bool(oracle_feasible),
+                "feasible": all(v <= bound[metric] for metric, v in measured.items()),
+                "predicted_feasible": bool(sweep.feasible),
                 "predicted_accuracy": float(sweep.predicted_accuracy),
-                "validation": {k: float(v) for k, v in sorted(sweep.validation.items())},
-                "validation_measurements": charges,
+                "measured_latency": measured.get("latency"),
+                "measured_energy": measured.get("energy"),
+                "validation_measurements":
+                    _target_charges(oracle.ledger, target.device_id) - before,
             }
-        )
-        sweeps[f"sweep_{target.device_id}.csv"] = sweep.rows
-    artifacts["sweeps"] = sweeps
-    return rows
+            columns = ["lambda1", "lambda2", "predicted_feasible", "predicted_accuracy", "chosen"]
+            return sweep.design, fields, (f"sweep_{target.device_id}.csv", columns, sweep.rows)
+
+        return solve
+
+    return names, train, solver
+
+
+def _target_charges(ledger: MeasurementLedger, device_id: str) -> int:
+    """Latency plus energy measurements charged to one device so far."""
+    return ledger.count(device_id, "latency") + ledger.count(device_id, "energy")
+
+
+def _phase_rng(seed: int, phase: int) -> np.random.Generator:
+    """The random stream of one run phase: 0 fleet, 1 training, 2 proxy
+    optimization, 101 bound calibration. Phases never share a stream."""
+    return np.random.default_rng(np.random.SeedSequence([seed, phase]))
+
+
+def draw_fleet(scenario: Scenario) -> Fleet:
+    """The scenario's device fleet, as every run of it draws it."""
+    return generate_fleet(scenario.fleet, _phase_rng(scenario.seed, 0))
 
 
 def run_scenario(
@@ -350,26 +341,38 @@ def run_scenario(
     directory never holds a half-report.
     """
     started = time.monotonic()
-    rng_fleet = np.random.default_rng(np.random.SeedSequence([scenario.seed, 0]))
-    fleet = generate_fleet(scenario.fleet, rng_fleet)
+    fleet = draw_fleet(scenario)
     ledger = MeasurementLedger()
     oracle = Oracle(scenario.space, ledger)
     bounds, cal_ledger = _percentile_bounds(scenario, fleet)
-    models_dir = os.path.join(out_dir, "models") if out_dir else None
 
+    approach = _proxy_reuse if scenario.approach == "proxy" else _amortized
+    names, train, solver = approach(scenario, fleet, oracle)
+    if skip_training:
+        models_dir = os.path.join(out_dir, "models") if out_dir else None
+        models = _load_models(models_dir, names)
+    else:
+        models = train(_phase_rng(scenario.seed, 1))
+    solve = solver(*models)
     targets = [("monotone", d) for d in fleet.holdout_monotone] + [
         ("adversarial", d) for d in fleet.holdout_adversarial
     ]
-    artifacts: dict = {}
-    run = _run_proxy if scenario.approach == "proxy" else _run_amortized
-    rows = run(scenario, fleet, targets, oracle, bounds, models_dir, skip_training, artifacts)
+    rows, traces = [], []
+    for family, target in targets:
+        spec = bounds[target.device_id]
+        design, fields, trace = solve(target, spec)
+        rows.append({
+            "device_id": target.device_id,
+            "family": family,
+            "latency_bound": spec.latency_bound,
+            "energy_bound": spec.energy_bound,
+            "design": _design_row(scenario.space, design),
+            **fields,
+        })
+        traces.append(trace)
 
-    target_ids = [d.device_id for _, d in targets]
-    per_target = {
-        dev_id: ledger.count(dev_id, "latency") + ledger.count(dev_id, "energy")
-        for dev_id in target_ids
-    }
-    cost = cost_accounting(5000, 30.0, len(target_ids), per_target)
+    per_target = {d.device_id: _target_charges(ledger, d.device_id) for _, d in targets}
+    cost = cost_accounting(5000, 30.0, len(targets), per_target)
     stage_counts = {
         "total_latency": ledger.total("latency"),
         "total_energy": ledger.total("energy"),
@@ -398,6 +401,7 @@ def run_scenario(
         wall_time_s=time.monotonic() - started,
     )
     if out_dir is not None:
+        artifacts = {"models": dict(zip(names, models)), "traces": traces}
         export_report(report, out_dir, artifacts, persist_models=not skip_training)
     return report
 
@@ -441,21 +445,8 @@ def export_report(report: RunReport, out_dir: str, artifacts: dict | None = None
                 elif isinstance(model, OptimizerNetwork):
                     save_optimizer(model, path)
                 written.append(path)
-        for name, trace in artifacts.get("traces", {}).items():
-            emit(
-                os.path.join("traces", name),
-                _rows_to_csv(trace, ["iteration", "t", "measured_latency", "bound", "verdict"])
-                if trace and "iteration" in trace[0]
-                else _rows_to_csv(trace, ["level", "t1", "t2", "latency", "energy", "feasible"]),
-            )
-        for name, rows in artifacts.get("sweeps", {}).items():
-            emit(
-                os.path.join("traces", name),
-                _rows_to_csv(
-                    rows,
-                    ["lambda1", "lambda2", "predicted_feasible", "predicted_accuracy", "chosen"],
-                ),
-            )
+        for name, columns, rows in artifacts.get("traces", ()):
+            emit(os.path.join("traces", name), _rows_to_csv(rows, columns))
         return written
     except Exception:
         for path in written:

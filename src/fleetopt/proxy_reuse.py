@@ -90,44 +90,51 @@ class BisectionSettings:
 
 
 class TCache:
-    """t -> inner-solution cache, keyed on t quantized to the granularity."""
+    """Inner-solution cache keyed on the weight tuple, each weight quantized to
+    the granularity: (t,) for the bisection, (t1, t2) for the 2-D grid."""
 
     def __init__(self, granularity: float = 0.001):
         if not 0.0 < granularity < 1.0:
             raise ValueError("granularity must be in (0, 1)")
         self.granularity = granularity
-        self._entries: dict[int, DesignPoint] = {}
+        self._entries: dict[tuple[int, ...], DesignPoint] = {}
 
-    def _key(self, t: float) -> int:
-        return int(round(t / self.granularity))
+    def _key(self, ts: tuple[float, ...]) -> tuple[int, ...]:
+        return tuple(int(round(t / self.granularity)) for t in ts)
 
-    def quantize(self, t: float) -> float:
-        return self._key(t) * self.granularity
+    def quantize(self, ts: tuple[float, ...]) -> tuple[float, ...]:
+        return tuple(k * self.granularity for k in self._key(ts))
 
-    def get(self, t: float) -> DesignPoint | None:
-        return self._entries.get(self._key(t))
+    def get(self, ts: tuple[float, ...]) -> DesignPoint | None:
+        return self._entries.get(self._key(ts))
 
-    def put(self, t: float, x: DesignPoint) -> None:
-        self._entries[self._key(t)] = x
+    def put(self, ts: tuple[float, ...], x: DesignPoint) -> None:
+        self._entries[self._key(ts)] = x
 
     def __len__(self) -> int:
         return len(self._entries)
 
 
-def proxy_objective(
+def scalarized_objective(
     x: DesignPoint,
-    t: float,
+    ts: tuple[float, ...],
     acc_model: MlpRegressor,
-    lat_model: MlpRegressor,
+    metric_models: tuple[MlpRegressor, ...],
     space: DesignSpace,
 ) -> float:
-    """-(1-t)*acc + t*latency/s_L on the proxy's predictors; t in [0, 1]."""
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t must be in [0, 1], got {t}")
+    """-(1 - sum t_i)*acc + sum t_i*m_i/s_i on the proxy's predictors, one
+    weight per metric model, the weights on the simplex: (t,) weighs latency
+    for the bisection, (t1, t2) latency and energy for the 2-D grid."""
+    if min(ts) < 0 or sum(ts) > 1.0 + 1e-12:
+        raise ValueError(f"weights must lie in the simplex, got {ts}")
     enc = encode(x, space)
-    acc = acc_model.predict(enc)
-    lat = lat_model.predict(enc) / lat_model.objective_scale
-    return -(1.0 - t) * acc + t * lat
+    w = 1.0
+    for t in ts:
+        w -= t
+    f = -w * acc_model.predict(enc)
+    for t, model in zip(ts, metric_models, strict=True):
+        f += t * (model.predict(enc) / model.objective_scale)
+    return f
 
 
 def _derived_seed(base_seed: int, *salt: int) -> int:
@@ -135,30 +142,30 @@ def _derived_seed(base_seed: int, *salt: int) -> int:
 
 
 def solve_inner(
-    t: float,
+    ts: tuple[float, ...],
     cache: TCache,
     space: DesignSpace,
     params: SearchParams,
     acc_model: MlpRegressor,
-    lat_model: MlpRegressor,
+    metric_models: tuple[MlpRegressor, ...],
     minimizer=None,
 ) -> DesignPoint:
-    """Cached argmin of the proxy objective at quantized t; predictor-only, so
-    repeated calls cost nothing and never touch any device."""
-    hit = cache.get(t)
+    """Cached argmin of the scalarized objective at the quantized weights ts;
+    predictor-only, so repeated calls cost nothing and never touch any device."""
+    hit = cache.get(ts)
     if hit is not None:
         return hit
-    tq = cache.quantize(t)
+    tq = cache.quantize(ts)
 
     def objective(x: DesignPoint) -> float:
-        return proxy_objective(x, tq, acc_model, lat_model, space)
+        return scalarized_objective(x, tq, acc_model, metric_models, space)
 
     if minimizer is not None:
         x = minimizer(objective)
     else:
-        seeded = dataclasses.replace(params, seed=_derived_seed(params.seed, cache._key(t)))
+        seeded = dataclasses.replace(params, seed=_derived_seed(params.seed, *cache._key(ts)))
         x = evolutionary_search(objective, space, seeded)
-    cache.put(t, x)
+    cache.put(ts, x)
     return x
 
 
@@ -196,22 +203,22 @@ def bisection_optimize(
     if bound <= 0:
         raise ValueError("bound must be positive")
     t_min, t_max = 0.0, 1.0
-    measured: dict[int, tuple[DesignPoint, float]] = {}
+    measured: dict[tuple[int], tuple[DesignPoint, float]] = {}
     trace: list[dict] = []
     best: tuple[float, DesignPoint, float] | None = None  # (t, design, latency)
     last: tuple[float, DesignPoint, float] | None = None
     measurements = 0
     for iteration in range(settings.max_iterate):
         t = (t_min + t_max) / 2.0
-        key = cache._key(t)
+        key = cache._key((t,))
         if key in measured:
             x, lat = measured[key]
         else:
-            x = solve_inner(t, cache, space, params, acc_model, lat_model, minimizer)
+            x = solve_inner((t,), cache, space, params, acc_model, (lat_model,), minimizer)
             lat = oracle.latency(x, target)
             measurements += 1
             measured[key] = (x, lat)
-        tq = cache.quantize(t)
+        (tq,) = cache.quantize((t,))
         last = (tq, x, lat)
         if lat >= bound + settings.delta:
             verdict = "raise_t"
@@ -241,26 +248,6 @@ def bisection_optimize(
     )
 
 
-def objective_2d(
-    x: DesignPoint,
-    t1: float,
-    t2: float,
-    acc_model: MlpRegressor,
-    lat_model: MlpRegressor,
-    energy_model: MlpRegressor,
-    space: DesignSpace,
-) -> float:
-    """Two-weight extension: -(1-t1-t2)*acc + t1*latency/s_L + t2*energy/s_E,
-    on the simplex t1, t2 >= 0, t1 + t2 <= 1."""
-    if t1 < 0 or t2 < 0 or t1 + t2 > 1.0 + 1e-12:
-        raise ValueError(f"(t1, t2) must lie in the simplex, got ({t1}, {t2})")
-    enc = encode(x, space)
-    acc = acc_model.predict(enc)
-    lat = lat_model.predict(enc) / lat_model.objective_scale
-    en = energy_model.predict(enc) / energy_model.objective_scale
-    return -(1.0 - t1 - t2) * acc + t1 * lat + t2 * en
-
-
 @dataclass(frozen=True)
 class Grid2dResult:
     design: DesignPoint
@@ -276,7 +263,7 @@ def grid_optimize_2d(
     target: DeviceFeatures,
     latency_bound: float,
     energy_bound: float,
-    settings: BisectionSettings,
+    cache: TCache,
     acc_model: MlpRegressor,
     lat_model: MlpRegressor,
     energy_model: MlpRegressor,
@@ -295,30 +282,11 @@ def grid_optimize_2d(
     candidate designs on the target (both metrics), and calibrates predicted
     metrics against those measurements to rank the rest. Returns the measured
     feasible design with maximum predicted accuracy, else the least-violating
-    measured design flagged infeasible.
+    measured design flagged infeasible. Inner solves go through solve_inner on
+    cache, so calls that share a cache (one proxy entry) share them too.
     """
     if latency_bound <= 0 or energy_bound <= 0:
         raise ValueError("bounds must be positive")
-    g = settings.granularity
-
-    def q(t: float) -> float:
-        return round(t / g) * g
-
-    cache: dict[tuple[int, int], DesignPoint] = {}
-
-    def inner(t1: float, t2: float) -> DesignPoint:
-        key = (int(round(t1 / g)), int(round(t2 / g)))
-        if key not in cache:
-            def objective(x: DesignPoint) -> float:
-                return objective_2d(x, q(t1), q(t2), acc_model, lat_model, energy_model, space)
-
-            if minimizer is not None:
-                cache[key] = minimizer(objective)
-            else:
-                seeded = dataclasses.replace(params, seed=_derived_seed(params.seed, *key))
-                cache[key] = evolutionary_search(objective, space, seeded)
-        return cache[key]
-
     measured: dict[tuple[int, ...], tuple[float, float]] = {}  # idx -> (lat, en)
     design_pt: dict[tuple[int, ...], tuple[float, float]] = {}  # idx -> first grid point
     pred_cache: dict[tuple[int, ...], tuple[float, float, float]] = {}
@@ -356,7 +324,7 @@ def grid_optimize_2d(
     spacing = 1.0 / grid_n
     center = (0.0, 0.0)
     lattice = [
-        (q(i * spacing), q(j * spacing))
+        cache.quantize((i * spacing, j * spacing))
         for i in range(grid_n + 1)
         for j in range(grid_n + 1)
         if i + j <= grid_n
@@ -364,7 +332,9 @@ def grid_optimize_2d(
     for level in range(levels):
         level_pairs: list[tuple[tuple[float, float], DesignPoint]] = []
         for pt in lattice:
-            x = inner(*pt)
+            x = solve_inner(
+                pt, cache, space, params, acc_model, (lat_model, energy_model), minimizer
+            )
             idx = space.indices_of(x)
             design_pt.setdefault(idx, pt)
             level_pairs.append((pt, x))
@@ -419,7 +389,7 @@ def grid_optimize_2d(
                 t2 = center[1] + (j - grid_n // 2) * spacing
                 if t1 < 0 or t2 < 0 or t1 + t2 > 1.0:
                     continue
-                pts.add((q(t1), q(t2)))
+                pts.add(cache.quantize((t1, t2)))
         lattice = sorted(pts)
 
     best = None  # (-pred_acc, idx)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fleetopt.design_space import DesignPoint, StageChoice, encode, enumerate_all
+from fleetopt.design_space import DesignPoint, StageChoice, enumerate_all
 from fleetopt.device_world import (
     MeasurementLedger,
     Oracle,
@@ -19,8 +19,7 @@ from fleetopt.proxy_reuse import (
     check_monotonicity,
     grid_optimize_2d,
     match_proxy,
-    objective_2d,
-    proxy_objective,
+    scalarized_objective,
     solve_inner,
     spearman,
 )
@@ -109,29 +108,43 @@ def test_settings_for_bound_band_is_two_percent():
 
 def test_tcache_quantizes_keys(reduced):
     cache = TCache(granularity=0.001)
-    x = enumerate_all(reduced)[7]
-    cache.put(0.1234, x)
-    assert cache.get(0.1230) == x
-    assert cache.get(0.12351) is None
-    assert cache.quantize(0.1234) == pytest.approx(0.123)
-    assert len(cache) == 1
+    x, y = enumerate_all(reduced)[7:9]
+    cache.put((0.1234,), x)
+    assert cache.get((0.1230,)) == x
+    assert cache.get((0.12351,)) is None
+    assert cache.quantize((0.1234,)) == pytest.approx((0.123,))
+    cache.put((0.1234, 0.0004), y)
+    assert cache.get((0.1230, 0.0)) == y
+    assert cache.get((0.1230,)) == x
+    assert cache.quantize((0.1234, 0.0006)) == pytest.approx((0.123, 0.001))
+    assert len(cache) == 2
     with pytest.raises(ValueError):
         TCache(granularity=0.0)
 
 
-# --- proxy objective and inner solve ----------------------------------------
+# --- scalarized objective and inner solve -----------------------------------
 
 
-def test_proxy_objective_extremes_and_linearity(exact_models, reduced, proxy):
+def test_scalarized_objective_extremes_and_linearity(exact_models, reduced, proxy):
     x = enumerate_all(reduced)[5]
     acc, lat = exact_models["accuracy"], exact_models["latency"]
-    f0 = proxy_objective(x, 0.0, acc, lat, reduced)
-    f1 = proxy_objective(x, 1.0, acc, lat, reduced)
+    f0 = scalarized_objective(x, (0.0,), acc, (lat,), reduced)
+    f1 = scalarized_objective(x, (1.0,), acc, (lat,), reduced)
     assert f0 == -accuracy_value(x, reduced)
     assert f1 == pytest.approx(latency_value(x, proxy) / lat.objective_scale)
-    assert proxy_objective(x, 0.5, acc, lat, reduced) == pytest.approx((f0 + f1) / 2)
+    assert scalarized_objective(x, (0.5,), acc, (lat,), reduced) == pytest.approx((f0 + f1) / 2)
     with pytest.raises(ValueError):
-        proxy_objective(x, 1.01, acc, lat, reduced)
+        scalarized_objective(x, (1.01,), acc, (lat,), reduced)
+
+
+def test_scalarized_objective_one_weight_is_the_bisection_objective(exact_models, reduced, proxy):
+    acc, lat = exact_models["accuracy"], exact_models["latency"]
+    for x in enumerate_all(reduced)[::9]:
+        for t in (0.0, 0.001, 0.123, 0.5, 0.999, 1.0):
+            expected = -(1.0 - t) * accuracy_value(x, reduced) + t * (
+                latency_value(x, proxy) / lat.objective_scale
+            )
+            assert scalarized_objective(x, (t,), acc, (lat,), reduced) == expected
 
 
 def test_solve_inner_caches_and_skips_objective(exact_models, reduced):
@@ -147,19 +160,21 @@ def test_solve_inner_caches_and_skips_objective(exact_models, reduced):
     cache = TCache()
     params = SearchParams(seed=0)
     acc, lat = exact_models["accuracy"], exact_models["latency"]
-    a = solve_inner(0.4, cache, reduced, params, acc, lat, minimizer=counting_minimizer)
+    a = solve_inner((0.4,), cache, reduced, params, acc, (lat,), minimizer=counting_minimizer)
     first = calls[0]
     assert first == 128
-    b = solve_inner(0.4, cache, reduced, params, acc, lat, minimizer=counting_minimizer)
+    b = solve_inner((0.4,), cache, reduced, params, acc, (lat,), minimizer=counting_minimizer)
     assert calls[0] == first
     assert a == b
 
 
 def test_solve_inner_extremes_with_exact_predictors(exact_models, reduced):
     acc, lat = exact_models["accuracy"], exact_models["latency"]
-    x0 = solve_inner(0.0, TCache(), reduced, SearchParams(), acc, lat, minimizer=brute(reduced))
+    x0 = solve_inner((0.0,), TCache(), reduced, SearchParams(), acc, (lat,),
+                     minimizer=brute(reduced))
     assert x0 == all_max(reduced)
-    x1 = solve_inner(1.0, TCache(), reduced, SearchParams(), acc, lat, minimizer=brute(reduced))
+    x1 = solve_inner((1.0,), TCache(), reduced, SearchParams(), acc, (lat,),
+                     minimizer=brute(reduced))
     assert x1 == all_min(reduced)
 
 
@@ -266,21 +281,31 @@ def test_bisection_trace_rows(exact_models, reduced, fleet):
 # --- 2-D extension ----------------------------------------------------------
 
 
-def test_objective_2d_simplex_validation(exact_models, reduced):
+def test_scalarized_objective_two_weights_on_the_simplex(exact_models, reduced, proxy):
     x = enumerate_all(reduced)[9]
-    args = (exact_models["accuracy"], exact_models["latency"], exact_models["energy"], reduced)
-    assert objective_2d(x, 0.0, 0.0, *args) == -accuracy_value(x, reduced)
+    acc, lat, en = exact_models["accuracy"], exact_models["latency"], exact_models["energy"]
+
+    def f(t1, t2):
+        return scalarized_objective(x, (t1, t2), acc, (lat, en), reduced)
+
+    assert f(0.0, 0.0) == -accuracy_value(x, reduced)
+    t1, t2 = 0.3, 0.25
+    assert f(t1, t2) == (
+        -(1.0 - t1 - t2) * accuracy_value(x, reduced)
+        + t1 * (latency_value(x, proxy) / lat.objective_scale)
+        + t2 * (energy_value(x, proxy) / en.objective_scale)
+    )
     with pytest.raises(ValueError):
-        objective_2d(x, 0.7, 0.4, *args)
+        f(0.7, 0.4)
     with pytest.raises(ValueError):
-        objective_2d(x, -0.1, 0.2, *args)
+        f(-0.1, 0.2)
 
 
 def test_grid_2d_loose_bounds_hit_accuracy_corner(exact_models, reduced, fleet):
     target = fleet.holdout_monotone[0]
     oracle = Oracle(reduced, MeasurementLedger())
     result = grid_optimize_2d(
-        target, 1e6, 1e6, BisectionSettings.for_bound(1e6),
+        target, 1e6, 1e6, TCache(),
         exact_models["accuracy"], exact_models["latency"], exact_models["energy"],
         oracle, reduced, SearchParams(), minimizer=brute(reduced),
     )
@@ -313,7 +338,7 @@ def test_grid_2d_dual_bounds_reach_scalarization_ceiling(exact_models, reduced, 
 
     oracle = Oracle(reduced, MeasurementLedger())
     result = grid_optimize_2d(
-        target, lat_bound, en_bound, BisectionSettings.for_bound(lat_bound),
+        target, lat_bound, en_bound, TCache(),
         exact_models["accuracy"], exact_models["latency"], exact_models["energy"],
         oracle, reduced, SearchParams(), minimizer=brute(reduced),
     )
@@ -338,7 +363,7 @@ def test_grid_2d_huge_energy_bound_matches_bisection(exact_models, reduced, flee
         oracle, reduced, SearchParams(), minimizer=brute(reduced),
     )
     two = grid_optimize_2d(
-        target, bound, 1e9, BisectionSettings.for_bound(bound),
+        target, bound, 1e9, TCache(),
         exact_models["accuracy"], exact_models["latency"], exact_models["energy"],
         oracle, reduced, SearchParams(), minimizer=brute(reduced),
     )
@@ -351,11 +376,40 @@ def test_grid_2d_infeasible_bounds_flagged(exact_models, reduced, fleet):
     min_lat = min(latency_value(x, target) for x in enumerate_all(reduced))
     oracle = Oracle(reduced, MeasurementLedger())
     result = grid_optimize_2d(
-        target, min_lat / 10, 1e9, BisectionSettings.for_bound(min_lat),
+        target, min_lat / 10, 1e9, TCache(),
         exact_models["accuracy"], exact_models["latency"], exact_models["energy"],
         oracle, reduced, SearchParams(), minimizer=brute(reduced),
     )
     assert not result.feasible
+
+
+def test_grid_2d_reuses_inner_solves_across_calls_on_one_cache(exact_models, reduced, fleet):
+    solved = [0]
+
+    def counting_minimizer(objective):
+        solved[0] += 1
+        return brute_force_argmin(objective, reduced)
+
+    models = (exact_models["accuracy"], exact_models["latency"], exact_models["energy"])
+    lats = [latency_value(x, fleet.holdout_monotone[0]) for x in enumerate_all(reduced)]
+    ens = [energy_value(x, fleet.holdout_monotone[1]) for x in enumerate_all(reduced)]
+    first = (fleet.holdout_monotone[0], float(np.percentile(lats, 50)), 1e9)
+    second = (fleet.holdout_monotone[1], 1e9, float(np.percentile(ens, 40)))
+
+    def run(problem, cache, minimizer):
+        return grid_optimize_2d(
+            *problem, cache, *models, Oracle(reduced, MeasurementLedger()), reduced,
+            SearchParams(), minimizer=minimizer,
+        )
+
+    shared = TCache()
+    run(first, shared, counting_minimizer)
+    assert solved[0] == len(shared)
+    solved_first = solved[0]
+    reused = run(second, shared, counting_minimizer)
+    assert solved[0] == len(shared)  # no lattice point was solved twice
+    assert solved[0] - solved_first < solved_first  # the top-level lattice was reused
+    assert reused == run(second, TCache(), brute(reduced))
 
 
 # --- monotonicity gate and pool ---------------------------------------------

@@ -1,6 +1,7 @@
 import copy
 import json
 import os
+import re
 import subprocess
 
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from fleetopt.cli import main
 from fleetopt.design_space import default_space
 from fleetopt.pipeline import RunReport, cost_accounting, export_report, run_scenario
-from fleetopt.scenario import ConfigError, Scenario, load_scenario, scenario_from_dict
+from fleetopt.scenario import ConfigError, load_scenario, scenario_from_dict
 
 SMALL_PROXY = {
     "seed": 11,
@@ -265,7 +266,7 @@ def test_export_rolls_back_on_failure(tmp_path):
     (out / "traces").write_text("in the way")
     trace = [{"iteration": 0, "t": 0.5, "measured_latency": 1.0, "bound": 1.0, "verdict": "ok"}]
     with pytest.raises(FileExistsError):
-        export_report(report, str(out), {"traces": {"trace_x.csv": trace}})
+        export_report(report, str(out), {"traces": [("trace_x.csv", ["iteration", "t"], trace)]})
     assert not os.path.exists(out / "report.json")
     assert not os.path.exists(out / "ledger.csv")
 
@@ -334,9 +335,30 @@ def test_cli_train_then_optimize_skip_training(tmp_path, capsys):
 
 
 def test_cli_optimize_infeasible_exit_code(tmp_path, capsys):
+    # mono-00's design is predicted to break its bound but measures under it;
+    # the measurement decides, so nothing is flagged
     cfg = write_config(tmp_path, SMALL_AMORTIZED)
-    assert main(["optimize", "--config", cfg]) == 3
-    assert "INFEASIBLE" in capsys.readouterr().out
+    assert main(["optimize", "--config", cfg]) == 0
+    assert "INFEASIBLE" not in capsys.readouterr().out
+
+
+def test_amortized_verdict_follows_measurement(tmp_path, capsys):
+    doc = with_key(SMALL_AMORTIZED, "optimize.latency_percentile", 5.0)
+    out = str(tmp_path / "run")
+    assert main(["optimize", "--config", write_config(tmp_path, doc), "--out", out]) == 3
+    stdout = capsys.readouterr().out
+    assert re.search(r"^adv-00: design=.* \[INFEASIBLE\]$", stdout, re.M)
+    assert re.search(r"^mono-00: design=.* \[ok\]$", stdout, re.M)
+    with open(os.path.join(out, "report.json")) as f:
+        report = json.load(f)
+    mono, adv = report["rows"]
+    # predicted to break its bound, measured under it
+    assert not mono["predicted_feasible"] and mono["feasible"]
+    assert mono["measured_latency"] <= mono["latency_bound"]
+    # predicted to meet its bound, measured over it
+    assert adv["predicted_feasible"] and not adv["feasible"]
+    assert adv["measured_latency"] > adv["latency_bound"]
+    assert report["infeasible_count"] == 1
 
 
 def test_cli_report(proxy_run, tmp_path, capsys):

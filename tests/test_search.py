@@ -6,7 +6,6 @@ from fleetopt.design_space import (
     SpaceTooLargeError,
     StageChoice,
     default_space,
-    enumerate_all,
 )
 from fleetopt.device_world import accuracy_value, energy_value, latency_value
 from fleetopt.search import (
