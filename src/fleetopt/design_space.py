@@ -1,10 +1,15 @@
 """Stage-structured discrete design space for convolutional backbones.
 
 A design picks, per stage, a block depth, a width multiplier and a kernel size,
-plus one network-wide quantization bit-width. Designs live in two equivalent
-representations: the structured `DesignPoint` and a flat vector in [0, 1]^(3S+1)
-used by continuous optimizers. The encoding places each choice at the center of
-its cell so decode(encode(x)) is the identity.
+plus one network-wide quantization bit-width. The design *is* its index tuple:
+one choice index per axis, stage-major with (depth, width, kernel) within a
+stage and bits last. Search, predictors, solvers and reports all hold designs
+in that form, and every tie breaks on it lexicographically. `DesignPoint` is
+the readable value view (depths, widths, kernels, bits) that the analytic cost
+model reads; `design_at` builds it and is the one place an index list from
+outside is checked, `indices_of` goes back. The encoding, a flat vector in
+[0, 1]^(3S+1) for continuous optimizers, is a separate form: it places each
+choice at the center of its cell so decode(encode(x)) is the identity.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ class StageChoice(NamedTuple):
 
 @dataclass(frozen=True)
 class DesignPoint:
-    """One concrete design: per-stage choices plus a global bit-width."""
+    """Readable value view of one design: per-stage choices plus a global bit-width."""
 
     stages: tuple[StageChoice, ...]
     bits: int
@@ -114,7 +119,8 @@ class DesignSpace:
         )
 
     def indices_of(self, x: DesignPoint) -> tuple[int, ...]:
-        """Flat index tuple, stage-major with bits last; the canonical serialization."""
+        """The design a value view stands for: its flat index tuple, stage-major
+        with bits last. A DesignPoint from outside this space is rejected."""
         if not self.contains(x):
             raise InvalidDesignError(f"design {x} is not in this space")
         idx: list[int] = []
@@ -126,6 +132,8 @@ class DesignSpace:
         return tuple(idx)
 
     def design_at(self, indices: Sequence[int]) -> DesignPoint:
+        """The value view of a design; the one check of an index list from
+        outside (report rows, tests): width first, then every index in range."""
         indices = tuple(int(i) for i in indices)
         if len(indices) != self.encoding_width:
             raise DimensionMismatchError(
@@ -168,26 +176,24 @@ def reduced_space() -> DesignSpace:
     )
 
 
-def sample_uniform(space: DesignSpace, rng: np.random.Generator) -> DesignPoint:
+def sample_uniform(space: DesignSpace, rng: np.random.Generator) -> tuple[int, ...]:
     """Uniform over the whole space: each axis index drawn independently."""
-    indices = [int(rng.integers(len(axis))) for axis in space._axes()]
-    return space.design_at(indices)
+    return tuple(int(rng.integers(len(axis))) for axis in space._axes())
 
 
-def encode(x: DesignPoint, space: DesignSpace) -> np.ndarray:
+def encode(x: tuple[int, ...], space: DesignSpace) -> np.ndarray:
     """Map a design to cell-center coordinates in [0, 1]^(3S+1).
 
     Index k of an n-choice axis maps to k/(n-1), or 0.5 for a singleton axis.
     """
-    indices = space.indices_of(x)
     out = np.empty(space.encoding_width, dtype=float)
-    for i, (axis, k) in enumerate(zip(space._axes(), indices)):
+    for i, (axis, k) in enumerate(zip(space._axes(), x, strict=True)):
         n = len(axis)
         out[i] = 0.5 if n == 1 else k / (n - 1)
     return out
 
 
-def decode(values: Sequence[float], space: DesignSpace) -> DesignPoint:
+def decode(values: Sequence[float], space: DesignSpace) -> tuple[int, ...]:
     """Snap a continuous vector to the nearest design (round-half-up per axis).
 
     Values are clamped to [0, 1] first, so any real vector of the right width
@@ -201,16 +207,15 @@ def decode(values: Sequence[float], space: DesignSpace) -> DesignPoint:
     if not np.all(np.isfinite(arr)):
         raise ValueError("encoded vector has non-finite entries")
     arr = np.clip(arr, 0.0, 1.0)
-    indices = []
-    for axis, v in zip(space._axes(), arr):
-        n = len(axis)
-        indices.append(0 if n == 1 else int(math.floor(v * (n - 1) + 0.5)))
-    return space.design_at(indices)
+    return tuple(
+        0 if len(axis) == 1 else int(math.floor(v * (len(axis) - 1) + 0.5))
+        for axis, v in zip(space._axes(), arr)
+    )
 
 
 def mutate(
-    x: DesignPoint, rate: float, space: DesignSpace, rng: np.random.Generator
-) -> DesignPoint:
+    x: tuple[int, ...], rate: float, space: DesignSpace, rng: np.random.Generator
+) -> tuple[int, ...]:
     """Resample each axis independently with probability `rate`.
 
     A resampled axis always moves to a different value (when the axis has
@@ -219,29 +224,25 @@ def mutate(
     """
     if not 0.0 <= rate <= 1.0:
         raise ValueError(f"mutation rate must be in [0, 1], got {rate}")
-    indices = list(space.indices_of(x))
+    indices = list(x)
     for i, axis in enumerate(space._axes()):
         if len(axis) > 1 and rng.random() < rate:
             j = int(rng.integers(len(axis) - 1))
             indices[i] = j + 1 if j >= indices[i] else j
-    return space.design_at(indices)
+    return tuple(indices)
 
 
 def crossover(
-    a: DesignPoint, b: DesignPoint, space: DesignSpace, rng: np.random.Generator
-) -> DesignPoint:
+    a: tuple[int, ...], b: tuple[int, ...], space: DesignSpace, rng: np.random.Generator
+) -> tuple[int, ...]:
     """Uniform crossover: each axis comes from parent a or b with equal odds."""
-    ia = space.indices_of(a)
-    ib = space.indices_of(b)
-    child = [ka if rng.random() < 0.5 else kb for ka, kb in zip(ia, ib)]
-    return space.design_at(child)
+    return tuple(ka if rng.random() < 0.5 else kb for ka, kb in zip(a, b, strict=True))
 
 
-def enumerate_all(space: DesignSpace, limit: int | None = 1_000_000) -> list[DesignPoint]:
+def enumerate_all(space: DesignSpace, limit: int | None = 1_000_000) -> list[tuple[int, ...]]:
     """All designs in lexicographic index order; refuses spaces past `limit`."""
     if limit is not None and space.cardinality > limit:
         raise SpaceTooLargeError(
             f"space has {space.cardinality} designs, enumeration limit is {limit}"
         )
-    ranges = [range(len(axis)) for axis in space._axes()]
-    return [space.design_at(idx) for idx in itertools.product(*ranges)]
+    return list(itertools.product(*(range(len(axis)) for axis in space._axes())))

@@ -252,7 +252,7 @@ def _stage_terms(x: DesignPoint) -> list[tuple[float, float, int]]:
 
 
 def latency_value(x: DesignPoint, d: DeviceFeatures) -> float:
-    """Latency in ms, no ledger charge. Prefer true_latency outside this module."""
+    """Latency in ms, no ledger charge. Prefer Oracle.latency outside this module."""
     qs = d.speedup_for(x.bits)
     total = 0.0
     layers = 0
@@ -286,38 +286,27 @@ def accuracy_value(x: DesignPoint, space: DesignSpace) -> float:
     return base + _hash_noise(space.indices_of(x))
 
 
-def true_latency(x: DesignPoint, d: DeviceFeatures, ledger: MeasurementLedger) -> float:
-    ledger.charge(d.device_id, "latency")
-    return latency_value(x, d)
-
-
-def true_energy(x: DesignPoint, d: DeviceFeatures, ledger: MeasurementLedger) -> float:
-    """One energy measurement; the latency term inside is not charged separately."""
-    ledger.charge(d.device_id, "energy")
-    return energy_value(x, d)
-
-
-def true_accuracy(x: DesignPoint, space: DesignSpace, ledger: MeasurementLedger) -> float:
-    ledger.charge_accuracy()
-    return accuracy_value(x, space)
-
-
 class Oracle:
     """The measurement interface handed to everything downstream: one space, one
-    ledger, charged truth."""
+    ledger, charged truth. Each call charges one measurement, then reads the
+    analytic value of the design's value view."""
 
     def __init__(self, space: DesignSpace, ledger: MeasurementLedger | None = None):
         self.space = space
         self.ledger = ledger if ledger is not None else MeasurementLedger()
 
     def latency(self, x: DesignPoint, d: DeviceFeatures) -> float:
-        return true_latency(x, d, self.ledger)
+        self.ledger.charge(d.device_id, "latency")
+        return latency_value(x, d)
 
     def energy(self, x: DesignPoint, d: DeviceFeatures) -> float:
-        return true_energy(x, d, self.ledger)
+        """One energy measurement; the latency term inside is not charged separately."""
+        self.ledger.charge(d.device_id, "energy")
+        return energy_value(x, d)
 
     def accuracy(self, x: DesignPoint) -> float:
-        return true_accuracy(x, self.space, self.ledger)
+        self.ledger.charge_accuracy()
+        return accuracy_value(x, self.space)
 
 
 def _log_uniform(rng: np.random.Generator, lo: float, hi: float) -> float:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .design_space import DesignPoint, DesignSpace, decode, encode
+from .design_space import DesignSpace, decode, encode
 from .device_world import DeviceFeatures, Oracle
 from .nn import DenseNet, l2_penalty, train
 from .search import ConstraintSpec
@@ -207,14 +207,14 @@ def infer_design(
     d: DeviceFeatures,
     lam: TradeoffWeights,
     space: DesignSpace,
-) -> DesignPoint:
+) -> tuple[int, ...]:
     """One forward pass plus decode; no measurements, no search."""
     return decode(net.infer_encoding(d, lam), space)
 
 
 @dataclass(frozen=True)
 class SweepResult:
-    design: DesignPoint
+    design: tuple[int, ...]
     weights: TradeoffWeights
     feasible: bool  # under *predicted* metrics
     predicted_accuracy: float
@@ -237,12 +237,11 @@ def constraint_sweep(
 
     Feasibility along the grid is judged by the device-aware predictors alone;
     the oracle is touched only to validate the final choice, one measurement
-    per active bound (so <= 2). With no bounds at all there is nothing to
-    check and the (0, 0) inference is returned directly.
+    per bound (so <= 2).
     """
     _require_device_aware(energy_model, latency_model)
 
-    def predict_metrics(x: DesignPoint):
+    def predict_metrics(x: tuple[int, ...]):
         enc = encode(x, space)
         emb = device_embedding(d)
         dev_in = np.concatenate([enc, emb])
@@ -252,17 +251,6 @@ def constraint_sweep(
             energy_model.predict(dev_in),
         )
 
-    if not constraints.active:
-        lam0 = TradeoffWeights(0.0, 0.0)
-        x = infer_design(net, d, lam0, space)
-        pa = predict_metrics(x)[0]
-        row = {"lambda1": 0.0, "lambda2": 0.0, "predicted_feasible": True,
-               "predicted_accuracy": pa, "chosen": True}
-        return SweepResult(
-            design=x, weights=lam0, feasible=True, predicted_accuracy=pa,
-            validation={}, rows=(row,),
-        )
-
     rows: list[dict] = []
     best = None  # (-pred_acc, position)
     worst = None  # (violation, -pred_acc, position)
@@ -270,11 +258,8 @@ def constraint_sweep(
     for pos, lam in enumerate(lambda_grid):
         x = infer_design(net, d, lam, space)
         pa, pl, pe = predict_metrics(x)
-        feasible = True
-        violation = 0.0
-        if constraints.latency_bound is not None:
-            feasible &= pl <= constraints.latency_bound
-            violation += max(0.0, pl / constraints.latency_bound - 1.0)
+        feasible = pl <= constraints.latency_bound
+        violation = max(0.0, pl / constraints.latency_bound - 1.0)
         if constraints.energy_bound is not None:
             feasible &= pe <= constraints.energy_bound
             violation += max(0.0, pe / constraints.energy_bound - 1.0)
@@ -292,11 +277,10 @@ def constraint_sweep(
     pos = best[1] if feasible_found else worst[1]
     lam, x, pa = results[pos]
     rows[pos]["chosen"] = True
-    validation: dict[str, float] = {}
-    if constraints.latency_bound is not None:
-        validation["latency"] = oracle.latency(x, d)
+    point = space.design_at(x)
+    validation = {"latency": oracle.latency(point, d)}
     if constraints.energy_bound is not None:
-        validation["energy"] = oracle.energy(x, d)
+        validation["energy"] = oracle.energy(point, d)
     return SweepResult(
         design=x, weights=lam, feasible=feasible_found, predicted_accuracy=pa,
         validation=validation, rows=tuple(rows),

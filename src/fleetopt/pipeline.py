@@ -45,7 +45,6 @@ from .proxy_reuse import (
 from .scenario import ConfigError, Scenario
 from .search import ConstraintSpec
 from .surrogate import (
-    MlpRegressor,
     load_model,
     save_model,
     train_accuracy_predictor,
@@ -131,13 +130,15 @@ def _percentile_bounds(scenario: Scenario, fleet: Fleet) -> tuple[dict, Measurem
     """Per-target constraint bounds from metric percentiles, measured against a
     calibration ledger kept separate from the optimization ledger: the bound is
     part of the problem statement, not of the solving cost."""
+    space = scenario.space
     cal_ledger = MeasurementLedger()
-    cal_oracle = Oracle(scenario.space, cal_ledger)
+    cal_oracle = Oracle(space, cal_ledger)
     rng = _phase_rng(scenario.seed, 101)
-    if scenario.space.cardinality <= 256:
-        probes = enumerate_all(scenario.space)
+    if space.cardinality <= 256:
+        probes = enumerate_all(space)
     else:
-        probes = [sample_uniform(scenario.space, rng) for _ in range(128)]
+        probes = [sample_uniform(space, rng) for _ in range(128)]
+    probes = [space.design_at(x) for x in probes]  # converted once, measured per target
     bounds: dict[str, ConstraintSpec] = {}
     targets = list(fleet.holdout_monotone) + list(fleet.holdout_adversarial)
     for dev in targets:
@@ -156,10 +157,6 @@ def _bounds_dict(bounds: dict) -> dict:
         dev_id: {"latency": spec.latency_bound, "energy": spec.energy_bound}
         for dev_id, spec in sorted(bounds.items())
     }
-
-
-def _design_row(space, x) -> list[int]:
-    return [int(i) for i in space.indices_of(x)]
 
 
 def _load_models(models_dir: str | None, names: list[str]) -> list:
@@ -366,7 +363,7 @@ def run_scenario(
             "family": family,
             "latency_bound": spec.latency_bound,
             "energy_bound": spec.energy_bound,
-            "design": _design_row(scenario.space, design),
+            "design": list(design),
             **fields,
         })
         traces.append(trace)
@@ -440,10 +437,8 @@ def export_report(report: RunReport, out_dir: str, artifacts: dict | None = None
             for name, model in artifacts.get("models", {}).items():
                 path = os.path.join(out_dir, "models", name)
                 os.makedirs(os.path.dirname(path), exist_ok=True)
-                if isinstance(model, (MlpRegressor,)):
-                    save_model(model, path)
-                elif isinstance(model, OptimizerNetwork):
-                    save_optimizer(model, path)
+                (save_optimizer if isinstance(model, OptimizerNetwork) else save_model)(
+                    model, path)
                 written.append(path)
         for name, columns, rows in artifacts.get("traces", ()):
             emit(os.path.join("traces", name), _rows_to_csv(rows, columns))

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .design_space import DesignPoint, DesignSpace, encode, sample_uniform
+from .design_space import DesignSpace, encode, sample_uniform
 from .device_world import DeviceFeatures, Oracle
 from .search import SearchParams, evolutionary_search
 from .surrogate import MlpRegressor, device_embedding
@@ -97,7 +97,7 @@ class TCache:
         if not 0.0 < granularity < 1.0:
             raise ValueError("granularity must be in (0, 1)")
         self.granularity = granularity
-        self._entries: dict[tuple[int, ...], DesignPoint] = {}
+        self._entries: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def _key(self, ts: tuple[float, ...]) -> tuple[int, ...]:
         return tuple(int(round(t / self.granularity)) for t in ts)
@@ -105,10 +105,10 @@ class TCache:
     def quantize(self, ts: tuple[float, ...]) -> tuple[float, ...]:
         return tuple(k * self.granularity for k in self._key(ts))
 
-    def get(self, ts: tuple[float, ...]) -> DesignPoint | None:
+    def get(self, ts: tuple[float, ...]) -> tuple[int, ...] | None:
         return self._entries.get(self._key(ts))
 
-    def put(self, ts: tuple[float, ...], x: DesignPoint) -> None:
+    def put(self, ts: tuple[float, ...], x: tuple[int, ...]) -> None:
         self._entries[self._key(ts)] = x
 
     def __len__(self) -> int:
@@ -116,7 +116,7 @@ class TCache:
 
 
 def scalarized_objective(
-    x: DesignPoint,
+    x: tuple[int, ...],
     ts: tuple[float, ...],
     acc_model: MlpRegressor,
     metric_models: tuple[MlpRegressor, ...],
@@ -149,7 +149,7 @@ def solve_inner(
     acc_model: MlpRegressor,
     metric_models: tuple[MlpRegressor, ...],
     minimizer=None,
-) -> DesignPoint:
+) -> tuple[int, ...]:
     """Cached argmin of the scalarized objective at the quantized weights ts;
     predictor-only, so repeated calls cost nothing and never touch any device."""
     hit = cache.get(ts)
@@ -157,7 +157,7 @@ def solve_inner(
         return hit
     tq = cache.quantize(ts)
 
-    def objective(x: DesignPoint) -> float:
+    def objective(x: tuple[int, ...]) -> float:
         return scalarized_objective(x, tq, acc_model, metric_models, space)
 
     if minimizer is not None:
@@ -171,7 +171,7 @@ def solve_inner(
 
 @dataclass(frozen=True)
 class BisectionResult:
-    design: DesignPoint
+    design: tuple[int, ...]
     t_star: float
     measurements: int
     feasible: bool
@@ -203,10 +203,10 @@ def bisection_optimize(
     if bound <= 0:
         raise ValueError("bound must be positive")
     t_min, t_max = 0.0, 1.0
-    measured: dict[tuple[int], tuple[DesignPoint, float]] = {}
+    measured: dict[tuple[int], tuple[tuple[int, ...], float]] = {}
     trace: list[dict] = []
-    best: tuple[float, DesignPoint, float] | None = None  # (t, design, latency)
-    last: tuple[float, DesignPoint, float] | None = None
+    best: tuple[float, tuple[int, ...], float] | None = None  # (t, design, latency)
+    last: tuple[float, tuple[int, ...], float] | None = None
     measurements = 0
     for iteration in range(settings.max_iterate):
         t = (t_min + t_max) / 2.0
@@ -215,7 +215,7 @@ def bisection_optimize(
             x, lat = measured[key]
         else:
             x = solve_inner((t,), cache, space, params, acc_model, (lat_model,), minimizer)
-            lat = oracle.latency(x, target)
+            lat = oracle.latency(space.design_at(x), target)
             measurements += 1
             measured[key] = (x, lat)
         (tq,) = cache.quantize((t,))
@@ -250,7 +250,7 @@ def bisection_optimize(
 
 @dataclass(frozen=True)
 class Grid2dResult:
-    design: DesignPoint
+    design: tuple[int, ...]
     t: tuple[float, float]
     measurements: int
     feasible: bool
@@ -287,22 +287,21 @@ def grid_optimize_2d(
     """
     if latency_bound <= 0 or energy_bound <= 0:
         raise ValueError("bounds must be positive")
-    measured: dict[tuple[int, ...], tuple[float, float]] = {}  # idx -> (lat, en)
-    design_pt: dict[tuple[int, ...], tuple[float, float]] = {}  # idx -> first grid point
+    measured: dict[tuple[int, ...], tuple[float, float]] = {}  # design -> (lat, en)
+    design_pt: dict[tuple[int, ...], tuple[float, float]] = {}  # design -> first grid point
     pred_cache: dict[tuple[int, ...], tuple[float, float, float]] = {}
     measurements = 0
     trace: list[dict] = []
 
-    def predicted(x: DesignPoint) -> tuple[float, float, float]:
-        idx = space.indices_of(x)
-        if idx not in pred_cache:
+    def predicted(x: tuple[int, ...]) -> tuple[float, float, float]:
+        if x not in pred_cache:
             enc = encode(x, space)
-            pred_cache[idx] = (
+            pred_cache[x] = (
                 acc_model.predict(enc),
                 lat_model.predict(enc),
                 energy_model.predict(enc),
             )
-        return pred_cache[idx]
+        return pred_cache[x]
 
     s_lat, s_en = 1.0, 1.0
 
@@ -310,8 +309,8 @@ def grid_optimize_2d(
         if not measured:
             return 1.0, 1.0
         ratios_l, ratios_e = [], []
-        for idx, (lat, en) in measured.items():
-            _, pl, pe = pred_cache[idx]
+        for x, (lat, en) in measured.items():
+            _, pl, pe = pred_cache[x]
             if pl > 0:
                 ratios_l.append(lat / pl)
             if pe > 0:
@@ -330,37 +329,31 @@ def grid_optimize_2d(
         if i + j <= grid_n
     ]
     for level in range(levels):
-        level_pairs: list[tuple[tuple[float, float], DesignPoint]] = []
+        level_pairs: list[tuple[tuple[float, float], tuple[int, ...]]] = []
         for pt in lattice:
             x = solve_inner(
                 pt, cache, space, params, acc_model, (lat_model, energy_model), minimizer
             )
-            idx = space.indices_of(x)
-            design_pt.setdefault(idx, pt)
+            design_pt.setdefault(x, pt)
             level_pairs.append((pt, x))
         # rank unmeasured candidates by calibrated distance to the feasibility
         # boundary and spend the level's measurement budget there
-        candidates: dict[tuple[int, ...], DesignPoint] = {}
-        for _, x in level_pairs:
-            idx = space.indices_of(x)
-            if idx not in measured and idx not in candidates:
-                candidates[idx] = x
+        candidates = dict.fromkeys(x for _, x in level_pairs if x not in measured)
 
-        def boundary_score(idx_x):
-            idx, x = idx_x
+        def boundary_score(x):
             _, pl, pe = predicted(x)
             ratio = max(pl * s_lat / latency_bound, pe * s_en / energy_bound)
-            return (abs(ratio - 1.0), idx)
+            return (abs(ratio - 1.0), x)
 
-        for idx, x in sorted(candidates.items(), key=boundary_score)[:measure_cap]:
-            lat = oracle.latency(x, target)
-            en = oracle.energy(x, target)
+        for x in sorted(candidates, key=boundary_score)[:measure_cap]:
+            point = space.design_at(x)
+            lat = oracle.latency(point, target)
+            en = oracle.energy(point, target)
             measurements += 2
-            measured[idx] = (lat, en)
-            predicted(x)
+            measured[x] = (lat, en)
             s_lat, s_en = recalibrate()
             trace.append(
-                {"level": level, "t1": design_pt[idx][0], "t2": design_pt[idx][1],
+                {"level": level, "t1": design_pt[x][0], "t2": design_pt[x][1],
                  "latency": lat, "energy": en,
                  "feasible": lat <= latency_bound and en <= energy_bound}
             )
@@ -369,15 +362,14 @@ def grid_optimize_2d(
         # refine around the best measured point of this level
         def level_rank(pair):
             pt, x = pair
-            idx = space.indices_of(x)
-            if idx not in measured:
-                return (2, 0.0, 0.0, pt, idx)
-            lat, en = measured[idx]
+            if x not in measured:
+                return (2, 0.0, 0.0, pt, x)
+            lat, en = measured[x]
             feasible = lat <= latency_bound and en <= energy_bound
             pa = predicted(x)[0]
             return (0 if feasible else 1,
                     -pa if feasible else max(lat / latency_bound, en / energy_bound),
-                    pt[0] + pt[1], pt, idx)
+                    pt[0] + pt[1], pt, x)
 
         ranked = sorted(level_pairs, key=level_rank)
         center = ranked[0][0]
@@ -392,23 +384,23 @@ def grid_optimize_2d(
                 pts.add(cache.quantize((t1, t2)))
         lattice = sorted(pts)
 
-    best = None  # (-pred_acc, idx)
-    worst = None  # (violation, -pred_acc, idx)
-    for idx, (lat, en) in measured.items():
-        pa = pred_cache[idx][0]
+    best = None  # (-pred_acc, design)
+    worst = None  # (violation, -pred_acc, design)
+    for x, (lat, en) in measured.items():
+        pa = pred_cache[x][0]
         if lat <= latency_bound and en <= energy_bound:
-            rank = (-pa, idx)
+            rank = (-pa, x)
             if best is None or rank < best[0]:
-                best = (rank, idx, lat, en)
+                best = (rank, x, lat, en)
         violation = max(lat / latency_bound, en / energy_bound)
-        rank_v = (violation, -pa, idx)
+        rank_v = (violation, -pa, x)
         if worst is None or rank_v < worst[0]:
-            worst = (rank_v, idx, lat, en)
+            worst = (rank_v, x, lat, en)
     feasible = best is not None
-    _, idx, lat, en = best if feasible else worst
+    _, x, lat, en = best if feasible else worst
     return Grid2dResult(
-        design=space.design_at(idx),
-        t=design_pt[idx],
+        design=x,
+        t=design_pt[x],
         measurements=measurements,
         feasible=feasible,
         latency=lat,
@@ -439,10 +431,11 @@ def check_monotonicity(
     """
     if probe_count < 10:
         raise ValueError(f"probe_count must be >= 10, got {probe_count}")
-    designs = [sample_uniform(oracle.space, rng) for _ in range(probe_count)]
-    enc = np.stack([encode(x, oracle.space) for x in designs])
+    space = oracle.space
+    designs = [sample_uniform(space, rng) for _ in range(probe_count)]
+    enc = np.stack([encode(x, space) for x in designs])
     predicted_lat = proxy_pred.predict_batch(enc)
-    actual = np.array([oracle.latency(x, target) for x in designs])
+    actual = np.array([oracle.latency(space.design_at(x), target) for x in designs])
     rho = spearman(predicted_lat, actual)
     return MonotonicityReport(rho=rho, monotone=rho >= threshold, probe_count=probe_count)
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design_space import DesignPoint, DesignSpace, enumerate_all, crossover, mutate, sample_uniform
+from .design_space import DesignSpace, enumerate_all, crossover, mutate, sample_uniform
 
 
 @dataclass(frozen=True)
@@ -35,25 +35,16 @@ class SearchParams:
 
 @dataclass(frozen=True)
 class ConstraintSpec:
-    """Hard bounds; None means the axis is unconstrained."""
+    """Hard bounds: a latency bound always, an energy bound when present."""
 
-    latency_bound: float | None = None
+    latency_bound: float
     energy_bound: float | None = None
 
     def __post_init__(self):
-        for name in ("latency_bound", "energy_bound"):
-            v = getattr(self, name)
-            if v is not None and v <= 0:
-                raise ValueError(f"{name} must be positive when present")
-
-    @property
-    def active(self) -> tuple[str, ...]:
-        out = []
-        if self.latency_bound is not None:
-            out.append("latency")
-        if self.energy_bound is not None:
-            out.append("energy")
-        return tuple(out)
+        if self.latency_bound <= 0:
+            raise ValueError("latency_bound must be positive")
+        if self.energy_bound is not None and self.energy_bound <= 0:
+            raise ValueError("energy_bound must be positive when present")
 
 
 def evolutionary_search(
@@ -61,7 +52,7 @@ def evolutionary_search(
     space: DesignSpace,
     params: SearchParams,
     trace: list | None = None,
-) -> DesignPoint:
+) -> tuple[int, ...]:
     """Elitist GA over the discrete space; returns the best design ever seen.
 
     Duplicate designs are evaluated once (cached), so objective calls are at
@@ -71,24 +62,23 @@ def evolutionary_search(
     rng = np.random.default_rng(params.seed)
     values: dict[tuple[int, ...], float] = {}
 
-    def value_of(x: DesignPoint) -> tuple[float, tuple[int, ...]]:
-        key = space.indices_of(x)
-        if key not in values:
-            values[key] = float(objective(x))
-        return values[key], key
+    def value_of(x: tuple[int, ...]) -> float:
+        if x not in values:
+            values[x] = float(objective(x))
+        return values[x]
 
     population = [sample_uniform(space, rng) for _ in range(params.population)]
     elite_count = max(1, int(params.population * params.elite_fraction))
-    best: tuple[float, tuple[int, ...], DesignPoint] | None = None
+    best: tuple[float, tuple[int, ...]] | None = None
     for gen in range(params.generations):
-        scored = sorted(((*value_of(x), x) for x in population), key=lambda s: (s[0], s[1]))
-        if best is None or (scored[0][0], scored[0][1]) < (best[0], best[1]):
+        scored = sorted((value_of(x), x) for x in population)
+        if best is None or scored[0] < best:
             best = scored[0]
         if trace is not None:
             trace.append((gen, best[0]))
         if gen == params.generations - 1:
             break
-        elites = [s[2] for s in scored[:elite_count]]
+        elites = [x for _, x in scored[:elite_count]]
         children = []
         while len(children) < params.population - elite_count:
             pa = elites[int(rng.integers(elite_count))]
@@ -96,10 +86,12 @@ def evolutionary_search(
             children.append(mutate(crossover(pa, pb, space, rng), params.mutation_rate, space, rng))
         population = elites + children
     assert best is not None
-    return best[2]
+    return best[1]
 
 
-def brute_force_argmin(objective, space: DesignSpace, limit: int | None = 1_000_000) -> DesignPoint:
+def brute_force_argmin(
+    objective, space: DesignSpace, limit: int | None = 1_000_000
+) -> tuple[int, ...]:
     """Exhaustive scan in lexicographic order; first minimum wins, which is the
     same tie-break evolutionary_search uses."""
     best_x = None

@@ -19,13 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .design_space import (
-    DesignPoint,
-    DesignSpace,
-    DimensionMismatchError,
-    encode,
-    sample_uniform,
-)
+from .design_space import DesignSpace, DimensionMismatchError, encode, sample_uniform
 from .device_world import DeviceFeatures, Oracle
 from .nn import DenseNet, train
 
@@ -260,7 +254,7 @@ def fit(
     )
 
 
-def _sample_designs(space: DesignSpace, n: int, rng: np.random.Generator) -> list[DesignPoint]:
+def _sample_designs(space: DesignSpace, n: int, rng: np.random.Generator) -> list[tuple[int, ...]]:
     return [sample_uniform(space, rng) for _ in range(n)]
 
 
@@ -278,7 +272,7 @@ def train_accuracy_predictor(
         raise InsufficientDataError(f"need at least 2 samples, got {n_samples}")
     designs = _sample_designs(space, n_samples, rng)
     X = np.stack([encode(x, space) for x in designs])
-    y = np.array([oracle.accuracy(x) for x in designs])
+    y = np.array([oracle.accuracy(space.design_at(x)) for x in designs])
     return fit(
         X, y, layer_sizes, hyper, rng,
         metric="accuracy", device_tag="", takes_device=False, objective_scale=1.0,
@@ -300,9 +294,10 @@ def train_device_specific_predictor(
     if n_samples < 2:
         raise InsufficientDataError(f"need at least 2 samples, got {n_samples}")
     measure = oracle.latency if metric == "latency" else oracle.energy
-    designs = _sample_designs(oracle.space, n_samples, rng)
-    X = np.stack([encode(x, oracle.space) for x in designs])
-    y = np.array([measure(x, d0) for x in designs])
+    space = oracle.space
+    designs = _sample_designs(space, n_samples, rng)
+    X = np.stack([encode(x, space) for x in designs])
+    y = np.array([measure(space.design_at(x), d0) for x in designs])
     return fit(
         X, y, layer_sizes, hyper, rng,
         metric=metric, device_tag=d0.device_id, takes_device=False,
@@ -347,7 +342,7 @@ class PredictorBundle:
     energy: MlpRegressor
     latency: MlpRegressor
     devices: tuple[DeviceFeatures, ...]
-    designs: list[DesignPoint]
+    designs: list[tuple[int, ...]]
     acc_labels: np.ndarray
     energy_labels: np.ndarray  # (n_designs, n_devices)
     latency_labels: np.ndarray
@@ -361,7 +356,7 @@ class PredictorBundle:
 def _fit_bundle_models(
     space: DesignSpace,
     devices: tuple[DeviceFeatures, ...],
-    designs: list[DesignPoint],
+    designs: list[tuple[int, ...]],
     acc_labels: np.ndarray,
     energy_labels: np.ndarray,
     latency_labels: np.ndarray,
@@ -398,13 +393,14 @@ def _fit_bundle_models(
 
 
 def _measure_block(
-    designs: list[DesignPoint],
+    designs: list[tuple[int, ...]],
     devices: tuple[DeviceFeatures, ...],
     oracle: Oracle,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    acc = np.array([oracle.accuracy(x) for x in designs])
-    en = np.array([[oracle.energy(x, d) for d in devices] for x in designs])
-    lat = np.array([[oracle.latency(x, d) for d in devices] for x in designs])
+    points = [oracle.space.design_at(x) for x in designs]
+    acc = np.array([oracle.accuracy(x) for x in points])
+    en = np.array([[oracle.energy(x, d) for d in devices] for x in points])
+    lat = np.array([[oracle.latency(x, d) for d in devices] for x in points])
     return acc, en.reshape(len(designs), len(devices)), lat.reshape(len(designs), len(devices))
 
 

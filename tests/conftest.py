@@ -134,7 +134,8 @@ def method2_net(dspace, fleet, stage1_bundle):
 
 class ExactModel:
     """Oracle-backed stand-in for a trained predictor: decodes the encoding and
-    returns the true value, so searches against it are exact."""
+    returns the true value of the design's value view, so searches against it
+    are exact."""
 
     def __init__(self, metric, space, device=None, objective_scale=1.0):
         self.metric = metric
@@ -152,7 +153,8 @@ class ExactModel:
         return energy_value(x, self._device)
 
     def predict(self, enc):
-        return self._value(decode(np.asarray(enc, dtype=float), self._space))
+        x = decode(np.asarray(enc, dtype=float), self._space)
+        return self._value(self._space.design_at(x))
 
     def predict_batch(self, X):
         return np.array([self.predict(row) for row in np.asarray(X, dtype=float)])
@@ -162,7 +164,7 @@ class ExactModel:
 def exact_models(reduced, proxy):
     from fleetopt.design_space import enumerate_all
 
-    designs = enumerate_all(reduced)
+    designs = [reduced.design_at(x) for x in enumerate_all(reduced)]
     s_lat = float(np.median([latency_value(x, proxy) for x in designs]))
     s_en = float(np.median([energy_value(x, proxy) for x in designs]))
     return {

@@ -88,7 +88,7 @@ def monotone_bisections(reduced, fleet, reduced_models):
     """One constrained run per monotone holdout at its 40th-percentile bound;
     criteria 1 and 3 read different properties off the same eight runs."""
     t0 = time.monotonic()
-    designs = enumerate_all(reduced)
+    designs = [reduced.design_at(x) for x in enumerate_all(reduced)]
     accs = np.array([accuracy_value(x, reduced) for x in designs])
     runs = []
     for dev in fleet.holdout_monotone:
@@ -146,7 +146,7 @@ def test_criterion_3_oracle_equivalence(monotone_bisections, reduced):
         worst_gap = 0.0
         for run in monotone_bisections:
             res = run["result"]
-            got = accuracy_value(res.design, reduced)
+            got = accuracy_value(reduced.design_at(res.design), reduced)
             gap = run["best_feasible_accuracy"] - got
             worst_gap = max(worst_gap, gap)
             hit = (
@@ -166,7 +166,7 @@ def test_criterion_3_oracle_equivalence(monotone_bisections, reduced):
 
 def test_criterion_4_scalarization_monotonicity(reduced, proxy):
     with Timed() as t:
-        designs = enumerate_all(reduced)
+        designs = [reduced.design_at(x) for x in enumerate_all(reduced)]
         accs = np.array([accuracy_value(x, reduced) for x in designs])
         lats = np.array([latency_value(x, proxy) for x in designs])
         ens = np.array([energy_value(x, proxy) for x in designs])
@@ -235,8 +235,9 @@ def test_criterion_6_predictor_fidelity(dspace, proxy, proxy_latency_default,
         rng = seeded(0, 12)
         probes = [sample_uniform(dspace, rng) for _ in range(200)]
         errs_specific = [
-            abs(proxy_latency_default.predict(encode(x, dspace)) - latency_value(x, proxy))
-            / latency_value(x, proxy)
+            abs(proxy_latency_default.predict(encode(x, dspace))
+                - latency_value(dspace.design_at(x), proxy))
+            / latency_value(dspace.design_at(x), proxy)
             for x in probes
         ]
         med_specific = float(np.median(errs_specific))
@@ -248,7 +249,7 @@ def test_criterion_6_predictor_fidelity(dspace, proxy, proxy_latency_default,
             emb = device_embedding(dev)
             for x in probes_aware:
                 pred = stage1_bundle.latency.predict(np.concatenate([encode(x, dspace), emb]))
-                true = latency_value(x, dev)
+                true = latency_value(dspace.design_at(x), dev)
                 pooled.append(abs(pred - true) / true)
         med_aware = float(np.median(pooled))
         ok = med_specific <= 0.10 and med_aware <= 0.15

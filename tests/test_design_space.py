@@ -24,23 +24,16 @@ def rng(seed=0):
 
 
 def all_min(space):
-    return DesignPoint(
-        stages=tuple(
-            StageChoice(space.depth_choices[0], space.width_choices[0], space.kernel_choices[0])
-            for _ in range(space.num_stages)
-        ),
-        bits=space.bits_choices[0],
-    )
+    return (0,) * space.encoding_width
 
 
 def all_max(space):
-    return DesignPoint(
-        stages=tuple(
-            StageChoice(space.depth_choices[-1], space.width_choices[-1], space.kernel_choices[-1])
-            for _ in range(space.num_stages)
-        ),
-        bits=space.bits_choices[-1],
-    )
+    return tuple(len(axis) - 1 for axis in space._axes())
+
+
+def in_space(space, x):
+    # design_at is the one validating entry point: it raises on a bad index list
+    return space.contains(space.design_at(x))
 
 
 def test_reduced_space_has_128_designs():
@@ -82,9 +75,8 @@ def test_enumerate_respects_limit():
 
 def test_enumerate_sorted_and_unique(reduced):
     designs = enumerate_all(reduced)
-    keys = [reduced.indices_of(x) for x in designs]
-    assert keys == sorted(keys)
-    assert len(set(keys)) == len(keys)
+    assert designs == sorted(designs)
+    assert len(set(designs)) == len(designs)
 
 
 def test_encode_all_min_is_zeros(reduced):
@@ -96,17 +88,31 @@ def test_encode_all_max_is_ones(reduced):
 
 
 def test_encode_two_choice_bits_second_is_one(reduced):
-    x = all_min(reduced)
-    x = DesignPoint(stages=x.stages, bits=reduced.bits_choices[1])
+    x = all_min(reduced)[:-1] + (1,)
     assert encode(x, reduced)[-1] == 1.0
 
 
-def test_encode_rejects_foreign_design(reduced):
+def test_indices_of_rejects_foreign_stage_choice(reduced):
     bad = DesignPoint(
         stages=(StageChoice(3, 0.5, 3), StageChoice(1, 0.5, 3)), bits=8
     )
     with pytest.raises(InvalidDesignError):
-        encode(bad, reduced)
+        reduced.indices_of(bad)
+
+
+@pytest.mark.parametrize(
+    "indices, error",
+    [
+        ([0] * 6, DimensionMismatchError),
+        ([0] * 8, DimensionMismatchError),
+        ([0, 0, 0, 0, 0, 0, 2], InvalidDesignError),
+        ([0, 0, 0, -1, 0, 0, 0], InvalidDesignError),
+    ],
+    ids=["too-short", "too-long", "index-past-end", "negative-index"],
+)
+def test_design_at_validates_index_lists(reduced, indices, error):
+    with pytest.raises(error):
+        reduced.design_at(indices)
 
 
 def test_roundtrip_exhaustive_on_reduced(reduced):
@@ -125,11 +131,11 @@ def test_decode_rounds_half_up(reduced):
     # 2 choices: 0.49 snaps down, 0.51 up, 0.5 exactly rounds up
     v = np.zeros(7)
     v[-1] = 0.49
-    assert decode(v, reduced).bits == reduced.bits_choices[0]
+    assert decode(v, reduced)[-1] == 0
     v[-1] = 0.51
-    assert decode(v, reduced).bits == reduced.bits_choices[1]
+    assert decode(v, reduced)[-1] == 1
     v[-1] = 0.5
-    assert decode(v, reduced).bits == reduced.bits_choices[1]
+    assert decode(v, reduced)[-1] == 1
 
 
 def test_decode_clamps_out_of_range(reduced):
@@ -148,7 +154,7 @@ def test_decode_total_on_arbitrary_reals(reduced):
     r = rng(9)
     for _ in range(200):
         v = r.normal(0.0, 3.0, size=7)
-        assert reduced.contains(decode(v, reduced))
+        assert in_space(reduced, decode(v, reduced))
 
 
 def test_sample_two_draws_differ_on_default(dspace):
@@ -162,12 +168,12 @@ def test_sample_is_uniform_per_dimension(reduced):
     n = 10_000
     for _ in range(n):
         x = sample_uniform(reduced, r)
-        counts[x.stages[0].depth] = counts.get(x.stages[0].depth, 0) + 1
-        counts[("bits", x.bits)] = counts.get(("bits", x.bits), 0) + 1
-    for d in reduced.depth_choices:
-        assert abs(counts[d] / n - 0.5) < 0.05
-    for b in reduced.bits_choices:
-        assert abs(counts[("bits", b)] / n - 0.5) < 0.05
+        counts[("depth", x[0])] = counts.get(("depth", x[0]), 0) + 1
+        counts[("bits", x[-1])] = counts.get(("bits", x[-1]), 0) + 1
+    for k in range(len(reduced.depth_choices)):
+        assert abs(counts[("depth", k)] / n - 0.5) < 0.05
+    for k in range(len(reduced.bits_choices)):
+        assert abs(counts[("bits", k)] / n - 0.5) < 0.05
 
 
 def test_sample_deterministic_per_seed(dspace):
@@ -186,7 +192,7 @@ def test_mutate_stays_in_space(reduced):
     x = all_min(reduced)
     for _ in range(100):
         x = mutate(x, 1.0, reduced, r)
-        assert reduced.contains(x)
+        assert in_space(reduced, x)
 
 
 def test_mutate_expected_change_count(dspace):
@@ -197,9 +203,7 @@ def test_mutate_expected_change_count(dspace):
     changed = 0
     for _ in range(trials):
         y = mutate(base, 0.1, dspace, r)
-        changed += sum(
-            u != v for s, t in zip(base.stages, y.stages) for u, v in zip(s, t)
-        ) + (base.bits != y.bits)
+        changed += sum(u != v for u, v in zip(base, y))
     expected = 0.1 * (3 * dspace.num_stages + 1)
     assert abs(changed / trials - expected) / expected < 0.05
 
@@ -221,11 +225,7 @@ def test_crossover_fields_come_from_parents(reduced):
     r = rng(5)
     for _ in range(50):
         child = crossover(a, b, reduced, r)
-        for i, st in enumerate(child.stages):
-            assert st.depth in (a.stages[i].depth, b.stages[i].depth)
-            assert st.width in (a.stages[i].width, b.stages[i].width)
-            assert st.kernel in (a.stages[i].kernel, b.stages[i].kernel)
-        assert child.bits in (a.bits, b.bits)
+        assert all(k in (ka, kb) for k, ka, kb in zip(child, a, b, strict=True))
 
 
 def test_crossover_parent_frequency_balanced(reduced):
@@ -235,18 +235,16 @@ def test_crossover_parent_frequency_balanced(reduced):
     from_b = 0
     for _ in range(trials):
         child = crossover(a, b, reduced, r)
-        for st, t in zip(child.stages, b.stages):
-            from_b += (st.depth == t.depth) + (st.width == t.width) + (st.kernel == t.kernel)
-        from_b += child.bits == b.bits
+        from_b += sum(k == kb for k, kb in zip(child, b))
     freq = from_b / (trials * 7)
     assert abs(freq - 0.5) < 0.05
 
 
-def test_crossover_rejects_foreign_design(reduced, dspace):
+def test_indices_of_rejects_design_of_another_space(reduced, dspace):
     with pytest.raises(InvalidDesignError):
-        crossover(all_min(dspace), all_min(reduced), reduced, rng(0))
+        reduced.indices_of(dspace.design_at(all_min(dspace)))
 
 
 def test_indices_roundtrip(reduced):
     for x in enumerate_all(reduced):
-        assert reduced.design_at(reduced.indices_of(x)) == x
+        assert reduced.indices_of(reduced.design_at(x)) == x

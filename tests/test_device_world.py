@@ -16,9 +16,6 @@ from fleetopt.device_world import (
     energy_value,
     generate_fleet,
     latency_value,
-    true_accuracy,
-    true_energy,
-    true_latency,
 )
 from fleetopt.proxy_reuse import spearman
 
@@ -110,7 +107,7 @@ def test_accuracy_saturates_at_high_capacity(dspace):
 
 
 def test_accuracy_argmax_on_reduced_is_all_max(reduced):
-    designs = enumerate_all(reduced)
+    designs = [reduced.design_at(x) for x in enumerate_all(reduced)]
     accs = [accuracy_value(x, reduced) for x in designs]
     best = designs[int(np.argmax(accs))]
     assert best == DesignPoint(
@@ -148,11 +145,12 @@ def test_ledger_starts_empty():
 
 def test_ledger_counts_every_call(proxy, reduced):
     ledger = MeasurementLedger()
+    oracle = Oracle(reduced, ledger)
     x = small_design()
     for _ in range(5):
-        true_latency(x, proxy, ledger)
-    true_energy(x, proxy, ledger)
-    true_accuracy(x, reduced, ledger)
+        oracle.latency(x, proxy)
+    oracle.energy(x, proxy)
+    oracle.accuracy(x)
     assert ledger.count(proxy.device_id, "latency") == 5
     # energy derives from latency without double-charging the latency counter
     assert ledger.count(proxy.device_id, "energy") == 1
@@ -162,8 +160,9 @@ def test_ledger_counts_every_call(proxy, reduced):
 
 def test_ledger_csv_format(proxy, reduced):
     ledger = MeasurementLedger()
-    true_latency(small_design(), proxy, ledger)
-    true_accuracy(small_design(), reduced, ledger)
+    oracle = Oracle(reduced, ledger)
+    oracle.latency(small_design(), proxy)
+    oracle.accuracy(small_design())
     lines = ledger.to_csv().strip().replace("\r", "").split("\n")
     assert lines[0] == "device_id,metric,count"
     assert lines[1] == "*,accuracy,1"
@@ -211,7 +210,7 @@ def test_fleet_serialization_roundtrip(fleet):
 
 def probe_latencies(devices, space, n=40, seed=17):
     rng = np.random.default_rng(seed)
-    probes = [sample_uniform(space, rng) for _ in range(n)]
+    probes = [space.design_at(sample_uniform(space, rng)) for _ in range(n)]
     return {d.device_id: [latency_value(x, d) for x in probes] for d in devices}, probes
 
 
@@ -239,15 +238,13 @@ def test_adversarial_inverts_quant_ordering(fleet):
 
 def test_costs_strictly_increase_in_every_field(reduced, fleet):
     # exhaustive pairwise neighbour comparison on the reduced space
-    designs = enumerate_all(reduced)
+    sizes = [len(a) for a in reduced._axes()]
     for d in [fleet.proxy, fleet.training_real[0]]:
-        for x in designs:
+        for idx in enumerate_all(reduced):
+            x = reduced.design_at(idx)
             for axis in range(7):
-                idx = list(reduced.indices_of(x))
-                sizes = [len(a) for a in reduced._axes()]
                 if idx[axis] + 1 >= sizes[axis]:
                     continue
-                idx[axis] += 1
-                y = reduced.design_at(idx)
+                y = reduced.design_at(idx[:axis] + (idx[axis] + 1,) + idx[axis + 1:])
                 assert latency_value(y, d) > latency_value(x, d)
                 assert energy_value(y, d) > energy_value(x, d)

@@ -239,19 +239,6 @@ def test_optimizer_save_load_roundtrip(tmp_path, method2_small, fleet, reduced):
     assert layout == {"device_features": 10, "lambdas": 2}
 
 
-def test_sweep_without_bounds_returns_origin_inference(method2_small, small_bundle, fleet, reduced):
-    oracle = Oracle(reduced, MeasurementLedger())
-    result = constraint_sweep(
-        method2_small, fleet.synthetic[1], ConstraintSpec(),
-        small_bundle.accuracy, small_bundle.energy, small_bundle.latency,
-        build_lambda_grid(3, 1.0), reduced, oracle,
-    )
-    assert result.weights == LAM0
-    assert result.design == infer_design(method2_small, fleet.synthetic[1], LAM0, reduced)
-    assert result.validation == {}
-    assert oracle.ledger.total() == 0
-
-
 def test_sweep_validation_budget_is_two(method2_small, small_bundle, fleet, reduced):
     d = fleet.synthetic[2]
     oracle = Oracle(reduced, MeasurementLedger())

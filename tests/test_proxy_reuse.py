@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fleetopt.design_space import DesignPoint, StageChoice, enumerate_all
+from fleetopt.design_space import DesignSpace, enumerate_all
 from fleetopt.device_world import (
     MeasurementLedger,
     Oracle,
@@ -23,27 +23,20 @@ from fleetopt.proxy_reuse import (
     solve_inner,
     spearman,
 )
-from fleetopt.search import SearchParams, brute_force_argmin
+from fleetopt.search import SearchParams, brute_force_argmin, evolutionary_search
 
 
 def all_max(space):
-    return DesignPoint(
-        stages=tuple(
-            StageChoice(space.depth_choices[-1], space.width_choices[-1], space.kernel_choices[-1])
-            for _ in range(space.num_stages)
-        ),
-        bits=space.bits_choices[-1],
-    )
+    return tuple(len(axis) - 1 for axis in space._axes())
 
 
 def all_min(space):
-    return DesignPoint(
-        stages=tuple(
-            StageChoice(space.depth_choices[0], space.width_choices[0], space.kernel_choices[0])
-            for _ in range(space.num_stages)
-        ),
-        bits=space.bits_choices[0],
-    )
+    return (0,) * space.encoding_width
+
+
+def value_views(space):
+    """Every design of the space as the DesignPoint the analytic model reads."""
+    return [space.design_at(x) for x in enumerate_all(space)]
 
 
 def brute(space):
@@ -130,8 +123,8 @@ def test_scalarized_objective_extremes_and_linearity(exact_models, reduced, prox
     acc, lat = exact_models["accuracy"], exact_models["latency"]
     f0 = scalarized_objective(x, (0.0,), acc, (lat,), reduced)
     f1 = scalarized_objective(x, (1.0,), acc, (lat,), reduced)
-    assert f0 == -accuracy_value(x, reduced)
-    assert f1 == pytest.approx(latency_value(x, proxy) / lat.objective_scale)
+    assert f0 == -accuracy_value(reduced.design_at(x), reduced)
+    assert f1 == pytest.approx(latency_value(reduced.design_at(x), proxy) / lat.objective_scale)
     assert scalarized_objective(x, (0.5,), acc, (lat,), reduced) == pytest.approx((f0 + f1) / 2)
     with pytest.raises(ValueError):
         scalarized_objective(x, (1.01,), acc, (lat,), reduced)
@@ -140,9 +133,10 @@ def test_scalarized_objective_extremes_and_linearity(exact_models, reduced, prox
 def test_scalarized_objective_one_weight_is_the_bisection_objective(exact_models, reduced, proxy):
     acc, lat = exact_models["accuracy"], exact_models["latency"]
     for x in enumerate_all(reduced)[::9]:
+        p = reduced.design_at(x)
         for t in (0.0, 0.001, 0.123, 0.5, 0.999, 1.0):
-            expected = -(1.0 - t) * accuracy_value(x, reduced) + t * (
-                latency_value(x, proxy) / lat.objective_scale
+            expected = -(1.0 - t) * accuracy_value(p, reduced) + t * (
+                latency_value(p, proxy) / lat.objective_scale
             )
             assert scalarized_objective(x, (t,), acc, (lat,), reduced) == expected
 
@@ -181,7 +175,7 @@ def test_solve_inner_extremes_with_exact_predictors(exact_models, reduced):
 def test_inner_scalarization_is_monotone_over_full_t_grid(exact_models, reduced, proxy):
     # vectorized brute-force inner at every quantized t: latency of the argmin
     # never increases as t grows
-    designs = enumerate_all(reduced)
+    designs = value_views(reduced)
     acc = np.array([accuracy_value(x, reduced) for x in designs])
     lat = np.array([latency_value(x, proxy) for x in designs])
     lat_n = lat / exact_models["latency"].objective_scale
@@ -212,7 +206,7 @@ def test_bisection_loose_bound_returns_accuracy_argmax(exact_models, reduced, fl
 
 def test_bisection_budget_and_ledger_agree(exact_models, reduced, fleet):
     target = fleet.holdout_monotone[1]
-    lats = [latency_value(x, target) for x in enumerate_all(reduced)]
+    lats = [latency_value(x, target) for x in value_views(reduced)]
     bound = float(np.percentile(lats, 40))
     oracle = Oracle(reduced, MeasurementLedger())
     result = bisection_optimize(
@@ -227,7 +221,7 @@ def test_bisection_budget_and_ledger_agree(exact_models, reduced, fleet):
 
 def test_bisection_matches_constrained_optimum(exact_models, reduced, fleet):
     target = fleet.holdout_monotone[2]
-    designs = enumerate_all(reduced)
+    designs = value_views(reduced)
     lats = np.array([latency_value(x, target) for x in designs])
     bound = float(np.percentile(lats, 40))
     best_acc = max(
@@ -241,12 +235,12 @@ def test_bisection_matches_constrained_optimum(exact_models, reduced, fleet):
     )
     assert result.feasible
     assert result.latency <= bound * 1.02
-    assert accuracy_value(result.design, reduced) >= best_acc - 0.01
+    assert accuracy_value(reduced.design_at(result.design), reduced) >= best_acc - 0.01
 
 
 def test_bisection_infeasible_bound_is_flagged(exact_models, reduced, fleet):
     target = fleet.holdout_monotone[0]
-    min_lat = min(latency_value(x, target) for x in enumerate_all(reduced))
+    min_lat = min(latency_value(x, target) for x in value_views(reduced))
     oracle = Oracle(reduced, MeasurementLedger())
     result = bisection_optimize(
         target, min_lat / 10, BisectionSettings.for_bound(min_lat / 10), TCache(),
@@ -264,7 +258,7 @@ def test_bisection_infeasible_bound_is_flagged(exact_models, reduced, fleet):
 
 def test_bisection_trace_rows(exact_models, reduced, fleet):
     target = fleet.holdout_monotone[3]
-    lats = [latency_value(x, target) for x in enumerate_all(reduced)]
+    lats = [latency_value(x, target) for x in value_views(reduced)]
     bound = float(np.percentile(lats, 40))
     oracle = Oracle(reduced, MeasurementLedger())
     result = bisection_optimize(
@@ -278,22 +272,57 @@ def test_bisection_trace_rows(exact_models, reduced, fleet):
     assert result.trace[0]["t"] == pytest.approx(0.5)
 
 
+def test_search_and_bisection_convert_only_what_they_measure(
+    monkeypatch, reduced, reduced_models, fleet
+):
+    # designs travel as index tuples; a DesignPoint is built only for the oracle
+    calls = {"indices_of": 0, "design_at": 0}
+    for name in calls:
+        original = getattr(DesignSpace, name)
+
+        def counted(self, arg, name=name, original=original):
+            calls[name] += 1
+            return original(self, arg)
+
+        monkeypatch.setattr(DesignSpace, name, counted)
+
+    acc, lat = reduced_models["accuracy"], reduced_models["latency"]
+    evolutionary_search(
+        lambda x: scalarized_objective(x, (0.3,), acc, (lat,), reduced), reduced, SearchParams()
+    )
+    assert calls == {"indices_of": 0, "design_at": 0}
+
+    target = fleet.holdout_monotone[1]
+    lats = [latency_value(x, target) for x in value_views(reduced)]
+    bound = float(np.percentile(lats, 40))
+    calls.update(indices_of=0, design_at=0)
+    oracle = Oracle(reduced, MeasurementLedger())
+    result = bisection_optimize(
+        target, bound, BisectionSettings.for_bound(bound), TCache(), acc, lat,
+        oracle, reduced, SearchParams(),
+    )
+    charged = oracle.ledger.count(target.device_id, "latency")
+    assert charged == result.measurements > 1
+    assert calls == {"indices_of": 0, "design_at": charged}
+
+
 # --- 2-D extension ----------------------------------------------------------
 
 
 def test_scalarized_objective_two_weights_on_the_simplex(exact_models, reduced, proxy):
     x = enumerate_all(reduced)[9]
+    p = reduced.design_at(x)
     acc, lat, en = exact_models["accuracy"], exact_models["latency"], exact_models["energy"]
 
     def f(t1, t2):
         return scalarized_objective(x, (t1, t2), acc, (lat, en), reduced)
 
-    assert f(0.0, 0.0) == -accuracy_value(x, reduced)
+    assert f(0.0, 0.0) == -accuracy_value(p, reduced)
     t1, t2 = 0.3, 0.25
     assert f(t1, t2) == (
-        -(1.0 - t1 - t2) * accuracy_value(x, reduced)
-        + t1 * (latency_value(x, proxy) / lat.objective_scale)
-        + t2 * (energy_value(x, proxy) / en.objective_scale)
+        -(1.0 - t1 - t2) * accuracy_value(p, reduced)
+        + t1 * (latency_value(p, proxy) / lat.objective_scale)
+        + t2 * (energy_value(p, proxy) / en.objective_scale)
     )
     with pytest.raises(ValueError):
         f(0.7, 0.4)
@@ -319,7 +348,7 @@ def test_grid_2d_dual_bounds_reach_scalarization_ceiling(exact_models, reduced, 
     # (t1, t2) selects it), so the sharpest attainable target is the best
     # feasible design any simplex weight can produce; assert we hit it.
     target = fleet.holdout_monotone[1]
-    designs = enumerate_all(reduced)
+    designs = value_views(reduced)
     accs = np.array([accuracy_value(x, reduced) for x in designs])
     lats = np.array([latency_value(x, target) for x in designs])
     ens = np.array([energy_value(x, target) for x in designs])
@@ -344,7 +373,7 @@ def test_grid_2d_dual_bounds_reach_scalarization_ceiling(exact_models, reduced, 
     )
     assert result.feasible
     assert result.latency <= lat_bound and result.energy <= en_bound
-    assert accuracy_value(result.design, reduced) >= ceiling - 1e-12
+    assert accuracy_value(reduced.design_at(result.design), reduced) >= ceiling - 1e-12
     charged = oracle.ledger.count(target.device_id, "latency") + oracle.ledger.count(
         target.device_id, "energy"
     )
@@ -353,7 +382,7 @@ def test_grid_2d_dual_bounds_reach_scalarization_ceiling(exact_models, reduced, 
 
 def test_grid_2d_huge_energy_bound_matches_bisection(exact_models, reduced, fleet):
     target = fleet.holdout_monotone[2]
-    designs = enumerate_all(reduced)
+    designs = value_views(reduced)
     lats = np.array([latency_value(x, target) for x in designs])
     bound = float(np.percentile(lats, 50))
     oracle = Oracle(reduced, MeasurementLedger())
@@ -368,12 +397,13 @@ def test_grid_2d_huge_energy_bound_matches_bisection(exact_models, reduced, flee
         oracle, reduced, SearchParams(), minimizer=brute(reduced),
     )
     assert two.feasible and uni.feasible
-    assert abs(accuracy_value(two.design, reduced) - accuracy_value(uni.design, reduced)) <= 0.01
+    acc_two = accuracy_value(reduced.design_at(two.design), reduced)
+    assert abs(acc_two - accuracy_value(reduced.design_at(uni.design), reduced)) <= 0.01
 
 
 def test_grid_2d_infeasible_bounds_flagged(exact_models, reduced, fleet):
     target = fleet.holdout_monotone[0]
-    min_lat = min(latency_value(x, target) for x in enumerate_all(reduced))
+    min_lat = min(latency_value(x, target) for x in value_views(reduced))
     oracle = Oracle(reduced, MeasurementLedger())
     result = grid_optimize_2d(
         target, min_lat / 10, 1e9, TCache(),
@@ -391,8 +421,8 @@ def test_grid_2d_reuses_inner_solves_across_calls_on_one_cache(exact_models, red
         return brute_force_argmin(objective, reduced)
 
     models = (exact_models["accuracy"], exact_models["latency"], exact_models["energy"])
-    lats = [latency_value(x, fleet.holdout_monotone[0]) for x in enumerate_all(reduced)]
-    ens = [energy_value(x, fleet.holdout_monotone[1]) for x in enumerate_all(reduced)]
+    lats = [latency_value(x, fleet.holdout_monotone[0]) for x in value_views(reduced)]
+    ens = [energy_value(x, fleet.holdout_monotone[1]) for x in value_views(reduced)]
     first = (fleet.holdout_monotone[0], float(np.percentile(lats, 50)), 1e9)
     second = (fleet.holdout_monotone[1], 1e9, float(np.percentile(ens, 40)))
 

@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from fleetopt.design_space import (
-    DesignPoint,
-    SpaceTooLargeError,
-    StageChoice,
-    default_space,
-)
+from fleetopt.design_space import SpaceTooLargeError, default_space
 from fleetopt.device_world import accuracy_value, energy_value, latency_value
 from fleetopt.search import (
     ConstraintSpec,
@@ -17,30 +12,27 @@ from fleetopt.search import (
 
 
 def all_min(space):
-    return DesignPoint(
-        stages=tuple(
-            StageChoice(space.depth_choices[0], space.width_choices[0], space.kernel_choices[0])
-            for _ in range(space.num_stages)
-        ),
-        bits=space.bits_choices[0],
-    )
+    return (0,) * space.encoding_width
 
 
 def all_max(space):
-    return DesignPoint(
-        stages=tuple(
-            StageChoice(space.depth_choices[-1], space.width_choices[-1], space.kernel_choices[-1])
-            for _ in range(space.num_stages)
-        ),
-        bits=space.bits_choices[-1],
-    )
+    return tuple(len(axis) - 1 for axis in space._axes())
 
 
 def true_objective(lambda1, lambda2, d, space):
     """-accuracy + lambda1 * energy + lambda2 * latency from the analytic model."""
-    return lambda x: (
-        -accuracy_value(x, space) + lambda1 * energy_value(x, d) + lambda2 * latency_value(x, d)
-    )
+
+    def objective(x):
+        p = space.design_at(x)
+        return (
+            -accuracy_value(p, space) + lambda1 * energy_value(p, d) + lambda2 * latency_value(p, d)
+        )
+
+    return objective
+
+
+def true_latency_of(d, space):
+    return lambda x: latency_value(space.design_at(x), d)
 
 
 def test_search_params_validation():
@@ -55,19 +47,18 @@ def test_search_params_validation():
 
 
 def test_constraint_spec_validation_and_active():
-    assert ConstraintSpec().active == ()
-    assert ConstraintSpec(latency_bound=1.0).active == ("latency",)
-    assert ConstraintSpec(latency_bound=1.0, energy_bound=2.0).active == ("latency", "energy")
+    with pytest.raises(TypeError):
+        ConstraintSpec()  # the latency bound is required
     with pytest.raises(ValueError):
         ConstraintSpec(latency_bound=0.0)
     with pytest.raises(ValueError):
-        ConstraintSpec(energy_bound=-1.0)
+        ConstraintSpec(latency_bound=1.0, energy_bound=-1.0)
 
 
 def test_heavier_latency_weight_selects_faster_design(reduced, proxy):
     def argmin_latency_at(lam2):
         x = brute_force_argmin(true_objective(0.0, lam2, proxy, reduced), reduced)
-        return latency_value(x, proxy)
+        return latency_value(reduced.design_at(x), proxy)
 
     assert argmin_latency_at(0.5) < argmin_latency_at(0.05)
 
@@ -76,13 +67,13 @@ def test_scalarization_monotone_in_each_weight(reduced, proxy):
     lat_prev = np.inf
     for lam2 in (0.0, 0.05, 0.2, 1.0, 5.0):
         x = brute_force_argmin(true_objective(0.1, lam2, proxy, reduced), reduced)
-        lat = latency_value(x, proxy)
+        lat = latency_value(reduced.design_at(x), proxy)
         assert lat <= lat_prev
         lat_prev = lat
     en_prev = np.inf
     for lam1 in (0.0, 0.05, 0.2, 1.0, 5.0):
         x = brute_force_argmin(true_objective(lam1, 0.1, proxy, reduced), reduced)
-        en = energy_value(x, proxy)
+        en = energy_value(reduced.design_at(x), proxy)
         assert en <= en_prev
         en_prev = en
 
@@ -91,11 +82,11 @@ def test_constant_objective_returns_lexicographically_smallest_visited(reduced):
     visited = []
 
     def objective(x):
-        visited.append(reduced.indices_of(x))
+        visited.append(x)
         return 1.0
 
     result = evolutionary_search(objective, reduced, SearchParams(seed=5))
-    assert reduced.indices_of(result) == min(visited)
+    assert result == min(visited)
 
 
 def test_objective_evaluations_within_budget(reduced):
@@ -103,7 +94,7 @@ def test_objective_evaluations_within_budget(reduced):
 
     def objective(x):
         calls[0] += 1
-        return float(sum(reduced.indices_of(x)))
+        return float(sum(x))
 
     params = SearchParams(population=16, generations=10, seed=3)
     evolutionary_search(objective, reduced, params)
@@ -112,15 +103,15 @@ def test_objective_evaluations_within_budget(reduced):
 
 def test_evolutionary_search_deterministic(reduced, proxy):
     params = SearchParams(seed=11)
-    a = evolutionary_search(lambda x: latency_value(x, proxy), reduced, params)
-    b = evolutionary_search(lambda x: latency_value(x, proxy), reduced, params)
+    a = evolutionary_search(true_latency_of(proxy, reduced), reduced, params)
+    b = evolutionary_search(true_latency_of(proxy, reduced), reduced, params)
     assert a == b
 
 
 def test_evolutionary_trace_is_monotone(reduced, proxy):
     trace = []
     evolutionary_search(
-        lambda x: latency_value(x, proxy), reduced, SearchParams(seed=2), trace=trace
+        true_latency_of(proxy, reduced), reduced, SearchParams(seed=2), trace=trace
     )
     values = [v for _, v in trace]
     assert values == sorted(values, reverse=True)
@@ -128,12 +119,12 @@ def test_evolutionary_trace_is_monotone(reduced, proxy):
 
 
 def test_brute_force_monotone_objective_returns_all_min(reduced, proxy):
-    x = brute_force_argmin(lambda x: latency_value(x, proxy), reduced)
+    x = brute_force_argmin(true_latency_of(proxy, reduced), reduced)
     assert x == all_min(reduced)
 
 
 def test_brute_force_negative_accuracy_returns_all_max(reduced):
-    x = brute_force_argmin(lambda x: -accuracy_value(x, reduced), reduced)
+    x = brute_force_argmin(lambda x: -accuracy_value(reduced.design_at(x), reduced), reduced)
     assert x == all_max(reduced)
 
 

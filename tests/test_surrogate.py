@@ -218,7 +218,7 @@ def test_accuracy_predictor_charges_ledger(reduced):
 def test_exhaustive_accuracy_fit_error_within_noise_and_fit_margin(reduced):
     designs = enumerate_all(reduced)
     X = np.stack([encode(x, reduced) for x in designs])
-    y = np.array([accuracy_value(x, reduced) for x in designs])
+    y = np.array([accuracy_value(reduced.design_at(x), reduced) for x in designs])
     m = fit(X, y, (64, 64), TrainingSettings(), np.random.default_rng(0), metric="accuracy")
     err = np.abs(m.predict_batch(X) - y)
     assert float(err.max()) <= NOISE_AMPLITUDE + 0.008
@@ -228,7 +228,7 @@ def test_exhaustive_accuracy_fit_error_within_noise_and_fit_margin(reduced):
 def test_accuracy_argmax_matches_oracle_across_seeds(reduced):
     designs = enumerate_all(reduced)
     X = np.stack([encode(x, reduced) for x in designs])
-    true_best = int(np.argmax([accuracy_value(x, reduced) for x in designs]))
+    true_best = int(np.argmax([accuracy_value(reduced.design_at(x), reduced) for x in designs]))
     hits = 0
     for seed in range(20):
         acc = train_accuracy_predictor(
@@ -250,7 +250,7 @@ def test_proxy_latency_predictor_held_out_error(proxy_latency_default, dspace, p
     rng = np.random.default_rng(999)
     probes = [sample_uniform(dspace, rng) for _ in range(200)]
     pred = proxy_latency_default.predict_batch(np.stack([encode(x, dspace) for x in probes]))
-    truth = np.array([latency_value(x, proxy) for x in probes])
+    truth = np.array([latency_value(dspace.design_at(x), proxy) for x in probes])
     rel = np.abs(pred - truth) / np.abs(truth)
     assert float(np.median(rel)) <= 0.10
 
@@ -262,7 +262,7 @@ def test_proxy_predictor_ranks_monotone_device(proxy_latency_default, dspace, fl
     probes = [sample_uniform(dspace, rng) for _ in range(40)]
     pred = proxy_latency_default.predict_batch(np.stack([encode(x, dspace) for x in probes]))
     for d in fleet.holdout_monotone[:2]:
-        truth = [latency_value(x, d) for x in probes]
+        truth = [latency_value(dspace.design_at(x), d) for x in probes]
         assert spearman(list(pred), truth) >= 0.9
 
 
@@ -372,7 +372,7 @@ def test_more_exploration_rounds_reduce_held_out_error(fleet, reduced):
         errs = []
         for d in devices:
             P = np.stack([np.concatenate([encode(x, reduced), device_embedding(d)]) for x in probes])
-            truth = np.array([latency_value(x, d) for x in probes])
+            truth = np.array([latency_value(reduced.design_at(x), d) for x in probes])
             errs.extend(np.abs(bundle.latency.predict_batch(P) - truth) / np.abs(truth))
         return float(np.median(errs))
 
