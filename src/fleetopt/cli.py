@@ -27,7 +27,7 @@ from .device_world import (
     energy_value,
 )
 from .pipeline import cost_accounting, draw_fleet, run_scenario
-from .proxy_reuse import BisectionSettings, TCache, bisection_optimize, spearman
+from .proxy_reuse import ProxyEntry, TCache, bisection_optimize, spearman
 from .scenario import ConfigError, Scenario, load_scenario
 from .search import SearchParams
 from .surrogate import TrainingSettings, train_accuracy_predictor, train_device_specific_predictor
@@ -146,7 +146,7 @@ def _selftest_checks():
     rng = np.random.default_rng(7)
     quick = TrainingSettings(epochs=200, batch_size=16)
     t_oracle = Oracle(space, MeasurementLedger())
-    acc_m = train_accuracy_predictor(space, 96, t_oracle, rng, quick, (32,))
+    acc_m = train_accuracy_predictor(96, t_oracle, rng, quick, (32,))
     lat_m = train_device_specific_predictor("latency", proxy, 96, t_oracle, rng, quick, (32,))
     fleet = generate_fleet(FleetConfig(0, 0, 1, 0), np.random.default_rng(3))
     target = fleet.holdout_monotone[0]
@@ -155,8 +155,8 @@ def _selftest_checks():
     bound = lats[len(lats) * 2 // 5]
     run_ledger = MeasurementLedger()
     result = bisection_optimize(
-        target, bound, BisectionSettings.for_bound(bound), TCache(),
-        acc_m, lat_m, Oracle(space, run_ledger), space, SearchParams(seed=5),
+        target, bound, 0.02 * bound, ProxyEntry(proxy, acc_m, lat_m, None, TCache()),
+        Oracle(space, run_ledger), SearchParams(seed=5),
     )
     charges = run_ledger.count(target.device_id, "latency")
     yield ("bisection charges the target at most 10 latency measurements", charges <= 10)

@@ -230,7 +230,6 @@ def constraint_sweep(
     energy_model: MlpRegressor,
     latency_model: MlpRegressor,
     lambda_grid: list[TradeoffWeights],
-    space: DesignSpace,
     oracle: Oracle,
 ) -> SweepResult:
     """Pick lambda for a hard-constrained problem by sweeping inferences.
@@ -240,6 +239,7 @@ def constraint_sweep(
     per bound (so <= 2).
     """
     _require_device_aware(energy_model, latency_model)
+    space = oracle.space
 
     def predict_metrics(x: tuple[int, ...]):
         enc = encode(x, space)

@@ -163,21 +163,22 @@ def _load_models(models_dir: str | None, names: list[str]) -> list:
     """The models a training run persisted under models_dir, in names order."""
     if models_dir is None:
         raise ConfigError("skip-training needs an output directory with saved models")
-    try:
-        return [
-            (load_optimizer if name == "optimizer.json" else load_model)(
-                os.path.join(models_dir, name))
-            for name in names
-        ]
-    except FileNotFoundError as e:
-        raise ConfigError(f"skip-training: missing model file ({e.filename})") from None
+    models = []
+    for name in names:
+        path = os.path.join(models_dir, name)
+        try:
+            models.append((load_optimizer if name == "optimizer.json" else load_model)(path))
+        except FileNotFoundError:
+            raise ConfigError(f"skip-training: missing model file ({path})") from None
+        except (ValueError, KeyError) as e:  # truncated JSON, missing key, bad value
+            raise ConfigError(f"skip-training: corrupt model file ({path}): {e!r}") from None
+    return models
 
 
 def _proxy_reuse(scenario: Scenario, fleet: Fleet, oracle: Oracle):
     """Model file names, train and solver of proxy reuse: predictors trained on
     the proxy, a rank gate per target that reuses a pool entry or trains the
     target its own, then bisection on t (the 2-D grid under an energy bound)."""
-    space = scenario.space
     metrics = ["latency"] if scenario.optimize.energy_percentile is None else ["latency", "energy"]
     names = ["accuracy.json"] + [f"{metric}_proxy.json" for metric in metrics]
 
@@ -192,7 +193,7 @@ def _proxy_reuse(scenario: Scenario, fleet: Fleet, oracle: Oracle):
 
     def train(rng) -> list:
         return [train_accuracy_predictor(
-            space, scenario.samples_per_device, oracle, rng, scenario.hyper, scenario.hidden,
+            scenario.samples_per_device, oracle, rng, scenario.hyper, scenario.hidden,
         )] + device_models(fleet.proxy, rng)
 
     def solver(acc_model, *proxy_models):
@@ -221,18 +222,14 @@ def _proxy_reuse(scenario: Scenario, fleet: Fleet, oracle: Oracle):
             before = count(target.device_id, "latency")
             if spec.energy_bound is not None:
                 result = grid_optimize_2d(
-                    target, spec.latency_bound, spec.energy_bound, entry.cache,
-                    entry.accuracy_model, entry.latency_model, entry.energy_model,
-                    oracle, space, scenario.search,
+                    target, spec.latency_bound, spec.energy_bound, entry, oracle, scenario.search,
                 )
                 t, energy = list(result.t), float(result.energy)
                 columns = ["level", "t1", "t2", "latency", "energy", "feasible"]
             else:
                 result = bisection_optimize(
-                    target, spec.latency_bound,
-                    scenario.bisection_settings(spec.latency_bound),
-                    entry.cache, entry.accuracy_model, entry.latency_model,
-                    oracle, space, scenario.search,
+                    target, spec.latency_bound, scenario.delta_fraction * spec.latency_bound,
+                    entry, oracle, scenario.search,
                 )
                 t, energy = result.t_star, None
                 columns = ["iteration", "t", "measured_latency", "bound", "verdict"]
@@ -261,13 +258,12 @@ def _amortized(scenario: Scenario, fleet: Fleet, oracle: Oracle):
     """Model file names, train and solver of the amortized optimizer: device-aware
     predictors and a Method-2 network trained once, then per target a lambda
     sweep of inferences whose chosen design is measured once per bound."""
-    space = scenario.space
     names = ["accuracy.json", "energy_fleet.json", "latency_fleet.json", "optimizer.json"]
     lambda_grid = build_lambda_grid(scenario.lambda_count, scenario.lambda_max)
 
     def train(rng) -> list:
         bundle = train_stage1(
-            space, list(fleet.training_real), scenario.samples_per_device, oracle, rng,
+            list(fleet.training_real), scenario.samples_per_device, oracle, rng,
             scenario.hyper, scenario.hidden,
         )
         if scenario.optimize.exploration_rounds > 0:
@@ -288,8 +284,7 @@ def _amortized(scenario: Scenario, fleet: Fleet, oracle: Oracle):
         def solve(target, spec: ConstraintSpec):
             before = _target_charges(oracle.ledger, target.device_id)
             sweep = constraint_sweep(
-                optnet, target, spec, acc_model, en_model, lat_model,
-                lambda_grid, space, oracle,
+                optnet, target, spec, acc_model, en_model, lat_model, lambda_grid, oracle,
             )
             measured = sweep.validation
             bound = {"latency": spec.latency_bound, "energy": spec.energy_bound}

@@ -59,36 +59,6 @@ def spearman(a, b) -> float:
     return float(1.0 - 6.0 * (d @ d) / (n * (n * n - 1.0)))
 
 
-@dataclass(frozen=True)
-class BisectionSettings:
-    """delta is the absolute latency half-band around the bound; granularity
-    quantizes t; max_iterate defaults to ceil(log2(1/granularity + 1)), the
-    number of halvings that exhausts the quantized grid."""
-
-    delta: float
-    granularity: float = 0.001
-    max_iterate: int | None = None
-
-    def __post_init__(self):
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
-        if not 0.0 < self.granularity < 1.0:
-            raise ValueError("granularity must be in (0, 1)")
-        if self.max_iterate is None:
-            object.__setattr__(
-                self, "max_iterate", math.ceil(math.log2(1.0 / self.granularity + 1.0))
-            )
-        if self.max_iterate < 1:
-            raise ValueError("max_iterate must be >= 1")
-
-    @classmethod
-    def for_bound(cls, bound: float, granularity: float = 0.001) -> "BisectionSettings":
-        """Default band: 2% of the bound."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
-        return cls(delta=0.02 * bound, granularity=granularity)
-
-
 class TCache:
     """Inner-solution cache keyed on the weight tuple, each weight quantized to
     the granularity: (t,) for the bisection, (t1, t2) for the 2-D grid."""
@@ -113,6 +83,15 @@ class TCache:
 
     def __len__(self) -> int:
         return len(self._entries)
+
+
+@dataclass
+class ProxyEntry:
+    device: DeviceFeatures
+    accuracy_model: MlpRegressor
+    latency_model: MlpRegressor
+    energy_model: MlpRegressor | None
+    cache: TCache
 
 
 def scalarized_objective(
@@ -143,22 +122,24 @@ def _derived_seed(base_seed: int, *salt: int) -> int:
 
 def solve_inner(
     ts: tuple[float, ...],
-    cache: TCache,
+    entry: ProxyEntry,
     space: DesignSpace,
     params: SearchParams,
-    acc_model: MlpRegressor,
-    metric_models: tuple[MlpRegressor, ...],
     minimizer=None,
 ) -> tuple[int, ...]:
-    """Cached argmin of the scalarized objective at the quantized weights ts;
-    predictor-only, so repeated calls cost nothing and never touch any device."""
+    """Cached argmin of the scalarized objective at the quantized weights ts on
+    the entry's accuracy model and its first len(ts) metric models (latency,
+    then energy); predictor-only, so repeated calls cost nothing and never
+    touch any device."""
+    cache = entry.cache
     hit = cache.get(ts)
     if hit is not None:
         return hit
     tq = cache.quantize(ts)
+    metric_models = (entry.latency_model, entry.energy_model)[:len(ts)]
 
     def objective(x: tuple[int, ...]) -> float:
-        return scalarized_objective(x, tq, acc_model, metric_models, space)
+        return scalarized_objective(x, tq, entry.accuracy_model, metric_models, space)
 
     if minimizer is not None:
         x = minimizer(objective)
@@ -182,53 +163,55 @@ class BisectionResult:
 def bisection_optimize(
     target: DeviceFeatures,
     bound: float,
-    settings: BisectionSettings,
-    cache: TCache,
-    acc_model: MlpRegressor,
-    lat_model: MlpRegressor,
+    delta: float,
+    entry: ProxyEntry,
     oracle: Oracle,
-    space: DesignSpace,
     params: SearchParams,
     minimizer=None,
 ) -> BisectionResult:
-    """Bisection on t against true target latency of the inner solution.
+    """Bisection on t against true target latency of the inner solution on the
+    entry's predictors; delta is the absolute latency half-band around bound.
 
     Each iteration measures the current candidate once on the target (memoized
-    per quantized t, so the charge count never exceeds max_iterate). Raising t
-    when the candidate is too slow trades accuracy for speed; the reported
-    design is the fastest-feasible iterate with the smallest t, i.e. maximum
-    accuracy weight among iterates within the band. If nothing satisfied the
-    bound the last iterate comes back flagged infeasible.
+    per quantized t), for at most ceil(log2(1/granularity + 1)) iterations, the
+    halvings that exhaust the entry cache's t grid. Raising t when the
+    candidate is too slow trades accuracy for speed; the reported design is
+    the fastest-feasible iterate with the smallest t, i.e. maximum accuracy
+    weight among iterates within the band. If nothing satisfied the bound the
+    last iterate comes back flagged infeasible.
     """
     if bound <= 0:
         raise ValueError("bound must be positive")
+    if delta <= 0:
+        raise ValueError("delta must be positive")
+    space, cache = oracle.space, entry.cache
     t_min, t_max = 0.0, 1.0
     measured: dict[tuple[int], tuple[tuple[int, ...], float]] = {}
     trace: list[dict] = []
     best: tuple[float, tuple[int, ...], float] | None = None  # (t, design, latency)
     last: tuple[float, tuple[int, ...], float] | None = None
     measurements = 0
-    for iteration in range(settings.max_iterate):
+    for iteration in range(math.ceil(math.log2(1.0 / cache.granularity + 1.0))):
         t = (t_min + t_max) / 2.0
         key = cache._key((t,))
         if key in measured:
             x, lat = measured[key]
         else:
-            x = solve_inner((t,), cache, space, params, acc_model, (lat_model,), minimizer)
+            x = solve_inner((t,), entry, space, params, minimizer)
             lat = oracle.latency(space.design_at(x), target)
             measurements += 1
             measured[key] = (x, lat)
         (tq,) = cache.quantize((t,))
         last = (tq, x, lat)
-        if lat >= bound + settings.delta:
+        if lat >= bound + delta:
             verdict = "raise_t"
             t_min = t
-        elif lat <= bound - settings.delta:
+        elif lat <= bound - delta:
             verdict = "lower_t"
             t_max = t
         else:
             verdict = "within_band"
-        if lat <= bound + settings.delta and (best is None or tq < best[0]):
+        if lat <= bound + delta and (best is None or tq < best[0]):
             best = (tq, x, lat)
         trace.append(
             {"iteration": iteration, "t": tq, "measured_latency": lat,
@@ -259,34 +242,36 @@ class Grid2dResult:
     trace: tuple[dict, ...]
 
 
+GRID_LEVELS = 3
+GRID_N = 8
+GRID_MEASURE_CAP = 6
+
+
 def grid_optimize_2d(
     target: DeviceFeatures,
     latency_bound: float,
     energy_bound: float,
-    cache: TCache,
-    acc_model: MlpRegressor,
-    lat_model: MlpRegressor,
-    energy_model: MlpRegressor,
+    entry: ProxyEntry,
     oracle: Oracle,
-    space: DesignSpace,
     params: SearchParams,
     minimizer=None,
-    levels: int = 3,
-    grid_n: int = 8,
-    measure_cap: int = 6,
 ) -> Grid2dResult:
     """Coarse-to-fine sweep of the (t1, t2) simplex for two simultaneous bounds.
 
-    Each level solves the inner problem on a lattice (grid_n divisions at the
-    top, refined 4x around the incumbent), measures up to measure_cap new
-    candidate designs on the target (both metrics), and calibrates predicted
-    metrics against those measurements to rank the rest. Returns the measured
-    feasible design with maximum predicted accuracy, else the least-violating
-    measured design flagged infeasible. Inner solves go through solve_inner on
-    cache, so calls that share a cache (one proxy entry) share them too.
+    Each of GRID_LEVELS levels solves the inner problem on a lattice (GRID_N
+    divisions at the top, refined 4x around the incumbent), measures up to
+    GRID_MEASURE_CAP new candidate designs on the target (both metrics), and
+    calibrates predicted metrics against those measurements to rank the rest.
+    Returns the measured feasible design with maximum predicted accuracy, else
+    the least-violating measured design flagged infeasible. Inner solves go
+    through solve_inner on the entry, so calls on one entry share them.
     """
     if latency_bound <= 0 or energy_bound <= 0:
         raise ValueError("bounds must be positive")
+    if entry.energy_model is None:
+        raise ValueError(f"proxy {entry.device.device_id} has no energy model")
+    space, cache = oracle.space, entry.cache
+    models = (entry.accuracy_model, entry.latency_model, entry.energy_model)
     measured: dict[tuple[int, ...], tuple[float, float]] = {}  # design -> (lat, en)
     design_pt: dict[tuple[int, ...], tuple[float, float]] = {}  # design -> first grid point
     pred_cache: dict[tuple[int, ...], tuple[float, float, float]] = {}
@@ -296,11 +281,7 @@ def grid_optimize_2d(
     def predicted(x: tuple[int, ...]) -> tuple[float, float, float]:
         if x not in pred_cache:
             enc = encode(x, space)
-            pred_cache[x] = (
-                acc_model.predict(enc),
-                lat_model.predict(enc),
-                energy_model.predict(enc),
-            )
+            pred_cache[x] = tuple(model.predict(enc) for model in models)
         return pred_cache[x]
 
     s_lat, s_en = 1.0, 1.0
@@ -320,20 +301,18 @@ def grid_optimize_2d(
             float(np.median(ratios_e)) if ratios_e else 1.0,
         )
 
-    spacing = 1.0 / grid_n
+    spacing = 1.0 / GRID_N
     center = (0.0, 0.0)
     lattice = [
         cache.quantize((i * spacing, j * spacing))
-        for i in range(grid_n + 1)
-        for j in range(grid_n + 1)
-        if i + j <= grid_n
+        for i in range(GRID_N + 1)
+        for j in range(GRID_N + 1)
+        if i + j <= GRID_N
     ]
-    for level in range(levels):
+    for level in range(GRID_LEVELS):
         level_pairs: list[tuple[tuple[float, float], tuple[int, ...]]] = []
         for pt in lattice:
-            x = solve_inner(
-                pt, cache, space, params, acc_model, (lat_model, energy_model), minimizer
-            )
+            x = solve_inner(pt, entry, space, params, minimizer)
             design_pt.setdefault(x, pt)
             level_pairs.append((pt, x))
         # rank unmeasured candidates by calibrated distance to the feasibility
@@ -345,7 +324,7 @@ def grid_optimize_2d(
             ratio = max(pl * s_lat / latency_bound, pe * s_en / energy_bound)
             return (abs(ratio - 1.0), x)
 
-        for x in sorted(candidates, key=boundary_score)[:measure_cap]:
+        for x in sorted(candidates, key=boundary_score)[:GRID_MEASURE_CAP]:
             point = space.design_at(x)
             lat = oracle.latency(point, target)
             en = oracle.energy(point, target)
@@ -357,7 +336,7 @@ def grid_optimize_2d(
                  "latency": lat, "energy": en,
                  "feasible": lat <= latency_bound and en <= energy_bound}
             )
-        if level == levels - 1:
+        if level == GRID_LEVELS - 1:
             break
         # refine around the best measured point of this level
         def level_rank(pair):
@@ -375,10 +354,10 @@ def grid_optimize_2d(
         center = ranked[0][0]
         spacing /= 4.0
         pts = set()
-        for i in range(grid_n + 1):
-            for j in range(grid_n + 1):
-                t1 = center[0] + (i - grid_n // 2) * spacing
-                t2 = center[1] + (j - grid_n // 2) * spacing
+        for i in range(GRID_N + 1):
+            for j in range(GRID_N + 1):
+                t1 = center[0] + (i - GRID_N // 2) * spacing
+                t2 = center[1] + (j - GRID_N // 2) * spacing
                 if t1 < 0 or t2 < 0 or t1 + t2 > 1.0:
                     continue
                 pts.add(cache.quantize((t1, t2)))
@@ -438,15 +417,6 @@ def check_monotonicity(
     actual = np.array([oracle.latency(space.design_at(x), target) for x in designs])
     rho = spearman(predicted_lat, actual)
     return MonotonicityReport(rho=rho, monotone=rho >= threshold, probe_count=probe_count)
-
-
-@dataclass
-class ProxyEntry:
-    device: DeviceFeatures
-    accuracy_model: MlpRegressor
-    latency_model: MlpRegressor
-    energy_model: MlpRegressor | None
-    cache: TCache
 
 
 @dataclass

@@ -13,8 +13,7 @@ import json
 from dataclasses import dataclass, field
 
 from .design_space import DesignSpace, default_space, reduced_space
-from .device_world import FleetConfig
-from .proxy_reuse import BisectionSettings
+from .device_world import DEFAULT_QUANT_SPEEDUP, QUANT_PENALTY, FleetConfig
 from .search import SearchParams
 from .surrogate import TrainingSettings
 
@@ -140,11 +139,6 @@ class Scenario:
         _check(self.approach == "proxy" or self.fleet.n_training >= 2, "fleet.n_training",
                "amortized approach needs >= 2 training devices")
 
-    def bisection_settings(self, bound: float) -> BisectionSettings:
-        return BisectionSettings(
-            delta=self.delta_fraction * bound, granularity=self.granularity
-        )
-
 
 def _parse_space(raw, path: str) -> DesignSpace:
     if raw is None or raw == "default":
@@ -164,6 +158,9 @@ def _parse_space(raw, path: str) -> DesignSpace:
         ):
             raise ConfigError(f"{path}.{key}: expected a list of numbers")
         choices[key] = tuple(values)
+    priced = QUANT_PENALTY.keys() & DEFAULT_QUANT_SPEEDUP.keys()
+    _check(set(choices["bits_choices"]) <= priced, f"{path}.bits_choices",
+           f"each bit-width must be one of {sorted(priced)}")
     num_stages = _get(raw, "num_stages", int, 2, path)
     try:
         return DesignSpace(num_stages=num_stages, **choices)

@@ -51,13 +51,11 @@ def evolutionary_search(
     objective,
     space: DesignSpace,
     params: SearchParams,
-    trace: list | None = None,
 ) -> tuple[int, ...]:
     """Elitist GA over the discrete space; returns the best design ever seen.
 
     Duplicate designs are evaluated once (cached), so objective calls are at
-    most population * generations. With trace a list, (generation, best value)
-    rows are appended.
+    most population * generations.
     """
     rng = np.random.default_rng(params.seed)
     values: dict[tuple[int, ...], float] = {}
@@ -74,8 +72,6 @@ def evolutionary_search(
         scored = sorted((value_of(x), x) for x in population)
         if best is None or scored[0] < best:
             best = scored[0]
-        if trace is not None:
-            trace.append((gen, best[0]))
         if gen == params.generations - 1:
             break
         elites = [x for _, x in scored[:elite_count]]

@@ -206,37 +206,23 @@ def fit(
     out_std = float(y.std())
 
     net = DenseNet([X.shape[1], *layer_sizes, 1], rng)
-    scale = 1.0 if objective_scale is None else float(objective_scale)
-
-    if out_std < 1e-12:
+    constant = out_std < 1e-12
+    if constant:
         # Nothing to learn; zero the output layer so the head is exactly the mean.
         net.weights[-1][:] = 0.0
         net.biases[-1][:] = 0.0
-        return MlpRegressor(
-            net=net,
-            in_mean=in_mean,
-            in_scale=in_scale,
-            out_mean=out_mean,
-            out_scale=1.0,
-            metric=metric,
-            device_tag=device_tag,
-            takes_device=takes_device,
-            objective_scale=scale,
-            constant_warning=True,
-            final_loss=0.0,
-            loss_curve=[0.0],
-        )
+        out_std, curve = 1.0, [0.0]
+    else:
+        Xn = (X - in_mean) / in_scale
+        yn = (y - out_mean) / out_std
 
-    Xn = (X - in_mean) / in_scale
-    yn = (y - out_mean) / out_std
+        def batch_loss_and_grad(idx):
+            pred, cache = net.forward_cached(Xn[idx])
+            err = pred[:, 0] - yn[idx]
+            wg, bg, _ = net.backward(cache, (2.0 * err / idx.size)[:, None])
+            return float(err @ err), wg, bg
 
-    def batch_loss_and_grad(idx):
-        pred, cache = net.forward_cached(Xn[idx])
-        err = pred[:, 0] - yn[idx]
-        wg, bg, _ = net.backward(cache, (2.0 * err / idx.size)[:, None])
-        return float(err @ err), wg, bg
-
-    curve = train(net, X.shape[0], batch_loss_and_grad, hyper, rng)
+        curve = train(net, X.shape[0], batch_loss_and_grad, hyper, rng)
 
     return MlpRegressor(
         net=net,
@@ -247,8 +233,8 @@ def fit(
         metric=metric,
         device_tag=device_tag,
         takes_device=takes_device,
-        objective_scale=scale,
-        constant_warning=False,
+        objective_scale=1.0 if objective_scale is None else float(objective_scale),
+        constant_warning=constant,
         final_loss=curve[-1],
         loss_curve=curve,
     )
@@ -259,7 +245,6 @@ def _sample_designs(space: DesignSpace, n: int, rng: np.random.Generator) -> lis
 
 
 def train_accuracy_predictor(
-    space: DesignSpace,
     n_samples: int,
     oracle: Oracle,
     rng: np.random.Generator,
@@ -270,6 +255,7 @@ def train_accuracy_predictor(
     input never includes device features."""
     if n_samples < 2:
         raise InsufficientDataError(f"need at least 2 samples, got {n_samples}")
+    space = oracle.space
     designs = _sample_designs(space, n_samples, rng)
     X = np.stack([encode(x, space) for x in designs])
     y = np.array([oracle.accuracy(space.design_at(x)) for x in designs])
@@ -405,7 +391,6 @@ def _measure_block(
 
 
 def train_stage1(
-    space: DesignSpace,
     devices: list[DeviceFeatures],
     designs_per_device: int,
     oracle: Oracle,
@@ -422,10 +407,10 @@ def train_stage1(
     if designs_per_device < 2:
         raise InsufficientDataError("need at least 2 designs")
     devices = tuple(devices)
-    designs = _sample_designs(space, designs_per_device, rng)
+    designs = _sample_designs(oracle.space, designs_per_device, rng)
     acc_labels, energy_labels, latency_labels = _measure_block(designs, devices, oracle)
     acc, energy, latency = _fit_bundle_models(
-        space, devices, designs, acc_labels, energy_labels, latency_labels,
+        oracle.space, devices, designs, acc_labels, energy_labels, latency_labels,
         layer_sizes, hyper, rng,
     )
     return PredictorBundle(

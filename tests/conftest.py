@@ -75,7 +75,7 @@ def reduced_models(reduced, proxy):
     """Accuracy plus proxy latency/energy predictors on the 128-design space."""
     t0 = time.monotonic()
     rng = seeded(0, 5)
-    acc = train_accuracy_predictor(reduced, 500, Oracle(reduced, MeasurementLedger()), rng)
+    acc = train_accuracy_predictor(500, Oracle(reduced, MeasurementLedger()), rng)
     lat = train_device_specific_predictor(
         "latency", proxy, 500, Oracle(reduced, MeasurementLedger()), rng
     )
@@ -102,7 +102,7 @@ def stage1_bundle(dspace, fleet):
     """Device-aware predictors trained on the fleet's real training devices."""
     t0 = time.monotonic()
     bundle = train_stage1(
-        dspace, list(fleet.training_real), 500, Oracle(dspace, MeasurementLedger()), seeded(0, 2)
+        list(fleet.training_real), 500, Oracle(dspace, MeasurementLedger()), seeded(0, 2)
     )
     BUILD_SECONDS["stage1_bundle"] = time.monotonic() - t0
     return bundle

@@ -32,7 +32,6 @@ from fleetopt.learn_to_optimize import (
 from fleetopt.nn import DenseNet
 from fleetopt.pipeline import cost_accounting, run_scenario
 from fleetopt.proxy_reuse import (
-    BisectionSettings,
     ProxyEntry,
     ProxyPool,
     TCache,
@@ -95,10 +94,10 @@ def monotone_bisections(reduced, fleet, reduced_models):
         lats = np.array([latency_value(x, dev) for x in designs])
         bound = float(np.percentile(lats, 40.0))
         ledger = MeasurementLedger()
+        entry = ProxyEntry(dev, reduced_models["accuracy"], reduced_models["latency"], None,
+                           TCache())
         result = bisection_optimize(
-            dev, bound, BisectionSettings.for_bound(bound), TCache(),
-            reduced_models["accuracy"], reduced_models["latency"],
-            Oracle(reduced, ledger), reduced, SearchParams(seed=7),
+            dev, bound, 0.02 * bound, entry, Oracle(reduced, ledger), SearchParams(seed=7),
         )
         runs.append(
             {
@@ -382,7 +381,7 @@ def test_criterion_8_amortization_quality(dspace, stage1_bundle, method2_net,
             method2_net, held_synthetic[0],
             ConstraintSpec(latency_bound=5.0, energy_bound=500.0),
             stage1_bundle.accuracy, stage1_bundle.energy, stage1_bundle.latency,
-            build_lambda_grid(3, 1.0), dspace, oracle,
+            build_lambda_grid(3, 1.0), oracle,
         )
         validation_charges = ledger.total()
         params = SearchParams()

@@ -29,7 +29,7 @@ LAM_MIX = TradeoffWeights(0.1, 0.1)
 @pytest.fixture(scope="module")
 def small_bundle(reduced, fleet):
     return train_stage1(
-        reduced, list(fleet.training_real[:4]), 120,
+        list(fleet.training_real[:4]), 120,
         Oracle(reduced, MeasurementLedger()), np.random.default_rng(42),
         hyper=TrainingSettings(epochs=800, batch_size=64), layer_sizes=(48, 48),
     )
@@ -245,7 +245,7 @@ def test_sweep_validation_budget_is_two(method2_small, small_bundle, fleet, redu
     result = constraint_sweep(
         method2_small, d, ConstraintSpec(latency_bound=5.0, energy_bound=500.0),
         small_bundle.accuracy, small_bundle.energy, small_bundle.latency,
-        build_lambda_grid(3, 1.0), reduced, oracle,
+        build_lambda_grid(3, 1.0), oracle,
     )
     assert oracle.ledger.count(d.device_id, "latency") == 1
     assert oracle.ledger.count(d.device_id, "energy") == 1
@@ -260,7 +260,7 @@ def test_sweep_impossible_bounds_flagged_infeasible(method2_small, small_bundle,
     result = constraint_sweep(
         method2_small, fleet.synthetic[3], ConstraintSpec(latency_bound=1e-9),
         small_bundle.accuracy, small_bundle.energy, small_bundle.latency,
-        build_lambda_grid(3, 1.0), reduced, oracle,
+        build_lambda_grid(3, 1.0), oracle,
     )
     assert not result.feasible
     assert "latency" in result.validation

@@ -10,7 +10,6 @@ from fleetopt.device_world import (
     latency_value,
 )
 from fleetopt.proxy_reuse import (
-    BisectionSettings,
     ProxyEntry,
     ProxyPool,
     TCache,
@@ -43,6 +42,12 @@ def brute(space):
     return lambda objective: brute_force_argmin(objective, space)
 
 
+def entry_of(models, cache=None, device=None):
+    """A pool entry over the accuracy/latency(/energy) models of one dict."""
+    return ProxyEntry(device, models["accuracy"], models["latency"], models.get("energy"),
+                      TCache() if cache is None else cache)
+
+
 # --- spearman ---------------------------------------------------------------
 
 
@@ -73,30 +78,32 @@ def test_spearman_validation():
         spearman([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
 
 
-# --- settings and cache -----------------------------------------------------
+# --- iteration cap, validation and cache ------------------------------------
 
 
-def test_bisection_settings_defaults():
-    s = BisectionSettings(delta=0.5)
-    assert s.granularity == 0.001
-    assert s.max_iterate == 10  # ceil(log2(1001))
-    assert BisectionSettings(delta=0.5, granularity=0.25).max_iterate == 3
+def test_bisection_settings_defaults(exact_models, reduced, fleet):
+    # the iteration cap follows the entry cache's granularity; an unreachable
+    # bound raises t every iteration, so the cap is what stops the bisection
+    target = fleet.holdout_monotone[0]
+    for cache, cap in ((TCache(0.25), 3), (TCache(), 10)):  # ceil(log2(1/g + 1))
+        result = bisection_optimize(
+            target, 1e-9, 1e-11, entry_of(exact_models, cache),
+            Oracle(reduced, MeasurementLedger()), SearchParams(), minimizer=brute(reduced),
+        )
+        assert not result.feasible
+        assert len(result.trace) == result.measurements == cap
 
 
-def test_bisection_settings_validation():
-    with pytest.raises(ValueError):
-        BisectionSettings(delta=0.0)
-    with pytest.raises(ValueError):
-        BisectionSettings(delta=1.0, granularity=1.0)
-    with pytest.raises(ValueError):
-        BisectionSettings(delta=1.0, max_iterate=0)
-
-
-def test_settings_for_bound_band_is_two_percent():
-    s = BisectionSettings.for_bound(50.0)
-    assert s.delta == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        BisectionSettings.for_bound(0.0)
+def test_bisection_settings_validation(exact_models, reduced, fleet):
+    target = fleet.holdout_monotone[0]
+    oracle = Oracle(reduced, MeasurementLedger())
+    for delta in (0.0, -0.1):
+        with pytest.raises(ValueError, match="delta"):
+            bisection_optimize(target, 1.0, delta, entry_of(exact_models), oracle, SearchParams())
+    latency_only = entry_of({k: exact_models[k] for k in ("accuracy", "latency")}, device=fleet.proxy)
+    with pytest.raises(ValueError, match="energy model"):
+        grid_optimize_2d(target, 1.0, 1.0, latency_only, oracle, SearchParams())
+    assert oracle.ledger.total() == 0
 
 
 def test_tcache_quantizes_keys(reduced):
@@ -151,23 +158,21 @@ def test_solve_inner_caches_and_skips_objective(exact_models, reduced):
 
         return brute_force_argmin(counted, reduced)
 
-    cache = TCache()
+    entry = entry_of(exact_models)
     params = SearchParams(seed=0)
-    acc, lat = exact_models["accuracy"], exact_models["latency"]
-    a = solve_inner((0.4,), cache, reduced, params, acc, (lat,), minimizer=counting_minimizer)
+    a = solve_inner((0.4,), entry, reduced, params, minimizer=counting_minimizer)
     first = calls[0]
     assert first == 128
-    b = solve_inner((0.4,), cache, reduced, params, acc, (lat,), minimizer=counting_minimizer)
+    b = solve_inner((0.4,), entry, reduced, params, minimizer=counting_minimizer)
     assert calls[0] == first
     assert a == b
 
 
 def test_solve_inner_extremes_with_exact_predictors(exact_models, reduced):
-    acc, lat = exact_models["accuracy"], exact_models["latency"]
-    x0 = solve_inner((0.0,), TCache(), reduced, SearchParams(), acc, (lat,),
+    x0 = solve_inner((0.0,), entry_of(exact_models), reduced, SearchParams(),
                      minimizer=brute(reduced))
     assert x0 == all_max(reduced)
-    x1 = solve_inner((1.0,), TCache(), reduced, SearchParams(), acc, (lat,),
+    x1 = solve_inner((1.0,), entry_of(exact_models), reduced, SearchParams(),
                      minimizer=brute(reduced))
     assert x1 == all_min(reduced)
 
@@ -195,9 +200,8 @@ def test_bisection_loose_bound_returns_accuracy_argmax(exact_models, reduced, fl
     target = fleet.holdout_monotone[0]
     oracle = Oracle(reduced, MeasurementLedger())
     result = bisection_optimize(
-        target, 1e6, BisectionSettings.for_bound(1e6), TCache(),
-        exact_models["accuracy"], exact_models["latency"],
-        oracle, reduced, SearchParams(), minimizer=brute(reduced),
+        target, 1e6, 0.02 * 1e6, entry_of(exact_models),
+        oracle, SearchParams(), minimizer=brute(reduced),
     )
     assert result.feasible
     assert result.t_star <= 0.001 + 1e-12
@@ -210,9 +214,8 @@ def test_bisection_budget_and_ledger_agree(exact_models, reduced, fleet):
     bound = float(np.percentile(lats, 40))
     oracle = Oracle(reduced, MeasurementLedger())
     result = bisection_optimize(
-        target, bound, BisectionSettings.for_bound(bound), TCache(),
-        exact_models["accuracy"], exact_models["latency"],
-        oracle, reduced, SearchParams(), minimizer=brute(reduced),
+        target, bound, 0.02 * bound, entry_of(exact_models),
+        oracle, SearchParams(), minimizer=brute(reduced),
     )
     assert result.measurements <= 10
     assert oracle.ledger.count(target.device_id, "latency") == result.measurements
@@ -229,9 +232,8 @@ def test_bisection_matches_constrained_optimum(exact_models, reduced, fleet):
     )
     oracle = Oracle(reduced, MeasurementLedger())
     result = bisection_optimize(
-        target, bound, BisectionSettings.for_bound(bound), TCache(),
-        exact_models["accuracy"], exact_models["latency"],
-        oracle, reduced, SearchParams(), minimizer=brute(reduced),
+        target, bound, 0.02 * bound, entry_of(exact_models),
+        oracle, SearchParams(), minimizer=brute(reduced),
     )
     assert result.feasible
     assert result.latency <= bound * 1.02
@@ -243,17 +245,12 @@ def test_bisection_infeasible_bound_is_flagged(exact_models, reduced, fleet):
     min_lat = min(latency_value(x, target) for x in value_views(reduced))
     oracle = Oracle(reduced, MeasurementLedger())
     result = bisection_optimize(
-        target, min_lat / 10, BisectionSettings.for_bound(min_lat / 10), TCache(),
-        exact_models["accuracy"], exact_models["latency"],
-        oracle, reduced, SearchParams(), minimizer=brute(reduced),
+        target, min_lat / 10, 0.02 * min_lat / 10, entry_of(exact_models),
+        oracle, SearchParams(), minimizer=brute(reduced),
     )
     assert not result.feasible
     with pytest.raises(ValueError):
-        bisection_optimize(
-            target, -1.0, BisectionSettings(delta=0.1), TCache(),
-            exact_models["accuracy"], exact_models["latency"],
-            oracle, reduced, SearchParams(),
-        )
+        bisection_optimize(target, -1.0, 0.1, entry_of(exact_models), oracle, SearchParams())
 
 
 def test_bisection_trace_rows(exact_models, reduced, fleet):
@@ -262,9 +259,8 @@ def test_bisection_trace_rows(exact_models, reduced, fleet):
     bound = float(np.percentile(lats, 40))
     oracle = Oracle(reduced, MeasurementLedger())
     result = bisection_optimize(
-        target, bound, BisectionSettings.for_bound(bound), TCache(),
-        exact_models["accuracy"], exact_models["latency"],
-        oracle, reduced, SearchParams(), minimizer=brute(reduced),
+        target, bound, 0.02 * bound, entry_of(exact_models),
+        oracle, SearchParams(), minimizer=brute(reduced),
     )
     assert [row["iteration"] for row in result.trace] == list(range(len(result.trace)))
     assert all(row["bound"] == bound for row in result.trace)
@@ -298,8 +294,7 @@ def test_search_and_bisection_convert_only_what_they_measure(
     calls.update(indices_of=0, design_at=0)
     oracle = Oracle(reduced, MeasurementLedger())
     result = bisection_optimize(
-        target, bound, BisectionSettings.for_bound(bound), TCache(), acc, lat,
-        oracle, reduced, SearchParams(),
+        target, bound, 0.02 * bound, entry_of(reduced_models), oracle, SearchParams(),
     )
     charged = oracle.ledger.count(target.device_id, "latency")
     assert charged == result.measurements > 1
@@ -334,9 +329,8 @@ def test_grid_2d_loose_bounds_hit_accuracy_corner(exact_models, reduced, fleet):
     target = fleet.holdout_monotone[0]
     oracle = Oracle(reduced, MeasurementLedger())
     result = grid_optimize_2d(
-        target, 1e6, 1e6, TCache(),
-        exact_models["accuracy"], exact_models["latency"], exact_models["energy"],
-        oracle, reduced, SearchParams(), minimizer=brute(reduced),
+        target, 1e6, 1e6, entry_of(exact_models),
+        oracle, SearchParams(), minimizer=brute(reduced),
     )
     assert result.feasible
     assert result.design == all_max(reduced)
@@ -367,9 +361,8 @@ def test_grid_2d_dual_bounds_reach_scalarization_ceiling(exact_models, reduced, 
 
     oracle = Oracle(reduced, MeasurementLedger())
     result = grid_optimize_2d(
-        target, lat_bound, en_bound, TCache(),
-        exact_models["accuracy"], exact_models["latency"], exact_models["energy"],
-        oracle, reduced, SearchParams(), minimizer=brute(reduced),
+        target, lat_bound, en_bound, entry_of(exact_models),
+        oracle, SearchParams(), minimizer=brute(reduced),
     )
     assert result.feasible
     assert result.latency <= lat_bound and result.energy <= en_bound
@@ -387,14 +380,12 @@ def test_grid_2d_huge_energy_bound_matches_bisection(exact_models, reduced, flee
     bound = float(np.percentile(lats, 50))
     oracle = Oracle(reduced, MeasurementLedger())
     uni = bisection_optimize(
-        target, bound, BisectionSettings.for_bound(bound), TCache(),
-        exact_models["accuracy"], exact_models["latency"],
-        oracle, reduced, SearchParams(), minimizer=brute(reduced),
+        target, bound, 0.02 * bound, entry_of(exact_models),
+        oracle, SearchParams(), minimizer=brute(reduced),
     )
     two = grid_optimize_2d(
-        target, bound, 1e9, TCache(),
-        exact_models["accuracy"], exact_models["latency"], exact_models["energy"],
-        oracle, reduced, SearchParams(), minimizer=brute(reduced),
+        target, bound, 1e9, entry_of(exact_models),
+        oracle, SearchParams(), minimizer=brute(reduced),
     )
     assert two.feasible and uni.feasible
     acc_two = accuracy_value(reduced.design_at(two.design), reduced)
@@ -406,9 +397,8 @@ def test_grid_2d_infeasible_bounds_flagged(exact_models, reduced, fleet):
     min_lat = min(latency_value(x, target) for x in value_views(reduced))
     oracle = Oracle(reduced, MeasurementLedger())
     result = grid_optimize_2d(
-        target, min_lat / 10, 1e9, TCache(),
-        exact_models["accuracy"], exact_models["latency"], exact_models["energy"],
-        oracle, reduced, SearchParams(), minimizer=brute(reduced),
+        target, min_lat / 10, 1e9, entry_of(exact_models),
+        oracle, SearchParams(), minimizer=brute(reduced),
     )
     assert not result.feasible
 
@@ -420,26 +410,25 @@ def test_grid_2d_reuses_inner_solves_across_calls_on_one_cache(exact_models, red
         solved[0] += 1
         return brute_force_argmin(objective, reduced)
 
-    models = (exact_models["accuracy"], exact_models["latency"], exact_models["energy"])
     lats = [latency_value(x, fleet.holdout_monotone[0]) for x in value_views(reduced)]
     ens = [energy_value(x, fleet.holdout_monotone[1]) for x in value_views(reduced)]
     first = (fleet.holdout_monotone[0], float(np.percentile(lats, 50)), 1e9)
     second = (fleet.holdout_monotone[1], 1e9, float(np.percentile(ens, 40)))
 
-    def run(problem, cache, minimizer):
+    def run(problem, entry, minimizer):
         return grid_optimize_2d(
-            *problem, cache, *models, Oracle(reduced, MeasurementLedger()), reduced,
-            SearchParams(), minimizer=minimizer,
+            *problem, entry, Oracle(reduced, MeasurementLedger()), SearchParams(),
+            minimizer=minimizer,
         )
 
-    shared = TCache()
+    shared = entry_of(exact_models)
     run(first, shared, counting_minimizer)
-    assert solved[0] == len(shared)
+    assert solved[0] == len(shared.cache)
     solved_first = solved[0]
     reused = run(second, shared, counting_minimizer)
-    assert solved[0] == len(shared)  # no lattice point was solved twice
+    assert solved[0] == len(shared.cache)  # no lattice point was solved twice
     assert solved[0] - solved_first < solved_first  # the top-level lattice was reused
-    assert reused == run(second, TCache(), brute(reduced))
+    assert reused == run(second, entry_of(exact_models), brute(reduced))
 
 
 # --- monotonicity gate and pool ---------------------------------------------
@@ -474,16 +463,6 @@ def test_check_monotonicity_rejects_tiny_probe_count(proxy_latency_default, dspa
         check_monotonicity(
             proxy_latency_default, proxy, 5, 0.9, Oracle(dspace), np.random.default_rng(0)
         )
-
-
-def make_pool_entry(fleet, models):
-    return ProxyEntry(
-        device=fleet.proxy,
-        accuracy_model=models["accuracy"],
-        latency_model=models["latency"],
-        energy_model=models["energy"],
-        cache=TCache(),
-    )
 
 
 def test_match_proxy_empty_pool(fleet, dspace):

@@ -1,7 +1,9 @@
 import copy
+import csv
 import json
 import os
 import re
+import shutil
 import subprocess
 
 import pytest
@@ -117,6 +119,7 @@ BAD_CONFIGS = [
     (SMALL_PROXY, "space", {"num_stages": "two"}, "space.num_stages"),
     (SMALL_PROXY, "space", {"kernel_choices": ["3"]}, "space.kernel_choices"),
     (SMALL_PROXY, "space", {"stages": 2}, "space.stages"),
+    (SMALL_PROXY, "space", {"num_stages": 2, "bits_choices": [2, 8]}, "space.bits_choices"),
     (SMALL_PROXY, "bisection.granularity", 2.0, "bisection.granularity"),
     (SMALL_PROXY, "bisection.delta_fraction", 0.0, "bisection.delta_fraction"),
     (SMALL_PROXY, "lambda_grid.count_per_axis", 0, "lambda_grid.count_per_axis"),
@@ -170,11 +173,20 @@ def test_load_scenario_file_handling(tmp_path):
         load_scenario(str(bad))
 
 
-def test_bisection_settings_come_from_config():
-    s = scenario_from_dict({"seed": 1, "bisection": {"delta_fraction": 0.05, "granularity": 0.01}})
-    settings = s.bisection_settings(40.0)
-    assert settings.delta == pytest.approx(2.0)
-    assert settings.granularity == 0.01
+def test_bisection_settings_come_from_config(tmp_path):
+    # granularity 0.25 caps the bisection at ceil(log2(5)) = 3 measurements;
+    # delta_fraction 0.5 makes the band half the bound on either side
+    doc = dict(SMALL_PROXY, bisection={"delta_fraction": 0.5, "granularity": 0.25})
+    report = run_scenario(scenario_from_dict(doc), out_dir=str(tmp_path))
+    for row in report.rows:
+        assert row["optimize_measurements"] <= 3
+        with open(tmp_path / "traces" / f"trace_{row['device_id']}.csv") as f:
+            trace = list(csv.DictReader(f))
+        assert len(trace) == row["optimize_measurements"]
+        for step in trace:
+            if step["verdict"] == "within_band":
+                bound = float(step["bound"])
+                assert abs(float(step["measured_latency"]) - bound) <= 0.5 * bound
 
 
 # --- measurement-cost arithmetic ---------------------------------------------
@@ -253,6 +265,18 @@ def test_skip_training_repeats_decisions_without_training_cost(proxy_run):
 def test_skip_training_with_empty_dir_names_missing_file(tmp_path, doc):
     with pytest.raises(ConfigError, match=r"missing model file \(.*accuracy\.json\)"):
         run_scenario(scenario_from_dict(doc), out_dir=str(tmp_path), skip_training=True)
+
+
+@pytest.mark.parametrize("content", ['{"layer_sizes": [', '{"layer_sizes": [7, 32, 1]}'],
+                         ids=["truncated", "missing-key"])
+def test_skip_training_with_corrupt_model_file_exits_2(proxy_run, tmp_path, capsys, content):
+    _, _, out = proxy_run
+    shutil.copytree(os.path.join(out, "models"), tmp_path / "models")
+    (tmp_path / "models" / "latency_proxy.json").write_text(content)
+    cfg = write_config(tmp_path, SMALL_PROXY)
+    assert main(["optimize", "--config", cfg, "--out", str(tmp_path), "--skip-training"]) == 2
+    err = capsys.readouterr().err
+    assert re.search(r"corrupt model file \(.*latency_proxy\.json\)", err), err
 
 
 def test_export_rolls_back_on_failure(tmp_path):

@@ -108,16 +108,6 @@ def test_evolutionary_search_deterministic(reduced, proxy):
     assert a == b
 
 
-def test_evolutionary_trace_is_monotone(reduced, proxy):
-    trace = []
-    evolutionary_search(
-        true_latency_of(proxy, reduced), reduced, SearchParams(seed=2), trace=trace
-    )
-    values = [v for _, v in trace]
-    assert values == sorted(values, reverse=True)
-    assert [g for g, _ in trace] == list(range(SearchParams().generations))
-
-
 def test_brute_force_monotone_objective_returns_all_min(reduced, proxy):
     x = brute_force_argmin(true_latency_of(proxy, reduced), reduced)
     assert x == all_min(reduced)

@@ -205,12 +205,12 @@ def test_accuracy_predictor_input_is_design_only(reduced_models):
 
 def test_accuracy_predictor_rejects_tiny_sample_count(reduced):
     with pytest.raises(InsufficientDataError):
-        train_accuracy_predictor(reduced, 0, Oracle(reduced), np.random.default_rng(0))
+        train_accuracy_predictor(0, Oracle(reduced), np.random.default_rng(0))
 
 
 def test_accuracy_predictor_charges_ledger(reduced):
     oracle = Oracle(reduced)
-    train_accuracy_predictor(reduced, 50, oracle, np.random.default_rng(0), hyper=LIGHT)
+    train_accuracy_predictor(50, oracle, np.random.default_rng(0), hyper=LIGHT)
     assert oracle.ledger.accuracy_count == 50
     assert oracle.ledger.total() == 0
 
@@ -232,7 +232,7 @@ def test_accuracy_argmax_matches_oracle_across_seeds(reduced):
     hits = 0
     for seed in range(20):
         acc = train_accuracy_predictor(
-            reduced, 300, Oracle(reduced), np.random.default_rng(seed),
+            300, Oracle(reduced), np.random.default_rng(seed),
             hyper=TrainingSettings(epochs=500, batch_size=64),
         )
         hits += int(np.argmax(acc.predict_batch(X)) == true_best)
@@ -268,13 +268,13 @@ def test_proxy_predictor_ranks_monotone_device(proxy_latency_default, dspace, fl
 
 def test_device_aware_needs_two_devices(reduced, fleet):
     with pytest.raises(InsufficientDataError):
-        train_stage1(reduced, [fleet.proxy], 10, Oracle(reduced), np.random.default_rng(0))
+        train_stage1([fleet.proxy], 10, Oracle(reduced), np.random.default_rng(0))
 
 
 def test_device_aware_prediction_varies_with_device(reduced, fleet):
     devices = list(fleet.training_real[:2])
     m = train_stage1(
-        reduced, devices, 60, Oracle(reduced), np.random.default_rng(0),
+        devices, 60, Oracle(reduced), np.random.default_rng(0),
         hyper=LIGHT, layer_sizes=(32, 32),
     ).latency
     assert m.takes_device
@@ -327,7 +327,7 @@ def test_predicted_objective_argmin_is_unique(reduced_models, reduced):
 def make_small_bundle(fleet, reduced, seed, rounds, explore_rng_seed):
     oracle = Oracle(reduced, MeasurementLedger())
     bundle = train_stage1(
-        reduced, list(fleet.training_real[:3]), 10, oracle,
+        list(fleet.training_real[:3]), 10, oracle,
         np.random.default_rng(seed), hyper=LIGHT, layer_sizes=(32, 32),
     )
     out = iterative_fit(bundle, rounds, 10, oracle, np.random.default_rng(explore_rng_seed))
@@ -337,7 +337,7 @@ def make_small_bundle(fleet, reduced, seed, rounds, explore_rng_seed):
 def test_iterative_fit_zero_rounds_is_identity(fleet, reduced):
     oracle = Oracle(reduced, MeasurementLedger())
     bundle = train_stage1(
-        reduced, list(fleet.training_real[:3]), 10, oracle,
+        list(fleet.training_real[:3]), 10, oracle,
         np.random.default_rng(0), hyper=LIGHT, layer_sizes=(32, 32),
     )
     before = oracle.ledger.snapshot()
@@ -350,7 +350,7 @@ def test_iterative_fit_zero_rounds_is_identity(fleet, reduced):
 def test_iterative_fit_ledger_growth_is_exact(fleet, reduced):
     oracle = Oracle(reduced, MeasurementLedger())
     bundle = train_stage1(
-        reduced, list(fleet.training_real[:3]), 10, oracle,
+        list(fleet.training_real[:3]), 10, oracle,
         np.random.default_rng(0), hyper=LIGHT, layer_sizes=(32, 32),
     )
     before = oracle.ledger.snapshot()
