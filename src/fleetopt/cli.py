@@ -87,6 +87,21 @@ def _cmd_optimize(args) -> int:
     return EXIT_INFEASIBLE if report.infeasible_count else EXIT_OK
 
 
+def _report_lines(report: dict) -> list[str]:
+    lines = [f"approach: {report['scenario']['approach']}  seed: {report['scenario']['seed']}",
+             f"targets: {len(report['rows'])}  infeasible: {report['infeasible_count']}"]
+    for row in report["rows"]:
+        verdict = "feasible" if row["feasible"] else "INFEASIBLE"
+        energy = ("" if row["energy_bound"] is None else
+                  f"energy={row['measured_energy']:.4f}/{row['energy_bound']:.4f}  ")
+        lines.append(f"  {row['device_id']}  design={row['design']}  latency="
+                     f"{row['measured_latency']:.4f}/{row['latency_bound']:.4f}  {energy}{verdict}")
+    per_target = report["stage_counts"]["per_target"]
+    if per_target:
+        lines.append(f"max per-target measurements: {max(per_target.values())}")
+    return lines
+
+
 def _cmd_report(args) -> int:
     if not args.out:
         raise ConfigError("report needs --out pointing at a finished run")
@@ -94,18 +109,12 @@ def _cmd_report(args) -> int:
     try:
         with open(path) as f:
             report = json.load(f)
+        lines = _report_lines(report)
     except FileNotFoundError:
         raise ConfigError(f"no report at {path}") from None
-    print(f"approach: {report['scenario']['approach']}  seed: {report['scenario']['seed']}")
-    print(f"targets: {len(report['rows'])}  infeasible: {report['infeasible_count']}")
-    for row in report["rows"]:
-        verdict = "feasible" if row["feasible"] else "INFEASIBLE"
-        print(f"  {row['device_id']}  design={row['design']}  "
-              f"latency={row['measured_latency']:.4f}  {verdict}")
-    per_target = report["stage_counts"]["per_target"]
-    if per_target:
-        worst = max(per_target.values())
-        print(f"max per-target measurements: {worst}")
+    except (ValueError, KeyError, TypeError) as e:  # truncated JSON, missing key, bad value
+        raise ConfigError(f"corrupt report ({path}): {e!r}") from None
+    print("\n".join(lines))
     return EXIT_INFEASIBLE if report["infeasible_count"] else EXIT_OK
 
 

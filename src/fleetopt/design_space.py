@@ -8,14 +8,15 @@ in that form, and every tie breaks on it lexicographically. `DesignPoint` is
 the readable value view (depths, widths, kernels, bits) that the analytic cost
 model reads; `design_at` builds it and is the one place an index list from
 outside is checked, `indices_of` goes back. The encoding, a flat vector in
-[0, 1]^(3S+1) for continuous optimizers, is a separate form: it places each
-choice at the center of its cell so decode(encode(x)) is the identity.
+[0, 1]^(3S+1) for continuous optimizers, is a separate form, converted a matrix
+at a time (`encode_rows`/`decode_rows`; `encode`/`decode` are the one-row case):
+each choice sits at the center of its cell so decode(encode(x)) is the identity.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -101,6 +102,12 @@ class DesignSpace:
         per_stage = len(self.depth_choices) * len(self.width_choices) * len(self.kernel_choices)
         return per_stage**self.num_stages * len(self.bits_choices)
 
+    @functools.cached_property
+    def _cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per encoding column: last index n - 1, encoding divisor and offset."""
+        steps = np.array([len(axis) - 1 for axis in self._axes()], dtype=float)
+        return steps, np.maximum(steps, 1.0), np.where(steps == 0, 0.5, 0.0)
+
     def _axes(self) -> list[tuple]:
         axes: list[tuple] = []
         for _ in range(self.num_stages):
@@ -181,36 +188,38 @@ def sample_uniform(space: DesignSpace, rng: np.random.Generator) -> tuple[int, .
     return tuple(int(rng.integers(len(axis))) for axis in space._axes())
 
 
-def encode(x: tuple[int, ...], space: DesignSpace) -> np.ndarray:
-    """Map a design to cell-center coordinates in [0, 1]^(3S+1).
+def _rows(values, space: DesignSpace) -> np.ndarray:
+    """A float matrix one encoding wide: the shape check of both row forms."""
+    M = np.asarray(values, dtype=float)
+    if M.ndim != 2 or M.shape[1] != space.encoding_width:
+        raise DimensionMismatchError(f"expected shape (n, {space.encoding_width}), got {M.shape}")
+    return M
 
-    Index k of an n-choice axis maps to k/(n-1), or 0.5 for a singleton axis.
-    """
-    out = np.empty(space.encoding_width, dtype=float)
-    for i, (axis, k) in enumerate(zip(space._axes(), x, strict=True)):
-        n = len(axis)
-        out[i] = 0.5 if n == 1 else k / (n - 1)
-    return out
+
+def encode_rows(designs, space: DesignSpace) -> np.ndarray:
+    """Cell-center coordinates in [0, 1]^(3S+1), one row per index row: index k
+    of an n-choice axis maps to k/(n-1), or 0.5 for a singleton axis."""
+    _, divisor, offset = space._cells
+    return _rows(designs, space) / divisor + offset
+
+
+def encode(x: tuple[int, ...], space: DesignSpace) -> np.ndarray:
+    """One design's encoding: the one-row case of `encode_rows`."""
+    return encode_rows([x], space)[0]
+
+
+def decode_rows(values, space: DesignSpace) -> np.ndarray:
+    """The nearest design to each row as an index matrix: clamp to [0, 1], then
+    round half up per axis. Any finite matrix of the right width decodes."""
+    V = _rows(values, space)
+    if not np.all(np.isfinite(V)):
+        raise ValueError("encoded vector has non-finite entries")
+    return np.floor(np.clip(V, 0.0, 1.0) * space._cells[0] + 0.5).astype(int)
 
 
 def decode(values: Sequence[float], space: DesignSpace) -> tuple[int, ...]:
-    """Snap a continuous vector to the nearest design (round-half-up per axis).
-
-    Values are clamped to [0, 1] first, so any real vector of the right width
-    decodes; non-finite input is rejected.
-    """
-    arr = np.asarray(values, dtype=float)
-    if arr.shape != (space.encoding_width,):
-        raise DimensionMismatchError(
-            f"expected shape ({space.encoding_width},), got {arr.shape}"
-        )
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("encoded vector has non-finite entries")
-    arr = np.clip(arr, 0.0, 1.0)
-    return tuple(
-        0 if len(axis) == 1 else int(math.floor(v * (len(axis) - 1) + 0.5))
-        for axis, v in zip(space._axes(), arr)
-    )
+    """One vector's design: the one-row case of `decode_rows`."""
+    return tuple(decode_rows([values], space)[0].tolist())
 
 
 def mutate(

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .design_space import DesignSpace, decode, encode
+from .design_space import DesignSpace, decode, decode_rows, encode_rows
 from .device_world import DeviceFeatures, Oracle
 from .nn import DenseNet, l2_penalty, train
 from .search import ConstraintSpec
@@ -54,13 +54,12 @@ class OptimizerNetwork:
     final_loss: float = float("nan")
     loss_curve: list[float] = field(default_factory=list, repr=False)
 
-    @property
-    def encoding_width(self) -> int:
-        return self.net.output_dim
+    def infer_encodings(self, X: np.ndarray) -> np.ndarray:
+        """One forward pass over rows of optimizer inputs (see optimizer_input)."""
+        return self.net.forward((X - self.in_mean) / self.in_scale)
 
     def infer_encoding(self, d: DeviceFeatures, lam: TradeoffWeights) -> np.ndarray:
-        x = (optimizer_input(d, lam) - self.in_mean) / self.in_scale
-        return self.net.forward(x[None, :])[0]
+        return self.infer_encodings(optimizer_input(d, lam)[None, :])[0]
 
     def to_dict(self) -> dict:
         net = self.net.to_dict()
@@ -234,40 +233,32 @@ def constraint_sweep(
 ) -> SweepResult:
     """Pick lambda for a hard-constrained problem by sweeping inferences.
 
-    Feasibility along the grid is judged by the device-aware predictors alone;
-    the oracle is touched only to validate the final choice, one measurement
-    per bound (so <= 2).
+    The grid is one batch (one optimizer forward, one prediction per model);
+    feasibility along it is judged by the device-aware predictors alone. The
+    oracle only validates the final choice, one measurement per bound (<= 2).
     """
     _require_device_aware(energy_model, latency_model)
     space = oracle.space
-
-    def predict_metrics(x: tuple[int, ...]):
-        enc = encode(x, space)
-        emb = device_embedding(d)
-        dev_in = np.concatenate([enc, emb])
-        return (
-            acc_model.predict(enc),
-            latency_model.predict(dev_in),
-            energy_model.predict(dev_in),
-        )
+    embeddings = np.tile(device_embedding(d), (len(lambda_grid), 1))
+    lams = np.array([lam.as_array() for lam in lambda_grid])
+    designs = decode_rows(net.infer_encodings(np.hstack([embeddings, lams])), space)
+    enc = encode_rows(designs, space)
+    dev_in = np.hstack([enc, embeddings])
+    accs = acc_model.predict_batch(enc).tolist()
+    lats = latency_model.predict_batch(dev_in).tolist()
+    ens = energy_model.predict_batch(dev_in).tolist()
 
     rows: list[dict] = []
     best = None  # (-pred_acc, position)
     worst = None  # (violation, -pred_acc, position)
-    results = []
-    for pos, lam in enumerate(lambda_grid):
-        x = infer_design(net, d, lam, space)
-        pa, pl, pe = predict_metrics(x)
+    for pos, (lam, pa, pl, pe) in enumerate(zip(lambda_grid, accs, lats, ens)):
         feasible = pl <= constraints.latency_bound
         violation = max(0.0, pl / constraints.latency_bound - 1.0)
         if constraints.energy_bound is not None:
             feasible &= pe <= constraints.energy_bound
             violation += max(0.0, pe / constraints.energy_bound - 1.0)
-        results.append((lam, x, pa))
-        rows.append(
-            {"lambda1": lam.lambda1, "lambda2": lam.lambda2,
-             "predicted_feasible": feasible, "predicted_accuracy": pa, "chosen": False}
-        )
+        rows.append({"lambda1": lam.lambda1, "lambda2": lam.lambda2, "predicted_feasible": feasible,
+                     "predicted_accuracy": pa, "chosen": False})
         if feasible and (best is None or (-pa, pos) < best[0]):
             best = ((-pa, pos), pos)
         if worst is None or (violation, -pa, pos) < worst[0]:
@@ -275,13 +266,11 @@ def constraint_sweep(
 
     feasible_found = best is not None
     pos = best[1] if feasible_found else worst[1]
-    lam, x, pa = results[pos]
+    x = tuple(designs[pos].tolist())
     rows[pos]["chosen"] = True
     point = space.design_at(x)
     validation = {"latency": oracle.latency(point, d)}
     if constraints.energy_bound is not None:
         validation["energy"] = oracle.energy(point, d)
-    return SweepResult(
-        design=x, weights=lam, feasible=feasible_found, predicted_accuracy=pa,
-        validation=validation, rows=tuple(rows),
-    )
+    return SweepResult(design=x, weights=lambda_grid[pos], feasible=feasible_found,
+                       predicted_accuracy=accs[pos], validation=validation, rows=tuple(rows))

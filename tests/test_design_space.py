@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,10 @@ from fleetopt.design_space import (
     StageChoice,
     crossover,
     decode,
+    decode_rows,
     default_space,
     encode,
+    encode_rows,
     enumerate_all,
     mutate,
     reduced_space,
@@ -155,6 +159,49 @@ def test_decode_total_on_arbitrary_reals(reduced):
     for _ in range(200):
         v = r.normal(0.0, 3.0, size=7)
         assert in_space(reduced, decode(v, reduced))
+
+
+@pytest.mark.parametrize(
+    "space",
+    [default_space(), DesignSpace(2, (1,), (0.5, 1.0, 2.0), (3, 5, 7, 9, 11), (8,))],
+    ids=["default", "with-singleton-axes"],
+)
+def test_row_forms_match_one_row_forms(space):
+    r = rng(13)
+    width = space.encoding_width
+    steps = [len(axis) - 1 for axis in space._axes()]
+    V = r.uniform(-0.5, 1.5, size=(1000, width))
+    # a third of the rows sit on half-cell boundaries, the rounding edge
+    V[:334] = (r.integers(0, 4, size=(334, width)) + 0.5) / np.maximum(steps, 1)
+    D = decode_rows(V, space)
+    assert D.shape == (1000, width)
+    assert [tuple(row) for row in D.tolist()] == [decode(v, space) for v in V]
+    # the rule on Python floats, one value at a time: clamp, then round half up
+    assert D.tolist() == [
+        [math.floor(min(max(float(v), 0.0), 1.0) * n + 0.5) for v, n in zip(row, steps)]
+        for row in V
+    ]
+    designs = [sample_uniform(space, r) for _ in range(1000)]
+    E = encode_rows(designs, space)
+    assert np.array_equal(E, np.stack([encode(x, space) for x in designs]))
+    assert E.tolist() == [[0.5 if n == 0 else k / n for k, n in zip(x, steps)] for x in designs]
+
+
+def test_row_forms_reject_bad_input(reduced):
+    V = np.full((3, 7), 0.5)
+    for bad in (np.nan, np.inf):
+        V[1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            decode_rows(V, reduced)
+    for wrong in (np.zeros((3, 6)), np.zeros((3, 8)), np.zeros(7)):
+        with pytest.raises(DimensionMismatchError):
+            decode_rows(wrong, reduced)
+        with pytest.raises(DimensionMismatchError):
+            encode_rows(wrong.astype(int), reduced)
+    with pytest.raises(DimensionMismatchError):
+        encode((0,) * 6, reduced)
+    with pytest.raises(ValueError, match="non-finite"):
+        decode(np.full(7, np.nan), reduced)
 
 
 def test_sample_two_draws_differ_on_default(dspace):

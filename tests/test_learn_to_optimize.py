@@ -264,3 +264,105 @@ def test_sweep_impossible_bounds_flagged_infeasible(method2_small, small_bundle,
     )
     assert not result.feasible
     assert "latency" in result.validation
+
+
+@pytest.mark.parametrize("count", [3, 4])
+def test_sweep_scores_the_grid_in_one_batch(method2_small, small_bundle, fleet, reduced,
+                                            monkeypatch, count):
+    from fleetopt.nn import DenseNet
+
+    calls = []
+    original = DenseNet.forward_cached
+
+    def counted(net, X):
+        calls.append(np.shape(X)[0])
+        return original(net, X)
+
+    monkeypatch.setattr(DenseNet, "forward_cached", counted)
+    grid = build_lambda_grid(count, 1.0)
+    constraint_sweep(
+        method2_small, fleet.synthetic[1], ConstraintSpec(latency_bound=5.0, energy_bound=500.0),
+        small_bundle.accuracy, small_bundle.energy, small_bundle.latency,
+        grid, Oracle(reduced, MeasurementLedger()),
+    )
+    # one optimizer forward, then one per predictor, each over the whole grid
+    assert calls == [len(grid)] * 4
+
+
+def one_lambda_scores(net, d, bundle, grid, space):
+    """Per lambda: the one-row inference and its one-row predictions."""
+    emb = device_embedding(d)
+    scores = []
+    for lam in grid:
+        x = infer_design(net, d, lam, space)
+        enc = encode(x, space)
+        dev_in = np.concatenate([enc, emb])
+        scores.append((x, bundle.accuracy.predict(enc), bundle.latency.predict(dev_in),
+                       bundle.energy.predict(dev_in)))
+    return scores
+
+
+def reference_choice(scores, spec):
+    """Per-row predicted verdicts and the chosen position, one lambda at a time:
+    the most accurate feasible row, else the least violating one."""
+    verdicts, feasible_keys, violation_keys = [], [], []
+    for pos, (_, pa, pl, pe) in enumerate(scores):
+        feasible = pl <= spec.latency_bound
+        violation = max(0.0, pl / spec.latency_bound - 1.0)
+        if spec.energy_bound is not None:
+            feasible &= pe <= spec.energy_bound
+            violation += max(0.0, pe / spec.energy_bound - 1.0)
+        verdicts.append(feasible)
+        if feasible:
+            feasible_keys.append((-pa, pos))
+        violation_keys.append((violation, -pa, pos))
+    pos = min(feasible_keys)[-1] if feasible_keys else min(violation_keys)[-1]
+    return verdicts, pos
+
+
+def between_levels(values):
+    """A bound near the median of the predicted values but on none of them:
+    one-row and batched predictions may differ in the last ulp."""
+    levels = sorted(set(values))
+    if len(levels) == 1:
+        return 1.5 * levels[0]
+    return (levels[len(levels) // 2 - 1] + levels[len(levels) // 2]) / 2
+
+
+def test_sweep_matches_the_one_lambda_path(method2_small, small_bundle, fleet, reduced):
+    grid = build_lambda_grid(4, 1.0)
+    candidates = [*fleet.synthetic, *fleet.holdout_monotone, *fleet.holdout_adversarial]
+    scored = [(d, one_lambda_scores(method2_small, d, small_bundle, grid, reduced))
+              for d in candidates]
+    # the small predictors go negative on some devices; bounds must be positive
+    usable = [(d, scores) for d, scores in scored if min(min(s[2:]) for s in scores) > 0]
+    assert len(usable) >= 4
+    outcomes = set()
+    for d, scores in usable[:4]:
+        lat_mid = between_levels([s[2] for s in scores])
+        en_mid = between_levels([s[3] for s in scores])
+        specs = [ConstraintSpec(latency_bound=lat_mid),
+                 ConstraintSpec(latency_bound=lat_mid, energy_bound=en_mid),
+                 ConstraintSpec(latency_bound=1e-9)]
+        for spec in specs:
+            result = constraint_sweep(
+                method2_small, d, spec, small_bundle.accuracy, small_bundle.energy,
+                small_bundle.latency, grid, Oracle(reduced, MeasurementLedger()),
+            )
+            verdicts, pos = reference_choice(scores, spec)
+            assert [row["predicted_feasible"] for row in result.rows] == verdicts
+            for row, (_, pa, _, _) in zip(result.rows, scores):
+                assert abs(row["predicted_accuracy"] - pa) <= 1e-12
+            assert [i for i, row in enumerate(result.rows) if row["chosen"]] == [pos]
+            assert result.design == scores[pos][0]
+            assert result.weights == grid[pos]
+            assert result.feasible == any(verdicts)
+            point = reduced.design_at(scores[pos][0])
+            oracle = Oracle(reduced, MeasurementLedger())
+            expected = {"latency": oracle.latency(point, d)}
+            if spec.energy_bound is not None:
+                expected["energy"] = oracle.energy(point, d)
+            assert result.validation == expected
+            outcomes.add(result.feasible)
+    # the bounds reach both the most-accurate-feasible and the least-violation choice
+    assert outcomes == {True, False}

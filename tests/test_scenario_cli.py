@@ -395,6 +395,36 @@ def test_cli_report(proxy_run, tmp_path, capsys):
     assert main(["report", "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("content", ['{"scenario": {', '{"scenario": {"approach": "proxy", "seed": 1}}'],
+                         ids=["truncated", "missing-key"])
+def test_cli_report_on_corrupt_report_exits_2(tmp_path, capsys, content):
+    (tmp_path / "report.json").write_text(content)
+    assert main(["report", "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert re.search(r"corrupt report \(.*report\.json\)", captured.err), captured.err
+    assert captured.out == ""
+
+
+def test_cli_report_shows_what_each_verdict_rested_on(proxy_run, tmp_path, capsys):
+    _, report, out = proxy_run
+    with open(os.path.join(out, "report.json")) as f:
+        doc = json.load(f)
+    mono, adv = doc["rows"]
+    # a row judged on both bounds: its energy measurement broke the energy bound
+    adv.update(energy_bound=38.5, measured_energy=140.5, feasible=False)
+    doc["infeasible_count"] = 1
+    (tmp_path / "report.json").write_text(json.dumps(doc))
+    assert main(["report", "--out", str(tmp_path)]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    mono_line = next(line for line in lines if "mono-00" in line)
+    adv_line = next(line for line in lines if "adv-00" in line)
+    assert (f"latency={mono['measured_latency']:.4f}/{mono['latency_bound']:.4f}  feasible"
+            in mono_line)
+    assert "energy=" not in mono_line
+    assert (f"latency={adv['measured_latency']:.4f}/{adv['latency_bound']:.4f}  "
+            "energy=140.5000/38.5000  INFEASIBLE") in adv_line
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         ["python3", "-m", "fleetopt", "cost-table", "--samples", "360",
