@@ -37,6 +37,14 @@ EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 
 
+def _say(text: str) -> None:
+    """print() for command output: a reader gone early (`| head`) drops the rest."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        sys.stdout = None  # print() and the exit flush skip it; the exit code stands
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="scenario JSON file")
     p.add_argument("--seed", type=int, help="override the config seed")
@@ -59,9 +67,9 @@ def _cmd_gen_fleet(args) -> int:
         path = os.path.join(args.out, "fleet.json")
         with open(path, "w") as f:
             f.write(doc + "\n")
-        print(path)
+        _say(path)
     else:
-        print(doc)
+        _say(doc)
     return EXIT_OK
 
 
@@ -70,7 +78,7 @@ def _cmd_train_predictors(args) -> int:
     if not args.out:
         raise ConfigError("train-predictors needs --out for the model files")
     run_scenario(scenario, out_dir=args.out, skip_training=False)
-    print(os.path.join(args.out, "models"))
+    _say(os.path.join(args.out, "models"))
     return EXIT_OK
 
 
@@ -81,9 +89,9 @@ def _cmd_optimize(args) -> int:
     report = run_scenario(scenario, out_dir=args.out, skip_training=args.skip_training)
     for row in report.rows:
         flag = "ok" if row["feasible"] else "INFEASIBLE"
-        print(f"{row['device_id']}: design={row['design']} [{flag}]")
+        _say(f"{row['device_id']}: design={row['design']} [{flag}]")
     if args.out:
-        print(os.path.join(args.out, "report.json"))
+        _say(os.path.join(args.out, "report.json"))
     return EXIT_INFEASIBLE if report.infeasible_count else EXIT_OK
 
 
@@ -114,7 +122,7 @@ def _cmd_report(args) -> int:
         raise ConfigError(f"no report at {path}") from None
     except (ValueError, KeyError, TypeError) as e:  # truncated JSON, missing key, bad value
         raise ConfigError(f"corrupt report ({path}): {e!r}") from None
-    print("\n".join(lines))
+    _say("\n".join(lines))
     return EXIT_INFEASIBLE if report["infeasible_count"] else EXIT_OK
 
 
@@ -126,9 +134,9 @@ def _cmd_cost_table(args) -> int:
         path = os.path.join(args.out, "cost_table.json")
         with open(path, "w") as f:
             f.write(doc + "\n")
-        print(path)
+        _say(path)
     else:
-        print(doc)
+        _say(doc)
     return EXIT_OK
 
 
@@ -157,10 +165,16 @@ def _selftest_checks():
     t_oracle = Oracle(space, MeasurementLedger())
     acc_m = train_accuracy_predictor(96, t_oracle, rng, quick, (32,))
     lat_m = train_device_specific_predictor("latency", proxy, 96, t_oracle, rng, quick, (32,))
-    fleet = generate_fleet(FleetConfig(0, 0, 1, 0), np.random.default_rng(3))
+    fleet = generate_fleet(FleetConfig(0, 0, 1, 1), np.random.default_rng(3))
     target = fleet.holdout_monotone[0]
-    cal = Oracle(space, MeasurementLedger())
-    lats = sorted(cal.latency(space.design_at(x), target) for x in designs)
+    devices = [proxy, fleet.holdout_adversarial[0], target]  # target: gamma != 1
+    points = [space.design_at(x) for x in designs]
+    yield ("row measurements equal the scalar ones on every design and device family",
+           np.array_equal(oracle.latency_rows(designs, devices),
+                          [[latency_value(x, d) for d in devices] for x in points])
+           and np.array_equal(oracle.energy_rows(designs, devices),
+                              [[energy_value(x, d) for d in devices] for x in points]))
+    lats = sorted(Oracle(space).latency_rows(designs, [target])[:, 0])
     bound = lats[len(lats) * 2 // 5]
     run_ledger = MeasurementLedger()
     result = bisection_optimize(
@@ -182,9 +196,9 @@ def _selftest_checks():
 def _cmd_selftest(_args) -> int:
     failures = 0
     for label, ok in _selftest_checks():
-        print(f"[{'PASS' if ok else 'FAIL'}] {label}")
+        _say(f"[{'PASS' if ok else 'FAIL'}] {label}")
         failures += 0 if ok else 1
-    print(f"{failures} failures")
+    _say(f"{failures} failures")
     return EXIT_OK if failures == 0 else 1
 
 

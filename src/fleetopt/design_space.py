@@ -196,6 +196,14 @@ def _rows(values, space: DesignSpace) -> np.ndarray:
     return M
 
 
+def index_rows(designs, space: DesignSpace) -> np.ndarray:
+    """Index tuples as a matrix, checked like `design_at` checks one tuple."""
+    M = _rows(designs, space)
+    if np.any((M < 0) | (M > space._cells[0]) | (M != np.floor(M))):
+        raise InvalidDesignError("index matrix has an entry out of range")
+    return M.astype(int)
+
+
 def encode_rows(designs, space: DesignSpace) -> np.ndarray:
     """Cell-center coordinates in [0, 1]^(3S+1), one row per index row: index k
     of an n-choice axis maps to k/(n-1), or 0.5 for a singleton axis."""

@@ -2,7 +2,7 @@
 
 Analytic per-device cost models stand in for real latency/energy measurements,
 and a fixed deterministic function stands in for trained-network accuracy. A
-MeasurementLedger counts every oracle call; measurement counts are the currency
+MeasurementLedger counts every measurement; measurement counts are the currency
 every scalability claim in this package is stated in.
 
 Latency model (ms), stage index i from 0:
@@ -24,12 +24,13 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .design_space import DesignPoint, DesignSpace
+from .design_space import DesignPoint, DesignSpace, index_rows
 
 ACCURACY_MAX = 0.95
 ACCURACY_DROP = 0.35
@@ -241,14 +242,14 @@ class MeasurementLedger:
         return buf.getvalue()
 
 
-def _stage_terms(x: DesignPoint) -> list[tuple[float, float, int]]:
-    """(work_i, mem_i, depth_i) per stage; work halves per stage down the net."""
-    out = []
-    for i, s in enumerate(x.stages):
-        work = s.depth * s.width**2 * s.kernel**2 * 16.0 * 2.0**-i
-        mem = s.depth * s.width
-        out.append((work, mem, s.depth))
-    return out
+def _stage_term(i: int, depth: int, width: float, kernel: int) -> tuple[float, float, int, float]:
+    """(work, mem, depth, capacity) of stage i; work halves per stage down the net."""
+    return (depth * width**2 * kernel**2 * 16.0 * 2.0**-i, depth * width, depth,
+            depth * width * math.log(kernel))
+
+
+def _stage_terms(x: DesignPoint) -> list[tuple[float, float, int, float]]:
+    return [_stage_term(i, *s) for i, s in enumerate(x.stages)]
 
 
 def latency_value(x: DesignPoint, d: DeviceFeatures) -> float:
@@ -256,7 +257,7 @@ def latency_value(x: DesignPoint, d: DeviceFeatures) -> float:
     qs = d.speedup_for(x.bits)
     total = 0.0
     layers = 0
-    for work, mem, depth in _stage_terms(x):
+    for work, mem, depth, _ in _stage_terms(x):
         total += (work / (d.throughput * qs)) ** d.gamma + mem / d.bandwidth
         layers += depth
     return total + d.overhead * layers
@@ -264,7 +265,7 @@ def latency_value(x: DesignPoint, d: DeviceFeatures) -> float:
 
 def energy_value(x: DesignPoint, d: DeviceFeatures) -> float:
     qs = d.speedup_for(x.bits)
-    work_total = sum(w for w, _, _ in _stage_terms(x))
+    work_total = sum(w for w, _, _, _ in _stage_terms(x))
     return d.power_dynamic * work_total / qs + d.power_static * latency_value(x, d)
 
 
@@ -275,21 +276,48 @@ def _hash_noise(indices: tuple[int, ...]) -> float:
     return (2.0 * u - 1.0) * NOISE_AMPLITUDE
 
 
+def _accuracy(capacity: float, bits: int, indices: tuple[int, ...]) -> float:
+    if bits not in QUANT_PENALTY:
+        raise ValueError(f"no accuracy penalty defined for {bits}-bit")
+    base = ACCURACY_MAX - ACCURACY_DROP * math.exp(-CAPACITY_DECAY * capacity) - QUANT_PENALTY[bits]
+    return base + _hash_noise(indices)
+
+
 def accuracy_value(x: DesignPoint, space: DesignSpace) -> float:
     """Deterministic accuracy stand-in; the space fixes the index list the noise
     hash is keyed on."""
-    capacity = sum(s.depth * s.width * math.log(s.kernel) for s in x.stages)
-    penalty = QUANT_PENALTY.get(x.bits)
-    if penalty is None:
-        raise ValueError(f"no accuracy penalty defined for {x.bits}-bit")
-    base = ACCURACY_MAX - ACCURACY_DROP * math.exp(-CAPACITY_DECAY * capacity) - penalty
-    return base + _hash_noise(space.indices_of(x))
+    capacity = sum(c for _, _, _, c in _stage_terms(x))
+    return _accuracy(capacity, x.bits, space.indices_of(x))
+
+
+def _stage_sum(terms: np.ndarray) -> np.ndarray:
+    """Sums over the last (stage) axis in stage order, like sum(); accumulate never pairs."""
+    return np.add.accumulate(terms, axis=-1)[..., -1]
+
+
+def _latency_matrix(terms: np.ndarray, qs: np.ndarray, devices) -> np.ndarray:
+    """latency_value of n rows on D devices, (D, n), from the rows' stage terms
+    (n, S, 4) and speedups (D, n), one device at a time. numpy's + - * / round
+    like Python's; its SIMD power does not, so ** stays a Python pow."""
+    work, mem, layers = terms[..., 0], terms[..., 1], terms[..., 2].sum(axis=1)  # exact sum
+    out = np.empty(qs.shape)
+    for j, d in enumerate(devices):
+        ratio = work / (d.throughput * qs[j])[:, None]
+        powed = np.array([r ** d.gamma for r in ratio.ravel().tolist()]).reshape(ratio.shape)
+        out[j] = _stage_sum(powed + mem / d.bandwidth) + d.overhead * layers
+    return out
+
+
+def _energy_matrix(terms: np.ndarray, qs: np.ndarray, devices) -> np.ndarray:
+    dynamic, static = np.array(
+        [(d.power_dynamic, d.power_static) for d in devices]).reshape(-1, 2).T[..., None]
+    return dynamic * _stage_sum(terms[..., 0]) / qs + static * _latency_matrix(terms, qs, devices)
 
 
 class Oracle:
     """The measurement interface handed to everything downstream: one space, one
-    ledger, charged truth. Each call charges one measurement, then reads the
-    analytic value of the design's value view."""
+    ledger, charged truth. Each measurement charges the ledger once, then reads
+    the analytic value of one value view, or of index rows (bit-equal, batched)."""
 
     def __init__(self, space: DesignSpace, ledger: MeasurementLedger | None = None):
         self.space = space
@@ -307,6 +335,43 @@ class Oracle:
     def accuracy(self, x: DesignPoint) -> float:
         self.ledger.charge_accuracy()
         return accuracy_value(x, self.space)
+
+    def latency_rows(self, X, devices) -> np.ndarray:
+        """(n, D) latencies of the index rows X on each device."""
+        return self._measure_rows(X, devices, "latency", _latency_matrix)
+
+    def energy_rows(self, X, devices) -> np.ndarray:
+        """(n, D) energies of the index rows X on each device."""
+        return self._measure_rows(X, devices, "energy", _energy_matrix)
+
+    def accuracy_rows(self, X) -> np.ndarray:
+        """(n,) accuracies of the index rows X, keyed on the rows themselves."""
+        X = index_rows(X, self.space)
+        capacity = _stage_sum(self._row_terms(X)[..., 3]).tolist()
+        for _ in capacity:
+            self.ledger.charge_accuracy()
+        return np.array([_accuracy(c, self.space.bits_choices[row[-1]], tuple(row))
+                         for row, c in zip(X.tolist(), capacity)])
+
+    def _row_terms(self, X: np.ndarray) -> np.ndarray:
+        """The (n, S, 4) stage terms of a checked index matrix, gathered from a
+        table of _stage_term per stage and (depth, width, kernel) cell."""
+        sp = self.space
+        cells = itertools.product(sp.depth_choices, sp.width_choices, sp.kernel_choices)
+        table = np.array([[_stage_term(i, *c) for i in range(sp.num_stages)] for c in cells])
+        cell = (X[:, 0:-1:3] * len(sp.width_choices) + X[:, 1:-1:3]) * len(sp.kernel_choices)
+        return table[cell + X[:, 2:-1:3], np.arange(sp.num_stages)]
+
+    def _measure_rows(self, X, devices, metric: str, matrix) -> np.ndarray:
+        X = index_rows(X, self.space)
+        used, which = np.unique(X[:, -1], return_inverse=True)  # unused bits need no speedup
+        qs = np.array([[d.speedup_for(self.space.bits_choices[b]) for b in used.tolist()]
+                       for d in devices]).reshape(len(devices), len(used))[:, which]
+        values = matrix(self._row_terms(X), qs, devices).T
+        for d in devices:
+            for _ in range(len(X)):
+                self.ledger.charge(d.device_id, metric)
+        return values
 
 
 def _log_uniform(rng: np.random.Generator, lo: float, hi: float) -> float:

@@ -138,17 +138,12 @@ def _percentile_bounds(scenario: Scenario, fleet: Fleet) -> tuple[dict, Measurem
         probes = enumerate_all(space)
     else:
         probes = [sample_uniform(space, rng) for _ in range(128)]
-    probes = [space.design_at(x) for x in probes]  # converted once, measured per target
-    bounds: dict[str, ConstraintSpec] = {}
     targets = list(fleet.holdout_monotone) + list(fleet.holdout_adversarial)
-    for dev in targets:
-        lats = [cal_oracle.latency(x, dev) for x in probes]
-        lat_bound = float(np.percentile(lats, scenario.optimize.latency_percentile))
-        en_bound = None
-        if scenario.optimize.energy_percentile is not None:
-            ens = [cal_oracle.energy(x, dev) for x in probes]
-            en_bound = float(np.percentile(ens, scenario.optimize.energy_percentile))
-        bounds[dev.device_id] = ConstraintSpec(latency_bound=lat_bound, energy_bound=en_bound)
+    opt = scenario.optimize
+    lat = np.percentile(cal_oracle.latency_rows(probes, targets), opt.latency_percentile, axis=0)
+    en = [None] * len(targets) if opt.energy_percentile is None else np.percentile(
+        cal_oracle.energy_rows(probes, targets), opt.energy_percentile, axis=0).tolist()
+    bounds = {d.device_id: ConstraintSpec(b, e) for d, b, e in zip(targets, lat.tolist(), en)}
     return bounds, cal_ledger
 
 

@@ -414,7 +414,7 @@ def check_monotonicity(
     designs = [sample_uniform(space, rng) for _ in range(probe_count)]
     enc = np.stack([encode(x, space) for x in designs])
     predicted_lat = proxy_pred.predict_batch(enc)
-    actual = np.array([oracle.latency(space.design_at(x), target) for x in designs])
+    actual = oracle.latency_rows(designs, [target])[:, 0]
     rho = spearman(predicted_lat, actual)
     return MonotonicityReport(rho=rho, monotone=rho >= threshold, probe_count=probe_count)
 

@@ -258,7 +258,7 @@ def train_accuracy_predictor(
     space = oracle.space
     designs = _sample_designs(space, n_samples, rng)
     X = np.stack([encode(x, space) for x in designs])
-    y = np.array([oracle.accuracy(space.design_at(x)) for x in designs])
+    y = oracle.accuracy_rows(designs)
     return fit(
         X, y, layer_sizes, hyper, rng,
         metric="accuracy", device_tag="", takes_device=False, objective_scale=1.0,
@@ -279,11 +279,11 @@ def train_device_specific_predictor(
         raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
     if n_samples < 2:
         raise InsufficientDataError(f"need at least 2 samples, got {n_samples}")
-    measure = oracle.latency if metric == "latency" else oracle.energy
+    measure = oracle.latency_rows if metric == "latency" else oracle.energy_rows
     space = oracle.space
     designs = _sample_designs(space, n_samples, rng)
     X = np.stack([encode(x, space) for x in designs])
-    y = np.array([measure(space.design_at(x), d0) for x in designs])
+    y = measure(designs, [d0])[:, 0]
     return fit(
         X, y, layer_sizes, hyper, rng,
         metric=metric, device_tag=d0.device_id, takes_device=False,
@@ -383,11 +383,9 @@ def _measure_block(
     devices: tuple[DeviceFeatures, ...],
     oracle: Oracle,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    points = [oracle.space.design_at(x) for x in designs]
-    acc = np.array([oracle.accuracy(x) for x in points])
-    en = np.array([[oracle.energy(x, d) for d in devices] for x in points])
-    lat = np.array([[oracle.latency(x, d) for d in devices] for x in points])
-    return acc, en.reshape(len(designs), len(devices)), lat.reshape(len(designs), len(devices))
+    """Accuracy (n,), energy and latency (n, devices) of a design set."""
+    return (oracle.accuracy_rows(designs), oracle.energy_rows(designs, devices),
+            oracle.latency_rows(designs, devices))
 
 
 def train_stage1(

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from fleetopt.design_space import DesignPoint, StageChoice, enumerate_all, sample_uniform
+from fleetopt.design_space import (
+    DesignPoint,
+    DimensionMismatchError,
+    InvalidDesignError,
+    StageChoice,
+    enumerate_all,
+    sample_uniform,
+)
 from fleetopt.device_world import (
     ACCURACY_MAX,
     NOISE_AMPLITUDE,
@@ -248,3 +255,56 @@ def test_costs_strictly_increase_in_every_field(reduced, fleet):
                 y = reduced.design_at(idx[:axis] + (idx[axis] + 1,) + idx[axis + 1:])
                 assert latency_value(y, d) > latency_value(x, d)
                 assert energy_value(y, d) > energy_value(x, d)
+
+
+# --- row form ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("space_name, n", [("default", 6000), ("reduced", None)])
+def test_row_forms_equal_the_scalar_values_bit_for_bit(space_name, n, dspace, reduced):
+    # 17 devices: the proxy, hetero ones (gamma != 1), monotone and adversarial
+    # (inverted speedups); 6000 x 17 = 102k default-space pairs
+    space = dspace if space_name == "default" else reduced
+    devices = generate_fleet(FleetConfig(4, 4, 4, 4), np.random.default_rng(29)).all_devices()
+    assert len({d.gamma for d in devices}) > 2
+    rng = np.random.default_rng(31)
+    designs = enumerate_all(space) if n is None else [sample_uniform(space, rng) for _ in range(n)]
+    points = [space.design_at(x) for x in designs]
+    oracle = Oracle(space)
+    assert np.array_equal(oracle.latency_rows(designs, devices),
+                          [[latency_value(x, d) for d in devices] for x in points])
+    assert np.array_equal(oracle.energy_rows(designs, devices),
+                          [[energy_value(x, d) for d in devices] for x in points])
+    assert np.array_equal(oracle.accuracy_rows(designs),
+                          [accuracy_value(x, space) for x in points])
+
+
+def test_row_calls_charge_once_per_value_and_nothing_else(reduced):
+    devices = generate_fleet(FleetConfig(1, 0, 1, 1), np.random.default_rng(3)).all_devices()
+    designs = enumerate_all(reduced)[:10]
+    ledger = MeasurementLedger()
+    oracle = Oracle(reduced, ledger)
+    assert oracle.latency_rows(designs, devices).shape == (10, 4)
+    assert ledger.snapshot() == {
+        "accuracy": 0, "devices": {d.device_id: {"latency": 10} for d in devices}}
+    oracle.energy_rows(designs, devices[:1])
+    oracle.accuracy_rows(designs[:3])
+    assert ledger.count(devices[0].device_id, "energy") == 10
+    assert ledger.total("energy") == 10 and ledger.total("latency") == 40
+    assert ledger.accuracy_count == 3
+
+
+def test_row_calls_check_their_rows(reduced):
+    oracle = Oracle(reduced)
+    with pytest.raises(DimensionMismatchError):
+        oracle.latency_rows([(0,) * 6], [default_proxy()])
+    for bad in [(0,) * 6 + (2,), (0,) * 6 + (-1,), (0.5,) + (0,) * 6]:
+        with pytest.raises(InvalidDesignError):
+            oracle.accuracy_rows([bad])
+    assert oracle.ledger.snapshot() == {"accuracy": 0, "devices": {}}
+    # like the scalar form, only a bit-width a row uses needs a speedup
+    eight_only = device(quant_speedup={8: 2.0})
+    assert oracle.latency_rows([(0,) * 7], [eight_only])[0, 0] == latency_value(
+        reduced.design_at((0,) * 7), eight_only)
+    with pytest.raises(ValueError, match="32-bit"):
+        oracle.latency_rows([(0,) * 7, (0,) * 6 + (1,)], [eight_only])

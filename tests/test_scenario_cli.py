@@ -5,13 +5,25 @@ import os
 import re
 import shutil
 import subprocess
+import sys
 
+import numpy as np
 import pytest
 
+from fleetopt import device_world
 from fleetopt.cli import main
-from fleetopt.design_space import default_space
-from fleetopt.pipeline import RunReport, cost_accounting, export_report, run_scenario
+from fleetopt.design_space import default_space, enumerate_all
+from fleetopt.device_world import Oracle
+from fleetopt.pipeline import (
+    RunReport,
+    _percentile_bounds,
+    cost_accounting,
+    draw_fleet,
+    export_report,
+    run_scenario,
+)
 from fleetopt.scenario import ConfigError, load_scenario, scenario_from_dict
+from fleetopt.search import ConstraintSpec
 
 SMALL_PROXY = {
     "seed": 11,
@@ -261,6 +273,35 @@ def test_skip_training_repeats_decisions_without_training_cost(proxy_run):
         run_scenario(scenario, out_dir=None, skip_training=True)
 
 
+@pytest.mark.parametrize("energy_percentile", [None, 40.0], ids=["latency", "energy"])
+def test_calibration_measures_through_the_row_form(monkeypatch, energy_percentile):
+    doc = with_key(SMALL_PROXY, "fleet.n_holdout_monotone", 2)
+    doc["fleet"]["n_holdout_adversarial"] = 2
+    if energy_percentile is not None:
+        doc["optimize"]["energy_percentile"] = energy_percentile
+    scenario = scenario_from_dict(doc)
+    fleet = draw_fleet(scenario)
+    scalar_calls = []
+    latency_value = device_world.latency_value
+    monkeypatch.setattr(device_world, "latency_value",
+                        lambda x, d: scalar_calls.append(d) or latency_value(x, d))
+    bounds, cal_ledger = _percentile_bounds(scenario, fleet)
+    assert scalar_calls == []
+
+    # the scalar loop the row form replaced: 4 targets x 128 designs per metric
+    space = scenario.space
+    reference = Oracle(space)
+    points = [space.design_at(x) for x in enumerate_all(space)]
+    for dev in fleet.holdout_monotone + fleet.holdout_adversarial:
+        lat = float(np.percentile([reference.latency(x, dev) for x in points],
+                                  scenario.optimize.latency_percentile))
+        en = None if energy_percentile is None else float(
+            np.percentile([reference.energy(x, dev) for x in points], energy_percentile))
+        assert bounds[dev.device_id] == ConstraintSpec(lat, en)
+    assert len(scalar_calls) == (512 if energy_percentile is None else 1024)
+    assert cal_ledger.snapshot() == reference.ledger.snapshot()
+
+
 @pytest.mark.parametrize("doc", [SMALL_PROXY, SMALL_AMORTIZED], ids=["proxy", "amortized"])
 def test_skip_training_with_empty_dir_names_missing_file(tmp_path, doc):
     with pytest.raises(ConfigError, match=r"missing model file \(.*accuracy\.json\)"):
@@ -423,6 +464,31 @@ def test_cli_report_shows_what_each_verdict_rested_on(proxy_run, tmp_path, capsy
     assert "energy=" not in mono_line
     assert (f"latency={adv['measured_latency']:.4f}/{adv['latency_bound']:.4f}  "
             "energy=140.5000/38.5000  INFEASIBLE") in adv_line
+
+
+class ClosedPipe:
+    """A stdout whose reader has gone, as under `fleetopt report ... | head`."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+def test_closed_stdout_ends_quietly_with_the_command_exit_code(
+        proxy_run, tmp_path, capsys, monkeypatch):
+    _, report, out = proxy_run
+    with open(os.path.join(out, "report.json")) as f:
+        doc = json.load(f)
+    doc["infeasible_count"] = 1
+    (tmp_path / "report.json").write_text(json.dumps(doc))
+    for argv, code in [(["report", "--out", out], 3 if report.infeasible_count else 0),
+                       (["report", "--out", str(tmp_path)], 3),
+                       (["gen-fleet", "--seed", "3"], 0)]:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(argv) == code
+    assert capsys.readouterr().err == ""
 
 
 def test_module_entry_point():
