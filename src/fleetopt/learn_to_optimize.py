@@ -19,7 +19,7 @@ import numpy as np
 
 from .design_space import DesignSpace, decode, decode_rows, encode_rows
 from .device_world import DeviceFeatures, Oracle
-from .nn import DenseNet, l2_penalty, train
+from .nn import DenseNet, l2_penalty, stack, train, unstack
 from .search import ConstraintSpec
 from .surrogate import MlpRegressor, TradeoffWeights, TrainingSettings, device_embedding
 
@@ -118,21 +118,24 @@ def amortized_batch_gradient(
     The chain: optimizer forward gives x_hat per row; each predictor yields its
     value and d(value)/d(x_hat); the combined upstream gradient runs back
     through the optimizer. Returns (mean f_hat, weight grads, bias grads).
+    For a stacked optimizer the inputs are (K, b, .) stacks and the mean comes
+    back per member.
     """
-    b = Xn.shape[0]
+    b = Xn.shape[-2]
     xhat, cache = net.forward_cached(Xn)
-    acc_vals, d_acc = acc_model.batch_value_and_input_grad(xhat, -np.ones(b) / b)
-    dev_inputs = np.hstack([xhat, embeddings])
+    acc_vals, d_acc = acc_model.batch_value_and_input_grad(xhat, -np.ones(Xn.shape[:-1]) / b)
+    dev_inputs = np.concatenate([xhat, embeddings], axis=-1)
     s_e = energy_model.objective_scale
     s_l = latency_model.objective_scale
-    en_vals, d_en = energy_model.batch_value_and_input_grad(dev_inputs, lams[:, 0] / (s_e * b))
-    lat_vals, d_lat = latency_model.batch_value_and_input_grad(dev_inputs, lams[:, 1] / (s_l * b))
-    width = xhat.shape[1]
-    grad_xhat = d_acc + d_en[:, :width] + d_lat[:, :width]
-    f_mean = float(
-        np.mean(-acc_vals + lams[:, 0] * en_vals / s_e + lams[:, 1] * lat_vals / s_l)
-    )
-    wg, bg, _ = net.backward(cache, grad_xhat)
+    en_vals, d_en = energy_model.batch_value_and_input_grad(
+        dev_inputs, lams[..., 0] / (s_e * b))
+    lat_vals, d_lat = latency_model.batch_value_and_input_grad(
+        dev_inputs, lams[..., 1] / (s_l * b))
+    width = xhat.shape[-1]
+    grad_xhat = d_acc + d_en[..., :width] + d_lat[..., :width]
+    f = -acc_vals + lams[..., 0] * en_vals / s_e + lams[..., 1] * lat_vals / s_l
+    f_mean = np.array([np.mean(row) for row in f]) if net.stacked else float(np.mean(f))
+    wg, bg, _ = net.backward(cache, grad_xhat, inputs=False)
     return f_mean, wg, bg
 
 
@@ -177,28 +180,31 @@ def train_method2(
     Xn = (X - mean) / scale
     embeddings = np.stack([device_embedding(d) for d, _ in inputs])
     lams = np.stack([lam.as_array() for _, lam in inputs])
-    best = None
-    for seed in rng.integers(0, 2**63, size=restarts):
-        start_rng = np.random.default_rng(int(seed))
-        net = DenseNet([Xn.shape[1], *layer_sizes, acc_model.input_dim], start_rng,
-                       output_activation="logistic")
+    # The restarts share one shape, so they train as one stack, each member
+    # drawing from its own generator as it would alone.
+    seeds = rng.integers(0, 2**63, size=restarts)
+    start_rngs = [np.random.default_rng(int(seed)) for seed in seeds]
+    nets = [DenseNet([Xn.shape[1], *layer_sizes, acc_model.input_dim], r,
+                     output_activation="logistic") for r in start_rngs]
+    net = stack(nets) if restarts > 1 else nets[0]
 
-        def batch_loss_and_grad(idx, net=net):
-            f_mean, wg, bg = amortized_batch_gradient(
-                net, Xn[idx], embeddings[idx], lams[idx],
-                acc_model, energy_model, latency_model,
-            )
-            return f_mean * idx.size, wg, bg
+    def batch_loss_and_grad(idx):
+        f_mean, wg, bg = amortized_batch_gradient(
+            net, Xn[idx], embeddings[idx], lams[idx], acc_model, energy_model, latency_model,
+        )
+        return f_mean * idx.shape[-1], wg, bg
 
-        curve = train(net, Xn.shape[0], batch_loss_and_grad, hyper, start_rng, mu)
-        score = _amortized_objective(net, Xn, embeddings, lams, acc_model,
-                                     energy_model, latency_model, mu)
-        if best is None or score < best[0]:
-            best = (score, net, curve)
-    _, net, curve = best
-    return OptimizerNetwork(
-        net=net, in_mean=mean, in_scale=scale, final_loss=curve[-1], loss_curve=curve
-    )
+    curves = train(net, Xn.shape[0], batch_loss_and_grad, hyper,
+                   start_rngs if net.stacked else start_rngs[0], mu)
+    if net.stacked:
+        nets = unstack(net)
+    else:
+        nets, curves = [net], [curves]
+    scores = [_amortized_objective(m, Xn, embeddings, lams, acc_model, energy_model,
+                                   latency_model, mu) for m in nets]
+    best = min(range(restarts), key=scores.__getitem__)  # the first of equal scores
+    return OptimizerNetwork(net=nets[best], in_mean=mean, in_scale=scale,
+                            final_loss=curves[best][-1], loss_curve=curves[best])
 
 
 def infer_design(

@@ -7,16 +7,29 @@ output head is linear for regression or logistic when outputs must land in
 (0, 1). Everything is float64 numpy; gradients come in two flavors, weights
 (for training the net itself) and inputs (for training whatever feeds it).
 Every network in the package is trained by the one minibatch loop `train`.
+
+K nets of one shape can run as one stack (see `stack`): weights (K, fan_in,
+fan_out), batches (K, b, fan_in). The same forward, backward, optimizer step
+and `train` loop act on all K at once, and member k's numbers are bit for bit
+those it would have alone; only numpy's per-call cost is shared.
 """
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 
 
 def softplus(z: np.ndarray) -> np.ndarray:
-    # log(1 + e^z) computed from the negative side so large z cannot overflow
-    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+    # log(1 + e^z) computed from the negative side so large z cannot overflow;
+    # max(z, 0) + log1p(exp(-|z|)), worked in one buffer on the SGD hot path
+    out = np.abs(z)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    out += np.maximum(z, 0.0)
+    return out
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -64,17 +77,23 @@ class DenseNet:
         Y, _ = self.forward_cached(X)
         return Y
 
+    @property
+    def stacked(self) -> bool:
+        return self.weights[0].ndim == 3
+
     def forward_cached(self, X: np.ndarray):
         """Returns (output, cache) where cache holds the per-layer activations
-        needed by backward()."""
+        needed by backward(). X is (n, in) or a stack of batches (K, n, in);
+        a stacked net gives batch k to member k, a 2-D net takes every batch."""
         X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != self.input_dim:
+        if X.ndim not in (2, 3) or X.shape[-1] != self.input_dim:
             raise ValueError(f"expected shape (n, {self.input_dim}), got {X.shape}")
         activations = [X]
         last = len(self.weights) - 1
         a = X
         for i, (W, b) in enumerate(zip(self.weights, self.biases)):
-            z = a @ W + b
+            z = a @ W
+            z += b
             if i < last:
                 a = softplus(z)
             elif self.output_activation == "logistic":
@@ -84,8 +103,13 @@ class DenseNet:
             activations.append(a)
         return a, activations
 
-    def backward(self, activations: list[np.ndarray], grad_out: np.ndarray):
+    def backward(self, activations: list[np.ndarray], grad_out: np.ndarray,
+                 params: bool = True, inputs: bool = True):
         """Backprop dLoss/dOutput to (weight grads, bias grads, dLoss/dInput).
+
+        params=False skips the weight and bias grads (they come back empty),
+        inputs=False the input grad (None): a frozen net needs only the one,
+        a net being trained only the others.
 
         softplus' = sigmoid(z); both it and the logistic derivative a(1-a) are
         reconstructed from stored activations, so no pre-activations are kept.
@@ -93,6 +117,7 @@ class DenseNet:
         grad = np.asarray(grad_out, dtype=float)
         weight_grads = [np.empty(0)] * len(self.weights)
         bias_grads = [np.empty(0)] * len(self.biases)
+        stacked = self.stacked
         last = len(self.weights) - 1
         for i in range(last, -1, -1):
             a_out = activations[i + 1]
@@ -102,18 +127,19 @@ class DenseNet:
             else:
                 # invert softplus: a = log(1+e^z) => sigmoid(z) = 1 - e^(-a)
                 grad = grad * (1.0 - np.exp(-a_out))
-            a_in = activations[i]
-            weight_grads[i] = a_in.T @ grad
-            bias_grads[i] = grad.sum(axis=0)
-            grad = grad @ self.weights[i].T
-        return weight_grads, bias_grads, grad
+            if params:
+                weight_grads[i] = activations[i].swapaxes(-1, -2) @ grad
+                bias_grads[i] = grad.sum(axis=-2, keepdims=stacked)
+            if i or inputs:
+                grad = grad @ self.weights[i].swapaxes(-1, -2)
+        return weight_grads, bias_grads, grad if inputs else None
 
     def input_gradient(self, x: np.ndarray) -> np.ndarray:
         """d(scalar output)/d(input) for a single input row; output_dim must be 1."""
         if self.output_dim != 1:
             raise ValueError("input_gradient is defined for scalar-output nets")
         _, cache = self.forward_cached(np.atleast_2d(x))
-        _, _, grad_in = self.backward(cache, np.ones((1, 1)))
+        _, _, grad_in = self.backward(cache, np.ones((1, 1)), params=False)
         return grad_in[0]
 
     def parameter_vector(self) -> np.ndarray:
@@ -143,27 +169,56 @@ class DenseNet:
         }
 
     @classmethod
+    def _of(cls, layer_sizes, output_activation: str, weights, biases) -> "DenseNet":
+        net = object.__new__(cls)
+        net.layer_sizes = list(layer_sizes)
+        net.output_activation = output_activation
+        net.weights = [np.array(W, dtype=float) for W in weights]
+        net.biases = [np.array(b, dtype=float) for b in biases]
+        return net
+
+    @classmethod
     def from_dict(cls, d: dict) -> "DenseNet":
         """Inverse of to_dict; other keys are ignored, so a whole model file's
         document can be passed."""
-        net = object.__new__(cls)
-        net.layer_sizes = list(d["layer_sizes"])
-        net.output_activation = d["output_activation"]
-        net.weights = [np.array(W, dtype=float) for W in d["weights"]]
-        net.biases = [np.array(b, dtype=float) for b in d["biases"]]
-        return net
+        return cls._of(d["layer_sizes"], d["output_activation"], d["weights"], d["biases"])
 
     def copy(self) -> "DenseNet":
-        clone = object.__new__(DenseNet)
-        clone.layer_sizes = list(self.layer_sizes)
-        clone.output_activation = self.output_activation
-        clone.weights = [W.copy() for W in self.weights]
-        clone.biases = [b.copy() for b in self.biases]
-        return clone
+        return DenseNet._of(self.layer_sizes, self.output_activation, self.weights, self.biases)
+
+
+def stack(nets: list[DenseNet]) -> DenseNet:
+    """K nets of one shape as one net: weights[i] (K, fan_in, fan_out),
+    biases[i] (K, 1, fan_out). forward_cached takes (K, b, fan_in) batches,
+    batch k for member k, and backward, MomentumSgd and train step every
+    member at once; unstack gives the members back as ordinary nets."""
+    first = nets[0]
+    for net in nets:
+        if net.stacked or (net.layer_sizes, net.output_activation) != (
+                first.layer_sizes, first.output_activation):
+            raise ValueError("only 2-D nets of one shape and head can be stacked")
+    weights = [np.stack(layer) for layer in zip(*(net.weights for net in nets))]
+    biases = [np.stack(layer)[:, None, :] for layer in zip(*(net.biases for net in nets))]
+    return DenseNet._of(first.layer_sizes, first.output_activation, weights, biases)
+
+
+def unstack(net: DenseNet) -> list[DenseNet]:
+    """The members of a stacked net, each an independent 2-D net."""
+    return [
+        DenseNet._of(net.layer_sizes, net.output_activation,
+                     [W[k] for W in net.weights], [b[k, 0] for b in net.biases])
+        for k in range(net.weights[0].shape[0])
+    ]
 
 
 class MomentumSgd:
-    """Classic momentum: v <- m*v + g; p <- p - lr*v."""
+    """Classic momentum: v <- m*v + g; p <- p - lr*v.
+
+    The optimizer holds the net's weights and biases in one flat buffer and
+    rebinds net.weights[i] and net.biases[i] to views of it (same values), so
+    a step is four array operations however many layers there are. An array
+    put in the net's lists afterwards would not be stepped.
+    """
 
     def __init__(self, net: DenseNet, learning_rate: float, momentum: float):
         if learning_rate <= 0:
@@ -172,15 +227,22 @@ class MomentumSgd:
             raise ValueError("momentum must be in [0, 1)")
         self.learning_rate = learning_rate
         self.momentum = momentum
-        self._vw = [np.zeros_like(W) for W in net.weights]
-        self._vb = [np.zeros_like(b) for b in net.biases]
+        params = net.weights + net.biases
+        self._theta = np.concatenate([p.ravel() for p in params])
+        views, pos = [], 0
+        for p in params:
+            views.append(self._theta[pos : pos + p.size].reshape(p.shape))
+            pos += p.size
+        layers = len(net.weights)
+        net.weights[:], net.biases[:] = views[:layers], views[layers:]
+        self._velocity = np.zeros_like(self._theta)
 
     def step(self, net: DenseNet, weight_grads, bias_grads) -> None:
-        for i in range(len(net.weights)):
-            self._vw[i] = self.momentum * self._vw[i] + weight_grads[i]
-            self._vb[i] = self.momentum * self._vb[i] + bias_grads[i]
-            net.weights[i] -= self.learning_rate * self._vw[i]
-            net.biases[i] -= self.learning_rate * self._vb[i]
+        """One update of net, the net the optimizer was made for."""
+        grad = np.concatenate([g.ravel() for g in weight_grads + bias_grads])
+        self._velocity *= self.momentum
+        self._velocity += grad
+        self._theta -= self.learning_rate * self._velocity
 
 
 def l2_penalty(net: DenseNet, mu: float) -> float:
@@ -190,8 +252,17 @@ def l2_penalty(net: DenseNet, mu: float) -> float:
     return mu * float(sum(np.sum(W * W) for W in net.weights) + sum(b @ b for b in net.biases))
 
 
-def train(net: DenseNet, n: int, batch_loss_and_grad, hyper, rng: np.random.Generator,
-          mu: float = 0.0) -> list[float]:
+def fork_orders(rng: np.random.Generator, n: int, epochs: int) -> np.random.Generator:
+    """A copy of rng to draw train's epoch orders over n rows from, while rng
+    itself moves on past them: draws made from rng next are those that would
+    follow a train(..., rng) call, though the training has not happened yet."""
+    fork = copy.deepcopy(rng)
+    for _ in range(epochs):
+        rng.permutation(n)
+    return fork
+
+
+def train(net: DenseNet, n: int, batch_loss_and_grad, hyper, rng, mu: float = 0.0):
     """Minibatch momentum SGD over n rows; returns the per-epoch loss curve.
 
     hyper carries learning_rate, momentum, epochs and batch_size (a
@@ -200,15 +271,22 @@ def train(net: DenseNet, n: int, batch_loss_and_grad, hyper, rng: np.random.Gene
     rows idx and the weight and bias gradients of their mean loss; with mu > 0
     the gradient of mu * ||theta||^2 is added before each step. A curve entry
     is the epoch's mean row loss plus the penalty at the epoch's end.
+
+    For a stacked net, rng is one generator per member, idx is (K, b) (row
+    k from member k's order) and the loss a length-K sequence; one curve per
+    member comes back, each what training that member alone would give.
     """
     opt = MomentumSgd(net, hyper.learning_rate, hyper.momentum)
     batch = min(hyper.batch_size, n)
-    curve: list[float] = []
+    stacked = net.stacked
+    curves: list = []
     for _ in range(hyper.epochs):
-        order = rng.permutation(n)
-        loss_sum = 0.0
+        if stacked:
+            order, loss_sum = np.stack([r.permutation(n) for r in rng]), np.zeros(len(rng))
+        else:
+            order, loss_sum = rng.permutation(n), 0.0
         for start in range(0, n, batch):
-            idx = order[start : start + batch]
+            idx = order[..., start : start + batch]
             loss, wg, bg = batch_loss_and_grad(idx)
             loss_sum += loss
             if mu > 0:
@@ -216,5 +294,8 @@ def train(net: DenseNet, n: int, batch_loss_and_grad, hyper, rng: np.random.Gene
                     wg[i] += 2.0 * mu * net.weights[i]
                     bg[i] += 2.0 * mu * net.biases[i]
             opt.step(net, wg, bg)
-        curve.append(loss_sum / n + l2_penalty(net, mu))
-    return curve
+        if stacked:
+            curves.append([float(s) / n + l2_penalty(m, mu) for s, m in zip(loss_sum, unstack(net))])
+        else:
+            curves.append(loss_sum / n + l2_penalty(net, mu))
+    return [list(curve) for curve in zip(*curves)] if stacked else curves

@@ -45,9 +45,13 @@ from .proxy_reuse import (
 from .scenario import ConfigError, Scenario
 from .search import ConstraintSpec
 from .surrogate import (
+    accuracy_fit,
+    device_embedding,
+    device_specific_fit,
+    fit_lockstep,
     load_model,
     save_model,
-    train_accuracy_predictor,
+    train_accuracy_predictor,  # noqa: F401 -- bench/tracer.py wraps this binding
     train_device_specific_predictor,
     train_stage1,
     iterative_fit,
@@ -154,19 +158,36 @@ def _bounds_dict(bounds: dict) -> dict:
     }
 
 
-def _load_models(models_dir: str | None, names: list[str]) -> list:
-    """The models a training run persisted under models_dir, in names order."""
+def _load_models(models_dir: str | None, names: list[str], scenario: Scenario,
+                 fleet: Fleet) -> list:
+    """The models a training run persisted under models_dir, in names order,
+    each checked to fit the scenario's space: a predictor's inputs are the
+    design encoding (plus the device embedding if device-aware), an
+    optimizer's outputs the encoding."""
     if models_dir is None:
         raise ConfigError("skip-training needs an output directory with saved models")
+    encoding = scenario.space.encoding_width
+    embedding = device_embedding(fleet.proxy).size
     models = []
     for name in names:
         path = os.path.join(models_dir, name)
         try:
-            models.append((load_optimizer if name == "optimizer.json" else load_model)(path))
+            model = (load_optimizer if name == "optimizer.json" else load_model)(path)
         except FileNotFoundError:
             raise ConfigError(f"skip-training: missing model file ({path})") from None
         except (ValueError, KeyError) as e:  # truncated JSON, missing key, bad value
             raise ConfigError(f"skip-training: corrupt model file ({path}): {e!r}") from None
+        if isinstance(model, OptimizerNetwork):
+            width, expected, side = model.net.output_dim, encoding, "outputs"
+        else:
+            width, side = model.input_dim, "inputs"
+            expected = encoding + (embedding if model.takes_device else 0)
+        if width != expected:
+            raise ConfigError(
+                f"skip-training: model file ({path}) has {width} {side}, this scenario's "
+                f"space needs {expected}; it was trained for another space"
+            )
+        models.append(model)
     return models
 
 
@@ -187,9 +208,12 @@ def _proxy_reuse(scenario: Scenario, fleet: Fleet, oracle: Oracle):
         ]
 
     def train(rng) -> list:
-        return [train_accuracy_predictor(
-            scenario.samples_per_device, oracle, rng, scenario.hyper, scenario.hidden,
-        )] + device_models(fleet.proxy, rng)
+        # the proxy's fits share one shape, so they train as one stack
+        n, hyper, hidden = scenario.samples_per_device, scenario.hyper, scenario.hidden
+        return fit_lockstep([accuracy_fit(n, oracle, rng, hyper, hidden)] + [
+            device_specific_fit(metric, fleet.proxy, n, oracle, rng, hyper, hidden)
+            for metric in metrics
+        ])
 
     def solver(acc_model, *proxy_models):
         def entry_for(device, models) -> ProxyEntry:
@@ -337,7 +361,7 @@ def run_scenario(
     names, train, solver = approach(scenario, fleet, oracle)
     if skip_training:
         models_dir = os.path.join(out_dir, "models") if out_dir else None
-        models = _load_models(models_dir, names)
+        models = _load_models(models_dir, names, scenario, fleet)
     else:
         models = train(_phase_rng(scenario.seed, 1))
     solve = solver(*models)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .design_space import DesignSpace, DimensionMismatchError, encode, sample_uniform
 from .device_world import DeviceFeatures, Oracle
-from .nn import DenseNet, train
+from .nn import DenseNet, fork_orders, stack, train, unstack
 
 METRICS = ("latency", "energy")
 
@@ -118,14 +118,15 @@ class MlpRegressor:
         """Predictions plus d(sum_i out_coeff[i] * predict_i)/dX in one pass.
 
         The workhorse for training through a frozen predictor: out_coeff folds
-        whatever weight the outer loss puts on each row's prediction.
+        whatever weight the outer loss puts on each row's prediction. X may be
+        a stack of batches (K, b, in) with out_coeff (K, b).
         """
         X = np.asarray(X, dtype=float)
-        out_coeff = np.asarray(out_coeff, dtype=float).reshape(-1, 1)
+        out_coeff = np.asarray(out_coeff, dtype=float)[..., None]
         Xn = self._normalize(X)
         raw, cache = self.net.forward_cached(Xn)
-        values = self.out_mean + self.out_scale * raw[:, 0]
-        _, _, grad_in = self.net.backward(cache, out_coeff * self.out_scale)
+        values = self.out_mean + self.out_scale * raw[..., 0]
+        _, _, grad_in = self.net.backward(cache, out_coeff * self.out_scale, params=False)
         return values, grad_in / self.in_scale
 
     def parameter_vector(self) -> np.ndarray:
@@ -173,7 +174,21 @@ def load_model(path) -> MlpRegressor:
         return MlpRegressor.from_dict(json.load(f))
 
 
-def fit(
+@dataclass
+class PendingFit:
+    """A fit whose random draws are all made but whose SGD steps are not:
+    the model with its normalizers, tags and initialized net, the standardized
+    data, and the generator its epoch orders come from. fit_lockstep trains
+    it."""
+
+    model: MlpRegressor
+    Xn: np.ndarray
+    yn: np.ndarray
+    hyper: TrainingSettings
+    orders: np.random.Generator | None  # None: constant labels, no steps
+
+
+def prepare_fit(
     inputs: np.ndarray,
     labels: np.ndarray,
     layer_sizes: tuple[int, ...],
@@ -184,12 +199,11 @@ def fit(
     device_tag: str = "",
     takes_device: bool = False,
     objective_scale: float | None = None,
-) -> MlpRegressor:
-    """Mini-batch SGD with momentum on standardized data, fixed epoch budget.
-
-    layer_sizes are the hidden widths. Zero-variance labels short-circuit to a
-    constant predictor with constant_warning set (loss is exactly 0 there).
-    """
+) -> PendingFit:
+    """Everything fit does before its SGD steps, with the same draws from rng:
+    the net's init, then the epoch orders, which a fork of rng keeps for the
+    training while rng moves past them. So fits prepared one after another
+    leave rng as fitting them one after another would."""
     X = np.atleast_2d(np.asarray(inputs, dtype=float))
     y = np.asarray(labels, dtype=float).reshape(-1)
     if X.shape[0] != y.shape[0]:
@@ -211,20 +225,10 @@ def fit(
         # Nothing to learn; zero the output layer so the head is exactly the mean.
         net.weights[-1][:] = 0.0
         net.biases[-1][:] = 0.0
-        out_std, curve = 1.0, [0.0]
+        out_std, orders = 1.0, None
     else:
-        Xn = (X - in_mean) / in_scale
-        yn = (y - out_mean) / out_std
-
-        def batch_loss_and_grad(idx):
-            pred, cache = net.forward_cached(Xn[idx])
-            err = pred[:, 0] - yn[idx]
-            wg, bg, _ = net.backward(cache, (2.0 * err / idx.size)[:, None])
-            return float(err @ err), wg, bg
-
-        curve = train(net, X.shape[0], batch_loss_and_grad, hyper, rng)
-
-    return MlpRegressor(
+        orders = fork_orders(rng, X.shape[0], hyper.epochs)
+    model = MlpRegressor(
         net=net,
         in_mean=in_mean,
         in_scale=in_scale,
@@ -235,13 +239,103 @@ def fit(
         takes_device=takes_device,
         objective_scale=1.0 if objective_scale is None else float(objective_scale),
         constant_warning=constant,
-        final_loss=curve[-1],
-        loss_curve=curve,
+        final_loss=0.0,
+        loss_curve=[0.0],
     )
+    return PendingFit(model, (X - in_mean) / in_scale, (y - out_mean) / out_std, hyper, orders)
+
+
+def fit_lockstep(pending: list[PendingFit]) -> list[MlpRegressor]:
+    """Train prepared fits of one input shape and hyper as one stacked net;
+    the models are those of fitting each alone. Constant-label fits take no
+    steps and stay out of the stack."""
+    live = [p for p in pending if p.orders is not None]
+    if not live:
+        return [p.model for p in pending]
+    first = live[0]
+    if any(p.Xn.shape != first.Xn.shape or p.hyper != first.hyper for p in live):
+        raise ValueError("lockstep fits need one input shape and one TrainingSettings")
+    n = first.Xn.shape[0]
+    if len(live) == 1:
+        net, X, y, orders = first.model.net, first.Xn, first.yn, first.orders
+    else:
+        net = stack([p.model.net for p in live])
+        X = np.concatenate([p.Xn for p in live])
+        y = np.concatenate([p.yn for p in live])
+        offsets = (np.arange(len(live)) * n)[:, None]  # member k's rows start at k * n
+        orders = [p.orders for p in live]
+
+    def batch_loss_and_grad(idx):
+        rows = idx + offsets if net.stacked else idx
+        pred, cache = net.forward_cached(X[rows])
+        err = pred[..., 0] - y[rows]
+        wg, bg, _ = net.backward(cache, (2.0 * err / idx.shape[-1])[..., None], inputs=False)
+        loss = [float(e @ e) for e in err] if net.stacked else float(err @ err)
+        return loss, wg, bg
+
+    curves = train(net, n, batch_loss_and_grad, first.hyper, orders)
+    if net.stacked:
+        nets = unstack(net)
+    else:
+        nets, curves = [net], [curves]
+    for p, trained, curve in zip(live, nets, curves):
+        p.model.net, p.model.loss_curve, p.model.final_loss = trained, curve, curve[-1]
+    return [p.model for p in pending]
+
+
+def fit(
+    inputs: np.ndarray,
+    labels: np.ndarray,
+    layer_sizes: tuple[int, ...],
+    hyper: TrainingSettings,
+    rng: np.random.Generator,
+    *,
+    metric: str = "",
+    device_tag: str = "",
+    takes_device: bool = False,
+    objective_scale: float | None = None,
+) -> MlpRegressor:
+    """Mini-batch SGD with momentum on standardized data, fixed epoch budget.
+
+    layer_sizes are the hidden widths. Zero-variance labels short-circuit to a
+    constant predictor with constant_warning set (loss is exactly 0 there).
+    """
+    return fit_lockstep([prepare_fit(
+        inputs, labels, layer_sizes, hyper, rng, metric=metric, device_tag=device_tag,
+        takes_device=takes_device, objective_scale=objective_scale,
+    )])[0]
 
 
 def _sample_designs(space: DesignSpace, n: int, rng: np.random.Generator) -> list[tuple[int, ...]]:
     return [sample_uniform(space, rng) for _ in range(n)]
+
+
+def _accuracy_set(n_samples: int, oracle: Oracle, rng: np.random.Generator):
+    """Inputs, labels and fit tags of an accuracy predictor's training set."""
+    if n_samples < 2:
+        raise InsufficientDataError(f"need at least 2 samples, got {n_samples}")
+    space = oracle.space
+    designs = _sample_designs(space, n_samples, rng)
+    X = np.stack([encode(x, space) for x in designs])
+    y = oracle.accuracy_rows(designs)
+    return X, y, {"metric": "accuracy", "device_tag": "", "takes_device": False,
+                  "objective_scale": 1.0}
+
+
+def _device_specific_set(metric: str, d0: DeviceFeatures, n_samples: int, oracle: Oracle,
+                         rng: np.random.Generator):
+    """Inputs, labels and fit tags of one metric's predictor on device d0."""
+    if metric not in METRICS:
+        raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
+    if n_samples < 2:
+        raise InsufficientDataError(f"need at least 2 samples, got {n_samples}")
+    measure = oracle.latency_rows if metric == "latency" else oracle.energy_rows
+    space = oracle.space
+    designs = _sample_designs(space, n_samples, rng)
+    X = np.stack([encode(x, space) for x in designs])
+    y = measure(designs, [d0])[:, 0]
+    return X, y, {"metric": metric, "device_tag": d0.device_id, "takes_device": False,
+                  "objective_scale": float(np.median(y))}
 
 
 def train_accuracy_predictor(
@@ -253,16 +347,8 @@ def train_accuracy_predictor(
 ) -> MlpRegressor:
     """Accuracy over encoded designs only; accuracy is device-independent so the
     input never includes device features."""
-    if n_samples < 2:
-        raise InsufficientDataError(f"need at least 2 samples, got {n_samples}")
-    space = oracle.space
-    designs = _sample_designs(space, n_samples, rng)
-    X = np.stack([encode(x, space) for x in designs])
-    y = oracle.accuracy_rows(designs)
-    return fit(
-        X, y, layer_sizes, hyper, rng,
-        metric="accuracy", device_tag="", takes_device=False, objective_scale=1.0,
-    )
+    X, y, tags = _accuracy_set(n_samples, oracle, rng)
+    return fit(X, y, layer_sizes, hyper, rng, **tags)
 
 
 def train_device_specific_predictor(
@@ -275,20 +361,23 @@ def train_device_specific_predictor(
     layer_sizes: tuple[int, ...] = DEFAULT_HIDDEN,
 ) -> MlpRegressor:
     """Latency or energy on one fixed device (the proxy workflow)."""
-    if metric not in METRICS:
-        raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
-    if n_samples < 2:
-        raise InsufficientDataError(f"need at least 2 samples, got {n_samples}")
-    measure = oracle.latency_rows if metric == "latency" else oracle.energy_rows
-    space = oracle.space
-    designs = _sample_designs(space, n_samples, rng)
-    X = np.stack([encode(x, space) for x in designs])
-    y = measure(designs, [d0])[:, 0]
-    return fit(
-        X, y, layer_sizes, hyper, rng,
-        metric=metric, device_tag=d0.device_id, takes_device=False,
-        objective_scale=float(np.median(y)),
-    )
+    X, y, tags = _device_specific_set(metric, d0, n_samples, oracle, rng)
+    return fit(X, y, layer_sizes, hyper, rng, **tags)
+
+
+def accuracy_fit(n_samples: int, oracle: Oracle, rng: np.random.Generator,
+                 hyper: TrainingSettings, layer_sizes: tuple[int, ...]) -> PendingFit:
+    """train_accuracy_predictor up to its SGD steps (see prepare_fit)."""
+    X, y, tags = _accuracy_set(n_samples, oracle, rng)
+    return prepare_fit(X, y, layer_sizes, hyper, rng, **tags)
+
+
+def device_specific_fit(metric: str, d0: DeviceFeatures, n_samples: int, oracle: Oracle,
+                        rng: np.random.Generator, hyper: TrainingSettings,
+                        layer_sizes: tuple[int, ...]) -> PendingFit:
+    """train_device_specific_predictor up to its SGD steps (see prepare_fit)."""
+    X, y, tags = _device_specific_set(metric, d0, n_samples, oracle, rng)
+    return prepare_fit(X, y, layer_sizes, hyper, rng, **tags)
 
 
 def model_input(model: MlpRegressor, x_enc: np.ndarray, d: DeviceFeatures | None) -> np.ndarray:
@@ -365,16 +454,18 @@ def _fit_bundle_models(
     # column-major flatten matches the row construction order (device outer)
     y_en = energy_labels.T.reshape(-1)
     y_lat = latency_labels.T.reshape(-1)
-    energy = fit(
-        X_dev, y_en, layer_sizes, hyper, rng,
-        metric="energy", device_tag="fleet", takes_device=True,
-        objective_scale=float(np.median(y_en)),
-    )
-    latency = fit(
-        X_dev, y_lat, layer_sizes, hyper, rng,
-        metric="latency", device_tag="fleet", takes_device=True,
-        objective_scale=float(np.median(y_lat)),
-    )
+    energy, latency = fit_lockstep([
+        prepare_fit(
+            X_dev, y_en, layer_sizes, hyper, rng,
+            metric="energy", device_tag="fleet", takes_device=True,
+            objective_scale=float(np.median(y_en)),
+        ),
+        prepare_fit(
+            X_dev, y_lat, layer_sizes, hyper, rng,
+            metric="latency", device_tag="fleet", takes_device=True,
+            objective_scale=float(np.median(y_lat)),
+        ),
+    ])
     return acc, energy, latency
 
 

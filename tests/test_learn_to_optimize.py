@@ -1,9 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 
 from fleetopt.design_space import encode, enumerate_all
 from fleetopt.device_world import MeasurementLedger, Oracle
 from fleetopt.learn_to_optimize import (
+    OptimizerNetwork,
+    _amortized_objective,
     amortized_batch_gradient,
     build_lambda_grid,
     constraint_sweep,
@@ -13,6 +17,7 @@ from fleetopt.learn_to_optimize import (
     save_optimizer,
     train_method2,
 )
+from fleetopt.nn import DenseNet, train
 from fleetopt.search import ConstraintSpec, brute_force_argmin
 from fleetopt.surrogate import (
     TradeoffWeights,
@@ -366,3 +371,71 @@ def test_sweep_matches_the_one_lambda_path(method2_small, small_bundle, fleet, r
             outcomes.add(result.feasible)
     # the bounds reach both the most-accurate-feasible and the least-violation choice
     assert outcomes == {True, False}
+
+
+# --- restarts in lockstep ----------------------------------------------------
+
+
+def sequential_method2(inputs, bundle, layer_sizes, hyper, mu, rng, restarts):
+    """train_method2 with its restarts trained one after another, each a 2-D
+    net: the reference the stacked restarts must reproduce bit for bit."""
+    X = np.stack([optimizer_input(d, lam) for d, lam in inputs])
+    mean, std = X.mean(axis=0), X.std(axis=0)
+    scale = np.where(std < 1e-12, 1.0, std)
+    Xn = (X - mean) / scale
+    embeddings = np.stack([device_embedding(d) for d, _ in inputs])
+    lams = np.stack([lam.as_array() for _, lam in inputs])
+    models = bundle.accuracy, bundle.energy, bundle.latency
+    best = None
+    for seed in rng.integers(0, 2**63, size=restarts):
+        start_rng = np.random.default_rng(int(seed))
+        net = DenseNet([Xn.shape[1], *layer_sizes, bundle.accuracy.input_dim], start_rng,
+                       output_activation="logistic")
+
+        def batch_loss_and_grad(idx, net=net):
+            f_mean, wg, bg = amortized_batch_gradient(net, Xn[idx], embeddings[idx],
+                                                      lams[idx], *models)
+            return f_mean * idx.size, wg, bg
+
+        curve = train(net, Xn.shape[0], batch_loss_and_grad, hyper, start_rng, mu)
+        score = _amortized_objective(net, Xn, embeddings, lams, *models, mu)
+        if best is None or score < best[0]:
+            best = (score, net, curve)
+    _, net, curve = best
+    return OptimizerNetwork(net=net, in_mean=mean, in_scale=scale, final_loss=curve[-1],
+                            loss_curve=curve)
+
+
+@pytest.mark.parametrize("restarts", [1, 3])
+def test_restarts_in_lockstep_write_the_sequential_bytes(small_bundle, fleet, restarts):
+    # 24 rows in batches of 10: a ragged last batch of 4 every epoch
+    inputs = [(d, lam) for d in fleet.training_real[:2] for lam in build_lambda_grid(4, 1.0)]
+    inputs = inputs[:24]
+    hyper = TrainingSettings(epochs=4, learning_rate=0.02, batch_size=10)
+    a, b = np.random.default_rng(90), np.random.default_rng(90)
+    got = train_method2(inputs, *small_bundle.models(), (12, 12), hyper, 1e-3, a, restarts)
+    want = sequential_method2(inputs, small_bundle, (12, 12), hyper, 1e-3, b, restarts)
+    assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+    assert got.loss_curve == want.loss_curve
+    assert a.bit_generator.state == b.bit_generator.state
+
+
+def test_restarts_in_lockstep_make_four_forward_passes_per_step(small_bundle, fleet,
+                                                                 monkeypatch):
+    # one optimizer forward and one per frozen predictor per lockstep step, then
+    # each restart's exact objective: the benchmark's slice clock counts these
+    calls = []
+    original = DenseNet.forward_cached
+
+    def counted(net, X):
+        calls.append(np.shape(X))
+        return original(net, X)
+
+    monkeypatch.setattr(DenseNet, "forward_cached", counted)
+    inputs = [(d, lam) for d in fleet.training_real[:2] for lam in build_lambda_grid(3, 1.0)]
+    hyper = TrainingSettings(epochs=5, batch_size=8)
+    train_method2(inputs, *small_bundle.models(), (12,), hyper, 0.0,
+                  np.random.default_rng(91), restarts=3)
+    steps = hyper.epochs * 3  # 18 rows in batches of 8, 8, 2
+    assert len(calls) == 4 * steps + 4 * 3
+    assert all(shape[0] == 3 for shape in calls[:4 * steps])

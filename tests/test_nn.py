@@ -3,12 +3,26 @@ import json
 import numpy as np
 import pytest
 
-from fleetopt.nn import DenseNet, MomentumSgd, l2_penalty, sigmoid, softplus, train
+from fleetopt.nn import (
+    DenseNet,
+    MomentumSgd,
+    fork_orders,
+    l2_penalty,
+    sigmoid,
+    softplus,
+    stack,
+    train,
+    unstack,
+)
 from fleetopt.surrogate import TrainingSettings
 
 
 def rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def _bits(arrays) -> list[bytes]:
+    return [np.ascontiguousarray(a).tobytes() for a in arrays]
 
 
 def test_softplus_matches_reference():
@@ -164,6 +178,24 @@ def test_momentum_sgd_validation_and_step():
     np.testing.assert_allclose(net.biases[0], [-0.3 - 0.45])
 
 
+@pytest.mark.parametrize("shape", [[5, 7, 3], [5, 7, 4, 1]])
+def test_momentum_step_is_the_per_array_formula_bit_for_bit(shape):
+    # the optimizer steps one flat buffer; each array must move as
+    # v <- m*v + g; p <- p - lr*v would move it on its own
+    net = DenseNet(shape, rng(18))
+    params = [p.copy() for p in net.weights + net.biases]
+    opt = MomentumSgd(net, 0.05, 0.9)
+    velocity = [np.zeros_like(p) for p in params]
+    draws = rng(19)
+    for _ in range(4):
+        grads = [draws.normal(size=p.shape) for p in params]
+        opt.step(net, grads[:len(net.weights)], grads[len(net.weights):])
+        for i, g in enumerate(grads):
+            velocity[i] = 0.9 * velocity[i] + g
+            params[i] -= 0.05 * velocity[i]
+        assert _bits(net.weights + net.biases) == _bits(params)
+
+
 def test_training_shrinks_loss_on_tiny_regression():
     net = DenseNet([1, 8, 1], rng(12))
     X = np.linspace(-1, 1, 32)[:, None]
@@ -233,3 +265,107 @@ def test_train_is_shuffled_minibatch_momentum_sgd(mu):
     np.testing.assert_allclose(net.parameter_vector(), ref.parameter_vector(), rtol=1e-12)
     np.testing.assert_allclose(curve, expected, rtol=1e-12)
     assert curve[-1] < curve[0]
+
+
+# --- stacks: K nets of one shape stepped as one ----------------------------
+
+
+@pytest.mark.parametrize("activation", ["linear", "logistic"])
+@pytest.mark.parametrize("rows", [32, 20, 1], ids=["full", "ragged", "one-row"])
+@pytest.mark.parametrize("mu", [0.0, 1e-2])
+def test_stacked_step_equals_member_steps_bit_for_bit(activation, rows, mu):
+    members = [DenseNet([9, 16, 12, 3], rng(20 + k), output_activation=activation)
+               for k in range(3)]
+    net = stack(members)
+    X = rng(30).normal(size=(3, rows, 9))
+    G = rng(31).normal(size=(3, rows, 3))
+    opt = MomentumSgd(net, 0.05, 0.9)
+    opts = [MomentumSgd(m, 0.05, 0.9) for m in members]
+    for _ in range(3):  # momentum carries over between steps
+        out, cache = net.forward_cached(X)
+        wg, bg, grad_in = net.backward(cache, G * out)
+        for k, m in enumerate(members):
+            out_k, cache_k = m.forward_cached(X[k])
+            wg_k, bg_k, grad_in_k = m.backward(cache_k, G[k] * out_k)
+            assert _bits([out[k], grad_in[k]]) == _bits([out_k, grad_in_k])
+            assert _bits([g[k] for g in wg]) == _bits(wg_k)
+            assert _bits([g[k, 0] for g in bg]) == _bits(bg_k)
+            wg_k = [g + 2.0 * mu * W for g, W in zip(wg_k, m.weights)]
+            bg_k = [g + 2.0 * mu * b for g, b in zip(bg_k, m.biases)]
+            opts[k].step(m, wg_k, bg_k)
+        for i in range(len(wg)):
+            wg[i] += 2.0 * mu * net.weights[i]
+            bg[i] += 2.0 * mu * net.biases[i]
+        opt.step(net, wg, bg)
+    for got, want in zip(unstack(net), members):
+        assert _bits(got.weights + got.biases) == _bits(want.weights + want.biases)
+        assert l2_penalty(got, mu) == l2_penalty(want, mu)
+
+
+def test_frozen_net_takes_a_stack_of_batches():
+    net = DenseNet([5, 8, 1], rng(40))
+    X = rng(41).normal(size=(3, 7, 5))
+    out, cache = net.forward_cached(X)
+    w, b, grad_in = net.backward(cache, np.ones_like(out), params=False)
+    assert all(g.size == 0 for g in w + b)
+    for k in range(3):
+        out_k, cache_k = net.forward_cached(X[k])
+        _, _, grad_k = net.backward(cache_k, np.ones_like(out_k))
+        assert _bits([out[k], grad_in[k]]) == _bits([out_k, grad_k])
+
+
+def test_backward_can_skip_the_input_gradient():
+    net = DenseNet([4, 6, 1], rng(42))
+    out, cache = net.forward_cached(rng(43).normal(size=(5, 4)))
+    wg, bg, grad_in = net.backward(cache, out)
+    wg2, bg2, none = net.backward(cache, out, inputs=False)
+    assert none is None
+    assert _bits(wg + bg) == _bits(wg2 + bg2)
+
+
+def test_stack_rejects_mixed_shapes_and_heads():
+    with pytest.raises(ValueError):
+        stack([DenseNet([3, 4, 1], rng()), DenseNet([3, 5, 1], rng())])
+    with pytest.raises(ValueError):
+        stack([DenseNet([3, 4, 1], rng()), DenseNet([3, 4, 1], rng(), "logistic")])
+    pair = stack([DenseNet([3, 4, 1], rng()), DenseNet([3, 4, 1], rng(1))])
+    with pytest.raises(ValueError):
+        stack([pair, pair])
+
+
+def test_fork_orders_replays_the_draws_train_would_make():
+    a, b = rng(50), rng(50)
+    fork = fork_orders(a, 13, 4)
+    for _ in range(4):
+        np.testing.assert_array_equal(fork.permutation(13), b.permutation(13))
+    assert a.bit_generator.state == b.bit_generator.state
+    assert fork.bit_generator.state == b.bit_generator.state
+
+
+@pytest.mark.parametrize("mu", [0.0, 1e-2])
+@pytest.mark.parametrize("activation", ["linear", "logistic"])
+def test_train_on_a_stack_equals_member_trains(mu, activation):
+    # 11 rows in batches of 4: a ragged last batch of 3 every epoch
+    n, hyper = 11, TrainingSettings(learning_rate=0.05, momentum=0.9, epochs=25, batch_size=4)
+    X = rng(60).normal(size=(n, 3))
+    Y = rng(61).normal(size=(3, n))
+    members = [DenseNet([3, 6, 1], rng(62 + k), output_activation=activation) for k in range(3)]
+    net = stack([m.copy() for m in members])
+
+    def stacked_loss_and_grad(idx):
+        out, cache = net.forward_cached(X[idx])
+        err = out[..., 0] - np.take_along_axis(Y, idx, axis=1)
+        wg, bg, _ = net.backward(cache, (2.0 * err / idx.shape[-1])[..., None])
+        return [float(e @ e) for e in err], wg, bg
+
+    curves = train(net, n, stacked_loss_and_grad, hyper, [rng(70 + k) for k in range(3)], mu)
+    for k, (member, trained) in enumerate(zip(members, unstack(net))):
+        def loss_and_grad(idx, member=member, y=Y[k]):
+            out, cache = member.forward_cached(X[idx])
+            err = out[:, 0] - y[idx]
+            wg, bg, _ = member.backward(cache, (2.0 * err / idx.size)[:, None])
+            return float(err @ err), wg, bg
+
+        curve = train(member, n, loss_and_grad, hyper, rng(70 + k), mu)
+        assert curves[k] == curve
+        assert _bits(trained.weights + trained.biases) == _bits(member.weights + member.biases)

@@ -320,6 +320,43 @@ def test_skip_training_with_corrupt_model_file_exits_2(proxy_run, tmp_path, caps
     assert re.search(r"corrupt model file \(.*latency_proxy\.json\)", err), err
 
 
+@pytest.mark.parametrize("doc", [SMALL_PROXY, SMALL_AMORTIZED], ids=["proxy", "amortized"])
+def test_skip_training_with_models_of_another_space_exits_2(tmp_path, capsys, doc):
+    doc = with_key(doc, "predictor.epochs", 2)
+    doc["optimize"]["optimizer_epochs"] = 2
+    out = str(tmp_path / "run")
+    assert main(["train-predictors", "--config", write_config(tmp_path, doc), "--out", out]) == 0
+    other = write_config(tmp_path, dict(doc, space="default"), "default.json")
+    capsys.readouterr()
+    assert main(["optimize", "--config", other, "--out", out, "--skip-training"]) == 2
+    err = capsys.readouterr().err
+    # the first file is the accuracy predictor: 7 encoded inputs, 13 in the default space
+    assert re.search(r"model file \(.*accuracy\.json\) has 7 inputs.* needs 13", err), err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name, field, side", [
+    ("latency_fleet.json", "layer_sizes", "inputs"),
+    ("optimizer.json", "layer_sizes", "outputs"),
+])
+def test_skip_training_checks_device_aware_and_optimizer_widths(tmp_path, capsys, name, field,
+                                                                side):
+    doc = with_key(SMALL_AMORTIZED, "predictor.epochs", 2)
+    doc["optimize"]["optimizer_epochs"] = 2
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path, doc)
+    assert main(["train-predictors", "--config", cfg, "--out", str(out)]) == 0
+    path = out / "models" / name
+    model = json.loads(path.read_text())
+    end = 0 if side == "inputs" else -1
+    model[field][end] -= 1  # a net one column short of this scenario's width
+    path.write_text(json.dumps(model))
+    capsys.readouterr()
+    assert main(["optimize", "--config", cfg, "--out", str(out), "--skip-training"]) == 2
+    err = capsys.readouterr().err
+    assert re.search(rf"model file \(.*{re.escape(name)}\) has \d+ {side}", err), err
+
+
 def test_export_rolls_back_on_failure(tmp_path):
     report = RunReport(
         scenario={}, fleet={}, bounds={}, rows=[], stage_counts={"per_target": {}},

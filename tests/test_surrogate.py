@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -16,7 +17,10 @@ from fleetopt.device_world import (
     accuracy_value,
     latency_value,
 )
-from fleetopt.nn import DenseNet
+from fleetopt import pipeline
+from fleetopt.nn import DenseNet, train
+from fleetopt.pipeline import draw_fleet
+from fleetopt.scenario import scenario_from_dict
 from fleetopt.surrogate import (
     InsufficientDataError,
     MlpRegressor,
@@ -24,9 +28,11 @@ from fleetopt.surrogate import (
     TrainingSettings,
     device_embedding,
     fit,
+    fit_lockstep,
     iterative_fit,
     load_model,
     predicted_objective,
+    prepare_fit,
     save_model,
     train_accuracy_predictor,
     train_device_specific_predictor,
@@ -383,3 +389,158 @@ def test_more_exploration_rounds_reduce_held_out_error(fleet, reduced):
         one.append(held_err(b1))
         four.append(held_err(b4))
     assert float(np.median(four)) <= float(np.median(one))
+
+
+# --- lockstep fits: the bytes of fitting one after another -----------------
+
+TINY = TrainingSettings(epochs=6, batch_size=16)
+
+
+def reference_fit(X, y, layer_sizes, hyper, rng, **tags):
+    """fit as one loop over one net, drawing its epoch orders from rng as it
+    trains: the reference the lockstep paths must reproduce bit for bit."""
+    in_mean, in_std = X.mean(axis=0), X.std(axis=0)
+    in_scale = np.where(in_std < 1e-12, 1.0, in_std)
+    out_mean, out_std = float(y.mean()), float(y.std())
+    net = DenseNet([X.shape[1], *layer_sizes, 1], rng)
+    constant = out_std < 1e-12
+    if constant:
+        net.weights[-1][:] = 0.0
+        net.biases[-1][:] = 0.0
+        out_std, curve = 1.0, [0.0]
+    else:
+        Xn, yn = (X - in_mean) / in_scale, (y - out_mean) / out_std
+
+        def batch_loss_and_grad(idx):
+            pred, cache = net.forward_cached(Xn[idx])
+            err = pred[:, 0] - yn[idx]
+            wg, bg, _ = net.backward(cache, (2.0 * err / idx.size)[:, None])
+            return float(err @ err), wg, bg
+
+        curve = train(net, X.shape[0], batch_loss_and_grad, hyper, rng)
+    return MlpRegressor(net=net, in_mean=in_mean, in_scale=in_scale, out_mean=out_mean,
+                        out_scale=out_std, constant_warning=constant, final_loss=curve[-1],
+                        loss_curve=curve, **tags)
+
+
+def model_bytes(models) -> list[str]:
+    return [json.dumps(m.to_dict()) for m in models]
+
+
+def test_fit_writes_the_reference_bytes():
+    X = np.random.default_rng(80).normal(size=(37, 5))
+    for y in (X @ np.arange(5.0), np.full(37, 2.5)):
+        a, b = np.random.default_rng(81), np.random.default_rng(81)
+        got = fit(X, y, (8, 6), TINY, a, metric="energy", objective_scale=3.0)
+        want = reference_fit(X, y, (8, 6), TINY, b, metric="energy", objective_scale=3.0)
+        assert model_bytes([got]) == model_bytes([want])
+        assert got.loss_curve == want.loss_curve
+        assert a.bit_generator.state == b.bit_generator.state
+
+
+@pytest.mark.parametrize("constant", [(), (1,), (0, 2), (0, 1, 2)],
+                         ids=["none", "middle", "two", "all"])
+def test_lockstep_fits_equal_sequential_fits(constant):
+    data = np.random.default_rng(82)
+    X = [data.normal(size=(37, 5)) for _ in range(3)]
+    y = [np.full(37, 4.25) if k in constant else X[k] @ data.normal(size=5) for k in range(3)]
+    a, b = np.random.default_rng(83), np.random.default_rng(83)
+    got = fit_lockstep([prepare_fit(X[k], y[k], (8,), TINY, a, metric=str(k))
+                        for k in range(3)])
+    want = [reference_fit(X[k], y[k], (8,), TINY, b, metric=str(k)) for k in range(3)]
+    assert model_bytes(got) == model_bytes(want)
+    assert [m.constant_warning for m in got] == [k in constant for k in range(3)]
+    assert a.bit_generator.state == b.bit_generator.state
+
+
+def test_lockstep_fits_need_one_shape():
+    rng = np.random.default_rng(84)
+    X = rng.normal(size=(20, 4))
+    y = X @ np.ones(4)
+    with pytest.raises(ValueError, match="one input shape"):
+        fit_lockstep([prepare_fit(X, y, (8,), TINY, rng), prepare_fit(X[:10], y[:10], (8,),
+                                                                      TINY, rng)])
+    with pytest.raises(ValueError, match="shape"):
+        fit_lockstep([prepare_fit(X, y, (8,), TINY, rng), prepare_fit(X, y, (6,), TINY, rng)])
+
+
+def test_stage1_writes_the_bytes_of_sequential_fits(reduced, fleet):
+    devices = list(fleet.training_real[:3])
+    a, b = np.random.default_rng(85), np.random.default_rng(85)
+    bundle = train_stage1(devices, 24, Oracle(reduced, MeasurementLedger()), a, TINY, (8,))
+    again = iterative_fit(bundle, 1, 8, Oracle(reduced, MeasurementLedger()), a)
+
+    def sequential(designs):
+        # the archive's labels are exact measurements; only the draws matter here
+        X = np.stack([encode(x, reduced) for x in designs])
+        emb = [device_embedding(d) for d in devices]
+        X_dev = np.stack([np.concatenate([x, e]) for e in emb for x in X])
+        ref = Oracle(reduced, MeasurementLedger())
+        y_en = ref.energy_rows(designs, devices).T.reshape(-1)
+        y_lat = ref.latency_rows(designs, devices).T.reshape(-1)
+        return [
+            reference_fit(X, ref.accuracy_rows(designs), (8,), TINY, b, metric="accuracy",
+                          objective_scale=1.0),
+            reference_fit(X_dev, y_en, (8,), TINY, b, metric="energy", device_tag="fleet",
+                          takes_device=True, objective_scale=float(np.median(y_en))),
+            reference_fit(X_dev, y_lat, (8,), TINY, b, metric="latency", device_tag="fleet",
+                          takes_device=True, objective_scale=float(np.median(y_lat))),
+        ]
+
+    designs = [sample_uniform(reduced, b) for _ in range(24)]
+    assert model_bytes(bundle.models()) == model_bytes(sequential(designs))
+    designs += [sample_uniform(reduced, b) for _ in range(8)]
+    assert model_bytes(again.models()) == model_bytes(sequential(designs))
+    assert a.bit_generator.state == b.bit_generator.state
+
+
+@pytest.mark.parametrize("energy_percentile", [None, 40.0], ids=["latency", "energy"])
+def test_proxy_training_writes_the_bytes_of_sequential_fits(energy_percentile):
+    doc = {"seed": 3, "approach": "proxy", "space": "reduced",
+           "predictor": {"samples_per_device": 40, "epochs": 5, "hidden": [8]}}
+    if energy_percentile is not None:
+        doc["optimize"] = {"energy_percentile": energy_percentile}
+    scenario = scenario_from_dict(doc)
+    fleet = draw_fleet(scenario)
+    oracle = Oracle(scenario.space, MeasurementLedger())
+    _, train_proxy, _ = pipeline._proxy_reuse(scenario, fleet, oracle)
+    a, b = np.random.default_rng(86), np.random.default_rng(86)
+    got = train_proxy(a)
+    space, hyper = scenario.space, scenario.hyper
+    ref_oracle = Oracle(space, MeasurementLedger())
+
+    def sample():
+        designs = [sample_uniform(space, b) for _ in range(40)]
+        return designs, np.stack([encode(x, space) for x in designs])
+
+    designs, X = sample()
+    want = [reference_fit(X, ref_oracle.accuracy_rows(designs), (8,), hyper, b,
+                          metric="accuracy", objective_scale=1.0)]
+    for metric in ["latency"] if energy_percentile is None else ["latency", "energy"]:
+        designs, X = sample()
+        measure = ref_oracle.latency_rows if metric == "latency" else ref_oracle.energy_rows
+        y = measure(designs, [fleet.proxy])[:, 0]
+        want.append(reference_fit(X, y, (8,), hyper, b, metric=metric,
+                                  device_tag=fleet.proxy.device_id,
+                                  objective_scale=float(np.median(y))))
+    assert model_bytes(got) == model_bytes(want)
+    assert a.bit_generator.state == b.bit_generator.state
+    assert oracle.ledger.snapshot() == ref_oracle.ledger.snapshot()
+
+
+def test_lockstep_fit_makes_one_forward_pass_per_step(monkeypatch):
+    # the benchmark's slice clock cuts a run at DenseNet.forward_cached calls
+    calls = []
+    original = DenseNet.forward_cached
+
+    def counted(net, X):
+        calls.append(np.shape(X))
+        return original(net, X)
+
+    monkeypatch.setattr(DenseNet, "forward_cached", counted)
+    rng = np.random.default_rng(87)
+    X = rng.normal(size=(37, 5))
+    fit_lockstep([prepare_fit(X, X @ rng.normal(size=5), (8,), TINY, rng) for _ in range(2)])
+    steps = TINY.epochs * 3  # 37 rows in batches of 16, 16, 5
+    assert calls == [(2, 16, 5), (2, 16, 5), (2, 5, 5)] * TINY.epochs
+    assert len(calls) == steps
