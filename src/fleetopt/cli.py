@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -127,6 +128,13 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_cost_table(args) -> int:
+    for flag, ok, rule in (
+        ("--samples", args.samples > 0, "must be positive"),
+        ("--seconds", 0 < args.seconds < math.inf, "must be positive and finite"),
+        ("--devices", args.devices >= 0, "must be >= 0"),
+    ):
+        if not ok:
+            raise ConfigError(f"{flag}: {rule}")
     table = cost_accounting(args.samples, args.seconds, args.devices)
     doc = json.dumps(table, indent=2, sort_keys=True)
     if args.out:

@@ -134,7 +134,7 @@ def amortized_batch_gradient(
     width = xhat.shape[-1]
     grad_xhat = d_acc + d_en[..., :width] + d_lat[..., :width]
     f = -acc_vals + lams[..., 0] * en_vals / s_e + lams[..., 1] * lat_vals / s_l
-    f_mean = np.array([np.mean(row) for row in f]) if net.stacked else float(np.mean(f))
+    f_mean = f.mean(axis=-1)
     wg, bg, _ = net.backward(cache, grad_xhat, inputs=False)
     return f_mean, wg, bg
 
@@ -180,13 +180,12 @@ def train_method2(
     Xn = (X - mean) / scale
     embeddings = np.stack([device_embedding(d) for d, _ in inputs])
     lams = np.stack([lam.as_array() for _, lam in inputs])
-    # The restarts share one shape, so they train as one stack, each member
-    # drawing from its own generator as it would alone.
+    # The restarts share one shape, so they train as one stack (K = restarts),
+    # each member drawing from its own generator as it would alone.
     seeds = rng.integers(0, 2**63, size=restarts)
     start_rngs = [np.random.default_rng(int(seed)) for seed in seeds]
-    nets = [DenseNet([Xn.shape[1], *layer_sizes, acc_model.input_dim], r,
-                     output_activation="logistic") for r in start_rngs]
-    net = stack(nets) if restarts > 1 else nets[0]
+    net = stack([DenseNet([Xn.shape[1], *layer_sizes, acc_model.input_dim], r,
+                          output_activation="logistic") for r in start_rngs])
 
     def batch_loss_and_grad(idx):
         f_mean, wg, bg = amortized_batch_gradient(
@@ -194,12 +193,8 @@ def train_method2(
         )
         return f_mean * idx.shape[-1], wg, bg
 
-    curves = train(net, Xn.shape[0], batch_loss_and_grad, hyper,
-                   start_rngs if net.stacked else start_rngs[0], mu)
-    if net.stacked:
-        nets = unstack(net)
-    else:
-        nets, curves = [net], [curves]
+    curves = train(net, Xn.shape[0], batch_loss_and_grad, hyper, start_rngs, mu)
+    nets = unstack(net)
     scores = [_amortized_objective(m, Xn, embeddings, lams, acc_model, energy_model,
                                    latency_model, mu) for m in nets]
     best = min(range(restarts), key=scores.__getitem__)  # the first of equal scores

@@ -6,12 +6,13 @@ inputs, and kinked activations would hand it zero or jumpy gradients. The
 output head is linear for regression or logistic when outputs must land in
 (0, 1). Everything is float64 numpy; gradients come in two flavors, weights
 (for training the net itself) and inputs (for training whatever feeds it).
-Every network in the package is trained by the one minibatch loop `train`.
 
-K nets of one shape can run as one stack (see `stack`): weights (K, fan_in,
-fan_out), batches (K, b, fan_in). The same forward, backward, optimizer step
-and `train` loop act on all K at once, and member k's numbers are bit for bit
-those it would have alone; only numpy's per-call cost is shared.
+Training has one shape: a stack of K >= 1 nets of one shape (see `stack`),
+weights (K, fan_in, fan_out), batches (K, b, fan_in), stepped by the one
+minibatch loop `train`; a single fit is a stack with K = 1. Member k's numbers
+are bit for bit those a 2-D net would have alone; only numpy's per-call cost
+is shared. Forward and backward also take 2-D nets, which is how trained nets
+are used: for inference and as frozen predictors.
 """
 
 from __future__ import annotations
@@ -237,8 +238,8 @@ class MomentumSgd:
         net.weights[:], net.biases[:] = views[:layers], views[layers:]
         self._velocity = np.zeros_like(self._theta)
 
-    def step(self, net: DenseNet, weight_grads, bias_grads) -> None:
-        """One update of net, the net the optimizer was made for."""
+    def step(self, weight_grads, bias_grads) -> None:
+        """One update of the net the optimizer was made for."""
         grad = np.concatenate([g.ravel() for g in weight_grads + bias_grads])
         self._velocity *= self.momentum
         self._velocity += grad
@@ -253,49 +254,43 @@ def l2_penalty(net: DenseNet, mu: float) -> float:
 
 
 def fork_orders(rng: np.random.Generator, n: int, epochs: int) -> np.random.Generator:
-    """A copy of rng to draw train's epoch orders over n rows from, while rng
-    itself moves on past them: draws made from rng next are those that would
-    follow a train(..., rng) call, though the training has not happened yet."""
+    """A copy of rng to draw one member's epoch orders over n rows from in
+    train, while rng itself moves on past them: draws made from rng next are
+    those that would follow training that member alone on rng, though the
+    training has not happened yet."""
     fork = copy.deepcopy(rng)
     for _ in range(epochs):
         rng.permutation(n)
     return fork
 
 
-def train(net: DenseNet, n: int, batch_loss_and_grad, hyper, rng, mu: float = 0.0):
-    """Minibatch momentum SGD over n rows; returns the per-epoch loss curve.
+def train(net: DenseNet, n: int, batch_loss_and_grad, hyper, rngs, mu: float = 0.0):
+    """Minibatch momentum SGD of a stack of K nets over n rows each; returns
+    one per-epoch loss curve per member.
 
     hyper carries learning_rate, momentum, epochs and batch_size (a
-    surrogate.TrainingSettings). Each epoch visits the rows once, in a fresh
-    order drawn from rng. batch_loss_and_grad(idx) returns the summed loss of
-    rows idx and the weight and bias gradients of their mean loss; with mu > 0
-    the gradient of mu * ||theta||^2 is added before each step. A curve entry
-    is the epoch's mean row loss plus the penalty at the epoch's end.
-
-    For a stacked net, rng is one generator per member, idx is (K, b) (row
-    k from member k's order) and the loss a length-K sequence; one curve per
-    member comes back, each what training that member alone would give.
+    surrogate.TrainingSettings). rngs holds one generator per member; each
+    epoch, member k visits its rows once in a fresh order drawn from rngs[k].
+    batch_loss_and_grad(idx) takes idx (K, b), row idx[k] for member k, and
+    returns the K summed row losses and the weight and bias gradients of each
+    member's mean loss; with mu > 0 the gradient of mu * ||theta||^2 is added
+    before each step. A curve entry is the epoch's mean row loss plus the
+    penalty at the epoch's end, each what training that member alone would give.
     """
     opt = MomentumSgd(net, hyper.learning_rate, hyper.momentum)
     batch = min(hyper.batch_size, n)
-    stacked = net.stacked
-    curves: list = []
+    curves: list[list[float]] = [[] for _ in rngs]
     for _ in range(hyper.epochs):
-        if stacked:
-            order, loss_sum = np.stack([r.permutation(n) for r in rng]), np.zeros(len(rng))
-        else:
-            order, loss_sum = rng.permutation(n), 0.0
+        order, loss_sum = np.stack([r.permutation(n) for r in rngs]), np.zeros(len(rngs))
         for start in range(0, n, batch):
-            idx = order[..., start : start + batch]
+            idx = order[:, start : start + batch]
             loss, wg, bg = batch_loss_and_grad(idx)
             loss_sum += loss
             if mu > 0:
                 for i in range(len(wg)):
                     wg[i] += 2.0 * mu * net.weights[i]
                     bg[i] += 2.0 * mu * net.biases[i]
-            opt.step(net, wg, bg)
-        if stacked:
-            curves.append([float(s) / n + l2_penalty(m, mu) for s, m in zip(loss_sum, unstack(net))])
-        else:
-            curves.append(loss_sum / n + l2_penalty(net, mu))
-    return [list(curve) for curve in zip(*curves)] if stacked else curves
+            opt.step(wg, bg)
+        for curve, s, member in zip(curves, loss_sum, unstack(net)):
+            curve.append(float(s) / n + l2_penalty(member, mu))
+    return curves

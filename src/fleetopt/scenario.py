@@ -10,6 +10,7 @@ CLI maps ConfigError to its own exit code.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .design_space import DesignSpace, default_space, reduced_space
@@ -55,13 +56,15 @@ def _known(section, keys: tuple[str, ...], path: str) -> dict:
 
 def _get(section: dict, key: str, kind, default, path: str):
     """section[key] as kind; null is accepted only where the default is null,
-    and a bool is never a number."""
+    a bool is never a number, and a float is finite (JSON parsing lets NaN and
+    Infinity through)."""
     value = section.get(key, default)
     if value is None and default is None:
         return None
     number = (int, float) if kind is float else kind
     if not isinstance(value, number) or isinstance(value, bool):
         raise ConfigError(f"{path}.{key}: expected {kind.__name__}, got {value!r}")
+    _check(kind is not float or math.isfinite(value), f"{path}.{key}", "must be finite")
     return float(value) if kind is float else value
 
 
@@ -154,9 +157,9 @@ def _parse_space(raw, path: str) -> DesignSpace:
         values = raw.get(key, default)
         kind = (int, float) if key == "width_choices" else int
         if not isinstance(values, list) or not all(
-            isinstance(v, kind) and not isinstance(v, bool) for v in values
+            isinstance(v, kind) and not isinstance(v, bool) and math.isfinite(v) for v in values
         ):
-            raise ConfigError(f"{path}.{key}: expected a list of numbers")
+            raise ConfigError(f"{path}.{key}: expected a list of finite numbers")
         choices[key] = tuple(values)
     priced = QUANT_PENALTY.keys() & DEFAULT_QUANT_SPEEDUP.keys()
     _check(set(choices["bits_choices"]) <= priced, f"{path}.bits_choices",

@@ -246,9 +246,9 @@ def prepare_fit(
 
 
 def fit_lockstep(pending: list[PendingFit]) -> list[MlpRegressor]:
-    """Train prepared fits of one input shape and hyper as one stacked net;
-    the models are those of fitting each alone. Constant-label fits take no
-    steps and stay out of the stack."""
+    """Train prepared fits of one input shape and hyper as one stacked net,
+    K = 1 included; the models are those of fitting each alone. Constant-label
+    fits take no steps and stay out of the stack."""
     live = [p for p in pending if p.orders is not None]
     if not live:
         return [p.model for p in pending]
@@ -256,29 +256,20 @@ def fit_lockstep(pending: list[PendingFit]) -> list[MlpRegressor]:
     if any(p.Xn.shape != first.Xn.shape or p.hyper != first.hyper for p in live):
         raise ValueError("lockstep fits need one input shape and one TrainingSettings")
     n = first.Xn.shape[0]
-    if len(live) == 1:
-        net, X, y, orders = first.model.net, first.Xn, first.yn, first.orders
-    else:
-        net = stack([p.model.net for p in live])
-        X = np.concatenate([p.Xn for p in live])
-        y = np.concatenate([p.yn for p in live])
-        offsets = (np.arange(len(live)) * n)[:, None]  # member k's rows start at k * n
-        orders = [p.orders for p in live]
+    net = stack([p.model.net for p in live])
+    X = np.concatenate([p.Xn for p in live])
+    y = np.concatenate([p.yn for p in live])
+    offsets = (np.arange(len(live)) * n)[:, None]  # member k's rows start at k * n
 
     def batch_loss_and_grad(idx):
-        rows = idx + offsets if net.stacked else idx
+        rows = idx + offsets
         pred, cache = net.forward_cached(X[rows])
         err = pred[..., 0] - y[rows]
         wg, bg, _ = net.backward(cache, (2.0 * err / idx.shape[-1])[..., None], inputs=False)
-        loss = [float(e @ e) for e in err] if net.stacked else float(err @ err)
-        return loss, wg, bg
+        return [float(e @ e) for e in err], wg, bg
 
-    curves = train(net, n, batch_loss_and_grad, first.hyper, orders)
-    if net.stacked:
-        nets = unstack(net)
-    else:
-        nets, curves = [net], [curves]
-    for p, trained, curve in zip(live, nets, curves):
+    curves = train(net, n, batch_loss_and_grad, first.hyper, [p.orders for p in live])
+    for p, trained, curve in zip(live, unstack(net), curves):
         p.model.net, p.model.loss_curve, p.model.final_loss = trained, curve, curve[-1]
     return [p.model for p in pending]
 

@@ -17,7 +17,7 @@ from fleetopt.learn_to_optimize import (
     save_optimizer,
     train_method2,
 )
-from fleetopt.nn import DenseNet, train
+from fleetopt.nn import DenseNet, stack, train, unstack
 from fleetopt.search import ConstraintSpec, brute_force_argmin
 from fleetopt.surrogate import (
     TradeoffWeights,
@@ -377,8 +377,8 @@ def test_sweep_matches_the_one_lambda_path(method2_small, small_bundle, fleet, r
 
 
 def sequential_method2(inputs, bundle, layer_sizes, hyper, mu, rng, restarts):
-    """train_method2 with its restarts trained one after another, each a 2-D
-    net: the reference the stacked restarts must reproduce bit for bit."""
+    """train_method2 with its restarts trained one after another, each a stack
+    of one: the reference the stacked restarts must reproduce bit for bit."""
     X = np.stack([optimizer_input(d, lam) for d, lam in inputs])
     mean, std = X.mean(axis=0), X.std(axis=0)
     scale = np.where(std < 1e-12, 1.0, std)
@@ -389,15 +389,16 @@ def sequential_method2(inputs, bundle, layer_sizes, hyper, mu, rng, restarts):
     best = None
     for seed in rng.integers(0, 2**63, size=restarts):
         start_rng = np.random.default_rng(int(seed))
-        net = DenseNet([Xn.shape[1], *layer_sizes, bundle.accuracy.input_dim], start_rng,
-                       output_activation="logistic")
+        alone = stack([DenseNet([Xn.shape[1], *layer_sizes, bundle.accuracy.input_dim],
+                                start_rng, output_activation="logistic")])
 
-        def batch_loss_and_grad(idx, net=net):
-            f_mean, wg, bg = amortized_batch_gradient(net, Xn[idx], embeddings[idx],
+        def batch_loss_and_grad(idx, alone=alone):
+            f_mean, wg, bg = amortized_batch_gradient(alone, Xn[idx], embeddings[idx],
                                                       lams[idx], *models)
-            return f_mean * idx.size, wg, bg
+            return f_mean * idx.shape[-1], wg, bg
 
-        curve = train(net, Xn.shape[0], batch_loss_and_grad, hyper, start_rng, mu)
+        [curve] = train(alone, Xn.shape[0], batch_loss_and_grad, hyper, [start_rng], mu)
+        [net] = unstack(alone)
         score = _amortized_objective(net, Xn, embeddings, lams, *models, mu)
         if best is None or score < best[0]:
             best = (score, net, curve)

@@ -169,10 +169,10 @@ def test_momentum_sgd_validation_and_step():
     opt = MomentumSgd(net, learning_rate=0.1, momentum=0.5)
     g = [np.array([[1.0], [2.0]])]
     gb = [np.array([3.0])]
-    opt.step(net, g, gb)
+    opt.step(g, gb)
     np.testing.assert_allclose(net.weights[0], [[0.9], [0.8]])
     np.testing.assert_allclose(net.biases[0], [-0.3])
-    opt.step(net, g, gb)
+    opt.step(g, gb)
     # velocity folds in half the previous gradient
     np.testing.assert_allclose(net.weights[0], [[0.9 - 0.15], [0.8 - 0.3]])
     np.testing.assert_allclose(net.biases[0], [-0.3 - 0.45])
@@ -189,7 +189,7 @@ def test_momentum_step_is_the_per_array_formula_bit_for_bit(shape):
     draws = rng(19)
     for _ in range(4):
         grads = [draws.normal(size=p.shape) for p in params]
-        opt.step(net, grads[:len(net.weights)], grads[len(net.weights):])
+        opt.step(grads[:len(net.weights)], grads[len(net.weights):])
         for i, g in enumerate(grads):
             velocity[i] = 0.9 * velocity[i] + g
             params[i] -= 0.05 * velocity[i]
@@ -206,7 +206,7 @@ def test_training_shrinks_loss_on_tiny_regression():
     for _ in range(500):
         out, cache = net.forward_cached(X)
         wg, bg, _ = net.backward(cache, (out - Y) / len(X))
-        opt.step(net, wg, bg)
+        opt.step(wg, bg)
     last = float(np.mean((net.forward(X) - Y) ** 2))
     assert last < first / 10
 
@@ -232,20 +232,21 @@ def test_l2_penalty():
 @pytest.mark.parametrize("mu", [0.0, 1e-2])
 def test_train_is_shuffled_minibatch_momentum_sgd(mu):
     # the contract, written out by hand: one permutation per epoch, a short
-    # last batch, the penalty gradient added before each step
+    # last batch, the penalty gradient added before each step; a lone net
+    # trains as a stack of one
     X = np.linspace(-1, 1, 12)[:, None]
     Y = X**2
-    net = DenseNet([1, 4, 1], rng(16))
-    ref = net.copy()
+    ref = DenseNet([1, 4, 1], rng(16))
+    net = stack([ref.copy()])
 
     def batch_loss_and_grad(idx):
         out, cache = net.forward_cached(X[idx])
         err = out - Y[idx]
-        wg, bg, _ = net.backward(cache, 2.0 * err / idx.size)
-        return float(np.sum(err * err)), wg, bg
+        wg, bg, _ = net.backward(cache, 2.0 * err / idx.shape[-1])
+        return [float(np.sum(e * e)) for e in err], wg, bg
 
     hyper = TrainingSettings(learning_rate=0.05, momentum=0.9, epochs=60, batch_size=5)
-    curve = train(net, 12, batch_loss_and_grad, hyper, rng(17), mu)
+    [curve] = train(net, 12, batch_loss_and_grad, hyper, [rng(17)], mu)
 
     opt = MomentumSgd(ref, hyper.learning_rate, hyper.momentum)
     order_rng = rng(17)
@@ -260,9 +261,10 @@ def test_train_is_shuffled_minibatch_momentum_sgd(mu):
             wg, bg, _ = ref.backward(cache, 2.0 * err / batch.size)
             wg = [g + 2.0 * mu * W for g, W in zip(wg, ref.weights)]
             bg = [g + 2.0 * mu * b for g, b in zip(bg, ref.biases)]
-            opt.step(ref, wg, bg)
+            opt.step(wg, bg)
         expected.append(total / 12 + l2_penalty(ref, mu))
-    np.testing.assert_allclose(net.parameter_vector(), ref.parameter_vector(), rtol=1e-12)
+    [trained] = unstack(net)
+    np.testing.assert_allclose(trained.parameter_vector(), ref.parameter_vector(), rtol=1e-12)
     np.testing.assert_allclose(curve, expected, rtol=1e-12)
     assert curve[-1] < curve[0]
 
@@ -292,11 +294,11 @@ def test_stacked_step_equals_member_steps_bit_for_bit(activation, rows, mu):
             assert _bits([g[k, 0] for g in bg]) == _bits(bg_k)
             wg_k = [g + 2.0 * mu * W for g, W in zip(wg_k, m.weights)]
             bg_k = [g + 2.0 * mu * b for g, b in zip(bg_k, m.biases)]
-            opts[k].step(m, wg_k, bg_k)
+            opts[k].step(wg_k, bg_k)
         for i in range(len(wg)):
             wg[i] += 2.0 * mu * net.weights[i]
             bg[i] += 2.0 * mu * net.biases[i]
-        opt.step(net, wg, bg)
+        opt.step(wg, bg)
     for got, want in zip(unstack(net), members):
         assert _bits(got.weights + got.biases) == _bits(want.weights + want.biases)
         assert l2_penalty(got, mu) == l2_penalty(want, mu)
@@ -360,12 +362,15 @@ def test_train_on_a_stack_equals_member_trains(mu, activation):
 
     curves = train(net, n, stacked_loss_and_grad, hyper, [rng(70 + k) for k in range(3)], mu)
     for k, (member, trained) in enumerate(zip(members, unstack(net))):
-        def loss_and_grad(idx, member=member, y=Y[k]):
-            out, cache = member.forward_cached(X[idx])
-            err = out[:, 0] - y[idx]
-            wg, bg, _ = member.backward(cache, (2.0 * err / idx.size)[:, None])
-            return float(err @ err), wg, bg
+        alone = stack([member])  # member k trained by itself, a stack of one
 
-        curve = train(member, n, loss_and_grad, hyper, rng(70 + k), mu)
+        def loss_and_grad(idx, alone=alone, y=Y[k]):
+            out, cache = alone.forward_cached(X[idx])
+            err = out[..., 0] - y[idx]
+            wg, bg, _ = alone.backward(cache, (2.0 * err / idx.shape[-1])[..., None])
+            return [float(e @ e) for e in err], wg, bg
+
+        [curve] = train(alone, n, loss_and_grad, hyper, [rng(70 + k)], mu)
+        [member] = unstack(alone)
         assert curves[k] == curve
         assert _bits(trained.weights + trained.biases) == _bits(member.weights + member.biases)

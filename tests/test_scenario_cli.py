@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from fleetopt import device_world
+from fleetopt import device_world, learn_to_optimize, nn, surrogate
 from fleetopt.cli import main
 from fleetopt.design_space import default_space, enumerate_all
 from fleetopt.device_world import Oracle
@@ -143,6 +143,12 @@ BAD_CONFIGS = [
     (SMALL_PROXY, "optimize.exploration_rounds", 1, "optimize.explore_size"),
     (SMALL_AMORTIZED, "optimize.optimizer_epochs", 0, "optimize.optimizer_epochs"),
     (SMALL_AMORTIZED, "fleet.n_training", 1, "fleet.n_training"),
+    # JSON parsing lets NaN and Infinity through; the parser must not
+    (SMALL_PROXY, "predictor.learning_rate", float("inf"), "predictor.learning_rate"),
+    (SMALL_PROXY, "lambda_grid.max_lambda", float("inf"), "lambda_grid.max_lambda"),
+    (SMALL_AMORTIZED, "optimize.mu", float("inf"), "optimize.mu"),
+    (SMALL_PROXY, "space", {"width_choices": [0.5, float("inf")]}, "space.width_choices"),
+    (SMALL_PROXY, "space", {"width_choices": [0.5, float("nan")]}, "space.width_choices"),
 ]
 
 
@@ -183,6 +189,25 @@ def test_load_scenario_file_handling(tmp_path):
     bad.write_text("{seed: 5")
     with pytest.raises(ConfigError, match="JSON"):
         load_scenario(str(bad))
+
+
+def test_every_training_run_steps_a_stack(tmp_path, monkeypatch):
+    # one training shape: a lone fit is a stack of one, never a 2-D net
+    seen = []
+
+    def spy(module):
+        def train(net, *args, **kwargs):
+            seen.append((module.__name__, net.weights[0].ndim))
+            return nn.train(net, *args, **kwargs)
+        return train
+
+    for module in (surrogate, learn_to_optimize):
+        monkeypatch.setattr(module, "train", spy(module))
+    for base in (SMALL_PROXY, SMALL_AMORTIZED):
+        doc = with_key(with_key(base, "predictor.epochs", 5), "optimize.optimizer_epochs", 5)
+        run_scenario(scenario_from_dict(doc), out_dir=str(tmp_path / base["approach"]))
+    assert {module for module, _ in seen} == {"fleetopt.surrogate", "fleetopt.learn_to_optimize"}
+    assert all(ndim == 3 for _, ndim in seen)
 
 
 def test_bisection_settings_come_from_config(tmp_path):
@@ -412,6 +437,18 @@ def test_cli_cost_table(tmp_path, capsys):
     assert doc["baseline_hours_total"] == 20.0
     assert main(["cost-table", "--out", str(tmp_path)]) == 0
     assert os.path.exists(tmp_path / "cost_table.json")
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--samples", "0"), ("--samples", "-5"), ("--seconds", "0"), ("--seconds", "-1"),
+    ("--seconds", "nan"), ("--seconds", "inf"), ("--devices", "-1"),
+])
+def test_cli_cost_table_rejects_bad_flags(capsys, flag, value):
+    assert main(["cost-table", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: ")
+    assert flag in captured.err
+    assert captured.out == ""
 
 
 def test_cli_optimize_config_errors(tmp_path, capsys):

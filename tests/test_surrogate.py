@@ -18,7 +18,7 @@ from fleetopt.device_world import (
     latency_value,
 )
 from fleetopt import pipeline
-from fleetopt.nn import DenseNet, train
+from fleetopt.nn import DenseNet, stack, train, unstack
 from fleetopt.pipeline import draw_fleet
 from fleetopt.scenario import scenario_from_dict
 from fleetopt.surrogate import (
@@ -397,8 +397,9 @@ TINY = TrainingSettings(epochs=6, batch_size=16)
 
 
 def reference_fit(X, y, layer_sizes, hyper, rng, **tags):
-    """fit as one loop over one net, drawing its epoch orders from rng as it
-    trains: the reference the lockstep paths must reproduce bit for bit."""
+    """fit as one loop over one net (a stack of one), drawing its epoch orders
+    from rng as it trains: the reference the lockstep paths must reproduce bit
+    for bit."""
     in_mean, in_std = X.mean(axis=0), X.std(axis=0)
     in_scale = np.where(in_std < 1e-12, 1.0, in_std)
     out_mean, out_std = float(y.mean()), float(y.std())
@@ -410,14 +411,16 @@ def reference_fit(X, y, layer_sizes, hyper, rng, **tags):
         out_std, curve = 1.0, [0.0]
     else:
         Xn, yn = (X - in_mean) / in_scale, (y - out_mean) / out_std
+        alone = stack([net])
 
         def batch_loss_and_grad(idx):
-            pred, cache = net.forward_cached(Xn[idx])
-            err = pred[:, 0] - yn[idx]
-            wg, bg, _ = net.backward(cache, (2.0 * err / idx.size)[:, None])
-            return float(err @ err), wg, bg
+            pred, cache = alone.forward_cached(Xn[idx])
+            err = pred[..., 0] - yn[idx]
+            wg, bg, _ = alone.backward(cache, (2.0 * err / idx.shape[-1])[..., None])
+            return [float(e @ e) for e in err], wg, bg
 
-        curve = train(net, X.shape[0], batch_loss_and_grad, hyper, rng)
+        [curve] = train(alone, X.shape[0], batch_loss_and_grad, hyper, [rng])
+        [net] = unstack(alone)
     return MlpRegressor(net=net, in_mean=in_mean, in_scale=in_scale, out_mean=out_mean,
                         out_scale=out_std, constant_warning=constant, final_loss=curve[-1],
                         loss_curve=curve, **tags)
