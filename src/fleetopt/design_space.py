@@ -11,6 +11,8 @@ outside is checked, `indices_of` goes back. The encoding, a flat vector in
 [0, 1]^(3S+1) for continuous optimizers, is a separate form, converted a matrix
 at a time (`encode_rows`/`decode_rows`; `encode`/`decode` are the one-row case):
 each choice sits at the center of its cell so decode(encode(x)) is the identity.
+Search draws, breeds and scores whole populations as index matrices
+(`sample_rows`, `crossover`, `mutate`); `sample_uniform` is the one-row draw.
 """
 
 from __future__ import annotations
@@ -183,9 +185,17 @@ def reduced_space() -> DesignSpace:
     )
 
 
+def sample_rows(space: DesignSpace, rng: np.random.Generator, n: int) -> np.ndarray:
+    """n designs uniform over the whole space as an (n, w) index matrix, each
+    axis index drawn independently; the draws, row by row, are those of n
+    `sample_uniform` calls."""
+    highs = space._cells[0].astype(int) + 1
+    return rng.integers(highs, size=(n, space.encoding_width))
+
+
 def sample_uniform(space: DesignSpace, rng: np.random.Generator) -> tuple[int, ...]:
-    """Uniform over the whole space: each axis index drawn independently."""
-    return tuple(int(rng.integers(len(axis))) for axis in space._axes())
+    """One uniform design: the one-row case of `sample_rows`."""
+    return tuple(sample_rows(space, rng, 1)[0].tolist())
 
 
 def _rows(values, space: DesignSpace) -> np.ndarray:
@@ -231,29 +241,29 @@ def decode(values: Sequence[float], space: DesignSpace) -> tuple[int, ...]:
 
 
 def mutate(
-    x: tuple[int, ...], rate: float, space: DesignSpace, rng: np.random.Generator
-) -> tuple[int, ...]:
-    """Resample each axis independently with probability `rate`.
+    X: np.ndarray, rate: float, space: DesignSpace, rng: np.random.Generator
+) -> np.ndarray:
+    """Resample each entry of the index matrix X independently with probability
+    `rate`, a new matrix.
 
-    A resampled axis always moves to a different value (when the axis has
-    more than one choice), so the expected changed-field count is exactly
-    rate * number of axes; rate=0 returns x unchanged.
+    A resampled axis always moves to a different index (`j + (j >= current)`
+    over a draw j from the n - 1 other choices), and a singleton axis is never
+    touched, so the expected changed-field count per row is exactly
+    rate * number of non-singleton axes; rate=0 returns X unchanged.
     """
     if not 0.0 <= rate <= 1.0:
         raise ValueError(f"mutation rate must be in [0, 1], got {rate}")
-    indices = list(x)
-    for i, axis in enumerate(space._axes()):
-        if len(axis) > 1 and rng.random() < rate:
-            j = int(rng.integers(len(axis) - 1))
-            indices[i] = j + 1 if j >= indices[i] else j
-    return tuple(indices)
+    X = np.asarray(X)
+    steps = space._cells[0].astype(int)
+    hit = (rng.random(X.shape) < rate) & (steps > 0)
+    J = rng.integers(np.maximum(steps, 1), size=X.shape)
+    return np.where(hit, J + (J >= X), X)
 
 
-def crossover(
-    a: tuple[int, ...], b: tuple[int, ...], space: DesignSpace, rng: np.random.Generator
-) -> tuple[int, ...]:
-    """Uniform crossover: each axis comes from parent a or b with equal odds."""
-    return tuple(ka if rng.random() < 0.5 else kb for ka, kb in zip(a, b, strict=True))
+def crossover(A: np.ndarray, B: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Uniform crossover of two index matrices, row i of A with row i of B:
+    each entry comes from A or B with equal odds."""
+    return np.where(rng.random(np.shape(A)) < 0.5, A, B)
 
 
 def enumerate_all(space: DesignSpace, limit: int | None = 1_000_000) -> list[tuple[int, ...]]:

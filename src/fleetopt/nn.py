@@ -291,6 +291,8 @@ def train(net: DenseNet, n: int, batch_loss_and_grad, hyper, rngs, mu: float = 0
                     wg[i] += 2.0 * mu * net.weights[i]
                     bg[i] += 2.0 * mu * net.biases[i]
             opt.step(wg, bg)
-        for curve, s, member in zip(curves, loss_sum, unstack(net)):
-            curve.append(float(s) / n + l2_penalty(member, mu))
+        # the penalty is exactly 0.0 without mu, so the members are not copied out
+        penalties = [l2_penalty(m, mu) for m in unstack(net)] if mu else [0.0] * len(rngs)
+        for curve, s, penalty in zip(curves, loss_sum, penalties):
+            curve.append(float(s) / n + penalty)
     return curves

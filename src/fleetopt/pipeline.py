@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design_space import enumerate_all, sample_uniform
+from .design_space import enumerate_all, sample_rows
 from .device_world import (
     Fleet,
     MeasurementLedger,
@@ -141,7 +141,7 @@ def _percentile_bounds(scenario: Scenario, fleet: Fleet) -> tuple[dict, Measurem
     if space.cardinality <= 256:
         probes = enumerate_all(space)
     else:
-        probes = [sample_uniform(space, rng) for _ in range(128)]
+        probes = sample_rows(space, rng, 128)
     targets = list(fleet.holdout_monotone) + list(fleet.holdout_adversarial)
     opt = scenario.optimize
     lat = np.percentile(cal_oracle.latency_rows(probes, targets), opt.latency_percentile, axis=0)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .design_space import DesignSpace, encode, sample_uniform
+from .design_space import DesignSpace, encode, encode_rows, sample_rows
 from .device_world import DeviceFeatures, Oracle
 from .search import SearchParams, evolutionary_search
 from .surrogate import MlpRegressor, device_embedding
@@ -95,24 +95,25 @@ class ProxyEntry:
 
 
 def scalarized_objective(
-    x: tuple[int, ...],
+    X: np.ndarray,
     ts: tuple[float, ...],
     acc_model: MlpRegressor,
     metric_models: tuple[MlpRegressor, ...],
     space: DesignSpace,
-) -> float:
-    """-(1 - sum t_i)*acc + sum t_i*m_i/s_i on the proxy's predictors, one
-    weight per metric model, the weights on the simplex: (t,) weighs latency
-    for the bisection, (t1, t2) latency and energy for the 2-D grid."""
+) -> np.ndarray:
+    """-(1 - sum t_i)*acc + sum t_i*m_i/s_i on the proxy's predictors for each
+    row of the index matrix X, one weight per metric model, the weights on the
+    simplex: (t,) weighs latency for the bisection, (t1, t2) latency and
+    energy for the 2-D grid."""
     if min(ts) < 0 or sum(ts) > 1.0 + 1e-12:
         raise ValueError(f"weights must lie in the simplex, got {ts}")
-    enc = encode(x, space)
+    enc = encode_rows(X, space)
     w = 1.0
     for t in ts:
         w -= t
-    f = -w * acc_model.predict(enc)
+    f = -w * acc_model.predict_batch(enc)
     for t, model in zip(ts, metric_models, strict=True):
-        f += t * (model.predict(enc) / model.objective_scale)
+        f += t * (model.predict_batch(enc) / model.objective_scale)
     return f
 
 
@@ -138,8 +139,8 @@ def solve_inner(
     tq = cache.quantize(ts)
     metric_models = (entry.latency_model, entry.energy_model)[:len(ts)]
 
-    def objective(x: tuple[int, ...]) -> float:
-        return scalarized_objective(x, tq, entry.accuracy_model, metric_models, space)
+    def objective(X: np.ndarray) -> np.ndarray:
+        return scalarized_objective(X, tq, entry.accuracy_model, metric_models, space)
 
     if minimizer is not None:
         x = minimizer(objective)
@@ -411,9 +412,8 @@ def check_monotonicity(
     if probe_count < 10:
         raise ValueError(f"probe_count must be >= 10, got {probe_count}")
     space = oracle.space
-    designs = [sample_uniform(space, rng) for _ in range(probe_count)]
-    enc = np.stack([encode(x, space) for x in designs])
-    predicted_lat = proxy_pred.predict_batch(enc)
+    designs = sample_rows(space, rng, probe_count)
+    predicted_lat = proxy_pred.predict_batch(encode_rows(designs, space))
     actual = oracle.latency_rows(designs, [target])[:, 0]
     rho = spearman(predicted_lat, actual)
     return MonotonicityReport(rho=rho, monotone=rho >= threshold, probe_count=probe_count)

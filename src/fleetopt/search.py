@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design_space import DesignSpace, enumerate_all, crossover, mutate, sample_uniform
+from .design_space import DesignSpace, crossover, enumerate_all, mutate, sample_rows
 
 
 @dataclass(frozen=True)
@@ -54,47 +54,52 @@ def evolutionary_search(
 ) -> tuple[int, ...]:
     """Elitist GA over the discrete space; returns the best design ever seen.
 
-    Duplicate designs are evaluated once (cached), so objective calls are at
-    most population * generations.
+    The population is an (n, w) index matrix, bred a generation at a time.
+    objective maps an (m, w) index matrix to m values; each generation's
+    designs not seen before are scored in one call, so there are at most
+    `generations` calls on at most population * generations rows.
     """
     rng = np.random.default_rng(params.seed)
     values: dict[tuple[int, ...], float] = {}
-
-    def value_of(x: tuple[int, ...]) -> float:
-        if x not in values:
-            values[x] = float(objective(x))
-        return values[x]
-
-    population = [sample_uniform(space, rng) for _ in range(params.population)]
+    population = sample_rows(space, rng, params.population)
     elite_count = max(1, int(params.population * params.elite_fraction))
     best: tuple[float, tuple[int, ...]] | None = None
     for gen in range(params.generations):
-        scored = sorted((value_of(x), x) for x in population)
+        rows = list(map(tuple, population.tolist()))
+        unseen = list(dict.fromkeys(x for x in rows if x not in values))
+        if unseen:
+            scores = np.asarray(objective(np.array(unseen)), dtype=float).tolist()
+            values.update(zip(unseen, scores, strict=True))
+        scored = sorted((values[x], x) for x in rows)
         if best is None or scored[0] < best:
             best = scored[0]
         if gen == params.generations - 1:
             break
-        elites = [x for _, x in scored[:elite_count]]
-        children = []
-        while len(children) < params.population - elite_count:
-            pa = elites[int(rng.integers(elite_count))]
-            pb = elites[int(rng.integers(elite_count))]
-            children.append(mutate(crossover(pa, pb, space, rng), params.mutation_rate, space, rng))
-        population = elites + children
+        elites = np.array([x for _, x in scored[:elite_count]])
+        parents = rng.integers(elite_count, size=(2, params.population - elite_count))
+        children = crossover(elites[parents[0]], elites[parents[1]], rng)
+        population = np.vstack([elites, mutate(children, params.mutation_rate, space, rng)])
     assert best is not None
     return best[1]
+
+
+# Rows per objective call in brute_force_argmin: bounds the matrix an exhaustive
+# scan hands the objective at once.
+BRUTE_FORCE_CHUNK = 4096
 
 
 def brute_force_argmin(
     objective, space: DesignSpace, limit: int | None = 1_000_000
 ) -> tuple[int, ...]:
-    """Exhaustive scan in lexicographic order; first minimum wins, which is the
-    same tie-break evolutionary_search uses."""
-    best_x = None
-    best_v = np.inf
-    for x in enumerate_all(space, limit):
-        v = float(objective(x))
-        if v < best_v:
-            best_v, best_x = v, x
-    assert best_x is not None
-    return best_x
+    """Exhaustive scan in lexicographic order with the row objective of
+    evolutionary_search, BRUTE_FORCE_CHUNK rows per call; the first minimum
+    wins, which is the same tie-break evolutionary_search uses."""
+    designs = np.array(enumerate_all(space, limit))
+    best_i, best_v = None, np.inf
+    for start in range(0, len(designs), BRUTE_FORCE_CHUNK):
+        v = np.asarray(objective(designs[start : start + BRUTE_FORCE_CHUNK]), dtype=float)
+        i = int(np.argmin(v))
+        if v[i] < best_v:
+            best_i, best_v = start + i, v[i]
+    assert best_i is not None
+    return tuple(designs[best_i].tolist())

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .design_space import DesignSpace, DimensionMismatchError, encode, sample_uniform
+from .design_space import DesignSpace, DimensionMismatchError, encode_rows, sample_rows
 from .device_world import DeviceFeatures, Oracle
 from .nn import DenseNet, fork_orders, stack, train, unstack
 
@@ -177,12 +177,13 @@ def load_model(path) -> MlpRegressor:
 @dataclass
 class PendingFit:
     """A fit whose random draws are all made but whose SGD steps are not:
-    the model with its normalizers, tags and initialized net, the standardized
-    data, and the generator its epoch orders come from. fit_lockstep trains
-    it."""
+    the model with its normalizers, tags and initialized net, the inputs as
+    given (fit_lockstep standardizes them, once per distinct matrix), the
+    standardized labels, and the generator its epoch orders come from.
+    fit_lockstep trains it."""
 
     model: MlpRegressor
-    Xn: np.ndarray
+    X: np.ndarray
     yn: np.ndarray
     hyper: TrainingSettings
     orders: np.random.Generator | None  # None: constant labels, no steps
@@ -242,29 +243,37 @@ def prepare_fit(
         final_loss=0.0,
         loss_curve=[0.0],
     )
-    return PendingFit(model, (X - in_mean) / in_scale, (y - out_mean) / out_std, hyper, orders)
+    return PendingFit(model, X, (y - out_mean) / out_std, hyper, orders)
 
 
 def fit_lockstep(pending: list[PendingFit]) -> list[MlpRegressor]:
     """Train prepared fits of one input shape and hyper as one stacked net,
     K = 1 included; the models are those of fitting each alone. Constant-label
-    fits take no steps and stay out of the stack."""
+    fits take no steps and stay out of the stack. Fits handed one input matrix
+    (the stage-1 energy/latency pair's) share one standardized copy of it."""
     live = [p for p in pending if p.orders is not None]
     if not live:
         return [p.model for p in pending]
     first = live[0]
-    if any(p.Xn.shape != first.Xn.shape or p.hyper != first.hyper for p in live):
+    if any(p.X.shape != first.X.shape or p.hyper != first.hyper for p in live):
         raise ValueError("lockstep fits need one input shape and one TrainingSettings")
-    n = first.Xn.shape[0]
+    n = first.X.shape[0]
     net = stack([p.model.net for p in live])
-    X = np.concatenate([p.Xn for p in live])
+    # one input matrix has one mean and scale, so its members' standardized rows agree
+    starts: dict[int, int] = {}
+    parts = []
+    for p in live:
+        if id(p.X) not in starts:
+            starts[id(p.X)] = len(parts) * n
+            parts.append(p.model._normalize(p.X))
+    X = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    x_offsets = np.array([starts[id(p.X)] for p in live])[:, None]
     y = np.concatenate([p.yn for p in live])
-    offsets = (np.arange(len(live)) * n)[:, None]  # member k's rows start at k * n
+    y_offsets = (np.arange(len(live)) * n)[:, None]  # member k's labels start at k * n
 
     def batch_loss_and_grad(idx):
-        rows = idx + offsets
-        pred, cache = net.forward_cached(X[rows])
-        err = pred[..., 0] - y[rows]
+        pred, cache = net.forward_cached(X[idx + x_offsets])
+        err = pred[..., 0] - y[idx + y_offsets]
         wg, bg, _ = net.backward(cache, (2.0 * err / idx.shape[-1])[..., None], inputs=False)
         return [float(e @ e) for e in err], wg, bg
 
@@ -297,17 +306,13 @@ def fit(
     )])[0]
 
 
-def _sample_designs(space: DesignSpace, n: int, rng: np.random.Generator) -> list[tuple[int, ...]]:
-    return [sample_uniform(space, rng) for _ in range(n)]
-
-
 def _accuracy_set(n_samples: int, oracle: Oracle, rng: np.random.Generator):
     """Inputs, labels and fit tags of an accuracy predictor's training set."""
     if n_samples < 2:
         raise InsufficientDataError(f"need at least 2 samples, got {n_samples}")
     space = oracle.space
-    designs = _sample_designs(space, n_samples, rng)
-    X = np.stack([encode(x, space) for x in designs])
+    designs = sample_rows(space, rng, n_samples)
+    X = encode_rows(designs, space)
     y = oracle.accuracy_rows(designs)
     return X, y, {"metric": "accuracy", "device_tag": "", "takes_device": False,
                   "objective_scale": 1.0}
@@ -322,8 +327,8 @@ def _device_specific_set(metric: str, d0: DeviceFeatures, n_samples: int, oracle
         raise InsufficientDataError(f"need at least 2 samples, got {n_samples}")
     measure = oracle.latency_rows if metric == "latency" else oracle.energy_rows
     space = oracle.space
-    designs = _sample_designs(space, n_samples, rng)
-    X = np.stack([encode(x, space) for x in designs])
+    designs = sample_rows(space, rng, n_samples)
+    X = encode_rows(designs, space)
     y = measure(designs, [d0])[:, 0]
     return X, y, {"metric": metric, "device_tag": d0.device_id, "takes_device": False,
                   "objective_scale": float(np.median(y))}
@@ -408,7 +413,7 @@ class PredictorBundle:
     energy: MlpRegressor
     latency: MlpRegressor
     devices: tuple[DeviceFeatures, ...]
-    designs: list[tuple[int, ...]]
+    designs: np.ndarray  # (n_designs, encoding_width) index matrix
     acc_labels: np.ndarray
     energy_labels: np.ndarray  # (n_designs, n_devices)
     latency_labels: np.ndarray
@@ -422,7 +427,7 @@ class PredictorBundle:
 def _fit_bundle_models(
     space: DesignSpace,
     devices: tuple[DeviceFeatures, ...],
-    designs: list[tuple[int, ...]],
+    designs: np.ndarray,
     acc_labels: np.ndarray,
     energy_labels: np.ndarray,
     latency_labels: np.ndarray,
@@ -430,18 +435,16 @@ def _fit_bundle_models(
     hyper: TrainingSettings,
     rng: np.random.Generator,
 ) -> tuple[MlpRegressor, MlpRegressor, MlpRegressor]:
-    encodings = [encode(x, space) for x in designs]
-    X_acc = np.stack(encodings)
+    X_acc = encode_rows(designs, space)
     acc = fit(
         X_acc, acc_labels, layer_sizes, hyper, rng,
         metric="accuracy", takes_device=False, objective_scale=1.0,
     )
-    rows = []
-    for d in devices:
-        emb = device_embedding(d)
-        for enc in encodings:
-            rows.append(np.concatenate([enc, emb]))
-    X_dev = np.stack(rows)
+    # one row per (device, design), device outer: the design encoding, then
+    # the device embedding
+    embeddings = np.stack([device_embedding(d) for d in devices])
+    X_dev = np.hstack([np.tile(X_acc, (len(devices), 1)),
+                       np.repeat(embeddings, len(X_acc), axis=0)])
     # column-major flatten matches the row construction order (device outer)
     y_en = energy_labels.T.reshape(-1)
     y_lat = latency_labels.T.reshape(-1)
@@ -461,7 +464,7 @@ def _fit_bundle_models(
 
 
 def _measure_block(
-    designs: list[tuple[int, ...]],
+    designs: np.ndarray,
     devices: tuple[DeviceFeatures, ...],
     oracle: Oracle,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -487,7 +490,7 @@ def train_stage1(
     if designs_per_device < 2:
         raise InsufficientDataError("need at least 2 designs")
     devices = tuple(devices)
-    designs = _sample_designs(oracle.space, designs_per_device, rng)
+    designs = sample_rows(oracle.space, rng, designs_per_device)
     acc_labels, energy_labels, latency_labels = _measure_block(designs, devices, oracle)
     acc, energy, latency = _fit_bundle_models(
         oracle.space, devices, designs, acc_labels, energy_labels, latency_labels,
@@ -495,7 +498,7 @@ def train_stage1(
     )
     return PredictorBundle(
         accuracy=acc, energy=energy, latency=latency,
-        devices=devices, designs=list(designs),
+        devices=devices, designs=designs,
         acc_labels=acc_labels, energy_labels=energy_labels, latency_labels=latency_labels,
         layer_sizes=tuple(layer_sizes), hyper=hyper,
     )
@@ -519,15 +522,15 @@ def iterative_fit(
     if exploration_rounds == 0:
         return bundle
     space = oracle.space
-    designs = list(bundle.designs)
+    designs = bundle.designs
     acc_labels = bundle.acc_labels
     energy_labels = bundle.energy_labels
     latency_labels = bundle.latency_labels
     models = bundle.models()
     for _ in range(exploration_rounds):
-        explore = _sample_designs(space, explore_size, rng)
+        explore = sample_rows(space, rng, explore_size)
         acc_new, en_new, lat_new = _measure_block(explore, bundle.devices, oracle)
-        designs.extend(explore)
+        designs = np.vstack([designs, explore])
         acc_labels = np.concatenate([acc_labels, acc_new])
         energy_labels = np.vstack([energy_labels, en_new])
         latency_labels = np.vstack([latency_labels, lat_new])

@@ -50,6 +50,11 @@ def seeded(*salt: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(list(salt)))
 
 
+def rows_of(f):
+    """The row objective the minimizers take, from a function of one index tuple."""
+    return lambda X: np.array([f(tuple(x)) for x in np.asarray(X).tolist()])
+
+
 @pytest.fixture(scope="session")
 def reduced():
     return reduced_space()

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import BUILD_SECONDS, record_criterion, seeded
+from conftest import BUILD_SECONDS, record_criterion, rows_of, seeded
 from fleetopt.design_space import encode, enumerate_all, sample_uniform
 from fleetopt.device_world import (
     FleetConfig,
@@ -370,7 +370,7 @@ def test_criterion_8_amortization_quality(dspace, stage1_bundle, method2_net,
 
                 inferred = infer_design(method2_net, dev, lam, dspace)
                 searched = evolutionary_search(
-                    f_hat, dspace, SearchParams(seed=1000 + 7 * di + li)
+                    rows_of(f_hat), dspace, SearchParams(seed=1000 + 7 * di + li)
                 )
                 f_inferred, f_searched = f_hat(inferred), f_hat(searched)
                 regrets.append(max(0.0, f_inferred - f_searched) / abs(f_searched))
@@ -414,9 +414,9 @@ def test_criterion_9_search_soundness(reduced, reduced_models):
                 reduced_models["latency"],
             )
 
-        best = brute_force_argmin(objective, reduced)
+        best = brute_force_argmin(rows_of(objective), reduced)
         hits = sum(
-            evolutionary_search(objective, reduced, SearchParams(seed=s)) == best
+            evolutionary_search(rows_of(objective), reduced, SearchParams(seed=s)) == best
             for s in range(100)
         )
         ok = hits >= 95

@@ -19,6 +19,7 @@ from fleetopt.design_space import (
     enumerate_all,
     mutate,
     reduced_space,
+    sample_rows,
     sample_uniform,
 )
 
@@ -33,6 +34,9 @@ def all_min(space):
 
 def all_max(space):
     return tuple(len(axis) - 1 for axis in space._axes())
+
+
+WITH_SINGLETONS = DesignSpace(2, (1,), (0.5, 1.0, 2.0), (3, 5, 7, 9, 11), (8,))
 
 
 def in_space(space, x):
@@ -162,9 +166,7 @@ def test_decode_total_on_arbitrary_reals(reduced):
 
 
 @pytest.mark.parametrize(
-    "space",
-    [default_space(), DesignSpace(2, (1,), (0.5, 1.0, 2.0), (3, 5, 7, 9, 11), (8,))],
-    ids=["default", "with-singleton-axes"],
+    "space", [default_space(), WITH_SINGLETONS], ids=["default", "with-singleton-axes"],
 )
 def test_row_forms_match_one_row_forms(space):
     r = rng(13)
@@ -229,62 +231,75 @@ def test_sample_deterministic_per_seed(dspace):
     assert a == b
 
 
+@pytest.mark.parametrize(
+    "space", [default_space(), reduced_space(), WITH_SINGLETONS],
+    ids=["default", "reduced", "with-singleton-axes"],
+)
+def test_sample_rows_are_sequential_sample_uniform_draws(space):
+    # training sets and probes moved to sample_rows; their designs must not move
+    for seed in range(8):
+        for n in (1, 2, 33, 500):
+            a, b = rng(seed), rng(seed)
+            X = sample_rows(space, a, n)
+            assert X.shape == (n, space.encoding_width)
+            assert X.tolist() == [list(sample_uniform(space, b)) for _ in range(n)]
+            assert a.bit_generator.state == b.bit_generator.state
+
+
 def test_mutate_rate_zero_is_identity(reduced):
-    x = all_max(reduced)
-    assert mutate(x, 0.0, reduced, rng(0)) == x
+    X = np.array([all_max(reduced), all_min(reduced)] * 5)
+    assert np.array_equal(mutate(X, 0.0, reduced, rng(0)), X)
+    with pytest.raises(ValueError):
+        mutate(X, 1.5, reduced, rng(0))
 
 
 def test_mutate_stays_in_space(reduced):
     r = rng(3)
-    x = all_min(reduced)
+    X = np.array([all_min(reduced)] * 8)
     for _ in range(100):
-        x = mutate(x, 1.0, reduced, r)
-        assert in_space(reduced, x)
+        X = mutate(X, 1.0, reduced, r)
+        assert all(in_space(reduced, x) for x in X.tolist())
 
 
 def test_mutate_expected_change_count(dspace):
-    # a resampled axis always moves, so E[changed fields] = rate * 13 exactly
+    # a resampled axis always moves and a singleton axis never does, so
+    # E[changed fields] = rate * (non-singleton axes) exactly
     r = rng(11)
-    base = all_min(dspace)
-    trials = 10_000
-    changed = 0
-    for _ in range(trials):
-        y = mutate(base, 0.1, dspace, r)
-        changed += sum(u != v for u, v in zip(base, y))
-    expected = 0.1 * (3 * dspace.num_stages + 1)
-    assert abs(changed / trials - expected) / expected < 0.05
+    for space in (dspace, WITH_SINGLETONS):
+        movable = np.array([len(axis) > 1 for axis in space._axes()])
+        base = np.array([all_min(space)] * 10_000)
+        changed = mutate(base, 0.1, space, r) != base
+        expected = 0.1 * movable.sum()
+        assert abs(changed.sum(axis=1).mean() - expected) / expected < 0.05
+        assert not changed[:, ~movable].any()
+        everything = mutate(base, 1.0, space, r) != base
+        assert everything[:, movable].all() and not everything[:, ~movable].any()
 
 
 def test_mutate_deterministic_per_seed(reduced):
-    x = all_min(reduced)
-    a = [mutate(x, 0.5, reduced, rng(2)) for _ in range(10)]
-    b = [mutate(x, 0.5, reduced, rng(2)) for _ in range(10)]
-    assert a == b
+    X = np.array([all_min(reduced)] * 10)
+    a = mutate(X, 0.5, reduced, rng(2))
+    b = mutate(X, 0.5, reduced, rng(2))
+    assert np.array_equal(a, b)
 
 
 def test_crossover_of_identical_parents(reduced):
-    x = all_max(reduced)
-    assert crossover(x, x, reduced, rng(0)) == x
+    X = np.array([all_max(reduced), all_min(reduced)])
+    assert np.array_equal(crossover(X, X, rng(0)), X)
 
 
 def test_crossover_fields_come_from_parents(reduced):
-    a, b = all_min(reduced), all_max(reduced)
     r = rng(5)
-    for _ in range(50):
-        child = crossover(a, b, reduced, r)
-        assert all(k in (ka, kb) for k, ka, kb in zip(child, a, b, strict=True))
+    A, B = sample_rows(reduced, r, 50), sample_rows(reduced, r, 50)
+    child = crossover(A, B, r)
+    assert ((child == A) | (child == B)).all()
 
 
 def test_crossover_parent_frequency_balanced(reduced):
-    a, b = all_min(reduced), all_max(reduced)
-    r = rng(13)
-    trials = 10_000
-    from_b = 0
-    for _ in range(trials):
-        child = crossover(a, b, reduced, r)
-        from_b += sum(k == kb for k, kb in zip(child, b))
-    freq = from_b / (trials * 7)
-    assert abs(freq - 0.5) < 0.05
+    A = np.array([all_min(reduced)] * 10_000)
+    B = np.array([all_max(reduced)] * 10_000)
+    child = crossover(A, B, rng(13))
+    assert abs((child == B).mean() - 0.5) < 0.05
 
 
 def test_indices_of_rejects_design_of_another_space(reduced, dspace):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import rows_of
 from fleetopt.design_space import encode, enumerate_all
 from fleetopt.device_world import MeasurementLedger, Oracle
 from fleetopt.learn_to_optimize import (
@@ -100,7 +101,7 @@ def test_optimizer_input_layout(fleet):
 
 def label(d, lam, bundle, space):
     """Exhaustive argmin of f_hat for one (device, lambda) pair."""
-    return brute_force_argmin(lambda x: fhat(x, d, lam, bundle, space), space)
+    return brute_force_argmin(rows_of(lambda x: fhat(x, d, lam, bundle, space)), space)
 
 
 def test_labels_at_zero_lambda_are_predicted_accuracy_argmax(small_bundle, fleet, reduced):

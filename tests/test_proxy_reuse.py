@@ -126,35 +126,40 @@ def test_tcache_quantizes_keys(reduced):
 
 
 def test_scalarized_objective_extremes_and_linearity(exact_models, reduced, proxy):
-    x = enumerate_all(reduced)[5]
+    designs = enumerate_all(reduced)[5:8]
+    X = np.array(designs)
+    points = [reduced.design_at(x) for x in designs]
     acc, lat = exact_models["accuracy"], exact_models["latency"]
-    f0 = scalarized_objective(x, (0.0,), acc, (lat,), reduced)
-    f1 = scalarized_objective(x, (1.0,), acc, (lat,), reduced)
-    assert f0 == -accuracy_value(reduced.design_at(x), reduced)
-    assert f1 == pytest.approx(latency_value(reduced.design_at(x), proxy) / lat.objective_scale)
-    assert scalarized_objective(x, (0.5,), acc, (lat,), reduced) == pytest.approx((f0 + f1) / 2)
+    f0 = scalarized_objective(X, (0.0,), acc, (lat,), reduced)
+    f1 = scalarized_objective(X, (1.0,), acc, (lat,), reduced)
+    assert f0.tolist() == [-accuracy_value(p, reduced) for p in points]
+    assert f1 == pytest.approx([latency_value(p, proxy) / lat.objective_scale for p in points])
+    assert scalarized_objective(X, (0.5,), acc, (lat,), reduced) == pytest.approx((f0 + f1) / 2)
     with pytest.raises(ValueError):
-        scalarized_objective(x, (1.01,), acc, (lat,), reduced)
+        scalarized_objective(X, (1.01,), acc, (lat,), reduced)
 
 
 def test_scalarized_objective_one_weight_is_the_bisection_objective(exact_models, reduced, proxy):
     acc, lat = exact_models["accuracy"], exact_models["latency"]
-    for x in enumerate_all(reduced)[::9]:
-        p = reduced.design_at(x)
-        for t in (0.0, 0.001, 0.123, 0.5, 0.999, 1.0):
-            expected = -(1.0 - t) * accuracy_value(p, reduced) + t * (
-                latency_value(p, proxy) / lat.objective_scale
-            )
-            assert scalarized_objective(x, (t,), acc, (lat,), reduced) == expected
+    designs = enumerate_all(reduced)[::9]
+    points = [reduced.design_at(x) for x in designs]
+    for t in (0.0, 0.001, 0.123, 0.5, 0.999, 1.0):
+        expected = [
+            -(1.0 - t) * accuracy_value(p, reduced)
+            + t * (latency_value(p, proxy) / lat.objective_scale)
+            for p in points
+        ]
+        got = scalarized_objective(np.array(designs), (t,), acc, (lat,), reduced)
+        assert got.tolist() == expected
 
 
 def test_solve_inner_caches_and_skips_objective(exact_models, reduced):
     calls = [0]
 
     def counting_minimizer(objective):
-        def counted(x):
-            calls[0] += 1
-            return objective(x)
+        def counted(X):
+            calls[0] += len(X)
+            return objective(X)
 
         return brute_force_argmin(counted, reduced)
 
@@ -284,7 +289,7 @@ def test_search_and_bisection_convert_only_what_they_measure(
 
     acc, lat = reduced_models["accuracy"], reduced_models["latency"]
     evolutionary_search(
-        lambda x: scalarized_objective(x, (0.3,), acc, (lat,), reduced), reduced, SearchParams()
+        lambda X: scalarized_objective(X, (0.3,), acc, (lat,), reduced), reduced, SearchParams()
     )
     assert calls == {"indices_of": 0, "design_at": 0}
 
@@ -310,7 +315,7 @@ def test_scalarized_objective_two_weights_on_the_simplex(exact_models, reduced, 
     acc, lat, en = exact_models["accuracy"], exact_models["latency"], exact_models["energy"]
 
     def f(t1, t2):
-        return scalarized_objective(x, (t1, t2), acc, (lat, en), reduced)
+        return scalarized_objective(np.array([x]), (t1, t2), acc, (lat, en), reduced)[0]
 
     assert f(0.0, 0.0) == -accuracy_value(p, reduced)
     t1, t2 = 0.3, 0.25

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from fleetopt.design_space import SpaceTooLargeError, default_space
+from conftest import rows_of
+from fleetopt import search
+from fleetopt.design_space import DesignSpace, SpaceTooLargeError, default_space, enumerate_all
 from fleetopt.device_world import accuracy_value, energy_value, latency_value
 from fleetopt.search import (
     ConstraintSpec,
@@ -28,11 +30,11 @@ def true_objective(lambda1, lambda2, d, space):
             -accuracy_value(p, space) + lambda1 * energy_value(p, d) + lambda2 * latency_value(p, d)
         )
 
-    return objective
+    return rows_of(objective)
 
 
 def true_latency_of(d, space):
-    return lambda x: latency_value(space.design_at(x), d)
+    return rows_of(lambda x: latency_value(space.design_at(x), d))
 
 
 def test_search_params_validation():
@@ -78,27 +80,34 @@ def test_scalarization_monotone_in_each_weight(reduced, proxy):
         en_prev = en
 
 
-def test_constant_objective_returns_lexicographically_smallest_visited(reduced):
-    visited = []
+def test_constant_objective_returns_lexicographically_smallest_visited(reduced, dspace):
+    for space in (reduced, dspace):
+        visited = []
 
-    def objective(x):
-        visited.append(x)
-        return 1.0
+        def objective(X):
+            visited.extend(map(tuple, X.tolist()))
+            return np.ones(len(X))
 
-    result = evolutionary_search(objective, reduced, SearchParams(seed=5))
-    assert result == min(visited)
+        result = evolutionary_search(objective, space, SearchParams(seed=5))
+        assert result == min(visited)
+    assert brute_force_argmin(lambda X: np.ones(len(X)), reduced) == all_min(reduced)
 
 
-def test_objective_evaluations_within_budget(reduced):
-    calls = [0]
-
-    def objective(x):
-        calls[0] += 1
-        return float(sum(x))
-
+def test_objective_evaluations_within_budget(reduced, dspace):
     params = SearchParams(population=16, generations=10, seed=3)
-    evolutionary_search(objective, reduced, params)
-    assert calls[0] <= 16 * 10
+    for space in (reduced, dspace):
+        calls, rows = [0], set()
+
+        def objective(X):
+            calls[0] += 1
+            batch = list(map(tuple, X.tolist()))
+            assert rows.isdisjoint(batch) and len(set(batch)) == len(batch)  # scored once
+            rows.update(batch)
+            return X.sum(axis=1).astype(float)
+
+        evolutionary_search(objective, space, params)
+        assert calls[0] <= 10
+        assert len(rows) <= 16 * 10
 
 
 def test_evolutionary_search_deterministic(reduced, proxy):
@@ -111,13 +120,25 @@ def test_evolutionary_search_deterministic(reduced, proxy):
 def test_brute_force_monotone_objective_returns_all_min(reduced, proxy):
     x = brute_force_argmin(true_latency_of(proxy, reduced), reduced)
     assert x == all_min(reduced)
+    # on a space of more than two chunks, a minimum that starts at the last row
+    # of the first chunk and runs on through the next wins at that first row
+    big = DesignSpace(2, (1, 2, 3, 4), (0.5, 0.75, 1.0, 1.25), (3, 5, 7), (4, 8, 16, 32))
+    assert big.cardinality > 2 * search.BRUTE_FORCE_CHUNK
+    dims = [len(axis) for axis in big._axes()]
+    first = search.BRUTE_FORCE_CHUNK - 1
+
+    def objective(X):
+        return (np.ravel_multi_index(X.T, dims) < first).astype(float)
+
+    assert brute_force_argmin(objective, big) == enumerate_all(big)[first]
 
 
 def test_brute_force_negative_accuracy_returns_all_max(reduced):
-    x = brute_force_argmin(lambda x: -accuracy_value(reduced.design_at(x), reduced), reduced)
+    x = brute_force_argmin(rows_of(lambda x: -accuracy_value(reduced.design_at(x), reduced)),
+                           reduced)
     assert x == all_max(reduced)
 
 
 def test_brute_force_refuses_oversized_space():
     with pytest.raises(SpaceTooLargeError):
-        brute_force_argmin(lambda x: 0.0, default_space(), limit=1000)
+        brute_force_argmin(lambda X: np.zeros(len(X)), default_space(), limit=1000)

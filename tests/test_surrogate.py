@@ -445,15 +445,19 @@ def test_fit_writes_the_reference_bytes():
                          ids=["none", "middle", "two", "all"])
 def test_lockstep_fits_equal_sequential_fits(constant):
     data = np.random.default_rng(82)
-    X = [data.normal(size=(37, 5)) for _ in range(3)]
-    y = [np.full(37, 4.25) if k in constant else X[k] @ data.normal(size=5) for k in range(3)]
-    a, b = np.random.default_rng(83), np.random.default_rng(83)
-    got = fit_lockstep([prepare_fit(X[k], y[k], (8,), TINY, a, metric=str(k))
-                        for k in range(3)])
-    want = [reference_fit(X[k], y[k], (8,), TINY, b, metric=str(k)) for k in range(3)]
-    assert model_bytes(got) == model_bytes(want)
-    assert [m.constant_warning for m in got] == [k in constant for k in range(3)]
-    assert a.bit_generator.state == b.bit_generator.state
+    distinct = [data.normal(size=(37, 5)) for _ in range(3)]
+    # members may share one input matrix (as the stage-1 pair shares X_dev);
+    # they then train from one standardized copy of it
+    for X in (distinct, [distinct[0]] * 3, [distinct[0], distinct[1], distinct[0]]):
+        y = [np.full(37, 4.25) if k in constant else X[k] @ data.normal(size=5)
+             for k in range(3)]
+        a, b = np.random.default_rng(83), np.random.default_rng(83)
+        got = fit_lockstep([prepare_fit(X[k], y[k], (8,), TINY, a, metric=str(k))
+                            for k in range(3)])
+        want = [reference_fit(X[k], y[k], (8,), TINY, b, metric=str(k)) for k in range(3)]
+        assert model_bytes(got) == model_bytes(want)
+        assert [m.constant_warning for m in got] == [k in constant for k in range(3)]
+        assert a.bit_generator.state == b.bit_generator.state
 
 
 def test_lockstep_fits_need_one_shape():
