@@ -86,8 +86,9 @@ class OptimizerNetwork:
 
 
 def save_optimizer(net: OptimizerNetwork, path) -> None:
+    # json.dumps encodes in C; json.dump streams through the Python encoder
     with open(path, "w") as f:
-        json.dump(net.to_dict(), f)
+        f.write(json.dumps(net.to_dict()))
 
 
 def load_optimizer(path) -> OptimizerNetwork:
@@ -111,19 +112,23 @@ def amortized_batch_gradient(
     acc_model: MlpRegressor,
     energy_model: MlpRegressor,
     latency_model: MlpRegressor,
+    out=None,
 ):
     """Mean predicted objective of the batch and its gradient w.r.t. the
     optimizer's parameters, with predictor weights held fixed.
 
     The chain: optimizer forward gives x_hat per row; each predictor yields its
     value and d(value)/d(x_hat); the combined upstream gradient runs back
-    through the optimizer. Returns (mean f_hat, weight grads, bias grads).
-    For a stacked optimizer the inputs are (K, b, .) stacks and the mean comes
-    back per member.
+    through the optimizer. Returns (mean f_hat, weight grads, bias grads); the
+    grads are written into out if given (see DenseNet.backward). For a stacked
+    optimizer the inputs are (K, b, .) stacks and the mean comes back per
+    member. It computes in the nets' dtype, which the optimizer and the
+    predictors must share.
     """
     b = Xn.shape[-2]
     xhat, cache = net.forward_cached(Xn)
-    acc_vals, d_acc = acc_model.batch_value_and_input_grad(xhat, -np.ones(Xn.shape[:-1]) / b)
+    acc_vals, d_acc = acc_model.batch_value_and_input_grad(
+        xhat, -np.ones(Xn.shape[:-1], dtype=Xn.dtype) / b)
     dev_inputs = np.concatenate([xhat, embeddings], axis=-1)
     s_e = energy_model.objective_scale
     s_l = latency_model.objective_scale
@@ -135,7 +140,7 @@ def amortized_batch_gradient(
     grad_xhat = d_acc + d_en[..., :width] + d_lat[..., :width]
     f = -acc_vals + lams[..., 0] * en_vals / s_e + lams[..., 1] * lat_vals / s_l
     f_mean = f.mean(axis=-1)
-    wg, bg, _ = net.backward(cache, grad_xhat, inputs=False)
+    wg, bg, _ = net.backward(cache, grad_xhat, inputs=False, out=out)
     return f_mean, wg, bg
 
 
@@ -168,6 +173,8 @@ def train_method2(
     The logistic output head can saturate from a bad init and freeze part of
     the encoding, so `restarts` independent inits are trained and the one with
     the lowest exact training objective is kept (single net, no ensembling).
+    Training runs in float32, through float32 working copies of the
+    predictors; the restarts are scored, and the network returned, in float64.
     """
     if not inputs:
         raise ValueError("empty training set")
@@ -185,15 +192,18 @@ def train_method2(
     seeds = rng.integers(0, 2**63, size=restarts)
     start_rngs = [np.random.default_rng(int(seed)) for seed in seeds]
     net = stack([DenseNet([Xn.shape[1], *layer_sizes, acc_model.input_dim], r,
-                          output_activation="logistic") for r in start_rngs])
+                          output_activation="logistic") for r in start_rngs]).astype(np.float32)
+    frozen = [m.astype(np.float32) for m in (acc_model, energy_model, latency_model)]
+    data = [a.astype(np.float32) for a in (Xn, embeddings, lams)]
 
-    def batch_loss_and_grad(idx):
-        f_mean, wg, bg = amortized_batch_gradient(
-            net, Xn[idx], embeddings[idx], lams[idx], acc_model, energy_model, latency_model,
-        )
-        return f_mean * idx.shape[-1], wg, bg
+    def gather(order):
+        return [a[order] for a in data]
 
-    curves = train(net, Xn.shape[0], batch_loss_and_grad, hyper, start_rngs, mu)
+    def batch_loss_and_grad(Xb, eb, lb, grads):
+        f_mean, _, _ = amortized_batch_gradient(net, Xb, eb, lb, *frozen, out=grads)
+        return f_mean * Xb.shape[-2]
+
+    curves = train(net, Xn.shape[0], gather, batch_loss_and_grad, hyper, start_rngs, mu)
     nets = unstack(net)
     scores = [_amortized_objective(m, Xn, embeddings, lams, acc_model, energy_model,
                                    latency_model, mu) for m in nets]

@@ -4,8 +4,13 @@ Hidden layers use softplus so the map from input to output is smooth: the
 amortized optimizer differentiates *through* these nets with respect to their
 inputs, and kinked activations would hand it zero or jumpy gradients. The
 output head is linear for regression or logistic when outputs must land in
-(0, 1). Everything is float64 numpy; gradients come in two flavors, weights
-(for training the net itself) and inputs (for training whatever feeds it).
+(0, 1). Gradients come in two flavors, weights (for training the net itself)
+and inputs (for training whatever feeds it).
+
+Numbers are numpy arrays of the weights' dtype: forward and backward work in
+it. Training runs in float32 on a float32 copy (`astype`); models are kept,
+saved and used for inference in float64, so a trained net's values are float32
+values held in float64.
 
 Training has one shape: a stack of K >= 1 nets of one shape (see `stack`),
 weights (K, fan_in, fan_out), batches (K, b, fan_in), stepped by the one
@@ -85,8 +90,9 @@ class DenseNet:
     def forward_cached(self, X: np.ndarray):
         """Returns (output, cache) where cache holds the per-layer activations
         needed by backward(). X is (n, in) or a stack of batches (K, n, in);
-        a stacked net gives batch k to member k, a 2-D net takes every batch."""
-        X = np.asarray(X, dtype=float)
+        a stacked net gives batch k to member k, a 2-D net takes every batch.
+        X is cast to the weights' dtype."""
+        X = np.asarray(X, dtype=self.weights[0].dtype)
         if X.ndim not in (2, 3) or X.shape[-1] != self.input_dim:
             raise ValueError(f"expected shape (n, {self.input_dim}), got {X.shape}")
         activations = [X]
@@ -105,19 +111,23 @@ class DenseNet:
         return a, activations
 
     def backward(self, activations: list[np.ndarray], grad_out: np.ndarray,
-                 params: bool = True, inputs: bool = True):
+                 params: bool = True, inputs: bool = True, out=None):
         """Backprop dLoss/dOutput to (weight grads, bias grads, dLoss/dInput).
 
         params=False skips the weight and bias grads (they come back empty),
         inputs=False the input grad (None): a frozen net needs only the one,
-        a net being trained only the others.
+        a net being trained only the others. out=(weight grads, bias grads),
+        lists of arrays shaped like the weights and biases (MomentumSgd.grads),
+        receives the grads instead of new arrays.
 
         softplus' = sigmoid(z); both it and the logistic derivative a(1-a) are
         reconstructed from stored activations, so no pre-activations are kept.
+        A layer of width 1 passes its grad back as a broadcast product: a
+        matmul over an inner dimension of 1 makes that one product per entry.
         """
-        grad = np.asarray(grad_out, dtype=float)
-        weight_grads = [np.empty(0)] * len(self.weights)
-        bias_grads = [np.empty(0)] * len(self.biases)
+        grad = np.asarray(grad_out, dtype=self.weights[0].dtype)
+        weight_grads, bias_grads = out or ([np.empty(0)] * len(self.weights),
+                                           [np.empty(0)] * len(self.biases))
         stacked = self.stacked
         last = len(self.weights) - 1
         for i in range(last, -1, -1):
@@ -127,12 +137,19 @@ class DenseNet:
                     grad = grad * a_out * (1.0 - a_out)
             else:
                 # invert softplus: a = log(1+e^z) => sigmoid(z) = 1 - e^(-a)
-                grad = grad * (1.0 - np.exp(-a_out))
+                d = np.negative(a_out)
+                np.exp(d, out=d)
+                np.subtract(1.0, d, out=d)
+                d *= grad
+                grad = d
             if params:
-                weight_grads[i] = activations[i].swapaxes(-1, -2) @ grad
-                bias_grads[i] = grad.sum(axis=-2, keepdims=stacked)
+                weight_grads[i] = np.matmul(activations[i].swapaxes(-1, -2), grad,
+                                            out=weight_grads[i] if out else None)
+                bias_grads[i] = np.add.reduce(grad, axis=-2, keepdims=stacked,
+                                              out=bias_grads[i] if out else None)
             if i or inputs:
-                grad = grad @ self.weights[i].swapaxes(-1, -2)
+                W_t = self.weights[i].swapaxes(-1, -2)
+                grad = grad * W_t if W_t.shape[-2] == 1 else grad @ W_t
         return weight_grads, bias_grads, grad if inputs else None
 
     def input_gradient(self, x: np.ndarray) -> np.ndarray:
@@ -170,12 +187,13 @@ class DenseNet:
         }
 
     @classmethod
-    def _of(cls, layer_sizes, output_activation: str, weights, biases) -> "DenseNet":
+    def _of(cls, layer_sizes, output_activation: str, weights, biases,
+            dtype=np.float64) -> "DenseNet":
         net = object.__new__(cls)
         net.layer_sizes = list(layer_sizes)
         net.output_activation = output_activation
-        net.weights = [np.array(W, dtype=float) for W in weights]
-        net.biases = [np.array(b, dtype=float) for b in biases]
+        net.weights = [np.array(W, dtype=dtype) for W in weights]
+        net.biases = [np.array(b, dtype=dtype) for b in biases]
         return net
 
     @classmethod
@@ -185,14 +203,20 @@ class DenseNet:
         return cls._of(d["layer_sizes"], d["output_activation"], d["weights"], d["biases"])
 
     def copy(self) -> "DenseNet":
-        return DenseNet._of(self.layer_sizes, self.output_activation, self.weights, self.biases)
+        return self.astype(self.weights[0].dtype)
+
+    def astype(self, dtype) -> "DenseNet":
+        """An independent copy whose weights and biases are of dtype."""
+        return DenseNet._of(self.layer_sizes, self.output_activation, self.weights, self.biases,
+                            dtype)
 
 
 def stack(nets: list[DenseNet]) -> DenseNet:
     """K nets of one shape as one net: weights[i] (K, fan_in, fan_out),
     biases[i] (K, 1, fan_out). forward_cached takes (K, b, fan_in) batches,
     batch k for member k, and backward, MomentumSgd and train step every
-    member at once; unstack gives the members back as ordinary nets."""
+    member at once; unstack gives the members back as ordinary nets. The
+    stack is float64; train a float32 copy of it (astype)."""
     first = nets[0]
     for net in nets:
         if net.stacked or (net.layer_sizes, net.output_activation) != (
@@ -204,7 +228,8 @@ def stack(nets: list[DenseNet]) -> DenseNet:
 
 
 def unstack(net: DenseNet) -> list[DenseNet]:
-    """The members of a stacked net, each an independent 2-D net."""
+    """The members of a stacked net, each an independent float64 2-D net (a
+    float32 stack's values exactly)."""
     return [
         DenseNet._of(net.layer_sizes, net.output_activation,
                      [W[k] for W in net.weights], [b[k, 0] for b in net.biases])
@@ -213,37 +238,50 @@ def unstack(net: DenseNet) -> list[DenseNet]:
 
 
 class MomentumSgd:
-    """Classic momentum: v <- m*v + g; p <- p - lr*v.
+    """Classic momentum: v <- m*v + g; p <- p - lr*v, where g is the loss
+    gradient plus that of mu * ||theta||^2.
 
     The optimizer holds the net's weights and biases in one flat buffer and
     rebinds net.weights[i] and net.biases[i] to views of it (same values), so
-    a step is four array operations however many layers there are. An array
-    put in the net's lists afterwards would not be stepped.
+    a step is a few array operations however many layers there are. An array
+    put in the net's lists afterwards would not be stepped. The loss gradient
+    lives in a second flat buffer: grads holds its (weight grads, bias grads)
+    views, which net.backward(..., out=opt.grads) fills before each step.
     """
 
-    def __init__(self, net: DenseNet, learning_rate: float, momentum: float):
+    def __init__(self, net: DenseNet, learning_rate: float, momentum: float, mu: float = 0.0):
         if learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if not 0.0 <= momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
         self.learning_rate = learning_rate
         self.momentum = momentum
+        self.mu = mu
         params = net.weights + net.biases
         self._theta = np.concatenate([p.ravel() for p in params])
-        views, pos = [], 0
-        for p in params:
-            views.append(self._theta[pos : pos + p.size].reshape(p.shape))
-            pos += p.size
+        self._grad = np.zeros_like(self._theta)
         layers = len(net.weights)
-        net.weights[:], net.biases[:] = views[:layers], views[layers:]
+        net.weights[:], net.biases[:] = _split(self._theta, params, layers)
+        self.grads = _split(self._grad, params, layers)
         self._velocity = np.zeros_like(self._theta)
 
-    def step(self, weight_grads, bias_grads) -> None:
-        """One update of the net the optimizer was made for."""
-        grad = np.concatenate([g.ravel() for g in weight_grads + bias_grads])
+    def step(self) -> None:
+        """One update of the net the optimizer was made for, by grads."""
+        if self.mu > 0:
+            self._grad += 2.0 * self.mu * self._theta
         self._velocity *= self.momentum
-        self._velocity += grad
+        self._velocity += self._grad
         self._theta -= self.learning_rate * self._velocity
+
+
+def _split(flat: np.ndarray, like: list[np.ndarray], layers: int):
+    """Views of flat shaped as the arrays of like, in order: the first layers
+    of them, then the rest."""
+    views, pos = [], 0
+    for p in like:
+        views.append(flat[pos : pos + p.size].reshape(p.shape))
+        pos += p.size
+    return views[:layers], views[layers:]
 
 
 def l2_penalty(net: DenseNet, mu: float) -> float:
@@ -264,33 +302,32 @@ def fork_orders(rng: np.random.Generator, n: int, epochs: int) -> np.random.Gene
     return fork
 
 
-def train(net: DenseNet, n: int, batch_loss_and_grad, hyper, rngs, mu: float = 0.0):
+def train(net: DenseNet, n: int, gather, batch_loss_and_grad, hyper, rngs, mu: float = 0.0):
     """Minibatch momentum SGD of a stack of K nets over n rows each; returns
     one per-epoch loss curve per member.
 
     hyper carries learning_rate, momentum, epochs and batch_size (a
     surrogate.TrainingSettings). rngs holds one generator per member; each
     epoch, member k visits its rows once in a fresh order drawn from rngs[k].
-    batch_loss_and_grad(idx) takes idx (K, b), row idx[k] for member k, and
-    returns the K summed row losses and the weight and bias gradients of each
-    member's mean loss; with mu > 0 the gradient of mu * ||theta||^2 is added
-    before each step. A curve entry is the epoch's mean row loss plus the
-    penalty at the epoch's end, each what training that member alone would give.
+    gather(order) takes the epoch's orders (K, n) and returns the arrays the
+    batches are cut from, each (K, n, ...) with member k's rows in order k.
+    batch_loss_and_grad(*batch, grads) takes each array's next b columns,
+    writes the weight and bias gradients of each member's mean loss into grads
+    (see MomentumSgd.grads) and returns the K summed row losses; with mu > 0
+    the gradient of mu * ||theta||^2 is added at each step. A curve entry is
+    the epoch's mean row loss plus the penalty at the epoch's end, each what
+    training that member alone would give.
     """
-    opt = MomentumSgd(net, hyper.learning_rate, hyper.momentum)
+    opt = MomentumSgd(net, hyper.learning_rate, hyper.momentum, mu)
     batch = min(hyper.batch_size, n)
     curves: list[list[float]] = [[] for _ in rngs]
     for _ in range(hyper.epochs):
-        order, loss_sum = np.stack([r.permutation(n) for r in rngs]), np.zeros(len(rngs))
+        rows = gather(np.stack([r.permutation(n) for r in rngs]))
+        loss_sum = np.zeros(len(rngs))
         for start in range(0, n, batch):
-            idx = order[:, start : start + batch]
-            loss, wg, bg = batch_loss_and_grad(idx)
-            loss_sum += loss
-            if mu > 0:
-                for i in range(len(wg)):
-                    wg[i] += 2.0 * mu * net.weights[i]
-                    bg[i] += 2.0 * mu * net.biases[i]
-            opt.step(wg, bg)
+            loss_sum += batch_loss_and_grad(*(a[:, start : start + batch] for a in rows),
+                                            opt.grads)
+            opt.step()
         # the penalty is exactly 0.0 without mu, so the members are not copied out
         penalties = [l2_penalty(m, mu) for m in unstack(net)] if mu else [0.0] * len(rngs)
         for curve, s, penalty in zip(curves, loss_sum, penalties):

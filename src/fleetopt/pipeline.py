@@ -51,8 +51,9 @@ from .surrogate import (
     fit_lockstep,
     load_model,
     save_model,
-    train_accuracy_predictor,  # noqa: F401 -- bench/tracer.py wraps this binding
-    train_device_specific_predictor,
+    # bench/tracer.py wraps these two bindings; pipeline does not call them
+    train_accuracy_predictor,  # noqa: F401
+    train_device_specific_predictor,  # noqa: F401
     train_stage1,
     iterative_fit,
 )
@@ -198,22 +199,17 @@ def _proxy_reuse(scenario: Scenario, fleet: Fleet, oracle: Oracle):
     metrics = ["latency"] if scenario.optimize.energy_percentile is None else ["latency", "energy"]
     names = ["accuracy.json"] + [f"{metric}_proxy.json" for metric in metrics]
 
-    def device_models(device, rng) -> list:
-        return [
-            train_device_specific_predictor(
-                metric, device, scenario.samples_per_device, oracle, rng,
-                scenario.hyper, scenario.hidden,
-            )
-            for metric in metrics
-        ]
+    n, hyper, hidden = scenario.samples_per_device, scenario.hyper, scenario.hidden
+
+    def device_fits(device, rng) -> list:
+        # one shape for every fit, so a device's fits train as one stack (the
+        # proxy's with the accuracy fit)
+        return [device_specific_fit(metric, device, n, oracle, rng, hyper, hidden)
+                for metric in metrics]
 
     def train(rng) -> list:
-        # the proxy's fits share one shape, so they train as one stack
-        n, hyper, hidden = scenario.samples_per_device, scenario.hyper, scenario.hidden
-        return fit_lockstep([accuracy_fit(n, oracle, rng, hyper, hidden)] + [
-            device_specific_fit(metric, fleet.proxy, n, oracle, rng, hyper, hidden)
-            for metric in metrics
-        ])
+        return fit_lockstep([accuracy_fit(n, oracle, rng, hyper, hidden)]
+                            + device_fits(fleet.proxy, rng))
 
     def solver(acc_model, *proxy_models):
         def entry_for(device, models) -> ProxyEntry:
@@ -236,7 +232,7 @@ def _proxy_reuse(scenario: Scenario, fleet: Fleet, oracle: Oracle):
             probes_charged = count(target.device_id, "latency") - before
             reused = entry is not None
             if entry is None:
-                entry = entry_for(target, device_models(target, rng_opt))
+                entry = entry_for(target, fit_lockstep(device_fits(target, rng_opt)))
                 pool.add(entry)
             before = count(target.device_id, "latency")
             if spec.energy_bound is not None:

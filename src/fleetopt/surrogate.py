@@ -119,10 +119,12 @@ class MlpRegressor:
 
         The workhorse for training through a frozen predictor: out_coeff folds
         whatever weight the outer loss puts on each row's prediction. X may be
-        a stack of batches (K, b, in) with out_coeff (K, b).
+        a stack of batches (K, b, in) with out_coeff (K, b). The work is done
+        in the net's dtype (see astype).
         """
-        X = np.asarray(X, dtype=float)
-        out_coeff = np.asarray(out_coeff, dtype=float)[..., None]
+        dtype = self.net.weights[0].dtype
+        X = np.asarray(X, dtype=dtype)
+        out_coeff = np.asarray(out_coeff, dtype=dtype)[..., None]
         Xn = self._normalize(X)
         raw, cache = self.net.forward_cached(Xn)
         values = self.out_mean + self.out_scale * raw[..., 0]
@@ -131,6 +133,13 @@ class MlpRegressor:
 
     def parameter_vector(self) -> np.ndarray:
         return self.net.parameter_vector()
+
+    def astype(self, dtype) -> "MlpRegressor":
+        """A copy whose net and input normalizers are of dtype: a float32
+        working copy to train another net through."""
+        return dataclasses.replace(self, net=self.net.astype(dtype),
+                                   in_mean=self.in_mean.astype(dtype),
+                                   in_scale=self.in_scale.astype(dtype))
 
     def to_dict(self) -> dict:
         return {
@@ -165,8 +174,9 @@ class MlpRegressor:
 
 
 def save_model(model: MlpRegressor, path) -> None:
+    # json.dumps encodes in C; json.dump streams through the Python encoder
     with open(path, "w") as f:
-        json.dump(model.to_dict(), f)
+        f.write(json.dumps(model.to_dict()))
 
 
 def load_model(path) -> MlpRegressor:
@@ -250,7 +260,9 @@ def fit_lockstep(pending: list[PendingFit]) -> list[MlpRegressor]:
     """Train prepared fits of one input shape and hyper as one stacked net,
     K = 1 included; the models are those of fitting each alone. Constant-label
     fits take no steps and stay out of the stack. Fits handed one input matrix
-    (the stage-1 energy/latency pair's) share one standardized copy of it."""
+    (the stage-1 energy/latency pair's) share one standardized copy of it.
+    Training runs in float32: the net, the standardized inputs (standardized
+    in float64, then rounded) and labels; the models come back float64."""
     live = [p for p in pending if p.orders is not None]
     if not live:
         return [p.model for p in pending]
@@ -258,7 +270,7 @@ def fit_lockstep(pending: list[PendingFit]) -> list[MlpRegressor]:
     if any(p.X.shape != first.X.shape or p.hyper != first.hyper for p in live):
         raise ValueError("lockstep fits need one input shape and one TrainingSettings")
     n = first.X.shape[0]
-    net = stack([p.model.net for p in live])
+    net = stack([p.model.net for p in live]).astype(np.float32)
     # one input matrix has one mean and scale, so its members' standardized rows agree
     starts: dict[int, int] = {}
     parts = []
@@ -266,18 +278,20 @@ def fit_lockstep(pending: list[PendingFit]) -> list[MlpRegressor]:
         if id(p.X) not in starts:
             starts[id(p.X)] = len(parts) * n
             parts.append(p.model._normalize(p.X))
-    X = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    X = np.concatenate(parts, dtype=np.float32)
     x_offsets = np.array([starts[id(p.X)] for p in live])[:, None]
-    y = np.concatenate([p.yn for p in live])
-    y_offsets = (np.arange(len(live)) * n)[:, None]  # member k's labels start at k * n
+    y = np.stack([p.yn for p in live]).astype(np.float32)
 
-    def batch_loss_and_grad(idx):
-        pred, cache = net.forward_cached(X[idx + x_offsets])
-        err = pred[..., 0] - y[idx + y_offsets]
-        wg, bg, _ = net.backward(cache, (2.0 * err / idx.shape[-1])[..., None], inputs=False)
-        return [float(e @ e) for e in err], wg, bg
+    def gather(order):
+        return X[order + x_offsets], np.take_along_axis(y, order, axis=1)
 
-    curves = train(net, n, batch_loss_and_grad, first.hyper, [p.orders for p in live])
+    def batch_loss_and_grad(Xb, yb, grads):
+        pred, cache = net.forward_cached(Xb)
+        err = pred[..., 0] - yb
+        net.backward(cache, (2.0 * err / yb.shape[-1])[..., None], inputs=False, out=grads)
+        return [float(e @ e) for e in err]
+
+    curves = train(net, n, gather, batch_loss_and_grad, first.hyper, [p.orders for p in live])
     for p, trained, curve in zip(live, unstack(net), curves):
         p.model.net, p.model.loss_curve, p.model.final_loss = trained, curve, curve[-1]
     return [p.model for p in pending]

@@ -245,6 +245,22 @@ def test_optimizer_save_load_roundtrip(tmp_path, method2_small, fleet, reduced):
     assert layout == {"device_features": 10, "lambdas": 2}
 
 
+def test_save_optimizer_writes_the_bytes_of_json_dump(tmp_path, method2_small):
+    save_optimizer(method2_small, tmp_path / "saved.json")
+    with open(tmp_path / "dumped.json", "w") as f:
+        json.dump(method2_small.to_dict(), f)
+    assert (tmp_path / "saved.json").read_bytes() == (tmp_path / "dumped.json").read_bytes()
+
+
+def test_trained_optimizer_and_its_inference_are_float64(method2_small, fleet):
+    # trained in float32, handed back in float64 holding float32 values exactly
+    net = method2_small.net
+    params = net.weights + net.biases
+    assert {a.dtype for a in params} == {np.dtype(np.float64)}
+    assert all(np.array_equal(a.astype(np.float32), a) for a in params)
+    assert method2_small.infer_encoding(fleet.proxy, LAM_MIX).dtype == np.float64
+
+
 def test_sweep_validation_budget_is_two(method2_small, small_bundle, fleet, reduced):
     d = fleet.synthetic[2]
     oracle = Oracle(reduced, MeasurementLedger())
@@ -379,7 +395,8 @@ def test_sweep_matches_the_one_lambda_path(method2_small, small_bundle, fleet, r
 
 def sequential_method2(inputs, bundle, layer_sizes, hyper, mu, rng, restarts):
     """train_method2 with its restarts trained one after another, each a stack
-    of one: the reference the stacked restarts must reproduce bit for bit."""
+    of one in float32 through float32 copies of the predictors, then scored in
+    float64: the reference the stacked restarts must reproduce bit for bit."""
     X = np.stack([optimizer_input(d, lam) for d, lam in inputs])
     mean, std = X.mean(axis=0), X.std(axis=0)
     scale = np.where(std < 1e-12, 1.0, std)
@@ -387,18 +404,22 @@ def sequential_method2(inputs, bundle, layer_sizes, hyper, mu, rng, restarts):
     embeddings = np.stack([device_embedding(d) for d, _ in inputs])
     lams = np.stack([lam.as_array() for _, lam in inputs])
     models = bundle.accuracy, bundle.energy, bundle.latency
+    models32 = [m.astype(np.float32) for m in models]
+    data32 = [a.astype(np.float32) for a in (Xn, embeddings, lams)]
     best = None
     for seed in rng.integers(0, 2**63, size=restarts):
         start_rng = np.random.default_rng(int(seed))
         alone = stack([DenseNet([Xn.shape[1], *layer_sizes, bundle.accuracy.input_dim],
-                                start_rng, output_activation="logistic")])
+                                start_rng, output_activation="logistic")]).astype(np.float32)
 
-        def batch_loss_and_grad(idx, alone=alone):
-            f_mean, wg, bg = amortized_batch_gradient(alone, Xn[idx], embeddings[idx],
-                                                      lams[idx], *models)
-            return f_mean * idx.shape[-1], wg, bg
+        def gather(order):
+            return [a[order] for a in data32]
 
-        [curve] = train(alone, Xn.shape[0], batch_loss_and_grad, hyper, [start_rng], mu)
+        def batch_loss_and_grad(Xb, eb, lb, grads, alone=alone):
+            f_mean, _, _ = amortized_batch_gradient(alone, Xb, eb, lb, *models32, out=grads)
+            return f_mean * Xb.shape[-2]
+
+        [curve] = train(alone, Xn.shape[0], gather, batch_loss_and_grad, hyper, [start_rng], mu)
         [net] = unstack(alone)
         score = _amortized_objective(net, Xn, embeddings, lams, *models, mu)
         if best is None or score < best[0]:

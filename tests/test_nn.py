@@ -1,3 +1,4 @@
+import functools
 import json
 
 import numpy as np
@@ -167,12 +168,12 @@ def test_momentum_sgd_validation_and_step():
     net.weights[0] = np.array([[1.0], [1.0]])
     net.biases[0] = np.array([0.0])
     opt = MomentumSgd(net, learning_rate=0.1, momentum=0.5)
-    g = [np.array([[1.0], [2.0]])]
-    gb = [np.array([3.0])]
-    opt.step(g, gb)
+    [g], [gb] = opt.grads
+    g[:], gb[:] = [[1.0], [2.0]], [3.0]
+    opt.step()
     np.testing.assert_allclose(net.weights[0], [[0.9], [0.8]])
     np.testing.assert_allclose(net.biases[0], [-0.3])
-    opt.step(g, gb)
+    opt.step()
     # velocity folds in half the previous gradient
     np.testing.assert_allclose(net.weights[0], [[0.9 - 0.15], [0.8 - 0.3]])
     np.testing.assert_allclose(net.biases[0], [-0.3 - 0.45])
@@ -180,20 +181,31 @@ def test_momentum_sgd_validation_and_step():
 
 @pytest.mark.parametrize("shape", [[5, 7, 3], [5, 7, 4, 1]])
 def test_momentum_step_is_the_per_array_formula_bit_for_bit(shape):
+    for dtype in (np.float64, np.float32):
+        for mu in (0.0, 1e-2):
+            _check_momentum_step(shape, dtype, mu)
+
+
+def _check_momentum_step(shape, dtype, mu):
     # the optimizer steps one flat buffer; each array must move as
-    # v <- m*v + g; p <- p - lr*v would move it on its own
-    net = DenseNet(shape, rng(18))
+    # g += 2 mu p; v <- m*v + g; p <- p - lr*v would move it on its own
+    net = DenseNet(shape, rng(18)).astype(dtype)
     params = [p.copy() for p in net.weights + net.biases]
-    opt = MomentumSgd(net, 0.05, 0.9)
+    opt = MomentumSgd(net, 0.05, 0.9, mu)
     velocity = [np.zeros_like(p) for p in params]
     draws = rng(19)
     for _ in range(4):
-        grads = [draws.normal(size=p.shape) for p in params]
-        opt.step(grads[:len(net.weights)], grads[len(net.weights):])
+        grads = [draws.normal(size=p.shape).astype(dtype) for p in params]
+        for view, g in zip(opt.grads[0] + opt.grads[1], grads):
+            view[...] = g
+        opt.step()
         for i, g in enumerate(grads):
+            if mu:
+                g = g + 2.0 * mu * params[i]
             velocity[i] = 0.9 * velocity[i] + g
             params[i] -= 0.05 * velocity[i]
         assert _bits(net.weights + net.biases) == _bits(params)
+        assert all(p.dtype == dtype for p in net.weights + net.biases)
 
 
 def test_training_shrinks_loss_on_tiny_regression():
@@ -205,8 +217,8 @@ def test_training_shrinks_loss_on_tiny_regression():
     first = float(np.mean((out - Y) ** 2))
     for _ in range(500):
         out, cache = net.forward_cached(X)
-        wg, bg, _ = net.backward(cache, (out - Y) / len(X))
-        opt.step(wg, bg)
+        net.backward(cache, (out - Y) / len(X), out=opt.grads)
+        opt.step()
     last = float(np.mean((net.forward(X) - Y) ** 2))
     assert last < first / 10
 
@@ -239,16 +251,19 @@ def test_train_is_shuffled_minibatch_momentum_sgd(mu):
     ref = DenseNet([1, 4, 1], rng(16))
     net = stack([ref.copy()])
 
-    def batch_loss_and_grad(idx):
-        out, cache = net.forward_cached(X[idx])
-        err = out - Y[idx]
-        wg, bg, _ = net.backward(cache, 2.0 * err / idx.shape[-1])
-        return [float(np.sum(e * e)) for e in err], wg, bg
+    def gather(order):
+        return X[order], Y[order]
+
+    def batch_loss_and_grad(Xb, Yb, grads):
+        out, cache = net.forward_cached(Xb)
+        err = out - Yb
+        net.backward(cache, 2.0 * err / Xb.shape[-2], out=grads)
+        return [float(np.sum(e * e)) for e in err]
 
     hyper = TrainingSettings(learning_rate=0.05, momentum=0.9, epochs=60, batch_size=5)
-    [curve] = train(net, 12, batch_loss_and_grad, hyper, [rng(17)], mu)
+    [curve] = train(net, 12, gather, batch_loss_and_grad, hyper, [rng(17)], mu)
 
-    opt = MomentumSgd(ref, hyper.learning_rate, hyper.momentum)
+    velocity = [np.zeros_like(p) for p in ref.weights + ref.biases]
     order_rng = rng(17)
     expected = []
     for _ in range(hyper.epochs):
@@ -259,9 +274,10 @@ def test_train_is_shuffled_minibatch_momentum_sgd(mu):
             err = out - Y[batch]
             total += float(np.sum(err * err))
             wg, bg, _ = ref.backward(cache, 2.0 * err / batch.size)
-            wg = [g + 2.0 * mu * W for g, W in zip(wg, ref.weights)]
-            bg = [g + 2.0 * mu * b for g, b in zip(bg, ref.biases)]
-            opt.step(wg, bg)
+            params = ref.weights + ref.biases
+            for i, (p, g) in enumerate(zip(params, wg + bg)):
+                velocity[i] = hyper.momentum * velocity[i] + (g + 2.0 * mu * p)
+                p -= hyper.learning_rate * velocity[i]
         expected.append(total / 12 + l2_penalty(ref, mu))
     [trained] = unstack(net)
     np.testing.assert_allclose(trained.parameter_vector(), ref.parameter_vector(), rtol=1e-12)
@@ -276,30 +292,31 @@ def test_train_is_shuffled_minibatch_momentum_sgd(mu):
 @pytest.mark.parametrize("rows", [32, 20, 1], ids=["full", "ragged", "one-row"])
 @pytest.mark.parametrize("mu", [0.0, 1e-2])
 def test_stacked_step_equals_member_steps_bit_for_bit(activation, rows, mu):
-    members = [DenseNet([9, 16, 12, 3], rng(20 + k), output_activation=activation)
+    for dtype in (np.float64, np.float32):
+        _check_stacked_step(activation, rows, mu, dtype)
+
+
+def _check_stacked_step(activation, rows, mu, dtype):
+    members = [DenseNet([9, 16, 12, 3], rng(20 + k), output_activation=activation).astype(dtype)
                for k in range(3)]
-    net = stack(members)
-    X = rng(30).normal(size=(3, rows, 9))
-    G = rng(31).normal(size=(3, rows, 3))
-    opt = MomentumSgd(net, 0.05, 0.9)
-    opts = [MomentumSgd(m, 0.05, 0.9) for m in members]
+    net = stack(members).astype(dtype)
+    X = rng(30).normal(size=(3, rows, 9)).astype(dtype)
+    G = rng(31).normal(size=(3, rows, 3)).astype(dtype)
+    opt = MomentumSgd(net, 0.05, 0.9, mu)
+    opts = [MomentumSgd(m, 0.05, 0.9, mu) for m in members]
     for _ in range(3):  # momentum carries over between steps
         out, cache = net.forward_cached(X)
-        wg, bg, grad_in = net.backward(cache, G * out)
+        wg, bg, grad_in = net.backward(cache, G * out, out=opt.grads)
         for k, m in enumerate(members):
             out_k, cache_k = m.forward_cached(X[k])
-            wg_k, bg_k, grad_in_k = m.backward(cache_k, G[k] * out_k)
+            wg_k, bg_k, grad_in_k = m.backward(cache_k, G[k] * out_k, out=opts[k].grads)
             assert _bits([out[k], grad_in[k]]) == _bits([out_k, grad_in_k])
             assert _bits([g[k] for g in wg]) == _bits(wg_k)
             assert _bits([g[k, 0] for g in bg]) == _bits(bg_k)
-            wg_k = [g + 2.0 * mu * W for g, W in zip(wg_k, m.weights)]
-            bg_k = [g + 2.0 * mu * b for g, b in zip(bg_k, m.biases)]
-            opts[k].step(wg_k, bg_k)
-        for i in range(len(wg)):
-            wg[i] += 2.0 * mu * net.weights[i]
-            bg[i] += 2.0 * mu * net.biases[i]
-        opt.step(wg, bg)
+            opts[k].step()
+        opt.step()
     for got, want in zip(unstack(net), members):
+        want = want.astype(np.float64)
         assert _bits(got.weights + got.biases) == _bits(want.weights + want.biases)
         assert l2_penalty(got, mu) == l2_penalty(want, mu)
 
@@ -347,30 +364,75 @@ def test_fork_orders_replays_the_draws_train_would_make():
 @pytest.mark.parametrize("mu", [0.0, 1e-2])
 @pytest.mark.parametrize("activation", ["linear", "logistic"])
 def test_train_on_a_stack_equals_member_trains(mu, activation):
+    for dtype in (np.float64, np.float32):
+        _check_stack_train(mu, activation, dtype)
+
+
+def _check_stack_train(mu, activation, dtype):
     # 11 rows in batches of 4: a ragged last batch of 3 every epoch
     n, hyper = 11, TrainingSettings(learning_rate=0.05, momentum=0.9, epochs=25, batch_size=4)
-    X = rng(60).normal(size=(n, 3))
-    Y = rng(61).normal(size=(3, n))
+    X = rng(60).normal(size=(n, 3)).astype(dtype)
+    Y = rng(61).normal(size=(3, n)).astype(dtype)
     members = [DenseNet([3, 6, 1], rng(62 + k), output_activation=activation) for k in range(3)]
-    net = stack([m.copy() for m in members])
+    net = stack([m.copy() for m in members]).astype(dtype)
 
-    def stacked_loss_and_grad(idx):
-        out, cache = net.forward_cached(X[idx])
-        err = out[..., 0] - np.take_along_axis(Y, idx, axis=1)
-        wg, bg, _ = net.backward(cache, (2.0 * err / idx.shape[-1])[..., None])
-        return [float(e @ e) for e in err], wg, bg
+    def gather(order):
+        return X[order], np.take_along_axis(Y, order, axis=1)
 
-    curves = train(net, n, stacked_loss_and_grad, hyper, [rng(70 + k) for k in range(3)], mu)
+    def loss_and_grad(net, Xb, yb, grads):
+        out, cache = net.forward_cached(Xb)
+        err = out[..., 0] - yb
+        net.backward(cache, (2.0 * err / yb.shape[-1])[..., None], out=grads)
+        return [float(e @ e) for e in err]
+
+    curves = train(net, n, gather, functools.partial(loss_and_grad, net), hyper,
+                   [rng(70 + k) for k in range(3)], mu)
     for k, (member, trained) in enumerate(zip(members, unstack(net))):
-        alone = stack([member])  # member k trained by itself, a stack of one
+        alone = stack([member]).astype(dtype)  # member k trained by itself, a stack of one
 
-        def loss_and_grad(idx, alone=alone, y=Y[k]):
-            out, cache = alone.forward_cached(X[idx])
-            err = out[..., 0] - y[idx]
-            wg, bg, _ = alone.backward(cache, (2.0 * err / idx.shape[-1])[..., None])
-            return [float(e @ e) for e in err], wg, bg
+        def gather_alone(order, y=Y[k]):
+            return X[order], y[order]
 
-        [curve] = train(alone, n, loss_and_grad, hyper, [rng(70 + k)], mu)
+        [curve] = train(alone, n, gather_alone, functools.partial(loss_and_grad, alone), hyper,
+                        [rng(70 + k)], mu)
         [member] = unstack(alone)
         assert curves[k] == curve
         assert _bits(trained.weights + trained.biases) == _bits(member.weights + member.biases)
+
+
+# --- dtypes: float32 training, float64 everywhere else ------------------------
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["2-D", "stack"])
+@pytest.mark.parametrize("activation", ["linear", "logistic"])
+def test_forward_and_backward_work_in_the_weights_dtype(activation, stacked):
+    net = DenseNet([4, 6, 5, 1], rng(80), output_activation=activation)
+    if stacked:
+        net = stack([net, DenseNet([4, 6, 5, 1], rng(81), output_activation=activation)])
+    X = rng(82).normal(size=(2, 7, 4) if stacked else (7, 4))
+    for dtype in (np.float64, np.float32):
+        typed = net.astype(dtype)
+        # float64 and float32 inputs alike are cast to the weights' dtype
+        for given in (X, X.astype(np.float32)):
+            out, cache = typed.forward_cached(given)
+            wg, bg, grad_in = typed.backward(cache, np.ones_like(out, dtype=np.float64))
+            assert {a.dtype for a in [out, grad_in, *cache, *wg, *bg]} == {np.dtype(dtype)}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("shape", [(7, 1), (2, 7, 1)], ids=["2-D", "stack"])
+def test_width_one_backprop_broadcast_equals_the_matmul(shape, dtype):
+    # a layer of width 1 passes its grad back as grad * W^T, not grad @ W^T
+    draws = rng(83)
+    grad = draws.normal(size=shape).astype(dtype)
+    W_t = draws.normal(size=shape[:-2] + (1, 9)).astype(dtype)
+    assert _bits([grad * W_t]) == _bits([grad @ W_t])
+    net = DenseNet([3, 9, 1], rng(84))
+    if len(shape) == 3:
+        net = stack([net, DenseNet([3, 9, 1], rng(85))])
+    net = net.astype(dtype)
+    _, cache = net.forward_cached(draws.normal(size=shape[:-1] + (3,)))
+    _, _, grad_in = net.backward(cache, grad)
+    W = net.weights
+    g1 = (grad @ W[1].swapaxes(-1, -2)) * (1.0 - np.exp(-cache[1]))
+    assert _bits([grad_in]) == _bits([g1 @ W[0].swapaxes(-1, -2)])

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 
@@ -203,6 +204,30 @@ def test_save_load_roundtrip(tmp_path, reduced_models, reduced):
     assert back.takes_device == m.takes_device
 
 
+def test_save_model_writes_the_bytes_of_json_dump(tmp_path, reduced_models):
+    m = reduced_models["energy"]
+    save_model(m, tmp_path / "saved.json")
+    with open(tmp_path / "dumped.json", "w") as f:
+        json.dump(m.to_dict(), f)
+    assert (tmp_path / "saved.json").read_bytes() == (tmp_path / "dumped.json").read_bytes()
+
+
+def test_trained_models_and_predictions_are_float64(tmp_path, reduced_models, reduced):
+    # training runs in float32; what it hands back, saves and predicts with is
+    # float64, holding float32 values exactly
+    X = np.stack([encode(x, reduced) for x in enumerate_all(reduced)[:20]])
+    save_model(reduced_models["latency"], tmp_path / "latency.json")
+    for m in (reduced_models["latency"], load_model(tmp_path / "latency.json")):
+        params = m.net.weights + m.net.biases
+        assert {a.dtype for a in params + [m.in_mean, m.in_scale]} == {np.dtype(np.float64)}
+        assert all(np.array_equal(a.astype(np.float32), a) for a in params)
+        assert m.predict_batch(X).dtype == np.float64
+        values, grads = m.batch_value_and_input_grad(X, np.ones(len(X)))
+        assert values.dtype == grads.dtype == np.float64
+    np.testing.assert_array_equal(load_model(tmp_path / "latency.json").predict_batch(X),
+                                  reduced_models["latency"].predict_batch(X))
+
+
 def test_accuracy_predictor_input_is_design_only(reduced_models):
     # 2 stages * 3 fields + bits: no device features in the accuracy input
     assert reduced_models["accuracy"].input_dim == 7
@@ -397,9 +422,9 @@ TINY = TrainingSettings(epochs=6, batch_size=16)
 
 
 def reference_fit(X, y, layer_sizes, hyper, rng, **tags):
-    """fit as one loop over one net (a stack of one), drawing its epoch orders
-    from rng as it trains: the reference the lockstep paths must reproduce bit
-    for bit."""
+    """fit as one loop over one net (a stack of one) in float32, drawing its
+    epoch orders from rng as it trains: the reference the lockstep paths must
+    reproduce bit for bit."""
     in_mean, in_std = X.mean(axis=0), X.std(axis=0)
     in_scale = np.where(in_std < 1e-12, 1.0, in_std)
     out_mean, out_std = float(y.mean()), float(y.std())
@@ -410,16 +435,20 @@ def reference_fit(X, y, layer_sizes, hyper, rng, **tags):
         net.biases[-1][:] = 0.0
         out_std, curve = 1.0, [0.0]
     else:
-        Xn, yn = (X - in_mean) / in_scale, (y - out_mean) / out_std
-        alone = stack([net])
+        Xn = ((X - in_mean) / in_scale).astype(np.float32)
+        yn = ((y - out_mean) / out_std).astype(np.float32)
+        alone = stack([net]).astype(np.float32)
 
-        def batch_loss_and_grad(idx):
-            pred, cache = alone.forward_cached(Xn[idx])
-            err = pred[..., 0] - yn[idx]
-            wg, bg, _ = alone.backward(cache, (2.0 * err / idx.shape[-1])[..., None])
-            return [float(e @ e) for e in err], wg, bg
+        def gather(order):
+            return Xn[order], yn[order]
 
-        [curve] = train(alone, X.shape[0], batch_loss_and_grad, hyper, [rng])
+        def batch_loss_and_grad(Xb, yb, grads):
+            pred, cache = alone.forward_cached(Xb)
+            err = pred[..., 0] - yb
+            alone.backward(cache, (2.0 * err / yb.shape[-1])[..., None], out=grads)
+            return [float(e @ e) for e in err]
+
+        [curve] = train(alone, X.shape[0], gather, batch_loss_and_grad, hyper, [rng])
         [net] = unstack(alone)
     return MlpRegressor(net=net, in_mean=in_mean, in_scale=in_scale, out_mean=out_mean,
                         out_scale=out_std, constant_warning=constant, final_loss=curve[-1],
@@ -533,6 +562,46 @@ def test_proxy_training_writes_the_bytes_of_sequential_fits(energy_percentile):
     assert model_bytes(got) == model_bytes(want)
     assert a.bit_generator.state == b.bit_generator.state
     assert oracle.ledger.snapshot() == ref_oracle.ledger.snapshot()
+
+
+def test_proxy_retrain_writes_the_bytes_of_sequential_fits(monkeypatch):
+    # a target that fails the rank gate gets its own latency and energy
+    # predictors, trained as one stack: the bytes of fitting them one by one
+    doc = {"seed": 3, "approach": "proxy", "space": "reduced",
+           "predictor": {"samples_per_device": 40, "epochs": 5, "hidden": [8]},
+           "search": {"population": 8, "generations": 4},
+           "optimize": {"energy_percentile": 40.0}}
+    scenario = scenario_from_dict(doc)
+    fleet = draw_fleet(scenario)
+    oracle = Oracle(scenario.space, MeasurementLedger())
+    _, train_proxy, solver = pipeline._proxy_reuse(scenario, fleet, oracle)
+    solve = solver(*train_proxy(np.random.default_rng(86)))
+    retrains, stacks = [], []
+    gate, lockstep = pipeline.match_proxy, pipeline.fit_lockstep
+
+    def recorded_gate(pool, target, threshold, oracle, rng, *args, **kwargs):
+        entry = gate(pool, target, threshold, oracle, rng, *args, **kwargs)
+        if entry is None:  # the generator the retrain draws from, and a copy
+            retrains.append((rng, copy.deepcopy(rng)))
+        return entry
+
+    def recorded_lockstep(pending):
+        stacks.append(lockstep(pending))
+        return stacks[-1]
+
+    monkeypatch.setattr(pipeline, "match_proxy", recorded_gate)
+    monkeypatch.setattr(pipeline, "fit_lockstep", recorded_lockstep)
+    target = fleet.holdout_adversarial[0]
+    bounds, _ = pipeline._percentile_bounds(scenario, fleet)
+    solve(target, bounds[target.device_id])
+    [(a, b)] = retrains
+    [got] = stacks
+    ref_oracle = Oracle(scenario.space, MeasurementLedger())
+    want = [train_device_specific_predictor(metric, target, 40, ref_oracle, b, scenario.hyper,
+                                            (8,))
+            for metric in ("latency", "energy")]
+    assert model_bytes(got) == model_bytes(want)
+    assert a.bit_generator.state == b.bit_generator.state
 
 
 def test_lockstep_fit_makes_one_forward_pass_per_step(monkeypatch):
