@@ -22,6 +22,7 @@ where noise(x) is a keyed 64-bit hash of the design's index list mapped to
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 import itertools
@@ -290,6 +291,16 @@ def accuracy_value(x: DesignPoint, space: DesignSpace) -> float:
     return _accuracy(capacity, x.bits, space.indices_of(x))
 
 
+@functools.cache
+def _stage_table(space: DesignSpace) -> np.ndarray:
+    """_stage_term of each (depth, width, kernel) cell in index order at each
+    stage, (cells, S, 4); built once per space and read-only, as oracles share it."""
+    cells = itertools.product(space.depth_choices, space.width_choices, space.kernel_choices)
+    table = np.array([[_stage_term(i, *c) for i in range(space.num_stages)] for c in cells])
+    table.flags.writeable = False
+    return table
+
+
 def _stage_sum(terms: np.ndarray) -> np.ndarray:
     """Sums over the last (stage) axis in stage order, like sum(); accumulate never pairs."""
     return np.add.accumulate(terms, axis=-1)[..., -1]
@@ -354,13 +365,10 @@ class Oracle:
                          for row, c in zip(X.tolist(), capacity)])
 
     def _row_terms(self, X: np.ndarray) -> np.ndarray:
-        """The (n, S, 4) stage terms of a checked index matrix, gathered from a
-        table of _stage_term per stage and (depth, width, kernel) cell."""
+        """The (n, S, 4) stage terms of a checked index matrix, from its stage table."""
         sp = self.space
-        cells = itertools.product(sp.depth_choices, sp.width_choices, sp.kernel_choices)
-        table = np.array([[_stage_term(i, *c) for i in range(sp.num_stages)] for c in cells])
         cell = (X[:, 0:-1:3] * len(sp.width_choices) + X[:, 1:-1:3]) * len(sp.kernel_choices)
-        return table[cell + X[:, 2:-1:3], np.arange(sp.num_stages)]
+        return _stage_table(sp)[cell + X[:, 2:-1:3], np.arange(sp.num_stages)]
 
     def _measure_rows(self, X, devices, metric: str, matrix) -> np.ndarray:
         X = index_rows(X, self.space)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .design_space import DesignSpace, encode, encode_rows, sample_rows
+from .design_space import DesignSpace, encode_rows, sample_rows
 from .device_world import DeviceFeatures, Oracle
 from .search import SearchParams, evolutionary_search
 from .surrogate import MlpRegressor, device_embedding
@@ -248,6 +248,26 @@ GRID_N = 8
 GRID_MEASURE_CAP = 6
 
 
+def _lattice(center: tuple[float, float], spacing: float,
+             cache: TCache) -> list[tuple[float, float]]:
+    """Sorted quantized simplex points of the GRID_N-division lattice around center."""
+    ks = range(-(GRID_N // 2), GRID_N - GRID_N // 2 + 1)
+    pts = set()
+    for k1 in ks:
+        for k2 in ks:
+            t1, t2 = center[0] + k1 * spacing, center[1] + k2 * spacing
+            if t1 >= 0 and t2 >= 0 and t1 + t2 <= 1.0:
+                pts.add(cache.quantize((t1, t2)))
+    return sorted(pts)
+
+
+def _calibration(measured: np.ndarray, predicted: np.ndarray) -> tuple[float, ...]:
+    """Per column, the median of measured / predicted over the positive
+    predictions, else 1: the factors that calibrate each predicted metric."""
+    return tuple(float(np.median(m[p > 0] / p[p > 0])) if np.any(p > 0) else 1.0
+                 for m, p in zip(measured.T, predicted.T))
+
+
 def grid_optimize_2d(
     target: DeviceFeatures,
     latency_bound: float,
@@ -260,9 +280,10 @@ def grid_optimize_2d(
     """Coarse-to-fine sweep of the (t1, t2) simplex for two simultaneous bounds.
 
     Each of GRID_LEVELS levels solves the inner problem on a lattice (GRID_N
-    divisions at the top, refined 4x around the incumbent), measures up to
-    GRID_MEASURE_CAP new candidate designs on the target (both metrics), and
-    calibrates predicted metrics against those measurements to rank the rest.
+    divisions at the top, refined 4x around the incumbent), predicts its new
+    designs in one batch per model, measures up to GRID_MEASURE_CAP new
+    candidates on the target (both metrics, one row call each), and calibrates
+    predicted metrics against the measurements to rank the next level's.
     Returns the measured feasible design with maximum predicted accuracy, else
     the least-violating measured design flagged infeasible. Inner solves go
     through solve_inner on the entry, so calls on one entry share them.
@@ -273,120 +294,58 @@ def grid_optimize_2d(
         raise ValueError(f"proxy {entry.device.device_id} has no energy model")
     space, cache = oracle.space, entry.cache
     models = (entry.accuracy_model, entry.latency_model, entry.energy_model)
+    predicted: dict[tuple[int, ...], tuple[float, float, float]] = {}  # design -> (acc, lat, en)
     measured: dict[tuple[int, ...], tuple[float, float]] = {}  # design -> (lat, en)
     design_pt: dict[tuple[int, ...], tuple[float, float]] = {}  # design -> first grid point
-    pred_cache: dict[tuple[int, ...], tuple[float, float, float]] = {}
-    measurements = 0
     trace: list[dict] = []
-
-    def predicted(x: tuple[int, ...]) -> tuple[float, float, float]:
-        if x not in pred_cache:
-            enc = encode(x, space)
-            pred_cache[x] = tuple(model.predict(enc) for model in models)
-        return pred_cache[x]
-
     s_lat, s_en = 1.0, 1.0
 
-    def recalibrate() -> tuple[float, float]:
-        if not measured:
-            return 1.0, 1.0
-        ratios_l, ratios_e = [], []
-        for x, (lat, en) in measured.items():
-            _, pl, pe = pred_cache[x]
-            if pl > 0:
-                ratios_l.append(lat / pl)
-            if pe > 0:
-                ratios_e.append(en / pe)
-        return (
-            float(np.median(ratios_l)) if ratios_l else 1.0,
-            float(np.median(ratios_e)) if ratios_e else 1.0,
-        )
+    def standing(x) -> tuple[int, float]:
+        """(0, -predicted accuracy) for a feasible measured design, else (1, violation)."""
+        lat, en = measured[x]
+        if lat <= latency_bound and en <= energy_bound:
+            return (0, -predicted[x][0])
+        return (1, max(lat / latency_bound, en / energy_bound))
+
+    def boundary_score(x):
+        _, pl, pe = predicted[x]
+        return (abs(max(pl * s_lat / latency_bound, pe * s_en / energy_bound) - 1.0), x)
+
+    def level_rank(pair):
+        pt, x = pair
+        return (*standing(x), pt[0] + pt[1], pt, x) if x in measured else (2, 0.0, 0.0, pt, x)
 
     spacing = 1.0 / GRID_N
-    center = (0.0, 0.0)
-    lattice = [
-        cache.quantize((i * spacing, j * spacing))
-        for i in range(GRID_N + 1)
-        for j in range(GRID_N + 1)
-        if i + j <= GRID_N
-    ]
+    center = ((GRID_N // 2) * spacing,) * 2  # the top lattice spans the whole simplex
     for level in range(GRID_LEVELS):
-        level_pairs: list[tuple[tuple[float, float], tuple[int, ...]]] = []
-        for pt in lattice:
-            x = solve_inner(pt, entry, space, params, minimizer)
+        if level:  # refine around the best measured point of the level before
+            center, spacing = min(pairs, key=level_rank)[0], spacing / 4.0
+        pairs = [(pt, solve_inner(pt, entry, space, params, minimizer))
+                 for pt in _lattice(center, spacing, cache)]
+        for pt, x in pairs:
             design_pt.setdefault(x, pt)
-            level_pairs.append((pt, x))
+        designs = list(dict.fromkeys(x for _, x in pairs))
+        if new := [x for x in designs if x not in predicted]:
+            enc = encode_rows(new, space)
+            predicted.update(zip(new, zip(*(m.predict_batch(enc).tolist() for m in models))))
         # rank unmeasured candidates by calibrated distance to the feasibility
         # boundary and spend the level's measurement budget there
-        candidates = dict.fromkeys(x for _, x in level_pairs if x not in measured)
+        chosen = sorted((x for x in designs if x not in measured), key=boundary_score)
+        if chosen := chosen[:GRID_MEASURE_CAP]:
+            values = np.hstack([oracle.latency_rows(chosen, [target]),
+                                oracle.energy_rows(chosen, [target])]).tolist()
+            for x, (lat, en) in zip(chosen, values):
+                measured[x] = (lat, en)
+                trace.append({"level": level, "t1": design_pt[x][0], "t2": design_pt[x][1],
+                              "latency": lat, "energy": en, "feasible": standing(x)[0] == 0})
+            s_lat, s_en = _calibration(np.array(list(measured.values())),
+                                       np.array([predicted[x][1:] for x in measured]))
 
-        def boundary_score(x):
-            _, pl, pe = predicted(x)
-            ratio = max(pl * s_lat / latency_bound, pe * s_en / energy_bound)
-            return (abs(ratio - 1.0), x)
-
-        for x in sorted(candidates, key=boundary_score)[:GRID_MEASURE_CAP]:
-            point = space.design_at(x)
-            lat = oracle.latency(point, target)
-            en = oracle.energy(point, target)
-            measurements += 2
-            measured[x] = (lat, en)
-            s_lat, s_en = recalibrate()
-            trace.append(
-                {"level": level, "t1": design_pt[x][0], "t2": design_pt[x][1],
-                 "latency": lat, "energy": en,
-                 "feasible": lat <= latency_bound and en <= energy_bound}
-            )
-        if level == GRID_LEVELS - 1:
-            break
-        # refine around the best measured point of this level
-        def level_rank(pair):
-            pt, x = pair
-            if x not in measured:
-                return (2, 0.0, 0.0, pt, x)
-            lat, en = measured[x]
-            feasible = lat <= latency_bound and en <= energy_bound
-            pa = predicted(x)[0]
-            return (0 if feasible else 1,
-                    -pa if feasible else max(lat / latency_bound, en / energy_bound),
-                    pt[0] + pt[1], pt, x)
-
-        ranked = sorted(level_pairs, key=level_rank)
-        center = ranked[0][0]
-        spacing /= 4.0
-        pts = set()
-        for i in range(GRID_N + 1):
-            for j in range(GRID_N + 1):
-                t1 = center[0] + (i - GRID_N // 2) * spacing
-                t2 = center[1] + (j - GRID_N // 2) * spacing
-                if t1 < 0 or t2 < 0 or t1 + t2 > 1.0:
-                    continue
-                pts.add(cache.quantize((t1, t2)))
-        lattice = sorted(pts)
-
-    best = None  # (-pred_acc, design)
-    worst = None  # (violation, -pred_acc, design)
-    for x, (lat, en) in measured.items():
-        pa = pred_cache[x][0]
-        if lat <= latency_bound and en <= energy_bound:
-            rank = (-pa, x)
-            if best is None or rank < best[0]:
-                best = (rank, x, lat, en)
-        violation = max(lat / latency_bound, en / energy_bound)
-        rank_v = (violation, -pa, x)
-        if worst is None or rank_v < worst[0]:
-            worst = (rank_v, x, lat, en)
-    feasible = best is not None
-    _, x, lat, en = best if feasible else worst
-    return Grid2dResult(
-        design=x,
-        t=design_pt[x],
-        measurements=measurements,
-        feasible=feasible,
-        latency=lat,
-        energy=en,
-        trace=tuple(trace),
-    )
+    x = min(measured, key=lambda x: (*standing(x), -predicted[x][0], x))
+    lat, en = measured[x]
+    return Grid2dResult(design=x, t=design_pt[x], measurements=2 * len(measured),
+                        feasible=standing(x)[0] == 0, latency=lat, energy=en,
+                        trace=tuple(trace))
 
 
 @dataclass(frozen=True)

@@ -134,6 +134,8 @@ class Scenario:
         if self.approach not in ("proxy", "amortized"):
             raise ConfigError(f"approach: must be 'proxy' or 'amortized', got {self.approach!r}")
         _check(self.seed >= 0, "seed", "must be >= 0")
+        # one design makes every rank-gate probe equal, so its correlation is undefined
+        _check(self.space.cardinality >= 2, "space", "must hold at least 2 designs")
         _check(self.samples_per_device >= 2, "predictor.samples_per_device", "must be >= 2")
         _check(0 < self.granularity < 1, "bisection.granularity", "must be in (0, 1)")
         _check(0 < self.delta_fraction < 1, "bisection.delta_fraction", "must be in (0, 1)")

@@ -320,21 +320,23 @@ def fit(
     )])[0]
 
 
-def _accuracy_set(n_samples: int, oracle: Oracle, rng: np.random.Generator):
-    """Inputs, labels and fit tags of an accuracy predictor's training set."""
+def accuracy_fit(n_samples: int, oracle: Oracle, rng: np.random.Generator,
+                 hyper: TrainingSettings, layer_sizes: tuple[int, ...]) -> PendingFit:
+    """An accuracy predictor up to its SGD steps (see prepare_fit), on
+    n_samples uniform designs measured for accuracy."""
     if n_samples < 2:
         raise InsufficientDataError(f"need at least 2 samples, got {n_samples}")
     space = oracle.space
     designs = sample_rows(space, rng, n_samples)
-    X = encode_rows(designs, space)
-    y = oracle.accuracy_rows(designs)
-    return X, y, {"metric": "accuracy", "device_tag": "", "takes_device": False,
-                  "objective_scale": 1.0}
+    return prepare_fit(encode_rows(designs, space), oracle.accuracy_rows(designs), layer_sizes,
+                       hyper, rng, metric="accuracy", objective_scale=1.0)
 
 
-def _device_specific_set(metric: str, d0: DeviceFeatures, n_samples: int, oracle: Oracle,
-                         rng: np.random.Generator):
-    """Inputs, labels and fit tags of one metric's predictor on device d0."""
+def device_specific_fit(metric: str, d0: DeviceFeatures, n_samples: int, oracle: Oracle,
+                        rng: np.random.Generator, hyper: TrainingSettings,
+                        layer_sizes: tuple[int, ...]) -> PendingFit:
+    """One metric's predictor on device d0 up to its SGD steps (see
+    prepare_fit), on n_samples uniform designs measured on d0."""
     if metric not in METRICS:
         raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
     if n_samples < 2:
@@ -342,10 +344,9 @@ def _device_specific_set(metric: str, d0: DeviceFeatures, n_samples: int, oracle
     measure = oracle.latency_rows if metric == "latency" else oracle.energy_rows
     space = oracle.space
     designs = sample_rows(space, rng, n_samples)
-    X = encode_rows(designs, space)
     y = measure(designs, [d0])[:, 0]
-    return X, y, {"metric": metric, "device_tag": d0.device_id, "takes_device": False,
-                  "objective_scale": float(np.median(y))}
+    return prepare_fit(encode_rows(designs, space), y, layer_sizes, hyper, rng, metric=metric,
+                       device_tag=d0.device_id, objective_scale=float(np.median(y)))
 
 
 def train_accuracy_predictor(
@@ -357,8 +358,7 @@ def train_accuracy_predictor(
 ) -> MlpRegressor:
     """Accuracy over encoded designs only; accuracy is device-independent so the
     input never includes device features."""
-    X, y, tags = _accuracy_set(n_samples, oracle, rng)
-    return fit(X, y, layer_sizes, hyper, rng, **tags)
+    return fit_lockstep([accuracy_fit(n_samples, oracle, rng, hyper, layer_sizes)])[0]
 
 
 def train_device_specific_predictor(
@@ -371,23 +371,8 @@ def train_device_specific_predictor(
     layer_sizes: tuple[int, ...] = DEFAULT_HIDDEN,
 ) -> MlpRegressor:
     """Latency or energy on one fixed device (the proxy workflow)."""
-    X, y, tags = _device_specific_set(metric, d0, n_samples, oracle, rng)
-    return fit(X, y, layer_sizes, hyper, rng, **tags)
-
-
-def accuracy_fit(n_samples: int, oracle: Oracle, rng: np.random.Generator,
-                 hyper: TrainingSettings, layer_sizes: tuple[int, ...]) -> PendingFit:
-    """train_accuracy_predictor up to its SGD steps (see prepare_fit)."""
-    X, y, tags = _accuracy_set(n_samples, oracle, rng)
-    return prepare_fit(X, y, layer_sizes, hyper, rng, **tags)
-
-
-def device_specific_fit(metric: str, d0: DeviceFeatures, n_samples: int, oracle: Oracle,
-                        rng: np.random.Generator, hyper: TrainingSettings,
-                        layer_sizes: tuple[int, ...]) -> PendingFit:
-    """train_device_specific_predictor up to its SGD steps (see prepare_fit)."""
-    X, y, tags = _device_specific_set(metric, d0, n_samples, oracle, rng)
-    return prepare_fit(X, y, layer_sizes, hyper, rng, **tags)
+    return fit_lockstep([device_specific_fit(metric, d0, n_samples, oracle, rng, hyper,
+                                             layer_sizes)])[0]
 
 
 def model_input(model: MlpRegressor, x_enc: np.ndarray, d: DeviceFeatures | None) -> np.ndarray:

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+from fleetopt import device_world
 from fleetopt.design_space import (
     DesignPoint,
+    DesignSpace,
     DimensionMismatchError,
     InvalidDesignError,
     StageChoice,
     enumerate_all,
+    sample_rows,
     sample_uniform,
 )
 from fleetopt.device_world import (
@@ -308,3 +311,25 @@ def test_row_calls_check_their_rows(reduced):
         reduced.design_at((0,) * 7), eight_only)
     with pytest.raises(ValueError, match="32-bit"):
         oracle.latency_rows([(0,) * 7, (0,) * 6 + (1,)], [eight_only])
+
+
+def test_stage_table_is_built_once_per_space(monkeypatch, fleet):
+    # 3 x 2 x 3 (depth, width, kernel) cells at each of 3 stages: 54 stage terms
+    space = DesignSpace(3, (1, 2, 3), (0.5, 1.0), (3, 5, 7), (8, 32))
+    device_world._stage_table.cache_clear()
+    calls = [0]
+    original = device_world._stage_term
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(device_world, "_stage_term", counted)
+    X = sample_rows(space, np.random.default_rng(0), 6)
+    devices = fleet.all_devices()[:2]
+    first = Oracle(space).latency_rows(X, devices)
+    assert calls[0] == 54
+    assert np.array_equal(Oracle(space).latency_rows(X, devices), first)
+    Oracle(space).energy_rows(X, devices)
+    assert calls[0] == 54
+    assert not device_world._stage_table(space).flags.writeable

@@ -1,3 +1,6 @@
+import collections
+import itertools
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,8 @@ from fleetopt.device_world import (
     latency_value,
 )
 from fleetopt.proxy_reuse import (
+    GRID_LEVELS,
+    GRID_MEASURE_CAP,
     ProxyEntry,
     ProxyPool,
     TCache,
@@ -23,6 +28,7 @@ from fleetopt.proxy_reuse import (
     spearman,
 )
 from fleetopt.search import SearchParams, brute_force_argmin, evolutionary_search
+from fleetopt.surrogate import MlpRegressor
 
 
 def all_max(space):
@@ -434,6 +440,53 @@ def test_grid_2d_reuses_inner_solves_across_calls_on_one_cache(exact_models, red
     assert solved[0] == len(shared.cache)  # no lattice point was solved twice
     assert solved[0] - solved_first < solved_first  # the top-level lattice was reused
     assert reused == run(second, entry_of(exact_models), brute(reduced))
+
+
+def test_grid_2d_predicts_and_measures_each_level_as_one_batch(
+    monkeypatch, reduced, reduced_models, fleet
+):
+    # one predict_batch per model and one row call per metric per level; no
+    # one-row prediction and no scalar measurement
+    calls = collections.Counter()
+    for cls, name in [(MlpRegressor, "predict_batch"), (MlpRegressor, "predict"),
+                      (Oracle, "latency"), (Oracle, "energy"),
+                      (Oracle, "latency_rows"), (Oracle, "energy_rows")]:
+        original = getattr(cls, name)
+
+        def counted(self, *args, name=name, original=original):
+            calls[name, getattr(self, "metric", "")] += 1
+            return original(self, *args)
+
+        monkeypatch.setattr(cls, name, counted)
+
+    target = fleet.holdout_monotone[1]
+    lats = [latency_value(x, target) for x in value_views(reduced)]
+    ens = [energy_value(x, target) for x in value_views(reduced)]
+    designs = itertools.cycle(enumerate_all(reduced))  # a new design per inner solve
+    oracle = Oracle(reduced, MeasurementLedger())
+    result = grid_optimize_2d(
+        target, float(np.percentile(lats, 50)), float(np.percentile(ens, 50)),
+        entry_of(reduced_models), oracle, SearchParams(), minimizer=lambda _: next(designs),
+    )
+    assert result.measurements > 2 * GRID_MEASURE_CAP  # more than one level measured
+    assert result.measurements == 2 * len(result.trace) == oracle.ledger.total()
+    for metric in ("accuracy", "latency", "energy"):
+        assert 1 <= calls["predict_batch", metric] <= GRID_LEVELS
+    assert 1 < calls["latency_rows", ""] == calls["energy_rows", ""] <= GRID_LEVELS
+    assert sum(n for (name, _), n in calls.items() if name in ("predict", "latency", "energy")) == 0
+
+
+def test_grid_2d_with_one_design_measures_it_once(exact_models, reduced, fleet):
+    target = fleet.holdout_monotone[0]
+    x = enumerate_all(reduced)[5]
+    oracle = Oracle(reduced, MeasurementLedger())
+    result = grid_optimize_2d(
+        target, 1e6, 1e6, entry_of(exact_models), oracle, SearchParams(),
+        minimizer=lambda _: x,
+    )
+    assert (result.design, result.t, result.measurements) == (x, (0.0, 0.0), 2)
+    assert [row["level"] for row in result.trace] == [0]  # levels 1-2 have nothing new
+    assert oracle.ledger.snapshot()["devices"] == {target.device_id: {"latency": 1, "energy": 1}}
 
 
 # --- monotonicity gate and pool ---------------------------------------------

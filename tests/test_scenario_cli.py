@@ -149,6 +149,9 @@ BAD_CONFIGS = [
     (SMALL_AMORTIZED, "optimize.mu", float("inf"), "optimize.mu"),
     (SMALL_PROXY, "space", {"width_choices": [0.5, float("inf")]}, "space.width_choices"),
     (SMALL_PROXY, "space", {"width_choices": [0.5, float("nan")]}, "space.width_choices"),
+    (SMALL_PROXY, "space", {"num_stages": 1, "depth_choices": [1], "width_choices": [1.0],
+                            "kernel_choices": [3], "bits_choices": [8]},
+     "space: must hold at least 2 designs"),
 ]
 
 
@@ -177,6 +180,11 @@ def test_space_forms():
         scenario_from_dict({"seed": 1, "space": "tiny"})
     with pytest.raises(ConfigError, match="space"):
         scenario_from_dict({"seed": 1, "space": {"depth_choices": []}})
+    # every rank-gate probe of a one-design space is the same design
+    one = {"num_stages": 1, "depth_choices": [1], "width_choices": [1.0],
+           "kernel_choices": [3], "bits_choices": [8]}
+    with pytest.raises(ConfigError, match="^space: must hold at least 2 designs$"):
+        scenario_from_dict({"seed": 1, "approach": "proxy", "space": one})
 
 
 def test_load_scenario_file_handling(tmp_path):
