@@ -30,7 +30,7 @@ from .device_world import (
 from .pipeline import cost_accounting, draw_fleet, run_scenario
 from .proxy_reuse import ProxyEntry, TCache, bisection_optimize, spearman
 from .scenario import ConfigError, Scenario, load_scenario
-from .search import SearchParams
+from .search import FLEET_STREAM, TRAINING_STREAM, SearchParams, stream
 from .surrogate import TrainingSettings, train_accuracy_predictor, train_device_specific_predictor
 
 EXIT_OK = 0
@@ -168,12 +168,12 @@ def _selftest_checks():
     best = designs[int(np.argmax(accs))]
     yield ("accuracy argmax is the all-max design", best == (1,) * space.encoding_width)
 
-    rng = np.random.default_rng(7)
+    rng = stream(7, TRAINING_STREAM)
     quick = TrainingSettings(epochs=200, batch_size=16)
     t_oracle = Oracle(space, MeasurementLedger())
     acc_m = train_accuracy_predictor(96, t_oracle, rng, quick, (32,))
     lat_m = train_device_specific_predictor("latency", proxy, 96, t_oracle, rng, quick, (32,))
-    fleet = generate_fleet(FleetConfig(0, 0, 1, 1), np.random.default_rng(3))
+    fleet = generate_fleet(FleetConfig(0, 0, 1, 1), stream(3, FLEET_STREAM))
     target = fleet.holdout_monotone[0]
     devices = [proxy, fleet.holdout_adversarial[0], target]  # target: gamma != 1
     points = [space.design_at(x) for x in designs]
@@ -187,7 +187,7 @@ def _selftest_checks():
     run_ledger = MeasurementLedger()
     result = bisection_optimize(
         target, bound, 0.02 * bound, ProxyEntry(proxy, acc_m, lat_m, None, TCache()),
-        Oracle(space, run_ledger), SearchParams(seed=5),
+        Oracle(space, run_ledger), SearchParams(), 5,
     )
     charges = run_ledger.count(target.device_id, "latency")
     yield ("bisection charges the target at most 10 latency measurements", charges <= 10)
@@ -195,7 +195,7 @@ def _selftest_checks():
            result.feasible and result.latency <= bound * 1.02 + 1e-9)
 
     two = [
-        generate_fleet(FleetConfig(2, 2, 1, 1), np.random.default_rng(11)).to_dict()
+        generate_fleet(FleetConfig(2, 2, 1, 1), stream(11, FLEET_STREAM)).to_dict()
         for _ in range(2)
     ]
     yield ("fleet generation is seed-deterministic", two[0] == two[1])

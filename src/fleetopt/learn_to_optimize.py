@@ -188,9 +188,8 @@ def train_method2(
     embeddings = np.stack([device_embedding(d) for d, _ in inputs])
     lams = np.stack([lam.as_array() for _, lam in inputs])
     # The restarts share one shape, so they train as one stack (K = restarts),
-    # each member drawing from its own generator as it would alone.
-    seeds = rng.integers(0, 2**63, size=restarts)
-    start_rngs = [np.random.default_rng(int(seed)) for seed in seeds]
+    # each member drawing its init and epoch orders from its own child of rng.
+    start_rngs = rng.spawn(restarts)
     net = stack([DenseNet([Xn.shape[1], *layer_sizes, acc_model.input_dim], r,
                           output_activation="logistic") for r in start_rngs]).astype(np.float32)
     frozen = [m.astype(np.float32) for m in (acc_model, energy_model, latency_model)]

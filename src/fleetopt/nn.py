@@ -22,8 +22,6 @@ are used: for inference and as frozen predictors.
 
 from __future__ import annotations
 
-import copy
-
 import numpy as np
 
 
@@ -289,17 +287,6 @@ def l2_penalty(net: DenseNet, mu: float) -> float:
     if mu == 0:
         return 0.0
     return mu * float(sum(np.sum(W * W) for W in net.weights) + sum(b @ b for b in net.biases))
-
-
-def fork_orders(rng: np.random.Generator, n: int, epochs: int) -> np.random.Generator:
-    """A copy of rng to draw one member's epoch orders over n rows from in
-    train, while rng itself moves on past them: draws made from rng next are
-    those that would follow training that member alone on rng, though the
-    training has not happened yet."""
-    fork = copy.deepcopy(rng)
-    for _ in range(epochs):
-        rng.permutation(n)
-    return fork
 
 
 def train(net: DenseNet, n: int, gather, batch_loss_and_grad, hyper, rngs, mu: float = 0.0):

@@ -43,7 +43,14 @@ from .proxy_reuse import (
     match_proxy,
 )
 from .scenario import ConfigError, Scenario
-from .search import ConstraintSpec
+from .search import (
+    CALIBRATION_STREAM,
+    FLEET_STREAM,
+    PROXY_STREAM,
+    TRAINING_STREAM,
+    ConstraintSpec,
+    stream,
+)
 from .surrogate import (
     accuracy_fit,
     device_embedding,
@@ -138,7 +145,7 @@ def _percentile_bounds(scenario: Scenario, fleet: Fleet) -> tuple[dict, Measurem
     space = scenario.space
     cal_ledger = MeasurementLedger()
     cal_oracle = Oracle(space, cal_ledger)
-    rng = _phase_rng(scenario.seed, 101)
+    rng = stream(scenario.seed, CALIBRATION_STREAM)
     if space.cardinality <= 256:
         probes = enumerate_all(space)
     else:
@@ -219,7 +226,7 @@ def _proxy_reuse(scenario: Scenario, fleet: Fleet, oracle: Oracle):
 
         pool = ProxyPool()
         pool.add(entry_for(fleet.proxy, proxy_models))
-        rng_opt = _phase_rng(scenario.seed, 2)
+        rng_opt = stream(scenario.seed, PROXY_STREAM)
 
         def solve(target, spec: ConstraintSpec):
             count = oracle.ledger.count
@@ -238,13 +245,14 @@ def _proxy_reuse(scenario: Scenario, fleet: Fleet, oracle: Oracle):
             if spec.energy_bound is not None:
                 result = grid_optimize_2d(
                     target, spec.latency_bound, spec.energy_bound, entry, oracle, scenario.search,
+                    scenario.seed,
                 )
                 t, energy = list(result.t), float(result.energy)
                 columns = ["level", "t1", "t2", "latency", "energy", "feasible"]
             else:
                 result = bisection_optimize(
                     target, spec.latency_bound, scenario.delta_fraction * spec.latency_bound,
-                    entry, oracle, scenario.search,
+                    entry, oracle, scenario.search, scenario.seed,
                 )
                 t, energy = result.t_star, None
                 columns = ["iteration", "t", "measured_latency", "bound", "verdict"]
@@ -326,15 +334,9 @@ def _target_charges(ledger: MeasurementLedger, device_id: str) -> int:
     return ledger.count(device_id, "latency") + ledger.count(device_id, "energy")
 
 
-def _phase_rng(seed: int, phase: int) -> np.random.Generator:
-    """The random stream of one run phase: 0 fleet, 1 training, 2 proxy
-    optimization, 101 bound calibration. Phases never share a stream."""
-    return np.random.default_rng(np.random.SeedSequence([seed, phase]))
-
-
 def draw_fleet(scenario: Scenario) -> Fleet:
     """The scenario's device fleet, as every run of it draws it."""
-    return generate_fleet(scenario.fleet, _phase_rng(scenario.seed, 0))
+    return generate_fleet(scenario.fleet, stream(scenario.seed, FLEET_STREAM))
 
 
 def run_scenario(
@@ -359,7 +361,7 @@ def run_scenario(
         models_dir = os.path.join(out_dir, "models") if out_dir else None
         models = _load_models(models_dir, names, scenario, fleet)
     else:
-        models = train(_phase_rng(scenario.seed, 1))
+        models = train(stream(scenario.seed, TRAINING_STREAM))
     solve = solver(*models)
     targets = [("monotone", d) for d in fleet.holdout_monotone] + [
         ("adversarial", d) for d in fleet.holdout_adversarial

@@ -14,7 +14,6 @@ and a pool of proxies turns that check into a reuse-or-train-new policy.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -22,7 +21,7 @@ import numpy as np
 
 from .design_space import DesignSpace, encode_rows, sample_rows
 from .device_world import DeviceFeatures, Oracle
-from .search import SearchParams, evolutionary_search
+from .search import GA_STREAM, SearchParams, evolutionary_search, stream
 from .surrogate import MlpRegressor, device_embedding
 
 
@@ -31,17 +30,10 @@ class UndefinedCorrelationError(ValueError):
 
 
 def _average_ranks(values) -> np.ndarray:
-    v = np.asarray(values, dtype=float)
-    order = np.argsort(v, kind="stable")
-    ranks = np.empty(len(v))
-    i = 0
-    while i < len(v):
-        j = i
-        while j + 1 < len(v) and v[order[j + 1]] == v[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    """1-based ranks; a run of equal values shares the mean of its ranks."""
+    _, inverse, counts = np.unique(np.asarray(values, dtype=float), return_inverse=True,
+                                   return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
 
 
 def spearman(a, b) -> float:
@@ -117,21 +109,19 @@ def scalarized_objective(
     return f
 
 
-def _derived_seed(base_seed: int, *salt: int) -> int:
-    return int(np.random.SeedSequence([base_seed, *salt]).generate_state(1, np.uint64)[0])
-
-
 def solve_inner(
     ts: tuple[float, ...],
     entry: ProxyEntry,
     space: DesignSpace,
     params: SearchParams,
+    seed: int,
     minimizer=None,
 ) -> tuple[int, ...]:
     """Cached argmin of the scalarized objective at the quantized weights ts on
     the entry's accuracy model and its first len(ts) metric models (latency,
     then energy); predictor-only, so repeated calls cost nothing and never
-    touch any device."""
+    touch any device. The GA draws from the scenario seed's GA stream keyed by
+    the cache key."""
     cache = entry.cache
     hit = cache.get(ts)
     if hit is not None:
@@ -145,8 +135,7 @@ def solve_inner(
     if minimizer is not None:
         x = minimizer(objective)
     else:
-        seeded = dataclasses.replace(params, seed=_derived_seed(params.seed, *cache._key(ts)))
-        x = evolutionary_search(objective, space, seeded)
+        x = evolutionary_search(objective, space, params, stream(seed, GA_STREAM, *cache._key(ts)))
     cache.put(ts, x)
     return x
 
@@ -168,6 +157,7 @@ def bisection_optimize(
     entry: ProxyEntry,
     oracle: Oracle,
     params: SearchParams,
+    seed: int,
     minimizer=None,
 ) -> BisectionResult:
     """Bisection on t against true target latency of the inner solution on the
@@ -198,7 +188,7 @@ def bisection_optimize(
         if key in measured:
             x, lat = measured[key]
         else:
-            x = solve_inner((t,), entry, space, params, minimizer)
+            x = solve_inner((t,), entry, space, params, seed, minimizer)
             lat = oracle.latency(space.design_at(x), target)
             measurements += 1
             measured[key] = (x, lat)
@@ -250,14 +240,16 @@ GRID_MEASURE_CAP = 6
 
 def _lattice(center: tuple[float, float], spacing: float,
              cache: TCache) -> list[tuple[float, float]]:
-    """Sorted quantized simplex points of the GRID_N-division lattice around center."""
+    """Sorted quantized points of the GRID_N-division lattice around center that
+    lie in the simplex before and after quantizing (each weight rounds alone)."""
     ks = range(-(GRID_N // 2), GRID_N - GRID_N // 2 + 1)
     pts = set()
     for k1 in ks:
         for k2 in ks:
             t1, t2 = center[0] + k1 * spacing, center[1] + k2 * spacing
-            if t1 >= 0 and t2 >= 0 and t1 + t2 <= 1.0:
-                pts.add(cache.quantize((t1, t2)))
+            tq = cache.quantize((t1, t2))
+            if t1 >= 0 and t2 >= 0 and t1 + t2 <= 1.0 and sum(tq) <= 1.0 + 1e-12:
+                pts.add(tq)
     return sorted(pts)
 
 
@@ -275,6 +267,7 @@ def grid_optimize_2d(
     entry: ProxyEntry,
     oracle: Oracle,
     params: SearchParams,
+    seed: int,
     minimizer=None,
 ) -> Grid2dResult:
     """Coarse-to-fine sweep of the (t1, t2) simplex for two simultaneous bounds.
@@ -320,7 +313,7 @@ def grid_optimize_2d(
     for level in range(GRID_LEVELS):
         if level:  # refine around the best measured point of the level before
             center, spacing = min(pairs, key=level_rank)[0], spacing / 4.0
-        pairs = [(pt, solve_inner(pt, entry, space, params, minimizer))
+        pairs = [(pt, solve_inner(pt, entry, space, params, seed, minimizer))
                  for pt in _lattice(center, spacing, cache)]
         for pt, x in pairs:
             design_pt.setdefault(x, pt)

@@ -207,7 +207,6 @@ def scenario_from_dict(raw: dict) -> Scenario:
         generations=_get(sea, "generations", int, 30, "search"),
         mutation_rate=_get(sea, "mutation_rate", float, 0.1, "search"),
         elite_fraction=_get(sea, "elite_fraction", float, 0.25, "search"),
-        seed=seed,
     )
     optimize = OptimizeSettings(
         latency_percentile=_get(opt, "latency_percentile", float, 40.0, "optimize"),

@@ -1,8 +1,8 @@
 """Minimizers over the design space and the constraint spec they serve.
 
 Every tie anywhere in this module breaks lexicographically on the design's
-index tuple, so results are total functions of (objective, seed) and two runs
-can be compared bit for bit.
+index tuple, so results are total functions of (objective, generator) and two
+runs can be compared bit for bit.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ class SearchParams:
     generations: int = 30
     mutation_rate: float = 0.1
     elite_fraction: float = 0.25
-    seed: int = 0
 
     def __post_init__(self):
         if self.population < 2:
@@ -31,6 +30,25 @@ class SearchParams:
             raise ValueError("mutation_rate: must be in [0, 1]")
         if not 0.0 < self.elite_fraction < 1.0:
             raise ValueError("elite_fraction: must be in (0, 1)")
+
+
+FLEET_STREAM, TRAINING_STREAM, PROXY_STREAM, GA_STREAM, CALIBRATION_STREAM = 0, 1, 2, 3, 101
+
+
+def stream(seed: int, stream_id: int, *key: int) -> np.random.Generator:
+    """The random stream stream_id of the run with this scenario seed; key
+    picks one member of a keyed family. Every named stream of a run comes from
+    here, and child streams are spawned from these (Generator.spawn):
+
+        0    FLEET_STREAM        device fleet
+        1    TRAINING_STREAM     predictor and optimizer training
+        2    PROXY_STREAM        proxy optimization: rank-gate probes, retrains
+        3    GA_STREAM           inner GA search, keyed by the t-cache key
+        101  CALIBRATION_STREAM  bound calibration
+
+    A keyed stream's words end in the key's length: SeedSequence pads short
+    entropy with zeros, so [seed, 3, 5] and [seed, 3, 5, 0] would be one."""
+    return np.random.default_rng([seed, stream_id, *key, len(key)] if key else [seed, stream_id])
 
 
 @dataclass(frozen=True)
@@ -51,15 +69,16 @@ def evolutionary_search(
     objective,
     space: DesignSpace,
     params: SearchParams,
+    rng: np.random.Generator,
 ) -> tuple[int, ...]:
-    """Elitist GA over the discrete space; returns the best design ever seen.
+    """Elitist GA over the discrete space, drawing from rng; returns the best
+    design ever seen.
 
     The population is an (n, w) index matrix, bred a generation at a time.
     objective maps an (m, w) index matrix to m values; each generation's
     designs not seen before are scored in one call, so there are at most
     `generations` calls on at most population * generations rows.
     """
-    rng = np.random.default_rng(params.seed)
     values: dict[tuple[int, ...], float] = {}
     population = sample_rows(space, rng, params.population)
     elite_count = max(1, int(params.population * params.elite_fraction))

@@ -21,7 +21,7 @@ import numpy as np
 
 from .design_space import DesignSpace, DimensionMismatchError, encode_rows, sample_rows
 from .device_world import DeviceFeatures, Oracle
-from .nn import DenseNet, fork_orders, stack, train, unstack
+from .nn import DenseNet, stack, train, unstack
 
 METRICS = ("latency", "energy")
 
@@ -212,9 +212,8 @@ def prepare_fit(
     objective_scale: float | None = None,
 ) -> PendingFit:
     """Everything fit does before its SGD steps, with the same draws from rng:
-    the net's init, then the epoch orders, which a fork of rng keeps for the
-    training while rng moves past them. So fits prepared one after another
-    leave rng as fitting them one after another would."""
+    the net's init, then a child of rng (rng.spawn) for the epoch orders, so
+    rng draws next what it would after the fit, whatever the epochs."""
     X = np.atleast_2d(np.asarray(inputs, dtype=float))
     y = np.asarray(labels, dtype=float).reshape(-1)
     if X.shape[0] != y.shape[0]:
@@ -238,7 +237,7 @@ def prepare_fit(
         net.biases[-1][:] = 0.0
         out_std, orders = 1.0, None
     else:
-        orders = fork_orders(rng, X.shape[0], hyper.epochs)
+        orders = rng.spawn(1)[0]
     model = MlpRegressor(
         net=net,
         in_mean=in_mean,

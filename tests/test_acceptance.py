@@ -97,7 +97,7 @@ def monotone_bisections(reduced, fleet, reduced_models):
         entry = ProxyEntry(dev, reduced_models["accuracy"], reduced_models["latency"], None,
                            TCache())
         result = bisection_optimize(
-            dev, bound, 0.02 * bound, entry, Oracle(reduced, ledger), SearchParams(seed=7),
+            dev, bound, 0.02 * bound, entry, Oracle(reduced, ledger), SearchParams(), 7,
         )
         runs.append(
             {
@@ -370,7 +370,8 @@ def test_criterion_8_amortization_quality(dspace, stage1_bundle, method2_net,
 
                 inferred = infer_design(method2_net, dev, lam, dspace)
                 searched = evolutionary_search(
-                    rows_of(f_hat), dspace, SearchParams(seed=1000 + 7 * di + li)
+                    rows_of(f_hat), dspace, SearchParams(),
+                    np.random.default_rng(1000 + 7 * di + li),
                 )
                 f_inferred, f_searched = f_hat(inferred), f_hat(searched)
                 regrets.append(max(0.0, f_inferred - f_searched) / abs(f_searched))
@@ -416,7 +417,8 @@ def test_criterion_9_search_soundness(reduced, reduced_models):
 
         best = brute_force_argmin(rows_of(objective), reduced)
         hits = sum(
-            evolutionary_search(rows_of(objective), reduced, SearchParams(seed=s)) == best
+            evolutionary_search(rows_of(objective), reduced, SearchParams(),
+                                np.random.default_rng(s)) == best
             for s in range(100)
         )
         ok = hits >= 95

@@ -407,8 +407,7 @@ def sequential_method2(inputs, bundle, layer_sizes, hyper, mu, rng, restarts):
     models32 = [m.astype(np.float32) for m in models]
     data32 = [a.astype(np.float32) for a in (Xn, embeddings, lams)]
     best = None
-    for seed in rng.integers(0, 2**63, size=restarts):
-        start_rng = np.random.default_rng(int(seed))
+    for start_rng in rng.spawn(restarts):
         alone = stack([DenseNet([Xn.shape[1], *layer_sizes, bundle.accuracy.input_dim],
                                 start_rng, output_activation="logistic")]).astype(np.float32)
 

@@ -7,7 +7,6 @@ import pytest
 from fleetopt.nn import (
     DenseNet,
     MomentumSgd,
-    fork_orders,
     l2_penalty,
     sigmoid,
     softplus,
@@ -350,15 +349,6 @@ def test_stack_rejects_mixed_shapes_and_heads():
     pair = stack([DenseNet([3, 4, 1], rng()), DenseNet([3, 4, 1], rng(1))])
     with pytest.raises(ValueError):
         stack([pair, pair])
-
-
-def test_fork_orders_replays_the_draws_train_would_make():
-    a, b = rng(50), rng(50)
-    fork = fork_orders(a, 13, 4)
-    for _ in range(4):
-        np.testing.assert_array_equal(fork.permutation(13), b.permutation(13))
-    assert a.bit_generator.state == b.bit_generator.state
-    assert fork.bit_generator.state == b.bit_generator.state
 
 
 @pytest.mark.parametrize("mu", [0.0, 1e-2])

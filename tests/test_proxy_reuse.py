@@ -94,7 +94,7 @@ def test_bisection_settings_defaults(exact_models, reduced, fleet):
     for cache, cap in ((TCache(0.25), 3), (TCache(), 10)):  # ceil(log2(1/g + 1))
         result = bisection_optimize(
             target, 1e-9, 1e-11, entry_of(exact_models, cache),
-            Oracle(reduced, MeasurementLedger()), SearchParams(), minimizer=brute(reduced),
+            Oracle(reduced, MeasurementLedger()), SearchParams(), 0, minimizer=brute(reduced),
         )
         assert not result.feasible
         assert len(result.trace) == result.measurements == cap
@@ -105,10 +105,11 @@ def test_bisection_settings_validation(exact_models, reduced, fleet):
     oracle = Oracle(reduced, MeasurementLedger())
     for delta in (0.0, -0.1):
         with pytest.raises(ValueError, match="delta"):
-            bisection_optimize(target, 1.0, delta, entry_of(exact_models), oracle, SearchParams())
+            bisection_optimize(target, 1.0, delta, entry_of(exact_models), oracle,
+                               SearchParams(), 0)
     latency_only = entry_of({k: exact_models[k] for k in ("accuracy", "latency")}, device=fleet.proxy)
     with pytest.raises(ValueError, match="energy model"):
-        grid_optimize_2d(target, 1.0, 1.0, latency_only, oracle, SearchParams())
+        grid_optimize_2d(target, 1.0, 1.0, latency_only, oracle, SearchParams(), 0)
     assert oracle.ledger.total() == 0
 
 
@@ -170,20 +171,20 @@ def test_solve_inner_caches_and_skips_objective(exact_models, reduced):
         return brute_force_argmin(counted, reduced)
 
     entry = entry_of(exact_models)
-    params = SearchParams(seed=0)
-    a = solve_inner((0.4,), entry, reduced, params, minimizer=counting_minimizer)
+    params = SearchParams()
+    a = solve_inner((0.4,), entry, reduced, params, 0, minimizer=counting_minimizer)
     first = calls[0]
     assert first == 128
-    b = solve_inner((0.4,), entry, reduced, params, minimizer=counting_minimizer)
+    b = solve_inner((0.4,), entry, reduced, params, 0, minimizer=counting_minimizer)
     assert calls[0] == first
     assert a == b
 
 
 def test_solve_inner_extremes_with_exact_predictors(exact_models, reduced):
-    x0 = solve_inner((0.0,), entry_of(exact_models), reduced, SearchParams(),
+    x0 = solve_inner((0.0,), entry_of(exact_models), reduced, SearchParams(), 0,
                      minimizer=brute(reduced))
     assert x0 == all_max(reduced)
-    x1 = solve_inner((1.0,), entry_of(exact_models), reduced, SearchParams(),
+    x1 = solve_inner((1.0,), entry_of(exact_models), reduced, SearchParams(), 0,
                      minimizer=brute(reduced))
     assert x1 == all_min(reduced)
 
@@ -212,7 +213,7 @@ def test_bisection_loose_bound_returns_accuracy_argmax(exact_models, reduced, fl
     oracle = Oracle(reduced, MeasurementLedger())
     result = bisection_optimize(
         target, 1e6, 0.02 * 1e6, entry_of(exact_models),
-        oracle, SearchParams(), minimizer=brute(reduced),
+        oracle, SearchParams(), 0, minimizer=brute(reduced),
     )
     assert result.feasible
     assert result.t_star <= 0.001 + 1e-12
@@ -226,7 +227,7 @@ def test_bisection_budget_and_ledger_agree(exact_models, reduced, fleet):
     oracle = Oracle(reduced, MeasurementLedger())
     result = bisection_optimize(
         target, bound, 0.02 * bound, entry_of(exact_models),
-        oracle, SearchParams(), minimizer=brute(reduced),
+        oracle, SearchParams(), 0, minimizer=brute(reduced),
     )
     assert result.measurements <= 10
     assert oracle.ledger.count(target.device_id, "latency") == result.measurements
@@ -244,7 +245,7 @@ def test_bisection_matches_constrained_optimum(exact_models, reduced, fleet):
     oracle = Oracle(reduced, MeasurementLedger())
     result = bisection_optimize(
         target, bound, 0.02 * bound, entry_of(exact_models),
-        oracle, SearchParams(), minimizer=brute(reduced),
+        oracle, SearchParams(), 0, minimizer=brute(reduced),
     )
     assert result.feasible
     assert result.latency <= bound * 1.02
@@ -257,11 +258,11 @@ def test_bisection_infeasible_bound_is_flagged(exact_models, reduced, fleet):
     oracle = Oracle(reduced, MeasurementLedger())
     result = bisection_optimize(
         target, min_lat / 10, 0.02 * min_lat / 10, entry_of(exact_models),
-        oracle, SearchParams(), minimizer=brute(reduced),
+        oracle, SearchParams(), 0, minimizer=brute(reduced),
     )
     assert not result.feasible
     with pytest.raises(ValueError):
-        bisection_optimize(target, -1.0, 0.1, entry_of(exact_models), oracle, SearchParams())
+        bisection_optimize(target, -1.0, 0.1, entry_of(exact_models), oracle, SearchParams(), 0)
 
 
 def test_bisection_trace_rows(exact_models, reduced, fleet):
@@ -271,7 +272,7 @@ def test_bisection_trace_rows(exact_models, reduced, fleet):
     oracle = Oracle(reduced, MeasurementLedger())
     result = bisection_optimize(
         target, bound, 0.02 * bound, entry_of(exact_models),
-        oracle, SearchParams(), minimizer=brute(reduced),
+        oracle, SearchParams(), 0, minimizer=brute(reduced),
     )
     assert [row["iteration"] for row in result.trace] == list(range(len(result.trace)))
     assert all(row["bound"] == bound for row in result.trace)
@@ -295,7 +296,8 @@ def test_search_and_bisection_convert_only_what_they_measure(
 
     acc, lat = reduced_models["accuracy"], reduced_models["latency"]
     evolutionary_search(
-        lambda X: scalarized_objective(X, (0.3,), acc, (lat,), reduced), reduced, SearchParams()
+        lambda X: scalarized_objective(X, (0.3,), acc, (lat,), reduced), reduced, SearchParams(),
+        np.random.default_rng(0),
     )
     assert calls == {"indices_of": 0, "design_at": 0}
 
@@ -305,7 +307,7 @@ def test_search_and_bisection_convert_only_what_they_measure(
     calls.update(indices_of=0, design_at=0)
     oracle = Oracle(reduced, MeasurementLedger())
     result = bisection_optimize(
-        target, bound, 0.02 * bound, entry_of(reduced_models), oracle, SearchParams(),
+        target, bound, 0.02 * bound, entry_of(reduced_models), oracle, SearchParams(), 0,
     )
     charged = oracle.ledger.count(target.device_id, "latency")
     assert charged == result.measurements > 1
@@ -341,7 +343,7 @@ def test_grid_2d_loose_bounds_hit_accuracy_corner(exact_models, reduced, fleet):
     oracle = Oracle(reduced, MeasurementLedger())
     result = grid_optimize_2d(
         target, 1e6, 1e6, entry_of(exact_models),
-        oracle, SearchParams(), minimizer=brute(reduced),
+        oracle, SearchParams(), 0, minimizer=brute(reduced),
     )
     assert result.feasible
     assert result.design == all_max(reduced)
@@ -373,7 +375,7 @@ def test_grid_2d_dual_bounds_reach_scalarization_ceiling(exact_models, reduced, 
     oracle = Oracle(reduced, MeasurementLedger())
     result = grid_optimize_2d(
         target, lat_bound, en_bound, entry_of(exact_models),
-        oracle, SearchParams(), minimizer=brute(reduced),
+        oracle, SearchParams(), 0, minimizer=brute(reduced),
     )
     assert result.feasible
     assert result.latency <= lat_bound and result.energy <= en_bound
@@ -392,11 +394,11 @@ def test_grid_2d_huge_energy_bound_matches_bisection(exact_models, reduced, flee
     oracle = Oracle(reduced, MeasurementLedger())
     uni = bisection_optimize(
         target, bound, 0.02 * bound, entry_of(exact_models),
-        oracle, SearchParams(), minimizer=brute(reduced),
+        oracle, SearchParams(), 0, minimizer=brute(reduced),
     )
     two = grid_optimize_2d(
         target, bound, 1e9, entry_of(exact_models),
-        oracle, SearchParams(), minimizer=brute(reduced),
+        oracle, SearchParams(), 0, minimizer=brute(reduced),
     )
     assert two.feasible and uni.feasible
     acc_two = accuracy_value(reduced.design_at(two.design), reduced)
@@ -409,7 +411,7 @@ def test_grid_2d_infeasible_bounds_flagged(exact_models, reduced, fleet):
     oracle = Oracle(reduced, MeasurementLedger())
     result = grid_optimize_2d(
         target, min_lat / 10, 1e9, entry_of(exact_models),
-        oracle, SearchParams(), minimizer=brute(reduced),
+        oracle, SearchParams(), 0, minimizer=brute(reduced),
     )
     assert not result.feasible
 
@@ -428,7 +430,7 @@ def test_grid_2d_reuses_inner_solves_across_calls_on_one_cache(exact_models, red
 
     def run(problem, entry, minimizer):
         return grid_optimize_2d(
-            *problem, entry, Oracle(reduced, MeasurementLedger()), SearchParams(),
+            *problem, entry, Oracle(reduced, MeasurementLedger()), SearchParams(), 0,
             minimizer=minimizer,
         )
 
@@ -466,7 +468,7 @@ def test_grid_2d_predicts_and_measures_each_level_as_one_batch(
     oracle = Oracle(reduced, MeasurementLedger())
     result = grid_optimize_2d(
         target, float(np.percentile(lats, 50)), float(np.percentile(ens, 50)),
-        entry_of(reduced_models), oracle, SearchParams(), minimizer=lambda _: next(designs),
+        entry_of(reduced_models), oracle, SearchParams(), 0, minimizer=lambda _: next(designs),
     )
     assert result.measurements > 2 * GRID_MEASURE_CAP  # more than one level measured
     assert result.measurements == 2 * len(result.trace) == oracle.ledger.total()
@@ -481,7 +483,7 @@ def test_grid_2d_with_one_design_measures_it_once(exact_models, reduced, fleet):
     x = enumerate_all(reduced)[5]
     oracle = Oracle(reduced, MeasurementLedger())
     result = grid_optimize_2d(
-        target, 1e6, 1e6, entry_of(exact_models), oracle, SearchParams(),
+        target, 1e6, 1e6, entry_of(exact_models), oracle, SearchParams(), 0,
         minimizer=lambda _: x,
     )
     assert (result.design, result.t, result.measurements) == (x, (0.0, 0.0), 2)

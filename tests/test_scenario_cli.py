@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from fleetopt import device_world, learn_to_optimize, nn, surrogate
+from fleetopt import device_world, learn_to_optimize, nn, pipeline, proxy_reuse, surrogate
 from fleetopt.cli import main
 from fleetopt.design_space import default_space, enumerate_all
 from fleetopt.device_world import Oracle
@@ -22,8 +22,8 @@ from fleetopt.pipeline import (
     export_report,
     run_scenario,
 )
-from fleetopt.scenario import ConfigError, load_scenario, scenario_from_dict
-from fleetopt.search import ConstraintSpec
+from fleetopt.scenario import ConfigError, Scenario, load_scenario, scenario_from_dict
+from fleetopt.search import GA_STREAM, ConstraintSpec, stream
 
 SMALL_PROXY = {
     "seed": 11,
@@ -70,7 +70,9 @@ def test_minimal_config_defaults():
     assert s.samples_per_device == 500
     assert s.fleet.n_training == 8
     assert s.lambda_count == 4
-    assert s.search.seed == 7
+    # `--seed 7` without --config runs Scenario(seed=7): the same scenario, so
+    # the same designs, as this config
+    assert s == Scenario(seed=7)
 
 
 def test_comment_keys_are_ignored():
@@ -232,6 +234,37 @@ def test_bisection_settings_come_from_config(tmp_path):
             if step["verdict"] == "within_band":
                 bound = float(step["bound"])
                 assert abs(float(step["measured_latency"]) - bound) <= 0.5 * bound
+
+
+def test_coarse_granularity_keeps_the_grid_in_the_simplex(tmp_path):
+    # at granularity 0.07 a refined lattice point inside the simplex can
+    # quantize out of it, each weight rounded on its own
+    doc = {"seed": 11, "space": "reduced", "bisection": {"granularity": 0.07},
+           "predictor": {"samples_per_device": 60, "epochs": 20, "hidden": [8]},
+           "search": {"population": 8, "generations": 4},
+           "optimize": {"energy_percentile": 40.0}}
+    assert main(["optimize", "--config", write_config(tmp_path, doc)]) in (0, 3)
+
+
+def test_every_stream_a_seed_names_is_distinct(monkeypatch):
+    # numpy pads short entropy with zeros, so a bare [seed, id, *key] would make
+    # the grid's GA key (500, 0) one stream with the bisection's (500,)
+    made = {}
+
+    def recorded(seed, stream_id, *key):
+        rng = stream(seed, stream_id, *key)
+        made[(stream_id, *key)] = tuple(rng.bit_generator.seed_seq.generate_state(4))
+        return rng
+
+    for module in (pipeline, proxy_reuse):
+        monkeypatch.setattr(module, "stream", recorded)
+    doc = with_key(SMALL_PROXY, "predictor.epochs", 5)
+    for energy_percentile in (None, 40.0):  # the bisection, then the 2-D grid
+        run_scenario(scenario_from_dict(
+            with_key(doc, "optimize.energy_percentile", energy_percentile)))
+    assert {0, 1, 2, 101} < {path[0] for path in made}
+    assert {(GA_STREAM, 500), (GA_STREAM, 500, 0), (GA_STREAM, 0, 0)} <= made.keys()
+    assert len(set(made.values())) == len(made)
 
 
 # --- measurement-cost arithmetic ---------------------------------------------
@@ -490,7 +523,7 @@ def test_cli_optimize_infeasible_exit_code(tmp_path, capsys):
 
 
 def test_amortized_verdict_follows_measurement(tmp_path, capsys):
-    doc = with_key(SMALL_AMORTIZED, "optimize.latency_percentile", 5.0)
+    doc = with_key(with_key(SMALL_AMORTIZED, "optimize.latency_percentile", 5.0), "seed", 3)
     out = str(tmp_path / "run")
     assert main(["optimize", "--config", write_config(tmp_path, doc), "--out", out]) == 3
     stdout = capsys.readouterr().out

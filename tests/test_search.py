@@ -7,9 +7,11 @@ from fleetopt.design_space import DesignSpace, SpaceTooLargeError, default_space
 from fleetopt.device_world import accuracy_value, energy_value, latency_value
 from fleetopt.search import (
     ConstraintSpec,
+    GA_STREAM,
     SearchParams,
     brute_force_argmin,
     evolutionary_search,
+    stream,
 )
 
 
@@ -88,13 +90,13 @@ def test_constant_objective_returns_lexicographically_smallest_visited(reduced, 
             visited.extend(map(tuple, X.tolist()))
             return np.ones(len(X))
 
-        result = evolutionary_search(objective, space, SearchParams(seed=5))
+        result = evolutionary_search(objective, space, SearchParams(), np.random.default_rng(5))
         assert result == min(visited)
     assert brute_force_argmin(lambda X: np.ones(len(X)), reduced) == all_min(reduced)
 
 
 def test_objective_evaluations_within_budget(reduced, dspace):
-    params = SearchParams(population=16, generations=10, seed=3)
+    params = SearchParams(population=16, generations=10)
     for space in (reduced, dspace):
         calls, rows = [0], set()
 
@@ -105,15 +107,17 @@ def test_objective_evaluations_within_budget(reduced, dspace):
             rows.update(batch)
             return X.sum(axis=1).astype(float)
 
-        evolutionary_search(objective, space, params)
+        evolutionary_search(objective, space, params, np.random.default_rng(3))
         assert calls[0] <= 10
         assert len(rows) <= 16 * 10
 
 
 def test_evolutionary_search_deterministic(reduced, proxy):
-    params = SearchParams(seed=11)
-    a = evolutionary_search(true_latency_of(proxy, reduced), reduced, params)
-    b = evolutionary_search(true_latency_of(proxy, reduced), reduced, params)
+    params = SearchParams()
+    a = evolutionary_search(true_latency_of(proxy, reduced), reduced, params,
+                            np.random.default_rng(11))
+    b = evolutionary_search(true_latency_of(proxy, reduced), reduced, params,
+                            np.random.default_rng(11))
     assert a == b
 
 
@@ -142,3 +146,15 @@ def test_brute_force_negative_accuracy_returns_all_max(reduced):
 def test_brute_force_refuses_oversized_space():
     with pytest.raises(SpaceTooLargeError):
         brute_force_argmin(lambda X: np.zeros(len(X)), default_space(), limit=1000)
+
+
+def test_streams_are_named_by_seed_id_and_key():
+    def first(rng):
+        return rng.integers(2**63, size=4).tolist()
+
+    # an unkeyed stream is [seed, id] as numpy seeds it
+    assert first(stream(23, 1)) == first(np.random.default_rng(np.random.SeedSequence([23, 1])))
+    # keys differing only by trailing zeros are distinct streams
+    for a, b in [((5,), (5, 0)), ((), (0,)), ((), (0, 0)), ((0,), (0, 0))]:
+        assert first(stream(23, GA_STREAM, *a)) != first(stream(23, GA_STREAM, *b))
+    assert first(stream(23, GA_STREAM, 5, 0)) == first(stream(23, GA_STREAM, 5, 0))

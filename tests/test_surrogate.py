@@ -27,7 +27,9 @@ from fleetopt.surrogate import (
     MlpRegressor,
     TradeoffWeights,
     TrainingSettings,
+    accuracy_fit,
     device_embedding,
+    device_specific_fit,
     fit,
     fit_lockstep,
     iterative_fit,
@@ -423,8 +425,8 @@ TINY = TrainingSettings(epochs=6, batch_size=16)
 
 def reference_fit(X, y, layer_sizes, hyper, rng, **tags):
     """fit as one loop over one net (a stack of one) in float32, drawing its
-    epoch orders from rng as it trains: the reference the lockstep paths must
-    reproduce bit for bit."""
+    epoch orders as it trains from a child spawned from rng after the net's
+    init: the reference the lockstep paths must reproduce bit for bit."""
     in_mean, in_std = X.mean(axis=0), X.std(axis=0)
     in_scale = np.where(in_std < 1e-12, 1.0, in_std)
     out_mean, out_std = float(y.mean()), float(y.std())
@@ -448,7 +450,7 @@ def reference_fit(X, y, layer_sizes, hyper, rng, **tags):
             alone.backward(cache, (2.0 * err / yb.shape[-1])[..., None], out=grads)
             return [float(e @ e) for e in err]
 
-        [curve] = train(alone, X.shape[0], gather, batch_loss_and_grad, hyper, [rng])
+        [curve] = train(alone, X.shape[0], gather, batch_loss_and_grad, hyper, rng.spawn(1))
         [net] = unstack(alone)
     return MlpRegressor(net=net, in_mean=in_mean, in_scale=in_scale, out_mean=out_mean,
                         out_scale=out_std, constant_warning=constant, final_loss=curve[-1],
@@ -487,6 +489,19 @@ def test_lockstep_fits_equal_sequential_fits(constant):
         assert model_bytes(got) == model_bytes(want)
         assert [m.constant_warning for m in got] == [k in constant for k in range(3)]
         assert a.bit_generator.state == b.bit_generator.state
+
+
+def test_a_fits_designs_do_not_depend_on_the_epochs_of_fits_before_it(reduced, proxy):
+    # the epoch orders come from a spawned child, so they take no draws from
+    # the generator the next fit samples its designs from
+    def latency_designs(epochs):
+        rng = np.random.default_rng(88)
+        oracle = Oracle(reduced, MeasurementLedger())
+        hyper = TrainingSettings(epochs=epochs, batch_size=16)
+        accuracy_fit(24, oracle, rng, hyper, (8,))
+        return device_specific_fit("latency", proxy, 24, oracle, rng, hyper, (8,)).X
+
+    np.testing.assert_array_equal(latency_designs(5), latency_designs(50))
 
 
 def test_lockstep_fits_need_one_shape():
