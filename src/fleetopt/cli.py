@@ -27,7 +27,7 @@ from .device_world import (
     latency_value,
     energy_value,
 )
-from .pipeline import cost_accounting, draw_fleet, run_scenario
+from .pipeline import BASELINE_SAMPLES, BASELINE_SECONDS, cost_accounting, draw_fleet, run_scenario
 from .proxy_reuse import ProxyEntry, TCache, bisection_optimize, spearman
 from .scenario import ConfigError, Scenario, load_scenario
 from .search import FLEET_STREAM, TRAINING_STREAM, SearchParams, stream
@@ -237,8 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("cost-table", help="baseline measurement-cost arithmetic")
-    p.add_argument("--samples", type=int, default=5000)
-    p.add_argument("--seconds", type=float, default=30.0)
+    p.add_argument("--samples", type=int, default=BASELINE_SAMPLES)
+    p.add_argument("--seconds", type=float, default=BASELINE_SECONDS)
     p.add_argument("--devices", type=int, default=1)
     p.add_argument("--out", help="output directory")
     p.set_defaults(func=_cmd_cost_table)

@@ -100,6 +100,11 @@ class RunReport:
         return out
 
 
+# the per-device predictor-training baseline a run's cost table compares against:
+# this many measurements per device, at this many seconds each
+BASELINE_SAMPLES, BASELINE_SECONDS = 5000, 30.0
+
+
 def cost_accounting(
     samples_per_device: int,
     seconds_per_measurement: float,
@@ -381,7 +386,7 @@ def run_scenario(
         traces.append(trace)
 
     per_target = {d.device_id: _target_charges(ledger, d.device_id) for _, d in targets}
-    cost = cost_accounting(5000, 30.0, len(targets), per_target)
+    cost = cost_accounting(BASELINE_SAMPLES, BASELINE_SECONDS, len(targets), per_target)
     stage_counts = {
         "total_latency": ledger.total("latency"),
         "total_energy": ledger.total("energy"),

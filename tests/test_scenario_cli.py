@@ -98,6 +98,9 @@ def test_errors_name_the_key_path():
         scenario_from_dict({"seed": 1, "optimize": {"latency_percentile": 0}})
     with pytest.raises(ConfigError, match="approach"):
         scenario_from_dict({"seed": 1, "approach": "magic"})
+    # a top-level key is named by its own path, with no section before it
+    with pytest.raises(ConfigError, match="^approach: expected str"):
+        scenario_from_dict({"seed": 1, "approach": None})
     with pytest.raises(ConfigError, match="top level"):
         scenario_from_dict([1, 2])
     with pytest.raises(ConfigError, match=r"predictor\.hidden"):
@@ -130,6 +133,8 @@ BAD_CONFIGS = [
     (SMALL_PROXY, "search.population", 1, "search.population"),
     (SMALL_PROXY, "fleet.n_synthetic", -1, "fleet.n_synthetic"),
     (SMALL_PROXY, "seed", -1, "seed"),
+    # search.stream would split a seed this large into two words
+    (SMALL_PROXY, "seed", 2**32, "seed"),
     (SMALL_PROXY, "space", {"num_stages": "two"}, "space.num_stages"),
     (SMALL_PROXY, "space", {"kernel_choices": ["3"]}, "space.kernel_choices"),
     (SMALL_PROXY, "space", {"stages": 2}, "space.stages"),
@@ -167,6 +172,14 @@ def test_bad_config_exits_2_naming_the_key(tmp_path, capsys, base, path, value, 
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
     assert named in err
+
+
+def test_readme_example_is_the_default_scenario():
+    # the README's "Scenario files" block lists the defaults; they must not
+    # drift from the settings dataclasses
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    block = re.search(r"## Scenario files\n.*?```json\n(.*?)```", readme, re.S).group(1)
+    assert scenario_from_dict(json.loads(block)) == Scenario(seed=23)
 
 
 def test_space_forms():
@@ -453,6 +466,11 @@ def test_cli_selftest_passes(capsys):
 def test_cli_needs_config_or_seed(capsys):
     assert main(["gen-fleet"]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_cli_bare_seed_is_bounded(capsys):
+    assert main(["gen-fleet", "--seed", str(2**32)]) == 2
+    assert capsys.readouterr().err.startswith("config error: seed: ")
 
 
 def test_cli_gen_fleet(tmp_path, capsys):
