@@ -19,7 +19,7 @@ import numpy as np
 
 from .design_space import DesignSpace, decode, decode_rows, encode_rows
 from .device_world import DeviceFeatures, Oracle
-from .nn import DenseNet, l2_penalty, stack, train, unstack
+from .nn import DenseNet, l2_penalty, normalized_net, stack, train, unstack
 from .search import ConstraintSpec
 from .surrogate import MlpRegressor, TradeoffWeights, TrainingSettings, device_embedding
 
@@ -77,18 +77,7 @@ class OptimizerNetwork:
 
     @classmethod
     def from_dict(cls, d: dict) -> "OptimizerNetwork":
-        return cls(
-            net=DenseNet.from_dict(d),
-            in_mean=np.array(d["in_mean"], dtype=float),
-            in_scale=np.array(d["in_scale"], dtype=float),
-            final_loss=float(d["final_loss"]),
-        )
-
-
-def save_optimizer(net: OptimizerNetwork, path) -> None:
-    # json.dumps encodes in C; json.dump streams through the Python encoder
-    with open(path, "w") as f:
-        f.write(json.dumps(net.to_dict()))
+        return cls(**normalized_net(d), final_loss=float(d["final_loss"]))
 
 
 def load_optimizer(path) -> OptimizerNetwork:

@@ -197,8 +197,17 @@ class DenseNet:
     @classmethod
     def from_dict(cls, d: dict) -> "DenseNet":
         """Inverse of to_dict; other keys are ignored, so a whole model file's
-        document can be passed."""
-        return cls._of(d["layer_sizes"], d["output_activation"], d["weights"], d["biases"])
+        document can be passed. ValueError unless the head is one DenseNet
+        knows and each weight is (fan_in, fan_out) and each bias (fan_out,) of
+        layer_sizes."""
+        net = cls._of(d["layer_sizes"], d["output_activation"], d["weights"], d["biases"])
+        if net.output_activation not in ("linear", "logistic"):
+            raise ValueError(f"unknown output activation {net.output_activation!r}")
+        sizes = net.layer_sizes
+        expected = [*zip(sizes, sizes[1:]), *((n,) for n in sizes[1:])]
+        if [a.shape for a in net.weights + net.biases] != expected:
+            raise ValueError(f"weights and biases do not match layer_sizes {sizes}")
+        return net
 
     def copy(self) -> "DenseNet":
         return self.astype(self.weights[0].dtype)
@@ -207,6 +216,19 @@ class DenseNet:
         """An independent copy whose weights and biases are of dtype."""
         return DenseNet._of(self.layer_sizes, self.output_activation, self.weights, self.biases,
                             dtype)
+
+
+def normalized_net(d: dict) -> dict:
+    """The net, in_mean and in_scale of a model document (a predictor's or an
+    optimizer's) as its model's keyword arguments; ValueError unless each
+    normalizer holds one entry per input of the net."""
+    net = DenseNet.from_dict(d)
+    out = {"net": net}
+    for key in ("in_mean", "in_scale"):
+        out[key] = np.array(d[key], dtype=float)
+        if out[key].shape != (net.input_dim,):
+            raise ValueError(f"{key} must hold {net.input_dim} entries, got {out[key].shape}")
+    return out
 
 
 def stack(nets: list[DenseNet]) -> DenseNet:

@@ -31,7 +31,6 @@ from .learn_to_optimize import (
     build_lambda_grid,
     constraint_sweep,
     load_optimizer,
-    save_optimizer,
     train_method2,
 )
 from .proxy_reuse import (
@@ -188,7 +187,7 @@ def _load_models(models_dir: str | None, names: list[str], scenario: Scenario,
             model = (load_optimizer if name == "optimizer.json" else load_model)(path)
         except FileNotFoundError:
             raise ConfigError(f"skip-training: missing model file ({path})") from None
-        except (ValueError, KeyError) as e:  # truncated JSON, missing key, bad value
+        except (ValueError, KeyError, TypeError) as e:  # bad JSON, key, value or shape
             raise ConfigError(f"skip-training: corrupt model file ({path}): {e!r}") from None
         if isinstance(model, OptimizerNetwork):
             width, expected, side = model.net.output_dim, encoding, "outputs"
@@ -252,15 +251,11 @@ def _proxy_reuse(scenario: Scenario, fleet: Fleet, oracle: Oracle):
                     target, spec.latency_bound, spec.energy_bound, entry, oracle, scenario.search,
                     scenario.seed,
                 )
-                t, energy = list(result.t), float(result.energy)
-                columns = ["level", "t1", "t2", "latency", "energy", "feasible"]
             else:
                 result = bisection_optimize(
                     target, spec.latency_bound, scenario.delta_fraction * spec.latency_bound,
                     entry, oracle, scenario.search, scenario.seed,
                 )
-                t, energy = result.t_star, None
-                columns = ["iteration", "t", "measured_latency", "bound", "verdict"]
             fields = {
                 "proxy_used": entry.device.device_id,
                 "proxy_reused": reused,
@@ -269,13 +264,13 @@ def _proxy_reuse(scenario: Scenario, fleet: Fleet, oracle: Oracle):
                 ],
                 "probe_measurements": probes_charged,
                 "optimize_measurements": result.measurements,
-                "t": t,
+                "t": list(result.t),
                 "feasible": bool(result.feasible),
                 "measured_latency": float(result.latency),
-                "measured_energy": energy,
+                "measured_energy": result.energy,
                 "target_latency_charges": count(target.device_id, "latency") - before,
             }
-            return result.design, fields, (f"trace_{target.device_id}.csv", columns, result.trace)
+            return result.design, fields, (f"trace_{target.device_id}.csv", result.trace)
 
         return solve
 
@@ -326,8 +321,7 @@ def _amortized(scenario: Scenario, fleet: Fleet, oracle: Oracle):
                 "validation_measurements":
                     _target_charges(oracle.ledger, target.device_id) - before,
             }
-            columns = ["lambda1", "lambda2", "predicted_feasible", "predicted_accuracy", "chosen"]
-            return sweep.design, fields, (f"sweep_{target.device_id}.csv", columns, sweep.rows)
+            return sweep.design, fields, (f"sweep_{target.device_id}.csv", sweep.rows)
 
         return solve
 
@@ -420,12 +414,13 @@ def run_scenario(
     return report
 
 
-def _rows_to_csv(rows, columns) -> str:
+def _rows_to_csv(rows) -> str:
+    """Trace rows as CSV under a header of their keys; every row of a trace has
+    the same keys (a row with another key raises ValueError)."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([row.get(c, "") for c in columns])
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
     return buf.getvalue()
 
 
@@ -454,11 +449,10 @@ def export_report(report: RunReport, out_dir: str, artifacts: dict | None = None
             for name, model in artifacts.get("models", {}).items():
                 path = os.path.join(out_dir, "models", name)
                 os.makedirs(os.path.dirname(path), exist_ok=True)
-                (save_optimizer if isinstance(model, OptimizerNetwork) else save_model)(
-                    model, path)
+                save_model(model, path)
                 written.append(path)
-        for name, columns, rows in artifacts.get("traces", ()):
-            emit(os.path.join("traces", name), _rows_to_csv(rows, columns))
+        for name, rows in artifacts.get("traces", ()):
+            emit(os.path.join("traces", name), _rows_to_csv(rows))
         return written
     except Exception:
         for path in written:

@@ -141,12 +141,17 @@ def solve_inner(
 
 
 @dataclass(frozen=True)
-class BisectionResult:
+class ProxySolve:
+    """What a proxy solver returns. t is (t,) from the bisection, (t1, t2)
+    from the 2-D grid; energy is None without an energy bound; every trace
+    row has the same keys, in order, the columns of its trace file."""
+
     design: tuple[int, ...]
-    t_star: float
+    t: tuple[float, ...]
     measurements: int
     feasible: bool
     latency: float
+    energy: float | None
     trace: tuple[dict, ...]
 
 
@@ -159,7 +164,7 @@ def bisection_optimize(
     params: SearchParams,
     seed: int,
     minimizer=None,
-) -> BisectionResult:
+) -> ProxySolve:
     """Bisection on t against true target latency of the inner solution on the
     entry's predictors; delta is the absolute latency half-band around bound.
 
@@ -212,25 +217,15 @@ def bisection_optimize(
             break
     assert last is not None
     chosen = best if best is not None else last
-    return BisectionResult(
+    return ProxySolve(
         design=chosen[1],
-        t_star=chosen[0],
+        t=(chosen[0],),
         measurements=measurements,
         feasible=best is not None,
         latency=chosen[2],
+        energy=None,
         trace=tuple(trace),
     )
-
-
-@dataclass(frozen=True)
-class Grid2dResult:
-    design: tuple[int, ...]
-    t: tuple[float, float]
-    measurements: int
-    feasible: bool
-    latency: float
-    energy: float
-    trace: tuple[dict, ...]
 
 
 GRID_LEVELS = 3
@@ -269,7 +264,7 @@ def grid_optimize_2d(
     params: SearchParams,
     seed: int,
     minimizer=None,
-) -> Grid2dResult:
+) -> ProxySolve:
     """Coarse-to-fine sweep of the (t1, t2) simplex for two simultaneous bounds.
 
     Each of GRID_LEVELS levels solves the inner problem on a lattice (GRID_N
@@ -336,9 +331,9 @@ def grid_optimize_2d(
 
     x = min(measured, key=lambda x: (*standing(x), -predicted[x][0], x))
     lat, en = measured[x]
-    return Grid2dResult(design=x, t=design_pt[x], measurements=2 * len(measured),
-                        feasible=standing(x)[0] == 0, latency=lat, energy=en,
-                        trace=tuple(trace))
+    return ProxySolve(design=x, t=design_pt[x], measurements=2 * len(measured),
+                      feasible=standing(x)[0] == 0, latency=lat, energy=en,
+                      trace=tuple(trace))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .design_space import DesignSpace, DimensionMismatchError, encode_rows, sample_rows
 from .device_world import DeviceFeatures, Oracle
-from .nn import DenseNet, stack, train, unstack
+from .nn import DenseNet, normalized_net, stack, train, unstack
 
 METRICS = ("latency", "energy")
 
@@ -159,9 +159,7 @@ class MlpRegressor:
     @classmethod
     def from_dict(cls, d: dict) -> "MlpRegressor":
         return cls(
-            net=DenseNet.from_dict(d),
-            in_mean=np.array(d["in_mean"], dtype=float),
-            in_scale=np.array(d["in_scale"], dtype=float),
+            **normalized_net(d),
             out_mean=float(d["out_mean"]),
             out_scale=float(d["out_scale"]),
             metric=d["metric"],
@@ -173,7 +171,8 @@ class MlpRegressor:
         )
 
 
-def save_model(model: MlpRegressor, path) -> None:
+def save_model(model, path) -> None:
+    """Write any model's to_dict() (a predictor's or an optimizer's) as JSON."""
     # json.dumps encodes in C; json.dump streams through the Python encoder
     with open(path, "w") as f:
         f.write(json.dumps(model.to_dict()))

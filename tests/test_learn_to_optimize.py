@@ -15,7 +15,6 @@ from fleetopt.learn_to_optimize import (
     infer_design,
     load_optimizer,
     optimizer_input,
-    save_optimizer,
     train_method2,
 )
 from fleetopt.nn import DenseNet, stack, train, unstack
@@ -25,6 +24,7 @@ from fleetopt.surrogate import (
     TrainingSettings,
     device_embedding,
     predicted_objective,
+    save_model,
     train_stage1,
 )
 
@@ -235,7 +235,7 @@ def test_infer_design_is_deterministic_and_decodable(method2_small, fleet, reduc
 
 def test_optimizer_save_load_roundtrip(tmp_path, method2_small, fleet, reduced):
     path = tmp_path / "optimizer.json"
-    save_optimizer(method2_small, path)
+    save_model(method2_small, path)
     back = load_optimizer(path)
     np.testing.assert_array_equal(
         back.infer_encoding(fleet.proxy, LAM_MIX),
@@ -246,7 +246,7 @@ def test_optimizer_save_load_roundtrip(tmp_path, method2_small, fleet, reduced):
 
 
 def test_save_optimizer_writes_the_bytes_of_json_dump(tmp_path, method2_small):
-    save_optimizer(method2_small, tmp_path / "saved.json")
+    save_model(method2_small, tmp_path / "saved.json")
     with open(tmp_path / "dumped.json", "w") as f:
         json.dump(method2_small.to_dict(), f)
     assert (tmp_path / "saved.json").read_bytes() == (tmp_path / "dumped.json").read_bytes()

@@ -17,6 +17,7 @@ from fleetopt.proxy_reuse import (
     GRID_MEASURE_CAP,
     ProxyEntry,
     ProxyPool,
+    ProxySolve,
     TCache,
     UndefinedCorrelationError,
     bisection_optimize,
@@ -216,7 +217,7 @@ def test_bisection_loose_bound_returns_accuracy_argmax(exact_models, reduced, fl
         oracle, SearchParams(), 0, minimizer=brute(reduced),
     )
     assert result.feasible
-    assert result.t_star <= 0.001 + 1e-12
+    assert result.t[0] <= 0.001 + 1e-12
     assert result.design == all_max(reduced)
 
 
@@ -403,6 +404,19 @@ def test_grid_2d_huge_energy_bound_matches_bisection(exact_models, reduced, flee
     assert two.feasible and uni.feasible
     acc_two = accuracy_value(reduced.design_at(two.design), reduced)
     assert abs(acc_two - accuracy_value(reduced.design_at(uni.design), reduced)) <= 0.01
+
+
+def test_bisection_and_grid_return_one_proxy_solve_record(exact_models, reduced, fleet):
+    target = fleet.holdout_monotone[0]
+    x = enumerate_all(reduced)[5]
+    args = (entry_of(exact_models), Oracle(reduced, MeasurementLedger()), SearchParams(), 0)
+    uni = bisection_optimize(target, 1e6, 0.02 * 1e6, *args, minimizer=lambda _: x)
+    two = grid_optimize_2d(target, 1e6, 1e6, *args, minimizer=lambda _: x)
+    assert type(uni) is type(two) is ProxySolve
+    assert (len(uni.t), uni.energy) == (1, None)
+    assert len(two.t) == 2 and isinstance(two.energy, float)
+    for result in (uni, two):  # one key order per trace: its file's header
+        assert len({tuple(row) for row in result.trace}) == 1
 
 
 def test_grid_2d_infeasible_bounds_flagged(exact_models, reduced, fleet):

@@ -335,6 +335,28 @@ def test_proxy_run_rows_and_artifacts(proxy_run):
     assert "wall_time_s" in doc and "wall_time_s" not in report.decision_dict()
 
 
+@pytest.mark.parametrize("doc, header, weights", [
+    (SMALL_PROXY, ["iteration", "t", "measured_latency", "bound", "verdict"], 1),
+    (with_key(SMALL_PROXY, "optimize.energy_percentile", 40.0),
+     ["level", "t1", "t2", "latency", "energy", "feasible"], 2),
+    (SMALL_AMORTIZED,
+     ["lambda1", "lambda2", "predicted_feasible", "predicted_accuracy", "chosen"], None),
+], ids=["bisection", "grid", "sweep"])
+def test_every_trace_file_has_its_solvers_header(tmp_path, doc, header, weights):
+    doc = with_key(doc, "predictor.epochs", 5)
+    doc["optimize"]["optimizer_epochs"] = 5
+    report = run_scenario(scenario_from_dict(doc), out_dir=str(tmp_path))
+    prefix = "trace_" if weights else "sweep_"
+    names = sorted(os.listdir(tmp_path / "traces"))
+    assert names == sorted(f"{prefix}{row['device_id']}.csv" for row in report.rows)
+    for name in names:
+        with open(tmp_path / "traces" / name) as f:
+            assert next(csv.reader(f)) == header, name
+    if weights:  # a proxy row's t: the solve's weights, [t] or [t1, t2]
+        assert all(isinstance(row["t"], list) and len(row["t"]) == weights
+                   for row in report.rows)
+
+
 def test_same_seed_runs_are_bit_identical(proxy_run):
     scenario, report, _ = proxy_run
     again = run_scenario(scenario)
@@ -387,16 +409,32 @@ def test_skip_training_with_empty_dir_names_missing_file(tmp_path, doc):
         run_scenario(scenario_from_dict(doc), out_dir=str(tmp_path), skip_training=True)
 
 
-@pytest.mark.parametrize("content", ['{"layer_sizes": [', '{"layer_sizes": [7, 32, 1]}'],
-                         ids=["truncated", "missing-key"])
-def test_skip_training_with_corrupt_model_file_exits_2(proxy_run, tmp_path, capsys, content):
+@pytest.mark.parametrize("name, damage", [
+    ("latency_proxy.json", '{"layer_sizes": ['),
+    ("latency_proxy.json", '{"layer_sizes": [7, 32, 1]}'),
+    ("accuracy.json", "[]"),
+    ("latency_proxy.json", ("weights", lambda w: [w[0][:3], *w[1:]])),
+    ("latency_proxy.json", ("in_mean", lambda v: v[:3])),
+    ("accuracy.json", ("layer_sizes", lambda _: [7, 8, 8, 1])),
+    ("latency_proxy.json", ("output_activation", lambda _: "relu")),
+], ids=["truncated", "missing-key", "not-an-object", "weight-rows-cut", "in-mean-cut",
+        "layer-sizes-not-the-weights", "unknown-head"])
+def test_skip_training_with_corrupt_model_file_exits_2(proxy_run, tmp_path, capsys, name,
+                                                       damage):
     _, _, out = proxy_run
     shutil.copytree(os.path.join(out, "models"), tmp_path / "models")
-    (tmp_path / "models" / "latency_proxy.json").write_text(content)
+    path = tmp_path / "models" / name
+    if isinstance(damage, tuple):  # one key of the saved document rewritten
+        key, change = damage
+        doc = json.loads(path.read_text())
+        doc[key] = change(doc[key])
+        damage = json.dumps(doc)
+    path.write_text(damage)
     cfg = write_config(tmp_path, SMALL_PROXY)
     assert main(["optimize", "--config", cfg, "--out", str(tmp_path), "--skip-training"]) == 2
     err = capsys.readouterr().err
-    assert re.search(r"corrupt model file \(.*latency_proxy\.json\)", err), err
+    assert re.search(rf"corrupt model file \(.*{re.escape(name)}\)", err), err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("doc", [SMALL_PROXY, SMALL_AMORTIZED], ids=["proxy", "amortized"])
@@ -429,6 +467,12 @@ def test_skip_training_checks_device_aware_and_optimizer_widths(tmp_path, capsys
     model = json.loads(path.read_text())
     end = 0 if side == "inputs" else -1
     model[field][end] -= 1  # a net one column short of this scenario's width
+    if side == "inputs":  # whose weights and normalizers agree with its layer sizes
+        model["weights"][0] = model["weights"][0][:-1]
+        model["in_mean"], model["in_scale"] = model["in_mean"][:-1], model["in_scale"][:-1]
+    else:
+        model["weights"][-1] = [row[:-1] for row in model["weights"][-1]]
+        model["biases"][-1] = model["biases"][-1][:-1]
     path.write_text(json.dumps(model))
     capsys.readouterr()
     assert main(["optimize", "--config", cfg, "--out", str(out), "--skip-training"]) == 2
@@ -447,7 +491,7 @@ def test_export_rolls_back_on_failure(tmp_path):
     (out / "traces").write_text("in the way")
     trace = [{"iteration": 0, "t": 0.5, "measured_latency": 1.0, "bound": 1.0, "verdict": "ok"}]
     with pytest.raises(FileExistsError):
-        export_report(report, str(out), {"traces": [("trace_x.csv", ["iteration", "t"], trace)]})
+        export_report(report, str(out), {"traces": [("trace_x.csv", trace)]})
     assert not os.path.exists(out / "report.json")
     assert not os.path.exists(out / "ledger.csv")
 
