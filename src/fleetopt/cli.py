@@ -185,9 +185,9 @@ def _selftest_checks():
     lats = sorted(Oracle(space).latency_rows(designs, [target])[:, 0])
     bound = lats[len(lats) * 2 // 5]
     run_ledger = MeasurementLedger()
+    entry = ProxyEntry(proxy, acc_m, lat_m, None, TCache(Scenario.granularity))
     result = bisection_optimize(
-        target, bound, 0.02 * bound, ProxyEntry(proxy, acc_m, lat_m, None, TCache()),
-        Oracle(space, run_ledger), SearchParams(), 5,
+        target, bound, 0.02 * bound, entry, Oracle(space, run_ledger), SearchParams(), 5,
     )
     charges = run_ledger.count(target.device_id, "latency")
     yield ("bisection charges the target at most 10 latency measurements", charges <= 10)

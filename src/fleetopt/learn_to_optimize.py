@@ -21,27 +21,32 @@ from .design_space import DesignSpace, decode, decode_rows, encode_rows
 from .device_world import DeviceFeatures, Oracle
 from .nn import DenseNet, l2_penalty, normalized_net, stack, train, unstack
 from .search import ConstraintSpec
-from .surrogate import MlpRegressor, TradeoffWeights, TrainingSettings, device_embedding
+from .surrogate import MlpRegressor, TrainingSettings, device_embedding, predicted_objective
 
 
-def build_lambda_grid(count_per_axis: int, max_lambda: float) -> list[TradeoffWeights]:
-    """Per-axis {0} plus count-1 decade-spaced values ending at max_lambda,
-    crossed over both axes; (0, 0) always comes first. count 1 gives just (0, 0)."""
+def build_lambda_grid(count_per_axis: int, max_lambda: float) -> np.ndarray:
+    """(count_per_axis**2, 2) weight rows (lambda1, lambda2): per-axis {0} plus
+    count-1 decade-spaced values ending at max_lambda, crossed over both axes;
+    (0, 0) always comes first. count 1 gives just (0, 0)."""
     if count_per_axis < 1:
         raise ValueError("count_per_axis must be >= 1")
     if max_lambda <= 0:
         raise ValueError("max_lambda must be positive")
-    if count_per_axis == 1:
-        axis = [0.0]
-    else:
-        axis = [0.0] + [
-            max_lambda * 10.0 ** (i - (count_per_axis - 2)) for i in range(count_per_axis - 1)
-        ]
-    return [TradeoffWeights(l1, l2) for l1 in axis for l2 in axis]
+    axis = [0.0] + [
+        max_lambda * 10.0 ** (i - (count_per_axis - 2)) for i in range(count_per_axis - 1)
+    ]
+    return np.array([(l1, l2) for l1 in axis for l2 in axis])
 
 
-def optimizer_input(d: DeviceFeatures, lam: TradeoffWeights) -> np.ndarray:
-    return np.concatenate([device_embedding(d), lam.as_array()])
+def optimizer_input(d: DeviceFeatures, lams) -> np.ndarray:
+    """One optimizer input row per weight row of lams (n, 2): the device
+    embedding, then (lambda1, lambda2). lambda1 scales energy, lambda2 latency."""
+    lams = np.asarray(lams, dtype=float)
+    if lams.ndim != 2 or lams.shape[1] != 2:
+        raise ValueError(f"weights must be (n, 2) rows, got shape {lams.shape}")
+    if not np.all(lams >= 0):
+        raise ValueError("weights must be non-negative")
+    return np.hstack([np.tile(device_embedding(d), (len(lams), 1)), lams])
 
 
 @dataclass
@@ -57,9 +62,6 @@ class OptimizerNetwork:
     def infer_encodings(self, X: np.ndarray) -> np.ndarray:
         """One forward pass over rows of optimizer inputs (see optimizer_input)."""
         return self.net.forward((X - self.in_mean) / self.in_scale)
-
-    def infer_encoding(self, d: DeviceFeatures, lam: TradeoffWeights) -> np.ndarray:
-        return self.infer_encodings(optimizer_input(d, lam)[None, :])[0]
 
     def to_dict(self) -> dict:
         net = self.net.to_dict()
@@ -133,20 +135,8 @@ def amortized_batch_gradient(
     return f_mean, wg, bg
 
 
-def _amortized_objective(net, Xn, embeddings, lams, acc_model, energy_model,
-                         latency_model, mu: float) -> float:
-    """Exact training objective of a candidate net over the full input set."""
-    xhat = net.forward(Xn)
-    acc = acc_model.predict_batch(xhat)
-    dev_inputs = np.hstack([xhat, embeddings])
-    en = energy_model.predict_batch(dev_inputs) / energy_model.objective_scale
-    lat = latency_model.predict_batch(dev_inputs) / latency_model.objective_scale
-    f = float(np.mean(-acc + lams[:, 0] * en + lams[:, 1] * lat))
-    return f + l2_penalty(net, mu)
-
-
 def train_method2(
-    inputs: list[tuple[DeviceFeatures, TradeoffWeights]],
+    inputs: np.ndarray,
     acc_model: MlpRegressor,
     energy_model: MlpRegressor,
     latency_model: MlpRegressor,
@@ -158,6 +148,7 @@ def train_method2(
 ) -> OptimizerNetwork:
     """Unsupervised: minimize mean f_hat(x_hat(d, lambda); d, lambda) + mu*||theta||^2
     through the frozen predictors. Predictor parameters are never written.
+    inputs holds one optimizer_input row per training (device, lambda) pair.
 
     The logistic output head can saturate from a bad init and freeze part of
     the encoding, so `restarts` independent inits are trained and the one with
@@ -165,17 +156,16 @@ def train_method2(
     Training runs in float32, through float32 working copies of the
     predictors; the restarts are scored, and the network returned, in float64.
     """
-    if not inputs:
-        raise ValueError("empty training set")
+    X = np.asarray(inputs, dtype=float)
+    if X.ndim != 2 or not len(X):
+        raise ValueError("inputs must be a non-empty matrix of optimizer_input rows")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     _require_device_aware(energy_model, latency_model)
-    X = np.stack([optimizer_input(d, lam) for d, lam in inputs])
     mean, std = X.mean(axis=0), X.std(axis=0)
     scale = np.where(std < 1e-12, 1.0, std)
     Xn = (X - mean) / scale
-    embeddings = np.stack([device_embedding(d) for d, _ in inputs])
-    lams = np.stack([lam.as_array() for _, lam in inputs])
+    embeddings, lams = X[:, :-2], X[:, -2:]
     # The restarts share one shape, so they train as one stack (K = restarts),
     # each member drawing its init and epoch orders from its own child of rng.
     start_rngs = rng.spawn(restarts)
@@ -193,8 +183,9 @@ def train_method2(
 
     curves = train(net, Xn.shape[0], gather, batch_loss_and_grad, hyper, start_rngs, mu)
     nets = unstack(net)
-    scores = [_amortized_objective(m, Xn, embeddings, lams, acc_model, energy_model,
-                                   latency_model, mu) for m in nets]
+    scores = [float(np.mean(predicted_objective(m.forward(Xn), embeddings, lams, acc_model,
+                                                energy_model, latency_model)))
+              + l2_penalty(m, mu) for m in nets]
     best = min(range(restarts), key=scores.__getitem__)  # the first of equal scores
     return OptimizerNetwork(net=nets[best], in_mean=mean, in_scale=scale,
                             final_loss=curves[best][-1], loss_curve=curves[best])
@@ -203,17 +194,18 @@ def train_method2(
 def infer_design(
     net: OptimizerNetwork,
     d: DeviceFeatures,
-    lam: TradeoffWeights,
+    lam: np.ndarray,
     space: DesignSpace,
 ) -> tuple[int, ...]:
-    """One forward pass plus decode; no measurements, no search."""
-    return decode(net.infer_encoding(d, lam), space)
+    """One forward pass plus decode for one weight row lam (2,); no
+    measurements, no search."""
+    return decode(net.infer_encodings(optimizer_input(d, [lam]))[0], space)
 
 
 @dataclass(frozen=True)
 class SweepResult:
     design: tuple[int, ...]
-    weights: TradeoffWeights
+    lam: tuple[float, float]
     feasible: bool  # under *predicted* metrics
     predicted_accuracy: float
     validation: dict[str, float]  # oracle measurements of the chosen design
@@ -227,49 +219,43 @@ def constraint_sweep(
     acc_model: MlpRegressor,
     energy_model: MlpRegressor,
     latency_model: MlpRegressor,
-    lambda_grid: list[TradeoffWeights],
+    lambda_grid: np.ndarray,
     oracle: Oracle,
 ) -> SweepResult:
     """Pick lambda for a hard-constrained problem by sweeping inferences.
 
-    The grid is one batch (one optimizer forward, one prediction per model);
-    feasibility along it is judged by the device-aware predictors alone. The
-    oracle only validates the final choice, one measurement per bound (<= 2).
+    The grid (n, 2) is one batch (one optimizer forward, one prediction per
+    model); feasibility along it is judged by the device-aware predictors
+    alone: the most accurate feasible row wins, else the least violating one
+    (then the most accurate), the first position of equals. The oracle only
+    validates the final choice, one measurement per bound (<= 2).
     """
     _require_device_aware(energy_model, latency_model)
     space = oracle.space
-    embeddings = np.tile(device_embedding(d), (len(lambda_grid), 1))
-    lams = np.array([lam.as_array() for lam in lambda_grid])
-    designs = decode_rows(net.infer_encodings(np.hstack([embeddings, lams])), space)
+    X = optimizer_input(d, lambda_grid)
+    designs = decode_rows(net.infer_encodings(X), space)
     enc = encode_rows(designs, space)
-    dev_in = np.hstack([enc, embeddings])
-    accs = acc_model.predict_batch(enc).tolist()
-    lats = latency_model.predict_batch(dev_in).tolist()
-    ens = energy_model.predict_batch(dev_in).tolist()
-
-    rows: list[dict] = []
-    best = None  # (-pred_acc, position)
-    worst = None  # (violation, -pred_acc, position)
-    for pos, (lam, pa, pl, pe) in enumerate(zip(lambda_grid, accs, lats, ens)):
-        feasible = pl <= constraints.latency_bound
-        violation = max(0.0, pl / constraints.latency_bound - 1.0)
-        if constraints.energy_bound is not None:
-            feasible &= pe <= constraints.energy_bound
-            violation += max(0.0, pe / constraints.energy_bound - 1.0)
-        rows.append({"lambda1": lam.lambda1, "lambda2": lam.lambda2, "predicted_feasible": feasible,
-                     "predicted_accuracy": pa, "chosen": False})
-        if feasible and (best is None or (-pa, pos) < best[0]):
-            best = ((-pa, pos), pos)
-        if worst is None or (violation, -pa, pos) < worst[0]:
-            worst = ((violation, -pa, pos), pos)
-
-    feasible_found = best is not None
-    pos = best[1] if feasible_found else worst[1]
+    dev_in = np.hstack([enc, X[:, :-2]])
+    accs = acc_model.predict_batch(enc)
+    lats = latency_model.predict_batch(dev_in)
+    ens = energy_model.predict_batch(dev_in)
+    feasible = lats <= constraints.latency_bound
+    violation = np.maximum(0.0, lats / constraints.latency_bound - 1.0)
+    if constraints.energy_bound is not None:
+        feasible &= ens <= constraints.energy_bound
+        violation += np.maximum(0.0, ens / constraints.energy_bound - 1.0)
+    # a feasible row's violation is 0, and lexsort is stable
+    pos = int(np.lexsort((-accs, violation, ~feasible))[0])
+    lams = X[:, -2:].tolist()
+    rows = tuple(
+        {"lambda1": l1, "lambda2": l2, "predicted_feasible": ok, "predicted_accuracy": pa,
+         "chosen": i == pos}
+        for i, ((l1, l2), ok, pa) in enumerate(zip(lams, feasible.tolist(), accs.tolist()))
+    )
     x = tuple(designs[pos].tolist())
-    rows[pos]["chosen"] = True
     point = space.design_at(x)
     validation = {"latency": oracle.latency(point, d)}
     if constraints.energy_bound is not None:
         validation["energy"] = oracle.energy(point, d)
-    return SweepResult(design=x, weights=lambda_grid[pos], feasible=feasible_found,
-                       predicted_accuracy=accs[pos], validation=validation, rows=tuple(rows))
+    return SweepResult(design=x, lam=tuple(lams[pos]), feasible=bool(feasible[pos]),
+                       predicted_accuracy=float(accs[pos]), validation=validation, rows=rows)

@@ -31,6 +31,7 @@ from .learn_to_optimize import (
     build_lambda_grid,
     constraint_sweep,
     load_optimizer,
+    optimizer_input,
     train_method2,
 )
 from .proxy_reuse import (
@@ -295,7 +296,7 @@ def _amortized(scenario: Scenario, fleet: Fleet, oracle: Oracle):
                 scenario.optimize.explore_size, oracle, rng,
             )
         train_devices = list(fleet.training_real) + list(fleet.synthetic)
-        inputs = [(d, lam) for d in train_devices for lam in lambda_grid]
+        inputs = np.vstack([optimizer_input(d, lambda_grid) for d in train_devices])
         opt_hyper = dataclasses.replace(scenario.hyper, epochs=scenario.optimize.optimizer_epochs)
         optnet = train_method2(
             inputs, bundle.accuracy, bundle.energy, bundle.latency,
@@ -312,7 +313,7 @@ def _amortized(scenario: Scenario, fleet: Fleet, oracle: Oracle):
             measured = sweep.validation
             bound = {"latency": spec.latency_bound, "energy": spec.energy_bound}
             fields = {
-                "lambda": [sweep.weights.lambda1, sweep.weights.lambda2],
+                "lambda": list(sweep.lam),
                 "feasible": all(v <= bound[metric] for metric, v in measured.items()),
                 "predicted_feasible": bool(sweep.feasible),
                 "predicted_accuracy": float(sweep.predicted_accuracy),

@@ -55,7 +55,7 @@ class TCache:
     """Inner-solution cache keyed on the weight tuple, each weight quantized to
     the granularity: (t,) for the bisection, (t1, t2) for the 2-D grid."""
 
-    def __init__(self, granularity: float = 0.001):
+    def __init__(self, granularity: float):
         if not 0.0 < granularity < 1.0:
             raise ValueError("granularity must be in (0, 1)")
         self.granularity = granularity
@@ -340,7 +340,6 @@ def grid_optimize_2d(
 class MonotonicityReport:
     rho: float
     monotone: bool
-    probe_count: int
 
 
 def check_monotonicity(
@@ -363,7 +362,7 @@ def check_monotonicity(
     predicted_lat = proxy_pred.predict_batch(encode_rows(designs, space))
     actual = oracle.latency_rows(designs, [target])[:, 0]
     rho = spearman(predicted_lat, actual)
-    return MonotonicityReport(rho=rho, monotone=rho >= threshold, probe_count=probe_count)
+    return MonotonicityReport(rho=rho, monotone=rho >= threshold)
 
 
 @dataclass
@@ -382,7 +381,7 @@ def match_proxy(
     threshold: float,
     oracle: Oracle,
     rng: np.random.Generator,
-    probe_count: int = 20,
+    probe_count: int,
     trials: list | None = None,
 ) -> ProxyEntry | None:
     """Nearest-first scan of the pool; a candidate is accepted only if its

@@ -31,21 +31,6 @@ class InsufficientDataError(ValueError):
 
 
 @dataclass(frozen=True)
-class TradeoffWeights:
-    """Scalarization weights: lambda1 scales energy, lambda2 scales latency."""
-
-    lambda1: float
-    lambda2: float
-
-    def __post_init__(self):
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            raise ValueError(f"weights must be non-negative, got {self}")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.lambda1, self.lambda2])
-
-
-@dataclass(frozen=True)
 class TrainingSettings:
     learning_rate: float = 1e-2
     momentum: float = 0.9
@@ -373,31 +358,29 @@ def train_device_specific_predictor(
                                              layer_sizes)])[0]
 
 
-def model_input(model: MlpRegressor, x_enc: np.ndarray, d: DeviceFeatures | None) -> np.ndarray:
-    if model.takes_device:
-        if d is None:
-            raise ValueError(f"{model.metric} predictor is device-aware; a device is required")
-        return np.concatenate([x_enc, device_embedding(d)])
-    return np.asarray(x_enc, dtype=float)
-
-
 def predicted_objective(
-    x_enc: np.ndarray,
-    d: DeviceFeatures | None,
-    lam: TradeoffWeights,
+    enc: np.ndarray,
+    embeddings: np.ndarray | None,
+    lams: np.ndarray,
     acc_model: MlpRegressor,
     energy_model: MlpRegressor,
     latency_model: MlpRegressor,
-) -> float:
-    """f_hat at a continuous encoding; works with device-specific or device-aware
-    metric predictors (d is ignored by the former)."""
-    a = acc_model.predict(model_input(acc_model, x_enc, d))
-    e = energy_model.predict(model_input(energy_model, x_enc, d))
-    l = latency_model.predict(model_input(latency_model, x_enc, d))
+) -> np.ndarray:
+    """f_hat per row of the encodings enc (n, w), as an (n,) array. embeddings
+    (n, e) or one row (e,) are the device rows the device-aware metric
+    predictors take, None with device-specific ones; lams are the weight rows
+    (lambda1, lambda2), (n, 2) or one row (2,)."""
+    enc = np.asarray(enc, dtype=float)
+    metric_in = enc if embeddings is None else np.hstack(
+        [enc, np.broadcast_to(embeddings, (len(enc), np.shape(embeddings)[-1]))])
+    lams = np.asarray(lams, dtype=float)
+    a = acc_model.predict_batch(enc)
+    e = energy_model.predict_batch(metric_in)
+    l = latency_model.predict_batch(metric_in)
     return (
         -a
-        + lam.lambda1 * (e / energy_model.objective_scale)
-        + lam.lambda2 * (l / latency_model.objective_scale)
+        + lams[..., 0] * (e / energy_model.objective_scale)
+        + lams[..., 1] * (l / latency_model.objective_scale)
     )
 
 

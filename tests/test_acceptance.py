@@ -12,8 +12,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import BUILD_SECONDS, record_criterion, rows_of, seeded
-from fleetopt.design_space import encode, enumerate_all, sample_uniform
+from conftest import BUILD_SECONDS, record_criterion, seeded
+from fleetopt.design_space import encode, encode_rows, enumerate_all, sample_uniform
 from fleetopt.device_world import (
     FleetConfig,
     MeasurementLedger,
@@ -48,7 +48,6 @@ from fleetopt.search import (
 )
 from fleetopt.surrogate import (
     MlpRegressor,
-    TradeoffWeights,
     device_embedding,
     predicted_objective,
 )
@@ -95,7 +94,7 @@ def monotone_bisections(reduced, fleet, reduced_models):
         bound = float(np.percentile(lats, 40.0))
         ledger = MeasurementLedger()
         entry = ProxyEntry(dev, reduced_models["accuracy"], reduced_models["latency"], None,
-                           TCache())
+                           TCache(0.001))
         result = bisection_optimize(
             dev, bound, 0.02 * bound, entry, Oracle(reduced, ledger), SearchParams(), 7,
         )
@@ -204,7 +203,7 @@ def test_criterion_5_detector_separation(dspace, fleet, proxy, reduced_models,
 
         def fresh_pool():
             return ProxyPool([ProxyEntry(proxy, reduced_models["accuracy"],
-                                         proxy_latency_default, None, TCache())])
+                                         proxy_latency_default, None, TCache(0.001))])
 
         match_ok = 0
         for s in range(10):
@@ -361,19 +360,17 @@ def test_criterion_8_amortization_quality(dspace, stage1_bundle, method2_net,
         oracle = Oracle(dspace, ledger)
         regrets = []
         for di, dev in enumerate(held_synthetic):
+            emb = device_embedding(dev)
             for li, lam in enumerate(lams):
-                def f_hat(x, dev=dev, lam=lam):
+                def f_hat(X, emb=emb, lam=lam):
                     return predicted_objective(
-                        encode(x, dspace), dev, lam,
-                        stage1_bundle.accuracy, stage1_bundle.energy, stage1_bundle.latency,
-                    )
+                        encode_rows(X, dspace), emb, lam, *stage1_bundle.models())
 
                 inferred = infer_design(method2_net, dev, lam, dspace)
                 searched = evolutionary_search(
-                    rows_of(f_hat), dspace, SearchParams(),
-                    np.random.default_rng(1000 + 7 * di + li),
+                    f_hat, dspace, SearchParams(), np.random.default_rng(1000 + 7 * di + li),
                 )
-                f_inferred, f_searched = f_hat(inferred), f_hat(searched)
+                f_inferred, f_searched = f_hat([inferred, searched]).tolist()
                 regrets.append(max(0.0, f_inferred - f_searched) / abs(f_searched))
         median_regret = float(np.median(regrets))
         inference_charges = ledger.total()
@@ -406,18 +403,18 @@ def test_criterion_8_amortization_quality(dspace, stage1_bundle, method2_net,
 
 def test_criterion_9_search_soundness(reduced, reduced_models):
     with Timed("reduced_models") as t:
-        lam = TradeoffWeights(0.2, 0.2)
+        lam = np.array([0.2, 0.2])
 
-        def objective(x):
+        def objective(X):
             return predicted_objective(
-                encode(x, reduced), None, lam,
+                encode_rows(X, reduced), None, lam,
                 reduced_models["accuracy"], reduced_models["energy"],
                 reduced_models["latency"],
             )
 
-        best = brute_force_argmin(rows_of(objective), reduced)
+        best = brute_force_argmin(objective, reduced)
         hits = sum(
-            evolutionary_search(rows_of(objective), reduced, SearchParams(),
+            evolutionary_search(objective, reduced, SearchParams(),
                                 np.random.default_rng(s)) == best
             for s in range(100)
         )

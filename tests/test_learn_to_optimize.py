@@ -3,12 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from conftest import rows_of
-from fleetopt.design_space import encode, enumerate_all
+from fleetopt.design_space import decode_rows, encode, encode_rows, enumerate_all
 from fleetopt.device_world import MeasurementLedger, Oracle
 from fleetopt.learn_to_optimize import (
     OptimizerNetwork,
-    _amortized_objective,
     amortized_batch_gradient,
     build_lambda_grid,
     constraint_sweep,
@@ -17,10 +15,9 @@ from fleetopt.learn_to_optimize import (
     optimizer_input,
     train_method2,
 )
-from fleetopt.nn import DenseNet, stack, train, unstack
+from fleetopt.nn import DenseNet, l2_penalty, stack, train, unstack
 from fleetopt.search import ConstraintSpec, brute_force_argmin
 from fleetopt.surrogate import (
-    TradeoffWeights,
     TrainingSettings,
     device_embedding,
     predicted_objective,
@@ -28,8 +25,13 @@ from fleetopt.surrogate import (
     train_stage1,
 )
 
-LAM0 = TradeoffWeights(0.0, 0.0)
-LAM_MIX = TradeoffWeights(0.1, 0.1)
+LAM0 = np.array([0.0, 0.0])
+LAM_MIX = np.array([0.1, 0.1])
+
+
+def inputs_of(devices, lams):
+    """Optimizer input rows, device-outer, as the amortized run stacks them."""
+    return np.vstack([optimizer_input(d, lams) for d in devices])
 
 
 @pytest.fixture(scope="module")
@@ -49,15 +51,9 @@ def train_small_method2(small_bundle, inputs, seed, epochs=500, batch_size=16):
     )
 
 
-def fhat(x, d, lam, bundle, space):
-    return predicted_objective(
-        encode(x, space), d, lam, bundle.accuracy, bundle.energy, bundle.latency
-    )
-
-
 @pytest.fixture(scope="module")
 def method2_small(small_bundle, fleet):
-    inputs = [(d, lam) for d in fleet.training_real[:4] for lam in build_lambda_grid(3, 1.0)]
+    inputs = inputs_of(fleet.training_real[:4], build_lambda_grid(3, 1.0))
     return train_small_method2(small_bundle, inputs, seed=0)
 
 
@@ -65,21 +61,34 @@ def method2_small(small_bundle, fleet):
 
 
 def test_lambda_grid_count_one_is_origin():
-    assert build_lambda_grid(1, 1.0) == [LAM0]
+    grid = build_lambda_grid(1, 1.0)
+    assert grid.shape == (1, 2)
+    np.testing.assert_array_equal(grid, [LAM0])
 
 
 def test_lambda_grid_count_four_axes():
     grid = build_lambda_grid(4, 1.0)
-    assert len(grid) == 16
-    axis = sorted({lam.lambda1 for lam in grid})
+    assert grid.shape == (16, 2)
+    axis = sorted(set(grid[:, 0].tolist()))
     np.testing.assert_allclose(axis, [0.0, 0.01, 0.1, 1.0])
-    assert grid[0] == LAM0
+    np.testing.assert_array_equal(grid[0], LAM0)
 
 
 def test_lambda_grid_symmetric_under_axis_swap():
     grid = build_lambda_grid(4, 1.0)
-    pairs = {(lam.lambda1, lam.lambda2) for lam in grid}
+    pairs = set(map(tuple, grid.tolist()))
     assert pairs == {(b, a) for a, b in pairs}
+
+
+@pytest.mark.parametrize("max_lambda", [1.0, 0.3, 2.5, 7.0])
+def test_lambda_grid_is_bit_equal_to_the_python_scalar_axis(max_lambda):
+    # the axis is Python float ** int; np.power rounds some entries differently
+    for count in range(1, 9):
+        axis = [0.0] + [max_lambda * 10.0 ** (i - (count - 2)) for i in range(count - 1)]
+        want = [[l1, l2] for l1 in axis for l2 in axis]
+        grid = build_lambda_grid(count, max_lambda)
+        assert grid.dtype == np.float64 and grid.shape == (count * count, 2)
+        assert grid.tolist() == want
 
 
 def test_lambda_grid_validation():
@@ -90,10 +99,23 @@ def test_lambda_grid_validation():
 
 
 def test_optimizer_input_layout(fleet):
-    v = optimizer_input(fleet.proxy, TradeoffWeights(0.25, 4.0))
+    lams = np.array([[0.25, 4.0], [0.0, 1.0], [3.0, 0.0]])
+    X = optimizer_input(fleet.proxy, lams)
     emb = device_embedding(fleet.proxy)
-    assert v.size == emb.size + 2
-    np.testing.assert_array_equal(v[-2:], [0.25, 4.0])
+    assert X.shape == (3, emb.size + 2)
+    np.testing.assert_array_equal(X[:, :-2], np.tile(emb, (3, 1)))
+    np.testing.assert_array_equal(X[:, -2:], lams)
+
+
+def test_tradeoff_weights_validation(fleet):
+    d = fleet.proxy
+    assert optimizer_input(d, [[0.0, 0.0]]).shape == (1, device_embedding(d).size + 2)
+    for bad in ([0.1, 0.1], [[0.1, 0.1, 0.1]], [[[0.1, 0.1]]], np.zeros((0, 3))):
+        with pytest.raises(ValueError, match="rows"):
+            optimizer_input(d, bad)
+    for bad in ([[-0.1, 0.0]], [[0.0, 0.0], [0.5, -1e-12]], [[np.nan, 0.0]]):
+        with pytest.raises(ValueError, match="non-negative"):
+            optimizer_input(d, bad)
 
 
 # --- the predicted objective's exact argmins ("labels") ----------------------
@@ -101,7 +123,9 @@ def test_optimizer_input_layout(fleet):
 
 def label(d, lam, bundle, space):
     """Exhaustive argmin of f_hat for one (device, lambda) pair."""
-    return brute_force_argmin(rows_of(lambda x: fhat(x, d, lam, bundle, space)), space)
+    emb = device_embedding(d)
+    return brute_force_argmin(
+        lambda X: predicted_objective(encode_rows(X, space), emb, lam, *bundle.models()), space)
 
 
 def test_labels_at_zero_lambda_are_predicted_accuracy_argmax(small_bundle, fleet, reduced):
@@ -119,14 +143,45 @@ def test_heavier_latency_weight_gives_faster_labels(small_bundle, fleet, reduced
         enc = encode(label(d, lam, small_bundle, reduced), reduced)
         return small_bundle.latency.predict(np.concatenate([enc, emb]))
 
-    assert predicted_latency(TradeoffWeights(0.0, 1.0)) < predicted_latency(LAM0)
+    assert predicted_latency(np.array([0.0, 1.0])) < predicted_latency(LAM0)
+
+
+@pytest.mark.parametrize("aware", [False, True], ids=["device-specific", "device-aware"])
+@pytest.mark.parametrize("rows", [False, True], ids=["one-weight-row", "weight-rows"])
+def test_predicted_objective_is_the_per_row_formula(small_bundle, reduced_models, fleet,
+                                                    reduced, aware, rows):
+    designs = enumerate_all(reduced)[::9]
+    enc = encode_rows(designs, reduced)
+    n = len(enc)
+    if aware:
+        acc, en, lat = small_bundle.models()
+        embs = np.stack([device_embedding(d) for d in fleet.synthetic[:3]])[np.arange(n) % 3]
+    else:
+        acc, en, lat = (reduced_models[k] for k in ("accuracy", "energy", "latency"))
+        embs = None
+    lams = (np.random.default_rng(4).uniform(0.0, 2.0, size=(n, 2)) if rows
+            else np.array([0.3, 1.7]))
+    got = predicted_objective(enc, embs, lams, acc, en, lat)
+    assert got.shape == (n,)
+    for i in range(n):
+        x = enc[i] if embs is None else np.concatenate([enc[i], embs[i]])
+        l1, l2 = lams[i] if rows else lams
+        want = (-acc.predict(enc[i]) + l1 * (en.predict(x) / en.objective_scale)
+                + l2 * (lat.predict(x) / lat.objective_scale))
+        # one-row and batched predictions may differ in the last ulp
+        assert got[i] == pytest.approx(want, rel=1e-12, abs=1e-12)
+    if aware:
+        # one embedding row serves every encoding
+        one = predicted_objective(enc, embs[0], lams, acc, en, lat)
+        np.testing.assert_array_equal(one, predicted_objective(
+            enc, np.tile(embs[0], (n, 1)), lams, acc, en, lat))
 
 
 # --- method 2: training through frozen predictors ---------------------------
 
 
 def test_method2_validation(small_bundle, reduced_models, fleet):
-    inputs = [(fleet.training_real[0], LAM0)]
+    inputs = optimizer_input(fleet.training_real[0], [LAM0])
     with pytest.raises(ValueError):
         train_method2(
             [], small_bundle.accuracy, small_bundle.energy, small_bundle.latency,
@@ -148,14 +203,14 @@ def test_method2_validation(small_bundle, reduced_models, fleet):
 
 def test_method2_freeze_contract(small_bundle, fleet):
     before = [m.parameter_vector().copy() for m in small_bundle.models()]
-    inputs = [(d, lam) for d in fleet.training_real[:4] for lam in build_lambda_grid(2, 1.0)]
+    inputs = inputs_of(fleet.training_real[:4], build_lambda_grid(2, 1.0))
     train_small_method2(small_bundle, inputs, seed=5, epochs=120)
     for m, v in zip(small_bundle.models(), before):
         np.testing.assert_array_equal(m.parameter_vector(), v)
 
 
 def test_method2_regularizer_shrinks_weights(small_bundle, fleet):
-    inputs = [(d, lam) for d in fleet.training_real[:4] for lam in build_lambda_grid(3, 1.0)]
+    inputs = inputs_of(fleet.training_real[:4], build_lambda_grid(3, 1.0))
     hyper = TrainingSettings(epochs=100, learning_rate=0.02, batch_size=16)
     norms = []
     for mu in (0.0, 1e-2):
@@ -169,7 +224,7 @@ def test_method2_regularizer_shrinks_weights(small_bundle, fleet):
 
 
 def test_method2_deterministic(small_bundle, fleet):
-    inputs = [(d, LAM_MIX) for d in fleet.training_real[:4]]
+    inputs = inputs_of(fleet.training_real[:4], [LAM_MIX])
     a = train_small_method2(small_bundle, inputs, seed=9, epochs=120)
     b = train_small_method2(small_bundle, inputs, seed=9, epochs=120)
     np.testing.assert_array_equal(a.net.parameter_vector(), b.net.parameter_vector())
@@ -179,11 +234,12 @@ def test_method2_zero_lambda_converges_to_accuracy_argmax(small_bundle, fleet, r
     designs = enumerate_all(reduced)
     X = np.stack([encode(x, reduced) for x in designs])
     pred_best = designs[int(np.argmax(small_bundle.accuracy.predict_batch(X)))]
-    inputs = [(d, LAM0) for d in fleet.training_real[:4]]
+    devices = fleet.training_real[:4]
+    inputs = inputs_of(devices, [LAM0])
     hits = 0
     for seed in range(10):
         net = train_small_method2(small_bundle, inputs, seed, epochs=600, batch_size=8)
-        got = [infer_design(net, d, LAM0, reduced) for d, _ in inputs[:2]]
+        got = [infer_design(net, d, LAM0, reduced) for d in devices[:2]]
         hits += int(all(x == pred_best for x in got))
     assert hits >= 8
 
@@ -191,12 +247,10 @@ def test_method2_zero_lambda_converges_to_accuracy_argmax(small_bundle, fleet, r
 def test_amortized_gradient_matches_finite_differences(small_bundle, fleet, reduced):
     from fleetopt.nn import DenseNet
 
-    inputs = [(d, LAM_MIX) for d in fleet.training_real[:2]]
-    X = np.stack([optimizer_input(d, lam) for d, lam in inputs])
+    X = inputs_of(fleet.training_real[:2], [LAM_MIX])
     mean, scale = X.mean(axis=0), np.where(X.std(axis=0) < 1e-12, 1.0, X.std(axis=0))
     Xn = (X - mean) / scale
-    embeddings = np.stack([device_embedding(d) for d, _ in inputs])
-    lams = np.stack([lam.as_array() for _, lam in inputs])
+    embeddings, lams = X[:, :-2], X[:, -2:]
     net = DenseNet([Xn.shape[1], 6, 7], np.random.default_rng(4), output_activation="logistic")
     models = small_bundle.models()
 
@@ -225,22 +279,21 @@ def test_amortized_gradient_matches_finite_differences(small_bundle, fleet, redu
 
 def test_infer_design_is_deterministic_and_decodable(method2_small, fleet, reduced):
     for d in (fleet.proxy, fleet.synthetic[0], fleet.holdout_adversarial[0]):
-        for lam in (LAM0, LAM_MIX, TradeoffWeights(5.0, 0.0)):
+        lams = np.array([LAM0, LAM_MIX, [5.0, 0.0]])
+        for lam in lams:
             a = infer_design(method2_small, d, lam, reduced)
             b = infer_design(method2_small, d, lam, reduced)
             assert a == b
-            enc = method2_small.infer_encoding(d, lam)
-            assert np.all((0.0 <= enc) & (enc <= 1.0))
+        enc = method2_small.infer_encodings(optimizer_input(d, lams))
+        assert np.all((0.0 <= enc) & (enc <= 1.0))
 
 
 def test_optimizer_save_load_roundtrip(tmp_path, method2_small, fleet, reduced):
     path = tmp_path / "optimizer.json"
     save_model(method2_small, path)
     back = load_optimizer(path)
-    np.testing.assert_array_equal(
-        back.infer_encoding(fleet.proxy, LAM_MIX),
-        method2_small.infer_encoding(fleet.proxy, LAM_MIX),
-    )
+    X = optimizer_input(fleet.proxy, [LAM_MIX])
+    np.testing.assert_array_equal(back.infer_encodings(X), method2_small.infer_encodings(X))
     layout = method2_small.to_dict()["input_layout"]
     assert layout == {"device_features": 10, "lambdas": 2}
 
@@ -258,7 +311,8 @@ def test_trained_optimizer_and_its_inference_are_float64(method2_small, fleet):
     params = net.weights + net.biases
     assert {a.dtype for a in params} == {np.dtype(np.float64)}
     assert all(np.array_equal(a.astype(np.float32), a) for a in params)
-    assert method2_small.infer_encoding(fleet.proxy, LAM_MIX).dtype == np.float64
+    X = optimizer_input(fleet.proxy, [LAM_MIX])
+    assert method2_small.infer_encodings(X).dtype == np.float64
 
 
 def test_sweep_validation_budget_is_two(method2_small, small_bundle, fleet, reduced):
@@ -377,7 +431,7 @@ def test_sweep_matches_the_one_lambda_path(method2_small, small_bundle, fleet, r
                 assert abs(row["predicted_accuracy"] - pa) <= 1e-12
             assert [i for i, row in enumerate(result.rows) if row["chosen"]] == [pos]
             assert result.design == scores[pos][0]
-            assert result.weights == grid[pos]
+            assert result.lam == tuple(grid[pos].tolist())
             assert result.feasible == any(verdicts)
             point = reduced.design_at(scores[pos][0])
             oracle = Oracle(reduced, MeasurementLedger())
@@ -390,6 +444,38 @@ def test_sweep_matches_the_one_lambda_path(method2_small, small_bundle, fleet, r
     assert outcomes == {True, False}
 
 
+class OneRowAtATime:
+    """A predictor that predicts each row alone, so equal rows get equal values
+    wherever they sit in a batch (a batched product may round them apart)."""
+
+    def __init__(self, model):
+        self.model, self.metric, self.takes_device = model, model.metric, model.takes_device
+
+    def predict_batch(self, X):
+        return np.array([self.model.predict(x) for x in X])
+
+
+def test_sweep_chooses_the_first_of_positions_with_one_design(method2_small, small_bundle,
+                                                              fleet, reduced):
+    # the grid twice over: each design sits at two positions with equal
+    # predictions, and the sweep must choose the earlier one
+    grid = build_lambda_grid(3, 1.0)
+    twice = np.vstack([grid, grid])
+    d = fleet.synthetic[0]
+    designs = decode_rows(method2_small.infer_encodings(optimizer_input(d, twice)), reduced)
+    assert np.array_equal(designs[:len(grid)], designs[len(grid):])
+    models = [OneRowAtATime(m) for m in small_bundle.models()]
+    for spec in (ConstraintSpec(latency_bound=1e9), ConstraintSpec(latency_bound=1e-9)):
+        once, doubled = (constraint_sweep(method2_small, d, spec, *models, g,
+                                          Oracle(reduced, MeasurementLedger()))
+                         for g in (grid, twice))
+        chosen = [i for i, row in enumerate(doubled.rows) if row["chosen"]]
+        assert chosen == [i for i, row in enumerate(once.rows) if row["chosen"]]
+        assert (doubled.design, doubled.lam, doubled.feasible) == (once.design, once.lam,
+                                                                   once.feasible)
+        assert once.feasible == (spec.latency_bound > 1)
+
+
 # --- restarts in lockstep ----------------------------------------------------
 
 
@@ -397,12 +483,11 @@ def sequential_method2(inputs, bundle, layer_sizes, hyper, mu, rng, restarts):
     """train_method2 with its restarts trained one after another, each a stack
     of one in float32 through float32 copies of the predictors, then scored in
     float64: the reference the stacked restarts must reproduce bit for bit."""
-    X = np.stack([optimizer_input(d, lam) for d, lam in inputs])
+    X = inputs
     mean, std = X.mean(axis=0), X.std(axis=0)
     scale = np.where(std < 1e-12, 1.0, std)
     Xn = (X - mean) / scale
-    embeddings = np.stack([device_embedding(d) for d, _ in inputs])
-    lams = np.stack([lam.as_array() for _, lam in inputs])
+    embeddings, lams = X[:, :-2], X[:, -2:]
     models = bundle.accuracy, bundle.energy, bundle.latency
     models32 = [m.astype(np.float32) for m in models]
     data32 = [a.astype(np.float32) for a in (Xn, embeddings, lams)]
@@ -420,7 +505,8 @@ def sequential_method2(inputs, bundle, layer_sizes, hyper, mu, rng, restarts):
 
         [curve] = train(alone, Xn.shape[0], gather, batch_loss_and_grad, hyper, [start_rng], mu)
         [net] = unstack(alone)
-        score = _amortized_objective(net, Xn, embeddings, lams, *models, mu)
+        score = (float(np.mean(predicted_objective(net.forward(Xn), embeddings, lams, *models)))
+                 + l2_penalty(net, mu))
         if best is None or score < best[0]:
             best = (score, net, curve)
     _, net, curve = best
@@ -431,8 +517,7 @@ def sequential_method2(inputs, bundle, layer_sizes, hyper, mu, rng, restarts):
 @pytest.mark.parametrize("restarts", [1, 3])
 def test_restarts_in_lockstep_write_the_sequential_bytes(small_bundle, fleet, restarts):
     # 24 rows in batches of 10: a ragged last batch of 4 every epoch
-    inputs = [(d, lam) for d in fleet.training_real[:2] for lam in build_lambda_grid(4, 1.0)]
-    inputs = inputs[:24]
+    inputs = inputs_of(fleet.training_real[:2], build_lambda_grid(4, 1.0))[:24]
     hyper = TrainingSettings(epochs=4, learning_rate=0.02, batch_size=10)
     a, b = np.random.default_rng(90), np.random.default_rng(90)
     got = train_method2(inputs, *small_bundle.models(), (12, 12), hyper, 1e-3, a, restarts)
@@ -454,7 +539,7 @@ def test_restarts_in_lockstep_make_four_forward_passes_per_step(small_bundle, fl
         return original(net, X)
 
     monkeypatch.setattr(DenseNet, "forward_cached", counted)
-    inputs = [(d, lam) for d in fleet.training_real[:2] for lam in build_lambda_grid(3, 1.0)]
+    inputs = inputs_of(fleet.training_real[:2], build_lambda_grid(3, 1.0))
     hyper = TrainingSettings(epochs=5, batch_size=8)
     train_method2(inputs, *small_bundle.models(), (12,), hyper, 0.0,
                   np.random.default_rng(91), restarts=3)

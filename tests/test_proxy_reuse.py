@@ -52,7 +52,7 @@ def brute(space):
 def entry_of(models, cache=None, device=None):
     """A pool entry over the accuracy/latency(/energy) models of one dict."""
     return ProxyEntry(device, models["accuracy"], models["latency"], models.get("energy"),
-                      TCache() if cache is None else cache)
+                      TCache(0.001) if cache is None else cache)
 
 
 # --- spearman ---------------------------------------------------------------
@@ -92,7 +92,7 @@ def test_bisection_settings_defaults(exact_models, reduced, fleet):
     # the iteration cap follows the entry cache's granularity; an unreachable
     # bound raises t every iteration, so the cap is what stops the bisection
     target = fleet.holdout_monotone[0]
-    for cache, cap in ((TCache(0.25), 3), (TCache(), 10)):  # ceil(log2(1/g + 1))
+    for cache, cap in ((TCache(0.25), 3), (TCache(0.001), 10)):  # ceil(log2(1/g + 1))
         result = bisection_optimize(
             target, 1e-9, 1e-11, entry_of(exact_models, cache),
             Oracle(reduced, MeasurementLedger()), SearchParams(), 0, minimizer=brute(reduced),
@@ -541,7 +541,8 @@ def test_check_monotonicity_rejects_tiny_probe_count(proxy_latency_default, dspa
 
 def test_match_proxy_empty_pool(fleet, dspace):
     oracle = Oracle(dspace, MeasurementLedger())
-    assert match_proxy(ProxyPool(), fleet.holdout_monotone[0], 0.9, oracle, np.random.default_rng(0)) is None
+    assert match_proxy(ProxyPool(), fleet.holdout_monotone[0], 0.9, oracle, np.random.default_rng(0),
+                       20) is None
 
 
 def test_match_proxy_reuses_for_monotone_target(fleet, dspace, proxy_latency_default, stage1_bundle):
@@ -551,13 +552,13 @@ def test_match_proxy_reuses_for_monotone_target(fleet, dspace, proxy_latency_def
         accuracy_model=stage1_bundle.accuracy,
         latency_model=proxy_latency_default,
         energy_model=None,
-        cache=TCache(),
+        cache=TCache(0.001),
     )
     pool.add(entry)
     target = fleet.holdout_monotone[0]
     oracle = Oracle(dspace, MeasurementLedger())
     trials = []
-    got = match_proxy(pool, target, 0.9, oracle, np.random.default_rng(5), trials=trials)
+    got = match_proxy(pool, target, 0.9, oracle, np.random.default_rng(5), 20, trials=trials)
     assert got is entry
     # reuse decision costs exactly the 20 probes, nothing else
     assert oracle.ledger.count(target.device_id, "latency") == 20
@@ -572,13 +573,13 @@ def test_match_proxy_rejects_all_for_adversarial_target(fleet, dspace, proxy_lat
         accuracy_model=stage1_bundle.accuracy,
         latency_model=proxy_latency_default,
         energy_model=None,
-        cache=TCache(),
+        cache=TCache(0.001),
     )
     pool.add(entry)
     target = fleet.holdout_adversarial[0]
     oracle = Oracle(dspace, MeasurementLedger())
     trials = []
-    got = match_proxy(pool, target, 0.9, oracle, np.random.default_rng(6), trials=trials)
+    got = match_proxy(pool, target, 0.9, oracle, np.random.default_rng(6), 20, trials=trials)
     assert got is None
     assert len(trials) == 1 and not trials[0][2]
     # fallback: the caller trains fresh predictors on the target and the pool grows
@@ -587,7 +588,7 @@ def test_match_proxy_rejects_all_for_adversarial_target(fleet, dspace, proxy_lat
         accuracy_model=stage1_bundle.accuracy,
         latency_model=proxy_latency_default,
         energy_model=None,
-        cache=TCache(),
+        cache=TCache(0.001),
     )
     pool.add(new_entry)
     assert len(pool.entries) == 2

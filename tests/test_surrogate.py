@@ -8,6 +8,7 @@ import pytest
 from fleetopt.design_space import (
     DimensionMismatchError,
     encode,
+    encode_rows,
     enumerate_all,
     sample_uniform,
 )
@@ -25,7 +26,6 @@ from fleetopt.scenario import scenario_from_dict
 from fleetopt.surrogate import (
     InsufficientDataError,
     MlpRegressor,
-    TradeoffWeights,
     TrainingSettings,
     accuracy_fit,
     device_embedding,
@@ -58,13 +58,6 @@ def linear_regressor(w, b):
         out_mean=0.0,
         out_scale=1.0,
     )
-
-
-def test_tradeoff_weights_validation():
-    TradeoffWeights(0.0, 0.0)
-    with pytest.raises(ValueError):
-        TradeoffWeights(-0.1, 0.0)
-    np.testing.assert_array_equal(TradeoffWeights(1.0, 2.0).as_array(), [1.0, 2.0])
 
 
 def test_training_settings_validation():
@@ -320,40 +313,39 @@ def test_device_aware_prediction_varies_with_device(reduced, fleet):
 
 
 def test_predicted_objective_zero_weights_is_negative_accuracy(reduced_models, reduced):
-    enc = encode(enumerate_all(reduced)[5], reduced)
+    enc = encode_rows(enumerate_all(reduced)[5:40:7], reduced)
     f = predicted_objective(
-        enc, None, TradeoffWeights(0.0, 0.0),
+        enc, None, np.array([0.0, 0.0]),
         reduced_models["accuracy"], reduced_models["energy"], reduced_models["latency"],
     )
-    assert f == -reduced_models["accuracy"].predict(enc)
+    np.testing.assert_array_equal(f, -reduced_models["accuracy"].predict_batch(enc))
 
 
 def test_predicted_objective_latency_dominates_at_large_weight(reduced_models, reduced):
-    enc = encode(enumerate_all(reduced)[5], reduced)
+    enc = encode_rows(enumerate_all(reduced)[5:6], reduced)
     args = (reduced_models["accuracy"], reduced_models["energy"], reduced_models["latency"])
-    lat_term = reduced_models["latency"].predict(enc) / reduced_models["latency"].objective_scale
-    f = predicted_objective(enc, None, TradeoffWeights(0.0, 1e6), *args)
+    lat_term = (reduced_models["latency"].predict_batch(enc)[0]
+                / reduced_models["latency"].objective_scale)
+    [f] = predicted_objective(enc, None, np.array([0.0, 1e6]), *args)
     assert f == pytest.approx(1e6 * lat_term, rel=1e-4)
     assert f > 0
 
 
 def test_predicted_objective_linear_in_weights(reduced_models, reduced):
-    enc = encode(enumerate_all(reduced)[42], reduced)
+    enc = encode_rows(enumerate_all(reduced)[40:45], reduced)
     args = (reduced_models["accuracy"], reduced_models["energy"], reduced_models["latency"])
-    base = predicted_objective(enc, None, TradeoffWeights(0.3, 0.7), *args)
-    bumped = predicted_objective(enc, None, TradeoffWeights(0.3 + 0.4, 0.7 + 0.1), *args)
-    en = reduced_models["energy"].predict(enc) / reduced_models["energy"].objective_scale
-    lat = reduced_models["latency"].predict(enc) / reduced_models["latency"].objective_scale
-    assert bumped == pytest.approx(base + 0.4 * en + 0.1 * lat, rel=1e-12)
+    base = predicted_objective(enc, None, np.array([0.3, 0.7]), *args)
+    bumped = predicted_objective(enc, None, np.array([0.3 + 0.4, 0.7 + 0.1]), *args)
+    en = reduced_models["energy"].predict_batch(enc) / reduced_models["energy"].objective_scale
+    lat = reduced_models["latency"].predict_batch(enc) / reduced_models["latency"].objective_scale
+    np.testing.assert_allclose(bumped, base + 0.4 * en + 0.1 * lat, rtol=1e-12)
 
 
 def test_predicted_objective_argmin_is_unique(reduced_models, reduced):
     designs = enumerate_all(reduced)
     args = (reduced_models["accuracy"], reduced_models["energy"], reduced_models["latency"])
-    vals = np.array([
-        predicted_objective(encode(x, reduced), None, TradeoffWeights(0.5, 0.5), *args)
-        for x in designs
-    ])
+    vals = predicted_objective(encode_rows(designs, reduced), None, np.array([0.5, 0.5]), *args)
+    assert vals.shape == (len(designs),)
     assert int(np.sum(vals == vals.min())) == 1
 
 
