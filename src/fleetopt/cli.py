@@ -164,8 +164,7 @@ def _selftest_checks():
            abs(spearman([1, 2, 3], [1, 3, 2]) - 0.5) < 1e-12)
 
     designs = enumerate_all(space)
-    accs = [oracle.accuracy(space.design_at(x)) for x in designs]
-    best = designs[int(np.argmax(accs))]
+    best = designs[int(np.argmax(oracle.accuracy_rows(designs)))]
     yield ("accuracy argmax is the all-max design", best == (1,) * space.encoding_width)
 
     rng = stream(7, TRAINING_STREAM)
@@ -177,11 +176,14 @@ def _selftest_checks():
     target = fleet.holdout_monotone[0]
     devices = [proxy, fleet.holdout_adversarial[0], target]  # target: gamma != 1
     points = [space.design_at(x) for x in designs]
-    yield ("row measurements equal the scalar ones on every design and device family",
-           np.array_equal(oracle.latency_rows(designs, devices),
-                          [[latency_value(x, d) for d in devices] for x in points])
-           and np.array_equal(oracle.energy_rows(designs, devices),
-                              [[energy_value(x, d) for d in devices] for x in points]))
+    lat_ref = [[latency_value(x, d) for d in devices] for x in points]
+    en_ref = [[energy_value(x, d) for d in devices] for x in points]
+    yield ("row measurements equal the reference values on every design and device family",
+           np.array_equal(oracle.latency_rows(designs, devices), lat_ref)
+           and np.array_equal(oracle.energy_rows(designs, devices), en_ref))
+    yield ("one-row measurements equal the reference values too",
+           [[oracle.latency(x, d) for d in devices] for x in designs] == lat_ref
+           and [[oracle.energy(x, d) for d in devices] for x in designs] == en_ref)
     lats = sorted(Oracle(space).latency_rows(designs, [target])[:, 0])
     bound = lats[len(lats) * 2 // 5]
     run_ledger = MeasurementLedger()

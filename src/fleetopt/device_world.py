@@ -17,6 +17,10 @@ Accuracy (device-independent):
     accuracy = 0.95 - 0.35 * exp(-0.35 * capacity) - qpen(bits) + noise(x)
 where noise(x) is a keyed 64-bit hash of the design's index list mapped to
 [-0.002, +0.002]: deterministic, but rough enough that nothing can invert it.
+
+The value functions (`latency_value`, `energy_value`, `accuracy_value`) read a
+`DesignPoint` and are the reference; the Oracle measures index tuples from a
+per-space stage table, bit-equal to them.
 """
 
 from __future__ import annotations
@@ -254,7 +258,7 @@ def _stage_terms(x: DesignPoint) -> list[tuple[float, float, int, float]]:
 
 
 def latency_value(x: DesignPoint, d: DeviceFeatures) -> float:
-    """Latency in ms, no ledger charge. Prefer Oracle.latency outside this module."""
+    """Latency in ms, no ledger charge: the reference the oracle's rows equal."""
     qs = d.speedup_for(x.bits)
     total = 0.0
     layers = 0
@@ -327,25 +331,26 @@ def _energy_matrix(terms: np.ndarray, qs: np.ndarray, devices) -> np.ndarray:
 
 class Oracle:
     """The measurement interface handed to everything downstream: one space, one
-    ledger, charged truth. Each measurement charges the ledger once, then reads
-    the analytic value of one value view, or of index rows (bit-equal, batched)."""
+    ledger, charged truth. A design is its index tuple; the row forms measure an
+    index matrix at once and charge the ledger once per value, and the single
+    measurements (`latency`, `energy`, `accuracy`) are their one-row case."""
 
     def __init__(self, space: DesignSpace, ledger: MeasurementLedger | None = None):
         self.space = space
         self.ledger = ledger if ledger is not None else MeasurementLedger()
 
-    def latency(self, x: DesignPoint, d: DeviceFeatures) -> float:
-        self.ledger.charge(d.device_id, "latency")
-        return latency_value(x, d)
+    def latency(self, x: tuple[int, ...], d: DeviceFeatures) -> float:
+        """One latency measurement: the one-row case of `latency_rows`."""
+        return float(self.latency_rows([x], [d])[0, 0])
 
-    def energy(self, x: DesignPoint, d: DeviceFeatures) -> float:
-        """One energy measurement; the latency term inside is not charged separately."""
-        self.ledger.charge(d.device_id, "energy")
-        return energy_value(x, d)
+    def energy(self, x: tuple[int, ...], d: DeviceFeatures) -> float:
+        """One energy measurement, the one-row case of `energy_rows`; the latency
+        term inside is not charged separately."""
+        return float(self.energy_rows([x], [d])[0, 0])
 
-    def accuracy(self, x: DesignPoint) -> float:
-        self.ledger.charge_accuracy()
-        return accuracy_value(x, self.space)
+    def accuracy(self, x: tuple[int, ...]) -> float:
+        """One accuracy measurement: the one-row case of `accuracy_rows`."""
+        return float(self.accuracy_rows([x])[0])
 
     def latency_rows(self, X, devices) -> np.ndarray:
         """(n, D) latencies of the index rows X on each device."""

@@ -227,7 +227,9 @@ def constraint_sweep(
     The grid (n, 2) is one batch (one optimizer forward, one prediction per
     model); feasibility along it is judged by the device-aware predictors
     alone: the most accurate feasible row wins, else the least violating one
-    (then the most accurate), the first position of equals. The oracle only
+    (then the most accurate), the first position of equals. Every position
+    takes the predictions of the first position that decodes to its design,
+    so equal designs tie exactly however the batch rounds. The oracle only
     validates the final choice, one measurement per bound (<= 2).
     """
     _require_device_aware(energy_model, latency_model)
@@ -236,9 +238,11 @@ def constraint_sweep(
     designs = decode_rows(net.infer_encodings(X), space)
     enc = encode_rows(designs, space)
     dev_in = np.hstack([enc, X[:, :-2]])
-    accs = acc_model.predict_batch(enc)
-    lats = latency_model.predict_batch(dev_in)
-    ens = energy_model.predict_batch(dev_in)
+    first: dict[tuple[int, ...], int] = {}
+    lead = [first.setdefault(tuple(row), i) for i, row in enumerate(designs.tolist())]
+    accs = acc_model.predict_batch(enc)[lead]
+    lats = latency_model.predict_batch(dev_in)[lead]
+    ens = energy_model.predict_batch(dev_in)[lead]
     feasible = lats <= constraints.latency_bound
     violation = np.maximum(0.0, lats / constraints.latency_bound - 1.0)
     if constraints.energy_bound is not None:
@@ -253,9 +257,8 @@ def constraint_sweep(
         for i, ((l1, l2), ok, pa) in enumerate(zip(lams, feasible.tolist(), accs.tolist()))
     )
     x = tuple(designs[pos].tolist())
-    point = space.design_at(x)
-    validation = {"latency": oracle.latency(point, d)}
+    validation = {"latency": oracle.latency(x, d)}
     if constraints.energy_bound is not None:
-        validation["energy"] = oracle.energy(point, d)
+        validation["energy"] = oracle.energy(x, d)
     return SweepResult(design=x, lam=tuple(lams[pos]), feasible=bool(feasible[pos]),
                        predicted_accuracy=float(accs[pos]), validation=validation, rows=rows)

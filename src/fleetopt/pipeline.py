@@ -36,7 +36,6 @@ from .learn_to_optimize import (
 )
 from .proxy_reuse import (
     ProxyEntry,
-    ProxyPool,
     TCache,
     bisection_optimize,
     grid_optimize_2d,
@@ -58,11 +57,11 @@ from .surrogate import (
     fit_lockstep,
     load_model,
     save_model,
-    # bench/tracer.py wraps these two bindings; pipeline does not call them
+    # bench/tracer.py wraps these three bindings; pipeline does not call them
+    iterative_fit,  # noqa: F401
     train_accuracy_predictor,  # noqa: F401
     train_device_specific_predictor,  # noqa: F401
     train_stage1,
-    iterative_fit,
 )
 
 
@@ -229,8 +228,7 @@ def _proxy_reuse(scenario: Scenario, fleet: Fleet, oracle: Oracle):
             return ProxyEntry(device, acc_model, models[0], energy_model,
                               TCache(scenario.granularity))
 
-        pool = ProxyPool()
-        pool.add(entry_for(fleet.proxy, proxy_models))
+        pool = [entry_for(fleet.proxy, proxy_models)]
         rng_opt = stream(scenario.seed, PROXY_STREAM)
 
         def solve(target, spec: ConstraintSpec):
@@ -245,7 +243,7 @@ def _proxy_reuse(scenario: Scenario, fleet: Fleet, oracle: Oracle):
             reused = entry is not None
             if entry is None:
                 entry = entry_for(target, fit_lockstep(device_fits(target, rng_opt)))
-                pool.add(entry)
+                pool.append(entry)
             before = count(target.device_id, "latency")
             if spec.energy_bound is not None:
                 result = grid_optimize_2d(
@@ -290,11 +288,6 @@ def _amortized(scenario: Scenario, fleet: Fleet, oracle: Oracle):
             list(fleet.training_real), scenario.samples_per_device, oracle, rng,
             scenario.hyper, scenario.hidden,
         )
-        if scenario.optimize.exploration_rounds > 0:
-            bundle = iterative_fit(
-                bundle, scenario.optimize.exploration_rounds,
-                scenario.optimize.explore_size, oracle, rng,
-            )
         train_devices = list(fleet.training_real) + list(fleet.synthetic)
         inputs = np.vstack([optimizer_input(d, lambda_grid) for d in train_devices])
         opt_hyper = dataclasses.replace(scenario.hyper, epochs=scenario.optimize.optimizer_epochs)

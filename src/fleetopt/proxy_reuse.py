@@ -15,7 +15,7 @@ and a pool of proxies turns that check into a reuse-or-train-new policy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,9 +72,6 @@ class TCache:
 
     def put(self, ts: tuple[float, ...], x: tuple[int, ...]) -> None:
         self._entries[self._key(ts)] = x
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
 
 @dataclass
@@ -194,7 +191,7 @@ def bisection_optimize(
             x, lat = measured[key]
         else:
             x = solve_inner((t,), entry, space, params, seed, minimizer)
-            lat = oracle.latency(space.design_at(x), target)
+            lat = oracle.latency(x, target)
             measurements += 1
             measured[key] = (x, lat)
         (tq,) = cache.quantize((t,))
@@ -336,24 +333,17 @@ def grid_optimize_2d(
                       trace=tuple(trace))
 
 
-@dataclass(frozen=True)
-class MonotonicityReport:
-    rho: float
-    monotone: bool
-
-
 def check_monotonicity(
     proxy_pred: MlpRegressor,
     target: DeviceFeatures,
     probe_count: int,
-    threshold: float,
     oracle: Oracle,
     rng: np.random.Generator,
-) -> MonotonicityReport:
-    """Does the proxy's latency predictor rank designs the way the target does?
-
-    Costs probe_count true latency measurements on the target; predictor calls
-    are free. Monotone verdict iff Spearman rho >= threshold.
+) -> float:
+    """Spearman rho between the proxy's latency predictor and the target's
+    measured latencies on probe_count random designs: how well the proxy ranks
+    designs the way the target does. Costs probe_count true latency
+    measurements on the target; predictor calls are free.
     """
     if probe_count < 10:
         raise ValueError(f"probe_count must be >= 10, got {probe_count}")
@@ -361,22 +351,11 @@ def check_monotonicity(
     designs = sample_rows(space, rng, probe_count)
     predicted_lat = proxy_pred.predict_batch(encode_rows(designs, space))
     actual = oracle.latency_rows(designs, [target])[:, 0]
-    rho = spearman(predicted_lat, actual)
-    return MonotonicityReport(rho=rho, monotone=rho >= threshold)
-
-
-@dataclass
-class ProxyPool:
-    entries: list[ProxyEntry] = field(default_factory=list)
-
-    def add(self, entry: ProxyEntry) -> None:
-        if any(e.device.device_id == entry.device.device_id for e in self.entries):
-            raise ValueError(f"pool already has proxy {entry.device.device_id}")
-        self.entries.append(entry)
+    return spearman(predicted_lat, actual)
 
 
 def match_proxy(
-    pool: ProxyPool,
+    pool: list[ProxyEntry],
     target: DeviceFeatures,
     threshold: float,
     oracle: Oracle,
@@ -385,26 +364,24 @@ def match_proxy(
     trials: list | None = None,
 ) -> ProxyEntry | None:
     """Nearest-first scan of the pool; a candidate is accepted only if its
-    latency predictor passes the rank-correlation gate against the target.
+    latency predictor's rank correlation with the target is at least threshold.
     Returns None when nothing passes; the caller then trains a fresh proxy.
     With trials a list, (proxy id, rho, verdict) is appended per candidate.
     """
-    if not pool.entries:
+    if not pool:
         return None
-    rows = np.stack([device_embedding(e.device) for e in pool.entries] + [device_embedding(target)])
+    rows = np.stack([device_embedding(e.device) for e in pool] + [device_embedding(target)])
     std = rows.std(axis=0)
     scale = np.where(std < 1e-12, 1.0, std)
     normed = (rows - rows.mean(axis=0)) / scale
     target_row = normed[-1]
     dists = np.linalg.norm(normed[:-1] - target_row, axis=1)
-    order = sorted(range(len(pool.entries)), key=lambda i: (dists[i], i))
+    order = sorted(range(len(pool)), key=lambda i: (dists[i], i))
     for i in order:
-        entry = pool.entries[i]
-        report = check_monotonicity(
-            entry.latency_model, target, probe_count, threshold, oracle, rng
-        )
+        entry = pool[i]
+        rho = check_monotonicity(entry.latency_model, target, probe_count, oracle, rng)
         if trials is not None:
-            trials.append((entry.device.device_id, report.rho, report.monotone))
-        if report.monotone:
+            trials.append((entry.device.device_id, rho, rho >= threshold))
+        if rho >= threshold:
             return entry
     return None

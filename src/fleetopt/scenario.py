@@ -37,8 +37,6 @@ class OptimizeSettings:
     monotonicity_threshold: float = 0.9
     probe_count: int = 20
     mu: float = 1e-4
-    exploration_rounds: int = 0
-    explore_size: int = 0
     optimizer_hidden: tuple[int, ...] = DEFAULT_HIDDEN
     optimizer_epochs: int = 2000
 
@@ -54,9 +52,6 @@ class OptimizeSettings:
              "must be in [-1, 1]"),
             ("probe_count", self.probe_count >= 10, "must be >= 10"),
             ("mu", self.mu >= 0, "must be >= 0"),
-            ("exploration_rounds", self.exploration_rounds >= 0, "must be >= 0"),
-            ("explore_size", self.explore_size >= (1 if self.exploration_rounds else 0),
-             "must be >= 1 with exploration rounds, else >= 0"),
             ("optimizer_epochs", self.optimizer_epochs >= 1, "must be >= 1"),
         ):
             if not ok:

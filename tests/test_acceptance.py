@@ -33,7 +33,6 @@ from fleetopt.nn import DenseNet
 from fleetopt.pipeline import cost_accounting, run_scenario
 from fleetopt.proxy_reuse import (
     ProxyEntry,
-    ProxyPool,
     TCache,
     bisection_optimize,
     check_monotonicity,
@@ -188,22 +187,18 @@ def test_criterion_5_detector_separation(dspace, fleet, proxy, reduced_models,
     with Timed("proxy_latency_default") as t:
         rhos_m, rhos_a = [], []
         for dev in fleet.holdout_monotone:
-            rep = check_monotonicity(
-                proxy_latency_default, dev, 40, 0.9,
-                Oracle(dspace, MeasurementLedger()), seeded(5, 0),
-            )
-            rhos_m.append(rep.rho)
+            rhos_m.append(check_monotonicity(
+                proxy_latency_default, dev, 40, Oracle(dspace, MeasurementLedger()), seeded(5, 0),
+            ))
         for dev in fleet.holdout_adversarial:
-            rep = check_monotonicity(
-                proxy_latency_default, dev, 40, 0.9,
-                Oracle(dspace, MeasurementLedger()), seeded(5, 0),
-            )
-            rhos_a.append(rep.rho)
+            rhos_a.append(check_monotonicity(
+                proxy_latency_default, dev, 40, Oracle(dspace, MeasurementLedger()), seeded(5, 0),
+            ))
         ok = min(rhos_m) >= 0.95 and max(rhos_a) <= 0.80
 
         def fresh_pool():
-            return ProxyPool([ProxyEntry(proxy, reduced_models["accuracy"],
-                                         proxy_latency_default, None, TCache(0.001))])
+            return [ProxyEntry(proxy, reduced_models["accuracy"], proxy_latency_default, None,
+                               TCache(0.001))]
 
         match_ok = 0
         for s in range(10):

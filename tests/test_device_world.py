@@ -36,6 +36,9 @@ def small_design():
     )
 
 
+SMALL = (0,) * 6 + (1,)  # small_design() in the reduced space, the form the oracle measures
+
+
 def device(**overrides):
     base = dict(
         device_id="custom",
@@ -156,7 +159,7 @@ def test_ledger_starts_empty():
 def test_ledger_counts_every_call(proxy, reduced):
     ledger = MeasurementLedger()
     oracle = Oracle(reduced, ledger)
-    x = small_design()
+    x = SMALL
     for _ in range(5):
         oracle.latency(x, proxy)
     oracle.energy(x, proxy)
@@ -171,8 +174,8 @@ def test_ledger_counts_every_call(proxy, reduced):
 def test_ledger_csv_format(proxy, reduced):
     ledger = MeasurementLedger()
     oracle = Oracle(reduced, ledger)
-    oracle.latency(small_design(), proxy)
-    oracle.accuracy(small_design())
+    oracle.latency(SMALL, proxy)
+    oracle.accuracy(SMALL)
     lines = ledger.to_csv().strip().replace("\r", "").split("\n")
     assert lines[0] == "device_id,metric,count"
     assert lines[1] == "*,accuracy,1"
@@ -182,9 +185,9 @@ def test_ledger_csv_format(proxy, reduced):
 def test_oracle_charges_ledger(reduced, proxy):
     ledger = MeasurementLedger()
     oracle = Oracle(reduced, ledger)
-    oracle.latency(small_design(), proxy)
-    oracle.energy(small_design(), proxy)
-    oracle.accuracy(small_design())
+    oracle.latency(SMALL, proxy)
+    oracle.energy(SMALL, proxy)
+    oracle.accuracy(SMALL)
     assert ledger.total() == 2
     assert ledger.total("latency") == 1
     assert ledger.accuracy_count == 1
@@ -273,13 +276,19 @@ def test_row_forms_equal_the_scalar_values_bit_for_bit(space_name, n, dspace, re
     rng = np.random.default_rng(31)
     designs = enumerate_all(space) if n is None else [sample_uniform(space, rng) for _ in range(n)]
     points = [space.design_at(x) for x in designs]
+    lat_ref = [[latency_value(x, d) for d in devices] for x in points]
+    en_ref = [[energy_value(x, d) for d in devices] for x in points]
+    acc_ref = [accuracy_value(x, space) for x in points]
     oracle = Oracle(space)
-    assert np.array_equal(oracle.latency_rows(designs, devices),
-                          [[latency_value(x, d) for d in devices] for x in points])
-    assert np.array_equal(oracle.energy_rows(designs, devices),
-                          [[energy_value(x, d) for d in devices] for x in points])
-    assert np.array_equal(oracle.accuracy_rows(designs),
-                          [accuracy_value(x, space) for x in points])
+    assert np.array_equal(oracle.latency_rows(designs, devices), lat_ref)
+    assert np.array_equal(oracle.energy_rows(designs, devices), en_ref)
+    assert np.array_equal(oracle.accuracy_rows(designs), acc_ref)
+    # the single measurements are the one-row case: every reduced-space
+    # design, the first 200 default-space ones
+    k = 200 if n is not None else len(designs)
+    assert [[oracle.latency(x, d) for d in devices] for x in designs[:k]] == lat_ref[:k]
+    assert [[oracle.energy(x, d) for d in devices] for x in designs[:k]] == en_ref[:k]
+    assert [oracle.accuracy(x) for x in designs[:k]] == acc_ref[:k]
 
 
 def test_row_calls_charge_once_per_value_and_nothing_else(reduced):

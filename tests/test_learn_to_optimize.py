@@ -433,11 +433,10 @@ def test_sweep_matches_the_one_lambda_path(method2_small, small_bundle, fleet, r
             assert result.design == scores[pos][0]
             assert result.lam == tuple(grid[pos].tolist())
             assert result.feasible == any(verdicts)
-            point = reduced.design_at(scores[pos][0])
             oracle = Oracle(reduced, MeasurementLedger())
-            expected = {"latency": oracle.latency(point, d)}
+            expected = {"latency": oracle.latency(scores[pos][0], d)}
             if spec.energy_bound is not None:
-                expected["energy"] = oracle.energy(point, d)
+                expected["energy"] = oracle.energy(scores[pos][0], d)
             assert result.validation == expected
             outcomes.add(result.feasible)
     # the bounds reach both the most-accurate-feasible and the least-violation choice
@@ -474,6 +473,24 @@ def test_sweep_chooses_the_first_of_positions_with_one_design(method2_small, sma
         assert (doubled.design, doubled.lam, doubled.feasible) == (once.design, once.lam,
                                                                    once.feasible)
         assert once.feasible == (spec.latency_bound > 1)
+
+
+def test_sweep_ties_equal_designs_through_the_batched_predictors(method2_small, small_bundle,
+                                                                 fleet, reduced):
+    # the grid twice over, through the predictors' own batch: identical rows
+    # may predict an ulp apart by where they sit in it, yet every position
+    # takes the predictions of the first position of its design, so under a
+    # bound no design meets the least violation is the first position
+    twice = np.vstack([build_lambda_grid(3, 1.0)] * 2)
+    d = fleet.synthetic[0]
+    designs = decode_rows(method2_small.infer_encodings(optimizer_input(d, twice)), reduced)
+    result = constraint_sweep(method2_small, d, ConstraintSpec(latency_bound=1e-9),
+                              *small_bundle.models(), twice,
+                              Oracle(reduced, MeasurementLedger()))
+    assert [i for i, row in enumerate(result.rows) if row["chosen"]] == [0]
+    first = {}
+    for x, row in zip(map(tuple, designs.tolist()), result.rows):
+        assert row["predicted_accuracy"] == first.setdefault(x, row["predicted_accuracy"])
 
 
 # --- restarts in lockstep ----------------------------------------------------

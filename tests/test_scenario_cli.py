@@ -12,8 +12,7 @@ import pytest
 
 from fleetopt import device_world, learn_to_optimize, nn, pipeline, proxy_reuse, surrogate
 from fleetopt.cli import main
-from fleetopt.design_space import default_space, enumerate_all
-from fleetopt.device_world import Oracle
+from fleetopt.design_space import DesignSpace, default_space, enumerate_all
 from fleetopt.pipeline import (
     RunReport,
     _percentile_bounds,
@@ -147,7 +146,8 @@ BAD_CONFIGS = [
     (SMALL_PROXY, "optimize.monotonicity_threshold", 7.0, "optimize.monotonicity_threshold"),
     (SMALL_PROXY, "optimize.energy_percentile", 100.0, "optimize.energy_percentile"),
     (SMALL_PROXY, "optimize.mu", -1e-4, "optimize.mu"),
-    (SMALL_PROXY, "optimize.exploration_rounds", 1, "optimize.explore_size"),
+    (SMALL_PROXY, "optimize.exploration_rounds", 1, "optimize.exploration_rounds"),
+    (SMALL_PROXY, "optimize.explore_size", 8, "optimize.explore_size"),
     (SMALL_AMORTIZED, "optimize.optimizer_epochs", 0, "optimize.optimizer_epochs"),
     (SMALL_AMORTIZED, "fleet.n_training", 1, "fleet.n_training"),
     # JSON parsing lets NaN and Infinity through; the parser must not
@@ -389,18 +389,39 @@ def test_calibration_measures_through_the_row_form(monkeypatch, energy_percentil
     bounds, cal_ledger = _percentile_bounds(scenario, fleet)
     assert scalar_calls == []
 
-    # the scalar loop the row form replaced: 4 targets x 128 designs per metric
+    # the scalar loop the row form replaced: 4 targets x 128 designs per metric,
+    # each charged once
     space = scenario.space
-    reference = Oracle(space)
     points = [space.design_at(x) for x in enumerate_all(space)]
+    metrics = ["latency"] if energy_percentile is None else ["latency", "energy"]
+    charged = {}
     for dev in fleet.holdout_monotone + fleet.holdout_adversarial:
-        lat = float(np.percentile([reference.latency(x, dev) for x in points],
+        lat = float(np.percentile([device_world.latency_value(x, dev) for x in points],
                                   scenario.optimize.latency_percentile))
-        en = None if energy_percentile is None else float(
-            np.percentile([reference.energy(x, dev) for x in points], energy_percentile))
+        en = None if energy_percentile is None else float(np.percentile(
+            [device_world.energy_value(x, dev) for x in points], energy_percentile))
         assert bounds[dev.device_id] == ConstraintSpec(lat, en)
+        charged[dev.device_id] = {metric: len(points) for metric in metrics}
     assert len(scalar_calls) == (512 if energy_percentile is None else 1024)
-    assert cal_ledger.snapshot() == reference.ledger.snapshot()
+    assert cal_ledger.snapshot() == {"accuracy": 0, "devices": charged}
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("a run built a DesignPoint or called a reference value function")
+
+
+@pytest.mark.parametrize(
+    "doc", [SMALL_PROXY, with_key(SMALL_PROXY, "optimize.energy_percentile", 40.0),
+            SMALL_AMORTIZED], ids=["proxy", "proxy-energy", "amortized"])
+def test_runs_measure_index_tuples_only(monkeypatch, doc):
+    # the oracle measures index tuples: the DesignPoint value view and the
+    # value functions read by it are the reference, never a run's path
+    scenario = scenario_from_dict(doc)
+    expected = run_scenario(scenario).decision_dict()
+    monkeypatch.setattr(DesignSpace, "design_at", refuse)
+    for name in ("latency_value", "energy_value", "accuracy_value"):
+        monkeypatch.setattr(device_world, name, refuse)
+    assert run_scenario(scenario).decision_dict() == expected
 
 
 @pytest.mark.parametrize("doc", [SMALL_PROXY, SMALL_AMORTIZED], ids=["proxy", "amortized"])
