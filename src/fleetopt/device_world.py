@@ -313,12 +313,13 @@ def _stage_sum(terms: np.ndarray) -> np.ndarray:
 def _latency_matrix(terms: np.ndarray, qs: np.ndarray, devices) -> np.ndarray:
     """latency_value of n rows on D devices, (D, n), from the rows' stage terms
     (n, S, 4) and speedups (D, n), one device at a time. numpy's + - * / round
-    like Python's; its SIMD power does not, so ** stays a Python pow."""
+    like Python's; its SIMD power does not, so the power stays Python's pow."""
     work, mem, layers = terms[..., 0], terms[..., 1], terms[..., 2].sum(axis=1)  # exact sum
     out = np.empty(qs.shape)
     for j, d in enumerate(devices):
         ratio = work / (d.throughput * qs[j])[:, None]
-        powed = np.array([r ** d.gamma for r in ratio.ravel().tolist()]).reshape(ratio.shape)
+        powed = np.fromiter(map(pow, ratio.ravel().tolist(), itertools.repeat(d.gamma)),
+                            float, ratio.size).reshape(ratio.shape)
         out[j] = _stage_sum(powed + mem / d.bandwidth) + d.overhead * layers
     return out
 

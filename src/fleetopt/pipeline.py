@@ -231,7 +231,7 @@ def _proxy_reuse(scenario: Scenario, fleet: Fleet, oracle: Oracle):
         pool = [entry_for(fleet.proxy, proxy_models)]
         rng_opt = stream(scenario.seed, PROXY_STREAM)
 
-        def solve(target, spec: ConstraintSpec):
+        def solve_one(target, spec: ConstraintSpec):
             count = oracle.ledger.count
             before = count(target.device_id, "latency")
             trials: list = []
@@ -271,6 +271,9 @@ def _proxy_reuse(scenario: Scenario, fleet: Fleet, oracle: Oracle):
             }
             return result.design, fields, (f"trace_{target.device_id}.csv", result.trace)
 
+        def solve(targets):
+            return [solve_one(target, spec) for target, spec in targets]
+
         return solve
 
     return names, train, solver
@@ -278,8 +281,9 @@ def _proxy_reuse(scenario: Scenario, fleet: Fleet, oracle: Oracle):
 
 def _amortized(scenario: Scenario, fleet: Fleet, oracle: Oracle):
     """Model file names, train and solver of the amortized optimizer: device-aware
-    predictors and a Method-2 network trained once, then per target a lambda
-    sweep of inferences whose chosen design is measured once per bound."""
+    predictors and a Method-2 network trained once, then one lambda sweep of
+    inferences over all targets, each target's chosen design measured once per
+    bound."""
     names = ["accuracy.json", "energy_fleet.json", "latency_fleet.json", "optimizer.json"]
     lambda_grid = build_lambda_grid(scenario.lambda_count, scenario.lambda_max)
 
@@ -298,24 +302,28 @@ def _amortized(scenario: Scenario, fleet: Fleet, oracle: Oracle):
         return [bundle.accuracy, bundle.energy, bundle.latency, optnet]
 
     def solver(acc_model, en_model, lat_model, optnet):
-        def solve(target, spec: ConstraintSpec):
-            before = _target_charges(oracle.ledger, target.device_id)
-            sweep = constraint_sweep(
-                optnet, target, spec, acc_model, en_model, lat_model, lambda_grid, oracle,
+        def solve(targets):
+            before = [_target_charges(oracle.ledger, target.device_id) for target, _ in targets]
+            sweeps = constraint_sweep(
+                optnet, targets, acc_model, en_model, lat_model, lambda_grid, oracle,
             )
-            measured = sweep.validation
-            bound = {"latency": spec.latency_bound, "energy": spec.energy_bound}
-            fields = {
-                "lambda": list(sweep.lam),
-                "feasible": all(v <= bound[metric] for metric, v in measured.items()),
-                "predicted_feasible": bool(sweep.feasible),
-                "predicted_accuracy": float(sweep.predicted_accuracy),
-                "measured_latency": measured.get("latency"),
-                "measured_energy": measured.get("energy"),
-                "validation_measurements":
-                    _target_charges(oracle.ledger, target.device_id) - before,
-            }
-            return sweep.design, fields, (f"sweep_{target.device_id}.csv", sweep.rows)
+            solved = []
+            for (target, spec), charged, sweep in zip(targets, before, sweeps):
+                measured = sweep.validation
+                bound = {"latency": spec.latency_bound, "energy": spec.energy_bound}
+                fields = {
+                    "lambda": list(sweep.lam),
+                    "feasible": all(v <= bound[metric] for metric, v in measured.items()),
+                    "predicted_feasible": bool(sweep.feasible),
+                    "predicted_accuracy": float(sweep.predicted_accuracy),
+                    "measured_latency": measured.get("latency"),
+                    "measured_energy": measured.get("energy"),
+                    "validation_measurements":
+                        _target_charges(oracle.ledger, target.device_id) - charged,
+                }
+                solved.append((sweep.design, fields, (f"sweep_{target.device_id}.csv",
+                                                      sweep.rows)))
+            return solved
 
         return solve
 
@@ -359,10 +367,10 @@ def run_scenario(
     targets = [("monotone", d) for d in fleet.holdout_monotone] + [
         ("adversarial", d) for d in fleet.holdout_adversarial
     ]
+    solved = solve([(target, bounds[target.device_id]) for _, target in targets])
     rows, traces = [], []
-    for family, target in targets:
+    for (family, target), (design, fields, trace) in zip(targets, solved):
         spec = bounds[target.device_id]
-        design, fields, trace = solve(target, spec)
         rows.append({
             "device_id": target.device_id,
             "family": family,
@@ -409,12 +417,16 @@ def run_scenario(
 
 
 def _rows_to_csv(rows) -> str:
-    """Trace rows as CSV under a header of their keys; every row of a trace has
-    the same keys (a row with another key raises ValueError)."""
+    """Trace rows as CSV under a header of the first row's keys; every row of a
+    trace has the same keys (a row with another key, or without one, raises
+    ValueError)."""
+    keys = rows[0].keys()
+    if any(row.keys() != keys for row in rows):
+        raise ValueError(f"trace rows must all have the keys {list(keys)}")
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(keys)
+    writer.writerows([row[key] for key in keys] for row in rows)
     return buf.getvalue()
 
 
@@ -426,23 +438,29 @@ def export_report(report: RunReport, out_dir: str, artifacts: dict | None = None
     """
     written: list[str] = []
     artifacts = artifacts or {}
+    made: set[str] = set()  # each directory is made once
+
+    def place(rel: str) -> str:
+        path = os.path.join(out_dir, rel)
+        folder = os.path.dirname(path)
+        if folder not in made:
+            os.makedirs(folder, exist_ok=True)
+            made.add(folder)
+        return path
+
+    def emit(rel: str, content: str) -> None:
+        path = place(rel)
+        with open(path, "w") as f:
+            f.write(content)
+        written.append(path)
+
     try:
-        os.makedirs(out_dir, exist_ok=True)
-
-        def emit(rel: str, content: str) -> None:
-            path = os.path.join(out_dir, rel)
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            with open(path, "w") as f:
-                f.write(content)
-            written.append(path)
-
         emit("report.json", json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
         emit("ledger.csv", report.ledger_csv)
         emit("fleet.json", json.dumps(report.fleet, indent=2, sort_keys=True) + "\n")
         if persist_models:
             for name, model in artifacts.get("models", {}).items():
-                path = os.path.join(out_dir, "models", name)
-                os.makedirs(os.path.dirname(path), exist_ok=True)
+                path = place(os.path.join("models", name))
                 save_model(model, path)
                 written.append(path)
         for name, rows in artifacts.get("traces", ()):

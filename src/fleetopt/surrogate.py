@@ -88,12 +88,14 @@ class MlpRegressor:
         return (X - self.in_mean) / self.in_scale
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
+        """Predictions of the rows X (n, in), or of a stack (B, n, in) as (B, n);
+        each stacked batch is a product of its own."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        if X.shape[1] != self.input_dim:
+        if X.shape[-1] != self.input_dim:
             raise DimensionMismatchError(
-                f"{self.metric or 'model'}: expected {self.input_dim} features, got {X.shape[1]}"
+                f"{self.metric or 'model'}: expected {self.input_dim} features, got {X.shape[-1]}"
             )
-        raw = self.net.forward(self._normalize(X))[:, 0]
+        raw = self.net.forward(self._normalize(X))[..., 0]
         return self.out_mean + self.out_scale * raw
 
     def predict(self, x: np.ndarray) -> float:

@@ -370,9 +370,9 @@ def test_criterion_8_amortization_quality(dspace, stage1_bundle, method2_net,
         median_regret = float(np.median(regrets))
         inference_charges = ledger.total()
 
-        sweep = constraint_sweep(
-            method2_net, held_synthetic[0],
-            ConstraintSpec(latency_bound=5.0, energy_bound=500.0),
+        spec = ConstraintSpec(latency_bound=5.0, energy_bound=500.0)
+        [sweep] = constraint_sweep(
+            method2_net, [(held_synthetic[0], spec)],
             stage1_bundle.accuracy, stage1_bundle.energy, stage1_bundle.latency,
             build_lambda_grid(3, 1.0), oracle,
         )

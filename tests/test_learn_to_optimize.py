@@ -6,6 +6,7 @@ import pytest
 from fleetopt.design_space import decode_rows, encode, encode_rows, enumerate_all
 from fleetopt.device_world import MeasurementLedger, Oracle
 from fleetopt.learn_to_optimize import (
+    SWEEP_BLOCK,
     OptimizerNetwork,
     amortized_batch_gradient,
     build_lambda_grid,
@@ -318,8 +319,8 @@ def test_trained_optimizer_and_its_inference_are_float64(method2_small, fleet):
 def test_sweep_validation_budget_is_two(method2_small, small_bundle, fleet, reduced):
     d = fleet.synthetic[2]
     oracle = Oracle(reduced, MeasurementLedger())
-    result = constraint_sweep(
-        method2_small, d, ConstraintSpec(latency_bound=5.0, energy_bound=500.0),
+    [result] = constraint_sweep(
+        method2_small, [(d, ConstraintSpec(latency_bound=5.0, energy_bound=500.0))],
         small_bundle.accuracy, small_bundle.energy, small_bundle.latency,
         build_lambda_grid(3, 1.0), oracle,
     )
@@ -333,13 +334,21 @@ def test_sweep_validation_budget_is_two(method2_small, small_bundle, fleet, redu
 
 def test_sweep_impossible_bounds_flagged_infeasible(method2_small, small_bundle, fleet, reduced):
     oracle = Oracle(reduced, MeasurementLedger())
-    result = constraint_sweep(
-        method2_small, fleet.synthetic[3], ConstraintSpec(latency_bound=1e-9),
+    [result] = constraint_sweep(
+        method2_small, [(fleet.synthetic[3], ConstraintSpec(latency_bound=1e-9))],
         small_bundle.accuracy, small_bundle.energy, small_bundle.latency,
         build_lambda_grid(3, 1.0), oracle,
     )
     assert not result.feasible
     assert "latency" in result.validation
+
+
+def sweep_devices(fleet):
+    """More than two blocks of devices, of every family."""
+    devices = [*fleet.synthetic, *fleet.holdout_monotone, *fleet.holdout_adversarial,
+               *fleet.training_real]
+    assert len(devices) >= 2 * SWEEP_BLOCK + 1
+    return devices[:2 * SWEEP_BLOCK + 1]
 
 
 @pytest.mark.parametrize("count", [3, 4])
@@ -351,18 +360,54 @@ def test_sweep_scores_the_grid_in_one_batch(method2_small, small_bundle, fleet, 
     original = DenseNet.forward_cached
 
     def counted(net, X):
-        calls.append(np.shape(X)[0])
+        calls.append(np.shape(X))
         return original(net, X)
 
     monkeypatch.setattr(DenseNet, "forward_cached", counted)
     grid = build_lambda_grid(count, 1.0)
+    devices = sweep_devices(fleet)
+    spec = ConstraintSpec(latency_bound=5.0, energy_bound=500.0)
     constraint_sweep(
-        method2_small, fleet.synthetic[1], ConstraintSpec(latency_bound=5.0, energy_bound=500.0),
+        method2_small, [(d, spec) for d in devices],
         small_bundle.accuracy, small_bundle.energy, small_bundle.latency,
         grid, Oracle(reduced, MeasurementLedger()),
     )
-    # one optimizer forward, then one per predictor, each over the whole grid
-    assert calls == [len(grid)] * 4
+    # per block of devices: one optimizer forward, then one per predictor, each
+    # over the block's whole grids as one (block, grid, .) stack
+    width = reduced.encoding_width
+    embedding = device_embedding(fleet.proxy).size
+    expected = []
+    for block in (SWEEP_BLOCK, SWEEP_BLOCK, 1):
+        expected += [(block, len(grid), embedding + 2), (block, len(grid), width),
+                     (block, len(grid), width + embedding), (block, len(grid), width + embedding)]
+    assert calls == expected
+
+
+def test_blocked_sweep_equals_one_device_sweeps(method2_small, small_bundle, fleet, reduced):
+    # every device's result, validation and charges as if it were swept alone,
+    # bit for bit, under bounds met, bounds with energy, and bounds none meets
+    grid = build_lambda_grid(4, 1.0)
+    designs = enumerate_all(reduced)
+    probe = Oracle(reduced, MeasurementLedger())
+    targets = []
+    for i, d in enumerate(sweep_devices(fleet)):
+        lat = float(np.median(probe.latency_rows(designs, [d])))
+        en = float(np.median(probe.energy_rows(designs, [d])))
+        specs = [ConstraintSpec(latency_bound=lat), ConstraintSpec(lat, energy_bound=en),
+                 ConstraintSpec(latency_bound=1e-9)]
+        targets.append((d, specs[i % 3]))
+    models = small_bundle.accuracy, small_bundle.energy, small_bundle.latency
+    blocked_oracle, alone_oracle = (Oracle(reduced, MeasurementLedger()) for _ in range(2))
+    blocked = constraint_sweep(method2_small, targets, *models, grid, blocked_oracle)
+    alone = [constraint_sweep(method2_small, [target], *models, grid, alone_oracle)[0]
+             for target in targets]
+    assert len(blocked) == len(targets)
+    assert blocked == alone
+    assert repr(blocked) == repr(alone)  # repr tells every float bit, -0.0 too
+    assert blocked_oracle.ledger.snapshot() == alone_oracle.ledger.snapshot()
+    assert blocked_oracle.ledger.to_csv() == alone_oracle.ledger.to_csv()
+    assert {r.feasible for r in blocked} == {True, False}
+    assert {len(r.validation) for r in blocked} == {1, 2}
 
 
 def one_lambda_scores(net, d, bundle, grid, space):
@@ -421,8 +466,8 @@ def test_sweep_matches_the_one_lambda_path(method2_small, small_bundle, fleet, r
                  ConstraintSpec(latency_bound=lat_mid, energy_bound=en_mid),
                  ConstraintSpec(latency_bound=1e-9)]
         for spec in specs:
-            result = constraint_sweep(
-                method2_small, d, spec, small_bundle.accuracy, small_bundle.energy,
+            [result] = constraint_sweep(
+                method2_small, [(d, spec)], small_bundle.accuracy, small_bundle.energy,
                 small_bundle.latency, grid, Oracle(reduced, MeasurementLedger()),
             )
             verdicts, pos = reference_choice(scores, spec)
@@ -451,7 +496,9 @@ class OneRowAtATime:
         self.model, self.metric, self.takes_device = model, model.metric, model.takes_device
 
     def predict_batch(self, X):
-        return np.array([self.model.predict(x) for x in X])
+        X = np.asarray(X)
+        rows = X.reshape(-1, X.shape[-1])
+        return np.array([self.model.predict(x) for x in rows]).reshape(X.shape[:-1])
 
 
 def test_sweep_chooses_the_first_of_positions_with_one_design(method2_small, small_bundle,
@@ -465,8 +512,8 @@ def test_sweep_chooses_the_first_of_positions_with_one_design(method2_small, sma
     assert np.array_equal(designs[:len(grid)], designs[len(grid):])
     models = [OneRowAtATime(m) for m in small_bundle.models()]
     for spec in (ConstraintSpec(latency_bound=1e9), ConstraintSpec(latency_bound=1e-9)):
-        once, doubled = (constraint_sweep(method2_small, d, spec, *models, g,
-                                          Oracle(reduced, MeasurementLedger()))
+        once, doubled = (constraint_sweep(method2_small, [(d, spec)], *models, g,
+                                          Oracle(reduced, MeasurementLedger()))[0]
                          for g in (grid, twice))
         chosen = [i for i, row in enumerate(doubled.rows) if row["chosen"]]
         assert chosen == [i for i, row in enumerate(once.rows) if row["chosen"]]
@@ -484,9 +531,9 @@ def test_sweep_ties_equal_designs_through_the_batched_predictors(method2_small, 
     twice = np.vstack([build_lambda_grid(3, 1.0)] * 2)
     d = fleet.synthetic[0]
     designs = decode_rows(method2_small.infer_encodings(optimizer_input(d, twice)), reduced)
-    result = constraint_sweep(method2_small, d, ConstraintSpec(latency_bound=1e-9),
-                              *small_bundle.models(), twice,
-                              Oracle(reduced, MeasurementLedger()))
+    [result] = constraint_sweep(method2_small, [(d, ConstraintSpec(latency_bound=1e-9))],
+                                *small_bundle.models(), twice,
+                                Oracle(reduced, MeasurementLedger()))
     assert [i for i, row in enumerate(result.rows) if row["chosen"]] == [0]
     first = {}
     for x, row in zip(map(tuple, designs.tolist()), result.rows):

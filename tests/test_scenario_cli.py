@@ -1,5 +1,6 @@
 import copy
 import csv
+import io
 import json
 import os
 import re
@@ -515,6 +516,26 @@ def test_export_rolls_back_on_failure(tmp_path):
         export_report(report, str(out), {"traces": [("trace_x.csv", trace)]})
     assert not os.path.exists(out / "report.json")
     assert not os.path.exists(out / "ledger.csv")
+
+
+def test_rows_to_csv_writes_what_dictwriter_writes():
+    rows = [
+        {"t": 0.1, "ok": True, "energy": None, "tiny": 1e-300, "note": "a,b"},
+        {"t": -0.0, "ok": False, "energy": 3, "tiny": float("inf"), "note": 'say "hi"'},
+        {"note": "", "tiny": 2.5e17, "energy": None, "ok": True, "t": 1 / 3},  # other order
+    ]
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    assert pipeline._rows_to_csv(rows) == buf.getvalue()
+    extra = {**rows[0], "chosen": False}
+    missing = {k: v for k, v in rows[0].items() if k != "energy"}
+    for bad in (extra, missing):
+        with pytest.raises(ValueError):
+            pipeline._rows_to_csv([rows[0], bad])
+        with pytest.raises(ValueError):
+            pipeline._rows_to_csv([bad, rows[0]])
 
 
 # --- command line ------------------------------------------------------------

@@ -600,7 +600,7 @@ def test_proxy_retrain_writes_the_bytes_of_sequential_fits(monkeypatch):
     monkeypatch.setattr(pipeline, "fit_lockstep", recorded_lockstep)
     target = fleet.holdout_adversarial[0]
     bounds, _ = pipeline._percentile_bounds(scenario, fleet)
-    solve(target, bounds[target.device_id])
+    solve([(target, bounds[target.device_id])])
     [(a, b)] = retrains
     [got] = stacks
     ref_oracle = Oracle(scenario.space, MeasurementLedger())
