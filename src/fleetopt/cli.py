@@ -60,17 +60,21 @@ def _load(args) -> Scenario:
     return Scenario(seed=args.seed)
 
 
-def _cmd_gen_fleet(args) -> int:
-    scenario = _load(args)
-    doc = json.dumps(draw_fleet(scenario).to_dict(), indent=2, sort_keys=True)
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "fleet.json")
+def _emit_json(doc: dict, out: str | None, name: str) -> None:
+    """Write doc as out/name and print the path, or print doc without --out."""
+    text = json.dumps(doc, indent=2, sort_keys=True)
+    if out:
+        os.makedirs(out, exist_ok=True)
+        path = os.path.join(out, name)
         with open(path, "w") as f:
-            f.write(doc + "\n")
+            f.write(text + "\n")
         _say(path)
     else:
-        _say(doc)
+        _say(text)
+
+
+def _cmd_gen_fleet(args) -> int:
+    _emit_json(draw_fleet(_load(args)).to_dict(), args.out, "fleet.json")
     return EXIT_OK
 
 
@@ -135,16 +139,8 @@ def _cmd_cost_table(args) -> int:
     ):
         if not ok:
             raise ConfigError(f"{flag}: {rule}")
-    table = cost_accounting(args.samples, args.seconds, args.devices)
-    doc = json.dumps(table, indent=2, sort_keys=True)
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "cost_table.json")
-        with open(path, "w") as f:
-            f.write(doc + "\n")
-        _say(path)
-    else:
-        _say(doc)
+    _emit_json(cost_accounting(args.samples, args.seconds, args.devices), args.out,
+               "cost_table.json")
     return EXIT_OK
 
 

@@ -231,17 +231,18 @@ def constraint_sweep(
     oracle: Oracle,
 ) -> list[SweepResult]:
     """Pick lambda for each (device, constraints) target by sweeping inferences;
-    one result per target, in order.
+    one result per target, in order, its trace rows headed by the device_id.
 
     Every device's grid (n, 2) is scored as one batch, and the devices go
-    through in blocks of SWEEP_BLOCK: one optimizer forward and one prediction
-    per model over a (devices, n, .) stack. Feasibility along a device's grid
-    is judged by the device-aware predictors alone: the most accurate feasible
-    row wins, else the least violating one (then the most accurate), the first
-    position of equals. Every position takes the predictions of the first
-    position that decodes to its design, so equal designs tie exactly however
-    the batch rounds. The oracle only validates each final choice, one
-    measurement per bound (<= 2 per target).
+    through in blocks of SWEEP_BLOCK: one optimizer forward, one prediction per
+    model and one choice over a (devices, n, .) stack. Feasibility along a
+    device's grid is judged by the device-aware predictors alone (a missing
+    energy bound is +inf): the most accurate feasible row wins, else the least
+    violating one (then the most accurate), the first position of equals. Every
+    position takes the predictions of the first position that decodes to its
+    design, so equal designs tie exactly however the batch rounds. The oracle
+    only validates each final choice, one measurement per bound (<= 2 per
+    target).
     """
     _require_device_aware(energy_model, latency_model)
     lams = np.asarray(lambda_grid, dtype=float).tolist()
@@ -251,8 +252,31 @@ def constraint_sweep(
         X = np.stack([optimizer_input(d, lambda_grid) for d, _ in block])
         designs, accs, lats, ens = _score_block(net, X, acc_model, energy_model, latency_model,
                                                 oracle.space)
-        results += [_choose(d, spec, *picked, lams, oracle)
-                    for (d, spec), *picked in zip(block, designs, accs, lats, ens)]
+        lead = (designs[:, :, None] == designs[:, None, :]).all(axis=-1).argmax(axis=-1)
+        accs, lats, ens = (np.take_along_axis(v, lead, axis=-1) for v in (accs, lats, ens))
+        lat_bound, en_bound = np.array(
+            [[spec.latency_bound, np.inf if spec.energy_bound is None else spec.energy_bound]
+             for _, spec in block]).T[..., None]
+        feasible = (lats <= lat_bound) & (ens <= en_bound)
+        violation = (np.maximum(0.0, lats / lat_bound - 1.0)
+                     + np.maximum(0.0, ens / en_bound - 1.0))
+        # a feasible row's violation is 0, and lexsort is stable
+        pos = np.lexsort((-accs, violation, ~feasible), axis=-1)[:, 0]
+        chosen = designs[np.arange(len(block)), pos].tolist()
+        for (d, spec), p, x, ok, pa in zip(block, pos.tolist(), chosen, feasible.tolist(),
+                                          accs.tolist()):
+            rows = tuple(
+                {"device_id": d.device_id, "lambda1": l1, "lambda2": l2,
+                 "predicted_feasible": f, "predicted_accuracy": a, "chosen": i == p}
+                for i, ((l1, l2), f, a) in enumerate(zip(lams, ok, pa))
+            )
+            x = tuple(x)
+            validation = {"latency": oracle.latency(x, d)}
+            if spec.energy_bound is not None:
+                validation["energy"] = oracle.energy(x, d)
+            results.append(SweepResult(design=x, lam=tuple(lams[p]), feasible=ok[p],
+                                       predicted_accuracy=pa[p], validation=validation,
+                                       rows=rows))
     return results
 
 
@@ -265,28 +289,3 @@ def _score_block(net, X, acc_model, energy_model, latency_model, space):
     dev_in = np.concatenate([enc, X[..., :-2]], axis=-1)
     return (designs, acc_model.predict_batch(enc), latency_model.predict_batch(dev_in),
             energy_model.predict_batch(dev_in))
-
-
-def _choose(d, constraints, designs, accs, lats, ens, lams, oracle) -> SweepResult:
-    """One device's choice along its scored grid, validated by the oracle."""
-    first: dict[tuple[int, ...], int] = {}
-    lead = [first.setdefault(tuple(row), i) for i, row in enumerate(designs.tolist())]
-    accs, lats, ens = accs[lead], lats[lead], ens[lead]
-    feasible = lats <= constraints.latency_bound
-    violation = np.maximum(0.0, lats / constraints.latency_bound - 1.0)
-    if constraints.energy_bound is not None:
-        feasible &= ens <= constraints.energy_bound
-        violation += np.maximum(0.0, ens / constraints.energy_bound - 1.0)
-    # a feasible row's violation is 0, and lexsort is stable
-    pos = int(np.lexsort((-accs, violation, ~feasible))[0])
-    rows = tuple(
-        {"lambda1": l1, "lambda2": l2, "predicted_feasible": ok, "predicted_accuracy": pa,
-         "chosen": i == pos}
-        for i, ((l1, l2), ok, pa) in enumerate(zip(lams, feasible.tolist(), accs.tolist()))
-    )
-    x = tuple(designs[pos].tolist())
-    validation = {"latency": oracle.latency(x, d)}
-    if constraints.energy_bound is not None:
-        validation["energy"] = oracle.energy(x, d)
-    return SweepResult(design=x, lam=tuple(lams[pos]), feasible=bool(feasible[pos]),
-                       predicted_accuracy=float(accs[pos]), validation=validation, rows=rows)

@@ -259,7 +259,7 @@ def _proxy_reuse(scenario: Scenario, fleet: Fleet, oracle: Oracle):
                 "proxy_used": entry.device.device_id,
                 "proxy_reused": reused,
                 "match_trials": [
-                    {"proxy": pid, "rho": float(r), "monotone": bool(m)} for pid, r, m in trials
+                    {"proxy": pid, "rho": r, "monotone": m} for pid, r, m in trials
                 ],
                 "probe_measurements": probes_charged,
                 "optimize_measurements": result.measurements,
@@ -269,7 +269,7 @@ def _proxy_reuse(scenario: Scenario, fleet: Fleet, oracle: Oracle):
                 "measured_energy": result.energy,
                 "target_latency_charges": count(target.device_id, "latency") - before,
             }
-            return result.design, fields, (f"trace_{target.device_id}.csv", result.trace)
+            return result.design, fields, result.trace
 
         def solve(targets):
             return [solve_one(target, spec) for target, spec in targets]
@@ -321,8 +321,7 @@ def _amortized(scenario: Scenario, fleet: Fleet, oracle: Oracle):
                     "validation_measurements":
                         _target_charges(oracle.ledger, target.device_id) - charged,
                 }
-                solved.append((sweep.design, fields, (f"sweep_{target.device_id}.csv",
-                                                      sweep.rows)))
+                solved.append((sweep.design, fields, sweep.rows))
             return solved
 
         return solve
@@ -368,8 +367,8 @@ def run_scenario(
         ("adversarial", d) for d in fleet.holdout_adversarial
     ]
     solved = solve([(target, bounds[target.device_id]) for _, target in targets])
-    rows, traces = [], []
-    for (family, target), (design, fields, trace) in zip(targets, solved):
+    rows, trace = [], []
+    for (family, target), (design, fields, target_trace) in zip(targets, solved):
         spec = bounds[target.device_id]
         rows.append({
             "device_id": target.device_id,
@@ -379,7 +378,7 @@ def run_scenario(
             "design": list(design),
             **fields,
         })
-        traces.append(trace)
+        trace += target_trace
 
     per_target = {d.device_id: _target_charges(ledger, d.device_id) for _, d in targets}
     cost = cost_accounting(BASELINE_SAMPLES, BASELINE_SECONDS, len(targets), per_target)
@@ -411,7 +410,7 @@ def run_scenario(
         wall_time_s=time.monotonic() - started,
     )
     if out_dir is not None:
-        artifacts = {"models": dict(zip(names, models)), "traces": traces}
+        artifacts = {"models": dict(zip(names, models)), "trace": trace}
         export_report(report, out_dir, artifacts, persist_models=not skip_training)
     return report
 
@@ -432,27 +431,24 @@ def _rows_to_csv(rows) -> str:
 
 def export_report(report: RunReport, out_dir: str, artifacts: dict | None = None,
                   persist_models: bool = True) -> list[str]:
-    """Write report.json plus CSV/JSON side files; returns written paths.
+    """Write report.json, ledger.csv and fleet.json, the models when
+    persist_models, and the run's trace rows, if any, as traces/solve.csv;
+    returns the written paths.
 
     Any exception rolls back every file this call created.
     """
     written: list[str] = []
     artifacts = artifacts or {}
-    made: set[str] = set()  # each directory is made once
 
     def place(rel: str) -> str:
         path = os.path.join(out_dir, rel)
-        folder = os.path.dirname(path)
-        if folder not in made:
-            os.makedirs(folder, exist_ok=True)
-            made.add(folder)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        written.append(path)  # before it is opened, so a half-written file goes too
         return path
 
     def emit(rel: str, content: str) -> None:
-        path = place(rel)
-        with open(path, "w") as f:
+        with open(place(rel), "w") as f:
             f.write(content)
-        written.append(path)
 
     try:
         emit("report.json", json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
@@ -460,11 +456,9 @@ def export_report(report: RunReport, out_dir: str, artifacts: dict | None = None
         emit("fleet.json", json.dumps(report.fleet, indent=2, sort_keys=True) + "\n")
         if persist_models:
             for name, model in artifacts.get("models", {}).items():
-                path = place(os.path.join("models", name))
-                save_model(model, path)
-                written.append(path)
-        for name, rows in artifacts.get("traces", ()):
-            emit(os.path.join("traces", name), _rows_to_csv(rows))
+                save_model(model, place(os.path.join("models", name)))
+        if trace := artifacts.get("trace"):
+            emit(os.path.join("traces", "solve.csv"), _rows_to_csv(trace))
         return written
     except Exception:
         for path in written:

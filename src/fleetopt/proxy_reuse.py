@@ -141,7 +141,8 @@ def solve_inner(
 class ProxySolve:
     """What a proxy solver returns. t is (t,) from the bisection, (t1, t2)
     from the 2-D grid; energy is None without an energy bound; every trace
-    row has the same keys, in order, the columns of its trace file."""
+    row has the same keys, in order, the first of them the target's
+    device_id: the solver's columns of the run's trace table."""
 
     design: tuple[int, ...]
     t: tuple[float, ...]
@@ -207,8 +208,8 @@ def bisection_optimize(
         if lat <= bound + delta and (best is None or tq < best[0]):
             best = (tq, x, lat)
         trace.append(
-            {"iteration": iteration, "t": tq, "measured_latency": lat,
-             "bound": bound, "verdict": verdict}
+            {"device_id": target.device_id, "iteration": iteration, "t": tq,
+             "measured_latency": lat, "bound": bound, "verdict": verdict}
         )
         if verdict == "within_band":
             break
@@ -321,8 +322,9 @@ def grid_optimize_2d(
                                 oracle.energy_rows(chosen, [target])]).tolist()
             for x, (lat, en) in zip(chosen, values):
                 measured[x] = (lat, en)
-                trace.append({"level": level, "t1": design_pt[x][0], "t2": design_pt[x][1],
-                              "latency": lat, "energy": en, "feasible": standing(x)[0] == 0})
+                trace.append({"device_id": target.device_id, "level": level,
+                              "t1": design_pt[x][0], "t2": design_pt[x][1], "latency": lat,
+                              "energy": en, "feasible": standing(x)[0] == 0})
             s_lat, s_en = _calibration(np.array(list(measured.values())),
                                        np.array([predicted[x][1:] for x in measured]))
 
@@ -339,11 +341,12 @@ def check_monotonicity(
     probe_count: int,
     oracle: Oracle,
     rng: np.random.Generator,
-) -> float:
+) -> float | None:
     """Spearman rho between the proxy's latency predictor and the target's
     measured latencies on probe_count random designs: how well the proxy ranks
-    designs the way the target does. Costs probe_count true latency
-    measurements on the target; predictor calls are free.
+    designs the way the target does; None where rho is undefined (the
+    predictions or the measurements are constant). Costs probe_count true
+    latency measurements on the target; predictor calls are free.
     """
     if probe_count < 10:
         raise ValueError(f"probe_count must be >= 10, got {probe_count}")
@@ -351,7 +354,10 @@ def check_monotonicity(
     designs = sample_rows(space, rng, probe_count)
     predicted_lat = proxy_pred.predict_batch(encode_rows(designs, space))
     actual = oracle.latency_rows(designs, [target])[:, 0]
-    return spearman(predicted_lat, actual)
+    try:
+        return spearman(predicted_lat, actual)
+    except UndefinedCorrelationError:
+        return None
 
 
 def match_proxy(
@@ -364,9 +370,10 @@ def match_proxy(
     trials: list | None = None,
 ) -> ProxyEntry | None:
     """Nearest-first scan of the pool; a candidate is accepted only if its
-    latency predictor's rank correlation with the target is at least threshold.
-    Returns None when nothing passes; the caller then trains a fresh proxy.
-    With trials a list, (proxy id, rho, verdict) is appended per candidate.
+    latency predictor's rank correlation with the target is at least threshold
+    (an undefined rho, None, fails). Returns None when nothing passes; the
+    caller then trains a fresh proxy. With trials a list, (proxy id, rho,
+    verdict) is appended per candidate.
     """
     if not pool:
         return None
@@ -380,8 +387,9 @@ def match_proxy(
     for i in order:
         entry = pool[i]
         rho = check_monotonicity(entry.latency_model, target, probe_count, oracle, rng)
+        passed = rho is not None and rho >= threshold
         if trials is not None:
-            trials.append((entry.device.device_id, rho, rho >= threshold))
-        if rho >= threshold:
+            trials.append((entry.device.device_id, rho, passed))
+        if passed:
             return entry
     return None

@@ -458,18 +458,27 @@ def test_sweep_matches_the_one_lambda_path(method2_small, small_bundle, fleet, r
     # the small predictors go negative on some devices; bounds must be positive
     usable = [(d, scores) for d, scores in scored if min(min(s[2:]) for s in scores) > 0]
     assert len(usable) >= 4
-    outcomes = set()
+    cases = []
     for d, scores in usable[:4]:
         lat_mid = between_levels([s[2] for s in scores])
         en_mid = between_levels([s[3] for s in scores])
-        specs = [ConstraintSpec(latency_bound=lat_mid),
-                 ConstraintSpec(latency_bound=lat_mid, energy_bound=en_mid),
-                 ConstraintSpec(latency_bound=1e-9)]
-        for spec in specs:
-            [result] = constraint_sweep(
-                method2_small, [(d, spec)], small_bundle.accuracy, small_bundle.energy,
-                small_bundle.latency, grid, Oracle(reduced, MeasurementLedger()),
-            )
+        cases += [(d, scores, spec) for spec in (
+            ConstraintSpec(latency_bound=lat_mid),
+            ConstraintSpec(latency_bound=lat_mid, energy_bound=en_mid),
+            ConstraintSpec(latency_bound=1e-9))]
+    models = (small_bundle.accuracy, small_bundle.energy, small_bundle.latency)
+    one_at_a_time = [
+        constraint_sweep(method2_small, [(d, spec)], *models, grid,
+                         Oracle(reduced, MeasurementLedger()))[0]
+        for d, _, spec in cases
+    ]
+    # all 12 targets in one call, whose blocks mix specs with and without an
+    # energy bound
+    in_one_call = constraint_sweep(method2_small, [(d, spec) for d, _, spec in cases], *models,
+                                   grid, Oracle(reduced, MeasurementLedger()))
+    outcomes = set()
+    for results in (one_at_a_time, in_one_call):
+        for (d, scores, spec), result in zip(cases, results, strict=True):
             verdicts, pos = reference_choice(scores, spec)
             assert [row["predicted_feasible"] for row in result.rows] == verdicts
             for row, (_, pa, _, _) in zip(result.rows, scores):

@@ -28,7 +28,7 @@ from fleetopt.proxy_reuse import (
     spearman,
 )
 from fleetopt.search import SearchParams, brute_force_argmin, evolutionary_search
-from fleetopt.surrogate import MlpRegressor
+from fleetopt.surrogate import MlpRegressor, TrainingSettings, fit
 
 
 def all_max(space):
@@ -573,3 +573,18 @@ def test_match_proxy_rejects_all_for_adversarial_target(fleet, dspace, proxy_lat
     got = match_proxy(pool, target, 0.9, oracle, np.random.default_rng(6), 20, trials=trials)
     assert got is None
     assert len(trials) == 1 and not trials[0][2]
+
+
+def test_match_proxy_fails_an_undefined_rank_correlation(fleet, dspace, stage1_bundle):
+    # a latency model fit to constant labels predicts one value everywhere,
+    # so rho is undefined: the gate fails and the trial records no rho
+    X = np.random.default_rng(0).random((8, dspace.encoding_width))
+    flat = fit(X, np.ones(8), (4,), TrainingSettings(epochs=1), np.random.default_rng(1))
+    entry = ProxyEntry(fleet.proxy, stage1_bundle.accuracy, flat, None, TCache(0.001))
+    target = fleet.holdout_monotone[0]
+    oracle = Oracle(dspace, MeasurementLedger())
+    trials = []
+    assert match_proxy([entry], target, 0.9, oracle, np.random.default_rng(5), 20,
+                       trials=trials) is None
+    assert trials == [(fleet.proxy.device_id, None, False)]
+    assert oracle.ledger.count(target.device_id, "latency") == 20

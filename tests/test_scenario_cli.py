@@ -45,6 +45,13 @@ SMALL_AMORTIZED = dict(
 )
 
 
+def read_trace(out):
+    """The run's one trace table, traces/solve.csv, as (header, rows)."""
+    with open(os.path.join(out, "traces", "solve.csv")) as f:
+        reader = csv.DictReader(f)
+        return reader.fieldnames, list(reader)
+
+
 def write_config(tmp_path, doc, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -239,10 +246,10 @@ def test_bisection_settings_come_from_config(tmp_path):
     # delta_fraction 0.5 makes the band half the bound on either side
     doc = dict(SMALL_PROXY, bisection={"delta_fraction": 0.5, "granularity": 0.25})
     report = run_scenario(scenario_from_dict(doc), out_dir=str(tmp_path))
+    _, table = read_trace(tmp_path)
     for row in report.rows:
         assert row["optimize_measurements"] <= 3
-        with open(tmp_path / "traces" / f"trace_{row['device_id']}.csv") as f:
-            trace = list(csv.DictReader(f))
+        trace = [step for step in table if step["device_id"] == row["device_id"]]
         assert len(trace) == row["optimize_measurements"]
         for step in trace:
             if step["verdict"] == "within_band":
@@ -327,9 +334,9 @@ def test_proxy_run_rows_and_artifacts(proxy_run):
         adv["probe_measurements"] + adv["optimize_measurements"] + scenario.samples_per_device
     )
     for rel in ("report.json", "ledger.csv", "fleet.json",
-                "models/accuracy.json", "models/latency_proxy.json",
-                f"traces/trace_{mono['device_id']}.csv"):
+                "models/accuracy.json", "models/latency_proxy.json", "traces/solve.csv"):
         assert os.path.exists(os.path.join(out, rel)), rel
+    assert os.listdir(os.path.join(out, "traces")) == ["solve.csv"]
     with open(os.path.join(out, "report.json")) as f:
         doc = json.load(f)
     assert doc["rows"] == report.rows
@@ -343,16 +350,18 @@ def test_proxy_run_rows_and_artifacts(proxy_run):
     (SMALL_AMORTIZED,
      ["lambda1", "lambda2", "predicted_feasible", "predicted_accuracy", "chosen"], None),
 ], ids=["bisection", "grid", "sweep"])
-def test_every_trace_file_has_its_solvers_header(tmp_path, doc, header, weights):
+def test_one_trace_table_per_run(tmp_path, doc, header, weights):
     doc = with_key(doc, "predictor.epochs", 5)
     doc["optimize"]["optimizer_epochs"] = 5
+    doc["fleet"] = dict(doc["fleet"], n_holdout_monotone=2, n_holdout_adversarial=2)
     report = run_scenario(scenario_from_dict(doc), out_dir=str(tmp_path))
-    prefix = "trace_" if weights else "sweep_"
-    names = sorted(os.listdir(tmp_path / "traces"))
-    assert names == sorted(f"{prefix}{row['device_id']}.csv" for row in report.rows)
-    for name in names:
-        with open(tmp_path / "traces" / name) as f:
-            assert next(csv.reader(f)) == header, name
+    assert os.listdir(tmp_path / "traces") == ["solve.csv"]
+    columns, table = read_trace(tmp_path)
+    assert columns == ["device_id", *header]
+    # each target's rows in one run, the runs in report-row order
+    runs = [device for i, device in enumerate(r["device_id"] for r in table)
+            if i == 0 or table[i - 1]["device_id"] != device]
+    assert runs == [row["device_id"] for row in report.rows]
     if weights:  # a proxy row's t: the solve's weights, [t] or [t1, t2]
         assert all(isinstance(row["t"], list) and len(row["t"]) == weights
                    for row in report.rows)
@@ -511,11 +520,54 @@ def test_export_rolls_back_on_failure(tmp_path):
     out = tmp_path / "run"
     out.mkdir()
     (out / "traces").write_text("in the way")
-    trace = [{"iteration": 0, "t": 0.5, "measured_latency": 1.0, "bound": 1.0, "verdict": "ok"}]
+    trace = [{"device_id": "x", "iteration": 0, "t": 0.5, "measured_latency": 1.0,
+              "bound": 1.0, "verdict": "ok"}]
     with pytest.raises(FileExistsError):
-        export_report(report, str(out), {"traces": [("trace_x.csv", trace)]})
+        export_report(report, str(out), {"trace": trace})
     assert not os.path.exists(out / "report.json")
     assert not os.path.exists(out / "ledger.csv")
+
+
+def test_export_rolls_back_a_half_written_file(tmp_path, monkeypatch):
+    def broken_save(model, path):
+        with open(path, "w") as f:
+            f.write("{")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(pipeline, "save_model", broken_save)
+    doc = with_key(SMALL_PROXY, "predictor.epochs", 2)
+    with pytest.raises(OSError, match="disk full"):
+        run_scenario(scenario_from_dict(doc), out_dir=str(tmp_path))
+    assert [name for _, _, names in os.walk(tmp_path) for name in names] == []
+
+
+@pytest.mark.parametrize("doc", [SMALL_PROXY, SMALL_AMORTIZED], ids=["proxy", "amortized"])
+def test_a_run_without_targets_writes_no_trace_table(tmp_path, doc):
+    doc = with_key(doc, "predictor.epochs", 2)
+    doc["optimize"]["optimizer_epochs"] = 2
+    doc["fleet"] = dict(doc["fleet"], n_holdout_monotone=0, n_holdout_adversarial=0)
+    out = tmp_path / "run"
+    assert main(["optimize", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text())["rows"] == []
+    assert not os.path.exists(out / "traces")
+
+
+def test_a_gate_whose_probes_are_one_design_fails_without_a_traceback(tmp_path):
+    # two designs: every probe of a target can draw the same one, so the
+    # measured latencies are constant and the rank correlation is undefined
+    doc = {"seed": 86,
+           "space": {"depth_choices": [1], "width_choices": [1.0], "kernel_choices": [3],
+                     "bits_choices": [8, 32]},
+           "predictor": {"samples_per_device": 20, "epochs": 1, "hidden": [4]},
+           "search": {"population": 2, "generations": 1}, "optimize": {"probe_count": 10},
+           "fleet": {"n_training": 0, "n_synthetic": 0, "n_holdout_monotone": 8,
+                     "n_holdout_adversarial": 0}}
+    out = tmp_path / "run"
+    assert main(["optimize", "--config", write_config(tmp_path, doc), "--out", str(out)]) in (0, 3)
+    trials = [t for row in json.loads((out / "report.json").read_text())["rows"]
+              for t in row["match_trials"]]
+    undefined = [t for t in trials if t["rho"] is None]
+    assert undefined and not any(t["monotone"] for t in undefined)
 
 
 def test_rows_to_csv_writes_what_dictwriter_writes():
