@@ -1,9 +1,10 @@
 """Command-line entry point.
 
 Subcommands: gen-fleet, train-predictors, optimize, report, cost-table,
-selftest. Exit codes: 0 success, 2 config error, 3 the measured design of a
-target broke its bound. Everything is a batch run; outputs are JSON and CSV files
-under --out.
+selftest. Exit codes: 0 success, 2 config error (a bad key, a model file in
+the wrong slot, a diverged fit or an --out that is a file), 3 the measured
+design of a target broke its bound. Everything is a batch run; outputs are
+JSON and CSV files under --out.
 """
 
 from __future__ import annotations
@@ -27,10 +28,11 @@ from .device_world import (
     latency_value,
     energy_value,
 )
+from .nn import DivergedError
 from .pipeline import BASELINE_SAMPLES, BASELINE_SECONDS, cost_accounting, draw_fleet, run_scenario
 from .proxy_reuse import ProxyEntry, TCache, bisection_optimize, spearman
 from .scenario import ConfigError, Scenario, load_scenario
-from .search import FLEET_STREAM, TRAINING_STREAM, SearchParams, stream
+from .search import FLEET_STREAM, TRAINING_STREAM, ConstraintSpec, SearchParams, stream
 from .surrogate import TrainingSettings, train_accuracy_predictor, train_device_specific_predictor
 
 EXIT_OK = 0
@@ -185,7 +187,8 @@ def _selftest_checks():
     run_ledger = MeasurementLedger()
     entry = ProxyEntry(proxy, acc_m, lat_m, None, TCache(Scenario.granularity))
     result = bisection_optimize(
-        target, bound, 0.02 * bound, entry, Oracle(space, run_ledger), SearchParams(), 5,
+        target, ConstraintSpec(bound), 0.02 * bound, entry, Oracle(space, run_ledger),
+        SearchParams(), 5,
     )
     charges = run_ledger.count(target.device_id, "latency")
     yield ("bisection charges the target at most 10 latency measurements", charges <= 10)
@@ -251,9 +254,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        out = getattr(args, "out", None)
+        if out and os.path.exists(out) and not os.path.isdir(out):
+            raise ConfigError(f"--out {out} is an existing file, not a directory")
         return args.func(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
+    except DivergedError as e:
+        print(f"config error: {e}; lower predictor.learning_rate (or, for the optimizer "
+              "network, lambda_grid.max_lambda)", file=sys.stderr)
         return EXIT_CONFIG
 
 

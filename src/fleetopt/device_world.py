@@ -444,15 +444,11 @@ def _adversarial_device(device_id: str, proxy: DeviceFeatures, rng: np.random.Ge
     )
 
 
-def generate_fleet(
-    config: FleetConfig,
-    rng: np.random.Generator,
-    proxy: DeviceFeatures | None = None,
-) -> Fleet:
-    """Draw a fleet around the proxy. Categories are drawn in a fixed order
-    (training, synthetic, monotone, adversarial) so a given config and seed
-    always produce the same devices."""
-    proxy = proxy if proxy is not None else default_proxy()
+def generate_fleet(config: FleetConfig, rng: np.random.Generator) -> Fleet:
+    """Draw a fleet around the default proxy. Categories are drawn in a fixed
+    order (training, synthetic, monotone, adversarial) so a given config and
+    seed always produce the same devices."""
+    proxy = default_proxy()
     training = tuple(
         _hetero_device(f"train-{i:02d}", proxy, rng) for i in range(config.n_training)
     )

@@ -21,7 +21,8 @@ from .design_space import DesignSpace, decode, decode_rows, encode_rows
 from .device_world import DeviceFeatures, Oracle
 from .nn import DenseNet, l2_penalty, normalized_net, stack, train, unstack
 from .search import ConstraintSpec
-from .surrogate import MlpRegressor, TrainingSettings, device_embedding, predicted_objective
+from .surrogate import (MlpRegressor, TrainingSettings, device_embedding, predicted_objective,
+                        standardizer)
 
 
 def build_lambda_grid(count_per_axis: int, max_lambda: float) -> np.ndarray:
@@ -163,8 +164,7 @@ def train_method2(
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     _require_device_aware(energy_model, latency_model)
-    mean, std = X.mean(axis=0), X.std(axis=0)
-    scale = np.where(std < 1e-12, 1.0, std)
+    mean, scale = standardizer(X)
     Xn = (X - mean) / scale
     embeddings, lams = X[:, :-2], X[:, -2:]
     # The restarts share one shape, so they train as one stack (K = restarts),
@@ -182,7 +182,8 @@ def train_method2(
         f_mean, _, _ = amortized_batch_gradient(net, Xb, eb, lb, *frozen, out=grads)
         return f_mean * Xb.shape[-2]
 
-    curves = train(net, Xn.shape[0], gather, batch_loss_and_grad, hyper, start_rngs, mu)
+    curves = train(net, Xn.shape[0], gather, batch_loss_and_grad, hyper, start_rngs, mu,
+                   names=["optimizer network"] * restarts)
     nets = unstack(net)
     scores = [float(np.mean(predicted_objective(m.forward(Xn), embeddings, lams, acc_model,
                                                 energy_model, latency_model)))
@@ -207,10 +208,12 @@ def infer_design(
 class SweepResult:
     design: tuple[int, ...]
     lam: tuple[float, float]
-    feasible: bool  # under *predicted* metrics
+    predicted_feasible: bool  # what the design was chosen on
     predicted_accuracy: float
-    validation: dict[str, float]  # oracle measurements of the chosen design
-    rows: tuple[dict, ...]
+    feasible: bool  # measured: latency, and energy under an energy bound, within bounds
+    latency: float
+    energy: float | None  # None without an energy bound
+    trace: tuple[dict, ...]  # one row per grid position
 
 
 # Devices per stacked pass of the sweep. Each device's grid stays a product of
@@ -242,7 +245,7 @@ def constraint_sweep(
     position takes the predictions of the first position that decodes to its
     design, so equal designs tie exactly however the batch rounds. The oracle
     only validates each final choice, one measurement per bound (<= 2 per
-    target).
+    target), and the result's feasible is that measured verdict.
     """
     _require_device_aware(energy_model, latency_model)
     lams = np.asarray(lambda_grid, dtype=float).tolist()
@@ -262,21 +265,18 @@ def constraint_sweep(
                      + np.maximum(0.0, ens / en_bound - 1.0))
         # a feasible row's violation is 0, and lexsort is stable
         pos = np.lexsort((-accs, violation, ~feasible), axis=-1)[:, 0]
-        chosen = designs[np.arange(len(block)), pos].tolist()
+        chosen = map(tuple, designs[np.arange(len(block)), pos].tolist())
         for (d, spec), p, x, ok, pa in zip(block, pos.tolist(), chosen, feasible.tolist(),
                                           accs.tolist()):
-            rows = tuple(
+            trace = tuple(
                 {"device_id": d.device_id, "lambda1": l1, "lambda2": l2,
                  "predicted_feasible": f, "predicted_accuracy": a, "chosen": i == p}
                 for i, ((l1, l2), f, a) in enumerate(zip(lams, ok, pa))
             )
-            x = tuple(x)
-            validation = {"latency": oracle.latency(x, d)}
-            if spec.energy_bound is not None:
-                validation["energy"] = oracle.energy(x, d)
-            results.append(SweepResult(design=x, lam=tuple(lams[p]), feasible=ok[p],
-                                       predicted_accuracy=pa[p], validation=validation,
-                                       rows=rows))
+            lat = oracle.latency(x, d)
+            en = None if spec.energy_bound is None else oracle.energy(x, d)
+            met = lat <= spec.latency_bound and (en is None or en <= spec.energy_bound)
+            results.append(SweepResult(x, tuple(lams[p]), ok[p], pa[p], met, lat, en, trace))
     return results
 
 

@@ -311,9 +311,15 @@ def l2_penalty(net: DenseNet, mu: float) -> float:
     return mu * float(sum(np.sum(W * W) for W in net.weights) + sum(b @ b for b in net.biases))
 
 
-def train(net: DenseNet, n: int, gather, batch_loss_and_grad, hyper, rngs, mu: float = 0.0):
+class DivergedError(ArithmeticError):
+    """A net's training loss went non-finite: its steps overflowed its dtype."""
+
+
+def train(net: DenseNet, n: int, gather, batch_loss_and_grad, hyper, rngs, mu: float = 0.0,
+          names=None):
     """Minibatch momentum SGD of a stack of K nets over n rows each; returns
-    one per-epoch loss curve per member.
+    one per-epoch loss curve per member. An epoch whose loss is not finite for
+    some member raises DivergedError naming it by names[k] (default "net k").
 
     hyper carries learning_rate, momentum, epochs and batch_size (a
     surrogate.TrainingSettings). rngs holds one generator per member; each
@@ -330,13 +336,17 @@ def train(net: DenseNet, n: int, gather, batch_loss_and_grad, hyper, rngs, mu: f
     opt = MomentumSgd(net, hyper.learning_rate, hyper.momentum, mu)
     batch = min(hyper.batch_size, n)
     curves: list[list[float]] = [[] for _ in rngs]
-    for _ in range(hyper.epochs):
+    for epoch in range(hyper.epochs):
         rows = gather(np.stack([r.permutation(n) for r in rngs]))
         loss_sum = np.zeros(len(rngs))
         for start in range(0, n, batch):
             loss_sum += batch_loss_and_grad(*(a[:, start : start + batch] for a in rows),
                                             opt.grads)
             opt.step()
+        if not np.isfinite(loss_sum).all():
+            k = int(np.isfinite(loss_sum).argmin())
+            name = f"net {k}" if names is None else names[k]
+            raise DivergedError(f"{name} diverged: non-finite training loss in epoch {epoch + 1}")
         # the penalty is exactly 0.0 without mu, so the members are not copied out
         penalties = [l2_penalty(m, mu) for m in unstack(net)] if mu else [0.0] * len(rngs)
         for curve, s, penalty in zip(curves, loss_sum, penalties):

@@ -173,9 +173,9 @@ def _bounds_dict(bounds: dict) -> dict:
 def _load_models(models_dir: str | None, names: list[str], scenario: Scenario,
                  fleet: Fleet) -> list:
     """The models a training run persisted under models_dir, in names order,
-    each checked to fit the scenario's space: a predictor's inputs are the
-    design encoding (plus the device embedding if device-aware), an
-    optimizer's outputs the encoding."""
+    each checked to fit its slot and the scenario's space: a predictor's metric
+    and takes_device are its file name's, its inputs the design encoding (plus
+    the device embedding if device-aware), an optimizer's outputs the encoding."""
     if models_dir is None:
         raise ConfigError("skip-training needs an output directory with saved models")
     encoding = scenario.space.encoding_width
@@ -192,6 +192,14 @@ def _load_models(models_dir: str | None, names: list[str], scenario: Scenario,
         if isinstance(model, OptimizerNetwork):
             width, expected, side = model.net.output_dim, encoding, "outputs"
         else:
+            # the slot is accuracy.json, <metric>_proxy.json or <metric>_fleet.json
+            metric, _, kind = name.removesuffix(".json").partition("_")
+            if (model.metric, model.takes_device) != (metric, kind == "fleet"):
+                raise ConfigError(
+                    f"skip-training: model file ({path}) holds the predictor of metric "
+                    f"{model.metric!r} with takes_device {model.takes_device}; its slot needs "
+                    f"{metric!r} with takes_device {kind == 'fleet'}"
+                )
             width, side = model.input_dim, "inputs"
             expected = encoding + (embedding if model.takes_device else 0)
         if width != expected:
@@ -245,17 +253,11 @@ def _proxy_reuse(scenario: Scenario, fleet: Fleet, oracle: Oracle):
                 entry = entry_for(target, fit_lockstep(device_fits(target, rng_opt)))
                 pool.append(entry)
             before = count(target.device_id, "latency")
-            if spec.energy_bound is not None:
-                result = grid_optimize_2d(
-                    target, spec.latency_bound, spec.energy_bound, entry, oracle, scenario.search,
-                    scenario.seed,
-                )
-            else:
-                result = bisection_optimize(
-                    target, spec.latency_bound, scenario.delta_fraction * spec.latency_bound,
-                    entry, oracle, scenario.search, scenario.seed,
-                )
-            fields = {
+            delta = scenario.delta_fraction * spec.latency_bound
+            args = (entry, oracle, scenario.search, scenario.seed)
+            result = (bisection_optimize(target, spec, delta, *args) if spec.energy_bound is None
+                      else grid_optimize_2d(target, spec, *args))
+            return result, {
                 "proxy_used": entry.device.device_id,
                 "proxy_reused": reused,
                 "match_trials": [
@@ -264,12 +266,8 @@ def _proxy_reuse(scenario: Scenario, fleet: Fleet, oracle: Oracle):
                 "probe_measurements": probes_charged,
                 "optimize_measurements": result.measurements,
                 "t": list(result.t),
-                "feasible": bool(result.feasible),
-                "measured_latency": float(result.latency),
-                "measured_energy": result.energy,
                 "target_latency_charges": count(target.device_id, "latency") - before,
             }
-            return result.design, fields, result.trace
 
         def solve(targets):
             return [solve_one(target, spec) for target, spec in targets]
@@ -307,22 +305,13 @@ def _amortized(scenario: Scenario, fleet: Fleet, oracle: Oracle):
             sweeps = constraint_sweep(
                 optnet, targets, acc_model, en_model, lat_model, lambda_grid, oracle,
             )
-            solved = []
-            for (target, spec), charged, sweep in zip(targets, before, sweeps):
-                measured = sweep.validation
-                bound = {"latency": spec.latency_bound, "energy": spec.energy_bound}
-                fields = {
-                    "lambda": list(sweep.lam),
-                    "feasible": all(v <= bound[metric] for metric, v in measured.items()),
-                    "predicted_feasible": bool(sweep.feasible),
-                    "predicted_accuracy": float(sweep.predicted_accuracy),
-                    "measured_latency": measured.get("latency"),
-                    "measured_energy": measured.get("energy"),
-                    "validation_measurements":
-                        _target_charges(oracle.ledger, target.device_id) - charged,
-                }
-                solved.append((sweep.design, fields, sweep.rows))
-            return solved
+            return [(sweep, {
+                "lambda": list(sweep.lam),
+                "predicted_feasible": sweep.predicted_feasible,
+                "predicted_accuracy": sweep.predicted_accuracy,
+                "validation_measurements":
+                    _target_charges(oracle.ledger, target.device_id) - charged,
+            }) for (target, _), charged, sweep in zip(targets, before, sweeps)]
 
         return solve
 
@@ -366,19 +355,23 @@ def run_scenario(
     targets = [("monotone", d) for d in fleet.holdout_monotone] + [
         ("adversarial", d) for d in fleet.holdout_adversarial
     ]
+    # per target: its solver's record and the approach's own row fields
     solved = solve([(target, bounds[target.device_id]) for _, target in targets])
     rows, trace = [], []
-    for (family, target), (design, fields, target_trace) in zip(targets, solved):
+    for (family, target), (record, fields) in zip(targets, solved):
         spec = bounds[target.device_id]
         rows.append({
             "device_id": target.device_id,
             "family": family,
             "latency_bound": spec.latency_bound,
             "energy_bound": spec.energy_bound,
-            "design": list(design),
+            "design": list(record.design),
+            "feasible": record.feasible,
+            "measured_latency": record.latency,
+            "measured_energy": record.energy,
             **fields,
         })
-        trace += target_trace
+        trace += record.trace
 
     per_target = {d.device_id: _target_charges(ledger, d.device_id) for _, d in targets}
     cost = cost_accounting(BASELINE_SAMPLES, BASELINE_SECONDS, len(targets), per_target)

@@ -21,8 +21,8 @@ import numpy as np
 
 from .design_space import DesignSpace, encode_rows, sample_rows
 from .device_world import DeviceFeatures, Oracle
-from .search import GA_STREAM, SearchParams, evolutionary_search, stream
-from .surrogate import MlpRegressor, device_embedding
+from .search import GA_STREAM, ConstraintSpec, SearchParams, evolutionary_search, stream
+from .surrogate import MlpRegressor, device_embedding, standardizer
 
 
 class UndefinedCorrelationError(ValueError):
@@ -155,7 +155,7 @@ class ProxySolve:
 
 def bisection_optimize(
     target: DeviceFeatures,
-    bound: float,
+    spec: ConstraintSpec,
     delta: float,
     entry: ProxyEntry,
     oracle: Oracle,
@@ -164,7 +164,9 @@ def bisection_optimize(
     minimizer=None,
 ) -> ProxySolve:
     """Bisection on t against true target latency of the inner solution on the
-    entry's predictors; delta is the absolute latency half-band around bound.
+    entry's predictors; delta is the absolute latency half-band around the
+    spec's latency bound (a spec with an energy bound, the 2-D grid's
+    problem, raises ValueError).
 
     Each iteration measures the current candidate once on the target (memoized
     per quantized t), for at most ceil(log2(1/granularity + 1)) iterations, the
@@ -174,11 +176,11 @@ def bisection_optimize(
     weight among iterates within the band. If nothing satisfied the bound the
     last iterate comes back flagged infeasible.
     """
-    if bound <= 0:
-        raise ValueError("bound must be positive")
     if delta <= 0:
         raise ValueError("delta must be positive")
-    space, cache = oracle.space, entry.cache
+    if spec.energy_bound is not None:
+        raise ValueError("the bisection takes no energy bound; the 2-D grid does")
+    space, cache, bound = oracle.space, entry.cache, spec.latency_bound
     t_min, t_max = 0.0, 1.0
     measured: dict[tuple[int], tuple[tuple[int, ...], float]] = {}
     trace: list[dict] = []
@@ -255,15 +257,15 @@ def _calibration(measured: np.ndarray, predicted: np.ndarray) -> tuple[float, ..
 
 def grid_optimize_2d(
     target: DeviceFeatures,
-    latency_bound: float,
-    energy_bound: float,
+    spec: ConstraintSpec,
     entry: ProxyEntry,
     oracle: Oracle,
     params: SearchParams,
     seed: int,
     minimizer=None,
 ) -> ProxySolve:
-    """Coarse-to-fine sweep of the (t1, t2) simplex for two simultaneous bounds.
+    """Coarse-to-fine sweep of the (t1, t2) simplex for the spec's two bounds,
+    latency and energy (a spec without an energy bound raises ValueError).
 
     Each of GRID_LEVELS levels solves the inner problem on a lattice (GRID_N
     divisions at the top, refined 4x around the incumbent), predicts its new
@@ -274,8 +276,9 @@ def grid_optimize_2d(
     the least-violating measured design flagged infeasible. Inner solves go
     through solve_inner on the entry, so calls on one entry share them.
     """
-    if latency_bound <= 0 or energy_bound <= 0:
-        raise ValueError("bounds must be positive")
+    latency_bound, energy_bound = spec.latency_bound, spec.energy_bound
+    if energy_bound is None:
+        raise ValueError("the 2-D grid needs an energy bound")
     if entry.energy_model is None:
         raise ValueError(f"proxy {entry.device.device_id} has no energy model")
     space, cache = oracle.space, entry.cache
@@ -378,9 +381,8 @@ def match_proxy(
     if not pool:
         return None
     rows = np.stack([device_embedding(e.device) for e in pool] + [device_embedding(target)])
-    std = rows.std(axis=0)
-    scale = np.where(std < 1e-12, 1.0, std)
-    normed = (rows - rows.mean(axis=0)) / scale
+    mean, scale = standardizer(rows)
+    normed = (rows - mean) / scale
     target_row = normed[-1]
     dists = np.linalg.norm(normed[:-1] - target_row, axis=1)
     order = sorted(range(len(pool)), key=lambda i: (dists[i], i))

@@ -52,6 +52,13 @@ class TrainingSettings:
 DEFAULT_HIDDEN = (64, 64)
 
 
+def standardizer(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column means and standard deviations of X, a deviation under 1e-12
+    taken as 1: the (X - mean) / scale a net's inputs are normalized by."""
+    std = X.std(axis=0)
+    return X.mean(axis=0), np.where(std < 1e-12, 1.0, std)
+
+
 def device_embedding(d: DeviceFeatures) -> np.ndarray:
     """Log-scaled device coefficients; the generator draws them log-uniformly,
     so this is the space where distances and normalization behave."""
@@ -209,9 +216,7 @@ def prepare_fit(
     if not np.all(np.isfinite(X)) or not np.all(np.isfinite(y)):
         raise ValueError("non-finite training data")
 
-    in_mean = X.mean(axis=0)
-    in_std = X.std(axis=0)
-    in_scale = np.where(in_std < 1e-12, 1.0, in_std)
+    in_mean, in_scale = standardizer(X)
     out_mean = float(y.mean())
     out_std = float(y.std())
 
@@ -276,7 +281,9 @@ def fit_lockstep(pending: list[PendingFit]) -> list[MlpRegressor]:
         net.backward(cache, (2.0 * err / yb.shape[-1])[..., None], inputs=False, out=grads)
         return [float(e @ e) for e in err]
 
-    curves = train(net, n, gather, batch_loss_and_grad, first.hyper, [p.orders for p in live])
+    names = [f"{p.model.metric} predictor ({p.model.device_tag or 'any device'})" for p in live]
+    curves = train(net, n, gather, batch_loss_and_grad, first.hyper, [p.orders for p in live],
+                   names=names)
     for p, trained, curve in zip(live, unstack(net), curves):
         p.model.net, p.model.loss_curve, p.model.final_loss = trained, curve, curve[-1]
     return [p.model for p in pending]

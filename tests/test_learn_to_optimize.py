@@ -327,9 +327,9 @@ def test_sweep_validation_budget_is_two(method2_small, small_bundle, fleet, redu
     assert oracle.ledger.count(d.device_id, "latency") == 1
     assert oracle.ledger.count(d.device_id, "energy") == 1
     assert oracle.ledger.total() == 2
-    assert set(result.validation) == {"latency", "energy"}
-    assert len(result.rows) == 9
-    assert sum(row["chosen"] for row in result.rows) == 1
+    assert isinstance(result.latency, float) and isinstance(result.energy, float)
+    assert len(result.trace) == 9
+    assert sum(row["chosen"] for row in result.trace) == 1
 
 
 def test_sweep_impossible_bounds_flagged_infeasible(method2_small, small_bundle, fleet, reduced):
@@ -339,8 +339,29 @@ def test_sweep_impossible_bounds_flagged_infeasible(method2_small, small_bundle,
         small_bundle.accuracy, small_bundle.energy, small_bundle.latency,
         build_lambda_grid(3, 1.0), oracle,
     )
-    assert not result.feasible
-    assert "latency" in result.validation
+    assert not result.feasible and not result.predicted_feasible
+    assert isinstance(result.latency, float)
+
+
+def test_sweep_record_carries_the_measured_verdict(method2_small, small_bundle, fleet, reduced):
+    # feasible is the verdict on the chosen design's measurements: its latency,
+    # and its energy only under an energy bound (energy is None without one)
+    d = fleet.synthetic[3]
+    models = small_bundle.accuracy, small_bundle.energy, small_bundle.latency
+    specs = [ConstraintSpec(latency_bound=1e-9), ConstraintSpec(1e9, energy_bound=1e-9),
+             ConstraintSpec(1e9, energy_bound=1e9), ConstraintSpec(latency_bound=1e9)]
+    results = constraint_sweep(method2_small, [(d, spec) for spec in specs], *models,
+                               build_lambda_grid(3, 1.0), Oracle(reduced, MeasurementLedger()))
+    oracle = Oracle(reduced, MeasurementLedger())
+    for spec, result in zip(specs, results, strict=True):
+        assert result.latency == oracle.latency(result.design, d)
+        if spec.energy_bound is None:
+            assert result.energy is None
+        else:
+            assert result.energy == oracle.energy(result.design, d)
+    assert [r.feasible for r in results] == [False, False, True, True]
+    # under the energy bound nothing meets, the latency alone would pass
+    assert results[1].latency <= 1e9 and results[1].energy > 1e-9
 
 
 def sweep_devices(fleet):
@@ -406,8 +427,8 @@ def test_blocked_sweep_equals_one_device_sweeps(method2_small, small_bundle, fle
     assert repr(blocked) == repr(alone)  # repr tells every float bit, -0.0 too
     assert blocked_oracle.ledger.snapshot() == alone_oracle.ledger.snapshot()
     assert blocked_oracle.ledger.to_csv() == alone_oracle.ledger.to_csv()
-    assert {r.feasible for r in blocked} == {True, False}
-    assert {len(r.validation) for r in blocked} == {1, 2}
+    assert {r.predicted_feasible for r in blocked} == {True, False}
+    assert {r.energy is None for r in blocked} == {True, False}
 
 
 def one_lambda_scores(net, d, bundle, grid, space):
@@ -480,19 +501,20 @@ def test_sweep_matches_the_one_lambda_path(method2_small, small_bundle, fleet, r
     for results in (one_at_a_time, in_one_call):
         for (d, scores, spec), result in zip(cases, results, strict=True):
             verdicts, pos = reference_choice(scores, spec)
-            assert [row["predicted_feasible"] for row in result.rows] == verdicts
-            for row, (_, pa, _, _) in zip(result.rows, scores):
+            assert [row["predicted_feasible"] for row in result.trace] == verdicts
+            for row, (_, pa, _, _) in zip(result.trace, scores):
                 assert abs(row["predicted_accuracy"] - pa) <= 1e-12
-            assert [i for i, row in enumerate(result.rows) if row["chosen"]] == [pos]
+            assert [i for i, row in enumerate(result.trace) if row["chosen"]] == [pos]
             assert result.design == scores[pos][0]
             assert result.lam == tuple(grid[pos].tolist())
-            assert result.feasible == any(verdicts)
+            assert result.predicted_feasible == any(verdicts)
             oracle = Oracle(reduced, MeasurementLedger())
-            expected = {"latency": oracle.latency(scores[pos][0], d)}
-            if spec.energy_bound is not None:
-                expected["energy"] = oracle.energy(scores[pos][0], d)
-            assert result.validation == expected
-            outcomes.add(result.feasible)
+            lat = oracle.latency(scores[pos][0], d)
+            en = None if spec.energy_bound is None else oracle.energy(scores[pos][0], d)
+            assert (result.latency, result.energy) == (lat, en)
+            assert result.feasible == (lat <= spec.latency_bound
+                                       and (en is None or en <= spec.energy_bound))
+            outcomes.add(result.predicted_feasible)
     # the bounds reach both the most-accurate-feasible and the least-violation choice
     assert outcomes == {True, False}
 
@@ -524,11 +546,11 @@ def test_sweep_chooses_the_first_of_positions_with_one_design(method2_small, sma
         once, doubled = (constraint_sweep(method2_small, [(d, spec)], *models, g,
                                           Oracle(reduced, MeasurementLedger()))[0]
                          for g in (grid, twice))
-        chosen = [i for i, row in enumerate(doubled.rows) if row["chosen"]]
-        assert chosen == [i for i, row in enumerate(once.rows) if row["chosen"]]
-        assert (doubled.design, doubled.lam, doubled.feasible) == (once.design, once.lam,
-                                                                   once.feasible)
-        assert once.feasible == (spec.latency_bound > 1)
+        chosen = [i for i, row in enumerate(doubled.trace) if row["chosen"]]
+        assert chosen == [i for i, row in enumerate(once.trace) if row["chosen"]]
+        assert ((doubled.design, doubled.lam, doubled.predicted_feasible)
+                == (once.design, once.lam, once.predicted_feasible))
+        assert once.predicted_feasible == (spec.latency_bound > 1)
 
 
 def test_sweep_ties_equal_designs_through_the_batched_predictors(method2_small, small_bundle,
@@ -543,9 +565,9 @@ def test_sweep_ties_equal_designs_through_the_batched_predictors(method2_small, 
     [result] = constraint_sweep(method2_small, [(d, ConstraintSpec(latency_bound=1e-9))],
                                 *small_bundle.models(), twice,
                                 Oracle(reduced, MeasurementLedger()))
-    assert [i for i, row in enumerate(result.rows) if row["chosen"]] == [0]
+    assert [i for i, row in enumerate(result.trace) if row["chosen"]] == [0]
     first = {}
-    for x, row in zip(map(tuple, designs.tolist()), result.rows):
+    for x, row in zip(map(tuple, designs.tolist()), result.trace):
         assert row["predicted_accuracy"] == first.setdefault(x, row["predicted_accuracy"])
 
 

@@ -27,7 +27,7 @@ from fleetopt.proxy_reuse import (
     solve_inner,
     spearman,
 )
-from fleetopt.search import SearchParams, brute_force_argmin, evolutionary_search
+from fleetopt.search import ConstraintSpec, SearchParams, brute_force_argmin, evolutionary_search
 from fleetopt.surrogate import MlpRegressor, TrainingSettings, fit
 
 
@@ -93,7 +93,7 @@ def test_bisection_settings_defaults(exact_models, reduced, fleet):
     target = fleet.holdout_monotone[0]
     for cache, cap in ((TCache(0.25), 3), (TCache(0.001), 10)):  # ceil(log2(1/g + 1))
         result = bisection_optimize(
-            target, 1e-9, 1e-11, entry_of(exact_models, cache),
+            target, ConstraintSpec(1e-9), 1e-11, entry_of(exact_models, cache),
             Oracle(reduced, MeasurementLedger()), SearchParams(), 0, minimizer=brute(reduced),
         )
         assert not result.feasible
@@ -105,11 +105,23 @@ def test_bisection_settings_validation(exact_models, reduced, fleet):
     oracle = Oracle(reduced, MeasurementLedger())
     for delta in (0.0, -0.1):
         with pytest.raises(ValueError, match="delta"):
-            bisection_optimize(target, 1.0, delta, entry_of(exact_models), oracle,
-                               SearchParams(), 0)
+            bisection_optimize(target, ConstraintSpec(1.0), delta, entry_of(exact_models),
+                               oracle, SearchParams(), 0)
+    with pytest.raises(ValueError, match="energy bound"):
+        bisection_optimize(target, ConstraintSpec(1.0, 1.0), 0.02, entry_of(exact_models), oracle,
+                           SearchParams(), 0)
     latency_only = entry_of({k: exact_models[k] for k in ("accuracy", "latency")}, device=fleet.proxy)
     with pytest.raises(ValueError, match="energy model"):
-        grid_optimize_2d(target, 1.0, 1.0, latency_only, oracle, SearchParams(), 0)
+        grid_optimize_2d(target, ConstraintSpec(1.0, 1.0), latency_only, oracle,
+                         SearchParams(), 0)
+    assert oracle.ledger.total() == 0
+
+
+def test_grid_2d_rejects_a_spec_without_an_energy_bound(exact_models, reduced, fleet):
+    oracle = Oracle(reduced, MeasurementLedger())
+    with pytest.raises(ValueError, match="energy bound"):
+        grid_optimize_2d(fleet.holdout_monotone[0], ConstraintSpec(1.0), entry_of(exact_models),
+                         oracle, SearchParams(), 0, minimizer=brute(reduced))
     assert oracle.ledger.total() == 0
 
 
@@ -212,7 +224,7 @@ def test_bisection_loose_bound_returns_accuracy_argmax(exact_models, reduced, fl
     target = fleet.holdout_monotone[0]
     oracle = Oracle(reduced, MeasurementLedger())
     result = bisection_optimize(
-        target, 1e6, 0.02 * 1e6, entry_of(exact_models),
+        target, ConstraintSpec(1e6), 0.02 * 1e6, entry_of(exact_models),
         oracle, SearchParams(), 0, minimizer=brute(reduced),
     )
     assert result.feasible
@@ -226,7 +238,7 @@ def test_bisection_budget_and_ledger_agree(exact_models, reduced, fleet):
     bound = float(np.percentile(lats, 40))
     oracle = Oracle(reduced, MeasurementLedger())
     result = bisection_optimize(
-        target, bound, 0.02 * bound, entry_of(exact_models),
+        target, ConstraintSpec(bound), 0.02 * bound, entry_of(exact_models),
         oracle, SearchParams(), 0, minimizer=brute(reduced),
     )
     assert result.measurements <= 10
@@ -244,7 +256,7 @@ def test_bisection_matches_constrained_optimum(exact_models, reduced, fleet):
     )
     oracle = Oracle(reduced, MeasurementLedger())
     result = bisection_optimize(
-        target, bound, 0.02 * bound, entry_of(exact_models),
+        target, ConstraintSpec(bound), 0.02 * bound, entry_of(exact_models),
         oracle, SearchParams(), 0, minimizer=brute(reduced),
     )
     assert result.feasible
@@ -257,12 +269,13 @@ def test_bisection_infeasible_bound_is_flagged(exact_models, reduced, fleet):
     min_lat = min(latency_value(x, target) for x in value_views(reduced))
     oracle = Oracle(reduced, MeasurementLedger())
     result = bisection_optimize(
-        target, min_lat / 10, 0.02 * min_lat / 10, entry_of(exact_models),
+        target, ConstraintSpec(min_lat / 10), 0.02 * min_lat / 10, entry_of(exact_models),
         oracle, SearchParams(), 0, minimizer=brute(reduced),
     )
     assert not result.feasible
     with pytest.raises(ValueError):
-        bisection_optimize(target, -1.0, 0.1, entry_of(exact_models), oracle, SearchParams(), 0)
+        bisection_optimize(target, ConstraintSpec(-1.0), 0.1, entry_of(exact_models), oracle,
+                           SearchParams(), 0)
 
 
 def test_bisection_trace_rows(exact_models, reduced, fleet):
@@ -271,7 +284,7 @@ def test_bisection_trace_rows(exact_models, reduced, fleet):
     bound = float(np.percentile(lats, 40))
     oracle = Oracle(reduced, MeasurementLedger())
     result = bisection_optimize(
-        target, bound, 0.02 * bound, entry_of(exact_models),
+        target, ConstraintSpec(bound), 0.02 * bound, entry_of(exact_models),
         oracle, SearchParams(), 0, minimizer=brute(reduced),
     )
     assert [row["iteration"] for row in result.trace] == list(range(len(result.trace)))
@@ -308,7 +321,8 @@ def test_search_and_bisection_convert_only_what_they_measure(
     calls.update(indices_of=0, design_at=0)
     oracle = Oracle(reduced, MeasurementLedger())
     result = bisection_optimize(
-        target, bound, 0.02 * bound, entry_of(reduced_models), oracle, SearchParams(), 0,
+        target, ConstraintSpec(bound), 0.02 * bound, entry_of(reduced_models), oracle,
+        SearchParams(), 0,
     )
     charged = oracle.ledger.count(target.device_id, "latency")
     assert charged == result.measurements > 1
@@ -343,7 +357,7 @@ def test_grid_2d_loose_bounds_hit_accuracy_corner(exact_models, reduced, fleet):
     target = fleet.holdout_monotone[0]
     oracle = Oracle(reduced, MeasurementLedger())
     result = grid_optimize_2d(
-        target, 1e6, 1e6, entry_of(exact_models),
+        target, ConstraintSpec(1e6, 1e6), entry_of(exact_models),
         oracle, SearchParams(), 0, minimizer=brute(reduced),
     )
     assert result.feasible
@@ -375,7 +389,7 @@ def test_grid_2d_dual_bounds_reach_scalarization_ceiling(exact_models, reduced, 
 
     oracle = Oracle(reduced, MeasurementLedger())
     result = grid_optimize_2d(
-        target, lat_bound, en_bound, entry_of(exact_models),
+        target, ConstraintSpec(lat_bound, en_bound), entry_of(exact_models),
         oracle, SearchParams(), 0, minimizer=brute(reduced),
     )
     assert result.feasible
@@ -394,11 +408,11 @@ def test_grid_2d_huge_energy_bound_matches_bisection(exact_models, reduced, flee
     bound = float(np.percentile(lats, 50))
     oracle = Oracle(reduced, MeasurementLedger())
     uni = bisection_optimize(
-        target, bound, 0.02 * bound, entry_of(exact_models),
+        target, ConstraintSpec(bound), 0.02 * bound, entry_of(exact_models),
         oracle, SearchParams(), 0, minimizer=brute(reduced),
     )
     two = grid_optimize_2d(
-        target, bound, 1e9, entry_of(exact_models),
+        target, ConstraintSpec(bound, 1e9), entry_of(exact_models),
         oracle, SearchParams(), 0, minimizer=brute(reduced),
     )
     assert two.feasible and uni.feasible
@@ -410,8 +424,9 @@ def test_bisection_and_grid_return_one_proxy_solve_record(exact_models, reduced,
     target = fleet.holdout_monotone[0]
     x = enumerate_all(reduced)[5]
     args = (entry_of(exact_models), Oracle(reduced, MeasurementLedger()), SearchParams(), 0)
-    uni = bisection_optimize(target, 1e6, 0.02 * 1e6, *args, minimizer=lambda _: x)
-    two = grid_optimize_2d(target, 1e6, 1e6, *args, minimizer=lambda _: x)
+    uni = bisection_optimize(target, ConstraintSpec(1e6), 0.02 * 1e6, *args,
+                             minimizer=lambda _: x)
+    two = grid_optimize_2d(target, ConstraintSpec(1e6, 1e6), *args, minimizer=lambda _: x)
     assert type(uni) is type(two) is ProxySolve
     assert (len(uni.t), uni.energy) == (1, None)
     assert len(two.t) == 2 and isinstance(two.energy, float)
@@ -424,7 +439,7 @@ def test_grid_2d_infeasible_bounds_flagged(exact_models, reduced, fleet):
     min_lat = min(latency_value(x, target) for x in value_views(reduced))
     oracle = Oracle(reduced, MeasurementLedger())
     result = grid_optimize_2d(
-        target, min_lat / 10, 1e9, entry_of(exact_models),
+        target, ConstraintSpec(min_lat / 10, 1e9), entry_of(exact_models),
         oracle, SearchParams(), 0, minimizer=brute(reduced),
     )
     assert not result.feasible
@@ -439,8 +454,8 @@ def test_grid_2d_reuses_inner_solves_across_calls_on_one_cache(exact_models, red
 
     lats = [latency_value(x, fleet.holdout_monotone[0]) for x in value_views(reduced)]
     ens = [energy_value(x, fleet.holdout_monotone[1]) for x in value_views(reduced)]
-    first = (fleet.holdout_monotone[0], float(np.percentile(lats, 50)), 1e9)
-    second = (fleet.holdout_monotone[1], 1e9, float(np.percentile(ens, 40)))
+    first = (fleet.holdout_monotone[0], ConstraintSpec(float(np.percentile(lats, 50)), 1e9))
+    second = (fleet.holdout_monotone[1], ConstraintSpec(1e9, float(np.percentile(ens, 40))))
 
     def run(problem, entry, minimizer):
         return grid_optimize_2d(
@@ -481,7 +496,7 @@ def test_grid_2d_predicts_and_measures_each_level_as_one_batch(
     designs = itertools.cycle(enumerate_all(reduced))  # a new design per inner solve
     oracle = Oracle(reduced, MeasurementLedger())
     result = grid_optimize_2d(
-        target, float(np.percentile(lats, 50)), float(np.percentile(ens, 50)),
+        target, ConstraintSpec(float(np.percentile(lats, 50)), float(np.percentile(ens, 50))),
         entry_of(reduced_models), oracle, SearchParams(), 0, minimizer=lambda _: next(designs),
     )
     assert result.measurements > 2 * GRID_MEASURE_CAP  # more than one level measured
@@ -497,7 +512,7 @@ def test_grid_2d_with_one_design_measures_it_once(exact_models, reduced, fleet):
     x = enumerate_all(reduced)[5]
     oracle = Oracle(reduced, MeasurementLedger())
     result = grid_optimize_2d(
-        target, 1e6, 1e6, entry_of(exact_models), oracle, SearchParams(), 0,
+        target, ConstraintSpec(1e6, 1e6), entry_of(exact_models), oracle, SearchParams(), 0,
         minimizer=lambda _: x,
     )
     assert (result.design, result.t, result.measurements) == (x, (0.0, 0.0), 2)

@@ -373,6 +373,27 @@ def test_same_seed_runs_are_bit_identical(proxy_run):
     assert again.decision_dict() == report.decision_dict()
 
 
+
+def test_compare_runs_tells_equal_runs_from_a_tampered_one(proxy_run, tmp_path):
+    scenario, _, out = proxy_run
+    again = tmp_path / "again"
+    run_scenario(scenario, out_dir=str(again))  # its wall_time_s differs
+
+    def compare(a, b):
+        tool = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "compare_runs.py")
+        return subprocess.run([sys.executable, tool, str(a), str(b)], capture_output=True,
+                              text=True)
+
+    same = compare(out, again)
+    assert (same.returncode, same.stdout) == (0, "runs agree\n")
+    doc = json.loads((again / "report.json").read_text())
+    doc["rows"][0]["measured_latency"] *= 1.5
+    (again / "report.json").write_text(json.dumps(doc))
+    tampered = compare(out, again)
+    assert tampered.returncode == 1
+    assert tampered.stdout.startswith("runs differ: report.json.rows[0].measured_latency: ")
+    assert compare(out, tmp_path / "nothing").returncode == 2
+
 def test_skip_training_repeats_decisions_without_training_cost(proxy_run):
     scenario, report, out = proxy_run
     skipped = run_scenario(scenario, out_dir=out, skip_training=True)
@@ -510,6 +531,31 @@ def test_skip_training_checks_device_aware_and_optimizer_widths(tmp_path, capsys
     err = capsys.readouterr().err
     assert re.search(rf"model file \(.*{re.escape(name)}\) has \d+ {side}", err), err
 
+
+
+@pytest.mark.parametrize("source, stray", [
+    ("amortized", "latency_fleet.json"),
+    ("proxy", "accuracy.json"),
+], ids=["device-aware-latency", "accuracy"])
+def test_skip_training_refuses_a_model_file_of_another_slot(tmp_path, capsys, source, stray):
+    # a predictor whose metric or takes_device is not its slot's: the first
+    # swap used to end in a traceback, the second to run on the wrong model
+    proxy_doc = with_key(SMALL_PROXY, "predictor.epochs", 2)
+    runs = {"proxy": proxy_doc,
+            "amortized": with_key(with_key(SMALL_AMORTIZED, "predictor.epochs", 2),
+                                  "optimize.optimizer_epochs", 2)}
+    for name, doc in runs.items():
+        cfg = write_config(tmp_path, doc, f"{name}.json")
+        assert main(["train-predictors", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+    shutil.copyfile(tmp_path / source / "models" / stray,
+                    tmp_path / "proxy" / "models" / "latency_proxy.json")
+    capsys.readouterr()
+    assert main(["optimize", "--config", str(tmp_path / "proxy.json"), "--out",
+                 str(tmp_path / "proxy"), "--skip-training"]) == 2
+    err = capsys.readouterr().err
+    assert re.search(r"model file \(.*latency_proxy\.json\) holds the predictor of metric",
+                     err), err
+    assert "Traceback" not in err
 
 def test_export_rolls_back_on_failure(tmp_path):
     report = RunReport(
@@ -655,6 +701,49 @@ def test_cli_optimize_config_errors(tmp_path, capsys):
     assert main(["optimize", "--config", cfg, "--approach", "bogus"]) == 2
     assert "approach" in capsys.readouterr().err
 
+
+
+def test_cli_refuses_an_out_that_is_a_file_before_any_work(tmp_path, capsys, monkeypatch):
+    cfg = write_config(tmp_path, SMALL_PROXY)
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    def started(*args):
+        raise AssertionError("a command started its work")
+
+    for name in ("_load", "cost_accounting"):
+        monkeypatch.setattr(f"fleetopt.cli.{name}", started)
+    before = sorted(os.listdir(tmp_path))
+    for argv in (["gen-fleet", "--config", cfg], ["cost-table"],
+                 ["optimize", "--config", cfg], ["train-predictors", "--config", cfg]):
+        assert main([*argv, "--out", str(taken)]) == 2, argv
+        err = capsys.readouterr().err
+        assert err == f"config error: --out {taken} is an existing file, not a directory\n"
+    assert sorted(os.listdir(tmp_path)) == before
+    assert taken.read_text() == "kept"
+
+
+@pytest.mark.parametrize("doc, key, value, model", [
+    (SMALL_PROXY, "predictor.learning_rate", 1e6, "predictor"),
+    (SMALL_AMORTIZED, "predictor.learning_rate", 1e6, "predictor"),
+    (SMALL_AMORTIZED, "lambda_grid.max_lambda", 1e39, "optimizer network"),
+], ids=["proxy", "amortized", "amortized-huge-lambda"])
+def test_a_diverged_fit_exits_2_naming_the_model(tmp_path, doc, key, value, model):
+    # in a child process: in this one, pyproject.toml makes the overflow's
+    # RuntimeWarning an error before the loss is ever checked
+    doc = with_key(with_key(doc, key, value), "predictor.epochs", 5)
+    doc["optimize"]["optimizer_epochs"] = 5
+    out = tmp_path / "run"
+    proc = subprocess.run(
+        [sys.executable, "-m", "fleetopt", "optimize", "--config",
+         write_config(tmp_path, doc), "--out", str(out)],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(pipeline.__file__))},
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert re.search(rf"^config error: .*{model}.* diverged: non-finite training loss in "
+                     r"epoch \d+; lower predictor\.learning_rate", proc.stderr, re.M), proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
 
 def test_cli_train_then_optimize_skip_training(tmp_path, capsys):
     cfg = write_config(tmp_path, SMALL_PROXY)
