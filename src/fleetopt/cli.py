@@ -182,6 +182,12 @@ def _selftest_checks():
     yield ("one-row measurements equal the reference values too",
            [[oracle.latency(x, d) for d in devices] for x in designs] == lat_ref
            and [[oracle.energy(x, d) for d in devices] for x in designs] == en_ref)
+    paired = [devices[i % len(devices)] for i in range(len(designs))]
+    yield ("paired measurements equal the reference values",
+           oracle.latency_pairs(designs, paired).tolist()
+           == [latency_value(x, d) for x, d in zip(points, paired)]
+           and oracle.energy_pairs(designs, paired).tolist()
+           == [energy_value(x, d) for x, d in zip(points, paired)])
     lats = sorted(Oracle(space).latency_rows(designs, [target])[:, 0])
     bound = lats[len(lats) * 2 // 5]
     run_ledger = MeasurementLedger()

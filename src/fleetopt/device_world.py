@@ -310,56 +310,80 @@ def _stage_sum(terms: np.ndarray) -> np.ndarray:
     return np.add.accumulate(terms, axis=-1)[..., -1]
 
 
-def _latency_matrix(terms: np.ndarray, qs: np.ndarray, devices) -> np.ndarray:
-    """latency_value of n rows on D devices, (D, n), from the rows' stage terms
-    (n, S, 4) and speedups (D, n), one device at a time. numpy's + - * / round
-    like Python's; its SIMD power does not, so the power stays Python's pow."""
-    work, mem, layers = terms[..., 0], terms[..., 1], terms[..., 2].sum(axis=1)  # exact sum
-    out = np.empty(qs.shape)
-    for j, d in enumerate(devices):
-        ratio = work / (d.throughput * qs[j])[:, None]
-        powed = np.fromiter(map(pow, ratio.ravel().tolist(), itertools.repeat(d.gamma)),
-                            float, ratio.size).reshape(ratio.shape)
-        out[j] = _stage_sum(powed + mem / d.bandwidth) + d.overhead * layers
-    return out
+def _coefficients(devices) -> np.ndarray:
+    """Each device's cost-model coefficients as a row, (D, 6): throughput,
+    bandwidth, overhead, power_dynamic, power_static, gamma."""
+    return np.array([(d.throughput, d.bandwidth, d.overhead, d.power_dynamic, d.power_static,
+                      d.gamma) for d in devices]).reshape(-1, 6)
 
 
-def _energy_matrix(terms: np.ndarray, qs: np.ndarray, devices) -> np.ndarray:
-    dynamic, static = np.array(
-        [(d.power_dynamic, d.power_static) for d in devices]).reshape(-1, 2).T[..., None]
-    return dynamic * _stage_sum(terms[..., 0]) / qs + static * _latency_matrix(terms, qs, devices)
+def _row_parts(terms: np.ndarray) -> tuple:
+    """(work, mem, layers, work_sum) of n rows' stage terms (n, S, 4): the
+    per-stage work and mem (n, S), and the exact sums over the stages (n,)."""
+    work = terms[..., 0]
+    return work, terms[..., 1], terms[..., 2].sum(axis=1), _stage_sum(work)
+
+
+def _latency(parts: tuple, qs: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """latency_value of n rows, (n,), from their `_row_parts`, their speedups
+    (n,) and their devices' coefficient rows, (n, 6) or one (1, 6) for all.
+    numpy's + - * / round like Python's; its SIMD power does not, so the
+    power stays Python's pow."""
+    work, mem, layers, _ = parts
+    ratio = work / (coeffs[:, 0:1] * qs[:, None])
+    gammas = (itertools.repeat(coeffs[0, 5].item()) if len(coeffs) == 1
+              else np.repeat(coeffs[:, 5], work.shape[1]).tolist())
+    powed = np.fromiter(map(pow, ratio.ravel().tolist(), gammas), float,
+                        ratio.size).reshape(ratio.shape)
+    return _stage_sum(powed + mem / coeffs[:, 1:2]) + coeffs[:, 2] * layers
+
+
+def _energy(parts: tuple, qs: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """energy_value of n rows, (n,), as `_latency` takes them."""
+    dynamic, static = coeffs[:, 3], coeffs[:, 4]
+    return dynamic * parts[3] / qs + static * _latency(parts, qs, coeffs)
 
 
 class Oracle:
     """The measurement interface handed to everything downstream: one space, one
-    ledger, charged truth. A design is its index tuple; the row forms measure an
-    index matrix at once and charge the ledger once per value, and the single
-    measurements (`latency`, `energy`, `accuracy`) are their one-row case."""
+    ledger, charged truth. A design is its index tuple. The pair forms measure
+    row i on device i, the row forms every row on every device (one device at a
+    time, through the same arithmetic), and the single measurements (`latency`,
+    `energy`, `accuracy`) are the one-row case; every form charges the ledger
+    once per value, after its rows are checked and its values computed."""
 
     def __init__(self, space: DesignSpace, ledger: MeasurementLedger | None = None):
         self.space = space
         self.ledger = ledger if ledger is not None else MeasurementLedger()
 
     def latency(self, x: tuple[int, ...], d: DeviceFeatures) -> float:
-        """One latency measurement: the one-row case of `latency_rows`."""
-        return float(self.latency_rows([x], [d])[0, 0])
+        """One latency measurement: the one-pair case of `latency_pairs`."""
+        return float(self.latency_pairs([x], [d])[0])
 
     def energy(self, x: tuple[int, ...], d: DeviceFeatures) -> float:
-        """One energy measurement, the one-row case of `energy_rows`; the latency
-        term inside is not charged separately."""
-        return float(self.energy_rows([x], [d])[0, 0])
+        """One energy measurement, the one-pair case of `energy_pairs`; the
+        latency term inside is not charged separately."""
+        return float(self.energy_pairs([x], [d])[0])
 
     def accuracy(self, x: tuple[int, ...]) -> float:
         """One accuracy measurement: the one-row case of `accuracy_rows`."""
         return float(self.accuracy_rows([x])[0])
 
+    def latency_pairs(self, X, devices) -> np.ndarray:
+        """(n,) latencies of index row i of X on devices[i]."""
+        return self._measure_pairs(X, devices, "latency", _latency)
+
+    def energy_pairs(self, X, devices) -> np.ndarray:
+        """(n,) energies of index row i of X on devices[i]."""
+        return self._measure_pairs(X, devices, "energy", _energy)
+
     def latency_rows(self, X, devices) -> np.ndarray:
         """(n, D) latencies of the index rows X on each device."""
-        return self._measure_rows(X, devices, "latency", _latency_matrix)
+        return self._measure_rows(X, devices, "latency", _latency)
 
     def energy_rows(self, X, devices) -> np.ndarray:
         """(n, D) energies of the index rows X on each device."""
-        return self._measure_rows(X, devices, "energy", _energy_matrix)
+        return self._measure_rows(X, devices, "energy", _energy)
 
     def accuracy_rows(self, X) -> np.ndarray:
         """(n,) accuracies of the index rows X, keyed on the rows themselves."""
@@ -376,16 +400,30 @@ class Oracle:
         cell = (X[:, 0:-1:3] * len(sp.width_choices) + X[:, 1:-1:3]) * len(sp.kernel_choices)
         return _stage_table(sp)[cell + X[:, 2:-1:3], np.arange(sp.num_stages)]
 
-    def _measure_rows(self, X, devices, metric: str, matrix) -> np.ndarray:
+    def _measure_pairs(self, X, devices, metric: str, kernel) -> np.ndarray:
+        X = index_rows(X, self.space)
+        if len(X) != len(devices):
+            raise ValueError(f"{len(X)} design rows for {len(devices)} devices")
+        bits = self.space.bits_choices
+        qs = np.array([d.speedup_for(bits[b]) for d, b in zip(devices, X[:, -1].tolist())])
+        values = kernel(_row_parts(self._row_terms(X)), qs, _coefficients(devices))
+        for d in devices:
+            self.ledger.charge(d.device_id, metric)
+        return values
+
+    def _measure_rows(self, X, devices, metric: str, kernel) -> np.ndarray:
         X = index_rows(X, self.space)
         used, which = np.unique(X[:, -1], return_inverse=True)  # unused bits need no speedup
         qs = np.array([[d.speedup_for(self.space.bits_choices[b]) for b in used.tolist()]
                        for d in devices]).reshape(len(devices), len(used))[:, which]
-        values = matrix(self._row_terms(X), qs, devices).T
+        parts, coeffs = _row_parts(self._row_terms(X)), _coefficients(devices)
+        values = np.empty((len(devices), len(X)))
+        for j in range(len(devices)):
+            values[j] = kernel(parts, qs[j], coeffs[j:j + 1])
         for d in devices:
             for _ in range(len(X)):
                 self.ledger.charge(d.device_id, metric)
-        return values
+        return values.T
 
 
 def _log_uniform(rng: np.random.Generator, lo: float, hi: float) -> float:

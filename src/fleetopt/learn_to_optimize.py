@@ -173,7 +173,8 @@ def train_method2(
     net = stack([DenseNet([Xn.shape[1], *layer_sizes, acc_model.input_dim], r,
                           output_activation="logistic") for r in start_rngs]).astype(np.float32)
     frozen = [m.astype(np.float32) for m in (acc_model, energy_model, latency_model)]
-    data = [a.astype(np.float32) for a in (Xn, embeddings, lams)]
+    with np.errstate(over="ignore"):  # a weight past float32 is inf, and training diverges
+        data = [a.astype(np.float32) for a in (Xn, embeddings, lams)]
 
     def gather(order):
         return [a[order] for a in data]
@@ -244,12 +245,13 @@ def constraint_sweep(
     violating one (then the most accurate), the first position of equals. Every
     position takes the predictions of the first position that decodes to its
     design, so equal designs tie exactly however the batch rounds. The oracle
-    only validates each final choice, one measurement per bound (<= 2 per
-    target), and the result's feasible is that measured verdict.
+    only validates the final choices, one measurement per bound (<= 2 per
+    target) in one paired call per metric for the whole sweep, and each
+    result's feasible is its measured verdict.
     """
     _require_device_aware(energy_model, latency_model)
     lams = np.asarray(lambda_grid, dtype=float).tolist()
-    results = []
+    choices = []
     for start in range(0, len(targets), SWEEP_BLOCK):
         block = targets[start:start + SWEEP_BLOCK]
         X = np.stack([optimizer_input(d, lambda_grid) for d, _ in block])
@@ -266,17 +268,30 @@ def constraint_sweep(
         # a feasible row's violation is 0, and lexsort is stable
         pos = np.lexsort((-accs, violation, ~feasible), axis=-1)[:, 0]
         chosen = map(tuple, designs[np.arange(len(block)), pos].tolist())
-        for (d, spec), p, x, ok, pa in zip(block, pos.tolist(), chosen, feasible.tolist(),
-                                          accs.tolist()):
+        for (d, _), p, x, ok, pa in zip(block, pos.tolist(), chosen, feasible.tolist(),
+                                        accs.tolist()):
             trace = tuple(
                 {"device_id": d.device_id, "lambda1": l1, "lambda2": l2,
                  "predicted_feasible": f, "predicted_accuracy": a, "chosen": i == p}
                 for i, ((l1, l2), f, a) in enumerate(zip(lams, ok, pa))
             )
-            lat = oracle.latency(x, d)
-            en = None if spec.energy_bound is None else oracle.energy(x, d)
-            met = lat <= spec.latency_bound and (en is None or en <= spec.energy_bound)
-            results.append(SweepResult(x, tuple(lams[p]), ok[p], pa[p], met, lat, en, trace))
+            choices.append((x, tuple(lams[p]), ok[p], pa[p], trace))
+    if not choices:
+        return []
+    # the oracle validates every choice at once: one latency per target, one
+    # energy per target with an energy bound
+    devices = [d for d, _ in targets]
+    lats = oracle.latency_pairs([c[0] for c in choices], devices).tolist()
+    ens = [None] * len(targets)
+    if bounded := [i for i, (_, spec) in enumerate(targets) if spec.energy_bound is not None]:
+        values = oracle.energy_pairs([choices[i][0] for i in bounded],
+                                     [devices[i] for i in bounded])
+        for i, en in zip(bounded, values.tolist()):
+            ens[i] = en
+    results = []
+    for (x, lam, ok, pa, trace), (_, spec), lat, en in zip(choices, targets, lats, ens):
+        met = lat <= spec.latency_bound and (en is None or en <= spec.energy_bound)
+        results.append(SweepResult(x, lam, ok, pa, met, lat, en, trace))
     return results
 
 

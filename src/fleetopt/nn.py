@@ -336,19 +336,22 @@ def train(net: DenseNet, n: int, gather, batch_loss_and_grad, hyper, rngs, mu: f
     opt = MomentumSgd(net, hyper.learning_rate, hyper.momentum, mu)
     batch = min(hyper.batch_size, n)
     curves: list[list[float]] = [[] for _ in rngs]
-    for epoch in range(hyper.epochs):
-        rows = gather(np.stack([r.permutation(n) for r in rngs]))
-        loss_sum = np.zeros(len(rngs))
-        for start in range(0, n, batch):
-            loss_sum += batch_loss_and_grad(*(a[:, start : start + batch] for a in rows),
-                                            opt.grads)
-            opt.step()
-        if not np.isfinite(loss_sum).all():
-            k = int(np.isfinite(loss_sum).argmin())
-            name = f"net {k}" if names is None else names[k]
-            raise DivergedError(f"{name} diverged: non-finite training loss in epoch {epoch + 1}")
-        # the penalty is exactly 0.0 without mu, so the members are not copied out
-        penalties = [l2_penalty(m, mu) for m in unstack(net)] if mu else [0.0] * len(rngs)
-        for curve, s, penalty in zip(curves, loss_sum, penalties):
-            curve.append(float(s) / n + penalty)
+    # a diverging epoch overflows before its loss is checked; the check reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(hyper.epochs):
+            rows = gather(np.stack([r.permutation(n) for r in rngs]))
+            loss_sum = np.zeros(len(rngs))
+            for start in range(0, n, batch):
+                loss_sum += batch_loss_and_grad(*(a[:, start : start + batch] for a in rows),
+                                                opt.grads)
+                opt.step()
+            if not np.isfinite(loss_sum).all():
+                k = int(np.isfinite(loss_sum).argmin())
+                name = f"net {k}" if names is None else names[k]
+                raise DivergedError(
+                    f"{name} diverged: non-finite training loss in epoch {epoch + 1}")
+            # the penalty is exactly 0.0 without mu, so the members are not copied out
+            penalties = [l2_penalty(m, mu) for m in unstack(net)] if mu else [0.0] * len(rngs)
+            for curve, s, penalty in zip(curves, loss_sum, penalties):
+                curve.append(float(s) / n + penalty)
     return curves

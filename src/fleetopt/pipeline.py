@@ -13,6 +13,7 @@ import csv
 import dataclasses
 import io
 import json
+import operator
 import os
 import time
 from dataclasses import dataclass
@@ -418,7 +419,7 @@ def _rows_to_csv(rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(keys)
-    writer.writerows([row[key] for key in keys] for row in rows)
+    writer.writerows(map(operator.itemgetter(*keys), rows))  # >= 2 keys: a tuple per row
     return buf.getvalue()
 
 
@@ -444,7 +445,8 @@ def export_report(report: RunReport, out_dir: str, artifacts: dict | None = None
             f.write(content)
 
     try:
-        emit("report.json", json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+        # one compact line: the indenting encoder is pure Python, three times slower
+        emit("report.json", json.dumps(report.to_dict(), sort_keys=True) + "\n")
         emit("ledger.csv", report.ledger_csv)
         emit("fleet.json", json.dumps(report.fleet, indent=2, sort_keys=True) + "\n")
         if persist_models:

@@ -322,6 +322,67 @@ def test_row_calls_check_their_rows(reduced):
         oracle.latency_rows([(0,) * 7, (0,) * 6 + (1,)], [eight_only])
 
 
+# --- pair form -----------------------------------------------------------------
+
+
+def test_pair_forms_equal_the_reference_values_bit_for_bit(dspace):
+    # 2550 default-space pairs over 17 devices of every family: the proxy,
+    # hetero (gamma != 1), monotone and adversarial (inverted speedups)
+    fleet = generate_fleet(FleetConfig(4, 4, 4, 4), np.random.default_rng(29))
+    devices = fleet.all_devices() * 150
+    assert len({d.gamma for d in devices}) > 2
+    assert any(d.quant_speedup[4] < 1.0 for d in fleet.holdout_adversarial)
+    designs = sample_rows(dspace, np.random.default_rng(37), len(devices))
+    points = [dspace.design_at(x) for x in map(tuple, designs.tolist())]
+    oracle = Oracle(dspace)
+    lat, en = oracle.latency_pairs(designs, devices), oracle.energy_pairs(designs, devices)
+    assert lat.shape == en.shape == (len(devices),)
+    assert lat.tolist() == [latency_value(x, d) for x, d in zip(points, devices)]
+    assert en.tolist() == [energy_value(x, d) for x, d in zip(points, devices)]
+    # the single measurements are the one-pair case
+    for x, d in zip(map(tuple, designs[:100].tolist()), devices):
+        assert oracle.latency(x, d) == oracle.latency_pairs([x], [d])[0]
+        assert oracle.energy(x, d) == oracle.energy_pairs([x], [d])[0]
+
+
+def test_pair_calls_charge_once_per_pair_to_its_device(reduced):
+    devices = generate_fleet(FleetConfig(1, 0, 1, 1), np.random.default_rng(3)).all_devices()
+    designs = enumerate_all(reduced)[:7]
+    paired = [devices[i] for i in (0, 1, 1, 2, 3, 3, 3)]
+    ledger = MeasurementLedger()
+    oracle = Oracle(reduced, ledger)
+    oracle.latency_pairs(designs, paired)
+    assert ledger.snapshot() == {"accuracy": 0, "devices": {
+        devices[0].device_id: {"latency": 1}, devices[1].device_id: {"latency": 2},
+        devices[2].device_id: {"latency": 1}, devices[3].device_id: {"latency": 3}}}
+    oracle.energy_pairs(designs[:2], paired[:2])
+    assert ledger.total("energy") == 2 and ledger.total("latency") == 7
+    assert ledger.count(devices[1].device_id, "energy") == 1
+
+
+def test_pair_calls_check_their_rows_before_charging(reduced, proxy):
+    oracle = Oracle(reduced)
+    for bad in [(0,) * 6 + (2,), (0,) * 6 + (-1,), (0.5,) + (0,) * 6]:
+        with pytest.raises(InvalidDesignError):
+            oracle.latency_pairs([SMALL, bad], [proxy, proxy])
+    with pytest.raises(DimensionMismatchError):
+        oracle.energy_pairs([(0,) * 6], [proxy])
+    for rows, devices in [([SMALL], [proxy, proxy]), ([SMALL, SMALL], [proxy]), ([SMALL], [])]:
+        with pytest.raises(ValueError, match="design rows for"):
+            oracle.latency_pairs(rows, devices)
+        with pytest.raises(ValueError, match="design rows for"):
+            oracle.energy_pairs(rows, devices)
+    assert oracle.ledger.snapshot() == {"accuracy": 0, "devices": {}}
+    # only the bit-width of each pair's own row needs a speedup on its device
+    eight_only = device(quant_speedup={8: 2.0})
+    expected = [latency_value(reduced.design_at((0,) * 7), eight_only),
+                latency_value(small_design(), proxy)]
+    assert oracle.latency_pairs([(0,) * 7, SMALL], [eight_only, proxy]).tolist() == expected
+    with pytest.raises(ValueError, match="32-bit"):
+        oracle.latency_pairs([(0,) * 7, SMALL], [eight_only, eight_only])
+    assert oracle.ledger.total() == 2
+
+
 def test_stage_table_is_built_once_per_space(monkeypatch, fleet):
     # 3 x 2 x 3 (depth, width, kernel) cells at each of 3 stages: 54 stage terms
     space = DesignSpace(3, (1, 2, 3), (0.5, 1.0), (3, 5, 7), (8, 32))

@@ -431,6 +431,29 @@ def test_blocked_sweep_equals_one_device_sweeps(method2_small, small_bundle, fle
     assert {r.energy is None for r in blocked} == {True, False}
 
 
+def test_sweep_validates_the_fleet_in_one_paired_call_per_metric(method2_small, small_bundle,
+                                                                 fleet, reduced, monkeypatch):
+    calls = []
+    for name in ("latency_pairs", "energy_pairs", "latency", "energy"):
+        original = getattr(Oracle, name)
+
+        def counted(oracle, X, devices, name=name, original=original):
+            calls.append((name, len(X) if name.endswith("pairs") else 1))
+            return original(oracle, X, devices)
+
+        monkeypatch.setattr(Oracle, name, counted)
+    devices = sweep_devices(fleet)
+    specs = [ConstraintSpec(5.0, energy_bound=500.0) if i % 3 else ConstraintSpec(5.0)
+             for i in range(len(devices))]
+    results = constraint_sweep(method2_small, list(zip(devices, specs)), small_bundle.accuracy,
+                               small_bundle.energy, small_bundle.latency,
+                               build_lambda_grid(3, 1.0), Oracle(reduced, MeasurementLedger()))
+    bounded = sum(spec.energy_bound is not None for spec in specs)
+    assert 0 < bounded < len(devices)
+    assert calls == [("latency_pairs", len(devices)), ("energy_pairs", bounded)]
+    assert [r.energy is None for r in results] == [s.energy_bound is None for s in specs]
+
+
 def one_lambda_scores(net, d, bundle, grid, space):
     """Per lambda: the one-row inference and its one-row predictions."""
     emb = device_embedding(d)
