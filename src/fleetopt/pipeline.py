@@ -70,7 +70,6 @@ from .surrogate import (
 class RunReport:
     scenario: dict
     fleet: dict
-    bounds: dict
     rows: list[dict]
     stage_counts: dict
     ledger: dict
@@ -85,7 +84,6 @@ class RunReport:
         return {
             "scenario": self.scenario,
             "fleet": self.fleet,
-            "bounds": self.bounds,
             "rows": self.rows,
             "stage_counts": self.stage_counts,
             "ledger": self.ledger,
@@ -162,13 +160,6 @@ def _percentile_bounds(scenario: Scenario, fleet: Fleet) -> tuple[dict, Measurem
         cal_oracle.energy_rows(probes, targets), opt.energy_percentile, axis=0).tolist()
     bounds = {d.device_id: ConstraintSpec(b, e) for d, b, e in zip(targets, lat.tolist(), en)}
     return bounds, cal_ledger
-
-
-def _bounds_dict(bounds: dict) -> dict:
-    return {
-        dev_id: {"latency": spec.latency_bound, "energy": spec.energy_bound}
-        for dev_id, spec in sorted(bounds.items())
-    }
 
 
 def _load_models(models_dir: str | None, names: list[str], scenario: Scenario,
@@ -393,7 +384,6 @@ def run_scenario(
             "energy_percentile": scenario.optimize.energy_percentile,
         },
         fleet=fleet.to_dict(),
-        bounds=_bounds_dict(bounds),
         rows=rows,
         stage_counts=stage_counts,
         ledger=ledger.snapshot(),
@@ -404,8 +394,8 @@ def run_scenario(
         wall_time_s=time.monotonic() - started,
     )
     if out_dir is not None:
-        artifacts = {"models": dict(zip(names, models)), "trace": trace}
-        export_report(report, out_dir, artifacts, persist_models=not skip_training)
+        # a deploy run persists no models: they are the files it loaded
+        export_report(report, out_dir, trace, {} if skip_training else dict(zip(names, models)))
     return report
 
 
@@ -423,16 +413,14 @@ def _rows_to_csv(rows) -> str:
     return buf.getvalue()
 
 
-def export_report(report: RunReport, out_dir: str, artifacts: dict | None = None,
-                  persist_models: bool = True) -> list[str]:
-    """Write report.json, ledger.csv and fleet.json, the models when
-    persist_models, and the run's trace rows, if any, as traces/solve.csv;
-    returns the written paths.
+def export_report(report: RunReport, out_dir: str, trace: list[dict],
+                  models: dict) -> list[str]:
+    """Write report.json, ledger.csv, each model as models/<name>, and the
+    run's trace rows, if any, as traces/solve.csv; returns the written paths.
 
     Any exception rolls back every file this call created.
     """
     written: list[str] = []
-    artifacts = artifacts or {}
 
     def place(rel: str) -> str:
         path = os.path.join(out_dir, rel)
@@ -448,11 +436,9 @@ def export_report(report: RunReport, out_dir: str, artifacts: dict | None = None
         # one compact line: the indenting encoder is pure Python, three times slower
         emit("report.json", json.dumps(report.to_dict(), sort_keys=True) + "\n")
         emit("ledger.csv", report.ledger_csv)
-        emit("fleet.json", json.dumps(report.fleet, indent=2, sort_keys=True) + "\n")
-        if persist_models:
-            for name, model in artifacts.get("models", {}).items():
-                save_model(model, place(os.path.join("models", name)))
-        if trace := artifacts.get("trace"):
+        for name, model in models.items():
+            save_model(model, place(os.path.join("models", name)))
+        if trace:
             emit(os.path.join("traces", "solve.csv"), _rows_to_csv(trace))
         return written
     except Exception:

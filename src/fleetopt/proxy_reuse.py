@@ -25,10 +25,6 @@ from .search import GA_STREAM, ConstraintSpec, SearchParams, evolutionary_search
 from .surrogate import MlpRegressor, device_embedding, standardizer
 
 
-class UndefinedCorrelationError(ValueError):
-    """Rank correlation is undefined when either input is constant."""
-
-
 def _average_ranks(values) -> np.ndarray:
     """1-based ranks; a run of equal values shares the mean of its ranks."""
     _, inverse, counts = np.unique(np.asarray(values, dtype=float), return_inverse=True,
@@ -36,8 +32,9 @@ def _average_ranks(values) -> np.ndarray:
     return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
 
 
-def spearman(a, b) -> float:
-    """1 - 6*sum(d^2)/(n(n^2-1)) over average ranks; ties get averaged ranks."""
+def spearman(a, b) -> float | None:
+    """1 - 6*sum(d^2)/(n(n^2-1)) over average ranks; ties get averaged ranks.
+    None where rho is undefined: either input is constant."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape or a.ndim != 1:
@@ -46,7 +43,7 @@ def spearman(a, b) -> float:
     if n < 3:
         raise ValueError(f"need at least 3 points, got {n}")
     if np.all(a == a[0]) or np.all(b == b[0]):
-        raise UndefinedCorrelationError("rank correlation undefined for constant input")
+        return None
     d = _average_ranks(a) - _average_ranks(b)
     return float(1.0 - 6.0 * (d @ d) / (n * (n * n - 1.0)))
 
@@ -165,16 +162,16 @@ def bisection_optimize(
 ) -> ProxySolve:
     """Bisection on t against true target latency of the inner solution on the
     entry's predictors; delta is the absolute latency half-band around the
-    spec's latency bound (a spec with an energy bound, the 2-D grid's
-    problem, raises ValueError).
+    spec's latency bound whose hit stops the bisection (a spec with an energy
+    bound, the 2-D grid's problem, raises ValueError).
 
     Each iteration measures the current candidate once on the target (memoized
     per quantized t), for at most ceil(log2(1/granularity + 1)) iterations, the
     halvings that exhaust the entry cache's t grid. Raising t when the
     candidate is too slow trades accuracy for speed; the reported design is
-    the fastest-feasible iterate with the smallest t, i.e. maximum accuracy
-    weight among iterates within the band. If nothing satisfied the bound the
-    last iterate comes back flagged infeasible.
+    the iterate within the bound with the smallest t, i.e. maximum accuracy
+    weight. If no iterate met the bound the last one comes back flagged
+    infeasible.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -207,11 +204,11 @@ def bisection_optimize(
             t_max = t
         else:
             verdict = "within_band"
-        if lat <= bound + delta and (best is None or tq < best[0]):
+        if lat <= bound and (best is None or tq < best[0]):
             best = (tq, x, lat)
         trace.append(
             {"device_id": target.device_id, "iteration": iteration, "t": tq,
-             "measured_latency": lat, "bound": bound, "verdict": verdict}
+             "measured_latency": lat, "verdict": verdict}
         )
         if verdict == "within_band":
             break
@@ -357,10 +354,7 @@ def check_monotonicity(
     designs = sample_rows(space, rng, probe_count)
     predicted_lat = proxy_pred.predict_batch(encode_rows(designs, space))
     actual = oracle.latency_rows(designs, [target])[:, 0]
-    try:
-        return spearman(predicted_lat, actual)
-    except UndefinedCorrelationError:
-        return None
+    return spearman(predicted_lat, actual)
 
 
 def match_proxy(

@@ -125,9 +125,6 @@ class MlpRegressor:
         _, _, grad_in = self.net.backward(cache, out_coeff * self.out_scale, params=False)
         return values, grad_in / self.in_scale
 
-    def parameter_vector(self) -> np.ndarray:
-        return self.net.parameter_vector()
-
     def astype(self, dtype) -> "MlpRegressor":
         """A copy whose net and input normalizers are of dtype: a float32
         working copy to train another net through."""

@@ -203,11 +203,11 @@ def test_method2_validation(small_bundle, reduced_models, fleet):
 
 
 def test_method2_freeze_contract(small_bundle, fleet):
-    before = [m.parameter_vector().copy() for m in small_bundle.models()]
+    before = [m.net.parameter_vector().copy() for m in small_bundle.models()]
     inputs = inputs_of(fleet.training_real[:4], build_lambda_grid(2, 1.0))
     train_small_method2(small_bundle, inputs, seed=5, epochs=120)
     for m, v in zip(small_bundle.models(), before):
-        np.testing.assert_array_equal(m.parameter_vector(), v)
+        np.testing.assert_array_equal(m.net.parameter_vector(), v)
 
 
 def test_method2_regularizer_shrinks_weights(small_bundle, fleet):

@@ -18,7 +18,6 @@ from fleetopt.proxy_reuse import (
     ProxyEntry,
     ProxySolve,
     TCache,
-    UndefinedCorrelationError,
     bisection_optimize,
     check_monotonicity,
     grid_optimize_2d,
@@ -80,8 +79,9 @@ def test_spearman_validation():
         spearman([1.0, 2.0], [1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
         spearman([1.0, 2.0], [1.0, 2.0])
-    with pytest.raises(UndefinedCorrelationError):
-        spearman([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+    # rho is undefined for a constant input
+    assert spearman([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]) is None
+    assert spearman([1.0, 2.0, 3.0], [4.0, 4.0, 4.0]) is None
 
 
 # --- iteration cap, validation and cache ------------------------------------
@@ -260,7 +260,7 @@ def test_bisection_matches_constrained_optimum(exact_models, reduced, fleet):
         oracle, SearchParams(), 0, minimizer=brute(reduced),
     )
     assert result.feasible
-    assert result.latency <= bound * 1.02
+    assert result.latency <= bound
     assert accuracy_value(reduced.design_at(result.design), reduced) >= best_acc - 0.01
 
 
@@ -278,6 +278,37 @@ def test_bisection_infeasible_bound_is_flagged(exact_models, reduced, fleet):
                            SearchParams(), 0)
 
 
+def test_bisection_keeps_only_iterates_within_the_bound(reduced, fleet):
+    # the band around the bound only stops the bisection: an iterate in the
+    # band but over the bound is never the answer, however small its t
+    target = fleet.holdout_monotone[0]
+    designs = enumerate_all(reduced)
+    lats = Oracle(reduced).latency_rows(designs, [target])[:, 0]
+    order = np.argsort(lats)
+    fast, slow = designs[order[0]], designs[order[len(order) * 3 // 5]]
+    bound = float(lats[order[len(order) * 3 // 5]]) / 1.01  # slow is 1% over
+    assert lats[order[0]] <= 0.98 * bound
+
+    def solve(*picks):
+        picked = iter(picks)  # the inner solve of each new t, in order
+        entry = entry_of({"accuracy": None, "latency": None})
+        return bisection_optimize(
+            target, ConstraintSpec(bound), 0.02 * bound, entry,
+            Oracle(reduced, MeasurementLedger()), SearchParams(), 0,
+            minimizer=lambda _: next(picked),
+        )
+
+    # t = 0.5 is fast (lower t), t = 0.25 slow but within the band: stop
+    result = solve(fast, slow)
+    assert [row["verdict"] for row in result.trace] == ["lower_t", "within_band"]
+    assert (result.design, result.t, result.feasible) == (fast, (0.5,), True)
+    assert result.latency <= bound
+    # nothing under the bound: the last iterate, flagged infeasible
+    alone = solve(slow)
+    assert [row["verdict"] for row in alone.trace] == ["within_band"]
+    assert (alone.design, alone.feasible) == (slow, False)
+
+
 def test_bisection_trace_rows(exact_models, reduced, fleet):
     target = fleet.holdout_monotone[3]
     lats = [latency_value(x, target) for x in value_views(reduced)]
@@ -288,7 +319,8 @@ def test_bisection_trace_rows(exact_models, reduced, fleet):
         oracle, SearchParams(), 0, minimizer=brute(reduced),
     )
     assert [row["iteration"] for row in result.trace] == list(range(len(result.trace)))
-    assert all(row["bound"] == bound for row in result.trace)
+    assert all(list(row) == ["device_id", "iteration", "t", "measured_latency", "verdict"]
+               for row in result.trace)
     assert all(row["verdict"] in ("raise_t", "lower_t", "within_band") for row in result.trace)
     assert result.trace[0]["t"] == pytest.approx(0.5)
 

@@ -251,9 +251,9 @@ def test_bisection_settings_come_from_config(tmp_path):
         assert row["optimize_measurements"] <= 3
         trace = [step for step in table if step["device_id"] == row["device_id"]]
         assert len(trace) == row["optimize_measurements"]
+        bound = row["latency_bound"]
         for step in trace:
             if step["verdict"] == "within_band":
-                bound = float(step["bound"])
                 assert abs(float(step["measured_latency"]) - bound) <= 0.5 * bound
 
 
@@ -333,10 +333,6 @@ def test_proxy_run_rows_and_artifacts(proxy_run):
     assert per_target[adv["device_id"]] == (
         adv["probe_measurements"] + adv["optimize_measurements"] + scenario.samples_per_device
     )
-    for rel in ("report.json", "ledger.csv", "fleet.json",
-                "models/accuracy.json", "models/latency_proxy.json", "traces/solve.csv"):
-        assert os.path.exists(os.path.join(out, rel)), rel
-    assert os.listdir(os.path.join(out, "traces")) == ["solve.csv"]
     with open(os.path.join(out, "report.json")) as f:
         doc = json.load(f)
     assert doc["rows"] == report.rows
@@ -344,7 +340,7 @@ def test_proxy_run_rows_and_artifacts(proxy_run):
 
 
 @pytest.mark.parametrize("doc, header, weights", [
-    (SMALL_PROXY, ["iteration", "t", "measured_latency", "bound", "verdict"], 1),
+    (SMALL_PROXY, ["iteration", "t", "measured_latency", "verdict"], 1),
     (with_key(SMALL_PROXY, "optimize.energy_percentile", 40.0),
      ["level", "t1", "t2", "latency", "energy", "feasible"], 2),
     (SMALL_AMORTIZED,
@@ -365,6 +361,50 @@ def test_one_trace_table_per_run(tmp_path, doc, header, weights):
     if weights:  # a proxy row's t: the solve's weights, [t] or [t1, t2]
         assert all(isinstance(row["t"], list) and len(row["t"]) == weights
                    for row in report.rows)
+
+
+@pytest.mark.parametrize("doc, models", [
+    (SMALL_PROXY, ["accuracy.json", "latency_proxy.json"]),
+    (with_key(SMALL_PROXY, "optimize.energy_percentile", 40.0),
+     ["accuracy.json", "energy_proxy.json", "latency_proxy.json"]),
+    (SMALL_AMORTIZED,
+     ["accuracy.json", "energy_fleet.json", "latency_fleet.json", "optimizer.json"]),
+], ids=["proxy-latency", "proxy-energy", "amortized"])
+def test_a_run_directory_states_each_output_once(tmp_path, doc, models):
+    doc = with_key(doc, "predictor.epochs", 5)
+    doc["optimize"]["optimizer_epochs"] = 5
+    cfg = write_config(tmp_path, doc)
+    expected = {"report.json", "ledger.csv", "traces/solve.csv",
+                *(f"models/{name}" for name in models)}
+
+    def files(run):
+        return {p.relative_to(run).as_posix() for p in run.rglob("*") if p.is_file()}
+
+    train, deploy = tmp_path / "train", tmp_path / "deploy"
+    assert main(["train-predictors", "--config", cfg, "--out", str(train)]) == 0
+    assert files(train) == expected
+    # a deploy writes no model file: its directory holds only the copies it loads
+    shutil.copytree(train / "models", deploy / "models")
+    assert main(["optimize", "--config", cfg, "--out", str(deploy), "--skip-training"]) in (0, 3)
+    assert files(deploy) == expected
+    for run in (train, deploy):
+        report = json.loads((run / "report.json").read_text())
+        assert "bounds" not in report  # every row carries its target's bounds
+        assert report["fleet"] == draw_fleet(scenario_from_dict(doc)).to_dict()
+        assert all({"latency_bound", "energy_bound"} <= row.keys() for row in report["rows"])
+
+
+def test_bisection_rows_reported_feasible_meet_their_bound():
+    # seed 57 of the default space: every monotone target's bisection meets
+    # the band first at an iterate just over its bound, with an earlier
+    # iterate under it
+    doc = {"seed": 57, "approach": "proxy", "predictor": {"epochs": 150},
+           "search": {"population": 16, "generations": 15}}
+    report = run_scenario(scenario_from_dict(doc))
+    assert report.infeasible_count == sum(not row["feasible"] for row in report.rows)
+    feasible = [row for row in report.rows if row["feasible"]]
+    assert feasible
+    assert all(row["measured_latency"] <= row["latency_bound"] for row in feasible)
 
 
 def test_same_seed_runs_are_bit_identical(proxy_run):
@@ -392,13 +432,20 @@ def test_compare_runs_tells_equal_runs_from_a_tampered_one(proxy_run, tmp_path):
     tampered = compare(out, again)
     assert tampered.returncode == 1
     assert tampered.stdout.startswith("runs differ: report.json.rows[0].measured_latency: ")
+    # the report's fleet is the run's one copy of it
+    with open(os.path.join(out, "report.json")) as f:
+        doc = json.load(f)
+    doc["fleet"]["proxy"]["device_id"] = "moved"
+    (again / "report.json").write_text(json.dumps(doc))
+    tampered = compare(out, again)
+    assert tampered.returncode == 1
+    assert tampered.stdout.startswith("runs differ: report.json.fleet.proxy.device_id: ")
     assert compare(out, tmp_path / "nothing").returncode == 2
 
 def test_skip_training_repeats_decisions_without_training_cost(proxy_run):
     scenario, report, out = proxy_run
     skipped = run_scenario(scenario, out_dir=out, skip_training=True)
-    assert skipped.rows == report.rows
-    assert skipped.bounds == report.bounds
+    assert skipped.rows == report.rows  # each row holds its target's bounds
     assert skipped.ledger["accuracy"] == 0
     assert report.ledger["accuracy"] == scenario.samples_per_device
     with pytest.raises(ConfigError, match="skip-training"):
@@ -559,7 +606,7 @@ def test_skip_training_refuses_a_model_file_of_another_slot(tmp_path, capsys, so
 
 def test_export_rolls_back_on_failure(tmp_path):
     report = RunReport(
-        scenario={}, fleet={}, bounds={}, rows=[], stage_counts={"per_target": {}},
+        scenario={}, fleet={}, rows=[], stage_counts={"per_target": {}},
         ledger={}, calibration_ledger={}, cost_table={}, infeasible_count=0,
         ledger_csv="device_id,metric,count\n",
     )
@@ -567,9 +614,9 @@ def test_export_rolls_back_on_failure(tmp_path):
     out.mkdir()
     (out / "traces").write_text("in the way")
     trace = [{"device_id": "x", "iteration": 0, "t": 0.5, "measured_latency": 1.0,
-              "bound": 1.0, "verdict": "ok"}]
+              "verdict": "ok"}]
     with pytest.raises(FileExistsError):
-        export_report(report, str(out), {"trace": trace})
+        export_report(report, str(out), trace, {})
     assert not os.path.exists(out / "report.json")
     assert not os.path.exists(out / "ledger.csv")
 

@@ -121,7 +121,7 @@ def test_fit_is_deterministic():
     y = rng.normal(size=40)
     a = fit(X, y, (16,), LIGHT, np.random.default_rng(7))
     b = fit(X, y, (16,), LIGHT, np.random.default_rng(7))
-    np.testing.assert_array_equal(a.parameter_vector(), b.parameter_vector())
+    np.testing.assert_array_equal(a.net.parameter_vector(), b.net.parameter_vector())
 
 
 def test_fit_is_equivariant_to_affine_label_transform():
@@ -193,7 +193,7 @@ def test_save_load_roundtrip(tmp_path, reduced_models, reduced):
     back = load_model(path)
     X = np.stack([encode(x, reduced) for x in enumerate_all(reduced)[:20]])
     np.testing.assert_array_equal(back.predict_batch(X), m.predict_batch(X))
-    np.testing.assert_array_equal(back.parameter_vector(), m.parameter_vector())
+    np.testing.assert_array_equal(back.net.parameter_vector(), m.net.parameter_vector())
     assert back.metric == m.metric
     assert back.objective_scale == m.objective_scale
     assert back.takes_device == m.takes_device

@@ -3,8 +3,9 @@
     python3 tools/compare_runs.py RUN_A RUN_B
 
 Exits 0 when the two runs decided the same: every file under models/, and
-ledger.csv, fleet.json and traces/solve.csv, byte-identical (a file missing
-from both counts as equal), and report.json equal once wall_time_s is dropped.
+ledger.csv and traces/solve.csv, byte-identical (a file missing from both
+counts as equal), and report.json, the fleet included, equal once wall_time_s
+is dropped.
 Otherwise it prints the first difference and exits 1; it exits 2 when a run
 directory or its report.json is missing.
 """
@@ -15,7 +16,7 @@ import json
 import sys
 from pathlib import Path
 
-BYTE_FILES = ("ledger.csv", "fleet.json", "traces/solve.csv")
+BYTE_FILES = ("ledger.csv", "traces/solve.csv")
 
 
 def _byte_files(run: Path) -> set[str]:
