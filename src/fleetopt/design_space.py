@@ -7,10 +7,12 @@ stage and bits last. Search, predictors, solvers and reports all hold designs
 in that form, and every tie breaks on it lexicographically. `DesignPoint` is
 the readable value view (depths, widths, kernels, bits) that the analytic cost
 model reads; `design_at` builds it and is the one place an index list from
-outside is checked, `indices_of` goes back. The encoding, a flat vector in
-[0, 1]^(3S+1) for continuous optimizers, is a separate form, converted a matrix
-at a time (`encode_rows`/`decode_rows`; `encode`/`decode` are the one-row case):
-each choice sits at the center of its cell so decode(encode(x)) is the identity.
+outside is checked, `indices_of` goes back. `design_codes` numbers index rows,
+one int64 each, so a space holds fewer than 2**63 designs. The encoding, a flat
+vector in [0, 1]^(3S+1) for continuous optimizers, is a separate form,
+converted a matrix at a time (`encode_rows`/`decode_rows`; `encode`/`decode`
+are the one-row case): each choice sits at the center of its cell so
+decode(encode(x)) is the identity.
 Search draws, breeds and scores whole populations as index matrices
 (`sample_rows`, `crossover`, `mutate`); `sample_uniform` is the one-row draw.
 """
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -94,6 +97,8 @@ class DesignSpace:
             raise ValueError("kernel sizes must be odd positive integers")
         if any(b < 1 for b in self.bits_choices):
             raise ValueError("bit-widths must be positive integers")
+        if self.cardinality >= 2**63:  # a design's code (see design_codes) is one int64
+            raise ValueError("must hold fewer than 2**63 designs")
 
     @property
     def encoding_width(self) -> int:
@@ -109,6 +114,12 @@ class DesignSpace:
         """Per encoding column: last index n - 1, encoding divisor and offset."""
         steps = np.array([len(axis) - 1 for axis in self._axes()], dtype=float)
         return steps, np.maximum(steps, 1.0), np.where(steps == 0, 0.5, 0.0)
+
+    @functools.cached_property
+    def _places(self) -> np.ndarray:
+        """The int64 place value of each index column in a design's code."""
+        sizes = [len(axis) for axis in self._axes()]
+        return np.array([math.prod(sizes[k + 1:]) for k in range(len(sizes))], dtype=np.int64)
 
     def _axes(self) -> list[tuple]:
         axes: list[tuple] = []
@@ -264,6 +275,13 @@ def crossover(A: np.ndarray, B: np.ndarray, rng: np.random.Generator) -> np.ndar
     """Uniform crossover of two index matrices, row i of A with row i of B:
     each entry comes from A or B with equal odds."""
     return np.where(rng.random(np.shape(A)) < 0.5, A, B)
+
+
+def design_codes(X, space: DesignSpace) -> np.ndarray:
+    """One int64 per index row of X (..., w): the row's mixed-radix number over
+    the axes, which is its position in `enumerate_all`'s order, so two rows
+    are the same design exactly when their codes are equal."""
+    return np.asarray(X) @ space._places
 
 
 def enumerate_all(space: DesignSpace, limit: int | None = 1_000_000) -> list[tuple[int, ...]]:

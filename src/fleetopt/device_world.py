@@ -317,40 +317,36 @@ def _coefficients(devices) -> np.ndarray:
                       d.gamma) for d in devices]).reshape(-1, 6)
 
 
-def _row_parts(terms: np.ndarray) -> tuple:
-    """(work, mem, layers, work_sum) of n rows' stage terms (n, S, 4): the
-    per-stage work and mem (n, S), and the exact sums over the stages (n,)."""
-    work = terms[..., 0]
-    return work, terms[..., 1], terms[..., 2].sum(axis=1), _stage_sum(work)
-
-
 def _latency(parts: tuple, qs: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """latency_value of n rows, (n,), from their `_row_parts`, their speedups
-    (n,) and their devices' coefficient rows, (n, 6) or one (1, 6) for all.
-    numpy's + - * / round like Python's; its SIMD power does not, so the
-    power stays Python's pow."""
-    work, mem, layers, _ = parts
-    ratio = work / (coeffs[:, 0:1] * qs[:, None])
+    """latency_value of n rows, (n,), from their `Oracle._row_parts`, their
+    speedups (n,) and their devices' coefficient rows, (n, 6) or one (1, 6) for
+    all. The power runs once per work term, which takes its speedup and
+    coefficients from the row it comes from, and is gathered back to each
+    (row, stage). numpy's + - * / round like Python's; its SIMD power does not,
+    so the power stays Python's pow."""
+    work, term_row, term, mem, layers, _ = parts
+    on_term = coeffs if len(coeffs) == 1 else coeffs[term_row]
+    ratio = work / (on_term[:, 0] * qs[term_row])
     gammas = (itertools.repeat(coeffs[0, 5].item()) if len(coeffs) == 1
-              else np.repeat(coeffs[:, 5], work.shape[1]).tolist())
-    powed = np.fromiter(map(pow, ratio.ravel().tolist(), gammas), float,
-                        ratio.size).reshape(ratio.shape)
-    return _stage_sum(powed + mem / coeffs[:, 1:2]) + coeffs[:, 2] * layers
+              else on_term[:, 5].tolist())
+    powed = np.fromiter(map(pow, ratio.tolist(), gammas), float, ratio.size)
+    return _stage_sum(powed[term] + mem / coeffs[:, 1:2]) + coeffs[:, 2] * layers
 
 
 def _energy(parts: tuple, qs: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """energy_value of n rows, (n,), as `_latency` takes them."""
     dynamic, static = coeffs[:, 3], coeffs[:, 4]
-    return dynamic * parts[3] / qs + static * _latency(parts, qs, coeffs)
+    return dynamic * parts[5] / qs + static * _latency(parts, qs, coeffs)
 
 
 class Oracle:
     """The measurement interface handed to everything downstream: one space, one
     ledger, charged truth. A design is its index tuple. The pair forms measure
     row i on device i, the row forms every row on every device (one device at a
-    time, through the same arithmetic), and the single measurements (`latency`,
-    `energy`, `accuracy`) are the one-row case; every form charges the ledger
-    once per value, after its rows are checked and its values computed."""
+    time, through the same arithmetic, pricing each distinct stage term once
+    per device), and the single measurements (`latency`, `energy`, `accuracy`)
+    are the one-row case; every form charges the ledger once per value, after
+    its rows are checked and its values computed."""
 
     def __init__(self, space: DesignSpace, ledger: MeasurementLedger | None = None):
         self.space = space
@@ -394,11 +390,34 @@ class Oracle:
         return np.array([_accuracy(c, self.space.bits_choices[row[-1]], tuple(row))
                          for row, c in zip(X.tolist(), capacity)])
 
-    def _row_terms(self, X: np.ndarray) -> np.ndarray:
-        """The (n, S, 4) stage terms of a checked index matrix, from its stage table."""
+    def _cells(self, X: np.ndarray) -> np.ndarray:
+        """The (n, S) stage-table cell of each stage of a checked index matrix."""
         sp = self.space
         cell = (X[:, 0:-1:3] * len(sp.width_choices) + X[:, 1:-1:3]) * len(sp.kernel_choices)
-        return _stage_table(sp)[cell + X[:, 2:-1:3], np.arange(sp.num_stages)]
+        return cell + X[:, 2:-1:3]
+
+    def _row_terms(self, X: np.ndarray) -> np.ndarray:
+        """The (n, S, 4) stage terms of a checked index matrix, from its stage table."""
+        return _stage_table(self.space)[self._cells(X), np.arange(self.space.num_stages)]
+
+    def _row_parts(self, X: np.ndarray, distinct: bool) -> tuple:
+        """(work, term_row, term, mem, layers, work_sum) of a checked index
+        matrix, as the kernels take them: each work term's work and the row it
+        comes from (T,), each (row, stage)'s term (n, S), the per-stage mem
+        (n, S), and the layer counts and exact work sums over the stages (n,).
+        With distinct, a term is a distinct (stage, cell, bit-width) of the
+        rows, so one device prices it once; else each (row, stage) is its own."""
+        terms = self._row_terms(X)
+        work, S = terms[..., 0], self.space.num_stages
+        first = np.arange(work.size)
+        if distinct:
+            key = (self._cells(X) * len(self.space.bits_choices) + X[:, -1:]) * S + np.arange(S)
+            _, first, term = np.unique(key.ravel(), return_index=True, return_inverse=True)
+            term = term.reshape(work.shape)
+        else:
+            term = first.reshape(work.shape)
+        return (work.ravel()[first], first // S, term, terms[..., 1], terms[..., 2].sum(axis=1),
+                _stage_sum(work))
 
     def _measure_pairs(self, X, devices, metric: str, kernel) -> np.ndarray:
         X = index_rows(X, self.space)
@@ -406,7 +425,7 @@ class Oracle:
             raise ValueError(f"{len(X)} design rows for {len(devices)} devices")
         bits = self.space.bits_choices
         qs = np.array([d.speedup_for(bits[b]) for d, b in zip(devices, X[:, -1].tolist())])
-        values = kernel(_row_parts(self._row_terms(X)), qs, _coefficients(devices))
+        values = kernel(self._row_parts(X, distinct=False), qs, _coefficients(devices))
         for d in devices:
             self.ledger.charge(d.device_id, metric)
         return values
@@ -416,7 +435,7 @@ class Oracle:
         used, which = np.unique(X[:, -1], return_inverse=True)  # unused bits need no speedup
         qs = np.array([[d.speedup_for(self.space.bits_choices[b]) for b in used.tolist()]
                        for d in devices]).reshape(len(devices), len(used))[:, which]
-        parts, coeffs = _row_parts(self._row_terms(X)), _coefficients(devices)
+        parts, coeffs = self._row_parts(X, distinct=True), _coefficients(devices)
         values = np.empty((len(devices), len(X)))
         for j in range(len(devices)):
             values[j] = kernel(parts, qs[j], coeffs[j:j + 1])

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .design_space import DesignSpace, decode, decode_rows, encode_rows
+from .design_space import DesignSpace, decode, decode_rows, design_codes, encode_rows
 from .device_world import DeviceFeatures, Oracle
 from .nn import DenseNet, l2_penalty, normalized_net, stack, train, unstack
 from .search import ConstraintSpec
@@ -39,15 +39,26 @@ def build_lambda_grid(count_per_axis: int, max_lambda: float) -> np.ndarray:
     return np.array([(l1, l2) for l1 in axis for l2 in axis])
 
 
-def optimizer_input(d: DeviceFeatures, lams) -> np.ndarray:
-    """One optimizer input row per weight row of lams (n, 2): the device
-    embedding, then (lambda1, lambda2). lambda1 scales energy, lambda2 latency."""
+def optimizer_inputs(devices, lams) -> np.ndarray:
+    """(D, n, e + 2) optimizer inputs: for each device, one row per weight row of
+    lams (n, 2), the device embedding then (lambda1, lambda2). lambda1 scales
+    energy, lambda2 latency."""
     lams = np.asarray(lams, dtype=float)
     if lams.ndim != 2 or lams.shape[1] != 2:
         raise ValueError(f"weights must be (n, 2) rows, got shape {lams.shape}")
     if not np.all(lams >= 0):
         raise ValueError("weights must be non-negative")
-    return np.hstack([np.tile(device_embedding(d), (len(lams), 1)), lams])
+    embeddings = np.stack([device_embedding(d) for d in devices])
+    X = np.empty((len(embeddings), len(lams), embeddings.shape[1] + 2))
+    X[..., :-2] = embeddings[:, None]
+    X[..., -2:] = lams
+    return X
+
+
+def optimizer_input(d: DeviceFeatures, lams) -> np.ndarray:
+    """One device's (n, e + 2) optimizer inputs: the one-device case of
+    `optimizer_inputs`."""
+    return optimizer_inputs([d], lams)[0]
 
 
 @dataclass
@@ -61,7 +72,7 @@ class OptimizerNetwork:
     loss_curve: list[float] = field(default_factory=list, repr=False)
 
     def infer_encodings(self, X: np.ndarray) -> np.ndarray:
-        """One forward pass over rows of optimizer inputs (see optimizer_input),
+        """One forward pass over rows of optimizer inputs (see optimizer_inputs),
         (n, in) or a stack (B, n, in); each stacked batch is a product of its own."""
         return self.net.forward((X - self.in_mean) / self.in_scale)
 
@@ -150,7 +161,7 @@ def train_method2(
 ) -> OptimizerNetwork:
     """Unsupervised: minimize mean f_hat(x_hat(d, lambda); d, lambda) + mu*||theta||^2
     through the frozen predictors. Predictor parameters are never written.
-    inputs holds one optimizer_input row per training (device, lambda) pair.
+    inputs holds one optimizer input row per training (device, lambda) pair.
 
     The logistic output head can saturate from a bad init and freeze part of
     the encoding, so `restarts` independent inits are trained and the one with
@@ -160,7 +171,7 @@ def train_method2(
     """
     X = np.asarray(inputs, dtype=float)
     if X.ndim != 2 or not len(X):
-        raise ValueError("inputs must be a non-empty matrix of optimizer_input rows")
+        raise ValueError("inputs must be a non-empty matrix of optimizer input rows")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     _require_device_aware(energy_model, latency_model)
@@ -202,7 +213,7 @@ def infer_design(
 ) -> tuple[int, ...]:
     """One forward pass plus decode for one weight row lam (2,); no
     measurements, no search."""
-    return decode(net.infer_encodings(optimizer_input(d, [lam]))[0], space)
+    return decode(net.infer_encodings(optimizer_inputs([d], [lam])[0])[0], space)
 
 
 @dataclass(frozen=True)
@@ -219,10 +230,11 @@ class SweepResult:
 
 # Devices per stacked pass of the sweep. Each device's grid stays a product of
 # its own, so the block size changes no value, only time and memory: on a
-# 2-vCPU box, 256 targets swept in 44-50 ms (best of 18) in blocks of 8 to 24,
-# in 143 ms one device at a time and in 57-58 ms in blocks of 32 or 64, and a
-# stack of the whole fleet holds every device's grid and activations at once.
-SWEEP_BLOCK = 8
+# 2-vCPU box, the 256 targets of amortized-fleet swept in 21.2 ms (best of 48)
+# in blocks of 8, 18.8 ms in blocks of 16, 17.2-18.3 ms in blocks of 24 to 64
+# and 28.8 ms in one block of all 256, which holds every device's grid and
+# activations at once. 16 is the smallest block within 2 ms of the best.
+SWEEP_BLOCK = 16
 
 
 def constraint_sweep(
@@ -237,27 +249,32 @@ def constraint_sweep(
     """Pick lambda for each (device, constraints) target by sweeping inferences;
     one result per target, in order, its trace rows headed by the device_id.
 
-    Every device's grid (n, 2) is scored as one batch, and the devices go
-    through in blocks of SWEEP_BLOCK: one optimizer forward, one prediction per
-    model and one choice over a (devices, n, .) stack. Feasibility along a
-    device's grid is judged by the device-aware predictors alone (a missing
-    energy bound is +inf): the most accurate feasible row wins, else the least
-    violating one (then the most accurate), the first position of equals. Every
-    position takes the predictions of the first position that decodes to its
-    design, so equal designs tie exactly however the batch rounds. The oracle
-    only validates the final choices, one measurement per bound (<= 2 per
-    target) in one paired call per metric for the whole sweep, and each
-    result's feasible is its measured verdict.
+    The fleet's optimizer inputs are built once, every device's grid (n, 2) is
+    scored as one batch, and the devices go through in blocks of SWEEP_BLOCK:
+    one optimizer forward, one prediction per model and one choice over a
+    (devices, n, .) stack. Feasibility along a device's grid is judged by the
+    device-aware predictors alone (a missing energy bound is +inf): the most
+    accurate feasible row wins, else the least violating one (then the most
+    accurate), the first position of equals. Every position takes the
+    predictions of the first position that decodes to its design (the first
+    equal design code), so equal designs tie exactly however the batch rounds.
+    The oracle only validates the final choices, one measurement per bound
+    (<= 2 per target) in one paired call per metric for the whole sweep, and
+    each result's feasible is its measured verdict.
     """
     _require_device_aware(energy_model, latency_model)
+    if not targets:
+        return []
     lams = np.asarray(lambda_grid, dtype=float).tolist()
+    devices = [d for d, _ in targets]
+    inputs = optimizer_inputs(devices, lambda_grid)
     choices = []
     for start in range(0, len(targets), SWEEP_BLOCK):
         block = targets[start:start + SWEEP_BLOCK]
-        X = np.stack([optimizer_input(d, lambda_grid) for d, _ in block])
-        designs, accs, lats, ens = _score_block(net, X, acc_model, energy_model, latency_model,
-                                                oracle.space)
-        lead = (designs[:, :, None] == designs[:, None, :]).all(axis=-1).argmax(axis=-1)
+        designs, accs, lats, ens = _score_block(net, inputs[start:start + SWEEP_BLOCK], acc_model,
+                                                energy_model, latency_model, oracle.space)
+        codes = design_codes(designs, oracle.space)
+        lead = (codes[:, :, None] == codes[:, None, :]).argmax(axis=-1)
         accs, lats, ens = (np.take_along_axis(v, lead, axis=-1) for v in (accs, lats, ens))
         lat_bound, en_bound = np.array(
             [[spec.latency_bound, np.inf if spec.energy_bound is None else spec.energy_bound]
@@ -276,11 +293,8 @@ def constraint_sweep(
                 for i, ((l1, l2), f, a) in enumerate(zip(lams, ok, pa))
             )
             choices.append((x, tuple(lams[p]), ok[p], pa[p], trace))
-    if not choices:
-        return []
     # the oracle validates every choice at once: one latency per target, one
     # energy per target with an energy bound
-    devices = [d for d, _ in targets]
     lats = oracle.latency_pairs([c[0] for c in choices], devices).tolist()
     ens = [None] * len(targets)
     if bounded := [i for i, (_, spec) in enumerate(targets) if spec.energy_bound is not None]:

@@ -32,7 +32,7 @@ from .learn_to_optimize import (
     build_lambda_grid,
     constraint_sweep,
     load_optimizer,
-    optimizer_input,
+    optimizer_inputs,
     train_method2,
 )
 from .proxy_reuse import (
@@ -283,10 +283,10 @@ def _amortized(scenario: Scenario, fleet: Fleet, oracle: Oracle):
             scenario.hyper, scenario.hidden,
         )
         train_devices = list(fleet.training_real) + list(fleet.synthetic)
-        inputs = np.vstack([optimizer_input(d, lambda_grid) for d in train_devices])
+        inputs = optimizer_inputs(train_devices, lambda_grid)
         opt_hyper = dataclasses.replace(scenario.hyper, epochs=scenario.optimize.optimizer_epochs)
         optnet = train_method2(
-            inputs, bundle.accuracy, bundle.energy, bundle.latency,
+            inputs.reshape(-1, inputs.shape[-1]), bundle.accuracy, bundle.energy, bundle.latency,
             scenario.optimize.optimizer_hidden, opt_hyper, scenario.optimize.mu, rng,
         )
         return [bundle.accuracy, bundle.energy, bundle.latency, optnet]

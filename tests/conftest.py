@@ -17,7 +17,7 @@ from fleetopt.device_world import (
     energy_value,
     latency_value,
 )
-from fleetopt.learn_to_optimize import build_lambda_grid, optimizer_input, train_method2
+from fleetopt.learn_to_optimize import build_lambda_grid, optimizer_inputs, train_method2
 from fleetopt.surrogate import (
     TrainingSettings,
     train_accuracy_predictor,
@@ -118,9 +118,8 @@ def method2_net(dspace, fleet, stage1_bundle):
     """Amortized optimizer trained through the frozen stage-1 predictors."""
     t0 = time.monotonic()
     lam_grid = build_lambda_grid(4, 1.0)
-    inputs = np.vstack([
-        optimizer_input(d, lam_grid) for d in list(fleet.training_real) + list(fleet.synthetic)
-    ])
+    inputs = optimizer_inputs(list(fleet.training_real) + list(fleet.synthetic), lam_grid)
+    inputs = inputs.reshape(-1, inputs.shape[-1])
     net = train_method2(
         inputs,
         stage1_bundle.accuracy,

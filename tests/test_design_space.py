@@ -14,6 +14,7 @@ from fleetopt.design_space import (
     decode,
     decode_rows,
     default_space,
+    design_codes,
     encode,
     encode_rows,
     enumerate_all,
@@ -310,3 +311,34 @@ def test_indices_of_rejects_design_of_another_space(reduced, dspace):
 def test_indices_roundtrip(reduced):
     for x in enumerate_all(reduced):
         assert reduced.indices_of(reduced.design_at(x)) == x
+
+
+# --- design codes ---------------------------------------------------------------
+
+
+def test_design_codes_number_designs_in_enumeration_order(reduced, dspace):
+    assert design_codes(enumerate_all(reduced), reduced).tolist() == list(range(128))
+    # injective on a default-space sample: each code unravels to its own row
+    X = sample_rows(dspace, rng(5), 10_000)
+    codes = design_codes(X, dspace)
+    assert codes.dtype == np.int64 and codes.shape == (10_000,)
+    sizes = [len(axis) for axis in dspace._axes()]
+    assert np.array_equal(np.stack(np.unravel_index(codes, sizes), axis=-1), X)
+    assert len(set(codes.tolist())) == len({tuple(row) for row in X.tolist()})
+    # a stack of index matrices gets a code per row
+    assert np.array_equal(design_codes(X.reshape(100, 100, -1), dspace), codes.reshape(100, 100))
+
+
+def test_a_space_holds_fewer_than_2_63_designs():
+    # 8 cells per stage over 20 stages: 2**60 stage choices
+    cells = dict(num_stages=20, depth_choices=(1, 2), width_choices=(0.5, 1.0),
+                 kernel_choices=(3, 5))
+    widest = DesignSpace(**cells, bits_choices=(4, 8, 16, 32))
+    assert widest.cardinality == 2**62
+    last = [len(axis) - 1 for axis in widest._axes()]
+    assert design_codes([last], widest).tolist() == [2**62 - 1]
+    with pytest.raises(ValueError, match="fewer than 2\\*\\*63 designs"):
+        DesignSpace(**cells, bits_choices=tuple(range(1, 9)))
+    with pytest.raises(ValueError, match="fewer than 2\\*\\*63 designs"):
+        DesignSpace(12, *(getattr(default_space(), f"{axis}_choices")
+                          for axis in ("depth", "width", "kernel", "bits")))

@@ -291,6 +291,30 @@ def test_row_forms_equal_the_scalar_values_bit_for_bit(space_name, n, dspace, re
     assert [oracle.accuracy(x) for x in designs[:k]] == acc_ref[:k]
 
 
+@pytest.mark.parametrize("space_name, n", [("default", 3000), ("reduced", None)])
+def test_row_forms_price_each_distinct_stage_term_once_per_device(monkeypatch, space_name, n,
+                                                                  dspace, reduced):
+    space = dspace if space_name == "default" else reduced
+    devices = generate_fleet(FleetConfig(2, 2, 2, 2), np.random.default_rng(29)).all_devices()
+    designs = (enumerate_all(space) if n is None
+               else sample_rows(space, np.random.default_rng(37), n).tolist())
+    S = space.num_stages
+    terms = {(i, *x[3 * i:3 * i + 3], x[-1]) for x in designs for i in range(S)}
+    assert len(terms) < len(designs) * S
+    calls = []
+    monkeypatch.setattr(device_world, "pow", lambda a, b: calls.append(b) or a**b, raising=False)
+    oracle = Oracle(space)
+    for measure in (oracle.latency_rows, oracle.energy_rows):
+        calls.clear()
+        measure(designs, devices)
+        assert len(calls) == len(terms) * len(devices)
+        assert sorted(set(calls)) == sorted({d.gamma for d in devices})
+    # a pair call prices each (row, stage) as its own term
+    calls.clear()
+    oracle.latency_pairs(designs[:len(devices)], devices)
+    assert len(calls) == len(devices) * S
+
+
 def test_row_calls_charge_once_per_value_and_nothing_else(reduced):
     devices = generate_fleet(FleetConfig(1, 0, 1, 1), np.random.default_rng(3)).all_devices()
     designs = enumerate_all(reduced)[:10]

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from fleetopt import learn_to_optimize
 from fleetopt.design_space import decode_rows, encode, encode_rows, enumerate_all
 from fleetopt.device_world import MeasurementLedger, Oracle
 from fleetopt.learn_to_optimize import (
@@ -14,6 +15,7 @@ from fleetopt.learn_to_optimize import (
     infer_design,
     load_optimizer,
     optimizer_input,
+    optimizer_inputs,
     train_method2,
 )
 from fleetopt.nn import DenseNet, l2_penalty, stack, train, unstack
@@ -31,8 +33,9 @@ LAM_MIX = np.array([0.1, 0.1])
 
 
 def inputs_of(devices, lams):
-    """Optimizer input rows, device-outer, as the amortized run stacks them."""
-    return np.vstack([optimizer_input(d, lams) for d in devices])
+    """Optimizer input rows, device-outer, as the amortized run builds them."""
+    X = optimizer_inputs(devices, lams)
+    return X.reshape(-1, X.shape[-1])
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +109,20 @@ def test_optimizer_input_layout(fleet):
     assert X.shape == (3, emb.size + 2)
     np.testing.assert_array_equal(X[:, :-2], np.tile(emb, (3, 1)))
     np.testing.assert_array_equal(X[:, -2:], lams)
+
+
+def test_fleet_inputs_are_the_stacked_one_device_rows_bit_for_bit(fleet):
+    devices = [fleet.proxy, *fleet.training_real, *fleet.holdout_adversarial]
+    lams = np.vstack([build_lambda_grid(4, 1.0), [[0.25, 4.0], [-0.0, 1e-300]]])
+    X = optimizer_inputs(devices, lams)
+    assert X.shape == (len(devices), len(lams), device_embedding(fleet.proxy).size + 2)
+    rows = np.stack([optimizer_input(d, lams) for d in devices])
+    # the layout the run stacked before the fleet form
+    tiled = np.stack([np.hstack([np.tile(device_embedding(d), (len(lams), 1)), lams])
+                      for d in devices])
+    assert X.tobytes() == rows.tobytes() == tiled.tobytes()
+    with pytest.raises(ValueError, match="non-negative"):
+        optimizer_inputs(devices, [[0.0, -1.0]])
 
 
 def test_tradeoff_weights_validation(fleet):
@@ -404,12 +421,10 @@ def test_sweep_scores_the_grid_in_one_batch(method2_small, small_bundle, fleet, 
     assert calls == expected
 
 
-def test_blocked_sweep_equals_one_device_sweeps(method2_small, small_bundle, fleet, reduced):
-    # every device's result, validation and charges as if it were swept alone,
-    # bit for bit, under bounds met, bounds with energy, and bounds none meets
-    grid = build_lambda_grid(4, 1.0)
-    designs = enumerate_all(reduced)
-    probe = Oracle(reduced, MeasurementLedger())
+def mixed_targets(fleet, space):
+    """sweep_devices under bounds met, bounds with energy, and bounds none meets."""
+    designs = enumerate_all(space)
+    probe = Oracle(space, MeasurementLedger())
     targets = []
     for i, d in enumerate(sweep_devices(fleet)):
         lat = float(np.median(probe.latency_rows(designs, [d])))
@@ -417,6 +432,14 @@ def test_blocked_sweep_equals_one_device_sweeps(method2_small, small_bundle, fle
         specs = [ConstraintSpec(latency_bound=lat), ConstraintSpec(lat, energy_bound=en),
                  ConstraintSpec(latency_bound=1e-9)]
         targets.append((d, specs[i % 3]))
+    return targets
+
+
+def test_blocked_sweep_equals_one_device_sweeps(method2_small, small_bundle, fleet, reduced):
+    # every device's result, validation and charges as if it were swept alone,
+    # bit for bit
+    grid = build_lambda_grid(4, 1.0)
+    targets = mixed_targets(fleet, reduced)
     models = small_bundle.accuracy, small_bundle.energy, small_bundle.latency
     blocked_oracle, alone_oracle = (Oracle(reduced, MeasurementLedger()) for _ in range(2))
     blocked = constraint_sweep(method2_small, targets, *models, grid, blocked_oracle)
@@ -429,6 +452,24 @@ def test_blocked_sweep_equals_one_device_sweeps(method2_small, small_bundle, fle
     assert blocked_oracle.ledger.to_csv() == alone_oracle.ledger.to_csv()
     assert {r.predicted_feasible for r in blocked} == {True, False}
     assert {r.energy is None for r in blocked} == {True, False}
+
+
+def test_block_size_changes_no_value(method2_small, small_bundle, fleet, reduced, monkeypatch):
+    # results, trace rows and charges are those of every other block size,
+    # from one device a block to the whole fleet in one
+    grid = build_lambda_grid(4, 1.0)
+    targets = mixed_targets(fleet, reduced)
+    models = small_bundle.accuracy, small_bundle.energy, small_bundle.latency
+    runs = {}
+    for block in (1, 3, 8, 16, 64):
+        monkeypatch.setattr(learn_to_optimize, "SWEEP_BLOCK", block)
+        oracle = Oracle(reduced, MeasurementLedger())
+        results = constraint_sweep(method2_small, targets, *models, grid, oracle)
+        runs[block] = (results, repr(results), oracle.ledger.snapshot(), oracle.ledger.to_csv())
+    first = runs[1]
+    assert len(first[0]) == len(targets) == 2 * SWEEP_BLOCK + 1
+    assert all(run == first for run in runs.values())
+    assert {r.predicted_feasible for r in first[0]} == {True, False}
 
 
 def test_sweep_validates_the_fleet_in_one_paired_call_per_metric(method2_small, small_bundle,

@@ -167,6 +167,11 @@ BAD_CONFIGS = [
     (SMALL_PROXY, "space", {"num_stages": 1, "depth_choices": [1], "width_choices": [1.0],
                             "kernel_choices": [3], "bits_choices": [8]},
      "space: must hold at least 2 designs"),
+    # a design's code is one int64
+    (SMALL_PROXY, "space", {"num_stages": 12, "depth_choices": [1, 2, 3, 4],
+                            "width_choices": [0.5, 0.75, 1.0, 1.25], "kernel_choices": [3, 5, 7],
+                            "bits_choices": [4, 8, 16, 32]},
+     "space: must hold fewer than 2**63 designs"),
 ]
 
 
