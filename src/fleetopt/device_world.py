@@ -333,10 +333,14 @@ def _latency(parts: tuple, qs: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return _stage_sum(powed[term] + mem / coeffs[:, 1:2]) + coeffs[:, 2] * layers
 
 
-def _energy(parts: tuple, qs: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """energy_value of n rows, (n,), as `_latency` takes them."""
-    dynamic, static = coeffs[:, 3], coeffs[:, 4]
-    return dynamic * parts[5] / qs + static * _latency(parts, qs, coeffs)
+def _metrics(parts: tuple, qs: np.ndarray, coeffs: np.ndarray,
+             metrics: tuple[str, ...]) -> list[np.ndarray]:
+    """The values (n,) of n rows, as `_latency` takes them, for each of metrics
+    in order: latency_value's, and energy_value's from that one latency pass."""
+    latency = _latency(parts, qs, coeffs)
+    energy = (coeffs[:, 3] * parts[5] / qs + coeffs[:, 4] * latency
+              if "energy" in metrics else None)
+    return [latency if m == "latency" else energy for m in metrics]
 
 
 class Oracle:
@@ -344,9 +348,10 @@ class Oracle:
     ledger, charged truth. A design is its index tuple. The pair forms measure
     row i on device i, the row forms every row on every device (one device at a
     time, through the same arithmetic, pricing each distinct stage term once
-    per device), and the single measurements (`latency`, `energy`, `accuracy`)
-    are the one-row case; every form charges the ledger once per value, after
-    its rows are checked and its values computed."""
+    per device; `latency_energy_rows` gives both metrics from one such pass),
+    and the single measurements (`latency`, `energy`, `accuracy`) are the
+    one-row case; every form charges the ledger once per value, after its rows
+    are checked and its values computed."""
 
     def __init__(self, space: DesignSpace, ledger: MeasurementLedger | None = None):
         self.space = space
@@ -367,19 +372,25 @@ class Oracle:
 
     def latency_pairs(self, X, devices) -> np.ndarray:
         """(n,) latencies of index row i of X on devices[i]."""
-        return self._measure_pairs(X, devices, "latency", _latency)
+        return self._measure_pairs(X, devices, ("latency",))[0]
 
     def energy_pairs(self, X, devices) -> np.ndarray:
         """(n,) energies of index row i of X on devices[i]."""
-        return self._measure_pairs(X, devices, "energy", _energy)
+        return self._measure_pairs(X, devices, ("energy",))[0]
 
     def latency_rows(self, X, devices) -> np.ndarray:
         """(n, D) latencies of the index rows X on each device."""
-        return self._measure_rows(X, devices, "latency", _latency)
+        return self._measure_rows(X, devices, ("latency",))[0]
 
     def energy_rows(self, X, devices) -> np.ndarray:
         """(n, D) energies of the index rows X on each device."""
-        return self._measure_rows(X, devices, "energy", _energy)
+        return self._measure_rows(X, devices, ("energy",))[0]
+
+    def latency_energy_rows(self, X, devices) -> tuple[np.ndarray, np.ndarray]:
+        """(n, D) latencies and (n, D) energies of the index rows X on each
+        device, both from one latency pass: `latency_rows` and `energy_rows`
+        in one call, charged as those two calls are."""
+        return tuple(self._measure_rows(X, devices, ("latency", "energy")))
 
     def accuracy_rows(self, X) -> np.ndarray:
         """(n,) accuracies of the index rows X, keyed on the rows themselves."""
@@ -419,30 +430,32 @@ class Oracle:
         return (work.ravel()[first], first // S, term, terms[..., 1], terms[..., 2].sum(axis=1),
                 _stage_sum(work))
 
-    def _measure_pairs(self, X, devices, metric: str, kernel) -> np.ndarray:
+    def _measure_pairs(self, X, devices, metrics: tuple[str, ...]) -> list[np.ndarray]:
         X = index_rows(X, self.space)
         if len(X) != len(devices):
             raise ValueError(f"{len(X)} design rows for {len(devices)} devices")
         bits = self.space.bits_choices
         qs = np.array([d.speedup_for(bits[b]) for d, b in zip(devices, X[:, -1].tolist())])
-        values = kernel(self._row_parts(X, distinct=False), qs, _coefficients(devices))
-        for d in devices:
-            self.ledger.charge(d.device_id, metric)
+        values = _metrics(self._row_parts(X, distinct=False), qs, _coefficients(devices), metrics)
+        for metric in metrics:
+            for d in devices:
+                self.ledger.charge(d.device_id, metric)
         return values
 
-    def _measure_rows(self, X, devices, metric: str, kernel) -> np.ndarray:
+    def _measure_rows(self, X, devices, metrics: tuple[str, ...]) -> list[np.ndarray]:
         X = index_rows(X, self.space)
         used, which = np.unique(X[:, -1], return_inverse=True)  # unused bits need no speedup
         qs = np.array([[d.speedup_for(self.space.bits_choices[b]) for b in used.tolist()]
                        for d in devices]).reshape(len(devices), len(used))[:, which]
         parts, coeffs = self._row_parts(X, distinct=True), _coefficients(devices)
-        values = np.empty((len(devices), len(X)))
+        values = np.empty((len(metrics), len(devices), len(X)))
         for j in range(len(devices)):
-            values[j] = kernel(parts, qs[j], coeffs[j:j + 1])
-        for d in devices:
-            for _ in range(len(X)):
-                self.ledger.charge(d.device_id, metric)
-        return values.T
+            values[:, j] = _metrics(parts, qs[j], coeffs[j:j + 1], metrics)
+        for metric in metrics:
+            for d in devices:
+                for _ in range(len(X)):
+                    self.ledger.charge(d.device_id, metric)
+        return [v.T for v in values]
 
 
 def _log_uniform(rng: np.random.Generator, lo: float, hi: float) -> float:

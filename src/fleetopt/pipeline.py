@@ -39,6 +39,7 @@ from .proxy_reuse import (
     ProxyEntry,
     TCache,
     bisection_optimize,
+    corrected_entry,
     grid_optimize_2d,
     match_proxy,
 )
@@ -155,10 +156,13 @@ def _percentile_bounds(scenario: Scenario, fleet: Fleet) -> tuple[dict, Measurem
         probes = sample_rows(space, rng, 128)
     targets = list(fleet.holdout_monotone) + list(fleet.holdout_adversarial)
     opt = scenario.optimize
-    lat = np.percentile(cal_oracle.latency_rows(probes, targets), opt.latency_percentile, axis=0)
-    en = [None] * len(targets) if opt.energy_percentile is None else np.percentile(
-        cal_oracle.energy_rows(probes, targets), opt.energy_percentile, axis=0).tolist()
-    bounds = {d.device_id: ConstraintSpec(b, e) for d, b, e in zip(targets, lat.tolist(), en)}
+    if opt.energy_percentile is None:
+        lat, en = cal_oracle.latency_rows(probes, targets), [None] * len(targets)
+    else:
+        lat, en = cal_oracle.latency_energy_rows(probes, targets)
+        en = np.percentile(en, opt.energy_percentile, axis=0).tolist()
+    lat = np.percentile(lat, opt.latency_percentile, axis=0).tolist()
+    bounds = {d.device_id: ConstraintSpec(b, e) for d, b, e in zip(targets, lat, en)}
     return bounds, cal_ledger
 
 
@@ -205,44 +209,38 @@ def _load_models(models_dir: str | None, names: list[str], scenario: Scenario,
 
 def _proxy_reuse(scenario: Scenario, fleet: Fleet, oracle: Oracle):
     """Model file names, train and solver of proxy reuse: predictors trained on
-    the proxy, a rank gate per target that reuses a pool entry or trains the
-    target its own, then bisection on t (the 2-D grid under an energy bound)."""
+    the proxy, a rank gate per target that reuses a pool entry or corrects the
+    nearest one on the gate's probes, then bisection on t (the 2-D grid under
+    an energy bound)."""
     metrics = ["latency"] if scenario.optimize.energy_percentile is None else ["latency", "energy"]
     names = ["accuracy.json"] + [f"{metric}_proxy.json" for metric in metrics]
 
     n, hyper, hidden = scenario.samples_per_device, scenario.hyper, scenario.hidden
 
-    def device_fits(device, rng) -> list:
-        # one shape for every fit, so a device's fits train as one stack (the
-        # proxy's with the accuracy fit)
-        return [device_specific_fit(metric, device, n, oracle, rng, hyper, hidden)
-                for metric in metrics]
-
     def train(rng) -> list:
-        return fit_lockstep([accuracy_fit(n, oracle, rng, hyper, hidden)]
-                            + device_fits(fleet.proxy, rng))
+        # one shape for every fit, so they train as one stack
+        return fit_lockstep([accuracy_fit(n, oracle, rng, hyper, hidden)] + [
+            device_specific_fit(metric, fleet.proxy, n, oracle, rng, hyper, hidden)
+            for metric in metrics])
 
-    def solver(acc_model, *proxy_models):
-        def entry_for(device, models) -> ProxyEntry:
-            energy_model = models[1] if len(models) > 1 else None
-            return ProxyEntry(device, acc_model, models[0], energy_model,
-                              TCache(scenario.granularity))
-
-        pool = [entry_for(fleet.proxy, proxy_models)]
+    def solver(acc_model, latency_model, energy_model=None):
+        pool = [ProxyEntry(fleet.proxy, acc_model, latency_model, energy_model,
+                           TCache(scenario.granularity))]
         rng_opt = stream(scenario.seed, PROXY_STREAM)
 
         def solve_one(target, spec: ConstraintSpec):
             count = oracle.ledger.count
             before = count(target.device_id, "latency")
-            trials: list = []
+            trials, probes = [], []
             entry = match_proxy(
                 pool, target, scenario.optimize.monotonicity_threshold, oracle, rng_opt,
-                scenario.optimize.probe_count, trials=trials,
+                scenario.optimize.probe_count, trials=trials, probes=probes,
             )
             probes_charged = count(target.device_id, "latency") - before
             reused = entry is not None
-            if entry is None:
-                entry = entry_for(target, fit_lockstep(device_fits(target, rng_opt)))
+            if entry is None:  # the first entry tried is the nearest
+                nearest = next(e for e in pool if e.device.device_id == trials[0][0])
+                entry = corrected_entry(nearest, target, probes, oracle)
                 pool.append(entry)
             before = count(target.device_id, "latency")
             delta = scenario.delta_fraction * spec.latency_bound

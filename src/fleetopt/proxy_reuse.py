@@ -9,7 +9,9 @@ against true measurements of the current candidate on d. Inner solves touch
 only predictors; the target device is charged one latency measurement per
 bisection iteration, at most ceil(log2(1/granularity + 1)) total. A rank
 correlation check decides whether a proxy is usable for a given target at all,
-and a pool of proxies turns that check into a reuse-or-train-new policy.
+and a pool of proxies turns that check into a reuse-or-correct policy: a
+target that no entry passes gets the nearest entry's predictors corrected on
+the probes its checks measured.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 from .design_space import DesignSpace, encode_rows, sample_rows
 from .device_world import DeviceFeatures, Oracle
 from .search import GA_STREAM, ConstraintSpec, SearchParams, evolutionary_search, stream
-from .surrogate import MlpRegressor, device_embedding, standardizer
+from .surrogate import CorrectedPredictor, MlpRegressor, correct, device_embedding, standardizer
 
 
 def _average_ranks(values) -> np.ndarray:
@@ -75,16 +77,34 @@ class TCache:
 class ProxyEntry:
     device: DeviceFeatures
     accuracy_model: MlpRegressor
-    latency_model: MlpRegressor
-    energy_model: MlpRegressor | None
+    latency_model: MlpRegressor | CorrectedPredictor
+    energy_model: MlpRegressor | CorrectedPredictor | None
     cache: TCache
+
+
+def corrected_entry(entry: ProxyEntry, target: DeviceFeatures, probes: list,
+                    oracle: Oracle) -> ProxyEntry:
+    """The target's own entry when no pool entry passes its rank gate: entry's
+    accuracy model, its latency model corrected (`surrogate.correct`) on every
+    probe the gate measured, probes a list of (designs, latencies) as
+    check_monotonicity appends them, and its energy model, if any, corrected
+    on the same designs measured for energy (one charge per probe); a fresh
+    t-cache of entry's granularity. No predictor is trained."""
+    designs = np.concatenate([x for x, _ in probes])
+    enc = encode_rows(designs, oracle.space)
+    energy_model = None
+    if entry.energy_model is not None:
+        energy_model = correct(entry.energy_model, enc, oracle.energy_rows(designs, [target])[:, 0])
+    latency_model = correct(entry.latency_model, enc, np.concatenate([y for _, y in probes]))
+    return ProxyEntry(target, entry.accuracy_model, latency_model, energy_model,
+                      TCache(entry.cache.granularity))
 
 
 def scalarized_objective(
     X: np.ndarray,
     ts: tuple[float, ...],
     acc_model: MlpRegressor,
-    metric_models: tuple[MlpRegressor, ...],
+    metric_models: tuple[MlpRegressor | CorrectedPredictor, ...],
     space: DesignSpace,
 ) -> np.ndarray:
     """-(1 - sum t_i)*acc + sum t_i*m_i/s_i on the proxy's predictors for each
@@ -267,7 +287,7 @@ def grid_optimize_2d(
     Each of GRID_LEVELS levels solves the inner problem on a lattice (GRID_N
     divisions at the top, refined 4x around the incumbent), predicts its new
     designs in one batch per model, measures up to GRID_MEASURE_CAP new
-    candidates on the target (both metrics, one row call each), and calibrates
+    candidates on the target (both metrics, in one row call), and calibrates
     predicted metrics against the measurements to rank the next level's.
     Returns the measured feasible design with maximum predicted accuracy, else
     the least-violating measured design flagged infeasible. Inner solves go
@@ -318,8 +338,7 @@ def grid_optimize_2d(
         # boundary and spend the level's measurement budget there
         chosen = sorted((x for x in designs if x not in measured), key=boundary_score)
         if chosen := chosen[:GRID_MEASURE_CAP]:
-            values = np.hstack([oracle.latency_rows(chosen, [target]),
-                                oracle.energy_rows(chosen, [target])]).tolist()
+            values = np.hstack(oracle.latency_energy_rows(chosen, [target])).tolist()
             for x, (lat, en) in zip(chosen, values):
                 measured[x] = (lat, en)
                 trace.append({"device_id": target.device_id, "level": level,
@@ -336,17 +355,19 @@ def grid_optimize_2d(
 
 
 def check_monotonicity(
-    proxy_pred: MlpRegressor,
+    proxy_pred: MlpRegressor | CorrectedPredictor,
     target: DeviceFeatures,
     probe_count: int,
     oracle: Oracle,
     rng: np.random.Generator,
+    probes: list | None = None,
 ) -> float | None:
     """Spearman rho between the proxy's latency predictor and the target's
     measured latencies on probe_count random designs: how well the proxy ranks
     designs the way the target does; None where rho is undefined (the
     predictions or the measurements are constant). Costs probe_count true
-    latency measurements on the target; predictor calls are free.
+    latency measurements on the target; predictor calls are free. With probes
+    a list, (designs, measured latencies) is appended to it.
     """
     if probe_count < 10:
         raise ValueError(f"probe_count must be >= 10, got {probe_count}")
@@ -354,6 +375,8 @@ def check_monotonicity(
     designs = sample_rows(space, rng, probe_count)
     predicted_lat = proxy_pred.predict_batch(encode_rows(designs, space))
     actual = oracle.latency_rows(designs, [target])[:, 0]
+    if probes is not None:
+        probes.append((designs, actual))
     return spearman(predicted_lat, actual)
 
 
@@ -365,12 +388,14 @@ def match_proxy(
     rng: np.random.Generator,
     probe_count: int,
     trials: list | None = None,
+    probes: list | None = None,
 ) -> ProxyEntry | None:
     """Nearest-first scan of the pool; a candidate is accepted only if its
     latency predictor's rank correlation with the target is at least threshold
     (an undefined rho, None, fails). Returns None when nothing passes; the
-    caller then trains a fresh proxy. With trials a list, (proxy id, rho,
-    verdict) is appended per candidate.
+    caller then corrects the nearest entry (corrected_entry). With trials a
+    list, (proxy id, rho, verdict) is appended per candidate; with probes a
+    list, each candidate's (probe designs, measured latencies).
     """
     if not pool:
         return None
@@ -382,7 +407,7 @@ def match_proxy(
     order = sorted(range(len(pool)), key=lambda i: (dists[i], i))
     for i in order:
         entry = pool[i]
-        rho = check_monotonicity(entry.latency_model, target, probe_count, oracle, rng)
+        rho = check_monotonicity(entry.latency_model, target, probe_count, oracle, rng, probes)
         passed = rho is not None and rho >= threshold
         if trials is not None:
             trials.append((entry.device.device_id, rho, passed))

@@ -42,7 +42,7 @@ def stream(seed: int, stream_id: int, *key: int) -> np.random.Generator:
 
         0    FLEET_STREAM        device fleet
         1    TRAINING_STREAM     predictor and optimizer training
-        2    PROXY_STREAM        proxy optimization: rank-gate probes, retrains
+        2    PROXY_STREAM        proxy optimization: rank-gate probes
         3    GA_STREAM           inner GA search, keyed by the t-cache key
         101  CALIBRATION_STREAM  bound calibration
 

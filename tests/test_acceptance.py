@@ -218,7 +218,7 @@ def test_criterion_5_detector_separation(dspace, fleet, proxy, reduced_models,
     assert record_criterion(
         5, "detector separation", ok,
         f"rho >= {min(rhos_m):.3f} on monotone, <= {max(rhos_a):.3f} on adversarial "
-        f"(40 probes); reuse/retrain decisions correct in {match_ok}/10 seeded runs; "
+        f"(40 probes); reuse-or-correct verdicts right in {match_ok}/10 seeded runs; "
         f"{t.seconds:.1f}s of {BUDGET_S[5]}s",
     )
 

@@ -282,6 +282,8 @@ def test_row_forms_equal_the_scalar_values_bit_for_bit(space_name, n, dspace, re
     oracle = Oracle(space)
     assert np.array_equal(oracle.latency_rows(designs, devices), lat_ref)
     assert np.array_equal(oracle.energy_rows(designs, devices), en_ref)
+    both = oracle.latency_energy_rows(designs, devices)
+    assert np.array_equal(both[0], lat_ref) and np.array_equal(both[1], en_ref)
     assert np.array_equal(oracle.accuracy_rows(designs), acc_ref)
     # the single measurements are the one-row case: every reduced-space
     # design, the first 200 default-space ones
@@ -304,7 +306,9 @@ def test_row_forms_price_each_distinct_stage_term_once_per_device(monkeypatch, s
     calls = []
     monkeypatch.setattr(device_world, "pow", lambda a, b: calls.append(b) or a**b, raising=False)
     oracle = Oracle(space)
-    for measure in (oracle.latency_rows, oracle.energy_rows):
+    # energy takes the latency pass it needs, so both metrics in one call price
+    # each term once too
+    for measure in (oracle.latency_rows, oracle.energy_rows, oracle.latency_energy_rows):
         calls.clear()
         measure(designs, devices)
         assert len(calls) == len(terms) * len(devices)
@@ -328,6 +332,10 @@ def test_row_calls_charge_once_per_value_and_nothing_else(reduced):
     assert ledger.count(devices[0].device_id, "energy") == 10
     assert ledger.total("energy") == 10 and ledger.total("latency") == 40
     assert ledger.accuracy_count == 3
+    # both metrics in one call: each value charged once, as two calls would
+    oracle.latency_energy_rows(designs[:4], devices[1:])
+    assert ledger.total("energy") == 10 + 4 * 3 and ledger.total("latency") == 40 + 4 * 3
+    assert ledger.count(devices[1].device_id, "energy") == 4
 
 
 def test_row_calls_check_their_rows(reduced):

@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from fleetopt.design_space import DesignSpace, enumerate_all
+from fleetopt.design_space import DesignSpace, encode_rows, enumerate_all
 from fleetopt.device_world import (
     MeasurementLedger,
     Oracle,
@@ -20,6 +20,7 @@ from fleetopt.proxy_reuse import (
     TCache,
     bisection_optimize,
     check_monotonicity,
+    corrected_entry,
     grid_optimize_2d,
     match_proxy,
     scalarized_objective,
@@ -27,7 +28,7 @@ from fleetopt.proxy_reuse import (
     spearman,
 )
 from fleetopt.search import ConstraintSpec, SearchParams, brute_force_argmin, evolutionary_search
-from fleetopt.surrogate import MlpRegressor, TrainingSettings, fit
+from fleetopt.surrogate import MlpRegressor, TrainingSettings, correct, fit
 
 
 def all_max(space):
@@ -508,12 +509,13 @@ def test_grid_2d_reuses_inner_solves_across_calls_on_one_cache(exact_models, red
 def test_grid_2d_predicts_and_measures_each_level_as_one_batch(
     monkeypatch, reduced, reduced_models, fleet
 ):
-    # one predict_batch per model and one row call per metric per level; no
-    # one-row prediction and no scalar measurement
+    # one predict_batch per model and one row call for both metrics per level;
+    # no one-row prediction, no one-metric row call and no scalar measurement
     calls = collections.Counter()
     for cls, name in [(MlpRegressor, "predict_batch"), (MlpRegressor, "predict"),
                       (Oracle, "latency"), (Oracle, "energy"),
-                      (Oracle, "latency_rows"), (Oracle, "energy_rows")]:
+                      (Oracle, "latency_rows"), (Oracle, "energy_rows"),
+                      (Oracle, "latency_energy_rows")]:
         original = getattr(cls, name)
 
         def counted(self, *args, name=name, original=original):
@@ -535,8 +537,9 @@ def test_grid_2d_predicts_and_measures_each_level_as_one_batch(
     assert result.measurements == 2 * len(result.trace) == oracle.ledger.total()
     for metric in ("accuracy", "latency", "energy"):
         assert 1 <= calls["predict_batch", metric] <= GRID_LEVELS
-    assert 1 < calls["latency_rows", ""] == calls["energy_rows", ""] <= GRID_LEVELS
-    assert sum(n for (name, _), n in calls.items() if name in ("predict", "latency", "energy")) == 0
+    assert 1 < calls["latency_energy_rows", ""] <= GRID_LEVELS
+    assert sum(n for (name, _), n in calls.items()
+               if name in ("predict", "latency", "energy", "latency_rows", "energy_rows")) == 0
 
 
 def test_grid_2d_with_one_design_measures_it_once(exact_models, reduced, fleet):
@@ -635,3 +638,34 @@ def test_match_proxy_fails_an_undefined_rank_correlation(fleet, dspace, stage1_b
                        trials=trials) is None
     assert trials == [(fleet.proxy.device_id, None, False)]
     assert oracle.ledger.count(target.device_id, "latency") == 20
+
+
+@pytest.mark.parametrize("metrics", [("latency",), ("latency", "energy")],
+                         ids=["latency", "energy"])
+def test_a_gate_miss_corrects_the_entry_on_the_probes_it_measured(reduced, reduced_models, fleet,
+                                                                   metrics):
+    entry = entry_of({name: reduced_models[name] for name in ("accuracy", *metrics)},
+                     device=fleet.proxy)
+    target = fleet.holdout_adversarial[0]
+    oracle = Oracle(reduced, MeasurementLedger())
+    probes = []
+    # a threshold no rho meets: the gate misses, with its probes handed back
+    assert match_proxy([entry], target, 1.5, oracle, np.random.default_rng(7), 12,
+                       probes=probes) is None
+    [(designs, latencies)] = probes
+    np.testing.assert_array_equal(latencies, Oracle(reduced).latency_rows(designs, [target])[:, 0])
+    new = corrected_entry(entry, target, probes, oracle)
+    assert new.device is target and new.accuracy_model is entry.accuracy_model
+    assert new.cache is not entry.cache and new.cache.granularity == entry.cache.granularity
+    want = correct(entry.latency_model, encode_rows(designs, reduced), latencies)
+    np.testing.assert_array_equal(new.latency_model.weights, want.weights)
+    assert new.latency_model.base is entry.latency_model
+    # the correction measures only the probes' energy, and only under an energy model
+    energy = 12 if "energy" in metrics else 0
+    assert oracle.ledger.snapshot()["devices"] == {
+        target.device_id: {"latency": 12, **({"energy": energy} if energy else {})}}
+    assert (new.energy_model is None) == (energy == 0)
+    if energy:
+        assert new.energy_model.base is entry.energy_model
+        assert new.energy_model.objective_scale == float(
+            np.median(Oracle(reduced).energy_rows(designs, [target])))

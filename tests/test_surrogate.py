@@ -1,4 +1,3 @@
-import copy
 import dataclasses
 import json
 
@@ -24,10 +23,12 @@ from fleetopt.nn import DenseNet, stack, train, unstack
 from fleetopt.pipeline import draw_fleet
 from fleetopt.scenario import scenario_from_dict
 from fleetopt.surrogate import (
+    CORRECTION_RIDGE,
     InsufficientDataError,
     MlpRegressor,
     TrainingSettings,
     accuracy_fit,
+    correct,
     device_embedding,
     device_specific_fit,
     fit,
@@ -571,46 +572,6 @@ def test_proxy_training_writes_the_bytes_of_sequential_fits(energy_percentile):
     assert oracle.ledger.snapshot() == ref_oracle.ledger.snapshot()
 
 
-def test_proxy_retrain_writes_the_bytes_of_sequential_fits(monkeypatch):
-    # a target that fails the rank gate gets its own latency and energy
-    # predictors, trained as one stack: the bytes of fitting them one by one
-    doc = {"seed": 3, "approach": "proxy", "space": "reduced",
-           "predictor": {"samples_per_device": 40, "epochs": 5, "hidden": [8]},
-           "search": {"population": 8, "generations": 4},
-           "optimize": {"energy_percentile": 40.0}}
-    scenario = scenario_from_dict(doc)
-    fleet = draw_fleet(scenario)
-    oracle = Oracle(scenario.space, MeasurementLedger())
-    _, train_proxy, solver = pipeline._proxy_reuse(scenario, fleet, oracle)
-    solve = solver(*train_proxy(np.random.default_rng(86)))
-    retrains, stacks = [], []
-    gate, lockstep = pipeline.match_proxy, pipeline.fit_lockstep
-
-    def recorded_gate(pool, target, threshold, oracle, rng, *args, **kwargs):
-        entry = gate(pool, target, threshold, oracle, rng, *args, **kwargs)
-        if entry is None:  # the generator the retrain draws from, and a copy
-            retrains.append((rng, copy.deepcopy(rng)))
-        return entry
-
-    def recorded_lockstep(pending):
-        stacks.append(lockstep(pending))
-        return stacks[-1]
-
-    monkeypatch.setattr(pipeline, "match_proxy", recorded_gate)
-    monkeypatch.setattr(pipeline, "fit_lockstep", recorded_lockstep)
-    target = fleet.holdout_adversarial[0]
-    bounds, _ = pipeline._percentile_bounds(scenario, fleet)
-    solve([(target, bounds[target.device_id])])
-    [(a, b)] = retrains
-    [got] = stacks
-    ref_oracle = Oracle(scenario.space, MeasurementLedger())
-    want = [train_device_specific_predictor(metric, target, 40, ref_oracle, b, scenario.hyper,
-                                            (8,))
-            for metric in ("latency", "energy")]
-    assert model_bytes(got) == model_bytes(want)
-    assert a.bit_generator.state == b.bit_generator.state
-
-
 def test_lockstep_fit_makes_one_forward_pass_per_step(monkeypatch):
     # the benchmark's slice clock cuts a run at DenseNet.forward_cached calls
     calls = []
@@ -627,3 +588,50 @@ def test_lockstep_fit_makes_one_forward_pass_per_step(monkeypatch):
     steps = TINY.epochs * 3  # 37 rows in batches of 16, 16, 5
     assert calls == [(2, 16, 5), (2, 16, 5), (2, 5, 5)] * TINY.epochs
     assert len(calls) == steps
+
+
+# --- few-shot correction ------------------------------------------------------
+
+
+def test_correction_is_the_ridge_of_the_stacked_least_squares():
+    rng = np.random.default_rng(41)
+    X = rng.uniform(size=(20, 5))
+    base = linear_regressor([0.5, 1.0, -0.3, 0.2, 0.8], 1.0)
+    y = np.exp(X @ [0.4, -0.2, 0.1, 0.3, 0.0] + rng.normal(0.0, 0.05, 20))
+    model = correct(base, X, y)
+    # the reference: least squares on [Z; sqrt(a) I] against [log y - mean; 0]
+    Z = np.column_stack([X, np.log(base.predict_batch(X))])
+    Z = (Z - Z.mean(axis=0)) / Z.std(axis=0)
+    a = CORRECTION_RIDGE
+    A = np.vstack([Z, np.sqrt(a) * np.eye(Z.shape[1])])
+    r = np.concatenate([np.log(y) - np.log(y).mean(), np.zeros(Z.shape[1])])
+    want, *_ = np.linalg.lstsq(A, r, rcond=None)
+    np.testing.assert_allclose(model.weights, want, rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(model.predict_batch(X), np.exp(np.log(y).mean() + Z @ want),
+                               rtol=1e-12)
+    assert model.objective_scale == float(np.median(y))
+    assert model.metric == base.metric
+
+
+@pytest.mark.parametrize("case", ["base_nonpositive", "constant_column", "one_design"])
+def test_correction_predicts_positive_finite_values(case):
+    rng = np.random.default_rng(43)
+    X = rng.uniform(size=(20, 4))
+    new = rng.uniform(size=(50, 4))
+    base = linear_regressor([1.0, 0.5, 0.2, 0.1], 0.5)
+    if case == "base_nonpositive":  # a linear head below 0 on probes and new rows alike
+        base = linear_regressor([1.0, 0.5, 0.2, 0.1], -5.0)
+        X[:10] = 0.0  # and exactly 0 on half the probes
+        assert np.all(base.predict_batch(np.vstack([X, new])) <= 0)
+    elif case == "constant_column":  # the probes never vary column 2; new rows do
+        X[:, 2] = 0.25
+    else:  # every probe the one design
+        X[:] = X[0]
+    y = rng.uniform(0.5, 3.0, size=20)
+    model = correct(base, X, y)
+    got = model.predict_batch(new)
+    assert np.all(np.isfinite(got)) and np.all(got > 0)
+    if case != "base_nonpositive":
+        assert model.weights[2] == 0.0  # a constant column standardizes to 0
+    if case == "one_design":
+        np.testing.assert_allclose(got, np.exp(np.log(y).mean()), rtol=1e-12)
