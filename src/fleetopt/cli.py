@@ -29,7 +29,7 @@ from .device_world import (
     energy_value,
 )
 from .nn import DivergedError
-from .pipeline import BASELINE_SAMPLES, BASELINE_SECONDS, cost_accounting, draw_fleet, run_scenario
+from .pipeline import draw_fleet, run_scenario
 from .proxy_reuse import ProxyEntry, TCache, bisection_optimize, spearman
 from .scenario import ConfigError, Scenario, load_scenario
 from .search import FLEET_STREAM, TRAINING_STREAM, ConstraintSpec, SearchParams, stream
@@ -38,6 +38,10 @@ from .surrogate import TrainingSettings, train_accuracy_predictor, train_device_
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
+
+# the per-device predictor-training baseline: this many measurements per
+# device, at this many seconds each
+BASELINE_SAMPLES, BASELINE_SECONDS = 5000, 30.0
 
 
 def _say(text: str) -> None:
@@ -127,10 +131,30 @@ def _cmd_report(args) -> int:
         lines = _report_lines(report)
     except FileNotFoundError:
         raise ConfigError(f"no report at {path}") from None
+    except OSError as e:  # a directory, no permission
+        raise ConfigError(f"cannot read report ({path}): {e.strerror}") from None
     except (ValueError, KeyError, TypeError) as e:  # truncated JSON, missing key, bad value
         raise ConfigError(f"corrupt report ({path}): {e!r}") from None
     _say("\n".join(lines))
     return EXIT_INFEASIBLE if report["infeasible_count"] else EXIT_OK
+
+
+def cost_accounting(samples_per_device: int, seconds_per_measurement: float,
+                    device_count: int) -> dict:
+    """Hours of measurement time the per-device predictor-training baseline
+    spends on each device and on device_count devices."""
+    if samples_per_device <= 0 or seconds_per_measurement <= 0:
+        raise ValueError("samples and seconds must be positive")
+    if device_count < 0:
+        raise ValueError("device_count must be >= 0")
+    per_device_hours = samples_per_device * seconds_per_measurement / 3600.0
+    return {
+        "baseline_samples_per_device": samples_per_device,
+        "seconds_per_measurement": seconds_per_measurement,
+        "device_count": device_count,
+        "baseline_hours_per_device": per_device_hours,
+        "baseline_hours_total": per_device_hours * device_count,
+    }
 
 
 def _cmd_cost_table(args) -> int:

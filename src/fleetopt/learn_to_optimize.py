@@ -55,12 +55,6 @@ def optimizer_inputs(devices, lams) -> np.ndarray:
     return X
 
 
-def optimizer_input(d: DeviceFeatures, lams) -> np.ndarray:
-    """One device's (n, e + 2) optimizer inputs: the one-device case of
-    `optimizer_inputs`."""
-    return optimizer_inputs([d], lams)[0]
-
-
 @dataclass
 class OptimizerNetwork:
     """x_hat(d, lambda): normalized (device embedding, lambda) in, encoding out."""

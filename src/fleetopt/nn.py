@@ -221,13 +221,17 @@ class DenseNet:
 def normalized_net(d: dict) -> dict:
     """The net, in_mean and in_scale of a model document (a predictor's or an
     optimizer's) as its model's keyword arguments; ValueError unless each
-    normalizer holds one entry per input of the net."""
+    normalizer holds one entry per input of the net, every weight, bias and
+    normalizer entry is finite and every in_scale entry positive."""
     net = DenseNet.from_dict(d)
     out = {"net": net}
     for key in ("in_mean", "in_scale"):
         out[key] = np.array(d[key], dtype=float)
         if out[key].shape != (net.input_dim,):
             raise ValueError(f"{key} must hold {net.input_dim} entries, got {out[key].shape}")
+    arrays = [*net.weights, *net.biases, out["in_mean"], out["in_scale"]]
+    if not all(np.isfinite(a).all() for a in arrays) or np.any(out["in_scale"] <= 0):
+        raise ValueError("weights, biases and normalizers must be finite, in_scale positive")
     return out
 
 

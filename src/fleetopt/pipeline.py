@@ -75,7 +75,6 @@ class RunReport:
     stage_counts: dict
     ledger: dict
     calibration_ledger: dict
-    cost_table: dict
     infeasible_count: int
     ledger_csv: str
     wall_time_s: float = 0.0
@@ -89,7 +88,6 @@ class RunReport:
             "stage_counts": self.stage_counts,
             "ledger": self.ledger,
             "calibration_ledger": self.calibration_ledger,
-            "cost_table": self.cost_table,
             "infeasible_count": self.infeasible_count,
         }
 
@@ -97,49 +95,6 @@ class RunReport:
         out = self.decision_dict()
         out["wall_time_s"] = self.wall_time_s
         return out
-
-
-# the per-device predictor-training baseline a run's cost table compares against:
-# this many measurements per device, at this many seconds each
-BASELINE_SAMPLES, BASELINE_SECONDS = 5000, 30.0
-
-
-def cost_accounting(
-    samples_per_device: int,
-    seconds_per_measurement: float,
-    device_count: int,
-    per_device_counts: dict[str, int] | None = None,
-) -> dict:
-    """Hours of measurement time: the per-device predictor-training baseline
-    versus what the ledger says this run actually spent per device."""
-    if samples_per_device <= 0 or seconds_per_measurement <= 0:
-        raise ValueError("samples and seconds must be positive")
-    if device_count < 0:
-        raise ValueError("device_count must be >= 0")
-    per_device_hours = samples_per_device * seconds_per_measurement / 3600.0
-    table = {
-        "baseline_samples_per_device": samples_per_device,
-        "seconds_per_measurement": seconds_per_measurement,
-        "device_count": device_count,
-        "baseline_hours_per_device": per_device_hours,
-        "baseline_hours_total": per_device_hours * device_count,
-        "devices": [],
-    }
-    if device_count == 0:
-        return table
-    if per_device_counts:
-        for device_id in sorted(per_device_counts):
-            count = per_device_counts[device_id]
-            hours = count * seconds_per_measurement / 3600.0
-            table["devices"].append(
-                {
-                    "device_id": device_id,
-                    "measurements": count,
-                    "hours": hours,
-                    "speedup_vs_baseline": (samples_per_device / count) if count else None,
-                }
-            )
-    return table
 
 
 def _percentile_bounds(scenario: Scenario, fleet: Fleet) -> tuple[dict, MeasurementLedger]:
@@ -183,6 +138,8 @@ def _load_models(models_dir: str | None, names: list[str], scenario: Scenario,
             model = (load_optimizer if name == "optimizer.json" else load_model)(path)
         except FileNotFoundError:
             raise ConfigError(f"skip-training: missing model file ({path})") from None
+        except OSError as e:  # a directory, no permission
+            raise ConfigError(f"skip-training: cannot read {path}: {e.strerror}") from None
         except (ValueError, KeyError, TypeError) as e:  # bad JSON, key, value or shape
             raise ConfigError(f"skip-training: corrupt model file ({path}): {e!r}") from None
         if isinstance(model, OptimizerNetwork):
@@ -229,20 +186,16 @@ def _proxy_reuse(scenario: Scenario, fleet: Fleet, oracle: Oracle):
         rng_opt = stream(scenario.seed, PROXY_STREAM)
 
         def solve_one(target, spec: ConstraintSpec):
-            count = oracle.ledger.count
-            before = count(target.device_id, "latency")
             trials, probes = [], []
             entry = match_proxy(
                 pool, target, scenario.optimize.monotonicity_threshold, oracle, rng_opt,
                 scenario.optimize.probe_count, trials=trials, probes=probes,
             )
-            probes_charged = count(target.device_id, "latency") - before
             reused = entry is not None
             if entry is None:  # the first entry tried is the nearest
                 nearest = next(e for e in pool if e.device.device_id == trials[0][0])
                 entry = corrected_entry(nearest, target, probes, oracle)
                 pool.append(entry)
-            before = count(target.device_id, "latency")
             delta = scenario.delta_fraction * spec.latency_bound
             args = (entry, oracle, scenario.search, scenario.seed)
             result = (bisection_optimize(target, spec, delta, *args) if spec.energy_bound is None
@@ -253,10 +206,9 @@ def _proxy_reuse(scenario: Scenario, fleet: Fleet, oracle: Oracle):
                 "match_trials": [
                     {"proxy": pid, "rho": r, "monotone": m} for pid, r, m in trials
                 ],
-                "probe_measurements": probes_charged,
+                "probe_measurements": sum(len(y) for _, y in probes),
                 "optimize_measurements": result.measurements,
                 "t": list(result.t),
-                "target_latency_charges": count(target.device_id, "latency") - before,
             }
 
         def solve(targets):
@@ -363,13 +315,12 @@ def run_scenario(
         })
         trace += record.trace
 
-    per_target = {d.device_id: _target_charges(ledger, d.device_id) for _, d in targets}
-    cost = cost_accounting(BASELINE_SAMPLES, BASELINE_SECONDS, len(targets), per_target)
     stage_counts = {
         "total_latency": ledger.total("latency"),
         "total_energy": ledger.total("energy"),
         "total_accuracy": ledger.accuracy_count,
-        "per_target": {k: per_target[k] for k in sorted(per_target)},
+        "per_target": dict(sorted((d.device_id, _target_charges(ledger, d.device_id))
+                                  for _, d in targets)),
     }
     infeasible = sum(1 for r in rows if not r["feasible"])
     report = RunReport(
@@ -386,7 +337,6 @@ def run_scenario(
         stage_counts=stage_counts,
         ledger=ledger.snapshot(),
         calibration_ledger=cal_ledger.snapshot(),
-        cost_table=cost,
         infeasible_count=infeasible,
         ledger_csv=ledger.to_csv(),
         wall_time_s=time.monotonic() - started,

@@ -343,7 +343,7 @@ def grid_optimize_2d(
                 measured[x] = (lat, en)
                 trace.append({"device_id": target.device_id, "level": level,
                               "t1": design_pt[x][0], "t2": design_pt[x][1], "latency": lat,
-                              "energy": en, "feasible": standing(x)[0] == 0})
+                              "energy": en})
             s_lat, s_en = _calibration(np.array(list(measured.values())),
                                        np.array([predicted[x][1:] for x in measured]))
 

@@ -209,6 +209,8 @@ def load_scenario(path, seed_override: int | None = None) -> Scenario:
             raw = json.load(f)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except OSError as e:  # a directory, no permission
+        raise ConfigError(f"cannot read config file {path}: {e.strerror}") from None
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}") from None
     if seed_override is not None and isinstance(raw, dict):

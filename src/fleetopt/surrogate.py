@@ -149,7 +149,9 @@ class MlpRegressor:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MlpRegressor":
-        return cls(
+        """Inverse of to_dict; ValueError unless out_mean is finite and the
+        output and objective scales finite and positive (see normalized_net)."""
+        model = cls(
             **normalized_net(d),
             out_mean=float(d["out_mean"]),
             out_scale=float(d["out_scale"]),
@@ -160,6 +162,11 @@ class MlpRegressor:
             constant_warning=d["constant_warning"],
             final_loss=float(d["final_loss"]),
         )
+        if not (np.isfinite(model.out_mean) and 0 < model.out_scale < np.inf
+                and 0 < model.objective_scale < np.inf):
+            raise ValueError("out_mean must be finite, out_scale and objective_scale finite "
+                             "and positive")
+        return model
 
 
 # The correction's ridge penalty on its standardized features. Chosen on seeds
@@ -240,9 +247,8 @@ def load_model(path) -> MlpRegressor:
 class PendingFit:
     """A fit whose random draws are all made but whose SGD steps are not:
     the model with its normalizers, tags and initialized net, the inputs as
-    given (fit_lockstep standardizes them, once per distinct matrix), the
-    standardized labels, and the generator its epoch orders come from.
-    fit_lockstep trains it."""
+    given (fit_lockstep standardizes them), the standardized labels, and the
+    generator its epoch orders come from. fit_lockstep trains it."""
 
     model: MlpRegressor
     X: np.ndarray
@@ -308,8 +314,8 @@ def prepare_fit(
 def fit_lockstep(pending: list[PendingFit]) -> list[MlpRegressor]:
     """Train prepared fits of one input shape and hyper as one stacked net,
     K = 1 included; the models are those of fitting each alone. Constant-label
-    fits take no steps and stay out of the stack. Fits handed one input matrix
-    (the stage-1 energy/latency pair's) share one standardized copy of it.
+    fits take no steps and stay out of the stack; each live fit's standardized
+    inputs are stacked, also where two fits share one input matrix.
     Training runs in float32: the net, the standardized inputs (standardized
     in float64, then rounded) and labels; the models come back float64."""
     live = [p for p in pending if p.orders is not None]
@@ -320,15 +326,9 @@ def fit_lockstep(pending: list[PendingFit]) -> list[MlpRegressor]:
         raise ValueError("lockstep fits need one input shape and one TrainingSettings")
     n = first.X.shape[0]
     net = stack([p.model.net for p in live]).astype(np.float32)
-    # one input matrix has one mean and scale, so its members' standardized rows agree
-    starts: dict[int, int] = {}
-    parts = []
-    for p in live:
-        if id(p.X) not in starts:
-            starts[id(p.X)] = len(parts) * n
-            parts.append(p.model._normalize(p.X))
-    X = np.concatenate(parts, dtype=np.float32)
-    x_offsets = np.array([starts[id(p.X)] for p in live])[:, None]
+    # member k's standardized inputs are rows k * n to (k + 1) * n
+    X = np.concatenate([p.model._normalize(p.X) for p in live], dtype=np.float32)
+    x_offsets = n * np.arange(len(live))[:, None]
     y = np.stack([p.yn for p in live]).astype(np.float32)
 
     def gather(order):

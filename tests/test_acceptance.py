@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import BUILD_SECONDS, record_criterion, seeded
+from fleetopt.cli import cost_accounting
 from fleetopt.design_space import encode, encode_rows, enumerate_all, sample_uniform
 from fleetopt.device_world import (
     FleetConfig,
@@ -30,7 +31,7 @@ from fleetopt.learn_to_optimize import (
     infer_design,
 )
 from fleetopt.nn import DenseNet
-from fleetopt.pipeline import cost_accounting, run_scenario
+from fleetopt.pipeline import run_scenario
 from fleetopt.proxy_reuse import (
     ProxyEntry,
     TCache,

@@ -14,7 +14,6 @@ from fleetopt.learn_to_optimize import (
     constraint_sweep,
     infer_design,
     load_optimizer,
-    optimizer_input,
     optimizer_inputs,
     train_method2,
 )
@@ -104,7 +103,7 @@ def test_lambda_grid_validation():
 
 def test_optimizer_input_layout(fleet):
     lams = np.array([[0.25, 4.0], [0.0, 1.0], [3.0, 0.0]])
-    X = optimizer_input(fleet.proxy, lams)
+    X = optimizer_inputs([fleet.proxy], lams)[0]
     emb = device_embedding(fleet.proxy)
     assert X.shape == (3, emb.size + 2)
     np.testing.assert_array_equal(X[:, :-2], np.tile(emb, (3, 1)))
@@ -116,7 +115,7 @@ def test_fleet_inputs_are_the_stacked_one_device_rows_bit_for_bit(fleet):
     lams = np.vstack([build_lambda_grid(4, 1.0), [[0.25, 4.0], [-0.0, 1e-300]]])
     X = optimizer_inputs(devices, lams)
     assert X.shape == (len(devices), len(lams), device_embedding(fleet.proxy).size + 2)
-    rows = np.stack([optimizer_input(d, lams) for d in devices])
+    rows = np.stack([optimizer_inputs([d], lams)[0] for d in devices])
     # the layout the run stacked before the fleet form
     tiled = np.stack([np.hstack([np.tile(device_embedding(d), (len(lams), 1)), lams])
                       for d in devices])
@@ -127,13 +126,13 @@ def test_fleet_inputs_are_the_stacked_one_device_rows_bit_for_bit(fleet):
 
 def test_tradeoff_weights_validation(fleet):
     d = fleet.proxy
-    assert optimizer_input(d, [[0.0, 0.0]]).shape == (1, device_embedding(d).size + 2)
+    assert optimizer_inputs([d], [[0.0, 0.0]])[0].shape == (1, device_embedding(d).size + 2)
     for bad in ([0.1, 0.1], [[0.1, 0.1, 0.1]], [[[0.1, 0.1]]], np.zeros((0, 3))):
         with pytest.raises(ValueError, match="rows"):
-            optimizer_input(d, bad)
+            optimizer_inputs([d], bad)[0]
     for bad in ([[-0.1, 0.0]], [[0.0, 0.0], [0.5, -1e-12]], [[np.nan, 0.0]]):
         with pytest.raises(ValueError, match="non-negative"):
-            optimizer_input(d, bad)
+            optimizer_inputs([d], bad)[0]
 
 
 # --- the predicted objective's exact argmins ("labels") ----------------------
@@ -199,7 +198,7 @@ def test_predicted_objective_is_the_per_row_formula(small_bundle, reduced_models
 
 
 def test_method2_validation(small_bundle, reduced_models, fleet):
-    inputs = optimizer_input(fleet.training_real[0], [LAM0])
+    inputs = optimizer_inputs([fleet.training_real[0]], [LAM0])[0]
     with pytest.raises(ValueError):
         train_method2(
             [], small_bundle.accuracy, small_bundle.energy, small_bundle.latency,
@@ -302,7 +301,7 @@ def test_infer_design_is_deterministic_and_decodable(method2_small, fleet, reduc
             a = infer_design(method2_small, d, lam, reduced)
             b = infer_design(method2_small, d, lam, reduced)
             assert a == b
-        enc = method2_small.infer_encodings(optimizer_input(d, lams))
+        enc = method2_small.infer_encodings(optimizer_inputs([d], lams)[0])
         assert np.all((0.0 <= enc) & (enc <= 1.0))
 
 
@@ -310,7 +309,7 @@ def test_optimizer_save_load_roundtrip(tmp_path, method2_small, fleet, reduced):
     path = tmp_path / "optimizer.json"
     save_model(method2_small, path)
     back = load_optimizer(path)
-    X = optimizer_input(fleet.proxy, [LAM_MIX])
+    X = optimizer_inputs([fleet.proxy], [LAM_MIX])[0]
     np.testing.assert_array_equal(back.infer_encodings(X), method2_small.infer_encodings(X))
     layout = method2_small.to_dict()["input_layout"]
     assert layout == {"device_features": 10, "lambdas": 2}
@@ -329,7 +328,7 @@ def test_trained_optimizer_and_its_inference_are_float64(method2_small, fleet):
     params = net.weights + net.biases
     assert {a.dtype for a in params} == {np.dtype(np.float64)}
     assert all(np.array_equal(a.astype(np.float32), a) for a in params)
-    X = optimizer_input(fleet.proxy, [LAM_MIX])
+    X = optimizer_inputs([fleet.proxy], [LAM_MIX])[0]
     assert method2_small.infer_encodings(X).dtype == np.float64
 
 
@@ -603,7 +602,7 @@ def test_sweep_chooses_the_first_of_positions_with_one_design(method2_small, sma
     grid = build_lambda_grid(3, 1.0)
     twice = np.vstack([grid, grid])
     d = fleet.synthetic[0]
-    designs = decode_rows(method2_small.infer_encodings(optimizer_input(d, twice)), reduced)
+    designs = decode_rows(method2_small.infer_encodings(optimizer_inputs([d], twice)[0]), reduced)
     assert np.array_equal(designs[:len(grid)], designs[len(grid):])
     models = [OneRowAtATime(m) for m in small_bundle.models()]
     for spec in (ConstraintSpec(latency_bound=1e9), ConstraintSpec(latency_bound=1e-9)):
@@ -625,7 +624,7 @@ def test_sweep_ties_equal_designs_through_the_batched_predictors(method2_small, 
     # bound no design meets the least violation is the first position
     twice = np.vstack([build_lambda_grid(3, 1.0)] * 2)
     d = fleet.synthetic[0]
-    designs = decode_rows(method2_small.infer_encodings(optimizer_input(d, twice)), reduced)
+    designs = decode_rows(method2_small.infer_encodings(optimizer_inputs([d], twice)[0]), reduced)
     [result] = constraint_sweep(method2_small, [(d, ConstraintSpec(latency_bound=1e-9))],
                                 *small_bundle.models(), twice,
                                 Oracle(reduced, MeasurementLedger()))

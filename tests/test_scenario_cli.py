@@ -12,12 +12,11 @@ import numpy as np
 import pytest
 
 from fleetopt import device_world, learn_to_optimize, nn, pipeline, proxy_reuse, surrogate
-from fleetopt.cli import main
+from fleetopt.cli import cost_accounting, main
 from fleetopt.design_space import DesignSpace, default_space, enumerate_all
 from fleetopt.pipeline import (
     RunReport,
     _percentile_bounds,
-    cost_accounting,
     draw_fleet,
     export_report,
     run_scenario,
@@ -300,17 +299,7 @@ def test_cost_accounting_baseline_arithmetic():
     table = cost_accounting(5000, 30.0, 1)
     assert table["baseline_hours_per_device"] == 5000 * 30.0 / 3600.0
     assert table["baseline_hours_total"] == table["baseline_hours_per_device"]
-    assert table["devices"] == []
     assert cost_accounting(100, 1.0, 0)["baseline_hours_total"] == 0.0
-
-
-def test_cost_accounting_per_device_rows():
-    table = cost_accounting(5000, 30.0, 2, {"b": 50, "a": 100, "c": 0})
-    ids = [row["device_id"] for row in table["devices"]]
-    assert ids == ["a", "b", "c"]
-    assert table["devices"][0]["hours"] == 100 * 30.0 / 3600.0
-    assert table["devices"][0]["speedup_vs_baseline"] == 50.0
-    assert table["devices"][2]["speedup_vs_baseline"] is None
 
 
 def test_cost_accounting_validation():
@@ -338,9 +327,15 @@ def test_proxy_run_rows_and_artifacts(proxy_run):
     for row in (mono, adv):
         assert per_target[row["device_id"]] == (
             row["probe_measurements"] + row["optimize_measurements"])
+        assert "target_latency_charges" not in row
+    # a gate miss measured every pool entry's probes
+    assert adv["probe_measurements"] == (
+        SMALL_PROXY["optimize"]["probe_count"] * len(adv["match_trials"]))
     with open(os.path.join(out, "report.json")) as f:
         doc = json.load(f)
     assert doc["rows"] == report.rows
+    # each count is stated once: per target in stage_counts, no cost table
+    assert "cost_table" not in doc
     assert "wall_time_s" in doc and "wall_time_s" not in report.decision_dict()
 
 
@@ -375,7 +370,7 @@ def test_a_corrected_entry_joins_the_pool_for_later_targets():
 @pytest.mark.parametrize("doc, header, weights", [
     (SMALL_PROXY, ["iteration", "t", "measured_latency", "verdict"], 1),
     (with_key(SMALL_PROXY, "optimize.energy_percentile", 40.0),
-     ["level", "t1", "t2", "latency", "energy", "feasible"], 2),
+     ["level", "t1", "t2", "latency", "energy"], 2),
     (SMALL_AMORTIZED,
      ["lambda1", "lambda2", "predicted_feasible", "predicted_accuracy", "chosen"], None),
 ], ids=["bisection", "grid", "sweep"])
@@ -541,6 +536,21 @@ def test_skip_training_with_empty_dir_names_missing_file(tmp_path, doc):
         run_scenario(scenario_from_dict(doc), out_dir=str(tmp_path), skip_training=True)
 
 
+@pytest.fixture(scope="module")
+def amortized_run(tmp_path_factory):
+    """The output directory of a quick SMALL_AMORTIZED training run."""
+    doc = with_key(SMALL_AMORTIZED, "predictor.epochs", 2)
+    doc["optimize"]["optimizer_epochs"] = 2
+    out = str(tmp_path_factory.mktemp("amortized_run"))
+    run_scenario(scenario_from_dict(doc), out_dir=out)
+    return out
+
+
+def every(value):
+    """A damage that sets every entry of a vector to value."""
+    return lambda v: [value] * len(v)
+
+
 @pytest.mark.parametrize("name, damage", [
     ("latency_proxy.json", '{"layer_sizes": ['),
     ("latency_proxy.json", '{"layer_sizes": [7, 32, 1]}'),
@@ -549,11 +559,28 @@ def test_skip_training_with_empty_dir_names_missing_file(tmp_path, doc):
     ("latency_proxy.json", ("in_mean", lambda v: v[:3])),
     ("accuracy.json", ("layer_sizes", lambda _: [7, 8, 8, 1])),
     ("latency_proxy.json", ("output_activation", lambda _: "relu")),
+    ("latency_proxy.json", ("in_scale", every(float("nan")))),
+    ("latency_proxy.json", ("in_scale", every(0.0))),
+    ("accuracy.json", ("in_mean", every(float("inf")))),
+    ("latency_proxy.json", ("weights", lambda w: [*w[:-1], [[float("nan")]] * len(w[-1])])),
+    ("accuracy.json", ("biases", lambda b: [*b[:-1], [float("-inf")]])),
+    ("accuracy.json", ("out_mean", lambda _: float("nan"))),
+    ("accuracy.json", ("out_scale", lambda _: float("nan"))),
+    ("latency_proxy.json", ("out_scale", lambda _: 0.0)),
+    ("latency_proxy.json", ("objective_scale", lambda _: -1.0)),
+    ("latency_proxy.json", ("objective_scale", lambda _: float("inf"))),
+    ("optimizer.json", ("in_scale", every(float("nan")))),
+    ("optimizer.json", ("in_scale", every(0.0))),
 ], ids=["truncated", "missing-key", "not-an-object", "weight-rows-cut", "in-mean-cut",
-        "layer-sizes-not-the-weights", "unknown-head"])
-def test_skip_training_with_corrupt_model_file_exits_2(proxy_run, tmp_path, capsys, name,
-                                                       damage):
-    _, _, out = proxy_run
+        "layer-sizes-not-the-weights", "unknown-head", "in-scale-nan", "in-scale-zero",
+        "in-mean-inf", "weight-nan", "bias-inf", "out-mean-nan", "out-scale-nan",
+        "out-scale-zero", "objective-scale-negative", "objective-scale-inf",
+        "optimizer-in-scale-nan", "optimizer-in-scale-zero"])
+def test_skip_training_with_corrupt_model_file_exits_2(proxy_run, request, tmp_path, capsys,
+                                                       name, damage):
+    config, out = SMALL_PROXY, proxy_run[2]
+    if name == "optimizer.json":  # the amortized approach's model file
+        config, out = SMALL_AMORTIZED, request.getfixturevalue("amortized_run")
     shutil.copytree(os.path.join(out, "models"), tmp_path / "models")
     path = tmp_path / "models" / name
     if isinstance(damage, tuple):  # one key of the saved document rewritten
@@ -562,7 +589,7 @@ def test_skip_training_with_corrupt_model_file_exits_2(proxy_run, tmp_path, caps
         doc[key] = change(doc[key])
         damage = json.dumps(doc)
     path.write_text(damage)
-    cfg = write_config(tmp_path, SMALL_PROXY)
+    cfg = write_config(tmp_path, config)
     assert main(["optimize", "--config", cfg, "--out", str(tmp_path), "--skip-training"]) == 2
     err = capsys.readouterr().err
     assert re.search(rf"corrupt model file \(.*{re.escape(name)}\)", err), err
@@ -640,7 +667,7 @@ def test_skip_training_refuses_a_model_file_of_another_slot(tmp_path, capsys, so
 def test_export_rolls_back_on_failure(tmp_path):
     report = RunReport(
         scenario={}, fleet={}, rows=[], stage_counts={"per_target": {}},
-        ledger={}, calibration_ledger={}, cost_table={}, infeasible_count=0,
+        ledger={}, calibration_ledger={}, infeasible_count=0,
         ledger_csv="device_id,metric,count\n",
     )
     out = tmp_path / "run"
@@ -781,6 +808,22 @@ def test_cli_optimize_config_errors(tmp_path, capsys):
     assert main(["optimize", "--config", cfg, "--approach", "bogus"]) == 2
     assert "approach" in capsys.readouterr().err
 
+
+
+@pytest.mark.parametrize("argv, blocked, message", [
+    (["optimize", "--config", "{d}/in-the-way"], "in-the-way", "cannot read config file"),
+    (["report", "--out", "{d}"], "report.json", r"cannot read report \(.*report\.json\)"),
+    (["optimize", "--config", "{d}/scenario.json", "--out", "{d}", "--skip-training"],
+     "models/accuracy.json", r"cannot read .*accuracy\.json"),
+], ids=["config", "report", "model"])
+def test_an_unreadable_input_file_exits_2(tmp_path, capsys, argv, blocked, message):
+    # each input path is a directory: read as a file it raises IsADirectoryError
+    write_config(tmp_path, SMALL_PROXY)
+    (tmp_path / blocked).mkdir(parents=True)
+    assert main([arg.format(d=tmp_path) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert re.search(message, err), err
+    assert "Traceback" not in err
 
 
 def test_cli_refuses_an_out_that_is_a_file_before_any_work(tmp_path, capsys, monkeypatch):
