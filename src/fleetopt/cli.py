@@ -2,9 +2,9 @@
 
 Subcommands: gen-fleet, train-predictors, optimize, report, cost-table,
 selftest. Exit codes: 0 success, 2 config error (a bad key, a model file in
-the wrong slot, a diverged fit or an --out that is a file), 3 the measured
-design of a target broke its bound. Everything is a batch run; outputs are
-JSON and CSV files under --out.
+the wrong slot, a diverged fit, an --out that is a file or an unwritable
+output), 3 the measured design of a target broke its bound. Everything is a
+batch run; outputs are JSON and CSV files under --out.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .device_world import (
 )
 from .nn import DivergedError
 from .pipeline import draw_fleet, run_scenario
-from .proxy_reuse import ProxyEntry, TCache, bisection_optimize, spearman
+from .proxy_reuse import ProxyEntry, TCache, bisection_optimize, inner_ga, spearman
 from .scenario import ConfigError, Scenario, load_scenario
 from .search import FLEET_STREAM, TRAINING_STREAM, ConstraintSpec, SearchParams, stream
 from .surrogate import TrainingSettings, train_accuracy_predictor, train_device_specific_predictor
@@ -215,11 +215,10 @@ def _selftest_checks():
     lats = sorted(Oracle(space).latency_rows(designs, [target])[:, 0])
     bound = lats[len(lats) * 2 // 5]
     run_ledger = MeasurementLedger()
-    entry = ProxyEntry(proxy, acc_m, lat_m, None, TCache(Scenario.granularity))
-    result = bisection_optimize(
-        target, ConstraintSpec(bound), 0.02 * bound, entry, Oracle(space, run_ledger),
-        SearchParams(), 5,
-    )
+    entry = ProxyEntry(proxy, acc_m, lat_m, None,
+                       TCache(Scenario.granularity, inner_ga(space, SearchParams(), 5)))
+    result = bisection_optimize(target, ConstraintSpec(bound), 0.02 * bound, entry,
+                                Oracle(space, run_ledger))
     charges = run_ledger.count(target.device_id, "latency")
     yield ("bisection charges the target at most 10 latency measurements", charges <= 10)
     yield ("bisection result is feasible: within its latency bound",
@@ -288,6 +287,10 @@ def main(argv: list[str] | None = None) -> int:
         if out and os.path.exists(out) and not os.path.isdir(out):
             raise ConfigError(f"--out {out} is an existing file, not a directory")
         return args.func(args)
+    except OSError as e:  # each read maps its own OSError: this is a write, rolled back
+        print(f"config error: cannot write {e.filename or out}: {e.strerror or e}",
+              file=sys.stderr)
+        return EXIT_CONFIG
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

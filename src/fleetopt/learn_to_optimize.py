@@ -219,6 +219,7 @@ class SweepResult:
     feasible: bool  # measured: latency, and energy under an energy bound, within bounds
     latency: float
     energy: float | None  # None without an energy bound
+    measurements: int  # the validation's: 1, plus 1 under an energy bound
     trace: tuple[dict, ...]  # one row per grid position
 
 
@@ -299,7 +300,7 @@ def constraint_sweep(
     results = []
     for (x, lam, ok, pa, trace), (_, spec), lat, en in zip(choices, targets, lats, ens):
         met = lat <= spec.latency_bound and (en is None or en <= spec.energy_bound)
-        results.append(SweepResult(x, lam, ok, pa, met, lat, en, trace))
+        results.append(SweepResult(x, lam, ok, pa, met, lat, en, 1 + (en is not None), trace))
     return results
 
 

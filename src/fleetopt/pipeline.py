@@ -41,6 +41,7 @@ from .proxy_reuse import (
     bisection_optimize,
     corrected_entry,
     grid_optimize_2d,
+    inner_ga,
     match_proxy,
 )
 from .scenario import ConfigError, Scenario
@@ -181,8 +182,9 @@ def _proxy_reuse(scenario: Scenario, fleet: Fleet, oracle: Oracle):
             for metric in metrics])
 
     def solver(acc_model, latency_model, energy_model=None):
+        minimize = inner_ga(scenario.space, scenario.search, scenario.seed)
         pool = [ProxyEntry(fleet.proxy, acc_model, latency_model, energy_model,
-                           TCache(scenario.granularity))]
+                           TCache(scenario.granularity, minimize))]
         rng_opt = stream(scenario.seed, PROXY_STREAM)
 
         def solve_one(target, spec: ConstraintSpec):
@@ -197,9 +199,9 @@ def _proxy_reuse(scenario: Scenario, fleet: Fleet, oracle: Oracle):
                 entry = corrected_entry(nearest, target, probes, oracle)
                 pool.append(entry)
             delta = scenario.delta_fraction * spec.latency_bound
-            args = (entry, oracle, scenario.search, scenario.seed)
-            result = (bisection_optimize(target, spec, delta, *args) if spec.energy_bound is None
-                      else grid_optimize_2d(target, spec, *args))
+            result = (bisection_optimize(target, spec, delta, entry, oracle)
+                      if spec.energy_bound is None
+                      else grid_optimize_2d(target, spec, entry, oracle))
             return result, {
                 "proxy_used": entry.device.device_id,
                 "proxy_reused": reused,
@@ -243,7 +245,6 @@ def _amortized(scenario: Scenario, fleet: Fleet, oracle: Oracle):
 
     def solver(acc_model, en_model, lat_model, optnet):
         def solve(targets):
-            before = [_target_charges(oracle.ledger, target.device_id) for target, _ in targets]
             sweeps = constraint_sweep(
                 optnet, targets, acc_model, en_model, lat_model, lambda_grid, oracle,
             )
@@ -251,18 +252,12 @@ def _amortized(scenario: Scenario, fleet: Fleet, oracle: Oracle):
                 "lambda": list(sweep.lam),
                 "predicted_feasible": sweep.predicted_feasible,
                 "predicted_accuracy": sweep.predicted_accuracy,
-                "validation_measurements":
-                    _target_charges(oracle.ledger, target.device_id) - charged,
-            }) for (target, _), charged, sweep in zip(targets, before, sweeps)]
+                "validation_measurements": sweep.measurements,
+            }) for sweep in sweeps]
 
         return solve
 
     return names, train, solver
-
-
-def _target_charges(ledger: MeasurementLedger, device_id: str) -> int:
-    """Latency plus energy measurements charged to one device so far."""
-    return ledger.count(device_id, "latency") + ledger.count(device_id, "energy")
 
 
 def draw_fleet(scenario: Scenario) -> Fleet:
@@ -319,8 +314,8 @@ def run_scenario(
         "total_latency": ledger.total("latency"),
         "total_energy": ledger.total("energy"),
         "total_accuracy": ledger.accuracy_count,
-        "per_target": dict(sorted((d.device_id, _target_charges(ledger, d.device_id))
-                                  for _, d in targets)),
+        "per_target": {d: ledger.count(d, "latency") + ledger.count(d, "energy")
+                       for d in sorted(bounds)},
     }
     infeasible = sum(1 for r in rows if not r["feasible"])
     report = RunReport(

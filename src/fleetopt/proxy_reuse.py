@@ -6,7 +6,8 @@ The core move: a constrained problem on a new device d is solved through the
     g(x; t) = -(1 - t) * acc(x) + t * latency_proxy(x) / s_L
 
 against true measurements of the current candidate on d. Inner solves touch
-only predictors; the target device is charged one latency measurement per
+only predictors, and each entry's t-cache memoizes them with the run's inner
+minimizer (inner_ga); the target device is charged one latency measurement per
 bisection iteration, at most ceil(log2(1/granularity + 1)) total. A rank
 correlation check decides whether a proxy is usable for a given target at all,
 and a pool of proxies turns that check into a reuse-or-correct policy: a
@@ -51,13 +52,16 @@ def spearman(a, b) -> float | None:
 
 
 class TCache:
-    """Inner-solution cache keyed on the weight tuple, each weight quantized to
-    the granularity: (t,) for the bisection, (t1, t2) for the 2-D grid."""
+    """An entry's memoized inner argmin, keyed on the weight tuple, each weight
+    quantized to the granularity: (t,) for the bisection, (t1, t2) for the 2-D
+    grid. A miss calls minimize(objective, key), the key the weights' integer
+    multiples of the granularity."""
 
-    def __init__(self, granularity: float):
+    def __init__(self, granularity: float, minimize):
         if not 0.0 < granularity < 1.0:
             raise ValueError("granularity must be in (0, 1)")
         self.granularity = granularity
+        self.minimize = minimize
         self._entries: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def _key(self, ts: tuple[float, ...]) -> tuple[int, ...]:
@@ -66,11 +70,19 @@ class TCache:
     def quantize(self, ts: tuple[float, ...]) -> tuple[float, ...]:
         return tuple(k * self.granularity for k in self._key(ts))
 
-    def get(self, ts: tuple[float, ...]) -> tuple[int, ...] | None:
-        return self._entries.get(self._key(ts))
+    def argmin(self, ts: tuple[float, ...], objective) -> tuple[int, ...]:
+        """The minimizer of objective at ts's key, found once per key."""
+        key = self._key(ts)
+        if key not in self._entries:
+            self._entries[key] = self.minimize(objective, key)
+        return self._entries[key]
 
-    def put(self, ts: tuple[float, ...], x: tuple[int, ...]) -> None:
-        self._entries[self._key(ts)] = x
+
+def inner_ga(space: DesignSpace, params: SearchParams, seed: int):
+    """The run's inner minimizer: the GA on the scenario seed's GA stream keyed
+    by the t-cache key."""
+    return lambda objective, key: evolutionary_search(objective, space, params,
+                                                      stream(seed, GA_STREAM, *key))
 
 
 @dataclass
@@ -89,7 +101,7 @@ def corrected_entry(entry: ProxyEntry, target: DeviceFeatures, probes: list,
     probe the gate measured, probes a list of (designs, latencies) as
     check_monotonicity appends them, and its energy model, if any, corrected
     on the same designs measured for energy (one charge per probe); a fresh
-    t-cache of entry's granularity. No predictor is trained."""
+    t-cache of entry's granularity and minimizer. No predictor is trained."""
     designs = np.concatenate([x for x, _ in probes])
     enc = encode_rows(designs, oracle.space)
     energy_model = None
@@ -97,7 +109,7 @@ def corrected_entry(entry: ProxyEntry, target: DeviceFeatures, probes: list,
         energy_model = correct(entry.energy_model, enc, oracle.energy_rows(designs, [target])[:, 0])
     latency_model = correct(entry.latency_model, enc, np.concatenate([y for _, y in probes]))
     return ProxyEntry(target, entry.accuracy_model, latency_model, energy_model,
-                      TCache(entry.cache.granularity))
+                      TCache(entry.cache.granularity, entry.cache.minimize))
 
 
 def scalarized_objective(
@@ -123,35 +135,18 @@ def scalarized_objective(
     return f
 
 
-def solve_inner(
-    ts: tuple[float, ...],
-    entry: ProxyEntry,
-    space: DesignSpace,
-    params: SearchParams,
-    seed: int,
-    minimizer=None,
-) -> tuple[int, ...]:
-    """Cached argmin of the scalarized objective at the quantized weights ts on
-    the entry's accuracy model and its first len(ts) metric models (latency,
-    then energy); predictor-only, so repeated calls cost nothing and never
-    touch any device. The GA draws from the scenario seed's GA stream keyed by
-    the cache key."""
-    cache = entry.cache
-    hit = cache.get(ts)
-    if hit is not None:
-        return hit
-    tq = cache.quantize(ts)
+def solve_inner(ts: tuple[float, ...], entry: ProxyEntry, space: DesignSpace) -> tuple[int, ...]:
+    """The entry's t-cache argmin of the scalarized objective at the quantized
+    weights ts on its accuracy model and its first len(ts) metric models
+    (latency, then energy); predictor-only, so repeated calls cost nothing and
+    never touch any device."""
+    tq = entry.cache.quantize(ts)
     metric_models = (entry.latency_model, entry.energy_model)[:len(ts)]
 
     def objective(X: np.ndarray) -> np.ndarray:
         return scalarized_objective(X, tq, entry.accuracy_model, metric_models, space)
 
-    if minimizer is not None:
-        x = minimizer(objective)
-    else:
-        x = evolutionary_search(objective, space, params, stream(seed, GA_STREAM, *cache._key(ts)))
-    cache.put(ts, x)
-    return x
+    return entry.cache.argmin(ts, objective)
 
 
 @dataclass(frozen=True)
@@ -176,9 +171,6 @@ def bisection_optimize(
     delta: float,
     entry: ProxyEntry,
     oracle: Oracle,
-    params: SearchParams,
-    seed: int,
-    minimizer=None,
 ) -> ProxySolve:
     """Bisection on t against true target latency of the inner solution on the
     entry's predictors; delta is the absolute latency half-band around the
@@ -199,23 +191,15 @@ def bisection_optimize(
         raise ValueError("the bisection takes no energy bound; the 2-D grid does")
     space, cache, bound = oracle.space, entry.cache, spec.latency_bound
     t_min, t_max = 0.0, 1.0
-    measured: dict[tuple[int], tuple[tuple[int, ...], float]] = {}
+    measured: dict[float, tuple[tuple[int, ...], float]] = {}  # quantized t -> (design, latency)
     trace: list[dict] = []
-    best: tuple[float, tuple[int, ...], float] | None = None  # (t, design, latency)
-    last: tuple[float, tuple[int, ...], float] | None = None
-    measurements = 0
     for iteration in range(math.ceil(math.log2(1.0 / cache.granularity + 1.0))):
         t = (t_min + t_max) / 2.0
-        key = cache._key((t,))
-        if key in measured:
-            x, lat = measured[key]
-        else:
-            x = solve_inner((t,), entry, space, params, seed, minimizer)
-            lat = oracle.latency(x, target)
-            measurements += 1
-            measured[key] = (x, lat)
         (tq,) = cache.quantize((t,))
-        last = (tq, x, lat)
+        if tq not in measured:
+            x = solve_inner((t,), entry, space)
+            measured[tq] = (x, oracle.latency(x, target))
+        lat = measured[tq][1]
         if lat >= bound + delta:
             verdict = "raise_t"
             t_min = t
@@ -224,25 +208,17 @@ def bisection_optimize(
             t_max = t
         else:
             verdict = "within_band"
-        if lat <= bound and (best is None or tq < best[0]):
-            best = (tq, x, lat)
         trace.append(
             {"device_id": target.device_id, "iteration": iteration, "t": tq,
              "measured_latency": lat, "verdict": verdict}
         )
         if verdict == "within_band":
             break
-    assert last is not None
-    chosen = best if best is not None else last
-    return ProxySolve(
-        design=chosen[1],
-        t=(chosen[0],),
-        measurements=measurements,
-        feasible=best is not None,
-        latency=chosen[2],
-        energy=None,
-        trace=tuple(trace),
-    )
+    within = [t for t, (_, lat) in measured.items() if lat <= bound]
+    chosen = min(within, default=tq)  # none within the bound: the last iterate
+    x, lat = measured[chosen]
+    return ProxySolve(design=x, t=(chosen,), measurements=len(measured), feasible=bool(within),
+                      latency=lat, energy=None, trace=tuple(trace))
 
 
 GRID_LEVELS = 3
@@ -277,9 +253,6 @@ def grid_optimize_2d(
     spec: ConstraintSpec,
     entry: ProxyEntry,
     oracle: Oracle,
-    params: SearchParams,
-    seed: int,
-    minimizer=None,
 ) -> ProxySolve:
     """Coarse-to-fine sweep of the (t1, t2) simplex for the spec's two bounds,
     latency and energy (a spec without an energy bound raises ValueError).
@@ -326,8 +299,7 @@ def grid_optimize_2d(
     for level in range(GRID_LEVELS):
         if level:  # refine around the best measured point of the level before
             center, spacing = min(pairs, key=level_rank)[0], spacing / 4.0
-        pairs = [(pt, solve_inner(pt, entry, space, params, seed, minimizer))
-                 for pt in _lattice(center, spacing, cache)]
+        pairs = [(pt, solve_inner(pt, entry, space)) for pt in _lattice(center, spacing, cache)]
         for pt, x in pairs:
             design_pt.setdefault(x, pt)
         designs = list(dict.fromkeys(x for _, x in pairs))

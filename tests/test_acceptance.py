@@ -37,6 +37,7 @@ from fleetopt.proxy_reuse import (
     TCache,
     bisection_optimize,
     check_monotonicity,
+    inner_ga,
     match_proxy,
 )
 from fleetopt.scenario import scenario_from_dict
@@ -94,10 +95,9 @@ def monotone_bisections(reduced, fleet, reduced_models):
         bound = float(np.percentile(lats, 40.0))
         ledger = MeasurementLedger()
         entry = ProxyEntry(dev, reduced_models["accuracy"], reduced_models["latency"], None,
-                           TCache(0.001))
+                           TCache(0.001, inner_ga(reduced, SearchParams(), 7)))
         result = bisection_optimize(
             dev, ConstraintSpec(bound), 0.02 * bound, entry, Oracle(reduced, ledger),
-            SearchParams(), 7,
         )
         runs.append(
             {
@@ -200,7 +200,7 @@ def test_criterion_5_detector_separation(dspace, fleet, proxy, reduced_models,
 
         def fresh_pool():
             return [ProxyEntry(proxy, reduced_models["accuracy"], proxy_latency_default, None,
-                               TCache(0.001))]
+                               TCache(0.001, inner_ga(dspace, SearchParams(), 0)))]
 
         match_ok = 0
         for s in range(10):

@@ -23,6 +23,7 @@ from fleetopt.proxy_reuse import (
     corrected_entry,
     grid_optimize_2d,
     match_proxy,
+    inner_ga,
     scalarized_objective,
     solve_inner,
     spearman,
@@ -45,13 +46,13 @@ def value_views(space):
 
 
 def brute(space):
-    return lambda objective: brute_force_argmin(objective, space)
+    return lambda objective, key: brute_force_argmin(objective, space)
 
 
-def entry_of(models, cache=None, device=None):
+def entry_of(models, minimize, device=None, granularity=0.001):
     """A pool entry over the accuracy/latency(/energy) models of one dict."""
     return ProxyEntry(device, models["accuracy"], models["latency"], models.get("energy"),
-                      TCache(0.001) if cache is None else cache)
+                      TCache(granularity, minimize))
 
 
 # --- spearman ---------------------------------------------------------------
@@ -92,10 +93,11 @@ def test_bisection_settings_defaults(exact_models, reduced, fleet):
     # the iteration cap follows the entry cache's granularity; an unreachable
     # bound raises t every iteration, so the cap is what stops the bisection
     target = fleet.holdout_monotone[0]
-    for cache, cap in ((TCache(0.25), 3), (TCache(0.001), 10)):  # ceil(log2(1/g + 1))
+    for granularity, cap in ((0.25, 3), (0.001, 10)):  # ceil(log2(1/g + 1))
         result = bisection_optimize(
-            target, ConstraintSpec(1e-9), 1e-11, entry_of(exact_models, cache),
-            Oracle(reduced, MeasurementLedger()), SearchParams(), 0, minimizer=brute(reduced),
+            target, ConstraintSpec(1e-9), 1e-11,
+            entry_of(exact_models, brute(reduced), granularity=granularity),
+            Oracle(reduced, MeasurementLedger()),
         )
         assert not result.feasible
         assert len(result.trace) == result.measurements == cap
@@ -106,40 +108,47 @@ def test_bisection_settings_validation(exact_models, reduced, fleet):
     oracle = Oracle(reduced, MeasurementLedger())
     for delta in (0.0, -0.1):
         with pytest.raises(ValueError, match="delta"):
-            bisection_optimize(target, ConstraintSpec(1.0), delta, entry_of(exact_models),
-                               oracle, SearchParams(), 0)
+            bisection_optimize(target, ConstraintSpec(1.0), delta,
+                               entry_of(exact_models, brute(reduced)), oracle)
     with pytest.raises(ValueError, match="energy bound"):
-        bisection_optimize(target, ConstraintSpec(1.0, 1.0), 0.02, entry_of(exact_models), oracle,
-                           SearchParams(), 0)
-    latency_only = entry_of({k: exact_models[k] for k in ("accuracy", "latency")}, device=fleet.proxy)
+        bisection_optimize(target, ConstraintSpec(1.0, 1.0), 0.02,
+                           entry_of(exact_models, brute(reduced)), oracle)
+    latency_only = entry_of({k: exact_models[k] for k in ("accuracy", "latency")},
+                            brute(reduced), device=fleet.proxy)
     with pytest.raises(ValueError, match="energy model"):
-        grid_optimize_2d(target, ConstraintSpec(1.0, 1.0), latency_only, oracle,
-                         SearchParams(), 0)
+        grid_optimize_2d(target, ConstraintSpec(1.0, 1.0), latency_only, oracle)
     assert oracle.ledger.total() == 0
 
 
 def test_grid_2d_rejects_a_spec_without_an_energy_bound(exact_models, reduced, fleet):
     oracle = Oracle(reduced, MeasurementLedger())
     with pytest.raises(ValueError, match="energy bound"):
-        grid_optimize_2d(fleet.holdout_monotone[0], ConstraintSpec(1.0), entry_of(exact_models),
-                         oracle, SearchParams(), 0, minimizer=brute(reduced))
+        grid_optimize_2d(fleet.holdout_monotone[0], ConstraintSpec(1.0),
+                         entry_of(exact_models, brute(reduced)), oracle)
     assert oracle.ledger.total() == 0
 
 
 def test_tcache_quantizes_keys(reduced):
-    cache = TCache(granularity=0.001)
+    keys = []
+
+    def minimize(objective, key):  # the objective here names the design to return
+        keys.append(key)
+        return objective(None)
+
+    cache = TCache(0.001, minimize)
     x, y = enumerate_all(reduced)[7:9]
-    cache.put((0.1234,), x)
-    assert cache.get((0.1230,)) == x
-    assert cache.get((0.12351,)) is None
+    assert cache.argmin((0.1234,), lambda _: x) == x
+    assert cache.argmin((0.1230,), lambda _: y) == x  # the same key: no new solve
+    assert cache.argmin((0.12351,), lambda _: y) == y
     assert cache.quantize((0.1234,)) == pytest.approx((0.123,))
-    cache.put((0.1234, 0.0004), y)
-    assert cache.get((0.1230, 0.0)) == y
-    assert cache.get((0.1230,)) == x
+    assert cache.argmin((0.1234, 0.0004), lambda _: y) == y
+    assert cache.argmin((0.1230, 0.0), lambda _: x) == y
+    assert cache.argmin((0.1230,), lambda _: y) == x
     assert cache.quantize((0.1234, 0.0006)) == pytest.approx((0.123, 0.001))
-    assert len(cache._entries) == 2
+    assert keys == [(123,), (124,), (123, 0)]
+    assert len(cache._entries) == 3
     with pytest.raises(ValueError):
-        TCache(granularity=0.0)
+        TCache(0.0, minimize)
 
 
 # --- scalarized objective and inner solve -----------------------------------
@@ -176,29 +185,26 @@ def test_scalarized_objective_one_weight_is_the_bisection_objective(exact_models
 def test_solve_inner_caches_and_skips_objective(exact_models, reduced):
     calls = [0]
 
-    def counting_minimizer(objective):
+    def counting_minimizer(objective, key):
         def counted(X):
             calls[0] += len(X)
             return objective(X)
 
         return brute_force_argmin(counted, reduced)
 
-    entry = entry_of(exact_models)
-    params = SearchParams()
-    a = solve_inner((0.4,), entry, reduced, params, 0, minimizer=counting_minimizer)
+    entry = entry_of(exact_models, counting_minimizer)
+    a = solve_inner((0.4,), entry, reduced)
     first = calls[0]
     assert first == 128
-    b = solve_inner((0.4,), entry, reduced, params, 0, minimizer=counting_minimizer)
+    b = solve_inner((0.4,), entry, reduced)
     assert calls[0] == first
     assert a == b
 
 
 def test_solve_inner_extremes_with_exact_predictors(exact_models, reduced):
-    x0 = solve_inner((0.0,), entry_of(exact_models), reduced, SearchParams(), 0,
-                     minimizer=brute(reduced))
+    x0 = solve_inner((0.0,), entry_of(exact_models, brute(reduced)), reduced)
     assert x0 == all_max(reduced)
-    x1 = solve_inner((1.0,), entry_of(exact_models), reduced, SearchParams(), 0,
-                     minimizer=brute(reduced))
+    x1 = solve_inner((1.0,), entry_of(exact_models, brute(reduced)), reduced)
     assert x1 == all_min(reduced)
 
 
@@ -225,8 +231,8 @@ def test_bisection_loose_bound_returns_accuracy_argmax(exact_models, reduced, fl
     target = fleet.holdout_monotone[0]
     oracle = Oracle(reduced, MeasurementLedger())
     result = bisection_optimize(
-        target, ConstraintSpec(1e6), 0.02 * 1e6, entry_of(exact_models),
-        oracle, SearchParams(), 0, minimizer=brute(reduced),
+        target, ConstraintSpec(1e6), 0.02 * 1e6, entry_of(exact_models, brute(reduced)),
+        oracle,
     )
     assert result.feasible
     assert result.t[0] <= 0.001 + 1e-12
@@ -239,8 +245,8 @@ def test_bisection_budget_and_ledger_agree(exact_models, reduced, fleet):
     bound = float(np.percentile(lats, 40))
     oracle = Oracle(reduced, MeasurementLedger())
     result = bisection_optimize(
-        target, ConstraintSpec(bound), 0.02 * bound, entry_of(exact_models),
-        oracle, SearchParams(), 0, minimizer=brute(reduced),
+        target, ConstraintSpec(bound), 0.02 * bound, entry_of(exact_models, brute(reduced)),
+        oracle,
     )
     assert result.measurements <= 10
     assert oracle.ledger.count(target.device_id, "latency") == result.measurements
@@ -257,8 +263,8 @@ def test_bisection_matches_constrained_optimum(exact_models, reduced, fleet):
     )
     oracle = Oracle(reduced, MeasurementLedger())
     result = bisection_optimize(
-        target, ConstraintSpec(bound), 0.02 * bound, entry_of(exact_models),
-        oracle, SearchParams(), 0, minimizer=brute(reduced),
+        target, ConstraintSpec(bound), 0.02 * bound, entry_of(exact_models, brute(reduced)),
+        oracle,
     )
     assert result.feasible
     assert result.latency <= bound
@@ -270,13 +276,13 @@ def test_bisection_infeasible_bound_is_flagged(exact_models, reduced, fleet):
     min_lat = min(latency_value(x, target) for x in value_views(reduced))
     oracle = Oracle(reduced, MeasurementLedger())
     result = bisection_optimize(
-        target, ConstraintSpec(min_lat / 10), 0.02 * min_lat / 10, entry_of(exact_models),
-        oracle, SearchParams(), 0, minimizer=brute(reduced),
+        target, ConstraintSpec(min_lat / 10), 0.02 * min_lat / 10,
+        entry_of(exact_models, brute(reduced)), oracle,
     )
     assert not result.feasible
     with pytest.raises(ValueError):
-        bisection_optimize(target, ConstraintSpec(-1.0), 0.1, entry_of(exact_models), oracle,
-                           SearchParams(), 0)
+        bisection_optimize(target, ConstraintSpec(-1.0), 0.1,
+                           entry_of(exact_models, brute(reduced)), oracle)
 
 
 def test_bisection_keeps_only_iterates_within_the_bound(reduced, fleet):
@@ -292,11 +298,11 @@ def test_bisection_keeps_only_iterates_within_the_bound(reduced, fleet):
 
     def solve(*picks):
         picked = iter(picks)  # the inner solve of each new t, in order
-        entry = entry_of({"accuracy": None, "latency": None})
+        entry = entry_of({"accuracy": None, "latency": None},
+                         lambda objective, key: next(picked))
         return bisection_optimize(
             target, ConstraintSpec(bound), 0.02 * bound, entry,
-            Oracle(reduced, MeasurementLedger()), SearchParams(), 0,
-            minimizer=lambda _: next(picked),
+            Oracle(reduced, MeasurementLedger()),
         )
 
     # t = 0.5 is fast (lower t), t = 0.25 slow but within the band: stop
@@ -316,14 +322,50 @@ def test_bisection_trace_rows(exact_models, reduced, fleet):
     bound = float(np.percentile(lats, 40))
     oracle = Oracle(reduced, MeasurementLedger())
     result = bisection_optimize(
-        target, ConstraintSpec(bound), 0.02 * bound, entry_of(exact_models),
-        oracle, SearchParams(), 0, minimizer=brute(reduced),
+        target, ConstraintSpec(bound), 0.02 * bound, entry_of(exact_models, brute(reduced)),
+        oracle,
     )
     assert [row["iteration"] for row in result.trace] == list(range(len(result.trace)))
     assert all(list(row) == ["device_id", "iteration", "t", "measured_latency", "verdict"]
                for row in result.trace)
     assert all(row["verdict"] in ("raise_t", "lower_t", "within_band") for row in result.trace)
     assert result.trace[0]["t"] == pytest.approx(0.5)
+
+
+def test_bisection_measures_each_distinct_t_once(exact_models, reduced, fleet):
+    # on a coarse grid t = 0.625 quantizes back to 0.5: the third iterate is
+    # the first one again, and is neither solved nor measured twice
+    target = fleet.holdout_monotone[0]
+    designs = enumerate_all(reduced)
+    lats = Oracle(reduced).latency_rows(designs, [target])[:, 0]
+    order = np.argsort(lats)
+    fast, slow = designs[order[0]], designs[order[-1]]
+    bound = float(lats[order[len(order) // 2]])
+    keys = []
+
+    def minimize(objective, key):  # slow at t = 0.5, fast above it
+        keys.append(key)
+        return slow if key <= (2,) else fast
+
+    oracle = Oracle(reduced, MeasurementLedger())
+    result = bisection_optimize(
+        target, ConstraintSpec(bound), 0.02 * bound,
+        entry_of({"accuracy": None, "latency": None}, minimize, granularity=0.25), oracle,
+    )
+    assert [row["t"] for row in result.trace] == [0.5, 0.75, 0.5]
+    assert [row["verdict"] for row in result.trace] == ["raise_t", "lower_t", "raise_t"]
+    assert keys == [(2,), (3,)]
+    assert result.measurements == len({row["t"] for row in result.trace}) == 2
+    assert oracle.ledger.count(target.device_id, "latency") == 2
+    assert (result.design, result.t, result.feasible) == (fast, (0.75,), True)
+    # the same holds on the fine grid with exact predictors
+    lats = [latency_value(x, target) for x in value_views(reduced)]
+    bound = float(np.percentile(lats, 40))
+    oracle = Oracle(reduced, MeasurementLedger())
+    result = bisection_optimize(target, ConstraintSpec(bound), 0.02 * bound,
+                                entry_of(exact_models, brute(reduced)), oracle)
+    assert result.measurements == len({row["t"] for row in result.trace})
+    assert oracle.ledger.count(target.device_id, "latency") == result.measurements
 
 
 def test_search_and_bisection_convert_only_what_they_measure(
@@ -354,8 +396,8 @@ def test_search_and_bisection_convert_only_what_they_measure(
     calls.update(indices_of=0, design_at=0)
     oracle = Oracle(reduced, MeasurementLedger())
     result = bisection_optimize(
-        target, ConstraintSpec(bound), 0.02 * bound, entry_of(reduced_models), oracle,
-        SearchParams(), 0,
+        target, ConstraintSpec(bound), 0.02 * bound,
+        entry_of(reduced_models, inner_ga(reduced, SearchParams(), 0)), oracle,
     )
     charged = oracle.ledger.count(target.device_id, "latency")
     assert charged == result.measurements > 1
@@ -390,8 +432,8 @@ def test_grid_2d_loose_bounds_hit_accuracy_corner(exact_models, reduced, fleet):
     target = fleet.holdout_monotone[0]
     oracle = Oracle(reduced, MeasurementLedger())
     result = grid_optimize_2d(
-        target, ConstraintSpec(1e6, 1e6), entry_of(exact_models),
-        oracle, SearchParams(), 0, minimizer=brute(reduced),
+        target, ConstraintSpec(1e6, 1e6), entry_of(exact_models, brute(reduced)),
+        oracle,
     )
     assert result.feasible
     assert result.design == all_max(reduced)
@@ -422,8 +464,8 @@ def test_grid_2d_dual_bounds_reach_scalarization_ceiling(exact_models, reduced, 
 
     oracle = Oracle(reduced, MeasurementLedger())
     result = grid_optimize_2d(
-        target, ConstraintSpec(lat_bound, en_bound), entry_of(exact_models),
-        oracle, SearchParams(), 0, minimizer=brute(reduced),
+        target, ConstraintSpec(lat_bound, en_bound), entry_of(exact_models, brute(reduced)),
+        oracle,
     )
     assert result.feasible
     assert result.latency <= lat_bound and result.energy <= en_bound
@@ -441,12 +483,12 @@ def test_grid_2d_huge_energy_bound_matches_bisection(exact_models, reduced, flee
     bound = float(np.percentile(lats, 50))
     oracle = Oracle(reduced, MeasurementLedger())
     uni = bisection_optimize(
-        target, ConstraintSpec(bound), 0.02 * bound, entry_of(exact_models),
-        oracle, SearchParams(), 0, minimizer=brute(reduced),
+        target, ConstraintSpec(bound), 0.02 * bound, entry_of(exact_models, brute(reduced)),
+        oracle,
     )
     two = grid_optimize_2d(
-        target, ConstraintSpec(bound, 1e9), entry_of(exact_models),
-        oracle, SearchParams(), 0, minimizer=brute(reduced),
+        target, ConstraintSpec(bound, 1e9), entry_of(exact_models, brute(reduced)),
+        oracle,
     )
     assert two.feasible and uni.feasible
     acc_two = accuracy_value(reduced.design_at(two.design), reduced)
@@ -456,10 +498,9 @@ def test_grid_2d_huge_energy_bound_matches_bisection(exact_models, reduced, flee
 def test_bisection_and_grid_return_one_proxy_solve_record(exact_models, reduced, fleet):
     target = fleet.holdout_monotone[0]
     x = enumerate_all(reduced)[5]
-    args = (entry_of(exact_models), Oracle(reduced, MeasurementLedger()), SearchParams(), 0)
-    uni = bisection_optimize(target, ConstraintSpec(1e6), 0.02 * 1e6, *args,
-                             minimizer=lambda _: x)
-    two = grid_optimize_2d(target, ConstraintSpec(1e6, 1e6), *args, minimizer=lambda _: x)
+    args = (entry_of(exact_models, lambda objective, key: x), Oracle(reduced, MeasurementLedger()))
+    uni = bisection_optimize(target, ConstraintSpec(1e6), 0.02 * 1e6, *args)
+    two = grid_optimize_2d(target, ConstraintSpec(1e6, 1e6), *args)
     assert type(uni) is type(two) is ProxySolve
     assert (len(uni.t), uni.energy) == (1, None)
     assert len(two.t) == 2 and isinstance(two.energy, float)
@@ -472,8 +513,8 @@ def test_grid_2d_infeasible_bounds_flagged(exact_models, reduced, fleet):
     min_lat = min(latency_value(x, target) for x in value_views(reduced))
     oracle = Oracle(reduced, MeasurementLedger())
     result = grid_optimize_2d(
-        target, ConstraintSpec(min_lat / 10, 1e9), entry_of(exact_models),
-        oracle, SearchParams(), 0, minimizer=brute(reduced),
+        target, ConstraintSpec(min_lat / 10, 1e9), entry_of(exact_models, brute(reduced)),
+        oracle,
     )
     assert not result.feasible
 
@@ -481,7 +522,7 @@ def test_grid_2d_infeasible_bounds_flagged(exact_models, reduced, fleet):
 def test_grid_2d_reuses_inner_solves_across_calls_on_one_cache(exact_models, reduced, fleet):
     solved = [0]
 
-    def counting_minimizer(objective):
+    def counting_minimizer(objective, key):
         solved[0] += 1
         return brute_force_argmin(objective, reduced)
 
@@ -490,20 +531,17 @@ def test_grid_2d_reuses_inner_solves_across_calls_on_one_cache(exact_models, red
     first = (fleet.holdout_monotone[0], ConstraintSpec(float(np.percentile(lats, 50)), 1e9))
     second = (fleet.holdout_monotone[1], ConstraintSpec(1e9, float(np.percentile(ens, 40))))
 
-    def run(problem, entry, minimizer):
-        return grid_optimize_2d(
-            *problem, entry, Oracle(reduced, MeasurementLedger()), SearchParams(), 0,
-            minimizer=minimizer,
-        )
+    def run(problem, entry):
+        return grid_optimize_2d(*problem, entry, Oracle(reduced, MeasurementLedger()))
 
-    shared = entry_of(exact_models)
-    run(first, shared, counting_minimizer)
+    shared = entry_of(exact_models, counting_minimizer)
+    run(first, shared)
     assert solved[0] == len(shared.cache._entries)
     solved_first = solved[0]
-    reused = run(second, shared, counting_minimizer)
+    reused = run(second, shared)
     assert solved[0] == len(shared.cache._entries)  # no lattice point was solved twice
     assert solved[0] - solved_first < solved_first  # the top-level lattice was reused
-    assert reused == run(second, entry_of(exact_models), brute(reduced))
+    assert reused == run(second, entry_of(exact_models, brute(reduced)))
 
 
 def test_grid_2d_predicts_and_measures_each_level_as_one_batch(
@@ -531,7 +569,7 @@ def test_grid_2d_predicts_and_measures_each_level_as_one_batch(
     oracle = Oracle(reduced, MeasurementLedger())
     result = grid_optimize_2d(
         target, ConstraintSpec(float(np.percentile(lats, 50)), float(np.percentile(ens, 50))),
-        entry_of(reduced_models), oracle, SearchParams(), 0, minimizer=lambda _: next(designs),
+        entry_of(reduced_models, lambda objective, key: next(designs)), oracle,
     )
     assert result.measurements > 2 * GRID_MEASURE_CAP  # more than one level measured
     assert result.measurements == 2 * len(result.trace) == oracle.ledger.total()
@@ -547,12 +585,39 @@ def test_grid_2d_with_one_design_measures_it_once(exact_models, reduced, fleet):
     x = enumerate_all(reduced)[5]
     oracle = Oracle(reduced, MeasurementLedger())
     result = grid_optimize_2d(
-        target, ConstraintSpec(1e6, 1e6), entry_of(exact_models), oracle, SearchParams(), 0,
-        minimizer=lambda _: x,
+        target, ConstraintSpec(1e6, 1e6), entry_of(exact_models, lambda objective, key: x),
+        oracle,
     )
     assert (result.design, result.t, result.measurements) == (x, (0.0, 0.0), 2)
     assert [row["level"] for row in result.trace] == [0]  # levels 1-2 have nothing new
     assert oracle.ledger.snapshot()["devices"] == {target.device_id: {"latency": 1, "energy": 1}}
+
+
+def test_a_bisection_and_a_grid_on_one_entry_solve_each_key_once(exact_models, reduced, fleet):
+    # the entry's t-cache holds its minimizer: one call per distinct key,
+    # however many solves of either kind ask for it
+    keys = []
+
+    def minimize(objective, key):
+        keys.append(key)
+        return brute_force_argmin(objective, reduced)
+
+    target = fleet.holdout_monotone[1]
+    lats = [latency_value(x, target) for x in value_views(reduced)]
+    ens = [energy_value(x, target) for x in value_views(reduced)]
+    bound = float(np.percentile(lats, 40))
+    one, both = ConstraintSpec(bound), ConstraintSpec(bound, float(np.percentile(ens, 40)))
+    entry = entry_of(exact_models, minimize)
+    oracle = Oracle(reduced, MeasurementLedger())
+    uni = bisection_optimize(target, one, 0.02 * bound, entry, oracle)
+    two = grid_optimize_2d(target, both, entry, oracle)
+    assert len(keys) == len(set(keys)) == len(entry.cache._entries)
+    assert {(round(row["t"] / 0.001),) for row in uni.trace} == {k for k in keys if len(k) == 1}
+    assert any(len(k) == 2 for k in keys)
+    # a second pass of both asks only for keys the cache holds
+    assert bisection_optimize(target, one, 0.02 * bound, entry, oracle) == uni
+    assert grid_optimize_2d(target, both, entry, oracle) == two
+    assert len(keys) == len(entry.cache._entries)
 
 
 # --- monotonicity gate and pool ---------------------------------------------
@@ -594,7 +659,7 @@ def test_match_proxy_reuses_for_monotone_target(fleet, dspace, proxy_latency_def
         accuracy_model=stage1_bundle.accuracy,
         latency_model=proxy_latency_default,
         energy_model=None,
-        cache=TCache(0.001),
+        cache=TCache(0.001, brute(dspace)),
     )
     pool = [entry]
     target = fleet.holdout_monotone[0]
@@ -614,7 +679,7 @@ def test_match_proxy_rejects_all_for_adversarial_target(fleet, dspace, proxy_lat
         accuracy_model=stage1_bundle.accuracy,
         latency_model=proxy_latency_default,
         energy_model=None,
-        cache=TCache(0.001),
+        cache=TCache(0.001, brute(dspace)),
     )
     pool = [entry]
     target = fleet.holdout_adversarial[0]
@@ -630,7 +695,8 @@ def test_match_proxy_fails_an_undefined_rank_correlation(fleet, dspace, stage1_b
     # so rho is undefined: the gate fails and the trial records no rho
     X = np.random.default_rng(0).random((8, dspace.encoding_width))
     flat = fit(X, np.ones(8), (4,), TrainingSettings(epochs=1), np.random.default_rng(1))
-    entry = ProxyEntry(fleet.proxy, stage1_bundle.accuracy, flat, None, TCache(0.001))
+    entry = ProxyEntry(fleet.proxy, stage1_bundle.accuracy, flat, None,
+                       TCache(0.001, brute(dspace)))
     target = fleet.holdout_monotone[0]
     oracle = Oracle(dspace, MeasurementLedger())
     trials = []
@@ -645,7 +711,7 @@ def test_match_proxy_fails_an_undefined_rank_correlation(fleet, dspace, stage1_b
 def test_a_gate_miss_corrects_the_entry_on_the_probes_it_measured(reduced, reduced_models, fleet,
                                                                    metrics):
     entry = entry_of({name: reduced_models[name] for name in ("accuracy", *metrics)},
-                     device=fleet.proxy)
+                     brute(reduced), device=fleet.proxy)
     target = fleet.holdout_adversarial[0]
     oracle = Oracle(reduced, MeasurementLedger())
     probes = []
@@ -669,3 +735,28 @@ def test_a_gate_miss_corrects_the_entry_on_the_probes_it_measured(reduced, reduc
         assert new.energy_model.base is entry.energy_model
         assert new.energy_model.objective_scale == float(
             np.median(Oracle(reduced).energy_rows(designs, [target])))
+
+
+def test_a_corrected_entry_starts_an_empty_cache_on_its_base_minimizer(reduced, reduced_models,
+                                                                      fleet):
+    keys = []
+
+    def minimize(objective, key):
+        keys.append(key)
+        return brute_force_argmin(objective, reduced)
+
+    base = entry_of(reduced_models, minimize, device=fleet.proxy, granularity=0.01)
+    x = solve_inner((0.4,), base, reduced)
+    target = fleet.holdout_adversarial[0]
+    oracle = Oracle(reduced, MeasurementLedger())
+    probes = []
+    assert match_proxy([base], target, 1.5, oracle, np.random.default_rng(7), 12,
+                       probes=probes) is None
+    new = corrected_entry(base, target, probes, oracle)
+    assert new.cache is not base.cache and not new.cache._entries
+    assert new.cache.granularity == base.cache.granularity
+    assert new.cache.minimize is base.cache.minimize
+    # the same key reaches the same minimizer, now on the corrected models
+    solve_inner((0.4,), new, reduced)
+    assert keys == [(40,), (40,)] and len(base.cache._entries) == 1
+    assert solve_inner((0.4,), base, reduced) == x and len(keys) == 2

@@ -358,6 +358,21 @@ def test_a_gate_miss_charges_its_probes_and_its_solve_only(energy_percentile):
                                "energy": probe_energy + solve // 2}
 
 
+@pytest.mark.parametrize("energy_percentile", [None, 40.0], ids=["latency", "energy"])
+def test_the_sweep_counts_its_own_validation(energy_percentile):
+    # one latency measurement per target, one energy measurement more under an
+    # energy bound: the sweep's own count is the ledger's
+    doc = with_key(SMALL_AMORTIZED, "predictor.epochs", 2)
+    doc = with_key(doc, "optimize.energy_percentile", energy_percentile)
+    doc["optimize"]["optimizer_epochs"] = 2
+    report = run_scenario(scenario_from_dict(doc))
+    assert report.rows
+    per_target = report.stage_counts["per_target"]
+    for row in report.rows:
+        assert (row["validation_measurements"] == per_target[row["device_id"]]
+                == 1 + (row["energy_bound"] is not None))
+
+
 def test_a_corrected_entry_joins_the_pool_for_later_targets():
     doc = with_key(SMALL_PROXY, "predictor.epochs", 5)
     doc["fleet"] = dict(doc["fleet"], n_holdout_monotone=0, n_holdout_adversarial=4)
@@ -824,6 +839,24 @@ def test_an_unreadable_input_file_exits_2(tmp_path, capsys, argv, blocked, messa
     err = capsys.readouterr().err
     assert re.search(message, err), err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, blocked", [
+    (["cost-table"], "cost_table.json"),
+    (["gen-fleet", "--config", "{d}/scenario.json"], "fleet.json"),
+    (["train-predictors", "--config", "{d}/scenario.json"], "report.json"),
+], ids=["cost-table", "gen-fleet", "train-predictors"])
+def test_an_unwritable_output_file_exits_2(tmp_path, capsys, argv, blocked):
+    # the output file's path is a directory: written as a file it raises
+    # IsADirectoryError, and a run rolls back what it wrote before it
+    write_config(tmp_path, with_key(SMALL_PROXY, "predictor.epochs", 2))
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    before = sorted(os.walk(tmp_path))
+    assert main([arg.format(d=tmp_path) for arg in argv] + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: cannot write {out / blocked}: Is a directory\n"
+    assert sorted(os.walk(tmp_path)) == before
 
 
 def test_cli_refuses_an_out_that_is_a_file_before_any_work(tmp_path, capsys, monkeypatch):
