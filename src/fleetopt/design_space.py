@@ -10,9 +10,9 @@ model reads; `design_at` builds it and is the one place an index list from
 outside is checked, `indices_of` goes back. `design_codes` numbers index rows,
 one int64 each, so a space holds fewer than 2**63 designs. The encoding, a flat
 vector in [0, 1]^(3S+1) for continuous optimizers, is a separate form,
-converted a matrix at a time (`encode_rows`/`decode_rows`; `encode`/`decode`
-are the one-row case): each choice sits at the center of its cell so
-decode(encode(x)) is the identity.
+converted a matrix at a time (`encode_rows`/`decode_rows`; `encode` is the
+one-row case): each choice sits at the center of its cell so
+decode_rows(encode_rows(X)) is X.
 Search draws, breeds and scores whole populations as index matrices
 (`sample_rows`, `crossover`, `mutate`); `sample_uniform` is the one-row draw.
 """
@@ -246,11 +246,6 @@ def decode_rows(values, space: DesignSpace) -> np.ndarray:
     return np.floor(np.clip(V, 0.0, 1.0) * space._cells[0] + 0.5).astype(int)
 
 
-def decode(values: Sequence[float], space: DesignSpace) -> tuple[int, ...]:
-    """One vector's design: the one-row case of `decode_rows`."""
-    return tuple(decode_rows([values], space)[0].tolist())
-
-
 def mutate(
     X: np.ndarray, rate: float, space: DesignSpace, rng: np.random.Generator
 ) -> np.ndarray:
@@ -262,8 +257,6 @@ def mutate(
     touched, so the expected changed-field count per row is exactly
     rate * number of non-singleton axes; rate=0 returns X unchanged.
     """
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError(f"mutation rate must be in [0, 1], got {rate}")
     X = np.asarray(X)
     steps = space._cells[0].astype(int)
     hit = (rng.random(X.shape) < rate) & (steps > 0)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .design_space import DesignSpace, decode, decode_rows, design_codes, encode_rows
+from .design_space import DesignSpace, decode_rows, design_codes, encode_rows
 from .device_world import DeviceFeatures, Oracle
 from .nn import DenseNet, l2_penalty, normalized_net, stack, train, unstack
 from .search import ConstraintSpec
@@ -29,10 +29,6 @@ def build_lambda_grid(count_per_axis: int, max_lambda: float) -> np.ndarray:
     """(count_per_axis**2, 2) weight rows (lambda1, lambda2): per-axis {0} plus
     count-1 decade-spaced values ending at max_lambda, crossed over both axes;
     (0, 0) always comes first. count 1 gives just (0, 0)."""
-    if count_per_axis < 1:
-        raise ValueError("count_per_axis must be >= 1")
-    if max_lambda <= 0:
-        raise ValueError("max_lambda must be positive")
     axis = [0.0] + [
         max_lambda * 10.0 ** (i - (count_per_axis - 2)) for i in range(count_per_axis - 1)
     ]
@@ -43,11 +39,6 @@ def optimizer_inputs(devices, lams) -> np.ndarray:
     """(D, n, e + 2) optimizer inputs: for each device, one row per weight row of
     lams (n, 2), the device embedding then (lambda1, lambda2). lambda1 scales
     energy, lambda2 latency."""
-    lams = np.asarray(lams, dtype=float)
-    if lams.ndim != 2 or lams.shape[1] != 2:
-        raise ValueError(f"weights must be (n, 2) rows, got shape {lams.shape}")
-    if not np.all(lams >= 0):
-        raise ValueError("weights must be non-negative")
     embeddings = np.stack([device_embedding(d) for d in devices])
     X = np.empty((len(embeddings), len(lams), embeddings.shape[1] + 2))
     X[..., :-2] = embeddings[:, None]
@@ -92,14 +83,6 @@ class OptimizerNetwork:
 def load_optimizer(path) -> OptimizerNetwork:
     with open(path) as f:
         return OptimizerNetwork.from_dict(json.load(f))
-
-
-def _require_device_aware(energy_model: MlpRegressor, latency_model: MlpRegressor) -> None:
-    for m in (energy_model, latency_model):
-        if not m.takes_device:
-            raise ValueError(
-                f"method 2 needs device-aware {m.metric or 'metric'} predictors"
-            )
 
 
 def amortized_batch_gradient(
@@ -164,11 +147,6 @@ def train_method2(
     predictors; the restarts are scored, and the network returned, in float64.
     """
     X = np.asarray(inputs, dtype=float)
-    if X.ndim != 2 or not len(X):
-        raise ValueError("inputs must be a non-empty matrix of optimizer input rows")
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
-    _require_device_aware(energy_model, latency_model)
     mean, scale = standardizer(X)
     Xn = (X - mean) / scale
     embeddings, lams = X[:, :-2], X[:, -2:]
@@ -207,7 +185,8 @@ def infer_design(
 ) -> tuple[int, ...]:
     """One forward pass plus decode for one weight row lam (2,); no
     measurements, no search."""
-    return decode(net.infer_encodings(optimizer_inputs([d], [lam])[0])[0], space)
+    enc = net.infer_encodings(optimizer_inputs([d], [lam])[0])
+    return tuple(decode_rows(enc, space)[0].tolist())
 
 
 @dataclass(frozen=True)
@@ -257,7 +236,6 @@ def constraint_sweep(
     (<= 2 per target) in one paired call per metric for the whole sweep, and
     each result's feasible is its measured verdict.
     """
-    _require_device_aware(energy_model, latency_model)
     if not targets:
         return []
     lams = np.asarray(lambda_grid, dtype=float).tolist()

@@ -46,7 +46,8 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 class DenseNet:
-    """Fully connected net; weights[i] has shape (fan_in, fan_out)."""
+    """Fully connected net; weights[i] has shape (fan_in, fan_out). The head
+    is "linear" or "logistic"; from_dict checks a model file's."""
 
     def __init__(
         self,
@@ -54,12 +55,6 @@ class DenseNet:
         rng: np.random.Generator,
         output_activation: str = "linear",
     ):
-        if len(layer_sizes) < 2:
-            raise ValueError("need at least input and output sizes")
-        if any(n < 1 for n in layer_sizes):
-            raise ValueError(f"layer sizes must be positive, got {layer_sizes}")
-        if output_activation not in ("linear", "logistic"):
-            raise ValueError(f"unknown output activation {output_activation!r}")
         self.layer_sizes = list(layer_sizes)
         self.output_activation = output_activation
         self.weights: list[np.ndarray] = []
@@ -198,14 +193,14 @@ class DenseNet:
     def from_dict(cls, d: dict) -> "DenseNet":
         """Inverse of to_dict; other keys are ignored, so a whole model file's
         document can be passed. ValueError unless the head is one DenseNet
-        knows and each weight is (fan_in, fan_out) and each bias (fan_out,) of
-        layer_sizes."""
+        knows, layer_sizes holds an input and an output size, and each weight
+        is (fan_in, fan_out) and each bias (fan_out,) of layer_sizes."""
         net = cls._of(d["layer_sizes"], d["output_activation"], d["weights"], d["biases"])
         if net.output_activation not in ("linear", "logistic"):
             raise ValueError(f"unknown output activation {net.output_activation!r}")
         sizes = net.layer_sizes
         expected = [*zip(sizes, sizes[1:]), *((n,) for n in sizes[1:])]
-        if [a.shape for a in net.weights + net.biases] != expected:
+        if len(sizes) < 2 or [a.shape for a in net.weights + net.biases] != expected:
             raise ValueError(f"weights and biases do not match layer_sizes {sizes}")
         return net
 
@@ -274,10 +269,6 @@ class MomentumSgd:
     """
 
     def __init__(self, net: DenseNet, learning_rate: float, momentum: float, mu: float = 0.0):
-        if learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
         self.learning_rate = learning_rate
         self.momentum = momentum
         self.mu = mu

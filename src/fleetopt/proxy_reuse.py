@@ -58,8 +58,6 @@ class TCache:
     multiples of the granularity."""
 
     def __init__(self, granularity: float, minimize):
-        if not 0.0 < granularity < 1.0:
-            raise ValueError("granularity must be in (0, 1)")
         self.granularity = granularity
         self.minimize = minimize
         self._entries: dict[tuple[int, ...], tuple[int, ...]] = {}
@@ -123,8 +121,6 @@ def scalarized_objective(
     row of the index matrix X, one weight per metric model, the weights on the
     simplex: (t,) weighs latency for the bisection, (t1, t2) latency and
     energy for the 2-D grid."""
-    if min(ts) < 0 or sum(ts) > 1.0 + 1e-12:
-        raise ValueError(f"weights must lie in the simplex, got {ts}")
     enc = encode_rows(X, space)
     w = 1.0
     for t in ts:
@@ -185,8 +181,6 @@ def bisection_optimize(
     weight. If no iterate met the bound the last one comes back flagged
     infeasible.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
     if spec.energy_bound is not None:
         raise ValueError("the bisection takes no energy bound; the 2-D grid does")
     space, cache, bound = oracle.space, entry.cache, spec.latency_bound
@@ -269,8 +263,6 @@ def grid_optimize_2d(
     latency_bound, energy_bound = spec.latency_bound, spec.energy_bound
     if energy_bound is None:
         raise ValueError("the 2-D grid needs an energy bound")
-    if entry.energy_model is None:
-        raise ValueError(f"proxy {entry.device.device_id} has no energy model")
     space, cache = oracle.space, entry.cache
     models = (entry.accuracy_model, entry.latency_model, entry.energy_model)
     predicted: dict[tuple[int, ...], tuple[float, float, float]] = {}  # design -> (acc, lat, en)
@@ -341,8 +333,6 @@ def check_monotonicity(
     latency measurements on the target; predictor calls are free. With probes
     a list, (designs, measured latencies) is appended to it.
     """
-    if probe_count < 10:
-        raise ValueError(f"probe_count must be >= 10, got {probe_count}")
     space = oracle.space
     designs = sample_rows(space, rng, probe_count)
     predicted_lat = proxy_pred.predict_batch(encode_rows(designs, space))

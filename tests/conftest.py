@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from fleetopt.design_space import default_space, reduced_space, decode
+from fleetopt.design_space import default_space, reduced_space, decode_rows
 from fleetopt.device_world import (
     FleetConfig,
     MeasurementLedger,
@@ -155,7 +155,7 @@ class ExactModel:
         return energy_value(x, self._device)
 
     def predict(self, enc):
-        x = decode(np.asarray(enc, dtype=float), self._space)
+        x = tuple(decode_rows([enc], self._space)[0].tolist())
         return self._value(self._space.design_at(x))
 
     def predict_batch(self, X):

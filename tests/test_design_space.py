@@ -11,7 +11,6 @@ from fleetopt.design_space import (
     SpaceTooLargeError,
     StageChoice,
     crossover,
-    decode,
     decode_rows,
     default_space,
     design_codes,
@@ -125,45 +124,37 @@ def test_design_at_validates_index_lists(reduced, indices, error):
 
 
 def test_roundtrip_exhaustive_on_reduced(reduced):
-    for x in enumerate_all(reduced):
-        assert decode(encode(x, reduced), reduced) == x
+    X = enumerate_all(reduced)
+    assert [tuple(x) for x in decode_rows(encode_rows(X, reduced), reduced).tolist()] == X
 
 
 def test_roundtrip_sampled_on_default(dspace):
-    r = rng(42)
-    for _ in range(100):
-        x = sample_uniform(dspace, r)
-        assert decode(encode(x, dspace), dspace) == x
+    X = sample_rows(dspace, rng(42), 100)
+    assert np.array_equal(decode_rows(encode_rows(X, dspace), dspace), X)
 
 
 def test_decode_rounds_half_up(reduced):
     # 2 choices: 0.49 snaps down, 0.51 up, 0.5 exactly rounds up
-    v = np.zeros(7)
-    v[-1] = 0.49
-    assert decode(v, reduced)[-1] == 0
-    v[-1] = 0.51
-    assert decode(v, reduced)[-1] == 1
-    v[-1] = 0.5
-    assert decode(v, reduced)[-1] == 1
+    V = np.zeros((3, 7))
+    V[:, -1] = [0.49, 0.51, 0.5]
+    assert decode_rows(V, reduced)[:, -1].tolist() == [0, 1, 1]
 
 
 def test_decode_clamps_out_of_range(reduced):
     v = np.zeros(7)
     v[0] = -0.2
-    assert decode(v, reduced) == all_min(reduced)
-    assert decode(np.full(7, 1.7), reduced) == all_max(reduced)
+    D = decode_rows([v, np.full(7, 1.7)], reduced)
+    assert [tuple(x) for x in D.tolist()] == [all_min(reduced), all_max(reduced)]
 
 
 def test_decode_rejects_wrong_length(reduced):
     with pytest.raises(DimensionMismatchError):
-        decode(np.zeros(6), reduced)
+        decode_rows([np.zeros(6)], reduced)
 
 
 def test_decode_total_on_arbitrary_reals(reduced):
-    r = rng(9)
-    for _ in range(200):
-        v = r.normal(0.0, 3.0, size=7)
-        assert in_space(reduced, decode(v, reduced))
+    for x in decode_rows(rng(9).normal(0.0, 3.0, size=(200, 7)), reduced).tolist():
+        assert in_space(reduced, tuple(x))
 
 
 @pytest.mark.parametrize(
@@ -178,7 +169,8 @@ def test_row_forms_match_one_row_forms(space):
     V[:334] = (r.integers(0, 4, size=(334, width)) + 0.5) / np.maximum(steps, 1)
     D = decode_rows(V, space)
     assert D.shape == (1000, width)
-    assert [tuple(row) for row in D.tolist()] == [decode(v, space) for v in V]
+    # a row decodes alike alone (infer_design's one row) and in a batch
+    assert D.tolist() == [decode_rows([v], space)[0].tolist() for v in V]
     # the rule on Python floats, one value at a time: clamp, then round half up
     assert D.tolist() == [
         [math.floor(min(max(float(v), 0.0), 1.0) * n + 0.5) for v, n in zip(row, steps)]
@@ -204,7 +196,7 @@ def test_row_forms_reject_bad_input(reduced):
     with pytest.raises(DimensionMismatchError):
         encode((0,) * 6, reduced)
     with pytest.raises(ValueError, match="non-finite"):
-        decode(np.full(7, np.nan), reduced)
+        decode_rows([np.full(7, np.nan)], reduced)
 
 
 def test_sample_two_draws_differ_on_default(dspace):
@@ -250,8 +242,6 @@ def test_sample_rows_are_sequential_sample_uniform_draws(space):
 def test_mutate_rate_zero_is_identity(reduced):
     X = np.array([all_max(reduced), all_min(reduced)] * 5)
     assert np.array_equal(mutate(X, 0.0, reduced, rng(0)), X)
-    with pytest.raises(ValueError):
-        mutate(X, 1.5, reduced, rng(0))
 
 
 def test_mutate_stays_in_space(reduced):

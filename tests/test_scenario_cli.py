@@ -157,6 +157,9 @@ BAD_CONFIGS = [
     (SMALL_PROXY, "optimize.explore_size", 8, "optimize.explore_size"),
     (SMALL_AMORTIZED, "optimize.optimizer_epochs", 0, "optimize.optimizer_epochs"),
     (SMALL_AMORTIZED, "fleet.n_training", 1, "fleet.n_training"),
+    # the only checks on these values: no fit or mutation re-checks them
+    (SMALL_PROXY, "predictor.samples_per_device", 1, "predictor.samples_per_device"),
+    (SMALL_PROXY, "search.mutation_rate", 1.5, "search.mutation_rate"),
     # JSON parsing lets NaN and Infinity through; the parser must not
     (SMALL_PROXY, "predictor.learning_rate", float("inf"), "predictor.learning_rate"),
     (SMALL_PROXY, "lambda_grid.max_lambda", float("inf"), "lambda_grid.max_lambda"),
@@ -184,6 +187,44 @@ def test_bad_config_exits_2_naming_the_key(tmp_path, capsys, base, path, value, 
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
     assert named in err
+
+
+TINY = {"predictor.samples_per_device": 16, "predictor.epochs": 3, "predictor.batch_size": 8,
+        "predictor.hidden": [4], "search.population": 4, "search.generations": 2,
+        "optimize.optimizer_hidden": [4], "optimize.optimizer_epochs": 3}
+NO_TARGETS = {"fleet.n_holdout_monotone": 0, "fleet.n_holdout_adversarial": 0}
+# Each case sits at the edge of one entry check that the code downstream relies
+# on, as no solver, fit or optimizer checks the value again.
+BOUNDARY_CONFIGS = {
+    "granularity=0.5": (SMALL_PROXY, {"bisection.granularity": 0.5}),
+    "granularity=0.3-energy": (SMALL_PROXY, {"bisection.granularity": 0.3,
+                                             "optimize.energy_percentile": 40.0}),
+    "probe_count=10": (SMALL_PROXY, {"optimize.probe_count": 10}),
+    "samples_per_device=2-proxy": (SMALL_PROXY, {"predictor.samples_per_device": 2}),
+    "samples_per_device=2-amortized": (SMALL_AMORTIZED, {"predictor.samples_per_device": 2}),
+    "count_per_axis=1": (SMALL_AMORTIZED, {"lambda_grid.count_per_axis": 1}),
+    "no-hidden-layers": (SMALL_AMORTIZED, {"predictor.hidden": [],
+                                           "optimize.optimizer_hidden": []}),
+    "n_training=2-no-synthetic": (SMALL_AMORTIZED, {"fleet.n_training": 2,
+                                                    "fleet.n_synthetic": 0}),
+    "population=2": (SMALL_PROXY, {"search.population": 2}),
+    "mutation_rate=0": (SMALL_PROXY, {"search.mutation_rate": 0.0}),
+    "mutation_rate=1": (SMALL_PROXY, {"search.mutation_rate": 1.0}),
+    "no-targets-proxy": (SMALL_PROXY, NO_TARGETS),
+    "no-targets-amortized": (SMALL_AMORTIZED, NO_TARGETS),
+}
+
+
+@pytest.mark.parametrize("case", list(BOUNDARY_CONFIGS))
+def test_a_config_at_the_edge_of_each_entry_check_runs(tmp_path, capsys, case):
+    doc, keys = BOUNDARY_CONFIGS[case]
+    for path, value in {**TINY, **keys}.items():
+        doc = with_key(doc, path, value)
+    cfg, out = write_config(tmp_path, doc), str(tmp_path / "run")
+    assert main(["train-predictors", "--config", cfg, "--out", out]) == 0
+    # exit 3: a target's measured design broke its bound, a verdict like any other
+    assert main(["optimize", "--config", cfg, "--out", out, "--skip-training"]) in (0, 3)
+    assert capsys.readouterr().err == ""
 
 
 def test_readme_example_is_the_default_scenario():
@@ -300,15 +341,6 @@ def test_cost_accounting_baseline_arithmetic():
     assert table["baseline_hours_per_device"] == 5000 * 30.0 / 3600.0
     assert table["baseline_hours_total"] == table["baseline_hours_per_device"]
     assert cost_accounting(100, 1.0, 0)["baseline_hours_total"] == 0.0
-
-
-def test_cost_accounting_validation():
-    with pytest.raises(ValueError):
-        cost_accounting(0, 30.0, 1)
-    with pytest.raises(ValueError):
-        cost_accounting(100, 0.0, 1)
-    with pytest.raises(ValueError):
-        cost_accounting(100, 30.0, -1)
 
 
 # --- end-to-end runs ---------------------------------------------------------
@@ -574,6 +606,8 @@ def every(value):
     ("latency_proxy.json", ("in_mean", lambda v: v[:3])),
     ("accuracy.json", ("layer_sizes", lambda _: [7, 8, 8, 1])),
     ("latency_proxy.json", ("output_activation", lambda _: "relu")),
+    ("accuracy.json", (None, lambda d: {**d, "layer_sizes": d["layer_sizes"][:1],
+                                        "weights": [], "biases": []})),
     ("latency_proxy.json", ("in_scale", every(float("nan")))),
     ("latency_proxy.json", ("in_scale", every(0.0))),
     ("accuracy.json", ("in_mean", every(float("inf")))),
@@ -587,7 +621,7 @@ def every(value):
     ("optimizer.json", ("in_scale", every(float("nan")))),
     ("optimizer.json", ("in_scale", every(0.0))),
 ], ids=["truncated", "missing-key", "not-an-object", "weight-rows-cut", "in-mean-cut",
-        "layer-sizes-not-the-weights", "unknown-head", "in-scale-nan", "in-scale-zero",
+        "layer-sizes-not-the-weights", "unknown-head", "no-layers", "in-scale-nan", "in-scale-zero",
         "in-mean-inf", "weight-nan", "bias-inf", "out-mean-nan", "out-scale-nan",
         "out-scale-zero", "objective-scale-negative", "objective-scale-inf",
         "optimizer-in-scale-nan", "optimizer-in-scale-zero"])
@@ -598,10 +632,13 @@ def test_skip_training_with_corrupt_model_file_exits_2(proxy_run, request, tmp_p
         config, out = SMALL_AMORTIZED, request.getfixturevalue("amortized_run")
     shutil.copytree(os.path.join(out, "models"), tmp_path / "models")
     path = tmp_path / "models" / name
-    if isinstance(damage, tuple):  # one key of the saved document rewritten
+    if isinstance(damage, tuple):  # one key of the saved document rewritten (None: all)
         key, change = damage
         doc = json.loads(path.read_text())
-        doc[key] = change(doc[key])
+        if key is None:
+            doc = change(doc)
+        else:
+            doc[key] = change(doc[key])
         damage = json.dumps(doc)
     path.write_text(damage)
     cfg = write_config(tmp_path, config)
@@ -655,13 +692,16 @@ def test_skip_training_checks_device_aware_and_optimizer_widths(tmp_path, capsys
 
 
 
-@pytest.mark.parametrize("source, stray", [
-    ("amortized", "latency_fleet.json"),
-    ("proxy", "accuracy.json"),
-], ids=["device-aware-latency", "accuracy"])
-def test_skip_training_refuses_a_model_file_of_another_slot(tmp_path, capsys, source, stray):
+@pytest.mark.parametrize("source, stray, into, slot", [
+    ("amortized", "latency_fleet.json", "proxy", "latency_proxy.json"),
+    ("proxy", "accuracy.json", "proxy", "latency_proxy.json"),
+    ("proxy", "latency_proxy.json", "amortized", "latency_fleet.json"),
+], ids=["device-aware-latency", "accuracy", "device-specific-latency"])
+def test_skip_training_refuses_a_model_file_of_another_slot(tmp_path, capsys, source, stray,
+                                                            into, slot):
     # a predictor whose metric or takes_device is not its slot's: the first
-    # swap used to end in a traceback, the second to run on the wrong model
+    # swap used to end in a traceback, the second to run on the wrong model;
+    # the third is the one check that Method 2 gets device-aware predictors
     proxy_doc = with_key(SMALL_PROXY, "predictor.epochs", 2)
     runs = {"proxy": proxy_doc,
             "amortized": with_key(with_key(SMALL_AMORTIZED, "predictor.epochs", 2),
@@ -669,13 +709,12 @@ def test_skip_training_refuses_a_model_file_of_another_slot(tmp_path, capsys, so
     for name, doc in runs.items():
         cfg = write_config(tmp_path, doc, f"{name}.json")
         assert main(["train-predictors", "--config", cfg, "--out", str(tmp_path / name)]) == 0
-    shutil.copyfile(tmp_path / source / "models" / stray,
-                    tmp_path / "proxy" / "models" / "latency_proxy.json")
+    shutil.copyfile(tmp_path / source / "models" / stray, tmp_path / into / "models" / slot)
     capsys.readouterr()
-    assert main(["optimize", "--config", str(tmp_path / "proxy.json"), "--out",
-                 str(tmp_path / "proxy"), "--skip-training"]) == 2
+    assert main(["optimize", "--config", str(tmp_path / f"{into}.json"), "--out",
+                 str(tmp_path / into), "--skip-training"]) == 2
     err = capsys.readouterr().err
-    assert re.search(r"model file \(.*latency_proxy\.json\) holds the predictor of metric",
+    assert re.search(rf"model file \(.*{re.escape(slot)}\) holds the predictor of metric",
                      err), err
     assert "Traceback" not in err
 
