@@ -14,6 +14,7 @@ import dataclasses
 import json
 import math
 import os
+import statistics
 import sys
 
 import numpy as np
@@ -117,7 +118,8 @@ def _report_lines(report: dict) -> list[str]:
                      f"{row['measured_latency']:.4f}/{row['latency_bound']:.4f}  {energy}{verdict}")
     per_target = report["stage_counts"]["per_target"]
     if per_target:
-        lines.append(f"max per-target measurements: {max(per_target.values())}")
+        lines.append(f"max per-target measurements: {max(per_target.values())}  "
+                     f"mean: {statistics.fmean(per_target.values()):.2f}")
     return lines
 
 

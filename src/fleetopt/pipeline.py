@@ -168,8 +168,8 @@ def _load_models(models_dir: str | None, names: list[str], scenario: Scenario,
 def _proxy_reuse(scenario: Scenario, fleet: Fleet, oracle: Oracle):
     """Model file names, train and solver of proxy reuse: predictors trained on
     the proxy, a rank gate per target that reuses a pool entry or corrects the
-    nearest one on the gate's probes, then bisection on t (the 2-D grid under
-    an energy bound)."""
+    nearest one on the gate's probes, then bisection on t calibrated on the
+    same probes (the 2-D grid under an energy bound)."""
     metrics = ["latency"] if scenario.optimize.energy_percentile is None else ["latency", "energy"]
     names = ["accuracy.json"] + [f"{metric}_proxy.json" for metric in metrics]
 
@@ -199,7 +199,7 @@ def _proxy_reuse(scenario: Scenario, fleet: Fleet, oracle: Oracle):
                 entry = corrected_entry(nearest, target, probes, oracle)
                 pool.append(entry)
             delta = scenario.delta_fraction * spec.latency_bound
-            result = (bisection_optimize(target, spec, delta, entry, oracle)
+            result = (bisection_optimize(target, spec, delta, entry, oracle, probes)
                       if spec.energy_bound is None
                       else grid_optimize_2d(target, spec, entry, oracle))
             return result, {

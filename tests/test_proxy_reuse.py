@@ -49,6 +49,25 @@ def brute(space):
     return lambda objective, key: brute_force_argmin(objective, space)
 
 
+class ConstantModel:
+    """A latency predictor that predicts value for every design."""
+
+    metric, objective_scale = "latency", 1.0
+
+    def __init__(self, value):
+        self.value = value
+
+    def predict_batch(self, X):
+        return np.full(len(X), self.value)
+
+
+def one_design_per_key(space):
+    """A minimizer that gives each t-cache key its own design (keys apart by
+    less than the space's size)."""
+    designs = enumerate_all(space)
+    return lambda objective, key: designs[key[0] % len(designs)]
+
+
 def entry_of(models, minimize, device=None, granularity=0.001):
     """A pool entry over the accuracy/latency(/energy) models of one dict."""
     return ProxyEntry(device, models["accuracy"], models["latency"], models.get("energy"),
@@ -91,12 +110,15 @@ def test_spearman_validation():
 
 def test_bisection_settings_defaults(exact_models, reduced, fleet):
     # the iteration cap follows the entry cache's granularity; an unreachable
-    # bound raises t every iteration, so the cap is what stops the bisection
+    # bound raises t every iteration, so the cap is what stops the bisection,
+    # and a zero latency prediction has every iterate, each its own design,
+    # measured
     target = fleet.holdout_monotone[0]
+    models = dict(exact_models, latency=ConstantModel(0.0))
     for granularity, cap in ((0.25, 3), (0.001, 10)):  # ceil(log2(1/g + 1))
         result = bisection_optimize(
             target, ConstraintSpec(1e-9), 1e-11,
-            entry_of(exact_models, brute(reduced), granularity=granularity),
+            entry_of(models, one_design_per_key(reduced), granularity=granularity),
             Oracle(reduced, MeasurementLedger()),
         )
         assert not result.feasible
@@ -286,8 +308,10 @@ def test_bisection_keeps_only_iterates_within_the_bound(reduced, fleet):
 
     def solve(*picks):
         picked = iter(picks)  # the inner solve of each new t, in order
-        entry = entry_of({"accuracy": None, "latency": None},
-                         lambda objective, key: next(picked))
+        # a zero prediction has each iterate measured; on the 0.25 grid the
+        # refinement's t = 0.375 between 0.25 and 0.5 is 0.5 again
+        entry = entry_of({"accuracy": None, "latency": ConstantModel(0.0)},
+                         lambda objective, key: next(picked), granularity=0.25)
         return bisection_optimize(
             target, ConstraintSpec(bound), 0.02 * bound, entry,
             Oracle(reduced, MeasurementLedger()),
@@ -314,7 +338,7 @@ def test_bisection_trace_rows(exact_models, reduced, fleet):
         oracle,
     )
     assert [row["iteration"] for row in result.trace] == list(range(len(result.trace)))
-    assert all(list(row) == ["device_id", "iteration", "t", "measured_latency", "verdict"]
+    assert all(list(row) == ["device_id", "iteration", "t", "latency", "measured", "verdict"]
                for row in result.trace)
     assert all(row["verdict"] in ("raise_t", "lower_t", "within_band") for row in result.trace)
     assert result.trace[0]["t"] == pytest.approx(0.5)
@@ -336,9 +360,10 @@ def test_bisection_measures_each_distinct_t_once(exact_models, reduced, fleet):
         return slow if key <= (2,) else fast
 
     oracle = Oracle(reduced, MeasurementLedger())
-    result = bisection_optimize(
+    result = bisection_optimize(  # a zero prediction has each iterate measured
         target, ConstraintSpec(bound), 0.02 * bound,
-        entry_of({"accuracy": None, "latency": None}, minimize, granularity=0.25), oracle,
+        entry_of({"accuracy": None, "latency": ConstantModel(0.0)}, minimize, granularity=0.25),
+        oracle,
     )
     assert [row["t"] for row in result.trace] == [0.5, 0.75, 0.5]
     assert [row["verdict"] for row in result.trace] == ["raise_t", "lower_t", "raise_t"]
@@ -346,14 +371,177 @@ def test_bisection_measures_each_distinct_t_once(exact_models, reduced, fleet):
     assert result.measurements == len({row["t"] for row in result.trace}) == 2
     assert oracle.ledger.count(target.device_id, "latency") == 2
     assert (result.design, result.t, result.feasible) == (fast, (0.75,), True)
-    # the same holds on the fine grid with exact predictors
+    # on the fine grid with exact predictors, each design is measured once
+    # however many measured rows show it
     lats = [latency_value(x, target) for x in value_views(reduced)]
     bound = float(np.percentile(lats, 40))
     oracle = Oracle(reduced, MeasurementLedger())
-    result = bisection_optimize(target, ConstraintSpec(bound), 0.02 * bound,
-                                entry_of(exact_models, brute(reduced)), oracle)
-    assert result.measurements == len({row["t"] for row in result.trace})
+    entry = entry_of(exact_models, brute(reduced))
+    result = bisection_optimize(target, ConstraintSpec(bound), 0.02 * bound, entry, oracle)
+    assert result.measurements == len(measured_designs(result, entry, reduced))
     assert oracle.ledger.count(target.device_id, "latency") == result.measurements
+
+
+def test_an_iterate_predicted_far_from_the_bound_is_not_measured(exact_models, reduced, fleet):
+    # a prediction ten times the bound raises t unmeasured every iteration;
+    # with nothing measured, the last iterate is measured for the answer
+    target = fleet.holdout_monotone[0]
+    x = enumerate_all(reduced)[5]
+    oracle = Oracle(reduced, MeasurementLedger())
+    result = bisection_optimize(
+        target, ConstraintSpec(1.0), 0.02,
+        entry_of(dict(exact_models, latency=ConstantModel(10.0)), lambda objective, key: x),
+        oracle,
+    )
+    *path, last = result.trace
+    assert len(path) == 10
+    assert all((row["measured"], row["latency"], row["verdict"]) == (False, 10.0, "raise_t")
+               for row in path)
+    assert (last["t"], last["measured"]) == (path[-1]["t"], True)
+    assert last["latency"] == result.latency == Oracle(reduced).latency(x, target)
+    assert result.measurements == oracle.ledger.count(target.device_id, "latency") == 1
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0])
+def test_an_iterate_with_a_non_positive_prediction_is_always_measured(exact_models, reduced,
+                                                                      fleet, value):
+    target = fleet.holdout_monotone[0]
+    oracle = Oracle(reduced, MeasurementLedger())
+    result = bisection_optimize(
+        target, ConstraintSpec(1e6), 0.02 * 1e6,
+        entry_of(dict(exact_models, latency=ConstantModel(value)), one_design_per_key(reduced),
+                 granularity=0.25),
+        oracle,
+    )
+    # 1e6 lowers t at every iterate: 0.5, 0.25 and 0.125, which is 0.0 on the 0.25 grid
+    assert [row["t"] for row in result.trace] == [0.5, 0.25, 0.0]
+    assert all(row["measured"] for row in result.trace)
+    assert result.measurements == oracle.ledger.count(target.device_id, "latency") == 3
+    assert (result.t, result.feasible) == ((0.0,), True)
+
+
+def test_with_no_probes_the_calibration_is_one(exact_models, reduced, fleet):
+    # est = c * p: 3 times the bound with c = 1, 6 times with probes that
+    # measure twice what the entry predicts; neither is measured
+    target = fleet.holdout_monotone[0]
+    x = enumerate_all(reduced)[5]
+    probes = [(enumerate_all(reduced)[:4], np.full(4, 6.0))]
+    for given, est in (((), 3.0), (probes, 6.0)):
+        oracle = Oracle(reduced, MeasurementLedger())
+        result = bisection_optimize(
+            target, ConstraintSpec(1.0), 0.02,
+            entry_of(dict(exact_models, latency=ConstantModel(3.0)), lambda objective, key: x),
+            oracle, given,
+        )
+        assert (result.trace[0]["latency"], result.trace[0]["measured"]) == (est, False)
+
+
+def fast_above(reduced, target, t_switch):
+    """A minimizer that returns the slowest design for t below t_switch and
+    the fastest from t_switch on, and the two designs' latencies."""
+    designs = enumerate_all(reduced)
+    lats = Oracle(reduced).latency_rows(designs, [target])[:, 0]
+    slow, fast = designs[int(np.argmax(lats))], designs[int(np.argmin(lats))]
+    switch = round(t_switch / 0.001)
+    return (lambda objective, key: fast if key[0] >= switch else slow), lats.max(), lats.min()
+
+
+def test_a_band_wider_than_the_margin_still_moves_t(exact_models, reduced, fleet):
+    # delta half the bound: an estimate 0.2 of the bound under it lies in the
+    # band but outside the margin, so it is measured rather than taken as an
+    # unmeasured within_band verdict that would hold t at 0.5
+    target = fleet.holdout_monotone[1]
+    minimize, slow, fast = fast_above(reduced, target, 0.6)  # slow at t = 0.5
+    bound = slow / 1.6  # slow measures over the band, predicted inside it
+    oracle = Oracle(reduced, MeasurementLedger())
+    entry = entry_of(dict(exact_models, latency=ConstantModel(0.8 * bound)), minimize)
+    result = bisection_optimize(target, ConstraintSpec(bound), 0.5 * bound, entry, oracle)
+    first, second = result.trace[:2]
+    assert (first["t"], first["measured"], first["verdict"]) == (0.5, True, "raise_t")
+    assert second["t"] == 0.75
+    assert not any(row["verdict"] == "within_band" and not row["measured"]
+                   for row in result.trace)
+    assert oracle.ledger.count(target.device_id, "latency") == result.measurements <= 10
+    assert result.feasible == (result.latency <= bound)
+
+
+@pytest.mark.parametrize("case", ["calibrated", "tight", "infeasible", "nothing-near",
+                                  "confirmed"])
+def test_the_answer_is_a_measured_design_and_charges_stay_under_the_cap(exact_models, reduced,
+                                                                         fleet, case):
+    target = fleet.holdout_monotone[1]
+    oracle = Oracle(reduced, MeasurementLedger())
+    truth = Oracle(reduced)
+    probes = []
+    lats = Oracle(reduced).latency_rows(enumerate_all(reduced), [target])[:, 0]
+    models, minimize = exact_models, brute(reduced)
+    if case in ("calibrated", "tight"):
+        bound = float(np.percentile(lats, 40 if case == "calibrated" else 5))
+        check_monotonicity(exact_models["latency"], target, 12, oracle,
+                           np.random.default_rng(3), probes)
+    elif case == "infeasible":
+        bound = float(lats.min()) / 10
+    elif case == "nothing-near":
+        bound = float(np.median(lats))
+        models = dict(exact_models, latency=ConstantModel(100.0 * bound))
+    else:  # predicted within the bound at every t, over it below t = 0.1
+        minimize, slow, fast = fast_above(reduced, target, 0.1)
+        bound = (slow + fast) / 2
+        models = dict(exact_models, latency=ConstantModel(0.5 * bound))
+    entry = entry_of(models, minimize)
+    result = bisection_optimize(target, ConstraintSpec(bound), 0.02 * bound, entry, oracle,
+                                probes)
+    charged = oracle.ledger.count(target.device_id, "latency") - sum(len(y) for _, y in probes)
+    assert charged == result.measurements <= 10
+    designs = measured_designs(result, entry, reduced)
+    assert len(designs) == result.measurements
+    assert result.design == solve_inner(result.t, entry, reduced) and result.design in designs
+    assert result.latency == truth.latency(result.design, target)
+    assert result.feasible == (result.latency <= bound)
+    for row in result.trace:  # a measured row shows its design's measurement
+        if row["measured"]:
+            assert row["latency"] == truth.latency(solve_inner((row["t"],), entry, reduced),
+                                                   target)
+    if result.feasible:  # the smallest measured t within the bound
+        assert result.t[0] == min(row["t"] for row in result.trace
+                                  if row["measured"] and row["latency"] <= bound)
+    if case == "confirmed":
+        # the path never measures; the answer step measures the slow design at
+        # the smallest t and the fast one at 0.125, then bisects between 0.062
+        # and 0.125 on those two measurements down to t = 0.1, where the
+        # fast design starts
+        assert not any(row["measured"] for row in result.trace[:10])
+        assert [row["t"] for row in result.trace[10:12]] == [0.001, 0.125]
+        assert (result.measurements, result.t, result.feasible) == (2, (0.1,), True)
+    assert case != "infeasible" or not result.feasible
+
+
+def test_each_design_is_predicted_once_per_entry(exact_models, reduced, fleet):
+    rows = []
+
+    class Counted(ConstantModel):
+        def predict_batch(self, X):
+            rows.append(len(X))
+            return super().predict_batch(X)
+
+    designs = enumerate_all(reduced)
+    target = fleet.holdout_monotone[0]
+    # four designs over ten iterates; the prediction of 0 measures each one
+    entry = entry_of(dict(exact_models, latency=Counted(0.0)),
+                     lambda objective, key: designs[key[0] % 4])
+    first = bisection_optimize(target, ConstraintSpec(1e-9), 1e-11, entry,
+                               Oracle(reduced, MeasurementLedger()))
+    assert (len(first.trace), first.measurements) == (10, 4)
+    assert rows == [1] * len(entry.latency_predictions) == [1] * 4
+    bisection_optimize(target, ConstraintSpec(1e-9), 1e-11, entry,
+                       Oracle(reduced, MeasurementLedger()))
+    assert len(rows) == 4  # a second solve on the entry predicts nothing new
+
+
+def measured_designs(result, entry, space):
+    """The designs of a bisection's measured trace rows: each row's t-cache
+    solve, which the entry's cache answers without a new inner solve."""
+    return {solve_inner((row["t"],), entry, space) for row in result.trace if row["measured"]}
 
 
 def test_search_and_bisection_convert_only_what_they_measure(

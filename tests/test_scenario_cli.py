@@ -295,11 +295,18 @@ def test_bisection_settings_come_from_config(tmp_path):
     for row in report.rows:
         assert row["optimize_measurements"] <= 3
         trace = [step for step in table if step["device_id"] == row["device_id"]]
-        assert len(trace) == row["optimize_measurements"]
+        # a design is measured once, and the rows of each t whose design it
+        # is repeat that one measurement: no more designs than measured t, no
+        # fewer than measured values
+        measured = [step for step in trace if step["measured"] == "True"]
+        assert (len({float(step["latency"]) for step in measured})
+                <= row["optimize_measurements"] <= len({step["t"] for step in measured}))
         bound = row["latency_bound"]
         for step in trace:
             if step["verdict"] == "within_band":
-                assert abs(float(step["measured_latency"]) - bound) <= 0.5 * bound
+                # only a measurement stops the bisection in the band
+                assert step["measured"] == "True"
+                assert abs(float(step["latency"]) - bound) <= 0.5 * bound
 
 
 def test_coarse_granularity_keeps_the_grid_in_the_simplex(tmp_path):
@@ -415,7 +422,7 @@ def test_a_corrected_entry_joins_the_pool_for_later_targets():
 
 
 @pytest.mark.parametrize("doc, header, weights", [
-    (SMALL_PROXY, ["iteration", "t", "measured_latency", "verdict"], 1),
+    (SMALL_PROXY, ["iteration", "t", "latency", "measured", "verdict"], 1),
     (with_key(SMALL_PROXY, "optimize.energy_percentile", 40.0),
      ["level", "t1", "t2", "latency", "energy"], 2),
     (SMALL_AMORTIZED,
@@ -1019,6 +1026,15 @@ def test_cli_report_shows_what_each_verdict_rested_on(proxy_run, tmp_path, capsy
     assert "energy=" not in mono_line
     assert (f"latency={adv['measured_latency']:.4f}/{adv['latency_bound']:.4f}  "
             "energy=140.5000/38.5000  INFEASIBLE") in adv_line
+
+
+def test_cli_report_prints_the_mean_per_target_measurements_beside_the_max(tmp_path, capsys):
+    doc = {"scenario": {"approach": "proxy", "seed": 1}, "infeasible_count": 0, "rows": [],
+           "stage_counts": {"per_target": {"a": 20, "b": 23, "c": 30}}}
+    (tmp_path / "report.json").write_text(json.dumps(doc))
+    assert main(["report", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "max per-target measurements: 30  mean: 24.33")
 
 
 class ClosedPipe:

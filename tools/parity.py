@@ -1,16 +1,16 @@
 """Decision parity of two fleetopt checkouts on the benchmark's workloads.
 
-    python3 tools/parity.py PARENT_DIR CHANGE_DIR [--seeds 23 57] [--toy]
+    python3 tools/parity.py PARENT_DIR CHANGE_DIR [--seeds 23 57] [--toy] [--workloads W ...]
 
-For each workload of bench/workloads.py (imported, never edited) and each
-seed, at full size or with --toy at the workload's toy size, it writes the
-workload's scenario file and, in each checkout, runs ``fleetopt
-train-predictors`` into one directory, then ``fleetopt optimize
---skip-training`` into another that holds a copy of the trained models. Each
-run is a child process on that checkout's own src/. The two checkouts'
-training directories, then their deploy directories, are compared with
-compare_runs.first_difference: models/, ledger.csv and traces/solve.csv byte
-for byte, report.json without wall_time_s.
+For each workload of bench/workloads.py (imported, never edited), or each
+one named by --workloads, and each seed, at full size or with --toy at the
+workload's toy size, it writes the workload's scenario file and, in each
+checkout, runs ``fleetopt train-predictors`` into one directory, then
+``fleetopt optimize --skip-training`` into another that holds a copy of the
+trained models. Each run is a child process on that checkout's own src/. The
+two checkouts' training directories, then their deploy directories, are
+compared with compare_runs.first_difference: models/, ledger.csv and
+traces/solve.csv byte for byte, report.json without wall_time_s.
 
 It prints one line per cell and exits 0 when every cell agrees; at the first
 difference it prints it and exits 1; it exits 2 when a run fails.
@@ -62,10 +62,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("change", type=Path)
     parser.add_argument("--seeds", type=int, nargs="+", default=[23, 57])
     parser.add_argument("--toy", action="store_true")
+    parser.add_argument("--workloads", nargs="+", choices=list(WORKLOADS),
+                        default=list(WORKLOADS))
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="parity-") as tmp:
         config = Path(tmp) / "scenario.json"
-        for workload in WORKLOADS:
+        for workload in args.workloads:
             for seed in args.seeds:
                 cell = f"{workload} seed {seed}{' toy' if args.toy else ''}"
                 config.write_text(json.dumps(scenario_doc(workload, seed, args.toy)))
