@@ -238,10 +238,10 @@ def _amortized(scenario: Scenario, fleet: Fleet, oracle: Oracle):
         inputs = optimizer_inputs(train_devices, lambda_grid)
         opt_hyper = dataclasses.replace(scenario.hyper, epochs=scenario.optimize.optimizer_epochs)
         optnet = train_method2(
-            inputs.reshape(-1, inputs.shape[-1]), bundle.accuracy, bundle.energy, bundle.latency,
+            inputs.reshape(-1, inputs.shape[-1]), *bundle,
             scenario.optimize.optimizer_hidden, opt_hyper, scenario.optimize.mu, rng,
         )
-        return [bundle.accuracy, bundle.energy, bundle.latency, optnet]
+        return [*bundle, optnet]
 
     def solver(acc_model, en_model, lat_model, optnet):
         def solve(targets):

@@ -16,10 +16,11 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .design_space import DesignSpace, DimensionMismatchError, encode_rows, sample_rows
+from .design_space import DimensionMismatchError, encode_rows, sample_rows
 from .device_world import DeviceFeatures, Oracle
 from .nn import DenseNet, normalized_net, stack, train, unstack
 
@@ -443,73 +444,13 @@ def predicted_objective(
     )
 
 
-@dataclass
-class PredictorBundle:
-    """Stage-1 output: the three predictors plus the archive of measured
-    training data, kept so later exploration rounds can refit from scratch."""
+class PredictorBundle(NamedTuple):
+    """Stage-1 output: the accuracy predictor and the device-aware energy and
+    latency predictors."""
 
     accuracy: MlpRegressor
     energy: MlpRegressor
     latency: MlpRegressor
-    devices: tuple[DeviceFeatures, ...]
-    designs: np.ndarray  # (n_designs, encoding_width) index matrix
-    acc_labels: np.ndarray
-    energy_labels: np.ndarray  # (n_designs, n_devices)
-    latency_labels: np.ndarray
-    layer_sizes: tuple[int, ...]
-    hyper: TrainingSettings
-
-    def models(self) -> tuple[MlpRegressor, MlpRegressor, MlpRegressor]:
-        return self.accuracy, self.energy, self.latency
-
-
-def _fit_bundle_models(
-    space: DesignSpace,
-    devices: tuple[DeviceFeatures, ...],
-    designs: np.ndarray,
-    acc_labels: np.ndarray,
-    energy_labels: np.ndarray,
-    latency_labels: np.ndarray,
-    layer_sizes: tuple[int, ...],
-    hyper: TrainingSettings,
-    rng: np.random.Generator,
-) -> tuple[MlpRegressor, MlpRegressor, MlpRegressor]:
-    X_acc = encode_rows(designs, space)
-    acc = fit(
-        X_acc, acc_labels, layer_sizes, hyper, rng,
-        metric="accuracy", takes_device=False, objective_scale=1.0,
-    )
-    # one row per (device, design), device outer: the design encoding, then
-    # the device embedding
-    embeddings = np.stack([device_embedding(d) for d in devices])
-    X_dev = np.hstack([np.tile(X_acc, (len(devices), 1)),
-                       np.repeat(embeddings, len(X_acc), axis=0)])
-    # column-major flatten matches the row construction order (device outer)
-    y_en = energy_labels.T.reshape(-1)
-    y_lat = latency_labels.T.reshape(-1)
-    energy, latency = fit_lockstep([
-        prepare_fit(
-            X_dev, y_en, layer_sizes, hyper, rng,
-            metric="energy", device_tag="fleet", takes_device=True,
-            objective_scale=float(np.median(y_en)),
-        ),
-        prepare_fit(
-            X_dev, y_lat, layer_sizes, hyper, rng,
-            metric="latency", device_tag="fleet", takes_device=True,
-            objective_scale=float(np.median(y_lat)),
-        ),
-    ])
-    return acc, energy, latency
-
-
-def _measure_block(
-    designs: np.ndarray,
-    devices: tuple[DeviceFeatures, ...],
-    oracle: Oracle,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Accuracy (n,), energy and latency (n, devices) of a design set."""
-    latency, energy = oracle.latency_energy_rows(designs, devices)
-    return oracle.accuracy_rows(designs), energy, latency
 
 
 def train_stage1(
@@ -521,60 +462,37 @@ def train_stage1(
     layer_sizes: tuple[int, ...] = DEFAULT_HIDDEN,
 ) -> PredictorBundle:
     """Initial predictor training: one shared design set, measured for accuracy
-    once and for both metrics on every real training device."""
-    devices = tuple(devices)
+    once and for both metrics on every real training device, then the accuracy
+    fit and the energy and latency fits as one lockstep fit."""
     designs = sample_rows(oracle.space, rng, designs_per_device)
-    acc_labels, energy_labels, latency_labels = _measure_block(designs, devices, oracle)
-    acc, energy, latency = _fit_bundle_models(
-        oracle.space, devices, designs, acc_labels, energy_labels, latency_labels,
-        layer_sizes, hyper, rng,
-    )
-    return PredictorBundle(
-        accuracy=acc, energy=energy, latency=latency,
-        devices=devices, designs=designs,
-        acc_labels=acc_labels, energy_labels=energy_labels, latency_labels=latency_labels,
-        layer_sizes=tuple(layer_sizes), hyper=hyper,
-    )
+    latency_labels, energy_labels = oracle.latency_energy_rows(designs, devices)
+    X_acc = encode_rows(designs, oracle.space)
+    acc = fit(X_acc, oracle.accuracy_rows(designs), layer_sizes, hyper, rng,
+              metric="accuracy", objective_scale=1.0)
+    # one row per (device, design), device outer: the design encoding, then
+    # the device embedding; a column-major flatten of the (n, devices) labels
+    # matches that order
+    embeddings = np.stack([device_embedding(d) for d in devices])
+    X_dev = np.hstack([np.tile(X_acc, (len(devices), 1)),
+                       np.repeat(embeddings, len(X_acc), axis=0)])
+    energy, latency = fit_lockstep([
+        prepare_fit(X_dev, y, layer_sizes, hyper, rng, metric=metric, device_tag="fleet",
+                    takes_device=True, objective_scale=float(np.median(y)))
+        for metric, y in (("energy", energy_labels.T.reshape(-1)),
+                          ("latency", latency_labels.T.reshape(-1)))
+    ])
+    return PredictorBundle(acc, energy, latency)
 
 
-def iterative_fit(
-    bundle: PredictorBundle,
-    exploration_rounds: int,
-    explore_size: int,
-    oracle: Oracle,
-    rng: np.random.Generator,
-) -> PredictorBundle:
-    """Exploration loop: each round samples explore_size fresh designs uniformly,
-    measures them on all real training devices, appends to the archive, refits.
-
-    rounds = 0 returns the bundle unchanged. Ledger growth per round is exactly
-    explore_size accuracy + explore_size * n_devices each of latency and energy.
-    """
+def iterative_fit(devices: list[DeviceFeatures], designs_per_device: int, exploration_rounds: int,
+                  explore_size: int, oracle: Oracle, rng: np.random.Generator,
+                  hyper: TrainingSettings = TrainingSettings(),
+                  layer_sizes: tuple[int, ...] = DEFAULT_HIDDEN) -> PredictorBundle:
+    """Stage 1 with exploration_rounds rounds of explore_size more uniform
+    designs each. A uniform round reads no model and a refit from scratch
+    keeps nothing of the fit before it, so this is train_stage1 on
+    designs_per_device + exploration_rounds * explore_size designs."""
     if exploration_rounds < 0:
         raise ValueError("exploration_rounds must be >= 0")
-    if exploration_rounds == 0:
-        return bundle
-    space = oracle.space
-    designs = bundle.designs
-    acc_labels = bundle.acc_labels
-    energy_labels = bundle.energy_labels
-    latency_labels = bundle.latency_labels
-    models = bundle.models()
-    for _ in range(exploration_rounds):
-        explore = sample_rows(space, rng, explore_size)
-        acc_new, en_new, lat_new = _measure_block(explore, bundle.devices, oracle)
-        designs = np.vstack([designs, explore])
-        acc_labels = np.concatenate([acc_labels, acc_new])
-        energy_labels = np.vstack([energy_labels, en_new])
-        latency_labels = np.vstack([latency_labels, lat_new])
-        models = _fit_bundle_models(
-            space, bundle.devices, designs, acc_labels, energy_labels, latency_labels,
-            bundle.layer_sizes, bundle.hyper, rng,
-        )
-    acc, energy, latency = models
-    return dataclasses.replace(
-        bundle,
-        accuracy=acc, energy=energy, latency=latency,
-        designs=designs, acc_labels=acc_labels,
-        energy_labels=energy_labels, latency_labels=latency_labels,
-    )
+    return train_stage1(devices, designs_per_device + exploration_rounds * explore_size,
+                        oracle, rng, hyper, layer_sizes)

@@ -122,9 +122,7 @@ def method2_net(dspace, fleet, stage1_bundle):
     inputs = inputs.reshape(-1, inputs.shape[-1])
     net = train_method2(
         inputs,
-        stage1_bundle.accuracy,
-        stage1_bundle.energy,
-        stage1_bundle.latency,
+        *stage1_bundle,
         (64, 64),
         TrainingSettings(),
         1e-4,

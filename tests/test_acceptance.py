@@ -366,7 +366,7 @@ def test_criterion_8_amortization_quality(dspace, stage1_bundle, method2_net,
             for li, lam in enumerate(lams):
                 def f_hat(X, emb=emb, lam=lam):
                     return predicted_objective(
-                        encode_rows(X, dspace), emb, lam, *stage1_bundle.models())
+                        encode_rows(X, dspace), emb, lam, *stage1_bundle)
 
                 inferred = infer_design(method2_net, dev, lam, dspace)
                 searched = evolutionary_search(
@@ -380,7 +380,7 @@ def test_criterion_8_amortization_quality(dspace, stage1_bundle, method2_net,
         spec = ConstraintSpec(latency_bound=5.0, energy_bound=500.0)
         [sweep] = constraint_sweep(
             method2_net, [(held_synthetic[0], spec)],
-            stage1_bundle.accuracy, stage1_bundle.energy, stage1_bundle.latency,
+            *stage1_bundle,
             build_lambda_grid(3, 1.0), oracle,
         )
         validation_charges = ledger.total()

@@ -48,7 +48,7 @@ def small_bundle(reduced, fleet):
 
 def train_small_method2(small_bundle, inputs, seed, epochs=500, batch_size=16):
     return train_method2(
-        inputs, small_bundle.accuracy, small_bundle.energy, small_bundle.latency,
+        inputs, *small_bundle,
         (24, 24), TrainingSettings(epochs=epochs, learning_rate=0.02, batch_size=batch_size),
         1e-4, np.random.default_rng(seed), restarts=1,
     )
@@ -127,7 +127,7 @@ def label(d, lam, bundle, space):
     """Exhaustive argmin of f_hat for one (device, lambda) pair."""
     emb = device_embedding(d)
     return brute_force_argmin(
-        lambda X: predicted_objective(encode_rows(X, space), emb, lam, *bundle.models()), space)
+        lambda X: predicted_objective(encode_rows(X, space), emb, lam, *bundle), space)
 
 
 def test_labels_at_zero_lambda_are_predicted_accuracy_argmax(small_bundle, fleet, reduced):
@@ -156,7 +156,7 @@ def test_predicted_objective_is_the_per_row_formula(small_bundle, reduced_models
     enc = encode_rows(designs, reduced)
     n = len(enc)
     if aware:
-        acc, en, lat = small_bundle.models()
+        acc, en, lat = small_bundle
         embs = np.stack([device_embedding(d) for d in fleet.synthetic[:3]])[np.arange(n) % 3]
     else:
         acc, en, lat = (reduced_models[k] for k in ("accuracy", "energy", "latency"))
@@ -183,10 +183,10 @@ def test_predicted_objective_is_the_per_row_formula(small_bundle, reduced_models
 
 
 def test_method2_freeze_contract(small_bundle, fleet):
-    before = [m.net.parameter_vector().copy() for m in small_bundle.models()]
+    before = [m.net.parameter_vector().copy() for m in small_bundle]
     inputs = inputs_of(fleet.training_real[:4], build_lambda_grid(2, 1.0))
     train_small_method2(small_bundle, inputs, seed=5, epochs=120)
-    for m, v in zip(small_bundle.models(), before):
+    for m, v in zip(small_bundle, before):
         np.testing.assert_array_equal(m.net.parameter_vector(), v)
 
 
@@ -196,7 +196,7 @@ def test_method2_regularizer_shrinks_weights(small_bundle, fleet):
     norms = []
     for mu in (0.0, 1e-2):
         net = train_method2(
-            inputs, small_bundle.accuracy, small_bundle.energy, small_bundle.latency,
+            inputs, *small_bundle,
             (16,), hyper, mu, np.random.default_rng(3), restarts=1,
         )
         theta = net.net.parameter_vector()
@@ -233,15 +233,14 @@ def test_amortized_gradient_matches_finite_differences(small_bundle, fleet, redu
     Xn = (X - mean) / scale
     embeddings, lams = X[:, :-2], X[:, -2:]
     net = DenseNet([Xn.shape[1], 6, 7], np.random.default_rng(4), output_activation="logistic")
-    models = small_bundle.models()
 
     def objective(theta):
         probe = net.copy()
         probe.set_parameter_vector(theta)
-        f, _, _ = amortized_batch_gradient(probe, Xn, embeddings, lams, *models)
+        f, _, _ = amortized_batch_gradient(probe, Xn, embeddings, lams, *small_bundle)
         return f
 
-    f0, wg, bg = amortized_batch_gradient(net, Xn, embeddings, lams, *models)
+    f0, wg, bg = amortized_batch_gradient(net, Xn, embeddings, lams, *small_bundle)
     analytic = np.concatenate(
         [np.concatenate([W.ravel(), b.ravel()]) for W, b in zip(wg, bg)]
     )
@@ -301,7 +300,7 @@ def test_sweep_validation_budget_is_two(method2_small, small_bundle, fleet, redu
     oracle = Oracle(reduced, MeasurementLedger())
     [result] = constraint_sweep(
         method2_small, [(d, ConstraintSpec(latency_bound=5.0, energy_bound=500.0))],
-        small_bundle.accuracy, small_bundle.energy, small_bundle.latency,
+        *small_bundle,
         build_lambda_grid(3, 1.0), oracle,
     )
     assert oracle.ledger.count(d.device_id, "latency") == 1
@@ -316,7 +315,7 @@ def test_sweep_impossible_bounds_flagged_infeasible(method2_small, small_bundle,
     oracle = Oracle(reduced, MeasurementLedger())
     [result] = constraint_sweep(
         method2_small, [(fleet.synthetic[3], ConstraintSpec(latency_bound=1e-9))],
-        small_bundle.accuracy, small_bundle.energy, small_bundle.latency,
+        *small_bundle,
         build_lambda_grid(3, 1.0), oracle,
     )
     assert not result.feasible and not result.predicted_feasible
@@ -327,10 +326,9 @@ def test_sweep_record_carries_the_measured_verdict(method2_small, small_bundle, 
     # feasible is the verdict on the chosen design's measurements: its latency,
     # and its energy only under an energy bound (energy is None without one)
     d = fleet.synthetic[3]
-    models = small_bundle.accuracy, small_bundle.energy, small_bundle.latency
     specs = [ConstraintSpec(latency_bound=1e-9), ConstraintSpec(1e9, energy_bound=1e-9),
              ConstraintSpec(1e9, energy_bound=1e9), ConstraintSpec(latency_bound=1e9)]
-    results = constraint_sweep(method2_small, [(d, spec) for spec in specs], *models,
+    results = constraint_sweep(method2_small, [(d, spec) for spec in specs], *small_bundle,
                                build_lambda_grid(3, 1.0), Oracle(reduced, MeasurementLedger()))
     oracle = Oracle(reduced, MeasurementLedger())
     for spec, result in zip(specs, results, strict=True):
@@ -370,7 +368,7 @@ def test_sweep_scores_the_grid_in_one_batch(method2_small, small_bundle, fleet, 
     spec = ConstraintSpec(latency_bound=5.0, energy_bound=500.0)
     constraint_sweep(
         method2_small, [(d, spec) for d in devices],
-        small_bundle.accuracy, small_bundle.energy, small_bundle.latency,
+        *small_bundle,
         grid, Oracle(reduced, MeasurementLedger()),
     )
     # per block of devices: one optimizer forward, then one per predictor, each
@@ -403,10 +401,9 @@ def test_blocked_sweep_equals_one_device_sweeps(method2_small, small_bundle, fle
     # bit for bit
     grid = build_lambda_grid(4, 1.0)
     targets = mixed_targets(fleet, reduced)
-    models = small_bundle.accuracy, small_bundle.energy, small_bundle.latency
     blocked_oracle, alone_oracle = (Oracle(reduced, MeasurementLedger()) for _ in range(2))
-    blocked = constraint_sweep(method2_small, targets, *models, grid, blocked_oracle)
-    alone = [constraint_sweep(method2_small, [target], *models, grid, alone_oracle)[0]
+    blocked = constraint_sweep(method2_small, targets, *small_bundle, grid, blocked_oracle)
+    alone = [constraint_sweep(method2_small, [target], *small_bundle, grid, alone_oracle)[0]
              for target in targets]
     assert len(blocked) == len(targets)
     assert blocked == alone
@@ -422,12 +419,11 @@ def test_block_size_changes_no_value(method2_small, small_bundle, fleet, reduced
     # from one device a block to the whole fleet in one
     grid = build_lambda_grid(4, 1.0)
     targets = mixed_targets(fleet, reduced)
-    models = small_bundle.accuracy, small_bundle.energy, small_bundle.latency
     runs = {}
     for block in (1, 3, 8, 16, 64):
         monkeypatch.setattr(learn_to_optimize, "SWEEP_BLOCK", block)
         oracle = Oracle(reduced, MeasurementLedger())
-        results = constraint_sweep(method2_small, targets, *models, grid, oracle)
+        results = constraint_sweep(method2_small, targets, *small_bundle, grid, oracle)
         runs[block] = (results, repr(results), oracle.ledger.snapshot(), oracle.ledger.to_csv())
     first = runs[1]
     assert len(first[0]) == len(targets) == 2 * SWEEP_BLOCK + 1
@@ -514,16 +510,15 @@ def test_sweep_matches_the_one_lambda_path(method2_small, small_bundle, fleet, r
             ConstraintSpec(latency_bound=lat_mid),
             ConstraintSpec(latency_bound=lat_mid, energy_bound=en_mid),
             ConstraintSpec(latency_bound=1e-9))]
-    models = (small_bundle.accuracy, small_bundle.energy, small_bundle.latency)
     one_at_a_time = [
-        constraint_sweep(method2_small, [(d, spec)], *models, grid,
+        constraint_sweep(method2_small, [(d, spec)], *small_bundle, grid,
                          Oracle(reduced, MeasurementLedger()))[0]
         for d, _, spec in cases
     ]
     # all 12 targets in one call, whose blocks mix specs with and without an
     # energy bound
-    in_one_call = constraint_sweep(method2_small, [(d, spec) for d, _, spec in cases], *models,
-                                   grid, Oracle(reduced, MeasurementLedger()))
+    in_one_call = constraint_sweep(method2_small, [(d, spec) for d, _, spec in cases],
+                                   *small_bundle, grid, Oracle(reduced, MeasurementLedger()))
     outcomes = set()
     for results in (one_at_a_time, in_one_call):
         for (d, scores, spec), result in zip(cases, results, strict=True):
@@ -568,7 +563,7 @@ def test_sweep_chooses_the_first_of_positions_with_one_design(method2_small, sma
     d = fleet.synthetic[0]
     designs = decode_rows(method2_small.infer_encodings(optimizer_inputs([d], twice)[0]), reduced)
     assert np.array_equal(designs[:len(grid)], designs[len(grid):])
-    models = [OneRowAtATime(m) for m in small_bundle.models()]
+    models = [OneRowAtATime(m) for m in small_bundle]
     for spec in (ConstraintSpec(latency_bound=1e9), ConstraintSpec(latency_bound=1e-9)):
         once, doubled = (constraint_sweep(method2_small, [(d, spec)], *models, g,
                                           Oracle(reduced, MeasurementLedger()))[0]
@@ -590,7 +585,7 @@ def test_sweep_ties_equal_designs_through_the_batched_predictors(method2_small, 
     d = fleet.synthetic[0]
     designs = decode_rows(method2_small.infer_encodings(optimizer_inputs([d], twice)[0]), reduced)
     [result] = constraint_sweep(method2_small, [(d, ConstraintSpec(latency_bound=1e-9))],
-                                *small_bundle.models(), twice,
+                                *small_bundle, twice,
                                 Oracle(reduced, MeasurementLedger()))
     assert [i for i, row in enumerate(result.trace) if row["chosen"]] == [0]
     first = {}
@@ -610,8 +605,7 @@ def sequential_method2(inputs, bundle, layer_sizes, hyper, mu, rng, restarts):
     scale = np.where(std < 1e-12, 1.0, std)
     Xn = (X - mean) / scale
     embeddings, lams = X[:, :-2], X[:, -2:]
-    models = bundle.accuracy, bundle.energy, bundle.latency
-    models32 = [m.astype(np.float32) for m in models]
+    models32 = [m.astype(np.float32) for m in bundle]
     data32 = [a.astype(np.float32) for a in (Xn, embeddings, lams)]
     best = None
     for start_rng in rng.spawn(restarts):
@@ -627,7 +621,7 @@ def sequential_method2(inputs, bundle, layer_sizes, hyper, mu, rng, restarts):
 
         [curve] = train(alone, Xn.shape[0], gather, batch_loss_and_grad, hyper, [start_rng], mu)
         [net] = unstack(alone)
-        score = (float(np.mean(predicted_objective(net.forward(Xn), embeddings, lams, *models)))
+        score = (float(np.mean(predicted_objective(net.forward(Xn), embeddings, lams, *bundle)))
                  + l2_penalty(net, mu))
         if best is None or score < best[0]:
             best = (score, net, curve)
@@ -642,7 +636,7 @@ def test_restarts_in_lockstep_write_the_sequential_bytes(small_bundle, fleet, re
     inputs = inputs_of(fleet.training_real[:2], build_lambda_grid(4, 1.0))[:24]
     hyper = TrainingSettings(epochs=4, learning_rate=0.02, batch_size=10)
     a, b = np.random.default_rng(90), np.random.default_rng(90)
-    got = train_method2(inputs, *small_bundle.models(), (12, 12), hyper, 1e-3, a, restarts)
+    got = train_method2(inputs, *small_bundle, (12, 12), hyper, 1e-3, a, restarts)
     want = sequential_method2(inputs, small_bundle, (12, 12), hyper, 1e-3, b, restarts)
     assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
     assert got.loss_curve == want.loss_curve
@@ -663,7 +657,7 @@ def test_restarts_in_lockstep_make_four_forward_passes_per_step(small_bundle, fl
     monkeypatch.setattr(DenseNet, "forward_cached", counted)
     inputs = inputs_of(fleet.training_real[:2], build_lambda_grid(3, 1.0))
     hyper = TrainingSettings(epochs=5, batch_size=8)
-    train_method2(inputs, *small_bundle.models(), (12,), hyper, 0.0,
+    train_method2(inputs, *small_bundle, (12,), hyper, 0.0,
                   np.random.default_rng(91), restarts=3)
     steps = hyper.epochs * 3  # 18 rows in batches of 8, 8, 2
     assert len(calls) == 4 * steps + 4 * 3

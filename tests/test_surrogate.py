@@ -344,67 +344,6 @@ def test_predicted_objective_argmin_is_unique(reduced_models, reduced):
     assert int(np.sum(vals == vals.min())) == 1
 
 
-def make_small_bundle(fleet, reduced, seed, rounds, explore_rng_seed):
-    oracle = Oracle(reduced, MeasurementLedger())
-    bundle = train_stage1(
-        list(fleet.training_real[:3]), 10, oracle,
-        np.random.default_rng(seed), hyper=LIGHT, layer_sizes=(32, 32),
-    )
-    out = iterative_fit(bundle, rounds, 10, oracle, np.random.default_rng(explore_rng_seed))
-    return out, oracle
-
-
-def test_iterative_fit_zero_rounds_is_identity(fleet, reduced):
-    oracle = Oracle(reduced, MeasurementLedger())
-    bundle = train_stage1(
-        list(fleet.training_real[:3]), 10, oracle,
-        np.random.default_rng(0), hyper=LIGHT, layer_sizes=(32, 32),
-    )
-    before = oracle.ledger.snapshot()
-    assert iterative_fit(bundle, 0, 50, oracle, np.random.default_rng(1)) is bundle
-    assert oracle.ledger.snapshot() == before
-    with pytest.raises(ValueError):
-        iterative_fit(bundle, -1, 50, oracle, np.random.default_rng(1))
-
-
-def test_iterative_fit_ledger_growth_is_exact(fleet, reduced):
-    oracle = Oracle(reduced, MeasurementLedger())
-    bundle = train_stage1(
-        list(fleet.training_real[:3]), 10, oracle,
-        np.random.default_rng(0), hyper=LIGHT, layer_sizes=(32, 32),
-    )
-    before = oracle.ledger.snapshot()
-    updated = iterative_fit(bundle, 2, 5, oracle, np.random.default_rng(2))
-    after = oracle.ledger.snapshot()
-    assert after["accuracy"] - before["accuracy"] == 10
-    for d in bundle.devices:
-        for metric in ("latency", "energy"):
-            assert after["devices"][d.device_id][metric] - before["devices"][d.device_id][metric] == 10
-    assert len(updated.designs) == len(bundle.designs) + 10
-
-
-def test_more_exploration_rounds_reduce_held_out_error(fleet, reduced):
-    probe_rng = np.random.default_rng(123)
-    probes = [sample_uniform(reduced, probe_rng) for _ in range(40)]
-    devices = list(fleet.training_real[:3])
-
-    def held_err(bundle):
-        errs = []
-        for d in devices:
-            P = np.stack([np.concatenate([encode(x, reduced), device_embedding(d)]) for x in probes])
-            truth = np.array([latency_value(reduced.design_at(x), d) for x in probes])
-            errs.extend(np.abs(bundle.latency.predict_batch(P) - truth) / np.abs(truth))
-        return float(np.median(errs))
-
-    one, four = [], []
-    for seed in range(10):
-        b1, _ = make_small_bundle(fleet, reduced, seed, rounds=1, explore_rng_seed=1000 + seed)
-        b4, _ = make_small_bundle(fleet, reduced, seed, rounds=4, explore_rng_seed=1000 + seed)
-        one.append(held_err(b1))
-        four.append(held_err(b4))
-    assert float(np.median(four)) <= float(np.median(one))
-
-
 # --- lockstep fits: the bytes of fitting one after another -----------------
 
 TINY = TrainingSettings(epochs=6, batch_size=16)
@@ -506,30 +445,42 @@ def test_stage1_writes_the_bytes_of_sequential_fits(reduced, fleet):
     devices = list(fleet.training_real[:3])
     a, b = np.random.default_rng(85), np.random.default_rng(85)
     bundle = train_stage1(devices, 24, Oracle(reduced, MeasurementLedger()), a, TINY, (8,))
-    again = iterative_fit(bundle, 1, 8, Oracle(reduced, MeasurementLedger()), a)
-
-    def sequential(designs):
-        # the archive's labels are exact measurements; only the draws matter here
-        X = np.stack([encode(x, reduced) for x in designs])
-        emb = [device_embedding(d) for d in devices]
-        X_dev = np.stack([np.concatenate([x, e]) for e in emb for x in X])
-        ref = Oracle(reduced, MeasurementLedger())
-        y_en = ref.energy_rows(designs, devices).T.reshape(-1)
-        y_lat = ref.latency_rows(designs, devices).T.reshape(-1)
-        return [
-            reference_fit(X, ref.accuracy_rows(designs), (8,), TINY, b, metric="accuracy",
-                          objective_scale=1.0),
-            reference_fit(X_dev, y_en, (8,), TINY, b, metric="energy", device_tag="fleet",
-                          takes_device=True, objective_scale=float(np.median(y_en))),
-            reference_fit(X_dev, y_lat, (8,), TINY, b, metric="latency", device_tag="fleet",
-                          takes_device=True, objective_scale=float(np.median(y_lat))),
-        ]
 
     designs = [sample_uniform(reduced, b) for _ in range(24)]
-    assert model_bytes(bundle.models()) == model_bytes(sequential(designs))
-    designs += [sample_uniform(reduced, b) for _ in range(8)]
-    assert model_bytes(again.models()) == model_bytes(sequential(designs))
+    # the labels are exact measurements; only the draws matter here
+    X = np.stack([encode(x, reduced) for x in designs])
+    emb = [device_embedding(d) for d in devices]
+    X_dev = np.stack([np.concatenate([x, e]) for e in emb for x in X])
+    ref = Oracle(reduced, MeasurementLedger())
+    y_en = ref.energy_rows(designs, devices).T.reshape(-1)
+    y_lat = ref.latency_rows(designs, devices).T.reshape(-1)
+    sequential = [
+        reference_fit(X, ref.accuracy_rows(designs), (8,), TINY, b, metric="accuracy",
+                      objective_scale=1.0),
+        reference_fit(X_dev, y_en, (8,), TINY, b, metric="energy", device_tag="fleet",
+                      takes_device=True, objective_scale=float(np.median(y_en))),
+        reference_fit(X_dev, y_lat, (8,), TINY, b, metric="latency", device_tag="fleet",
+                      takes_device=True, objective_scale=float(np.median(y_lat))),
+    ]
+    assert model_bytes(bundle) == model_bytes(sequential)
     assert a.bit_generator.state == b.bit_generator.state
+
+
+@pytest.mark.parametrize("rounds", [0, 2])
+def test_iterative_fit_is_stage1_on_the_explored_designs(reduced, fleet, rounds):
+    # R uniform rounds of s designs each, refit from scratch, are one stage-1
+    # fit on n + R * s designs: the same models, charges and generator state
+    devices = list(fleet.training_real[:3])
+
+    def run(train, *sizes):
+        oracle, rng = Oracle(reduced, MeasurementLedger()), np.random.default_rng(86)
+        bundle = train(devices, *sizes, oracle, rng, TINY, (8,))
+        return model_bytes(bundle), oracle.ledger.to_csv(), rng.bit_generator.state
+
+    assert run(iterative_fit, 10, rounds, 5) == run(train_stage1, 10 + rounds * 5)
+    with pytest.raises(ValueError, match="exploration_rounds"):
+        iterative_fit(devices, 10, -1, 5, Oracle(reduced, MeasurementLedger()),
+                      np.random.default_rng(86))
 
 
 @pytest.mark.parametrize("energy_percentile", [None, 40.0], ids=["latency", "energy"])
