@@ -118,8 +118,14 @@ def _report_lines(report: dict) -> list[str]:
                      f"{row['measured_latency']:.4f}/{row['latency_bound']:.4f}  {energy}{verdict}")
     per_target = report["stage_counts"]["per_target"]
     if per_target:
-        lines.append(f"max per-target measurements: {max(per_target.values())}  "
-                     f"mean: {statistics.fmean(per_target.values()):.2f}")
+        line = (f"max per-target measurements: {max(per_target.values())}  "
+                f"mean: {statistics.fmean(per_target.values()):.2f}")
+        rows = report["rows"]
+        if rows and "probe_measurements" in rows[0]:  # a proxy run
+            probes = statistics.fmean(r["probe_measurements"] for r in rows)
+            solve = statistics.fmean(r["optimize_measurements"] for r in rows)
+            line += f"  gate probes: {probes:.2f}  solve: {solve:.2f}"
+        lines.append(line)
     return lines
 
 

@@ -206,7 +206,8 @@ def _proxy_reuse(scenario: Scenario, fleet: Fleet, oracle: Oracle):
                 "proxy_used": entry.device.device_id,
                 "proxy_reused": reused,
                 "match_trials": [
-                    {"proxy": pid, "rho": r, "monotone": m} for pid, r, m in trials
+                    {"proxy": pid, "rho": r, "monotone": m, "probes": len(y)}
+                    for (pid, r, m), (_, y) in zip(trials, probes, strict=True)
                 ],
                 "probe_measurements": sum(len(y) for _, y in probes),
                 "optimize_measurements": result.measurements,

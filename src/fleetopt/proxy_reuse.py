@@ -10,10 +10,11 @@ only predictors, and each entry's t-cache memoizes them with the run's inner
 minimizer (inner_ga). The bisection calibrates the latency predictor on the
 probes the gate measured and measures only iterates predicted near the bound,
 at most ceil(log2(1/granularity + 1)) of them on the target. A rank
-correlation check decides whether a proxy is usable for a given target at all,
-and a pool of proxies turns that check into a reuse-or-correct policy: a
-target that no entry passes gets the nearest entry's predictors corrected on
-the probes its checks measured.
+correlation check decides whether a proxy is usable for a given target at all;
+it stops at half its probes when they already clear the threshold, like a
+sequential test. A pool of proxies turns that check into a reuse-or-correct
+policy: a target that no entry passes gets the nearest entry's predictors
+corrected on the probes its checks measured, every probe of every trial.
 """
 
 from __future__ import annotations
@@ -428,21 +429,36 @@ def check_monotonicity(
     oracle: Oracle,
     rng: np.random.Generator,
     probes: list | None = None,
+    threshold: float | None = None,
 ) -> float | None:
     """Spearman rho between the proxy's latency predictor and the target's
     measured latencies on probe_count random designs: how well the proxy ranks
     designs the way the target does; None where rho is undefined (the
-    predictions or the measurements are constant). Costs probe_count true
-    latency measurements on the target; predictor calls are free. With probes
-    a list, (designs, measured latencies) is appended to it.
+    predictions or the measurements are constant). The designs are drawn in
+    one sample_rows call and predicted in one batch; predictor calls are free.
+
+    Without threshold it measures all probe_count designs. With one, the trial
+    is two-stage: it measures the first probe_count // 2 and stops there with
+    their rho if that rho is at least threshold; otherwise it measures the
+    rest and returns the rho of all of them, the value the one-stage check
+    gives. So it costs probe_count // 2 true latency measurements on the
+    target on a pass at the half, probe_count otherwise, and the generator
+    ends in the same state either way. With probes a list, (designs, measured
+    latencies) of the designs it measured is appended to it.
     """
     space = oracle.space
     designs = sample_rows(space, rng, probe_count)
     predicted_lat = proxy_pred.predict_batch(encode_rows(designs, space))
-    actual = oracle.latency_rows(designs, [target])[:, 0]
+    n = probe_count if threshold is None else probe_count // 2
+    actual = oracle.latency_rows(designs[:n], [target])[:, 0]
+    rho = spearman(predicted_lat[:n], actual)
+    if n < probe_count and (rho is None or rho < threshold):
+        rest = oracle.latency_rows(designs[n:], [target])[:, 0]
+        n, actual = probe_count, np.concatenate([actual, rest])
+        rho = spearman(predicted_lat, actual)
     if probes is not None:
-        probes.append((designs, actual))
-    return spearman(predicted_lat, actual)
+        probes.append((designs[:n], actual))
+    return rho
 
 
 def match_proxy(
@@ -457,10 +473,13 @@ def match_proxy(
 ) -> ProxyEntry | None:
     """Nearest-first scan of the pool; a candidate is accepted only if its
     latency predictor's rank correlation with the target is at least threshold
-    (an undefined rho, None, fails). Returns None when nothing passes; the
-    caller then corrects the nearest entry (corrected_entry). With trials a
-    list, (proxy id, rho, verdict) is appended per candidate; with probes a
-    list, each candidate's (probe designs, measured latencies).
+    (an undefined rho, None, fails), each trial check_monotonicity's two-stage
+    one: a pass on the first half of its probe_count probes stops there, any
+    other trial measures all of them. Returns None when nothing passes, after
+    every trial measured all its probes; the caller then corrects the nearest
+    entry (corrected_entry). With trials a list, (proxy id, rho, verdict) is
+    appended per candidate; with probes a list, each candidate's (probe
+    designs, measured latencies), one tuple per trial in trial order.
     """
     if not pool:
         return None
@@ -472,7 +491,8 @@ def match_proxy(
     order = sorted(range(len(pool)), key=lambda i: (dists[i], i))
     for i in order:
         entry = pool[i]
-        rho = check_monotonicity(entry.latency_model, target, probe_count, oracle, rng, probes)
+        rho = check_monotonicity(entry.latency_model, target, probe_count, oracle, rng, probes,
+                                 threshold)
         passed = rho is not None and rho >= threshold
         if trials is not None:
             trials.append((entry.device.device_id, rho, passed))

@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from fleetopt.design_space import DesignSpace, encode_rows, enumerate_all
+from fleetopt.design_space import DesignSpace, encode_rows, enumerate_all, sample_rows
 from fleetopt.device_world import (
     MeasurementLedger,
     Oracle,
@@ -814,6 +814,82 @@ def test_check_monotonicity_separates_fleet_families(proxy_latency_default, dspa
     assert adv < 0.9
 
 
+def measured_batches(oracle):
+    """The row counts of each latency_rows call oracle makes from now on."""
+    sizes, real = [], oracle.latency_rows
+
+    def latency_rows(X, devices):
+        sizes.append(len(X))
+        return real(X, devices)
+
+    oracle.latency_rows = latency_rows
+    return sizes
+
+
+def test_a_pass_on_the_half_charges_the_half_and_hands_back_only_it(exact_models, reduced,
+                                                                    proxy):
+    # the proxy's exact latency model ranks the proxy's own designs perfectly
+    oracle = Oracle(reduced, MeasurementLedger())
+    probes = []
+    rho = check_monotonicity(exact_models["latency"], proxy, 20, oracle,
+                             np.random.default_rng(3), probes, threshold=0.9)
+    assert rho == 1.0
+    assert oracle.ledger.count(proxy.device_id, "latency") == oracle.ledger.total() == 10
+    [(designs, latencies)] = probes
+    np.testing.assert_array_equal(designs, sample_rows(reduced, np.random.default_rng(3), 20)[:10])
+    np.testing.assert_array_equal(latencies, Oracle(reduced).latency_rows(designs, [proxy])[:, 0])
+
+
+def test_the_draw_does_not_depend_on_the_verdict(exact_models, reduced, proxy):
+    # one sample_rows(probe_count) draw, pass (threshold 0.9) or miss (1.5)
+    want = np.random.default_rng(4)
+    sample_rows(reduced, want, 20)
+    for threshold, charged in ((0.9, 10), (1.5, 20)):
+        oracle, rng = Oracle(reduced, MeasurementLedger()), np.random.default_rng(4)
+        check_monotonicity(exact_models["latency"], proxy, 20, oracle, rng, threshold=threshold)
+        assert oracle.ledger.total() == charged
+        assert rng.bit_generator.state == want.bit_generator.state
+
+
+def test_a_miss_is_the_single_batch_check(reduced, reduced_models, fleet):
+    # a threshold no rho meets: the rest is measured, and rho, designs and
+    # latencies are those of one prediction and one measurement of the draw
+    model, target = reduced_models["latency"], fleet.holdout_adversarial[0]
+    designs = sample_rows(reduced, np.random.default_rng(7), 20)
+    latencies = Oracle(reduced).latency_rows(designs, [target])[:, 0]
+    want = spearman(model.predict_batch(encode_rows(designs, reduced)), latencies)
+    oracle = Oracle(reduced, MeasurementLedger())
+    sizes = measured_batches(oracle)
+    probes = []
+    assert check_monotonicity(model, target, 20, oracle, np.random.default_rng(7), probes,
+                              threshold=1.5) == want
+    assert sizes == [10, 10] and oracle.ledger.count(target.device_id, "latency") == 20
+    [(got_designs, got_latencies)] = probes
+    np.testing.assert_array_equal(got_designs, designs)
+    np.testing.assert_array_equal(got_latencies, latencies)
+
+
+def test_an_odd_probe_count_measures_the_smaller_half_first(exact_models, reduced, proxy):
+    for threshold, want in ((0.9, [5]), (1.5, [5, 6])):
+        oracle = Oracle(reduced, MeasurementLedger())
+        sizes = measured_batches(oracle)
+        check_monotonicity(exact_models["latency"], proxy, 11, oracle, np.random.default_rng(8),
+                           threshold=threshold)
+        assert sizes == want and oracle.ledger.total() == sum(want)
+
+
+def test_an_undefined_rho_on_the_half_measures_the_rest(reduced, fleet):
+    # constant predictions: rho is undefined on the half, and on the whole
+    target = fleet.holdout_monotone[0]
+    oracle = Oracle(reduced, MeasurementLedger())
+    probes = []
+    assert check_monotonicity(ConstantModel(1.0), target, 20, oracle, np.random.default_rng(9),
+                              probes, threshold=-1.0) is None
+    assert oracle.ledger.count(target.device_id, "latency") == 20
+    [(designs, latencies)] = probes
+    assert len(designs) == len(latencies) == 20
+
+
 def test_match_proxy_empty_pool(fleet, dspace):
     oracle = Oracle(dspace, MeasurementLedger())
     assert match_proxy([], fleet.holdout_monotone[0], 0.9, oracle, np.random.default_rng(0),
@@ -834,9 +910,9 @@ def test_match_proxy_reuses_for_monotone_target(fleet, dspace, proxy_latency_def
     trials = []
     got = match_proxy(pool, target, 0.9, oracle, np.random.default_rng(5), 20, trials=trials)
     assert got is entry
-    # reuse decision costs exactly the 20 probes, nothing else
-    assert oracle.ledger.count(target.device_id, "latency") == 20
-    assert oracle.ledger.total() == 20
+    # a reuse decision passes on the first half of the 20 probes: exactly 10, nothing else
+    assert oracle.ledger.count(target.device_id, "latency") == 10
+    assert oracle.ledger.total() == 10
     assert trials == [(fleet.proxy.device_id, trials[0][1], True)]
 
 
@@ -855,6 +931,8 @@ def test_match_proxy_rejects_all_for_adversarial_target(fleet, dspace, proxy_lat
     got = match_proxy(pool, target, 0.9, oracle, np.random.default_rng(6), 20, trials=trials)
     assert got is None
     assert len(trials) == 1 and not trials[0][2]
+    # a miss measures every probe of every trial
+    assert oracle.ledger.count(target.device_id, "latency") == 20 * len(trials)
 
 
 def test_match_proxy_fails_an_undefined_rank_correlation(fleet, dspace, stage1_bundle):

@@ -1,5 +1,6 @@
 import importlib.util
 import os
+import re
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 spec = importlib.util.spec_from_file_location(
@@ -15,7 +16,10 @@ def test_a_checkout_compared_with_itself_differs_by_zero(capsys):
     assert [line.split(" accuracy ")[0].rstrip() for line in lines] == [
         "proxy seed 23 p40 toy", "proxy-latency seed 23 p40 toy"]
     for line in lines:
-        assert "(+0.00000)" in line and "(+0.00)" in line
+        assert "(+0.00000)" in line
+        # meas/target and its two shares, each its own column
+        for label in ("meas/target", "probes/target", "solve/target"):
+            assert re.search(rf"  {label} (\d+\.\d\d) -> \1 \(\+0\.00\)  ", line), line
         assert "violations 0 -> 0" in line
 
 

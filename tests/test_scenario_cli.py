@@ -5,6 +5,7 @@ import json
 import os
 import re
 import shutil
+import statistics
 import subprocess
 import sys
 
@@ -376,6 +377,19 @@ def test_proxy_run_rows_and_artifacts(proxy_run):
     # each count is stated once: per target in stage_counts, no cost table
     assert "cost_table" not in doc
     assert "wall_time_s" in doc and "wall_time_s" not in report.decision_dict()
+
+
+def test_each_trial_records_the_probes_it_measured(proxy_run):
+    _, report, _ = proxy_run
+    count = SMALL_PROXY["optimize"]["probe_count"]
+    for row in report.rows:
+        trials = row["match_trials"]
+        assert row["probe_measurements"] == sum(trial["probes"] for trial in trials)
+        # a trial stops at half its probes only on a pass
+        for trial in trials:
+            assert trial["probes"] in ((count // 2, count) if trial["monotone"] else (count,))
+    mono, _ = report.rows
+    assert mono["match_trials"][0]["probes"] == count // 2
 
 
 @pytest.mark.parametrize("energy_percentile", [None, 40.0], ids=["latency", "energy"])
@@ -1035,6 +1049,15 @@ def test_cli_report_prints_the_mean_per_target_measurements_beside_the_max(tmp_p
     assert main(["report", "--out", str(tmp_path)]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == (
         "max per-target measurements: 30  mean: 24.33")
+
+
+def test_cli_report_prints_a_proxy_runs_gate_and_solve_means(proxy_run, capsys):
+    _, report, out = proxy_run
+    assert main(["report", "--out", out]) == 0
+    probes = statistics.fmean(row["probe_measurements"] for row in report.rows)
+    solve = statistics.fmean(row["optimize_measurements"] for row in report.rows)
+    assert capsys.readouterr().out.splitlines()[-1].endswith(
+        f"  gate probes: {probes:.2f}  solve: {solve:.2f}")
 
 
 class ClosedPipe:

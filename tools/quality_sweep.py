@@ -11,7 +11,9 @@ each checkout the cell's scenario file is run once with ``fleetopt
 optimize``, a child process on that checkout's own src/, the way
 tools/parity.py runs it. Per cell it prints each side's mean true accuracy
 (tools/quality.py's target_quality), mean target measurements (the report's
-stage_counts.per_target), violations (designs truly over bound * (1 +
+stage_counts.per_target) and their two shares, the gate's probes and the
+solve's measurements (the rows' probe_measurements and
+optimize_measurements), violations (designs truly over bound * (1 +
 delta_fraction)) and infeasible targets, with the change's difference.
 
 It is evaluation only: it reads the reference value functions and writes
@@ -52,13 +54,15 @@ def cell_doc(scenario: str, seed: int, percentile: float, toy: bool = False) -> 
 
 
 def cell_quality(doc: dict, report: dict) -> dict:
-    """Mean true accuracy, mean target measurements, violations and infeasible
-    targets of one run's report."""
+    """Mean true accuracy, mean target measurements and their gate-probe and
+    solve shares, violations and infeasible targets of one run's report."""
     rows = target_quality(scenario_from_dict(doc), report)
     per_target = report["stage_counts"]["per_target"]
     return {
         "accuracy": statistics.fmean(r["accuracy"] for r in rows),
         "measurements": statistics.fmean(per_target.values()),
+        "probes": statistics.fmean(r["probe_measurements"] for r in report["rows"]),
+        "solve": statistics.fmean(r["optimize_measurements"] for r in report["rows"]),
         "violations": sum(r["violates"] for r in rows),
         "infeasible": report["infeasible_count"],
     }
@@ -75,10 +79,12 @@ def run_quality(checkout: Path, doc: dict, work: Path) -> dict:
 
 
 def format_cell(name: str, parent: dict, change: dict) -> str:
+    counts = "  ".join(
+        f"{label} {parent[key]:.2f} -> {change[key]:.2f} ({change[key] - parent[key]:+.2f})"
+        for label, key in (("meas/target", "measurements"), ("probes/target", "probes"),
+                           ("solve/target", "solve")))
     return (f"{name:<32} accuracy {parent['accuracy']:.5f} -> {change['accuracy']:.5f} "
-            f"({change['accuracy'] - parent['accuracy']:+.5f})  "
-            f"meas/target {parent['measurements']:.2f} -> {change['measurements']:.2f} "
-            f"({change['measurements'] - parent['measurements']:+.2f})  "
+            f"({change['accuracy'] - parent['accuracy']:+.5f})  {counts}  "
             f"violations {parent['violations']} -> {change['violations']}  "
             f"infeasible {parent['infeasible']} -> {change['infeasible']}")
 
