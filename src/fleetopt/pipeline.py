@@ -40,7 +40,6 @@ from .proxy_reuse import (
     TCache,
     bisection_optimize,
     corrected_entry,
-    grid_optimize_2d,
     inner_ga,
     match_proxy,
 )
@@ -60,11 +59,15 @@ from .surrogate import (
     fit_lockstep,
     load_model,
     save_model,
-    # bench/tracer.py wraps these three bindings; pipeline does not call them
+    train_stage1,
+)
+
+# bench/tracer.py wraps these four bindings; pipeline does not call them
+from .proxy_reuse import bisection_optimize as grid_optimize_2d  # noqa: F401
+from .surrogate import (
     iterative_fit,  # noqa: F401
     train_accuracy_predictor,  # noqa: F401
     train_device_specific_predictor,  # noqa: F401
-    train_stage1,
 )
 
 
@@ -167,9 +170,10 @@ def _load_models(models_dir: str | None, names: list[str], scenario: Scenario,
 
 def _proxy_reuse(scenario: Scenario, fleet: Fleet, oracle: Oracle):
     """Model file names, train and solver of proxy reuse: predictors trained on
-    the proxy, a rank gate per target that reuses a pool entry or corrects the
-    nearest one on the gate's probes, then bisection on t calibrated on the
-    same probes (the 2-D grid under an energy bound)."""
+    the proxy (an energy predictor too under an energy bound), a rank gate per
+    target that reuses a pool entry or corrects the nearest one on the gate's
+    probes, then bisection on t calibrated on the same probes, along the
+    (t/2, t/2) ray under an energy bound."""
     metrics = ["latency"] if scenario.optimize.energy_percentile is None else ["latency", "energy"]
     names = ["accuracy.json"] + [f"{metric}_proxy.json" for metric in metrics]
 
@@ -199,9 +203,7 @@ def _proxy_reuse(scenario: Scenario, fleet: Fleet, oracle: Oracle):
                 entry = corrected_entry(nearest, target, probes, oracle)
                 pool.append(entry)
             delta = scenario.delta_fraction * spec.latency_bound
-            result = (bisection_optimize(target, spec, delta, entry, oracle, probes)
-                      if spec.energy_bound is None
-                      else grid_optimize_2d(target, spec, entry, oracle))
+            result = bisection_optimize(target, spec, delta, entry, oracle, probes)
             return result, {
                 "proxy_used": entry.device.device_id,
                 "proxy_reused": reused,

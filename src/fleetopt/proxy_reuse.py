@@ -5,16 +5,19 @@ The core move: a constrained problem on a new device d is solved through the
 
     g(x; t) = -(1 - t) * acc(x) + t * latency_proxy(x) / s_L
 
-against true measurements of the current candidate on d. Inner solves touch
-only predictors, and each entry's t-cache memoizes them with the run's inner
-minimizer (inner_ga). The bisection calibrates the latency predictor on the
-probes the gate measured and measures only iterates predicted near the bound,
-at most ceil(log2(1/granularity + 1)) of them on the target. A rank
-correlation check decides whether a proxy is usable for a given target at all;
-it stops at half its probes when they already clear the threshold, like a
-sequential test. A pool of proxies turns that check into a reuse-or-correct
-policy: a target that no entry passes gets the nearest entry's predictors
-corrected on the probes its checks measured, every probe of every trial.
+against true measurements of the current candidate on d; under an energy
+bound the same bisection runs along the ray (t/2, t/2) of the (latency,
+energy) simplex, on the larger of the two metrics' shares of their bounds.
+Inner solves touch only predictors, and each entry's t-cache memoizes them
+with the run's inner minimizer (inner_ga). The bisection calibrates the
+latency predictor on the probes the gate measured and measures only iterates
+predicted near the bound, at most ceil(log2(1/granularity + 1)) designs on
+the target. A rank correlation check decides whether a proxy is usable for a
+given target at all; it stops at half its probes when they already clear the
+threshold, like a sequential test. A pool of proxies turns that check into a
+reuse-or-correct policy: a target that no entry passes gets the nearest
+entry's predictors corrected on the probes its checks measured, every probe
+of every trial.
 """
 
 from __future__ import annotations
@@ -55,9 +58,9 @@ def spearman(a, b) -> float | None:
 
 class TCache:
     """An entry's memoized inner argmin, keyed on the weight tuple, each weight
-    quantized to the granularity: (t,) for the bisection, (t1, t2) for the 2-D
-    grid. A miss calls minimize(objective, key), the key the weights' integer
-    multiples of the granularity."""
+    quantized to the granularity: (t,) for a latency bound, (t1, t2) on the
+    ray of an energy bound. A miss calls minimize(objective, key), the key
+    the weights' integer multiples of the granularity."""
 
     def __init__(self, granularity: float, minimize):
         self.granularity = granularity
@@ -92,8 +95,9 @@ class ProxyEntry:
     latency_model: MlpRegressor | CorrectedPredictor
     energy_model: MlpRegressor | CorrectedPredictor | None
     cache: TCache
-    # design -> the latency model's raw prediction (bisection_optimize's memo)
-    latency_predictions: dict[tuple[int, ...], float] = field(default_factory=dict)
+    # design -> the raw predictions of its metric models, latency first
+    # (bisection_optimize's memo)
+    predictions: dict[tuple[int, ...], tuple[float, ...]] = field(default_factory=dict)
 
 
 def corrected_entry(entry: ProxyEntry, target: DeviceFeatures, probes: list,
@@ -123,8 +127,7 @@ def scalarized_objective(
 ) -> np.ndarray:
     """-(1 - sum t_i)*acc + sum t_i*m_i/s_i on the proxy's predictors for each
     row of the index matrix X, one weight per metric model, the weights on the
-    simplex: (t,) weighs latency for the bisection, (t1, t2) latency and
-    energy for the 2-D grid."""
+    simplex: (t,) weighs latency, (t1, t2) latency and energy."""
     enc = encode_rows(X, space)
     w = 1.0
     for t in ts:
@@ -151,10 +154,11 @@ def solve_inner(ts: tuple[float, ...], entry: ProxyEntry, space: DesignSpace) ->
 
 @dataclass(frozen=True)
 class ProxySolve:
-    """What a proxy solver returns. t is (t,) from the bisection, (t1, t2)
-    from the 2-D grid; energy is None without an energy bound; every trace
-    row has the same keys, in order, the first of them the target's
-    device_id: the solver's columns of the run's trace table."""
+    """What the proxy's bisection returns. t is the chosen weights, (t,)
+    without an energy bound, (t1, t2) with one; energy is None without an
+    energy bound; every trace row has the same keys, in order, the first of
+    them the target's device_id: the solver's columns of the run's trace
+    table."""
 
     design: tuple[int, ...]
     t: tuple[float, ...]
@@ -163,13 +167,6 @@ class ProxySolve:
     latency: float
     energy: float | None
     trace: tuple[dict, ...]
-
-
-def _calibration(measured: np.ndarray, predicted: np.ndarray) -> tuple[float, ...]:
-    """Per column, the median of measured / predicted over the positive
-    predictions, else 1: the factors that calibrate each predicted metric."""
-    return tuple(float(np.median(m[p > 0] / p[p > 0])) if np.any(p > 0) else 1.0
-                 for m, p in zip(measured.T, predicted.T))
 
 
 # A bisection iterate is measured only when its calibrated latency lies within
@@ -192,115 +189,155 @@ def bisection_optimize(
     oracle: Oracle,
     probes: list | tuple = (),
 ) -> ProxySolve:
-    """Bisection on t against the target latency of the inner solution on the
+    """Bisection on t against the spec's bounds at the inner solution on the
     entry's predictors; delta is the absolute latency half-band around the
-    spec's latency bound whose measured hit stops the bisection (a spec with
-    an energy bound, the 2-D grid's problem, raises ValueError).
+    latency bound L whose measured hit stops the bisection.
 
-    An iterate (solved once per quantized t) has its design's raw latency
-    prediction p on the entry, made once per design and entry, and the
-    calibrated estimate est = c * p. c starts as the median measured /
-    predicted latency of probes, a list of (designs, measured latencies) as
-    check_monotonicity appends them (1 without a usable probe), and becomes
-    measured / p at each design the path measures. The path measures an
-    iterate's design on the target only when est lies within BISECTION_MARGIN
-    of the bound (or within delta of it, where delta is wider) or p <= 0, and
-    each design at most once; the verdict is the measurement's if there is
-    one, else est's, so an unmeasured iterate always moves t. It takes at
-    most ceil(log2(1/granularity + 1)) iterations, the halvings that exhaust
-    the entry cache's t grid, and all measurements stay under that cap.
+    Without an energy bound the weights are (t,) on latency and a design's
+    value is its latency. With an energy bound E they are (t/2, t/2) on
+    latency and energy, one ray of the simplex, and a design's value is
+    max(latency, energy * L / E). Either way the value is compared with
+    L +- delta, and a design is within the bounds when each measured metric
+    is within its own.
+
+    An iterate (solved once per quantized t) has its design's raw
+    predictions p on the entry, made once per design and entry, one per
+    weight, and the calibrated estimates c * p, one factor per metric. The
+    latency factor starts as the median measured / predicted latency of
+    probes, a list of (designs, measured latencies) as check_monotonicity
+    appends them (1 without a usable probe), the energy factor at 1, and
+    each becomes measured / p at every design the path measures. The path
+    measures an iterate's design on the target only when the estimated value
+    lies within BISECTION_MARGIN of L (or within delta of it, where delta is
+    wider) or a prediction is <= 0, and each design at most once, one charge
+    per metric; the verdict is the measurement's if there is one, else the
+    estimate's, so an unmeasured iterate always moves t. It takes at most
+    ceil(log2(1/granularity + 1)) iterations, the halvings that exhaust the
+    entry cache's t grid, and it measures at most that many designs.
     Raising t when the candidate is too slow trades accuracy for speed.
 
     The reported design is the one of the smallest t whose design measured
-    within the bound, i.e. maximum accuracy weight. Before it is chosen, the
-    unmeasured iterates of smaller t whose est is within the bound are
-    measured, smallest t first, until one measures within it; then, while
-    the answer measures more than BISECTION_MARGIN under the bound, the t
-    halfway to the largest measured t below it is tried. If no design met the
-    bound, the last one measured (the last iterate's, if none was) comes back
-    flagged infeasible. The trace has a row per iterate visited and per
-    iterate tried after the path; latency is its design's measurement, or est
-    where measured is False.
+    within the bounds, i.e. maximum accuracy weight. Before it is chosen, the
+    unmeasured iterates of smaller t whose estimated value is within L are
+    measured, smallest t first, until one measures within the bounds (with
+    nothing measured, the last iterate is); while none is within the bounds
+    and the cap is not spent, the unmeasured iterates above the largest
+    measured t are measured, smallest t first, and then the t halfway between
+    that t and 1 is tried. While the answer's value measures more than
+    BISECTION_MARGIN under L, the t halfway to the largest measured t below
+    it is tried. If no design met the bounds, the last one measured
+    comes back flagged infeasible. The trace has a row per iterate visited
+    and per iterate tried after the path, t its weights' sum; latency (and
+    energy) is its design's measurement, or the estimate where measured is
+    False.
     """
-    if spec.energy_bound is not None:
-        raise ValueError("the bisection takes no energy bound; the 2-D grid does")
     space, cache, bound = oracle.space, entry.cache, spec.latency_bound
+    bounds = (bound,) if spec.energy_bound is None else (bound, spec.energy_bound)
     cap = math.ceil(math.log2(1.0 / cache.granularity + 1.0))
-    c = 1.0
+    calibration = [1.0] * len(bounds)
     if probes:
         designs = np.concatenate([x for x, _ in probes])
-        probe_p = entry.latency_model.predict_batch(encode_rows(designs, space))
-        (c,) = _calibration(np.concatenate([y for _, y in probes])[:, None], probe_p[:, None])
+        p = entry.latency_model.predict_batch(encode_rows(designs, space))
+        y = np.concatenate([y for _, y in probes])
+        if np.any(p > 0):
+            calibration[0] = float(np.median(y[p > 0] / p[p > 0]))
     # measure an estimate that could be within the band: an unmeasured
     # verdict is never within_band, so every unmeasured iterate moves t
     reach = max(BISECTION_MARGIN * bound, delta)
     record: dict[float, tuple[int, ...]] = {}  # quantized t -> design
-    measured: dict[tuple[int, ...], float] = {}  # design -> measured latency, in order
+    # design -> its measured (latency,) or (latency, energy), in order
+    measured: dict[tuple[int, ...], tuple[float, ...]] = {}
     trace: list[dict] = []
 
-    def predicted(tq: float) -> float:
-        return _latency_prediction(entry, record[tq], space)
+    def weights(t: float) -> tuple[float, ...]:
+        return (t,) if len(bounds) == 1 else (t / 2.0, t / 2.0)
 
-    def measure(x: tuple[int, ...]) -> float:
-        measured[x] = oracle.latency(x, target)
+    def predicted(tq: float) -> tuple[float, ...]:
+        return _predictions(entry, record[tq], len(bounds), space)
+
+    def estimate(tq: float) -> tuple[float, ...]:
+        return tuple(k * p for k, p in zip(calibration, predicted(tq)))
+
+    def value(metrics: tuple[float, ...]) -> float:
+        """Latency, or on the ray the larger of latency and energy scaled to L."""
+        return metrics[0] if len(metrics) == 1 else max(metrics[0], metrics[1] * bound / bounds[1])
+
+    def within(x: tuple[int, ...]) -> bool:
+        return x in measured and all(m <= b for m, b in zip(measured[x], bounds))
+
+    def measure(x: tuple[int, ...]) -> tuple[float, ...]:
+        if len(bounds) == 1:
+            measured[x] = (oracle.latency(x, target),)
+        else:
+            measured[x] = tuple(float(m[0, 0]) for m in oracle.latency_energy_rows([x], [target]))
         return measured[x]
 
-    def step(tq: float, lat: float | None) -> str:
-        value = c * predicted(tq) if lat is None else lat
-        if value >= bound + delta:
+    def step(tq: float, metrics: tuple[float, ...] | None) -> str:
+        shown = estimate(tq) if metrics is None else metrics
+        v = value(shown)
+        if v >= bound + delta:
             verdict = "raise_t"
-        elif value <= bound - delta:
+        elif v <= bound - delta:
             verdict = "lower_t"
         else:
             verdict = "within_band"
         trace.append({"device_id": target.device_id, "iteration": len(trace), "t": tq,
-                      "latency": value, "measured": lat is not None, "verdict": verdict})
+                      **dict(zip(("latency", "energy"), shown)),
+                      "measured": metrics is not None, "verdict": verdict})
         return verdict
 
     def visit(t: float) -> float:
-        """t quantized, its record made on the first visit."""
-        (tq,) = cache.quantize((t,))
+        """t's weights quantized, summed; its record made on the first visit."""
+        tq = sum(cache.quantize(weights(t)))
         if tq not in record:
-            record[tq] = solve_inner((t,), entry, space)
+            record[tq] = solve_inner(weights(t), entry, space)
         return tq
 
     def best() -> float:
-        """The smallest t whose design measured within the bound, inf if none."""
-        return min((t for t, x in record.items() if measured.get(x, math.inf) <= bound),
-                   default=math.inf)
+        """The smallest t whose design measured within the bounds, inf if none."""
+        return min((t for t, x in record.items() if within(x)), default=math.inf)
 
     t_min, t_max = 0.0, 1.0
     for _ in range(cap):
         t = (t_min + t_max) / 2.0
         tq = visit(t)
         x, p = record[tq], predicted(tq)
-        lat = measured.get(x)
-        if lat is None and (p <= 0 or abs(c * p - bound) <= reach):
-            lat = measure(x)
-            if p > 0:
-                c = lat / p
-        verdict = step(tq, lat)
+        metrics = measured.get(x)
+        if metrics is None and (min(p) <= 0 or abs(value(estimate(tq)) - bound) <= reach):
+            metrics = measure(x)
+            calibration = [m / q if q > 0 else k for k, m, q in zip(calibration, metrics, p)]
+        verdict = step(tq, metrics)
         if verdict == "raise_t":
             t_min = t
         elif verdict == "lower_t":
             t_max = t
-        elif lat is not None:
+        elif metrics is not None:
             break
 
-    # confirm the unmeasured iterates of smaller t than the best whose est,
-    # on the loop's last c, is within the bound, smallest t first
+    # confirm the unmeasured iterates of smaller t than the best whose
+    # estimated value, on the loop's last calibration, is within L, smallest
+    # t first
     for t in sorted(record):
         if t >= best() or len(measured) >= cap:
             break
         x = record[t]
-        if x not in measured and c * predicted(t) <= bound:
+        if x not in measured and value(estimate(t)) <= bound:
             step(t, measure(x))
     if not measured:  # nothing measured: the last iterate
         step(tq, measure(record[tq]))
+    # nothing within the bounds: measure upward in t, the recorded iterates
+    # above the largest measured t first (their designs are all unmeasured)
+    while best() == math.inf and len(measured) < cap:
+        top = max(t for t, x in record.items() if x in measured)
+        tq = min((t for t in record if t > top), default=None) or visit((top + 1.0) / 2.0)
+        if tq <= top:
+            break
+        if record[tq] not in measured:
+            step(tq, measure(record[tq]))
     # an answer more than the margin under the bound is refined by bisection
     # between it and the largest t below it whose design was measured
     while best() < math.inf and len(measured) < cap and (
-            measured[record[best()]] < (1.0 - BISECTION_MARGIN) * bound):
+            value(measured[record[best()]]) < (1.0 - BISECTION_MARGIN) * bound):
         hi = best()
         lo = max((t for t, x in record.items() if t < hi and x in measured), default=0.0)
         tq = visit((lo + hi) / 2.0)
@@ -309,117 +346,27 @@ def bisection_optimize(
         x = record[tq]
         step(tq, measured[x] if x in measured else measure(x))
     chosen = best()
-    if chosen == math.inf:  # none within the bound: the last design measured
+    if chosen == math.inf:  # none within the bounds: the last design measured
         last = next(reversed(measured))
         chosen = min(t for t, x in record.items() if x == last)
     x = record[chosen]
-    return ProxySolve(design=x, t=(chosen,), measurements=len(measured),
-                      feasible=bool(measured[x] <= bound), latency=measured[x], energy=None,
+    metrics = measured[x]
+    return ProxySolve(design=x, t=cache.quantize(weights(chosen)),
+                      measurements=len(bounds) * len(measured), feasible=within(x),
+                      latency=metrics[0], energy=metrics[1] if len(metrics) > 1 else None,
                       trace=tuple(trace))
 
 
-def _latency_prediction(entry: ProxyEntry, x: tuple[int, ...], space: DesignSpace) -> float:
-    """The entry's raw latency prediction of design x, predicted once per entry."""
-    if x not in entry.latency_predictions:
+def _predictions(entry: ProxyEntry, x: tuple[int, ...], n: int,
+                 space: DesignSpace) -> tuple[float, ...]:
+    """The entry's raw predictions of design x by its first n metric models
+    (latency, then energy), each predicted once per entry."""
+    got = entry.predictions.get(x, ())
+    if len(got) < n:
         enc = encode_rows([x], space)
-        entry.latency_predictions[x] = float(entry.latency_model.predict_batch(enc)[0])
-    return entry.latency_predictions[x]
-
-
-GRID_LEVELS = 3
-GRID_N = 8
-GRID_MEASURE_CAP = 6
-
-
-def _lattice(center: tuple[float, float], spacing: float,
-             cache: TCache) -> list[tuple[float, float]]:
-    """Sorted quantized points of the GRID_N-division lattice around center that
-    lie in the simplex before and after quantizing (each weight rounds alone)."""
-    ks = range(-(GRID_N // 2), GRID_N - GRID_N // 2 + 1)
-    pts = set()
-    for k1 in ks:
-        for k2 in ks:
-            t1, t2 = center[0] + k1 * spacing, center[1] + k2 * spacing
-            tq = cache.quantize((t1, t2))
-            if t1 >= 0 and t2 >= 0 and t1 + t2 <= 1.0 and sum(tq) <= 1.0 + 1e-12:
-                pts.add(tq)
-    return sorted(pts)
-
-
-def grid_optimize_2d(
-    target: DeviceFeatures,
-    spec: ConstraintSpec,
-    entry: ProxyEntry,
-    oracle: Oracle,
-) -> ProxySolve:
-    """Coarse-to-fine sweep of the (t1, t2) simplex for the spec's two bounds,
-    latency and energy (a spec without an energy bound raises ValueError).
-
-    Each of GRID_LEVELS levels solves the inner problem on a lattice (GRID_N
-    divisions at the top, refined 4x around the incumbent), predicts its new
-    designs in one batch per model, measures up to GRID_MEASURE_CAP new
-    candidates on the target (both metrics, in one row call), and calibrates
-    predicted metrics against the measurements to rank the next level's.
-    Returns the measured feasible design with maximum predicted accuracy, else
-    the least-violating measured design flagged infeasible. Inner solves go
-    through solve_inner on the entry, so calls on one entry share them.
-    """
-    latency_bound, energy_bound = spec.latency_bound, spec.energy_bound
-    if energy_bound is None:
-        raise ValueError("the 2-D grid needs an energy bound")
-    space, cache = oracle.space, entry.cache
-    models = (entry.accuracy_model, entry.latency_model, entry.energy_model)
-    predicted: dict[tuple[int, ...], tuple[float, float, float]] = {}  # design -> (acc, lat, en)
-    measured: dict[tuple[int, ...], tuple[float, float]] = {}  # design -> (lat, en)
-    design_pt: dict[tuple[int, ...], tuple[float, float]] = {}  # design -> first grid point
-    trace: list[dict] = []
-    s_lat, s_en = 1.0, 1.0
-
-    def standing(x) -> tuple[int, float]:
-        """(0, -predicted accuracy) for a feasible measured design, else (1, violation)."""
-        lat, en = measured[x]
-        if lat <= latency_bound and en <= energy_bound:
-            return (0, -predicted[x][0])
-        return (1, max(lat / latency_bound, en / energy_bound))
-
-    def boundary_score(x):
-        _, pl, pe = predicted[x]
-        return (abs(max(pl * s_lat / latency_bound, pe * s_en / energy_bound) - 1.0), x)
-
-    def level_rank(pair):
-        pt, x = pair
-        return (*standing(x), pt[0] + pt[1], pt, x) if x in measured else (2, 0.0, 0.0, pt, x)
-
-    spacing = 1.0 / GRID_N
-    center = ((GRID_N // 2) * spacing,) * 2  # the top lattice spans the whole simplex
-    for level in range(GRID_LEVELS):
-        if level:  # refine around the best measured point of the level before
-            center, spacing = min(pairs, key=level_rank)[0], spacing / 4.0
-        pairs = [(pt, solve_inner(pt, entry, space)) for pt in _lattice(center, spacing, cache)]
-        for pt, x in pairs:
-            design_pt.setdefault(x, pt)
-        designs = list(dict.fromkeys(x for _, x in pairs))
-        if new := [x for x in designs if x not in predicted]:
-            enc = encode_rows(new, space)
-            predicted.update(zip(new, zip(*(m.predict_batch(enc).tolist() for m in models))))
-        # rank unmeasured candidates by calibrated distance to the feasibility
-        # boundary and spend the level's measurement budget there
-        chosen = sorted((x for x in designs if x not in measured), key=boundary_score)
-        if chosen := chosen[:GRID_MEASURE_CAP]:
-            values = np.hstack(oracle.latency_energy_rows(chosen, [target])).tolist()
-            for x, (lat, en) in zip(chosen, values):
-                measured[x] = (lat, en)
-                trace.append({"device_id": target.device_id, "level": level,
-                              "t1": design_pt[x][0], "t2": design_pt[x][1], "latency": lat,
-                              "energy": en})
-            s_lat, s_en = _calibration(np.array(list(measured.values())),
-                                       np.array([predicted[x][1:] for x in measured]))
-
-    x = min(measured, key=lambda x: (*standing(x), -predicted[x][0], x))
-    lat, en = measured[x]
-    return ProxySolve(design=x, t=design_pt[x], measurements=2 * len(measured),
-                      feasible=standing(x)[0] == 0, latency=lat, energy=en,
-                      trace=tuple(trace))
+        models = (entry.latency_model, entry.energy_model)[len(got):n]
+        got = entry.predictions[x] = got + tuple(float(m.predict_batch(enc)[0]) for m in models)
+    return got[:n]
 
 
 def check_monotonicity(

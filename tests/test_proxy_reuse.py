@@ -1,5 +1,4 @@
 import collections
-import itertools
 
 import numpy as np
 import pytest
@@ -13,15 +12,12 @@ from fleetopt.device_world import (
     latency_value,
 )
 from fleetopt.proxy_reuse import (
-    GRID_LEVELS,
-    GRID_MEASURE_CAP,
     ProxyEntry,
     ProxySolve,
     TCache,
     bisection_optimize,
     check_monotonicity,
     corrected_entry,
-    grid_optimize_2d,
     match_proxy,
     inner_ga,
     scalarized_objective,
@@ -29,7 +25,7 @@ from fleetopt.proxy_reuse import (
     spearman,
 )
 from fleetopt.search import ConstraintSpec, SearchParams, brute_force_argmin, evolutionary_search
-from fleetopt.surrogate import MlpRegressor, TrainingSettings, correct, fit
+from fleetopt.surrogate import TrainingSettings, correct, fit
 
 
 def all_max(space):
@@ -123,23 +119,6 @@ def test_bisection_settings_defaults(exact_models, reduced, fleet):
         )
         assert not result.feasible
         assert len(result.trace) == result.measurements == cap
-
-
-def test_bisection_settings_validation(exact_models, reduced, fleet):
-    target = fleet.holdout_monotone[0]
-    oracle = Oracle(reduced, MeasurementLedger())
-    with pytest.raises(ValueError, match="energy bound"):
-        bisection_optimize(target, ConstraintSpec(1.0, 1.0), 0.02,
-                           entry_of(exact_models, brute(reduced)), oracle)
-    assert oracle.ledger.total() == 0
-
-
-def test_grid_2d_rejects_a_spec_without_an_energy_bound(exact_models, reduced, fleet):
-    oracle = Oracle(reduced, MeasurementLedger())
-    with pytest.raises(ValueError, match="energy bound"):
-        grid_optimize_2d(fleet.holdout_monotone[0], ConstraintSpec(1.0),
-                         entry_of(exact_models, brute(reduced)), oracle)
-    assert oracle.ledger.total() == 0
 
 
 def test_tcache_quantizes_keys(reduced):
@@ -322,10 +301,13 @@ def test_bisection_keeps_only_iterates_within_the_bound(reduced, fleet):
     assert [row["verdict"] for row in result.trace] == ["lower_t", "within_band"]
     assert (result.design, result.t, result.feasible) == (fast, (0.5,), True)
     assert result.latency <= bound
-    # nothing under the bound: the last iterate, flagged infeasible
-    alone = solve(slow)
-    assert [row["verdict"] for row in alone.trace] == ["within_band"]
-    assert (alone.design, alone.feasible) == (slow, False)
+    # nothing under the bound: t = 0.75, halfway from the largest measured t
+    # to 1, is measured next, and its fast design is the answer
+    upward = solve(slow, fast)
+    assert [(row["t"], row["measured"]) for row in upward.trace] == [(0.5, True), (0.75, True)]
+    assert [row["verdict"] for row in upward.trace] == ["within_band", "lower_t"]
+    assert (upward.design, upward.t, upward.feasible) == (fast, (0.75,), True)
+    assert upward.measurements == 2 <= 3  # the cap on the 0.25 grid
 
 
 def test_bisection_trace_rows(exact_models, reduced, fleet):
@@ -532,7 +514,7 @@ def test_each_design_is_predicted_once_per_entry(exact_models, reduced, fleet):
     first = bisection_optimize(target, ConstraintSpec(1e-9), 1e-11, entry,
                                Oracle(reduced, MeasurementLedger()))
     assert (len(first.trace), first.measurements) == (10, 4)
-    assert rows == [1] * len(entry.latency_predictions) == [1] * 4
+    assert rows == [1] * len(entry.predictions) == [1] * 4
     bisection_optimize(target, ConstraintSpec(1e-9), 1e-11, entry,
                        Oracle(reduced, MeasurementLedger()))
     assert len(rows) == 4  # a second solve on the entry predicts nothing new
@@ -540,8 +522,10 @@ def test_each_design_is_predicted_once_per_entry(exact_models, reduced, fleet):
 
 def measured_designs(result, entry, space):
     """The designs of a bisection's measured trace rows: each row's t-cache
-    solve, which the entry's cache answers without a new inner solve."""
-    return {solve_inner((row["t"],), entry, space) for row in result.trace if row["measured"]}
+    solve, which the entry's cache answers without a new inner solve. A row's
+    t is its weights' sum: (t,), or (t/2, t/2) on the ray."""
+    return {solve_inner((row["t"],) if "energy" not in row else (row["t"] / 2,) * 2, entry,
+                        space) for row in result.trace if row["measured"]}
 
 
 def test_search_and_bisection_convert_only_what_they_measure(
@@ -580,7 +564,7 @@ def test_search_and_bisection_convert_only_what_they_measure(
     assert calls == {"indices_of": 0, "design_at": 0}
 
 
-# --- 2-D extension ----------------------------------------------------------
+# --- energy bound: the ray (t/2, t/2) -----------------------------------------
 
 
 def test_scalarized_objective_two_weights_on_the_simplex(exact_models, reduced, proxy):
@@ -600,172 +584,94 @@ def test_scalarized_objective_two_weights_on_the_simplex(exact_models, reduced, 
     )
 
 
-def test_grid_2d_loose_bounds_hit_accuracy_corner(exact_models, reduced, fleet):
+def ray_bounds(target, space, latency_percentile, energy_percentile):
+    """A ConstraintSpec at the target's latency and energy percentiles over
+    the space."""
+    views = value_views(space)
+    lats = [latency_value(x, target) for x in views]
+    ens = [energy_value(x, target) for x in views]
+    return ConstraintSpec(float(np.percentile(lats, latency_percentile)),
+                          float(np.percentile(ens, energy_percentile)))
+
+
+def test_ray_loose_bounds_reach_the_accuracy_corner(exact_models, reduced, fleet):
     target = fleet.holdout_monotone[0]
-    oracle = Oracle(reduced, MeasurementLedger())
-    result = grid_optimize_2d(
-        target, ConstraintSpec(1e6, 1e6), entry_of(exact_models, brute(reduced)),
-        oracle,
+    result = bisection_optimize(
+        target, ConstraintSpec(1e6, 1e6), 0.02 * 1e6, entry_of(exact_models, brute(reduced)),
+        Oracle(reduced, MeasurementLedger()),
     )
     assert result.feasible
     assert result.design == all_max(reduced)
-    assert result.t == (0.0, 0.0)
+    assert len(result.t) == 2 and result.t[0] == result.t[1] <= 0.001
 
 
-def test_grid_2d_dual_bounds_reach_scalarization_ceiling(exact_models, reduced, fleet):
-    # The true constrained optimum here is off the scalarization hull (no
-    # (t1, t2) selects it), so the sharpest attainable target is the best
-    # feasible design any simplex weight can produce; assert we hit it.
+@pytest.mark.parametrize("percentiles", [(50, 50), (40, 20), (20, 60)])
+def test_ray_reaches_the_best_design_any_t_on_the_ray_selects(exact_models, reduced, fleet,
+                                                               percentiles):
+    # the true constrained optimum can lie off the scalarization hull, so the
+    # sharpest attainable target is the best feasible design that some t on
+    # the ray (t/2, t/2) selects on the entry's predictors, found over every t
+    # of the granularity
     target = fleet.holdout_monotone[1]
-    designs = value_views(reduced)
-    accs = np.array([accuracy_value(x, reduced) for x in designs])
-    lats = np.array([latency_value(x, target) for x in designs])
-    ens = np.array([energy_value(x, target) for x in designs])
-    lat_bound = float(np.percentile(lats, 50))
-    en_bound = float(np.percentile(ens, 50))
-
-    lat_n = lats / exact_models["latency"].objective_scale
-    en_n = ens / exact_models["energy"].objective_scale
-    feasible = (lats <= lat_bound) & (ens <= en_bound)
-    ceiling = -np.inf
-    for t1 in np.linspace(0.0, 1.0, 201):
-        for t2 in np.linspace(0.0, 1.0 - t1, 201):
-            winner = int(np.argmin(-(1.0 - t1 - t2) * accs + t1 * lat_n + t2 * en_n))
-            if feasible[winner]:
-                ceiling = max(ceiling, accs[winner])
-
-    oracle = Oracle(reduced, MeasurementLedger())
-    result = grid_optimize_2d(
-        target, ConstraintSpec(lat_bound, en_bound), entry_of(exact_models, brute(reduced)),
-        oracle,
-    )
+    spec = ray_bounds(target, reduced, *percentiles)
+    designs = enumerate_all(reduced)
+    truth = Oracle(reduced)
+    lats, ens = (m[:, 0] for m in truth.latency_energy_rows(designs, [target]))
+    accs = truth.accuracy_rows(designs)
+    feasible = (lats <= spec.latency_bound) & (ens <= spec.energy_bound)
+    # scalarized_objective's arithmetic on the entry's predictions, made once
+    enc = encode_rows(designs, reduced)
+    acc, lat, en = (exact_models[m].predict_batch(enc) for m in ("accuracy", "latency", "energy"))
+    lat_n = lat / exact_models["latency"].objective_scale
+    en_n = en / exact_models["energy"].objective_scale
+    winners = {int(np.argmin(-(1.0 - t - t) * acc + t * lat_n + t * en_n))
+               for t in (k * 0.001 for k in range(501))}
+    ceiling = max(accs[i] for i in winners if feasible[i])
+    result = bisection_optimize(target, spec, 0.02 * spec.latency_bound,
+                                entry_of(exact_models, brute(reduced)),
+                                Oracle(reduced, MeasurementLedger()))
     assert result.feasible
-    assert result.latency <= lat_bound and result.energy <= en_bound
-    assert accuracy_value(reduced.design_at(result.design), reduced) >= ceiling - 1e-12
-    charged = oracle.ledger.count(target.device_id, "latency") + oracle.ledger.count(
-        target.device_id, "energy"
-    )
-    assert charged == result.measurements
+    assert result.latency <= spec.latency_bound and result.energy <= spec.energy_bound
+    assert truth.accuracy(result.design) >= ceiling - 0.01
 
 
-def test_grid_2d_huge_energy_bound_matches_bisection(exact_models, reduced, fleet):
-    target = fleet.holdout_monotone[2]
-    designs = value_views(reduced)
-    lats = np.array([latency_value(x, target) for x in designs])
-    bound = float(np.percentile(lats, 50))
-    oracle = Oracle(reduced, MeasurementLedger())
-    uni = bisection_optimize(
-        target, ConstraintSpec(bound), 0.02 * bound, entry_of(exact_models, brute(reduced)),
-        oracle,
-    )
-    two = grid_optimize_2d(
-        target, ConstraintSpec(bound, 1e9), entry_of(exact_models, brute(reduced)),
-        oracle,
-    )
-    assert two.feasible and uni.feasible
-    acc_two = accuracy_value(reduced.design_at(two.design), reduced)
-    assert abs(acc_two - accuracy_value(reduced.design_at(uni.design), reduced)) <= 0.01
-
-
-def test_bisection_and_grid_return_one_proxy_solve_record(exact_models, reduced, fleet):
-    target = fleet.holdout_monotone[0]
-    x = enumerate_all(reduced)[5]
-    args = (entry_of(exact_models, lambda objective, key: x), Oracle(reduced, MeasurementLedger()))
-    uni = bisection_optimize(target, ConstraintSpec(1e6), 0.02 * 1e6, *args)
-    two = grid_optimize_2d(target, ConstraintSpec(1e6, 1e6), *args)
-    assert type(uni) is type(two) is ProxySolve
-    assert (len(uni.t), uni.energy) == (1, None)
-    assert len(two.t) == 2 and isinstance(two.energy, float)
-    for result in (uni, two):  # one key order per trace: its file's header
-        assert len({tuple(row) for row in result.trace}) == 1
-
-
-def test_grid_2d_infeasible_bounds_flagged(exact_models, reduced, fleet):
-    target = fleet.holdout_monotone[0]
-    min_lat = min(latency_value(x, target) for x in value_views(reduced))
-    oracle = Oracle(reduced, MeasurementLedger())
-    result = grid_optimize_2d(
-        target, ConstraintSpec(min_lat / 10, 1e9), entry_of(exact_models, brute(reduced)),
-        oracle,
-    )
-    assert not result.feasible
-
-
-def test_grid_2d_reuses_inner_solves_across_calls_on_one_cache(exact_models, reduced, fleet):
-    solved = [0]
-
-    def counting_minimizer(objective, key):
-        solved[0] += 1
-        return brute_force_argmin(objective, reduced)
-
-    lats = [latency_value(x, fleet.holdout_monotone[0]) for x in value_views(reduced)]
-    ens = [energy_value(x, fleet.holdout_monotone[1]) for x in value_views(reduced)]
-    first = (fleet.holdout_monotone[0], ConstraintSpec(float(np.percentile(lats, 50)), 1e9))
-    second = (fleet.holdout_monotone[1], ConstraintSpec(1e9, float(np.percentile(ens, 40))))
-
-    def run(problem, entry):
-        return grid_optimize_2d(*problem, entry, Oracle(reduced, MeasurementLedger()))
-
-    shared = entry_of(exact_models, counting_minimizer)
-    run(first, shared)
-    assert solved[0] == len(shared.cache._entries)
-    solved_first = solved[0]
-    reused = run(second, shared)
-    assert solved[0] == len(shared.cache._entries)  # no lattice point was solved twice
-    assert solved[0] - solved_first < solved_first  # the top-level lattice was reused
-    assert reused == run(second, entry_of(exact_models, brute(reduced)))
-
-
-def test_grid_2d_predicts_and_measures_each_level_as_one_batch(
-    monkeypatch, reduced, reduced_models, fleet
-):
-    # one predict_batch per model and one row call for both metrics per level;
-    # no one-row prediction, no one-metric row call and no scalar measurement
+@pytest.mark.parametrize("case", ["calibrated", "tight", "infeasible"])
+def test_a_ray_design_is_measured_in_one_row_for_two_charges(monkeypatch, reduced,
+                                                            reduced_models, fleet, case):
+    # charges = measurements = 2 x the measured designs <= 2 x the cap: each
+    # measured design is one latency_energy_rows row, and nothing is measured
+    # any other way
     calls = collections.Counter()
-    for cls, name in [(MlpRegressor, "predict_batch"), (MlpRegressor, "predict"),
-                      (Oracle, "latency"), (Oracle, "energy"),
-                      (Oracle, "latency_rows"), (Oracle, "energy_rows"),
-                      (Oracle, "latency_energy_rows")]:
-        original = getattr(cls, name)
+    for name in ("latency", "energy", "latency_rows", "energy_rows", "latency_energy_rows"):
+        original = getattr(Oracle, name)
 
-        def counted(self, *args, name=name, original=original):
-            calls[name, getattr(self, "metric", "")] += 1
-            return original(self, *args)
+        def counted(self, X, *args, name=name, original=original):
+            calls[name] += 1
+            if name == "latency_energy_rows":
+                assert len(X) == 1
+            return original(self, X, *args)
 
-        monkeypatch.setattr(cls, name, counted)
-
+        monkeypatch.setattr(Oracle, name, counted)
     target = fleet.holdout_monotone[1]
-    lats = [latency_value(x, target) for x in value_views(reduced)]
-    ens = [energy_value(x, target) for x in value_views(reduced)]
-    designs = itertools.cycle(enumerate_all(reduced))  # a new design per inner solve
+    spec = {"calibrated": ray_bounds(target, reduced, 40, 40),
+            "tight": ray_bounds(target, reduced, 5, 5),
+            "infeasible": ConstraintSpec(1e-9, 1e-9)}[case]
     oracle = Oracle(reduced, MeasurementLedger())
-    result = grid_optimize_2d(
-        target, ConstraintSpec(float(np.percentile(lats, 50)), float(np.percentile(ens, 50))),
-        entry_of(reduced_models, lambda objective, key: next(designs)), oracle,
-    )
-    assert result.measurements > 2 * GRID_MEASURE_CAP  # more than one level measured
-    assert result.measurements == 2 * len(result.trace) == oracle.ledger.total()
-    for metric in ("accuracy", "latency", "energy"):
-        assert 1 <= calls["predict_batch", metric] <= GRID_LEVELS
-    assert 1 < calls["latency_energy_rows", ""] <= GRID_LEVELS
-    assert sum(n for (name, _), n in calls.items()
-               if name in ("predict", "latency", "energy", "latency_rows", "energy_rows")) == 0
+    entry = entry_of(reduced_models, brute(reduced))
+    result = bisection_optimize(target, spec, 0.02 * spec.latency_bound, entry, oracle)
+    designs = measured_designs(result, entry, reduced)
+    assert oracle.ledger.snapshot()["devices"] == {
+        target.device_id: {"latency": len(designs), "energy": len(designs)}}
+    assert result.measurements == 2 * len(designs) <= 2 * 10
+    assert calls == {"latency_energy_rows": len(designs)}
+    assert result.design in designs
+    assert result.feasible == (result.latency <= spec.latency_bound
+                               and result.energy <= spec.energy_bound)
+    assert case != "infeasible" or not result.feasible
 
 
-def test_grid_2d_with_one_design_measures_it_once(exact_models, reduced, fleet):
-    target = fleet.holdout_monotone[0]
-    x = enumerate_all(reduced)[5]
-    oracle = Oracle(reduced, MeasurementLedger())
-    result = grid_optimize_2d(
-        target, ConstraintSpec(1e6, 1e6), entry_of(exact_models, lambda objective, key: x),
-        oracle,
-    )
-    assert (result.design, result.t, result.measurements) == (x, (0.0, 0.0), 2)
-    assert [row["level"] for row in result.trace] == [0]  # levels 1-2 have nothing new
-    assert oracle.ledger.snapshot()["devices"] == {target.device_id: {"latency": 1, "energy": 1}}
-
-
-def test_a_bisection_and_a_grid_on_one_entry_solve_each_key_once(exact_models, reduced, fleet):
+def test_a_latency_solve_and_a_ray_solve_on_one_entry_solve_each_key_once(exact_models, reduced,
+                                                                         fleet):
     # the entry's t-cache holds its minimizer: one call per distinct key,
     # however many solves of either kind ask for it
     keys = []
@@ -775,21 +681,38 @@ def test_a_bisection_and_a_grid_on_one_entry_solve_each_key_once(exact_models, r
         return brute_force_argmin(objective, reduced)
 
     target = fleet.holdout_monotone[1]
-    lats = [latency_value(x, target) for x in value_views(reduced)]
-    ens = [energy_value(x, target) for x in value_views(reduced)]
-    bound = float(np.percentile(lats, 40))
-    one, both = ConstraintSpec(bound), ConstraintSpec(bound, float(np.percentile(ens, 40)))
+    both = ray_bounds(target, reduced, 40, 40)
+    one = ConstraintSpec(both.latency_bound)
     entry = entry_of(exact_models, minimize)
     oracle = Oracle(reduced, MeasurementLedger())
-    uni = bisection_optimize(target, one, 0.02 * bound, entry, oracle)
-    two = grid_optimize_2d(target, both, entry, oracle)
+    uni = bisection_optimize(target, one, 0.02 * one.latency_bound, entry, oracle)
+    ray = bisection_optimize(target, both, 0.02 * both.latency_bound, entry, oracle)
     assert len(keys) == len(set(keys)) == len(entry.cache._entries)
     assert {(round(row["t"] / 0.001),) for row in uni.trace} == {k for k in keys if len(k) == 1}
-    assert any(len(k) == 2 for k in keys)
+    # a ray row's t is t1 + t2, each weight a multiple of 0.001
+    assert ({(round(row["t"] / 0.002),) * 2 for row in ray.trace}
+            == {k for k in keys if len(k) == 2})
     # a second pass of both asks only for keys the cache holds
-    assert bisection_optimize(target, one, 0.02 * bound, entry, oracle) == uni
-    assert grid_optimize_2d(target, both, entry, oracle) == two
+    assert bisection_optimize(target, one, 0.02 * one.latency_bound, entry, oracle) == uni
+    assert bisection_optimize(target, both, 0.02 * both.latency_bound, entry, oracle) == ray
     assert len(keys) == len(entry.cache._entries)
+
+
+def test_a_latency_solve_and_a_ray_solve_return_one_proxy_solve_record(exact_models, reduced,
+                                                                       fleet):
+    target = fleet.holdout_monotone[0]
+    x = enumerate_all(reduced)[5]
+    args = (entry_of(exact_models, lambda objective, key: x), Oracle(reduced, MeasurementLedger()))
+    uni = bisection_optimize(target, ConstraintSpec(1e6), 0.02 * 1e6, *args)
+    ray = bisection_optimize(target, ConstraintSpec(1e6, 1e6), 0.02 * 1e6, *args)
+    assert type(uni) is type(ray) is ProxySolve
+    assert (len(uni.t), uni.energy) == (1, None)
+    assert len(ray.t) == 2 and isinstance(ray.energy, float)
+    # one key order per trace: its file's header
+    assert {tuple(row) for row in uni.trace} == {
+        ("device_id", "iteration", "t", "latency", "measured", "verdict")}
+    assert {tuple(row) for row in ray.trace} == {
+        ("device_id", "iteration", "t", "latency", "energy", "measured", "verdict")}
 
 
 # --- monotonicity gate and pool ---------------------------------------------

@@ -32,3 +32,11 @@ def test_a_cell_sets_the_latency_percentile_over_its_scenario():
         "seed": 23, "approach": "proxy", "optimize": {"latency_percentile": 15.0}}
     toy = quality_sweep.cell_doc("proxy", 23, 40, toy=True)
     assert toy["space"] == "reduced" and toy["fleet"]["n_holdout_monotone"] == 2
+
+
+def test_an_energy_percentile_adds_the_energy_bound_to_the_cell():
+    doc = quality_sweep.cell_doc("proxy-latency", 57, 5, energy_percentile=15)
+    assert doc["optimize"] == {"latency_percentile": 5.0, "energy_percentile": 15.0}
+    assert doc["predictor"] == {"epochs": 150}
+    assert quality_sweep.cell_doc("proxy", 23, 40, energy_percentile=None) == {
+        "seed": 23, "approach": "proxy", "optimize": {"latency_percentile": 40.0}}

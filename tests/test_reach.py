@@ -104,9 +104,25 @@ def test_every_function_no_cli_path_enters_is_pinned(tmp_path):
     assert {name: UNREACHED.get(name, "?") for name in never} == UNREACHED
 
 
+def tracer_quotes() -> set[str]:
+    """The quoted names of bench/tracer.py, read as text, never imported: it
+    looks its targets up by quoted attribute names."""
+    return set(re.findall(r"[\"'](\w+)[\"']", (ROOT / "bench" / "tracer.py").read_text()))
+
+
 def test_every_tracer_pin_is_a_name_bench_tracer_quotes():
-    # bench/tracer.py is read as text, never imported: it looks its targets up
-    # by quoted attribute names, so a pin kept for it must be one of them
-    quoted = set(re.findall(r"[\"'](\w+)[\"']", (ROOT / "bench" / "tracer.py").read_text()))
+    # a pin kept for the tracer must be one of the names it looks up
     pins = [name for name, reason in UNREACHED.items() if reason == TRACER]
-    assert [name for name in pins if name.rsplit(".", 1)[-1] not in quoted] == []
+    assert [name for name in pins if name.rsplit(".", 1)[-1] not in tracer_quotes()] == []
+
+
+def test_every_name_pipeline_imports_and_never_uses_is_one_bench_tracer_quotes():
+    # pipeline keeps some bindings only for the tracer to wrap by name; once
+    # the tracer stops quoting one, nothing needs it
+    tree = ast.parse((SRC / "pipeline.py").read_text())
+    imported = {alias.asname or alias.name.split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__" for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = sorted(imported - used)
+    assert unused and [name for name in unused if name not in tracer_quotes()] == []

@@ -322,7 +322,8 @@ def test_coarse_granularity_keeps_the_grid_in_the_simplex(tmp_path):
 
 def test_every_stream_a_seed_names_is_distinct(monkeypatch):
     # numpy pads short entropy with zeros, so a bare [seed, id, *key] would make
-    # the grid's GA key (500, 0) one stream with the bisection's (500,)
+    # the ray's GA key (0, 0) one stream with the one-weight key (0,): each key
+    # of either length, here (250,) and (250, 250) among them, is its own stream
     made = {}
 
     def recorded(seed, stream_id, *key):
@@ -333,11 +334,11 @@ def test_every_stream_a_seed_names_is_distinct(monkeypatch):
     for module in (pipeline, proxy_reuse):
         monkeypatch.setattr(module, "stream", recorded)
     doc = with_key(SMALL_PROXY, "predictor.epochs", 5)
-    for energy_percentile in (None, 40.0):  # the bisection, then the 2-D grid
+    for energy_percentile in (None, 40.0):  # one weight, then the ray
         run_scenario(scenario_from_dict(
             with_key(doc, "optimize.energy_percentile", energy_percentile)))
     assert {0, 1, 2, 101} < {path[0] for path in made}
-    assert {(GA_STREAM, 500), (GA_STREAM, 500, 0), (GA_STREAM, 0, 0)} <= made.keys()
+    assert {(GA_STREAM, 500), (GA_STREAM, 250), (GA_STREAM, 250, 250)} <= made.keys()
     assert len(set(made.values())) == len(made)
 
 
@@ -405,7 +406,7 @@ def test_a_gate_miss_charges_its_probes_and_its_solve_only(energy_percentile):
         charged = report.ledger["devices"][row["device_id"]]
         if energy_percentile is None:
             assert charged == {"latency": probes + solve}
-        else:  # the grid measures both metrics of each design it measures
+        else:  # the ray measures both metrics of each design it measures
             probe_energy = 0 if row["proxy_reused"] else probes
             assert charged == {"latency": probes + solve // 2,
                                "energy": probe_energy + solve // 2}
@@ -438,10 +439,10 @@ def test_a_corrected_entry_joins_the_pool_for_later_targets():
 @pytest.mark.parametrize("doc, header, weights", [
     (SMALL_PROXY, ["iteration", "t", "latency", "measured", "verdict"], 1),
     (with_key(SMALL_PROXY, "optimize.energy_percentile", 40.0),
-     ["level", "t1", "t2", "latency", "energy"], 2),
+     ["iteration", "t", "latency", "energy", "measured", "verdict"], 2),
     (SMALL_AMORTIZED,
      ["lambda1", "lambda2", "predicted_feasible", "predicted_accuracy", "chosen"], None),
-], ids=["bisection", "grid", "sweep"])
+], ids=["bisection", "ray", "sweep"])
 def test_one_trace_table_per_run(tmp_path, doc, header, weights):
     doc = with_key(doc, "predictor.epochs", 5)
     doc["optimize"]["optimizer_epochs"] = 5

@@ -1,11 +1,13 @@
 """Decision quality of two fleetopt checkouts over a grid of seeds and bounds.
 
     python3 tools/quality_sweep.py PARENT_DIR CHANGE_DIR [--scenario proxy proxy-latency] \\
-        [--seeds 23 57] [--percentiles 5 15 40] [--toy]
+        [--seeds 23 57] [--percentiles 5 15 40] [--energy-percentiles 5 15 40] [--toy]
 
-A cell is one scenario, seed and latency percentile. ``proxy`` is the README
-defaults with ``{"approach": "proxy"}``; any other scenario name is a
-workload of bench/workloads.py (imported, never edited). ``--toy`` shrinks
+A cell is one scenario, seed and latency percentile, and with
+``--energy-percentiles`` one energy percentile too (none by default: the
+cells are latency-bound only). ``proxy`` is the README defaults with
+``{"approach": "proxy"}``; any other scenario name is a workload of
+bench/workloads.py (imported, never edited). ``--toy`` shrinks
 either to the workload's toy size (``proxy`` to ``proxy-latency``'s). In
 each checkout the cell's scenario file is run once with ``fleetopt
 optimize``, a child process on that checkout's own src/, the way
@@ -23,6 +25,7 @@ nothing outside a temporary directory. It exits 0, or 2 when a run fails.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import statistics
 import sys
@@ -40,8 +43,9 @@ from workloads import TOY, TOY_TARGETS, _merge, scenario_doc  # noqa: E402
 from fleetopt.scenario import scenario_from_dict  # noqa: E402
 
 
-def cell_doc(scenario: str, seed: int, percentile: float, toy: bool = False) -> dict:
-    """The scenario file of one cell."""
+def cell_doc(scenario: str, seed: int, percentile: float, toy: bool = False,
+             energy_percentile: float | None = None) -> dict:
+    """The scenario file of one cell; an energy bound only with energy_percentile."""
     if scenario != "proxy":
         doc = scenario_doc(scenario, seed, toy)
     elif toy:  # the defaults at proxy-latency's toy size
@@ -50,6 +54,8 @@ def cell_doc(scenario: str, seed: int, percentile: float, toy: bool = False) -> 
     else:
         doc = {"seed": seed, "approach": "proxy"}
     doc["optimize"] = {**doc.get("optimize", {}), "latency_percentile": float(percentile)}
+    if energy_percentile is not None:
+        doc["optimize"]["energy_percentile"] = float(energy_percentile)
     return doc
 
 
@@ -96,14 +102,18 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--scenario", nargs="+", default=["proxy", "proxy-latency"])
     parser.add_argument("--seeds", type=int, nargs="+", default=[23, 57])
     parser.add_argument("--percentiles", type=float, nargs="+", default=[5.0, 15.0, 40.0])
+    parser.add_argument("--energy-percentiles", type=float, nargs="+", default=[None])
     parser.add_argument("--toy", action="store_true")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="quality-sweep-") as tmp:
         for scenario in args.scenario:
             for seed in args.seeds:
-                for percentile in args.percentiles:
-                    name = f"{scenario} seed {seed} p{percentile:g}{' toy' if args.toy else ''}"
-                    doc = cell_doc(scenario, seed, percentile, args.toy)
+                for percentile, energy in itertools.product(args.percentiles,
+                                                             args.energy_percentiles):
+                    name = (f"{scenario} seed {seed} p{percentile:g}"
+                            f"{'' if energy is None else f' e{energy:g}'}"
+                            f"{' toy' if args.toy else ''}")
+                    doc = cell_doc(scenario, seed, percentile, args.toy, energy)
                     try:
                         parent, change = (run_quality(checkout, doc, Path(tmp) / side)
                                           for side, checkout in (("parent", args.parent),
